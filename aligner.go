@@ -123,18 +123,17 @@ func WithProgress(f ProgressFunc) Option {
 	return func(c *alignerConfig) { c.progress = f }
 }
 
-// WithParallelism parallelises partition recoloring — and, for the Overlap
-// method, the matching phases of Algorithm 2 (candidate generation and
-// σ/edit-distance verification fan out across source nodes) — across the
-// given number of goroutines (the shared-memory analogue of the distributed
-// bisimulation the paper points to in §5.3). workers == 1 runs
+// WithParallelism parallelises the Overlap method's matching phases of
+// Algorithm 2 (candidate generation and σ/edit-distance verification fan
+// out across source nodes) across the given number of goroutines. It has
+// no effect on the other methods: partition refinement, propagation and
+// σEdit always run sequentially, because a parallel refinement round lost
+// to the sequential worklist engine on two cores. workers == 1 runs
 // sequentially; workers <= 0 selects GOMAXPROCS — callers exposing a "0
 // means sequential" knob (like cmd/rdfalign's -workers flag) must therefore
-// not call WithParallelism for non-positive values. The parallel path
-// covers the paper's default outbound recoloring; with WithContextual,
-// WithAdaptive or WithKeyPredicates active, refinement runs sequentially.
-// Results are identical to the sequential engine either way — colorings,
-// weights and pair sets are bit-identical for every worker count.
+// not call WithParallelism for non-positive values. Results are identical
+// to the sequential run — colorings, weights and pair sets are
+// bit-identical for every worker count.
 func WithParallelism(workers int) Option {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -231,7 +230,7 @@ func (al *Aligner) refineOptions() core.RefineOptions {
 
 // engine assembles the core engine for one call.
 func (al *Aligner) engine(ctx context.Context) *core.Engine {
-	return &core.Engine{Opt: al.refineOptions(), Hooks: al.hooks(ctx), Workers: al.cfg.workers, MaxDepth: al.cfg.maxDepth}
+	return &core.Engine{Opt: al.refineOptions(), Hooks: al.hooks(ctx), MaxDepth: al.cfg.maxDepth}
 }
 
 // Align aligns a source and a target graph. The context is checked before

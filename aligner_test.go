@@ -217,8 +217,8 @@ func TestOptionEquivalence(t *testing.T) {
 	}
 }
 
-// TestAlignerParallelismEquivalence: parallel refinement produces the same
-// alignment as the sequential engine.
+// TestAlignerParallelismEquivalence: WithParallelism leaves a Hybrid
+// alignment identical to the sequential one.
 func TestAlignerParallelismEquivalence(t *testing.T) {
 	d, err := GenerateEFO(EFOConfig{Versions: 8, Scale: 0.02, Seed: 99})
 	if err != nil {

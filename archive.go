@@ -35,8 +35,8 @@ func BuildArchive(graphs []*Graph, opt ArchiveOptions) (*Archive, error) {
 // BuildArchive archives a sequence of graph versions under the session's
 // configuration: consecutive versions are aligned with the session's
 // refinement extensions (WithContextual, WithAdaptive, WithKeyPredicates),
-// its parallelism, and its Overlap settings when the method is Overlap (the
-// hybrid partition otherwise); WithResolveAmbiguous carries over. The
+// and, when the method is Overlap, its Overlap settings and matching
+// parallelism (the hybrid partition otherwise); WithResolveAmbiguous carries over. The
 // context is checked before each version pair and inside every alignment
 // fixpoint; the session's progress observer additionally receives one
 // "archive" event per archived version (Round = 1-based version, Total =

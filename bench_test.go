@@ -199,18 +199,15 @@ func BenchmarkArchiveExperiment(b *testing.B) {
 }
 
 // Refinement-engine micro-benchmarks: every BenchmarkRefine* workload runs
-// under three evaluation strategies — the full-recolor reference
-// (core.Engine.FullRecolor), the default incremental worklist, and the
-// parallel worklist (4 workers gathering and interning concurrently through
-// the sharded interner) — so the speedups of dirty-frontier recoloring and
-// of concurrent interning are measured directly. The CI smoke step runs
-// these with -benchtime=1x; the benchmark regression gate compares fresh
-// runs against the BENCH_refine.json baseline with benchstat and
-// cmd/benchgate (single-core runners make worklist-par a goroutine-overhead
-// measurement, which the baseline records as such).
+// under both evaluation strategies — the full-recolor reference
+// (core.Engine.FullRecolor) and the default incremental worklist — so the
+// speedup of dirty-frontier recoloring is measured directly. The CI smoke
+// step runs these with -benchtime=1x; the benchmark regression gate
+// compares fresh runs against the BENCH_refine.json baseline with
+// benchstat and cmd/benchgate.
 
-// benchRefineEngines runs one workload under the full-recolor reference,
-// the worklist engine and the parallel worklist as sub-benchmarks.
+// benchRefineEngines runs one workload under the full-recolor reference and
+// the worklist engine as sub-benchmarks.
 func benchRefineEngines(b *testing.B, run func(e *core.Engine) error) {
 	for _, cfg := range []struct {
 		name string
@@ -218,7 +215,6 @@ func benchRefineEngines(b *testing.B, run func(e *core.Engine) error) {
 	}{
 		{"full", core.Engine{FullRecolor: true}},
 		{"worklist", core.Engine{}},
-		{"worklist-par", core.Engine{Workers: 4}},
 	} {
 		cfg := cfg
 		b.Run(cfg.name, func(b *testing.B) {

@@ -30,7 +30,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -153,11 +152,8 @@ func writeFig16JSON(path string, r *experiments.Fig16Result, scale float64) erro
 		Description: "benchfig Figure 16 timings in the shared BENCH_refine.json schema (internal/benchjson)",
 		Workloads:   []benchjson.Workload{w},
 	}
-	data, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	f.StampMachine()
+	return f.WriteFile(path)
 }
 
 // writeDepthJSON records the bounded-depth sweep timings in the shared
@@ -169,9 +165,6 @@ func writeDepthJSON(path string, r *experiments.DepthSweepResult, scale float64)
 			r.Workload(fmt.Sprintf("benchfig -fig depth -scale %g: wall-clock deblank+hybrid times per engine and depth bound", scale)),
 		},
 	}
-	data, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	f.StampMachine()
+	return f.WriteFile(path)
 }

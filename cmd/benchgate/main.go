@@ -4,7 +4,8 @@
 //
 //	benchgate -baseline BENCH_refine.json -emit
 //	    Flatten the checked-in baseline into Go benchmark text on stdout —
-//	    the "old" input to benchstat.
+//	    the "old" input to benchstat — headed by the baseline's recorded
+//	    machine fields (nproc, gomaxprocs, go) as configuration lines.
 //
 //	benchgate -normalize raw.txt
 //	    Re-emit the measured `go test -bench` output with benchmark names
@@ -81,6 +82,9 @@ func fatal(err error) {
 func runEmit(baseline string) error {
 	f, err := benchjson.ReadFile(baseline)
 	if err != nil {
+		return err
+	}
+	if err := f.WriteConfig(os.Stdout); err != nil {
 		return err
 	}
 	return benchjson.WriteBenchText(os.Stdout, f.Flatten())

@@ -11,9 +11,9 @@
 // fixpoint is capped at k rounds, trading alignment precision for speed
 // (0 = exact).
 // -timeout bounds the run through context cancellation, -progress streams
-// per-round progress to stderr, and -workers parallelises refinement and,
-// for -method overlap, the matching phases (bit-identical output for every
-// worker count).
+// per-round progress to stderr, and -workers parallelises the matching
+// phases of -method overlap (bit-identical output for every worker count;
+// refinement is sequential).
 // Input files are streamed through the parallel N-Triples pipeline
 // (-parse-workers, default all cores; the parsed graph is bit-identical
 // to a sequential parse); -strict tightens the accepted N-Triples
@@ -52,7 +52,7 @@ func main() {
 	maxDepth := flag.Int("max-depth", 0, "bound every refinement fixpoint at k rounds (bounded-depth k-bisimulation; 0 = exact unbounded alignment)")
 	timeout := flag.Duration("timeout", 0, "abort the alignment after this duration (0 = no limit)")
 	progress := flag.Bool("progress", false, "stream per-round progress to stderr")
-	workers := flag.Int("workers", 0, "parallel refinement and overlap-matching workers (0 or 1 = sequential, -1 = all cores)")
+	workers := flag.Int("workers", 0, "overlap-matching workers; other methods and refinement are sequential (0 or 1 = sequential, -1 = all cores)")
 	parseWorkers := flag.Int("parse-workers", -1, "parallel parse workers (0 or 1 = sequential, -1 = all cores)")
 	strict := flag.Bool("strict", false, "reject lax N-Triples (raw control characters, invalid UTF-8, nonstandard blank labels)")
 	pairs := flag.Bool("pairs", false, "print every aligned URI pair")

@@ -58,7 +58,7 @@ func main() {
 		resolveAmbig = flag.Bool("resolve-ambiguous", false, "greedily resolve ambiguous blank-node matches")
 		queryWorkers = flag.Int("query-workers", 16, "max concurrently executing queries")
 		alignJobs    = flag.Int("align-jobs", 1, "max concurrently running alignment jobs")
-		alignWorkers = flag.Int("align-workers", 0, "worker goroutines per alignment (0 = all cores)")
+		alignWorkers = flag.Int("align-workers", 0, "overlap-matching goroutines per alignment; refinement is sequential (0 = all cores)")
 		queryTimeout = flag.Duration("query-timeout", 10*time.Second, "per-query deadline, including budget wait")
 		maxBody      = flag.Int64("max-body-bytes", server.DefaultMaxUploadBytes, "max request body bytes; oversized uploads are rejected with 413")
 		maxUpload    = flag.Int64("max-upload", 0, "deprecated alias for -max-body-bytes (takes precedence when set)")

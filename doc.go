@@ -109,24 +109,26 @@
 // slices — no byte-key serialisation — and resolved through an
 // open-addressed table that falls back to structural comparison on hash
 // collision, so collisions cost a comparison, never a wrong answer.
-// WithParallelism chunks large frontiers across a worker pool whose
-// workers intern concurrently through a sharded (lock-striped) interner; a
-// post-round rank-reconciliation pass assigns colors in the sequential
-// engine's order, so colorings are bit-identical across worker counts and
-// hash seeds (property-tested). The extended characterisations
+// Colorings are bit-identical across hash seeds (property-tested).
+// Refinement is sequential: a parallel gather-and-intern round lost to the
+// sequential worklist at two cores, so WithParallelism applies only to the
+// Overlap method's matching scans. The extended characterisations
 // (WithContextual, WithAdaptive, WithKeyPredicates) read inbound and
 // predicate-occurrence neighbourhoods the outbound dependency frontier
 // does not cover, so they refine by exhaustive recoloring as before.
 //
-// The Overlap method's matching phases (Algorithm 2) scale the same two
-// ways. WithParallelism also fans the matching scans out across workers:
-// candidates are generated from a shared read-only inverted index and each
-// worker verifies its own source nodes (σ/edit-distance verification is
-// the dominant per-round cost), with per-worker edge batches merged in
+// The Overlap method's matching phases (Algorithm 2) scale three ways.
+// Algorithm 1 probes the inverted index with only the minimal lossless
+// prefix of each characterisation's least frequent objects, not the
+// paper's ⌈kθ⌉ — a deliberate departure that changes no output, since the
+// candidates the longer prefix adds all fail the overlap screen, and that
+// screens an order of magnitude fewer candidates at θ = 0.65.
+// WithParallelism fans the matching scans out across workers: candidates
+// are generated from a shared read-only inverted index and each worker
+// verifies its own source nodes, with per-worker edge batches merged in
 // source order — the discovered pairs, and therefore the final colorings
-// and weights, are bit-identical for every worker count, extending the
-// engine's determinism guarantee across all three fixpoints and the
-// matching phases. And the per-round non-literal match is incremental: the
+// and weights, are bit-identical for every worker count. And the per-round
+// non-literal match is incremental: the
 // inverted index and the characterisation/σNL caches survive across rounds
 // and are repaired from the nodes Enrich and Propagate actually moved
 // (core.Engine.PropagateChanged exposes the worklist's change lists)
@@ -149,9 +151,9 @@
 // are indistinguishable by outbound paths of length at most k, a strictly
 // coarser alignment that trades ambiguity beyond depth k for a fraction
 // of the exact fixpoint's cost on deep graphs. The cap counts rounds
-// uniformly across the full-recolor, worklist and parallel strategies, so
-// the bit-identity guarantee holds per bound: for every k the engines
-// produce identical colorings across worker counts and hash seeds
+// uniformly across the full-recolor and worklist strategies, so the
+// bit-identity guarantee holds per bound: for every k the engines produce
+// identical colorings across hash seeds
 // (oracle- and property-tested), a fixpoint that stabilises before round
 // k is unaffected, and a k-bounded ApplyDelta equals a k-bounded
 // from-scratch re-alignment. On the CLI the bound is -max-depth; the
@@ -215,7 +217,7 @@
 //
 // The backend contract extends the bit-identity guarantee: colorings,
 // iteration counts and all derived results are identical — color for
-// color — across storage backends, worker counts and hash seeds
+// color — across storage backends and hash seeds
 // (property-tested). A Storage must return zeroed, non-overlapping,
 // arbitrarily long-lived allocations; it is not safe for use by two
 // concurrent alignments, and its memory is reclaimed by Close (or, for

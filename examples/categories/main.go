@@ -30,8 +30,8 @@ func main() {
 
 	// One session per method, reused across every consecutive version
 	// pair — the Aligner holds the validated configuration; each Align
-	// call gets its own deadline. WithParallelism spreads the refinement
-	// recoloring across the machine's cores.
+	// call gets its own deadline. WithParallelism spreads the Overlap
+	// method's matching scans across the machine's cores.
 	methods := []rdfalign.Method{rdfalign.Trivial, rdfalign.Hybrid, rdfalign.Overlap}
 	sessions := map[rdfalign.Method]*rdfalign.Aligner{}
 	for _, m := range methods {

@@ -92,10 +92,10 @@ type BuildOptions struct {
 	// refinements (the context/adaptive/key extensions); the zero value
 	// is the paper's default outbound recoloring.
 	Refine core.RefineOptions
-	// Workers parallelises refinement recoloring (see core.Engine) and,
-	// with UseOverlap, the per-pair overlap matching phases
-	// (similarity.OverlapOptions.Workers) when > 1; <= 1 runs
-	// sequentially. Archives are bit-identical for every worker count.
+	// Workers > 1 parallelises the per-pair overlap matching phases
+	// (similarity.OverlapOptions.Workers) when UseOverlap is set; it has
+	// no other effect, since refinement is sequential. Archives are
+	// bit-identical for every worker count.
 	Workers int
 	// Hooks threads cancellation and progress through the per-pair
 	// alignments; Build additionally checks the context before each pair
@@ -264,7 +264,7 @@ func noteURIs(g *rdf.Graph, entity []EntityID, lastSeen map[string]EntityID) {
 func alignPair(g1, g2 *rdf.Graph, opt BuildOptions) (*core.Partition, *rdf.Combined, error) {
 	c := rdf.Union(g1, g2)
 	in := core.NewInterner()
-	eng := &core.Engine{Opt: opt.Refine, Hooks: opt.Hooks, Workers: opt.Workers}
+	eng := &core.Engine{Opt: opt.Refine, Hooks: opt.Hooks}
 	hybrid, _, err := eng.Hybrid(c, in)
 	if err != nil {
 		return nil, nil, err

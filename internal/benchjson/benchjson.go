@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,11 +20,56 @@ import (
 
 // File is the top-level baseline document.
 type File struct {
-	Description string     `json:"description"`
-	Date        string     `json:"date,omitempty"`
-	CPU         string     `json:"cpu,omitempty"`
-	Benchtime   string     `json:"benchtime,omitempty"`
-	Workloads   []Workload `json:"workloads"`
+	Description string `json:"description"`
+	Date        string `json:"date,omitempty"`
+	CPU         string `json:"cpu,omitempty"`
+	// NProc, GOMAXPROCS and Go describe the machine the numbers were
+	// measured on: logical CPUs, the Go scheduler's processor limit and
+	// the toolchain version (see StampMachine).
+	NProc      int        `json:"nproc,omitempty"`
+	GOMAXPROCS int        `json:"gomaxprocs,omitempty"`
+	Go         string     `json:"go,omitempty"`
+	Benchtime  string     `json:"benchtime,omitempty"`
+	Workloads  []Workload `json:"workloads"`
+}
+
+// StampMachine records the running process's machine fields: the logical
+// CPU count, GOMAXPROCS and the Go version.
+func (f *File) StampMachine() {
+	f.NProc = runtime.NumCPU()
+	f.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	f.Go = runtime.Version()
+}
+
+// WriteFile saves the document as indented JSON.
+func (f *File) WriteFile(path string) error {
+	data, err := json.MarshalIndent(f, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// WriteConfig renders the recorded machine fields as configuration lines
+// of the Go benchmark text format ("nproc: 2"), which benchstat prints
+// above its tables. Fields the document does not record are skipped.
+func (f *File) WriteConfig(w io.Writer) error {
+	var lines []string
+	if f.NProc > 0 {
+		lines = append(lines, fmt.Sprintf("nproc: %d", f.NProc))
+	}
+	if f.GOMAXPROCS > 0 {
+		lines = append(lines, fmt.Sprintf("gomaxprocs: %d", f.GOMAXPROCS))
+	}
+	if f.Go != "" {
+		lines = append(lines, "go: "+f.Go)
+	}
+	for _, l := range lines {
+		if _, err := fmt.Fprintln(w, l); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Workload is one benchmark workload. Entries carry either the historical

@@ -1,7 +1,9 @@
 package benchjson
 
 import (
+	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -96,5 +98,40 @@ func TestReadFileBaseline(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "BenchmarkRefineDeblankWideDeep/worklist 1 ") {
 		t.Errorf("bench text missing expected line:\n%s", sb.String())
+	}
+}
+
+func TestMachineFieldsRoundTrip(t *testing.T) {
+	f := &File{
+		Description: "round trip",
+		Workloads:   []Workload{{Name: "BenchmarkX", Results: []Result{{Bench: "BenchmarkX/a", NsOp: 12}}}},
+	}
+	f.StampMachine()
+	if f.NProc < 1 || f.GOMAXPROCS < 1 || f.Go == "" {
+		t.Fatalf("StampMachine left fields empty: %+v", f)
+	}
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := f.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, f) {
+		t.Errorf("round trip changed the document:\n got %+v\nwant %+v", got, f)
+	}
+
+	var sb strings.Builder
+	if err := got.WriteConfig(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("nproc: %d\ngomaxprocs: %d\ngo: %s\n", f.NProc, f.GOMAXPROCS, f.Go)
+	if sb.String() != want {
+		t.Errorf("config lines = %q, want %q", sb.String(), want)
+	}
+	sb.Reset()
+	if err := (&File{}).WriteConfig(&sb); err != nil || sb.Len() != 0 {
+		t.Errorf("unrecorded fields rendered as %q (err %v), want nothing", sb.String(), err)
 	}
 }

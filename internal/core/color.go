@@ -58,10 +58,7 @@ type ColorPair struct {
 //
 // An Interner is not safe for concurrent mutation. Lookups (including the
 // read-only probes of Composite on already-interned signatures) are safe
-// concurrently with each other as long as no call allocates; the sharded
-// concurrent interner (shardintern.go) builds on that by buffering new
-// signatures in lock-striped shards during a parallel round and committing
-// them in a deterministic post-round reconciliation pass.
+// concurrently with each other as long as no call allocates.
 type Interner struct {
 	labels map[rdf.Label]Color
 	table  sigTable
@@ -121,7 +118,7 @@ func NewInterner() *Interner {
 }
 
 // NewInternerSeeded is NewInterner with an explicit signature-hash seed.
-// The seed perturbs hash-table and shard placement only; the colors an
+// The seed perturbs hash-table placement only; the colors an
 // interner assigns depend solely on the order of interning calls, so
 // colorings are bit-identical across seeds (property-tested).
 func NewInternerSeeded(seed uint64) *Interner {

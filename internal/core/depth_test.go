@@ -44,13 +44,13 @@ func TestDepthBoundedOracle(t *testing.T) {
 }
 
 // TestDepthDeterminismWorkersAndSeeds extends the bit-identity guarantee to
-// every depth bound: on a frontier large enough to engage the sharded
-// interner, the k-bounded colorings of the full-recolor reference, the
-// worklist, and their parallel variants must be color-for-color identical
-// (not merely equivalent) across worker counts and hash seeds, with the
-// same applied-round count.
+// every depth bound: on a wide frontier, the k-bounded colorings of the
+// full-recolor reference and the worklist must be color-for-color identical
+// (not merely equivalent) across hash seeds and the deprecated, ignored
+// Engine.Workers values callers may still set, with the same applied-round
+// count.
 func TestDepthDeterminismWorkersAndSeeds(t *testing.T) {
-	g := wideDeepTestGraph(2*parallelThreshold, 40)
+	g := wideDeepTestGraph(512, 40)
 	for _, k := range depthTestBounds {
 		var want *Partition
 		var wantIters int
@@ -85,32 +85,30 @@ func TestDepthDeterminismWorkersAndSeeds(t *testing.T) {
 
 // TestDepthWeightedDeterminism is the weighted counterpart: k-bounded
 // Propagate must yield bit-identical colors and weights across the
-// full-recolor and worklist strategies, worker counts and hash seeds.
+// full-recolor and worklist strategies and hash seeds.
 func TestDepthWeightedDeterminism(t *testing.T) {
-	c := rdf.Union(wideDeepTestGraph(parallelThreshold, 30), wideDeepTestGraph(parallelThreshold, 30))
+	c := rdf.Union(wideDeepTestGraph(256, 30), wideDeepTestGraph(256, 30))
 	for _, k := range depthTestBounds {
 		var want *Weighted
 		for _, full := range []bool{false, true} {
 			for _, seed := range internTestSeeds {
-				for _, workers := range []int{1, 4} {
-					in := NewInternerSeeded(seed)
-					xi := NewWeighted(TrivialPartition(c.Graph, in))
-					out, _, err := (&Engine{Workers: workers, MaxDepth: k, FullRecolor: full}).Propagate(c, xi, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want == nil {
-						want = out
-						continue
-					}
-					if !samePartition(want.P, out.P) {
-						t.Errorf("k=%d full=%v seed %#x workers %d: weighted coloring diverged", k, full, seed, workers)
-					}
-					for n := range out.W {
-						if out.W[n] != want.W[n] {
-							t.Fatalf("k=%d full=%v seed %#x workers %d: weight of node %d = %v, want %v",
-								k, full, seed, workers, n, out.W[n], want.W[n])
-						}
+				in := NewInternerSeeded(seed)
+				xi := NewWeighted(TrivialPartition(c.Graph, in))
+				out, _, err := (&Engine{MaxDepth: k, FullRecolor: full}).Propagate(c, xi, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = out
+					continue
+				}
+				if !samePartition(want.P, out.P) {
+					t.Errorf("k=%d full=%v seed %#x: weighted coloring diverged", k, full, seed)
+				}
+				for n := range out.W {
+					if out.W[n] != want.W[n] {
+						t.Fatalf("k=%d full=%v seed %#x: weight of node %d = %v, want %v",
+							k, full, seed, n, out.W[n], want.W[n])
 					}
 				}
 			}

@@ -7,18 +7,17 @@ import (
 	"rdfalign/internal/rdf"
 )
 
-// parallelThreshold is the minimum recolor-set size at which the parallel
-// refinement path pays for its coordination overhead.
-const parallelThreshold = 256
-
 // Engine bundles the cross-cutting configuration of one alignment session:
 // the refinement extensions (direction, edge filter, adaptive predicate
-// handling), the cancellation/progress hooks, and the worker count for
-// parallel recoloring. Every fixpoint in the package flows through an
-// Engine; the package-level functions (Refine, DeblankPartition,
-// HybridPartition, RefineWeighted, Propagate and their Opts/Parallel
-// variants) are thin wrappers over suitably configured Engines and keep
-// their historical uncancellable signatures.
+// handling), the cancellation/progress hooks and the depth bound. Every
+// fixpoint in the package flows through an Engine; the package-level
+// functions (Refine, DeblankPartition, HybridPartition, RefineWeighted,
+// Propagate and their Opts variants) are thin wrappers over suitably
+// configured Engines and keep their historical uncancellable signatures.
+// Refinement is sequential: a concurrent gather-and-intern round lost to
+// the sequential worklist at two cores (the sequential frontier is cheap
+// and the per-round coordination is not), so parallelism is confined to
+// the overlap matching scans (similarity.OverlapOptions.Workers).
 //
 // Engine methods check the hooks' context once per round and return its
 // error as soon as cancellation is observed; with a nil context they never
@@ -30,24 +29,19 @@ type Engine struct {
 	Opt RefineOptions
 	// Hooks carries cancellation and per-round progress callbacks.
 	Hooks Hooks
-	// Workers > 1 parallelises recoloring across that many goroutines
-	// when the options permit (the parallel path implements only the
-	// default outbound recoloring); <= 1 runs sequentially. Workers
-	// gather and intern concurrently (sharded interner + post-round rank
-	// reconciliation), and every worker count yields the identical
-	// coloring.
+	// Deprecated: ignored; refinement is sequential.
 	Workers int
 	// MaxDepth > 0 caps every refinement fixpoint at that many applied
 	// rounds — bounded-depth k-bisimulation (the localized/k-bounded
 	// variant of the literature; cheap approximate alignment). 0 runs the
 	// exact unbounded fixpoint. The cap counts applied rounds uniformly
 	// across all evaluation strategies: at the top of iteration i the
-	// current partition holds exactly i applied rounds in the full-recolor,
-	// parallel and worklist loops alike (the worklist only recolors nodes
-	// the full round would move, and the discarded quiescent round is never
+	// current partition holds exactly i applied rounds in the full-recolor
+	// and worklist loops alike (the worklist only recolors nodes the full
+	// round would move, and the discarded quiescent round is never
 	// counted), so for every k the engines produce bit-identical colorings
-	// for every worker count and interner seed — the same determinism
-	// guarantee the unbounded fixpoint carries. A fixpoint that stabilises
+	// for every interner seed — the same determinism guarantee the
+	// unbounded fixpoint carries. A fixpoint that stabilises
 	// before round k is unaffected: bounded and unbounded results coincide.
 	MaxDepth int
 	// FullRecolor disables the incremental worklist and recolors the
@@ -78,9 +72,6 @@ func (e *Engine) Refine(g *rdf.Graph, p *Partition, x []rdf.NodeID) (*Partition,
 	if !e.useOpts() && !e.FullRecolor {
 		return e.refineWorklist(g, p, x, nil)
 	}
-	if e.Workers > 1 && !e.useOpts() && len(x) >= parallelThreshold {
-		return e.refineParallelFull(g, p, x)
-	}
 	return e.refineFull(g, p, x)
 }
 
@@ -105,38 +96,6 @@ func (e *Engine) refineFull(g *rdf.Graph, p *Partition, x []rdf.NodeID) (*Partit
 			next = RefineStepOpts(g, cur, x, e.Opt)
 		} else {
 			next = RefineStep(g, cur, x)
-		}
-		if equivalentColors(cur.colors, next.colors) {
-			return cur, iter, nil
-		}
-		cur = next
-		e.Hooks.RoundDirty(StageRefine, iter+1, len(x))
-	}
-}
-
-// refineParallelFull is the full-recolor worker-pool loop: the gather
-// phase of every round spans all of x (see parallelGatherer for the phase
-// structure and the color-identity guarantee). The worklist engine
-// parallelises the same way but over its dirty frontier only; this loop is
-// kept as the FullRecolor reference.
-func (e *Engine) refineParallelFull(g *rdf.Graph, p *Partition, x []rdf.NodeID) (*Partition, int, error) {
-	pg := newParallelGatherer(e.Workers)
-	var changes []change
-	cur := p
-	for iter := 0; ; iter++ {
-		if err := e.Hooks.Err(); err != nil {
-			return nil, 0, err
-		}
-		if e.MaxDepth > 0 && iter >= e.MaxDepth {
-			return cur, iter, nil // k-bounded: exactly MaxDepth applied rounds
-		}
-		if iter > DefaultMaxIterations {
-			panic(fmt.Sprintf("core: Refine (parallel) did not stabilise after %d iterations", iter))
-		}
-		changes = pg.round(g, cur, x, changes[:0])
-		next := cur.Clone()
-		for _, ch := range changes {
-			next.colors[ch.n] = ch.new
 		}
 		if equivalentColors(cur.colors, next.colors) {
 			return cur, iter, nil
@@ -245,10 +204,9 @@ func (e *Engine) HybridFromDeblank(c *rdf.Combined, deblank *Partition) (*Partit
 // recoloring always uses the paper's default outbound characterisation; the
 // engine's Opt does not apply. See the package-level RefineWeighted for the
 // convergence argument.
-// The default strategy is the incremental worklist engine (worklist.go),
-// which also honours Workers on large frontiers (concurrent gather,
-// intern and reweight); FullRecolor selects the full-recolor reference
-// loop. Every configuration produces bit-identical colors and weights.
+// The default strategy is the incremental worklist engine (worklist.go);
+// FullRecolor selects the full-recolor reference loop. Both produce
+// bit-identical colors and weights.
 func (e *Engine) RefineWeighted(g *rdf.Graph, xi *Weighted, x []rdf.NodeID, eps float64) (*Weighted, int, error) {
 	if eps <= 0 {
 		eps = DefaultEpsilon

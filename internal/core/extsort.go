@@ -44,7 +44,7 @@ import (
 // change set is equal as a set — and change application, the grouping-
 // equivalence check and the next frontier are all order-independent — so
 // the refinement is bit-identical to the in-memory engines (property-
-// tested against both the sequential and the parallel path).
+// tested against the in-memory worklist).
 //
 // Memory: the run buffer is bounded (extSpillRunBytes), the merge holds
 // one record per run, and what survives the round — the distinct new

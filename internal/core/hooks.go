@@ -26,10 +26,12 @@ type ProgressEvent struct {
 	// Total is the number of rounds known in advance (archive versions);
 	// 0 when the stage runs to a fixpoint of unknown length.
 	Total int
-	// Dirty is the number of nodes the round actually recolored — the
-	// frontier size for the worklist refinement engines, the full recolor
-	// set size for the full-recolor reference engine, and 0 for stages
-	// without a recoloring notion (overlap rounds, archive versions).
+	// Dirty is the round's work: for refinement stages the number of
+	// nodes the round recolored — the frontier size for the worklist
+	// engines, the full recolor set size for the full-recolor reference
+	// engine; for overlap rounds the number of candidate pairs the
+	// matching screened since the previous overlap event (the first round
+	// includes the initial literal matching); 0 for archive versions.
 	Dirty int
 }
 
@@ -61,8 +63,8 @@ func (h Hooks) Round(stage string, round, total int) {
 	}
 }
 
-// RoundDirty is Round for the refinement fixpoints, which additionally
-// report how many nodes the completed round recolored.
+// RoundDirty is Round for the stages that additionally report the
+// completed round's work (see ProgressEvent.Dirty).
 func (h Hooks) RoundDirty(stage string, round, dirty int) {
 	if h.OnRound != nil {
 		h.OnRound(ProgressEvent{Stage: stage, Round: round, Dirty: dirty})

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"strconv"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -14,12 +12,11 @@ import (
 // internTestSeeds are the hash seeds the determinism tests sweep: the
 // default, a degenerate zero seed, and two arbitrary values. Colors are
 // assigned in interning order, so every seed must produce the identical
-// coloring — only bucket and shard placement may differ.
+// coloring — only bucket placement may differ.
 var internTestSeeds = []uint64{sigSeedDefault, 0, 1, 0xdecafbadc0ffee}
 
 // wideDeepTestGraph is a shrunken copy of the benchmark workload the
 // worklist engine exists for: a wide region that stabilises after round one
-// (and exceeds parallelThreshold, so the sharded interner actually runs)
 // next to a deep chain that keeps the fixpoint going.
 func wideDeepTestGraph(nWide, nDeep int) *rdf.Graph {
 	b := rdf.NewBuilder("intern-wide-deep")
@@ -44,13 +41,12 @@ func wideDeepTestGraph(nWide, nDeep int) *rdf.Graph {
 }
 
 // TestInternDeterminismWorkersAndSeeds is the interner-determinism property
-// test of the concurrent design: on a frontier large enough to engage the
-// sharded interner, the colorings of sequential and 2-, 4- and 8-worker
-// runs are color-for-color identical (not merely equivalent), for every
-// hash seed — worker scheduling and bucket placement must never leak into
-// color assignment.
+// test: on a wide frontier the colorings are color-for-color identical (not
+// merely equivalent) for every hash seed and for every value of the
+// deprecated, ignored Engine.Workers — bucket placement must never leak
+// into color assignment.
 func TestInternDeterminismWorkersAndSeeds(t *testing.T) {
-	g := wideDeepTestGraph(2*parallelThreshold, 60)
+	g := wideDeepTestGraph(512, 60)
 	var want *Partition
 	var wantIters int
 	for _, seed := range internTestSeeds {
@@ -76,38 +72,33 @@ func TestInternDeterminismWorkersAndSeeds(t *testing.T) {
 
 // TestInternDeterminismWeighted is the weighted counterpart: Propagate over
 // a combined wide+deep pair must yield bit-identical colors AND weights
-// across worker counts and hash seeds (the parallel weighted round
-// reweights concurrently; reweight is pure over pre-round state).
+// across hash seeds.
 func TestInternDeterminismWeighted(t *testing.T) {
-	c := rdf.Union(wideDeepTestGraph(parallelThreshold, 40), wideDeepTestGraph(parallelThreshold, 40))
+	c := rdf.Union(wideDeepTestGraph(256, 40), wideDeepTestGraph(256, 40))
 	var want *Weighted
 	for _, seed := range internTestSeeds {
-		for _, workers := range []int{1, 2, 4, 8} {
-			in := NewInternerSeeded(seed)
-			xi := NewWeighted(TrivialPartition(c.Graph, in))
-			out, _, err := (&Engine{Workers: workers}).Propagate(c, xi, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want == nil {
-				want = out
-				continue
-			}
-			if !samePartition(want.P, out.P) {
-				t.Errorf("seed %#x workers %d: weighted coloring diverged", seed, workers)
-			}
-			for n := range out.W {
-				if out.W[n] != want.W[n] {
-					t.Fatalf("seed %#x workers %d: weight of node %d = %v, want %v", seed, workers, n, out.W[n], want.W[n])
-				}
+		in := NewInternerSeeded(seed)
+		xi := NewWeighted(TrivialPartition(c.Graph, in))
+		out, _, err := (&Engine{}).Propagate(c, xi, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = out
+			continue
+		}
+		if !samePartition(want.P, out.P) {
+			t.Errorf("seed %#x: weighted coloring diverged", seed)
+		}
+		for n := range out.W {
+			if out.W[n] != want.W[n] {
+				t.Fatalf("seed %#x: weight of node %d = %v, want %v", seed, n, out.W[n], want.W[n])
 			}
 		}
 	}
 }
 
-// TestInternDeterminismRandomGraphs extends the worker/seed sweep to random
-// graphs (small ones exercise the sequential fallback below
-// parallelThreshold, which must equally be seed-independent).
+// TestInternDeterminismRandomGraphs extends the seed sweep to random graphs.
 func TestInternDeterminismRandomGraphs(t *testing.T) {
 	f := func(rngSeed int64) bool {
 		r := rand.New(rand.NewSource(rngSeed))
@@ -115,16 +106,14 @@ func TestInternDeterminismRandomGraphs(t *testing.T) {
 		all := allNodes(g)
 		var want *Partition
 		for _, seed := range internTestSeeds {
-			for _, workers := range []int{1, 4} {
-				p, _, err := (&Engine{Workers: workers}).Refine(g, LabelPartition(g, NewInternerSeeded(seed)), all)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want == nil {
-					want = p
-				} else if !samePartition(want, p) {
-					return false
-				}
+			p, _, err := (&Engine{}).Refine(g, LabelPartition(g, NewInternerSeeded(seed)), all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = p
+			} else if !samePartition(want, p) {
+				return false
 			}
 		}
 		return true
@@ -174,80 +163,6 @@ func TestInternForcedCollision(t *testing.T) {
 	}
 	if in.Size() != size+1 {
 		t.Errorf("interner grew by %d colors, want 1", in.Size()-size)
-	}
-}
-
-// TestInternForcedCollisionSharded is the forced-collision test for a
-// shard's pending table: distinct signatures under one hash stay distinct
-// pending entries, equal ones deduplicate and keep the minimal rank.
-func TestInternForcedCollisionSharded(t *testing.T) {
-	var sh internShard
-	a, b := Color(1), Color(2)
-	const h = uint64(7)
-	i1 := sh.internPending(h, a, []ColorPair{{a, a}}, 10)
-	i2 := sh.internPending(h, a, []ColorPair{{a, b}}, 4)
-	if i1 == i2 {
-		t.Fatal("distinct colliding signatures shared one pending entry")
-	}
-	if again := sh.internPending(h, a, []ColorPair{{a, a}}, 2); again != i1 {
-		t.Fatalf("equal signature re-interned as %d, want %d", again, i1)
-	}
-	if sh.pending[i1].rank != 2 {
-		t.Errorf("rank not lowered to the minimal requester: got %d, want 2", sh.pending[i1].rank)
-	}
-	if sh.pending[i2].rank != 4 {
-		t.Errorf("independent entry's rank disturbed: got %d, want 4", sh.pending[i2].rank)
-	}
-}
-
-// TestInternShardedConcurrent hammers one shardedInterner from many
-// goroutines with overlapping signature sets and checks reconciliation:
-// every distinct signature gets exactly one color, colors are assigned in
-// ascending rank order, and resolve agrees with a sequential re-run.
-func TestInternShardedConcurrent(t *testing.T) {
-	const nSigs, nWorkers = 400, 8
-	parent := NewInterner()
-	base := make([]Color, 8)
-	for i := range base {
-		base[i] = parent.Fresh()
-	}
-	sig := func(i int) (Color, []ColorPair) {
-		// Several ranks share each signature so deduplication has work.
-		k := i % (nSigs / 4)
-		return base[k%len(base)], []ColorPair{{base[(k/2)%len(base)], base[(k/3)%len(base)]}, {base[k%len(base)], base[(k*5)%len(base)]}}
-	}
-	si := newShardedInterner(parent)
-	refs := make([]sigRef, nSigs)
-	var wg sync.WaitGroup
-	for w := 0; w < nWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < nSigs; i += nWorkers {
-				prev, pairs := sig(i)
-				cp := append([]ColorPair(nil), pairs...)
-				sortPairs(cp)
-				cp = dedupPairs(cp)
-				refs[i] = si.intern(int32(i), prev, cp)
-			}
-		}(w)
-	}
-	wg.Wait()
-	si.reconcile()
-	got := make([]Color, nSigs)
-	for i := range refs {
-		got[i] = si.resolve(refs[i])
-	}
-	// Sequential oracle: an identically seeded interner fed ranks in order.
-	oracle := NewInterner()
-	for i := 0; i < len(base); i++ {
-		oracle.Fresh()
-	}
-	for i := 0; i < nSigs; i++ {
-		prev, pairs := sig(i)
-		if want := oracle.Composite(prev, append([]ColorPair(nil), pairs...)); got[i] != want {
-			t.Fatalf("rank %d: sharded color %d, sequential color %d", i, got[i], want)
-		}
 	}
 }
 
@@ -353,51 +268,4 @@ func BenchmarkInternComposite(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkInternSharded measures one concurrent intern round (the gather
-// side of a parallel refinement round): workers intern a pre-canonicalised
-// signature stream through the sharded interner, then reconcile.
-func BenchmarkInternSharded(b *testing.B) {
-	const n, nUnique = 100_000, 20_000
-	prevs, pairs, nBase := internBenchWorkload(n, nUnique)
-	for i := range pairs {
-		sortPairs(pairs[i])
-		pairs[i] = dedupPairs(pairs[i])
-	}
-	// Sub-benchmark names avoid a trailing digit run: benchjson.NormalizeName
-	// could not tell it apart from the -GOMAXPROCS suffix.
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("%dworkers", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				parent := NewInterner()
-				for j := 0; j < nBase; j++ {
-					parent.Fresh()
-				}
-				si := newShardedInterner(parent)
-				refs := make([]sigRef, n)
-				var wg sync.WaitGroup
-				chunk := (n + workers - 1) / workers
-				for w := 0; w < workers; w++ {
-					lo, hi := w*chunk, (w+1)*chunk
-					if hi > n {
-						hi = n
-					}
-					wg.Add(1)
-					go func(lo, hi int) {
-						defer wg.Done()
-						for j := lo; j < hi; j++ {
-							refs[j] = si.intern(int32(j), prevs[j], pairs[j])
-						}
-					}(lo, hi)
-				}
-				wg.Wait()
-				si.reconcile()
-				if si.resolve(refs[0]) == NoColor {
-					b.Fatal("unresolved signature")
-				}
-			}
-		})
-	}
 }

@@ -8,9 +8,13 @@ import (
 	"rdfalign/internal/rdf"
 )
 
-// TestParallelIdenticalToSequential: the parallel engine must produce the
-// exact same coloring (not merely an equivalent partition), because it
-// interns in the same order.
+// Refinement is sequential; Engine.Workers is deprecated and ignored. The
+// tests below pin that a caller still setting it gets exactly the
+// sequential coloring.
+
+// TestParallelIdenticalToSequential: an engine with Workers set produces the
+// exact same coloring (not merely an equivalent partition) and iteration
+// count as the default engine.
 func TestParallelIdenticalToSequential(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -18,7 +22,10 @@ func TestParallelIdenticalToSequential(t *testing.T) {
 		in1 := NewInterner()
 		p1, it1 := BisimPartition(g, in1)
 		in2 := NewInterner()
-		p2, it2 := BisimPartitionParallel(g, in2, 4)
+		p2, it2, err := (&Engine{Workers: 4}).Bisim(g, in2)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if it1 != it2 {
 			return false
 		}
@@ -34,25 +41,10 @@ func TestParallelIdenticalToSequential(t *testing.T) {
 	}
 }
 
-// TestParallelSmallInputFallsBack: tiny refine sets use the sequential
-// engine (parallel setup would dominate).
-func TestParallelSmallInputFallsBack(t *testing.T) {
-	g := figure3G1(t)
-	in := NewInterner()
-	p, _ := BisimPartitionParallel(g, in, 8)
-	in2 := NewInterner()
-	q, _ := BisimPartition(g, in2)
-	if !Equivalent(p, q) {
-		t.Error("fallback path diverged from sequential")
-	}
-}
-
-// TestHybridParallelEquivalent: the full hybrid pipeline agrees across
-// engines on a generated dataset pair.
+// TestHybridParallelEquivalent: the full hybrid pipeline agrees with and
+// without Workers on a generated 400-row dataset pair.
 func TestHybridParallelEquivalent(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	// Build a larger pair so the parallel path (≥256 nodes) is actually
-	// exercised.
 	mk := func(name string) *rdf.Graph {
 		b := rdf.NewBuilder(name)
 		var rows []rdf.NodeID
@@ -70,9 +62,12 @@ func TestHybridParallelEquivalent(t *testing.T) {
 	g2 := mk("http://b")
 	c := rdf.Union(g1, g2)
 	seqP, _ := HybridPartition(c, NewInterner())
-	parP, _ := HybridPartitionParallel(c, NewInterner(), 4)
-	if !Equivalent(seqP, parP) {
-		t.Error("parallel hybrid diverged from sequential")
+	parP, _, err := (&Engine{Workers: 4}).Hybrid(c, NewInterner())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !samePartition(seqP, parP) {
+		t.Error("hybrid with Workers set diverged from sequential")
 	}
 }
 
@@ -88,43 +83,29 @@ func itoa(i int) string {
 	return string(b)
 }
 
-// The parallel/sequential benches run on two shapes: "deep" (small node
-// set, many iterations — per-iteration overhead dominates, sequential wins)
-// and "wide" (large node set, few iterations — the gather phase dominates
-// and parallelism pays off).
+// The refinement benches run on two shapes: "deep" (small node set, many
+// iterations — per-iteration overhead dominates) and "wide" (large node
+// set, few iterations — the gather phase dominates).
 
 func BenchmarkRefineSequentialDeep(b *testing.B) {
-	benchRefine(b, benchChainGraph(), 1)
-}
-
-func BenchmarkRefineParallelDeep(b *testing.B) {
-	benchRefine(b, benchChainGraph(), 0)
+	benchRefine(b, benchChainGraph())
 }
 
 func BenchmarkRefineSequentialWide(b *testing.B) {
-	benchRefine(b, benchWideGraph(), 1)
+	benchRefine(b, benchWideGraph())
 }
 
-func BenchmarkRefineParallelWide(b *testing.B) {
-	benchRefine(b, benchWideGraph(), 0)
-}
-
-func benchRefine(b *testing.B, g *rdf.Graph, workers int) {
+func benchRefine(b *testing.B, g *rdf.Graph) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in := NewInterner()
-		if workers == 1 {
-			BisimPartition(g, in)
-		} else {
-			BisimPartitionParallel(g, in, workers)
-		}
+		BisimPartition(g, NewInterner())
 	}
 }
 
 // benchChainGraph builds a graph with deep refinement (many iterations over
-// a small node set), the worst case for per-iteration parallel overhead.
+// a small node set).
 func benchChainGraph() *rdf.Graph {
 	b := rdf.NewBuilder("bench-deep")
 	p := b.URI("p")

@@ -11,15 +11,13 @@ import (
 // Propagate bit for bit, and its change list is sound — every node outside
 // it keeps its input color and weight — complete against the strict
 // input/output diff, confined to the recolor set, sorted and duplicate-free.
-// Exercised across the worklist engine, the parallel worklist and the
-// full-recolor reference.
+// Exercised across the worklist engine and the full-recolor reference.
 func TestPropagateChangedSoundAndExact(t *testing.T) {
 	engines := []struct {
 		name string
 		eng  *Engine
 	}{
 		{"worklist", &Engine{}},
-		{"worklist-par4", &Engine{Workers: 4}},
 		{"full", &Engine{FullRecolor: true}},
 	}
 	for seed := int64(0); seed < 25; seed++ {

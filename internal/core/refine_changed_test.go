@@ -8,14 +8,12 @@ import (
 )
 
 // refineEngines is the engine matrix the incremental-maintenance tests run
-// against: the worklist, the parallel worklist and the full-recolor
-// reference must all agree.
+// against: the worklist and the full-recolor reference must agree.
 var refineEngines = []struct {
 	name string
 	eng  *Engine
 }{
 	{"worklist", &Engine{}},
-	{"worklist-par4", &Engine{Workers: 4}},
 	{"full", &Engine{FullRecolor: true}},
 }
 

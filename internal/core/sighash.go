@@ -14,8 +14,7 @@ package core
 //
 // The hash seed perturbs bucket placement only: colors are assigned in
 // interning order, so colorings are bit-identical across seeds. Tests vary
-// the seed to prove that (and to shuffle shard routing in the concurrent
-// interner, see shardintern.go).
+// the seed to prove that.
 
 // sigSeedDefault is the default interner hash seed (an arbitrary odd
 // constant; NewInternerSeeded accepts any value).

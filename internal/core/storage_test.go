@@ -22,7 +22,7 @@ func newTestDiskInterner(t *testing.T, seed uint64) (*Interner, Storage) {
 // engine: deblank colorings computed with storage-backed arrays and
 // external-merge signature grouping must be bit-identical — color value for
 // color value, not merely grouping-equivalent — to the in-memory engine,
-// across worker counts, hash seeds, and spill-run sizes (tiny runs force
+// across hash seeds and spill-run sizes (tiny runs force
 // genuine multi-run k-way merges).
 func TestDeblankOutOfCoreIdentity(t *testing.T) {
 	defer func(th, rb int) { extMergeThreshold = th; extSpillRunBytes = rb }(extMergeThreshold, extSpillRunBytes)
@@ -45,27 +45,25 @@ func TestDeblankOutOfCoreIdentity(t *testing.T) {
 		for _, v := range variants {
 			extMergeThreshold = v.threshold
 			extSpillRunBytes = v.runBytes
-			for _, workers := range []int{1, 4} {
-				for _, seed := range []uint64{sigSeedDefault, 0xdecafbad} {
-					in, st := newTestDiskInterner(t, seed)
-					got, iters, err := (&Engine{Workers: workers}).Deblank(g, in)
-					if err != nil {
-						t.Fatalf("trial %d %s workers=%d: %v", trial, v.name, workers, err)
+			for _, seed := range []uint64{sigSeedDefault, 0xdecafbad} {
+				in, st := newTestDiskInterner(t, seed)
+				got, iters, err := (&Engine{}).Deblank(g, in)
+				if err != nil {
+					t.Fatalf("trial %d %s: %v", trial, v.name, err)
+				}
+				if iters != wantIters {
+					t.Fatalf("trial %d %s seed=%#x: %d iterations, in-memory took %d",
+						trial, v.name, seed, iters, wantIters)
+				}
+				wc, gc := want.Colors(), got.Colors()
+				for n := range wc {
+					if wc[n] != gc[n] {
+						t.Fatalf("trial %d %s seed=%#x: node %d colored %d, in-memory %d",
+							trial, v.name, seed, n, gc[n], wc[n])
 					}
-					if iters != wantIters {
-						t.Fatalf("trial %d %s workers=%d seed=%#x: %d iterations, in-memory took %d",
-							trial, v.name, workers, seed, iters, wantIters)
-					}
-					wc, gc := want.Colors(), got.Colors()
-					for n := range wc {
-						if wc[n] != gc[n] {
-							t.Fatalf("trial %d %s workers=%d seed=%#x: node %d colored %d, in-memory %d",
-								trial, v.name, workers, seed, n, gc[n], wc[n])
-						}
-					}
-					if err := st.Close(); err != nil {
-						t.Fatalf("storage close: %v", err)
-					}
+				}
+				if err := st.Close(); err != nil {
+					t.Fatalf("storage close: %v", err)
 				}
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"rdfalign/internal/rdf"
 )
@@ -246,11 +245,7 @@ func sortNodeIDs(out []rdf.NodeID) {
 }
 
 // refineWorklist is the incremental fixpoint behind Engine.Refine for the
-// default outbound recoloring. When the engine has Workers > 1 and the
-// frontier is large enough, each round is chunked across a worker pool that
-// gathers and interns concurrently (see parallelGatherer); the sharded
-// interner's rank reconciliation keeps color assignment in ascending node
-// order, so every configuration produces the identical coloring.
+// default outbound recoloring.
 //
 // tracked, when non-nil, collects every node an applied round recolors (the
 // change list Engine.RefineChanged hands to incremental consumers). The
@@ -271,7 +266,6 @@ func (e *Engine) refineWorklist(g *rdf.Graph, p *Partition, x []rdf.NodeID, trac
 	changes := make([]change, 0, len(dirty))
 	changedNodes := make([]rdf.NodeID, 0, len(dirty))
 	var scratch []ColorPair
-	var pg *parallelGatherer
 	spillDir, spill := cur.in.spillDir()
 	for iter := 0; ; iter++ {
 		if err := e.Hooks.Err(); err != nil {
@@ -295,11 +289,6 @@ func (e *Engine) refineWorklist(g *rdf.Graph, p *Partition, x []rdf.NodeID, trac
 			if err != nil {
 				return nil, 0, err
 			}
-		} else if e.Workers > 1 && len(dirty) >= parallelThreshold {
-			if pg == nil {
-				pg = newParallelGatherer(e.Workers)
-			}
-			changes = pg.round(g, cur, dirty, changes)
 		} else {
 			for _, n := range dirty {
 				var c Color
@@ -331,126 +320,6 @@ func (e *Engine) refineWorklist(g *rdf.Graph, p *Partition, x []rdf.NodeID, trac
 		stamp++
 		dirty = nextFrontier(g, changedNodes, inX, mark, stamp, dirty)
 	}
-}
-
-// parallelGatherer chunks a worklist round's gather phase — collecting and
-// canonicalising every dirty node's outbound color pairs — across a worker
-// pool, and has each worker intern its signatures directly through the
-// sharded concurrent interner (shardintern.go) instead of shipping pair
-// lists to a serial intern phase. It is the shared-memory analogue of the
-// distributed bisimulation the paper points to for scaling (§5.3, citing
-// the MapReduce approach of Schätzle et al. [16]). After the workers join,
-// the rank-reconciliation pass commits new signatures in sequential
-// allocation order, so every worker count yields the identical coloring.
-// Arenas, the result slice and the sharded interner persist across rounds
-// to amortise allocation.
-type parallelGatherer struct {
-	workers int
-	arenas  [][]ColorPair
-	refs    []sigRef
-	weights []float64
-	si      *shardedInterner
-}
-
-func newParallelGatherer(workers int) *parallelGatherer {
-	return &parallelGatherer{workers: workers, arenas: make([][]ColorPair, workers)}
-}
-
-// round runs one gather+intern round over the dirty frontier, appending the
-// observed changes to changes in frontier order. The result is identical
-// color-for-color to the sequential path (see shardintern.go for why).
-func (pg *parallelGatherer) round(g *rdf.Graph, cur *Partition, dirty []rdf.NodeID, changes []change) []change {
-	si := pg.gather(g, cur, nil, dirty)
-	for i, n := range dirty {
-		c := si.resolve(pg.refs[i])
-		if c != cur.colors[n] {
-			changes = append(changes, change{n: n, old: cur.colors[n], new: c})
-		}
-	}
-	return changes
-}
-
-// roundWeighted is round for the weighted engine: the workers additionally
-// recompute each dirty node's weight (reweight is a pure function of the
-// pre-round weights, so it parallelises with the same determinism
-// guarantee), and the serial resolve pass collects weight changes and the
-// round's maximum weight motion.
-func (pg *parallelGatherer) roundWeighted(g *rdf.Graph, cur *Weighted, dirty []rdf.NodeID, changes []change, wchanges []wchange) ([]change, []wchange, float64) {
-	si := pg.gather(g, cur.P, cur.W, dirty)
-	maxDelta := 0.0
-	for i, n := range dirty {
-		c := si.resolve(pg.refs[i])
-		if c != cur.P.colors[n] {
-			changes = append(changes, change{n: n, old: cur.P.colors[n], new: c})
-		}
-		if d := math.Abs(pg.weights[i] - cur.W[n]); d > 0 {
-			wchanges = append(wchanges, wchange{n: n, w: pg.weights[i]})
-			if d > maxDelta {
-				maxDelta = d
-			}
-		}
-	}
-	return changes, wchanges, maxDelta
-}
-
-// gather runs the concurrent gather+intern phase over the dirty frontier
-// and reconciles the sharded interner; afterwards pg.refs[i] resolves the
-// i-th dirty node's color and, when w is non-nil, pg.weights[i] holds its
-// recomputed weight.
-func (pg *parallelGatherer) gather(g *rdf.Graph, cur *Partition, w []float64, dirty []rdf.NodeID) *shardedInterner {
-	if pg.si == nil || pg.si.parent != cur.in {
-		pg.si = newShardedInterner(cur.in)
-	} else {
-		pg.si.reset()
-	}
-	si := pg.si
-	if cap(pg.refs) < len(dirty) {
-		pg.refs = make([]sigRef, len(dirty))
-	}
-	refs := pg.refs[:len(dirty)]
-	var weights []float64
-	if w != nil {
-		if cap(pg.weights) < len(dirty) {
-			pg.weights = make([]float64, len(dirty))
-		}
-		weights = pg.weights[:len(dirty)]
-	}
-	chunk := (len(dirty) + pg.workers - 1) / pg.workers
-	var wg sync.WaitGroup
-	for wk := 0; wk < pg.workers; wk++ {
-		lo := wk * chunk
-		hi := lo + chunk
-		if hi > len(dirty) {
-			hi = len(dirty)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(wk, lo, hi int) {
-			defer wg.Done()
-			arena := pg.arenas[wk][:0]
-			for i := lo; i < hi; i++ {
-				n := dirty[i]
-				start := len(arena)
-				for _, e := range g.Out(n) {
-					arena = append(arena, ColorPair{P: cur.colors[e.P], O: cur.colors[e.O]})
-				}
-				run := arena[start:]
-				sortPairs(run)
-				run = dedupPairs(run)
-				arena = arena[:start+len(run)]
-				refs[i] = si.intern(int32(i), cur.colors[n], arena[start:len(arena):len(arena)])
-				if weights != nil {
-					weights[i] = reweight(g, w, n)
-				}
-			}
-			pg.arenas[wk] = arena
-		}(wk, lo, hi)
-	}
-	wg.Wait()
-	si.reconcile()
-	return si
 }
 
 // wchange records one reweighted node within a weighted round.
@@ -497,10 +366,7 @@ func (t *changeTracker) sorted() []rdf.NodeID {
 // RefineWeightedStep would recompute unchanged, and the engines agree
 // bit-for-bit on both colors and weights. ε governs only termination, as in
 // the full engine: the loop stops once a round moves no weight by ε or more
-// and at most renames color classes. With Workers > 1, large frontiers run
-// the parallel gather (roundWeighted: concurrent interning plus concurrent
-// reweighting), which preserves the bit-for-bit agreement across worker
-// counts.
+// and at most renames color classes.
 func (e *Engine) refineWeightedWorklist(g *rdf.Graph, xi *Weighted, x []rdf.NodeID, eps float64, tracked *changeTracker) (*Weighted, int, error) {
 	cur := xi.Clone()
 	colors := cur.P.colors
@@ -518,7 +384,6 @@ func (e *Engine) refineWeightedWorklist(g *rdf.Graph, xi *Weighted, x []rdf.Node
 	wchanges := make([]wchange, 0, len(dirty))
 	changedNodes := make([]rdf.NodeID, 0, len(dirty))
 	var scratch []ColorPair
-	var pg *parallelGatherer
 	for iter := 0; ; iter++ {
 		if err := e.Hooks.Err(); err != nil {
 			return nil, 0, err
@@ -531,24 +396,17 @@ func (e *Engine) refineWeightedWorklist(g *rdf.Graph, xi *Weighted, x []rdf.Node
 		}
 		changes, wchanges = changes[:0], wchanges[:0]
 		maxDelta := 0.0
-		if e.Workers > 1 && len(dirty) >= parallelThreshold {
-			if pg == nil {
-				pg = newParallelGatherer(e.Workers)
+		for _, n := range dirty {
+			var c Color
+			c, scratch = recolor(g, cur.P, n, scratch)
+			if c != colors[n] {
+				changes = append(changes, change{n: n, old: colors[n], new: c})
 			}
-			changes, wchanges, maxDelta = pg.roundWeighted(g, cur, dirty, changes, wchanges)
-		} else {
-			for _, n := range dirty {
-				var c Color
-				c, scratch = recolor(g, cur.P, n, scratch)
-				if c != colors[n] {
-					changes = append(changes, change{n: n, old: colors[n], new: c})
-				}
-				nw := reweight(g, w, n)
-				if d := math.Abs(nw - w[n]); d > 0 {
-					wchanges = append(wchanges, wchange{n: n, w: nw})
-					if d > maxDelta {
-						maxDelta = d
-					}
+			nw := reweight(g, w, n)
+			if d := math.Abs(nw - w[n]); d > 0 {
+				wchanges = append(wchanges, wchange{n: n, w: nw})
+				if d > maxDelta {
+					maxDelta = d
 				}
 			}
 		}

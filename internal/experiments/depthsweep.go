@@ -14,8 +14,8 @@ import (
 
 // This file implements the bounded-depth cross-algorithm sweep: for each
 // dataset it runs the deblank+hybrid alignment fixpoints under every
-// refinement evaluation strategy (sequential full-recolor, incremental
-// worklist, parallel worklist) at a range of depth bounds k, and reports
+// refinement evaluation strategy (full-recolor, incremental worklist) at a
+// range of depth bounds k, and reports
 // partition size, precision/recall against the dataset's ground truth, and
 // wall time. Because the engines are bit-identical per (k, dataset), the
 // quality columns must agree across engines row-for-row — the sweep doubles
@@ -37,9 +37,6 @@ var depthEngines = []struct {
 	}},
 	{"worklist", func(h core.Hooks, k int) *core.Engine {
 		return &core.Engine{Hooks: h, MaxDepth: k}
-	}},
-	{"parallel", func(h core.Hooks, k int) *core.Engine {
-		return &core.Engine{Hooks: h, MaxDepth: k, Workers: 4}
 	}},
 }
 

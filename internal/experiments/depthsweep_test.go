@@ -15,7 +15,7 @@ func TestDepthSweep(t *testing.T) {
 	depths := []int{1, 2, 0}
 	r := e.DepthSweep(depths...)
 
-	const datasets, engines = 3, 3
+	const datasets, engines = 3, 2
 	if want := datasets * engines * len(depths); len(r.Rows) != want {
 		t.Fatalf("rows = %d, want %d", len(r.Rows), want)
 	}

@@ -13,10 +13,8 @@ import (
 // per-worker triple batches with block-local term interning, and a
 // ConcurrentBuilder merges the batches into one Builder, committing them
 // strictly in block order so that NodeID assignment — and therefore the
-// finished Graph — is bit-identical to a sequential parse. The in-order
-// commit mirrors the rank-reconciliation idea of the sharded concurrent
-// interner (internal/core/shardintern.go): workers produce out of order,
-// allocation happens in sequential order.
+// finished Graph — is bit-identical to a sequential parse: workers produce
+// out of order, allocation happens in sequential order.
 
 // ParseOption configures ParseNTriples and ParseNTriplesString.
 type ParseOption func(*parseOpts)

@@ -137,11 +137,11 @@ func (m *nlMatcher) round(xi *core.Weighted, a, b []rdf.NodeID, changed []rdf.No
 			return d, d <= m.theta
 		},
 	}
-	edges, err := ix.scan(a, hooks, m.workers)
+	edges, cands, err := ix.scan(a, hooks, m.workers)
 	if err != nil {
 		return nil, err
 	}
-	h.Edges = edges
+	h.Edges, h.Candidates = edges, cands
 	return h, nil
 }
 

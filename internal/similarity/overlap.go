@@ -40,9 +40,9 @@ type OverlapOptions struct {
 	MaxDepth int
 	// Workers > 1 parallelises the matching phases (candidate generation
 	// and σ-verification fan out across source nodes, see
-	// OverlapMatchWorkers) and the propagation recoloring
-	// (core.Engine.Workers); <= 1 runs sequentially. Every worker count
-	// produces bit-identical colorings, weights and pair sets.
+	// OverlapMatchWorkers); <= 1 runs sequentially. Propagation is
+	// sequential either way. Every worker count produces bit-identical
+	// colorings, weights and pair sets.
 	Workers int
 
 	// State, when non-nil, carries the non-literal matcher — the inverted
@@ -136,6 +136,10 @@ type OverlapResult struct {
 	// discovered by the per-round non-literal matches.
 	LiteralPairs    int
 	NonLiteralPairs int
+	// Candidates is the total number of candidate pairs the literal and
+	// non-literal matches screened (see WeightedBipartite.Candidates); the
+	// StageOverlap progress events report it per round as Dirty.
+	Candidates int
 }
 
 // Alignment wraps the result as Align_θ(ξOverlap).
@@ -157,8 +161,8 @@ func (r *OverlapResult) Alignment(c *rdf.Combined) *core.Alignment {
 // survive across rounds and are repaired from the nodes Enrich and
 // Propagate actually moved (see nlMatcher), instead of being rebuilt from
 // scratch while Unaligned only shrinks. With opt.Workers > 1 the matching
-// scans and the propagation recoloring additionally fan out across
-// goroutines; every configuration yields bit-identical results.
+// scans additionally fan out across goroutines; every configuration yields
+// bit-identical results.
 func OverlapAlign(c *rdf.Combined, hybrid *core.Partition, opt OverlapOptions) (result *OverlapResult, err error) {
 	if opt.Theta == 0 {
 		opt.Theta = DefaultTheta
@@ -196,9 +200,11 @@ func OverlapAlign(c *rdf.Combined, hybrid *core.Partition, opt OverlapOptions) (
 		return nil, err
 	}
 	res.LiteralPairs = len(h.Edges)
+	res.Candidates = h.Candidates
+	reported := 0
 
 	// Lines 5–12.
-	eng := &core.Engine{Hooks: opt.Hooks, Workers: opt.Workers, MaxDepth: opt.MaxDepth}
+	eng := &core.Engine{Hooks: opt.Hooks, MaxDepth: opt.MaxDepth}
 	matcher.scratchRounds = opt.scratchIndex
 	var changed []rdf.NodeID
 	for {
@@ -230,7 +236,9 @@ func OverlapAlign(c *rdf.Combined, hybrid *core.Partition, opt OverlapOptions) (
 			return nil, err
 		}
 		res.NonLiteralPairs += len(h.Edges)
-		opt.Hooks.Round(core.StageOverlap, res.Rounds, 0)
+		res.Candidates += h.Candidates
+		opt.Hooks.RoundDirty(core.StageOverlap, res.Rounds, res.Candidates-reported)
+		reported = res.Candidates
 		if !h.HasEdges() {
 			break
 		}

@@ -2,9 +2,11 @@ package similarity
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"rdfalign/internal/core"
+	"rdfalign/internal/dataset"
 	"rdfalign/internal/rdf"
 	"rdfalign/internal/strdist"
 )
@@ -63,6 +65,40 @@ func BenchmarkOverlapAlignCascade(b *testing.B) {
 				}
 				if res.Rounds != 14 {
 					b.Fatalf("cascade rounds = %d, want 14", res.Rounds)
+				}
+			}
+		})
+	}
+}
+
+// gtopdbOverlapInput returns the union of the first GtoPdb version pair at
+// the given scale (seed 11) and its hybrid partition — the input Overlap
+// alignment starts from. GtoPdb renames every URI between versions, so the
+// overlap matching does most of the work.
+func gtopdbOverlapInput(tb testing.TB, scale float64) (*rdf.Combined, *core.Partition) {
+	tb.Helper()
+	d, err := dataset.GenerateGtoPdb(dataset.GtoPdbConfig{Versions: 2, Scale: scale, Seed: 11})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c := rdf.Union(d.Graphs[0], d.Graphs[1])
+	hp, _ := core.HybridPartition(c, core.NewInterner())
+	return c, hp
+}
+
+// BenchmarkOverlapAlignGtoPdb times Algorithm 2 on a GtoPdb pair at scale
+// 0.05, sequential and with one matching worker per core.
+func BenchmarkOverlapAlignGtoPdb(b *testing.B) {
+	c, hp := gtopdbOverlapInput(b, 0.05)
+	for _, cfg := range []struct {
+		name    string
+		workers int
+	}{{"seq", 1}, {"procs", runtime.GOMAXPROCS(0)}} {
+		b.Run(cfg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := OverlapAlign(c, hp, OverlapOptions{Theta: DefaultTheta, Workers: cfg.workers}); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

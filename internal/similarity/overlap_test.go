@@ -53,22 +53,34 @@ func TestSplit(t *testing.T) {
 }
 
 func TestPrefixLenLossless(t *testing.T) {
-	// For every k and θ, the prefix must be large enough that any
-	// candidate with overlap ≥ θ shares an object within the prefix:
-	// prefix > (1−θ)·k, i.e. prefix ≥ ⌊(1−θ)k⌋+1; and it must scan at
-	// least the paper's ⌈kθ⌉ objects (for θ ≥ 0.5 faithfulness).
+	// A prefix of p objects is lossless iff the best candidate sharing
+	// none of them — b = the other k−p objects, union k — fails the
+	// screen, in the screen's own float arithmetic. prefixLen must return
+	// the smallest such p.
+	lossless := func(k, p int, theta float64) bool {
+		return float64(k-p)/float64(k) < theta
+	}
+	thetas := []float64{0.05, 0.1, 0.2, 0.25, 0.3, 0.35, 0.5, 0.6, 0.65, 0.7, 0.75, 0.8, 0.9, 0.95, 1.0}
 	for k := 1; k <= 40; k++ {
-		for _, theta := range []float64{0.05, 0.35, 0.5, 0.65, 0.8, 0.95, 1.0} {
-			p := prefixLen(k, theta)
-			if p > k || p < 1 {
-				t.Fatalf("prefixLen(%d, %v) = %d out of range", k, theta, p)
+		for _, theta := range thetas {
+			want := 0
+			for !lossless(k, want, theta) {
+				want++
 			}
-			if float64(p) <= (1-theta)*float64(k) {
-				t.Errorf("prefixLen(%d, %v) = %d is lossy", k, theta, p)
+			if got := prefixLen(k, theta); got != want {
+				t.Errorf("prefixLen(%d, %v) = %d, want the minimal lossless %d", k, theta, got, want)
 			}
-			if paper := int(math.Ceil(float64(k) * theta)); p < paper && paper <= k {
-				t.Errorf("prefixLen(%d, %v) = %d below the paper's ⌈kθ⌉ = %d", k, theta, p, paper)
-			}
+		}
+	}
+	// θ·k integral: the pair at exactly θ must stay reachable. At θ = 0.9,
+	// k = 10, ⌊(1−θ)k⌋+1 rounds down to 1 and would lose it.
+	for _, c := range []struct {
+		k     int
+		theta float64
+		want  int
+	}{{20, 0.65, 8}, {10, 0.9, 2}, {4, 0.75, 2}, {40, 0.95, 3}, {7, 1, 1}} {
+		if got := prefixLen(c.k, c.theta); got != c.want {
+			t.Errorf("prefixLen(%d, %v) = %d, want %d", c.k, c.theta, got, c.want)
 		}
 	}
 }
@@ -218,6 +230,79 @@ func TestOverlapMatchLossless(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+
+	// Synthetic characterisations of up to 40 objects. Every B node takes
+	// about ⌈θk⌉ of some A node's objects plus a few outside ones, so many
+	// pairs sit at or next to the threshold, and dist accepts every pair:
+	// the edges are exactly the pairs the screen admits.
+	thetas := []float64{0.25, 0.5, 0.6, 0.65, 0.75, 0.8, 0.9, 0.95, 1}
+	synth := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		theta := thetas[r.Intn(len(thetas))]
+		chars := map[rdf.NodeID][]int{}
+		var a, b []rdf.NodeID
+		for i := 0; i < 1+r.Intn(4); i++ {
+			n := rdf.NodeID(i)
+			chars[n] = r.Perm(80)[:1+r.Intn(40)]
+			a = append(a, n)
+		}
+		for j := 0; j < 1+r.Intn(16); j++ {
+			m := rdf.NodeID(1000 + j)
+			src := chars[a[r.Intn(len(a))]]
+			inter := min(max(int(math.Ceil(theta*float64(len(src))))+r.Intn(3)-1, 0), len(src))
+			var objs []int
+			for _, i := range r.Perm(len(src))[:inter] {
+				objs = append(objs, src[i])
+			}
+			for e := r.Intn(3); e > 0; e-- {
+				objs = append(objs, 80+r.Intn(40))
+			}
+			chars[m] = objs
+			b = append(b, m)
+		}
+		char := func(n rdf.NodeID) []int { return chars[n] }
+		accept := func(rdf.NodeID, rdf.NodeID) (float64, bool) { return 0, true }
+		got := map[[2]rdf.NodeID]bool{}
+		for _, e := range OverlapMatch(a, b, theta, char, accept).Edges {
+			got[[2]rdf.NodeID{e.A, e.B}] = true
+		}
+		want := map[[2]rdf.NodeID]bool{}
+		for _, n := range a {
+			for _, m := range b {
+				if Overlap(char(n), char(m)) >= theta {
+					want[[2]rdf.NodeID{n, m}] = true
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Logf("seed %d θ=%v: got %v want %v", seed, theta, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(synth, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
+	}
+
+	// The exact-θ pair from the prefix derivation: a has 20 objects, b the
+	// 13 that B indexes most often, so overlap is 13/20 = θ and b shares
+	// only the last object of a's 8-object prefix.
+	chars := map[rdf.NodeID][]int{0: {}}
+	for o := 0; o < 20; o++ {
+		chars[0] = append(chars[0], o)
+	}
+	b := []rdf.NodeID{100}
+	chars[100] = chars[0][7:]
+	for j := 0; j < 3; j++ {
+		m := rdf.NodeID(101 + j)
+		chars[m] = append([]int{50 + j}, chars[0][7:]...)
+		b = append(b, m)
+	}
+	h := OverlapMatch([]rdf.NodeID{0}, b, 0.65, func(n rdf.NodeID) []int { return chars[n] },
+		func(rdf.NodeID, rdf.NodeID) (float64, bool) { return 0, true })
+	if len(h.Edges) == 0 || h.Edges[0].B != 100 {
+		t.Errorf("pair at overlap exactly θ lost: edges %v", h.Edges)
 	}
 }
 
@@ -575,4 +660,34 @@ func mustURIb(b *testing.B, g *rdf.Graph, uri string) rdf.NodeID {
 func literalNodesB(b *testing.B, l1, l2 []string) (*rdf.Combined, []rdf.NodeID, []rdf.NodeID) {
 	b.Helper()
 	return literalNodes(b, l1, l2)
+}
+
+// TestOverlapCandidatesGtoPdb pins the prefix filter's selectivity on a
+// GtoPdb pair: the matching screens at most 20 candidate pairs per edge it
+// finds (the paper's ⌈kθ⌉ prefix screens over 100), and the StageOverlap
+// progress events report the screened candidates round by round.
+func TestOverlapCandidatesGtoPdb(t *testing.T) {
+	c, hp := gtopdbOverlapInput(t, 0.05)
+	reported := 0
+	hooks := core.Hooks{OnRound: func(ev core.ProgressEvent) {
+		if ev.Stage == core.StageOverlap {
+			reported += ev.Dirty
+		}
+	}}
+	res, err := OverlapAlign(c, hp, OverlapOptions{Theta: DefaultTheta, Hooks: hooks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := res.LiteralPairs + res.NonLiteralPairs
+	if edges == 0 {
+		t.Fatal("no edges found; the workload no longer exercises the matcher")
+	}
+	if res.Candidates > 20*edges {
+		t.Errorf("screened %d candidates for %d edges (%.1f per edge), want at most 20 per edge",
+			res.Candidates, edges, float64(res.Candidates)/float64(edges))
+	}
+	if reported != res.Candidates {
+		t.Errorf("progress events reported %d candidates, result counts %d", reported, res.Candidates)
+	}
+	t.Logf("%d candidates for %d edges", res.Candidates, edges)
 }

@@ -56,6 +56,10 @@ type BipartiteEdge struct {
 type WeightedBipartite struct {
 	A, B  []rdf.NodeID
 	Edges []BipartiteEdge
+	// Candidates is the number of (a, b) pairs the prefix filter produced
+	// and the overlap screen examined — the matching's work, against
+	// len(Edges) as its yield.
+	Candidates int
 }
 
 // HasEdges reports whether H contains any discovered pair (the termination
@@ -76,11 +80,12 @@ type DistFunc func(a, b rdf.NodeID) (float64, bool)
 // verified with the distance function (σ(a, b) ≤ θ).
 //
 // Prefix length: the paper's pseudocode scans the ⌈kθ⌉ least frequent
-// objects of char(a). A prefix of ⌊(1−θ)k⌋+1 objects is what makes the
-// filter lossless (any b with overlap ≥ θ shares an object with every such
-// prefix); the pseudocode's value exceeds it only for θ above ~0.5. We scan
-// max(⌈kθ⌉, ⌊(1−θ)k⌋+1) so the filter is lossless across the full θ sweep
-// of the paper's Figure 15 while scanning at least the paper's prefix.
+// objects of char(a). This implementation deliberately departs from it and
+// scans the minimal lossless prefix instead (see prefixLen): at the paper's
+// θ = 0.65 that is about a third of the objects rather than two thirds,
+// which cuts the candidates screened by an order of magnitude. The
+// candidates only the longer prefix would add provably fail the overlap
+// screen, so the output is identical to the pseudocode's.
 //
 // The output is deterministic: edges are sorted by (A, B).
 func OverlapMatch[O cmp.Ordered](a, b []rdf.NodeID, theta float64, char func(rdf.NodeID) []O, dist DistFunc) *WeightedBipartite {
@@ -133,11 +138,11 @@ func OverlapMatchWorkers[O cmp.Ordered](a, b []rdf.NodeID, theta float64, char f
 			ix.inv[o] = append(ix.inv[o], m)
 		}
 	}
-	edges, err := ix.scan(a, hooks, workers)
+	edges, cands, err := ix.scan(a, hooks, workers)
 	if err != nil {
 		return nil, err
 	}
-	h.Edges = edges
+	h.Edges, h.Candidates = edges, cands
 	return h, nil
 }
 
@@ -184,23 +189,25 @@ type matchScratch[O cmp.Ordered] struct {
 	sortedA []O
 }
 
-// scan runs lines 9–19 over the source nodes a. With workers > 1 and
+// scan runs lines 9–19 over the source nodes a, returning the discovered
+// edges and the number of candidate pairs screened. With workers > 1 and
 // enough sources, disjoint chunks of a are scanned concurrently and the
 // per-chunk edge batches concatenated in chunk (= source) order; the final
 // (A, B) sort makes the output identical either way.
-func (ix *matchIndex[O]) scan(a []rdf.NodeID, hooks core.Hooks, workers int) ([]BipartiteEdge, error) {
+func (ix *matchIndex[O]) scan(a []rdf.NodeID, hooks core.Hooks, workers int) ([]BipartiteEdge, int, error) {
 	var edges []BipartiteEdge
+	var cands int
 	var err error
 	if workers > len(a) {
 		workers = len(a)
 	}
 	if workers <= 1 || len(a) < parallelMatchMin {
-		edges, err = ix.scanRange(a, hooks, &matchScratch[O]{seen: make(map[rdf.NodeID]int)})
+		edges, cands, err = ix.scanRange(a, hooks, &matchScratch[O]{seen: make(map[rdf.NodeID]int)})
 	} else {
-		edges, err = ix.scanParallel(a, hooks, workers)
+		edges, cands, err = ix.scanParallel(a, hooks, workers)
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].A != edges[j].A {
@@ -208,7 +215,7 @@ func (ix *matchIndex[O]) scan(a []rdf.NodeID, hooks core.Hooks, workers int) ([]
 		}
 		return edges[i].B < edges[j].B
 	})
-	return edges, nil
+	return edges, cands, nil
 }
 
 // scanParallel fans the scan out over a worker pool. Chunks are claimed
@@ -216,13 +223,14 @@ func (ix *matchIndex[O]) scan(a []rdf.NodeID, hooks core.Hooks, workers int) ([]
 // splitting would leave workers idle) but results land in a per-chunk slot,
 // so the merge is in chunk order and the first error in chunk order wins —
 // both independent of scheduling.
-func (ix *matchIndex[O]) scanParallel(a []rdf.NodeID, hooks core.Hooks, workers int) ([]BipartiteEdge, error) {
+func (ix *matchIndex[O]) scanParallel(a []rdf.NodeID, hooks core.Hooks, workers int) ([]BipartiteEdge, int, error) {
 	chunk := (len(a) + workers*4 - 1) / (workers * 4)
 	if chunk < 1 {
 		chunk = 1
 	}
 	nchunks := (len(a) + chunk - 1) / chunk
 	chunkEdges := make([][]BipartiteEdge, nchunks)
+	chunkCands := make([]int, nchunks)
 	chunkErr := make([]error, nchunks)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -241,7 +249,7 @@ func (ix *matchIndex[O]) scanParallel(a []rdf.NodeID, hooks core.Hooks, workers 
 				if hi > len(a) {
 					hi = len(a)
 				}
-				chunkEdges[ci], chunkErr[ci] = ix.scanRange(a[lo:hi], hooks, sc)
+				chunkEdges[ci], chunkCands[ci], chunkErr[ci] = ix.scanRange(a[lo:hi], hooks, sc)
 				if chunkErr[ci] != nil {
 					return
 				}
@@ -249,27 +257,29 @@ func (ix *matchIndex[O]) scanParallel(a []rdf.NodeID, hooks core.Hooks, workers 
 		}()
 	}
 	wg.Wait()
-	total := 0
+	total, cands := 0, 0
 	for ci := range chunkEdges {
 		if chunkErr[ci] != nil {
-			return nil, chunkErr[ci]
+			return nil, 0, chunkErr[ci]
 		}
 		total += len(chunkEdges[ci])
+		cands += chunkCands[ci]
 	}
 	edges := make([]BipartiteEdge, 0, total)
 	for _, ce := range chunkEdges {
 		edges = append(edges, ce...)
 	}
-	return edges, nil
+	return edges, cands, nil
 }
 
 // scanRange scans one contiguous run of source nodes, returning the
-// discovered edges.
-func (ix *matchIndex[O]) scanRange(a []rdf.NodeID, hooks core.Hooks, sc *matchScratch[O]) ([]BipartiteEdge, error) {
+// discovered edges and the number of candidate pairs screened.
+func (ix *matchIndex[O]) scanRange(a []rdf.NodeID, hooks core.Hooks, sc *matchScratch[O]) ([]BipartiteEdge, int, error) {
 	var out []BipartiteEdge
+	cands := 0
 	for _, n := range a {
 		if err := hooks.Err(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		objs := ix.charA(n)
 		k := len(objs)
@@ -298,12 +308,13 @@ func (ix *matchIndex[O]) scanRange(a []rdf.NodeID, hooks core.Hooks, sc *matchSc
 			}
 		}
 		sc.cand = cand
+		cands += len(cand)
 		core.SortNodeIDs(cand)
 		// Lines 14–19: overlap screen then distance verification.
 		for ci, m := range cand {
 			if ci%cancelBatch == cancelBatch-1 {
 				if err := hooks.Err(); err != nil {
-					return nil, err
+					return nil, 0, err
 				}
 			}
 			sb := ix.sortedB(m)
@@ -317,7 +328,7 @@ func (ix *matchIndex[O]) scanRange(a []rdf.NodeID, hooks core.Hooks, sc *matchSc
 			}
 		}
 	}
-	return out, nil
+	return out, cands, nil
 }
 
 // sortedIntersect counts the common elements of two ascending, duplicate-
@@ -339,22 +350,35 @@ func sortedIntersect[O cmp.Ordered](x, y []O) int {
 	return n
 }
 
-// prefixLen computes the number of least-frequent characterising objects to
-// scan: max(⌈kθ⌉, ⌊(1−θ)k⌋+1), capped at k.
+// prefixLen returns how many of a source node's k least frequent objects
+// the filter probes: p = k − minInter + 1, where minInter is the smallest i
+// with float64(i)/float64(k) >= θ. This deliberately departs from the
+// paper's ⌈kθ⌉ (Algorithm 1) without changing any output.
+//
+// Proof: union >= k and correctly rounded division is monotone, so a pair
+// passing the screen (inter/union >= θ) has float64(inter)/float64(k) >= θ,
+// i.e. inter >= minInter, while a b sharing none of the first p objects
+// has inter <= k − p < minInter; the paper's longer prefix only adds
+// candidates that fail the screen. Computing minInter with the screen's
+// own float comparison keeps pairs at exactly θ, which ⌊(1−θ)k⌋+1 can
+// drop. p is minimal: with one object fewer, a b equal to a's minInter
+// most frequent objects passes the screen unprobed. p is 0 when no
+// overlap reaches θ.
 func prefixLen(k int, theta float64) int {
-	paper := int(math.Ceil(float64(k) * theta))
-	lossless := int(math.Floor(float64(k)*(1-theta))) + 1
-	p := paper
-	if lossless > p {
-		p = lossless
+	minInter := int(math.Ceil(float64(k) * theta))
+	if minInter < 0 {
+		minInter = 0
 	}
-	if p > k {
-		p = k
+	for minInter > 0 && float64(minInter-1)/float64(k) >= theta {
+		minInter--
 	}
-	if p < 1 {
-		p = 1
+	for minInter <= k && float64(minInter)/float64(k) < theta {
+		minInter++
 	}
-	return p
+	if minInter == 0 {
+		return k
+	}
+	return k - minInter + 1
 }
 
 func dedup[O comparable](objs []O) []O {

@@ -56,13 +56,15 @@ func cascadePair(tb testing.TB, depth, distractors int) (*rdf.Graph, *rdf.Graph)
 }
 
 // overlapResultsEqual asserts two OverlapAlign results (from identically
-// rebuilt inputs) are bit-identical: colors, weights, rounds, pair counts.
+// rebuilt inputs) are bit-identical: colors, weights, rounds, pair and
+// candidate counts.
 func overlapResultsEqual(t *testing.T, label string, c *rdf.Combined, want, got *OverlapResult) {
 	t.Helper()
-	if want.Rounds != got.Rounds || want.LiteralPairs != got.LiteralPairs || want.NonLiteralPairs != got.NonLiteralPairs {
-		t.Fatalf("%s: rounds/pairs = %d/%d/%d, want %d/%d/%d", label,
-			got.Rounds, got.LiteralPairs, got.NonLiteralPairs,
-			want.Rounds, want.LiteralPairs, want.NonLiteralPairs)
+	if want.Rounds != got.Rounds || want.LiteralPairs != got.LiteralPairs ||
+		want.NonLiteralPairs != got.NonLiteralPairs || want.Candidates != got.Candidates {
+		t.Fatalf("%s: rounds/pairs/candidates = %d/%d/%d/%d, want %d/%d/%d/%d", label,
+			got.Rounds, got.LiteralPairs, got.NonLiteralPairs, got.Candidates,
+			want.Rounds, want.LiteralPairs, want.NonLiteralPairs, want.Candidates)
 	}
 	for i := 0; i < c.NumNodes(); i++ {
 		n := rdf.NodeID(i)
