@@ -20,7 +20,8 @@ package archive
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"rdfalign/internal/core"
 	"rdfalign/internal/delta"
@@ -48,12 +49,13 @@ type TripleRow struct {
 	Intervals []Interval
 }
 
-// Archive is the compact multi-version store.
+// Archive is the compact multi-version store. Its rows stay sorted strictly
+// ascending by (S, P, O): recordVersion merges each version into them, so an
+// append needs neither a row index nor a re-sort.
 type Archive struct {
 	versions int
 	labels   [][]labelRun // per entity
-	rows     []TripleRow
-	rowIndex map[[3]EntityID]int
+	rows     []TripleRow  // strictly ascending by (S, P, O)
 	// totalTriples is Σ |E_v| over the input versions.
 	totalTriples int
 	// tail is the live construction state AppendVersion extends; nil for
@@ -115,7 +117,7 @@ func Build(graphs []*rdf.Graph, opt BuildOptions) (*Archive, error) {
 	if opt.Theta == 0 {
 		opt.Theta = similarity.DefaultTheta
 	}
-	a := &Archive{versions: len(graphs), rowIndex: make(map[[3]EntityID]int)}
+	a := &Archive{versions: len(graphs)}
 
 	// lastSeen maps a URI label to the entity that most recently carried
 	// it, so an entity can resume after skipping versions (URIs are
@@ -149,7 +151,6 @@ func Build(graphs []*rdf.Graph, opt BuildOptions) (*Archive, error) {
 		opt.Hooks.Round(core.StageArchive, v+2, len(graphs))
 	}
 	a.tail = &archiveTail{lastGraph: graphs[len(graphs)-1], cur: cur, lastSeen: lastSeen}
-	a.finalise()
 	return a, nil
 }
 
@@ -215,42 +216,44 @@ func (a *Archive) AppendVersion(g *rdf.Graph, script *delta.Script, opt BuildOpt
 	a.versions++
 	a.tail.lastGraph = g2
 	a.tail.cur = next
-	a.finalise()
 	opt.Hooks.Round(core.StageArchive, a.versions, a.versions)
 	return g2, nil
 }
 
 // Clone returns a deep copy of the archive, including the construction tail
 // (the newest version's graph is shared — graphs are immutable). Appends to
-// the clone leave the original untouched.
+// the clone leave the original untouched. Label runs and intervals are
+// copied into one slab each (see slabCopy).
 func (a *Archive) Clone() *Archive {
-	b := &Archive{versions: a.versions, totalTriples: a.totalTriples}
+	b := &Archive{versions: a.versions, totalTriples: a.totalTriples, rows: slices.Clone(a.rows)}
+	nRuns, nIvs := 0, 0
+	for _, runs := range a.labels {
+		nRuns += len(runs)
+	}
+	for _, r := range a.rows {
+		nIvs += len(r.Intervals)
+	}
+	runSlab, ivSlab := make([]labelRun, 0, nRuns), make([]Interval, 0, nIvs)
 	b.labels = make([][]labelRun, len(a.labels))
 	for e, runs := range a.labels {
-		b.labels[e] = append([]labelRun(nil), runs...)
+		b.labels[e] = slabCopy(&runSlab, runs)
 	}
-	b.rows = make([]TripleRow, len(a.rows))
-	for i, r := range a.rows {
-		r.Intervals = append([]Interval(nil), r.Intervals...)
-		b.rows[i] = r
-	}
-	if a.rowIndex != nil {
-		b.rowIndex = make(map[[3]EntityID]int, len(a.rowIndex))
-		for k, v := range a.rowIndex {
-			b.rowIndex[k] = v
-		}
+	for i := range b.rows {
+		b.rows[i].Intervals = slabCopy(&ivSlab, b.rows[i].Intervals)
 	}
 	if a.tail != nil {
-		b.tail = &archiveTail{
-			lastGraph: a.tail.lastGraph,
-			cur:       append([]EntityID(nil), a.tail.cur...),
-			lastSeen:  make(map[string]EntityID, len(a.tail.lastSeen)),
-		}
-		for k, v := range a.tail.lastSeen {
-			b.tail.lastSeen[k] = v
-		}
+		b.tail = &archiveTail{lastGraph: a.tail.lastGraph, cur: slices.Clone(a.tail.cur),
+			lastSeen: maps.Clone(a.tail.lastSeen)}
 	}
 	return b
+}
+
+// slabCopy appends src to *slab and returns the copy capped at its length,
+// so appending to the copy reallocates it instead of overwriting the next.
+func slabCopy[T any](slab *[]T, src []T) []T {
+	lo := len(*slab)
+	*slab = append(*slab, src...)
+	return (*slab)[lo:len(*slab):len(*slab)]
 }
 
 func noteURIs(g *rdf.Graph, entity []EntityID, lastSeen map[string]EntityID) {
@@ -291,18 +294,15 @@ func alignPair(g1, g2 *rdf.Graph, opt BuildOptions) (*core.Partition, *rdf.Combi
 // label (identity across gaps); everything else starts a fresh entity.
 func chainEntities(a *Archive, c *rdf.Combined, p *core.Partition, cur, next []EntityID,
 	g2 *rdf.Graph, lastSeen map[string]EntityID, resolve bool) {
+	// Colors and entity IDs are dense, so both tables are slices.
 	type classInfo struct {
 		src       rdf.NodeID
-		srcN, tgN int
+		srcN, tgN int32
 	}
-	classes := make(map[core.Color]*classInfo)
+	colors := p.Colors()
+	classes := make([]classInfo, p.Interner().Size())
 	for i := 0; i < c.NumNodes(); i++ {
-		col := p.Color(rdf.NodeID(i))
-		ci := classes[col]
-		if ci == nil {
-			ci = &classInfo{}
-			classes[col] = ci
-		}
+		ci := &classes[colors[i]]
 		if i < c.N1 {
 			ci.src = rdf.NodeID(i)
 			ci.srcN++
@@ -310,11 +310,10 @@ func chainEntities(a *Archive, c *rdf.Combined, p *core.Partition, cur, next []E
 			ci.tgN++
 		}
 	}
-	used := make(map[EntityID]bool, len(next))
+	used := make([]bool, len(a.labels))
 	for j := range next {
 		next[j] = -1
-		col := p.Color(c.FromTarget(rdf.NodeID(j)))
-		ci := classes[col]
+		ci := &classes[colors[c.FromTarget(rdf.NodeID(j))]]
 		if ci.srcN == 1 && ci.tgN == 1 {
 			next[j] = cur[ci.src]
 			used[next[j]] = true
@@ -356,42 +355,50 @@ func (a *Archive) recordVersion(g *rdf.Graph, v int, entity []EntityID) {
 			a.labels[e] = append(a.labels[e], labelRun{label: l, iv: Interval{v, v}})
 		}
 	})
-	for _, t := range g.Triples() {
-		a.totalTriples++
-		key := [3]EntityID{entity[t.S], entity[t.P], entity[t.O]}
-		ri, ok := a.rowIndex[key]
-		if !ok {
-			a.rowIndex[key] = len(a.rows)
-			a.rows = append(a.rows, TripleRow{S: key[0], P: key[1], O: key[2],
-				Intervals: []Interval{{v, v}}})
+	// Merge the version's sorted, distinct entity keys into the sorted rows:
+	// a forward merge-join extends matching rows and compacts the unmatched
+	// keys into added; a backward merge then moves the old rows up in place
+	// around the new ones, whose intervals share one slab.
+	keys := make([][3]EntityID, 0, g.NumTriples())
+	g.EachTriple(func(t rdf.Triple) bool {
+		keys = append(keys, [3]EntityID{entity[t.S], entity[t.P], entity[t.O]})
+		return true
+	})
+	a.totalTriples += len(keys)
+	slices.SortFunc(keys, compareKey)
+	keys = slices.Compact(keys)
+	added, i := keys[:0], 0
+	for _, k := range keys {
+		for i < len(a.rows) && compareKey(a.rows[i].key(), k) < 0 {
+			i++
+		}
+		if i == len(a.rows) || a.rows[i].key() != k {
+			added = append(added, k)
 			continue
 		}
-		ivs := a.rows[ri].Intervals
-		if ivs[len(ivs)-1].To == v-1 {
-			a.rows[ri].Intervals[len(ivs)-1].To = v
-		} else if ivs[len(ivs)-1].To < v {
-			a.rows[ri].Intervals = append(ivs, Interval{v, v})
+		ivs := a.rows[i].Intervals
+		if last := &ivs[len(ivs)-1]; last.To == v-1 {
+			last.To = v
+		} else if last.To < v {
+			a.rows[i].Intervals = append(ivs, Interval{v, v})
+		}
+	}
+	slab := make([]Interval, len(added))
+	i = len(a.rows) - 1
+	a.rows = slices.Grow(a.rows, len(added))[:len(a.rows)+len(added)]
+	for j, w := len(added)-1, len(a.rows)-1; j >= 0; w-- {
+		if i >= 0 && compareKey(a.rows[i].key(), added[j]) > 0 {
+			a.rows[w] = a.rows[i]
+			i--
+		} else {
+			slab[j] = Interval{v, v}
+			a.rows[w] = TripleRow{S: added[j][0], P: added[j][1], O: added[j][2], Intervals: slab[j : j+1 : j+1]}
+			j--
 		}
 	}
 }
 
-// finalise orders rows deterministically and rebuilds the row index over
-// the new positions so a later AppendVersion can extend existing rows.
-func (a *Archive) finalise() {
-	sort.Slice(a.rows, func(i, j int) bool {
-		x, y := a.rows[i], a.rows[j]
-		if x.S != y.S {
-			return x.S < y.S
-		}
-		if x.P != y.P {
-			return x.P < y.P
-		}
-		return x.O < y.O
-	})
-	for i, r := range a.rows {
-		a.rowIndex[[3]EntityID{r.S, r.P, r.O}] = i
-	}
-}
+func (r *TripleRow) key() [3]EntityID { return [3]EntityID{r.S, r.P, r.O} }
 
 // Versions returns the number of archived versions.
 func (a *Archive) Versions() int { return a.versions }
@@ -515,15 +522,10 @@ func (a *Archive) RebuildTail() error {
 	}
 	cur := make([]EntityID, g.NumNodes())
 	for n := range cur {
-		cur[n] = -1
-		if n < len(entities) {
-			cur[n] = entities[n]
-		}
-	}
-	for n, e := range cur {
-		if e < 0 {
+		if n >= len(entities) || entities[n] < 0 {
 			return fmt.Errorf("archive: rebuild tail: node %d of version %d has no entity", n, last)
 		}
+		cur[n] = entities[n]
 	}
 	// lastSeen maps each URI to the entity that most recently carried it:
 	// replaying noteURIs version by version is equivalent to taking, per
@@ -540,13 +542,6 @@ func (a *Archive) RebuildTail() error {
 				lastTo[run.label.Value] = run.iv.To
 				lastSeen[run.label.Value] = EntityID(e)
 			}
-		}
-	}
-	// Raw-column loads also lack the row index recordVersion extends.
-	if a.rowIndex == nil {
-		a.rowIndex = make(map[[3]EntityID]int, len(a.rows))
-		for i, r := range a.rows {
-			a.rowIndex[[3]EntityID{r.S, r.P, r.O}] = i
 		}
 	}
 	a.tail = &archiveTail{lastGraph: g, cur: cur, lastSeen: lastSeen}

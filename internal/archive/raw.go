@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"cmp"
 	"fmt"
 
 	"rdfalign/internal/rdf"
@@ -13,10 +14,12 @@ type LabelRun struct {
 	Interval Interval
 }
 
-// Raw exposes the archive's internal columns for serialisation. The
-// invariants of a finalised archive hold:
+// Raw exposes the archive's internal columns for serialisation. Every
+// archive satisfies these invariants at all times:
 //
-//   - Rows is sorted strictly ascending by (S, P, O) entity IDs,
+//   - Rows is sorted strictly ascending by (S, P, O) entity IDs — Build and
+//     AppendVersion merge each version into the sorted rows rather than
+//     re-sorting, and rely on this order to find the rows they extend,
 //   - every row has at least one interval; intervals per row are
 //     ascending and disjoint (next.From > prev.To), each inside
 //     [0, Versions),
@@ -33,7 +36,8 @@ type Raw struct {
 }
 
 // Raw returns the archive's internal columns. Slices alias the archive's
-// storage and must not be modified.
+// storage and must not be modified; a later AppendVersion may rewrite the
+// rows in place.
 func (a *Archive) Raw() Raw {
 	labels := make([][]LabelRun, len(a.labels))
 	for e, runs := range a.labels {
@@ -46,9 +50,9 @@ func (a *Archive) Raw() Raw {
 	return Raw{Versions: a.versions, Labels: labels, Rows: a.rows}
 }
 
-// FromRaw reconstructs an Archive from its columns, validating the
-// finalised-archive invariants so that corrupt input errors here instead
-// of misbehaving in LabelAt or Snapshot later. TotalTriples is recomputed
+// FromRaw reconstructs an Archive from its columns, validating the archive
+// invariants so that corrupt input errors here instead of misbehaving in
+// LabelAt, Snapshot or a later AppendVersion. TotalTriples is recomputed
 // from the interval lengths, so GatherStats on a loaded archive matches
 // the freshly built one exactly.
 func FromRaw(r Raw) (*Archive, error) {
@@ -74,7 +78,7 @@ func FromRaw(r Raw) (*Archive, error) {
 	prev := [3]EntityID{-1, -1, -1}
 	for i, row := range r.Rows {
 		key := [3]EntityID{row.S, row.P, row.O}
-		if !lessKey(prev, key) {
+		if compareKey(prev, key) >= 0 {
 			return nil, fmt.Errorf("archive: raw row %d (%d,%d,%d) out of (S,P,O) order", i, row.S, row.P, row.O)
 		}
 		prev = key
@@ -105,12 +109,13 @@ func checkInterval(iv Interval, prevTo, versions int) error {
 	return nil
 }
 
-func lessKey(a, b [3]EntityID) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
+// compareKey orders entity triples by (S, P, O): the order of Archive rows.
+func compareKey(x, y [3]EntityID) int {
+	if x[0] != y[0] {
+		return cmp.Compare(x[0], y[0])
 	}
-	if a[1] != b[1] {
-		return a[1] < b[1]
+	if x[1] != y[1] {
+		return cmp.Compare(x[1], y[1])
 	}
-	return a[2] < b[2]
+	return cmp.Compare(x[2], y[2])
 }

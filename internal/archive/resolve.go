@@ -52,7 +52,7 @@ const resolveProfileTheta = 0.5
 // unassigned; the function fills matched ones and marks their entities
 // used.
 func resolveAmbiguous(a *Archive, c *rdf.Combined, p *core.Partition,
-	cur, next []EntityID, used map[EntityID]bool) {
+	cur, next []EntityID, used []bool) {
 	// Group unresolved nodes per ambiguous class.
 	type group struct {
 		src, tgt []rdf.NodeID

@@ -60,11 +60,13 @@ type ColorPair struct {
 // read-only probes of Composite on already-interned signatures) are safe
 // concurrently with each other as long as no call allocates.
 type Interner struct {
-	labels map[rdf.Label]Color
-	table  sigTable
-	blank  Color
-	next   Color
-	seed   uint64
+	// uris and literals key base colors by label value, one map per kind,
+	// so lookups take Go's string-key map fast path.
+	uris, literals map[string]Color
+	table          sigTable
+	blank          Color
+	next           Color
+	seed           uint64
 	// composites is the source of truth for composite color structure,
 	// indexed by Color (kind sigKindNone for base/fresh colors): the hash
 	// table resolves into it for collision checking, derivation trees are
@@ -123,11 +125,11 @@ func NewInterner() *Interner {
 // colorings are bit-identical across seeds (property-tested).
 func NewInternerSeeded(seed uint64) *Interner {
 	in := &Interner{
-		labels: make(map[rdf.Label]Color),
-		seed:   seed,
+		uris:     make(map[string]Color),
+		literals: make(map[string]Color),
+		seed:     seed,
 	}
 	in.blank = in.Fresh()
-	in.labels[rdf.BlankLabel()] = in.blank
 	return in
 }
 
@@ -191,16 +193,21 @@ func (in *Interner) entry(c Color) *compositeEntry {
 }
 
 // Base returns the color of a node label, allocating it on first use.
-// All blank labels map to the shared blank color.
+// All blank labels map to the shared blank color. Literal values are
+// looked up in their own map, every other label kind in the URI map.
 func (in *Interner) Base(l rdf.Label) Color {
-	if l.Kind == rdf.Blank {
+	m := in.uris
+	switch l.Kind {
+	case rdf.Blank:
 		return in.blank
+	case rdf.Literal:
+		m = in.literals
 	}
-	if c, ok := in.labels[l]; ok {
+	if c, ok := m[l.Value]; ok {
 		return c
 	}
 	c := in.Fresh()
-	in.labels[l] = c
+	m[l.Value] = c
 	return c
 }
 

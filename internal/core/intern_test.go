@@ -269,3 +269,52 @@ func BenchmarkInternComposite(b *testing.B) {
 		}
 	})
 }
+
+// TestInternerBaseKindsAndOracle pins the per-kind base-color maps: a URI
+// and a literal with the same lexical value are different labels, every
+// blank label (whatever its serialisation name) is the shared blank color,
+// and a mixed stream of Base, Fresh and Composite calls assigns exactly the
+// colors of the historical single-map implementation (stringInterner).
+func TestInternerBaseKindsAndOracle(t *testing.T) {
+	in := NewInterner()
+	if u, l := in.Base(rdf.URILabel("x")), in.Base(rdf.LiteralLabel("x")); u == l {
+		t.Fatalf("URI and literal \"x\" share base color %d", u)
+	}
+	for _, l := range []rdf.Label{rdf.BlankLabel(), {Kind: rdf.Blank, Value: "b1"}, {Kind: rdf.Blank, Value: "x"}} {
+		if c := in.Base(l); c != in.Blank() {
+			t.Fatalf("blank label %+v: color %d, want Blank() = %d", l, c, in.Blank())
+		}
+	}
+
+	f := func(rngSeed int64) bool {
+		r := rand.New(rand.NewSource(rngSeed))
+		h := NewInterner()
+		s := newStringInterner()
+		s.Fresh() // mirror the blank
+		kinds := []rdf.Kind{rdf.URI, rdf.Literal, rdf.Blank}
+		colors := []Color{h.Blank()}
+		for step := 0; step < 200; step++ {
+			var hc, sc Color
+			switch r.Intn(4) {
+			case 0:
+				hc, sc = h.Fresh(), s.Fresh()
+			case 1:
+				prev := colors[r.Intn(len(colors))]
+				pair := ColorPair{colors[r.Intn(len(colors))], colors[r.Intn(len(colors))]}
+				hc, sc = h.Composite(prev, []ColorPair{pair}), s.Composite(prev, []ColorPair{pair})
+			default:
+				l := rdf.Label{Kind: kinds[r.Intn(len(kinds))], Value: strconv.Itoa(r.Intn(12))}
+				hc, sc = h.Base(l), s.Base(l)
+			}
+			if hc != sc {
+				t.Logf("step %d: interner %d, oracle %d", step, hc, sc)
+				return false
+			}
+			colors = append(colors, hc)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}

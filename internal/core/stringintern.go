@@ -1,6 +1,10 @@
 package core
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"rdfalign/internal/rdf"
+)
 
 // stringInterner is the historical composite-interning path: every
 // signature is serialised into a canonical byte-string key and resolved
@@ -16,6 +20,7 @@ import "encoding/binary"
 // the key buffer is reused across calls (the map insert copies it via the
 // string conversion).
 type stringInterner struct {
+	labels map[rdf.Label]Color
 	comps  map[string]Color
 	next   Color
 	lists  map[Color][][]ColorPair
@@ -24,8 +29,9 @@ type stringInterner struct {
 
 func newStringInterner() *stringInterner {
 	return &stringInterner{
-		comps: make(map[string]Color),
-		lists: make(map[Color][][]ColorPair),
+		labels: make(map[rdf.Label]Color),
+		comps:  make(map[string]Color),
+		lists:  make(map[Color][][]ColorPair),
 	}
 }
 
@@ -33,6 +39,21 @@ func newStringInterner() *stringInterner {
 func (in *stringInterner) Fresh() Color {
 	c := in.next
 	in.next++
+	return c
+}
+
+// Base is the historical Interner.Base: one map keyed by the whole label.
+// Every blank label maps to color 0, the blank color NewInterner allocates
+// first; callers mirror it with their first Fresh call.
+func (in *stringInterner) Base(l rdf.Label) Color {
+	if l.Kind == rdf.Blank {
+		return 0
+	}
+	if c, ok := in.labels[l]; ok {
+		return c
+	}
+	c := in.Fresh()
+	in.labels[l] = c
 	return c
 }
 

@@ -252,3 +252,57 @@ func TestServerDepthQuery(t *testing.T) {
 		}
 	}
 }
+
+// TestServerJobPanicFailsSoft is the fail-soft regression test: a job whose
+// work panics becomes a failed job with status 500, its stack is logged
+// under the job ID, the alignment slot is released, and the server keeps
+// answering queries and running jobs.
+func TestServerJobPanicFailsSoft(t *testing.T) {
+	var mu sync.Mutex
+	var logs []string
+	s := newTestServer(t, Config{Logf: func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	var sum archiveSummary
+	if w := do(t, s, "PUT", "/archives/p", triplesV0, &sum); w.Code != 201 {
+		t.Fatalf("PUT: %d", w.Code)
+	}
+	var job JobInfo
+	do(t, s, "POST", "/archives/p/versions", triplesV1, &job)
+	if info := waitJob(t, s, job.ID); info.State != JobDone {
+		t.Fatalf("version job: %+v", info)
+	}
+
+	bad := s.jobs.New("p", "version", func() {})
+	s.runJob(context.Background(), bad, func(context.Context) (*head, error) {
+		var m map[string]int
+		m["boom"]++ // nil-map write: a runtime panic inside the job
+		return nil, nil
+	})
+	info := bad.Info()
+	if info.State != JobFailed || info.Status != 500 || !strings.Contains(info.Error, "panicked") {
+		t.Fatalf("panicking job: %+v", info)
+	}
+	if w := do(t, s, "GET", "/jobs/"+bad.ID(), "", nil); w.Code != 500 {
+		t.Fatalf("GET panicked job: %d, want 500", w.Code)
+	}
+	mu.Lock()
+	logged := strings.Join(logs, "\n")
+	mu.Unlock()
+	if !strings.Contains(logged, bad.ID()+" (version on \"p\") panicked") || !strings.Contains(logged, "goroutine") {
+		t.Fatalf("panic not logged with job ID and stack:\n%s", logged)
+	}
+
+	var al struct {
+		Aligned bool `json:"aligned"`
+	}
+	if w := do(t, s, "GET", "/archives/p/aligned?source=http://x/a&target=http://x/a", "", &al); w.Code != 200 || !al.Aligned {
+		t.Fatalf("query after panic: %d %+v", w.Code, al)
+	}
+	do(t, s, "POST", "/archives/p/deltas", deltaV2, &job)
+	if info := waitJob(t, s, job.ID); info.State != JobDone || info.Version != 3 {
+		t.Fatalf("delta job after panic: %+v", info)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -631,7 +632,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, run func(context.Context)
 	}
 	defer s.budget.ReleaseAlign()
 	job.setRunning()
-	h, err := run(ctx)
+	h, err := s.runRecovered(ctx, job, run)
 	if err != nil {
 		s.logf("job %s (%s on %q) failed: %v", job.ID(), job.kind, job.archive, err)
 		job.fail(err, statusOf(err))
@@ -639,6 +640,21 @@ func (s *Server) runJob(ctx context.Context, job *Job, run func(context.Context)
 	}
 	s.logf("job %s (%s on %q) done: now %d versions", job.ID(), job.kind, job.archive, h.version)
 	job.finish(h.version)
+}
+
+// runRecovered calls run, turning a panic into an error (HTTP 500 through
+// statusOf) so that one broken job fails alone instead of taking down the
+// process and every resident archive with it. The stack is logged with the
+// job ID. The registry publishes a new head only after run succeeds, so a
+// job that panics leaves its archive as it was.
+func (s *Server) runRecovered(ctx context.Context, job *Job, run func(context.Context) (*head, error)) (h *head, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.logf("job %s (%s on %q) panicked: %v\n%s", job.ID(), job.kind, job.archive, p, debug.Stack())
+			err = fmt.Errorf("job panicked: %v", p)
+		}
+	}()
+	return run(ctx)
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
