@@ -198,40 +198,31 @@ func BenchmarkArchiveExperiment(b *testing.B) {
 	}
 }
 
-// Refinement-engine micro-benchmarks: every BenchmarkRefine* workload runs
-// under both evaluation strategies — the full-recolor reference
-// (core.Engine.FullRecolor) and the default incremental worklist — so the
-// speedup of dirty-frontier recoloring is measured directly. The CI smoke
-// step runs these with -benchtime=1x; the benchmark regression gate
-// compares fresh runs against the BENCH_refine.json baseline with
-// benchstat and cmd/benchgate.
+// Refinement-engine micro-benchmarks on the incremental worklist engine.
+// The CI smoke step runs these with -benchtime=1x; the benchmark
+// regression gate compares fresh runs against the BENCH_refine.json
+// baseline with benchstat and cmd/benchgate.
 
-// benchRefineEngines runs one workload under the full-recolor reference and
-// the worklist engine as sub-benchmarks.
-func benchRefineEngines(b *testing.B, run func(e *core.Engine) error) {
-	for _, cfg := range []struct {
-		name string
-		eng  core.Engine
-	}{
-		{"full", core.Engine{FullRecolor: true}},
-		{"worklist", core.Engine{}},
-	} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := run(&cfg.eng); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// benchRefine times one refinement workload on the default engine. One
+// untimed run first builds the graph's lazily constructed adjacency
+// indexes, so the timed runs measure refinement alone.
+func benchRefine(b *testing.B, run func(e *core.Engine) error) {
+	e := &core.Engine{}
+	if err := run(e); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := run(e); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // refineChainGraph builds a chain of n blank nodes ending in a URI — the
-// deepest possible fixpoint (one node stabilises per round), where the
-// full-recolor engine pays O(n) recolors per round for O(n) rounds while
-// the worklist's frontier stays O(1).
+// deepest possible fixpoint (one node stabilises per round), where a
+// full recoloring would pay O(n) recolors per round for O(n) rounds.
 func refineChainGraph(n int) *rdf.Graph {
 	b := rdf.NewBuilder("refine-chain")
 	p := b.URI("p")
@@ -246,7 +237,7 @@ func refineChainGraph(n int) *rdf.Graph {
 
 func BenchmarkRefineDeblankChain(b *testing.B) {
 	g := refineChainGraph(1500)
-	benchRefineEngines(b, func(e *core.Engine) error {
+	benchRefine(b, func(e *core.Engine) error {
 		_, _, err := e.Deblank(g, core.NewInterner())
 		return err
 	})
@@ -254,8 +245,8 @@ func BenchmarkRefineDeblankChain(b *testing.B) {
 
 // refineWideDeepGraph is the workload the worklist engine exists for: a
 // wide region of nWide blank nodes that stabilises after the first round
-// next to a deep chain of nDeep blanks that needs nDeep rounds. The
-// full-recolor engine recolors all nWide+nDeep nodes for nDeep rounds; the
+// next to a deep chain of nDeep blanks that needs nDeep rounds. A full
+// recoloring would touch all nWide+nDeep nodes for nDeep rounds; the
 // worklist's frontier drops to the chain suffix after round one.
 func refineWideDeepGraph(nWide, nDeep int) *rdf.Graph {
 	b := rdf.NewBuilder("refine-wide-deep")
@@ -281,7 +272,7 @@ func refineWideDeepGraph(nWide, nDeep int) *rdf.Graph {
 
 func BenchmarkRefineDeblankWideDeep(b *testing.B) {
 	g := refineWideDeepGraph(20000, 500)
-	benchRefineEngines(b, func(e *core.Engine) error {
+	benchRefine(b, func(e *core.Engine) error {
 		_, _, err := e.Deblank(g, core.NewInterner())
 		return err
 	})
@@ -300,14 +291,11 @@ func depthBenchName(k int) string {
 
 // BenchmarkRefineDepth measures what bounded depth buys on the wide+deep
 // deblank workload: the deep chain needs nDeep rounds exactly, so a small
-// bound skips nearly all of them. The full-recolor engine pays every round
-// in full, making it the strategy where the bound's speedup is largest —
-// the PR 9 acceptance floor (≥3× at some k over the exact fixpoint) is
-// measured here.
+// bound skips nearly all of them.
 func BenchmarkRefineDepth(b *testing.B) {
 	g := refineWideDeepGraph(20000, 500)
 	for _, k := range depthBenchBounds {
-		e := &core.Engine{FullRecolor: true, MaxDepth: k}
+		e := &core.Engine{MaxDepth: k}
 		b.Run(depthBenchName(k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -349,7 +337,7 @@ func BenchmarkRefinePropagateWideDeep(b *testing.B) {
 	// The weighted counterpart: two structurally identical wide-deep
 	// versions, propagation rebuilding every blank's identity and weight.
 	c := rdf.Union(refineWideDeepGraph(5000, 300), refineWideDeepGraph(5000, 300))
-	benchRefineEngines(b, func(e *core.Engine) error {
+	benchRefine(b, func(e *core.Engine) error {
 		xi := core.NewWeighted(core.TrivialPartition(c.Graph, core.NewInterner()))
 		_, _, err := e.Propagate(c, xi, 0)
 		return err
@@ -362,7 +350,7 @@ func BenchmarkRefineHybridGtoPdb(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := rdf.Union(d.Graphs[0], d.Graphs[1])
-	benchRefineEngines(b, func(e *core.Engine) error {
+	benchRefine(b, func(e *core.Engine) error {
 		_, _, err := e.Hybrid(c, core.NewInterner())
 		return err
 	})
@@ -374,7 +362,7 @@ func BenchmarkRefineHybridEFO(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := rdf.Union(d.Graphs[0], d.Graphs[1])
-	benchRefineEngines(b, func(e *core.Engine) error {
+	benchRefine(b, func(e *core.Engine) error {
 		_, _, err := e.Hybrid(c, core.NewInterner())
 		return err
 	})
@@ -388,7 +376,7 @@ func BenchmarkRefinePropagateGtoPdb(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := rdf.Union(d.Graphs[0], d.Graphs[1])
-	benchRefineEngines(b, func(e *core.Engine) error {
+	benchRefine(b, func(e *core.Engine) error {
 		xi := core.NewWeighted(core.TrivialPartition(c.Graph, core.NewInterner()))
 		_, _, err := e.Propagate(c, xi, 0)
 		return err

@@ -12,7 +12,7 @@
 //	benchfig -fig all        # everything, in order
 //	benchfig -fig ablations  # the DESIGN.md ablations
 //	benchfig -fig archive    # the §6 multi-version archive experiment
-//	benchfig -fig depth      # bounded-depth sweep: engines × depth bounds
+//	benchfig -fig depth      # bounded-depth sweep: datasets × depth bounds
 //
 // Scales are relative to the paper's dataset sizes; -scale multiplies the
 // defaults (which regenerate each figure in seconds). -progress streams
@@ -157,12 +157,12 @@ func writeFig16JSON(path string, r *experiments.Fig16Result, scale float64) erro
 }
 
 // writeDepthJSON records the bounded-depth sweep timings in the shared
-// baseline schema (one row per dataset × engine × depth cell).
+// baseline schema (one row per dataset × depth cell).
 func writeDepthJSON(path string, r *experiments.DepthSweepResult, scale float64) error {
 	f := benchjson.File{
 		Description: "benchfig bounded-depth sweep timings in the shared BENCH_refine.json schema (internal/benchjson)",
 		Workloads: []benchjson.Workload{
-			r.Workload(fmt.Sprintf("benchfig -fig depth -scale %g: wall-clock deblank+hybrid times per engine and depth bound", scale)),
+			r.Workload(fmt.Sprintf("benchfig -fig depth -scale %g: wall-clock deblank+hybrid times per dataset and depth bound", scale)),
 		},
 	}
 	f.StampMachine()

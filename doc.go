@@ -94,15 +94,14 @@
 //
 // # Performance
 //
-// The refinement fixpoints of the paper's default outbound recoloring run
-// on an incremental worklist engine (internal/core): each round recolors
-// only the nodes whose outbound neighbourhood changed in the previous
-// round, found through a lazily built reverse-dependency adjacency, and
-// stabilisation is decided from the round's change list. The result is
-// identical — color for color — to exhaustive recoloring, but the
-// per-round cost is proportional to the work actually remaining; on graphs
-// where most nodes stabilise early the engine is one to two orders of
-// magnitude faster (see BENCH_refine.json).
+// Every refinement fixpoint runs on an incremental worklist engine
+// (internal/core): each round recolors only the nodes whose neighbourhood
+// changed in the previous round, found through a lazily built
+// reverse-dependency adjacency, and stabilisation is decided from the
+// round's change list. The result is identical — color for color — to
+// exhaustive recoloring, but the per-round cost is proportional to the
+// work actually remaining; on graphs where most nodes stabilise early the
+// engine is one to two orders of magnitude faster (see BENCH_refine.json).
 //
 // Refinement colors are interned by hash: each recolor's canonical
 // (previous color, pair list) signature is hashed directly off the pair
@@ -114,8 +113,8 @@
 // sequential worklist at two cores, so WithParallelism applies only to the
 // Overlap method's matching scans. The extended characterisations
 // (WithContextual, WithAdaptive, WithKeyPredicates) read inbound and
-// predicate-occurrence neighbourhoods the outbound dependency frontier
-// does not cover, so they refine by exhaustive recoloring as before.
+// predicate-occurrence neighbourhoods as well, so for them the worklist's
+// frontier widens to every node sharing a triple with a changed node.
 //
 // The Overlap method's matching phases (Algorithm 2) scale three ways.
 // Algorithm 1 probes the inverted index with only the minimal lossless
@@ -150,13 +149,12 @@
 // rounds: bounded-depth k-bisimulation. Nodes then share a class iff they
 // are indistinguishable by outbound paths of length at most k, a strictly
 // coarser alignment that trades ambiguity beyond depth k for a fraction
-// of the exact fixpoint's cost on deep graphs. The cap counts rounds
-// uniformly across the full-recolor and worklist strategies, so the
-// bit-identity guarantee holds per bound: for every k the engines produce
-// identical colorings across hash seeds
-// (oracle- and property-tested), a fixpoint that stabilises before round
-// k is unaffected, and a k-bounded ApplyDelta equals a k-bounded
-// from-scratch re-alignment. On the CLI the bound is -max-depth; the
+// of the exact fixpoint's cost on deep graphs. Each counted round is
+// exactly the partition a full recoloring would produce, so the
+// bit-identity guarantee holds per bound: for every k the colorings are
+// identical across hash seeds (oracle- and property-tested), a fixpoint
+// that stabilises before round k is unaffected, and a k-bounded ApplyDelta
+// equals a k-bounded from-scratch re-alignment. On the CLI the bound is -max-depth; the
 // server answers per-query ?depth=k from cached per-k alignments.
 //
 // # Ingestion

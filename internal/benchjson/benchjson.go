@@ -72,20 +72,13 @@ func (f *File) WriteConfig(w io.Writer) error {
 	return nil
 }
 
-// Workload is one benchmark workload. Entries carry either the historical
-// two-engine comparison fields (full_ns_op/worklist_ns_op, kept from the
-// PR 2 baseline) or the general Results form: one entry per benchmark name
+// Workload is one benchmark workload: one result per benchmark name
 // exactly as `go test -bench` reports it (minus the -GOMAXPROCS suffix).
 // When several workload entries mention the same benchmark name, the
 // later entry wins — appended baselines supersede historical ones.
 type Workload struct {
-	Name string `json:"name"`
-	Note string `json:"note,omitempty"`
-
-	FullNsOp     float64 `json:"full_ns_op,omitempty"`
-	WorklistNsOp float64 `json:"worklist_ns_op,omitempty"`
-	Speedup      float64 `json:"speedup,omitempty"`
-
+	Name    string   `json:"name"`
+	Note    string   `json:"note,omitempty"`
 	Results []Result `json:"results,omitempty"`
 }
 
@@ -109,18 +102,11 @@ func ReadFile(path string) (*File, error) {
 }
 
 // Flatten resolves the document into one ns/op value per benchmark name:
-// historical full/worklist fields expand to "<name>/full" and
-// "<name>/worklist", Results entries are taken verbatim, and later
-// workloads override earlier ones per benchmark name.
+// Results entries are taken verbatim, and later workloads override earlier
+// ones per benchmark name.
 func (f *File) Flatten() map[string]float64 {
 	out := make(map[string]float64)
 	for _, w := range f.Workloads {
-		if w.FullNsOp > 0 {
-			out[w.Name+"/full"] = w.FullNsOp
-		}
-		if w.WorklistNsOp > 0 {
-			out[w.Name+"/worklist"] = w.WorklistNsOp
-		}
 		for _, r := range w.Results {
 			if r.NsOp > 0 {
 				out[r.Bench] = r.NsOp

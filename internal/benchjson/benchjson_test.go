@@ -10,7 +10,10 @@ import (
 
 func TestFlattenLaterEntriesWin(t *testing.T) {
 	f := &File{Workloads: []Workload{
-		{Name: "BenchmarkX", FullNsOp: 100, WorklistNsOp: 50},
+		{Name: "BenchmarkX", Results: []Result{
+			{Bench: "BenchmarkX/full", NsOp: 100},
+			{Bench: "BenchmarkX/worklist", NsOp: 50},
+		}},
 		{Name: "BenchmarkX", Results: []Result{
 			{Bench: "BenchmarkX/worklist", NsOp: 40},
 			{Bench: "BenchmarkX/worklist-par", NsOp: 30},
@@ -18,7 +21,7 @@ func TestFlattenLaterEntriesWin(t *testing.T) {
 	}}
 	flat := f.Flatten()
 	if flat["BenchmarkX/full"] != 100 {
-		t.Errorf("full = %v, want 100", flat["BenchmarkX/full"])
+		t.Errorf("full = %v, want the earlier entry's 100", flat["BenchmarkX/full"])
 	}
 	if flat["BenchmarkX/worklist"] != 40 {
 		t.Errorf("worklist = %v, want the later entry's 40", flat["BenchmarkX/worklist"])
@@ -89,14 +92,14 @@ func TestReadFileBaseline(t *testing.T) {
 	if len(flat) == 0 {
 		t.Fatal("baseline flattened to nothing")
 	}
-	if _, ok := flat["BenchmarkRefineDeblankWideDeep/worklist"]; !ok {
-		t.Error("baseline lacks BenchmarkRefineDeblankWideDeep/worklist")
+	if _, ok := flat["BenchmarkRefineDeblankWideDeep"]; !ok {
+		t.Error("baseline lacks BenchmarkRefineDeblankWideDeep")
 	}
 	var sb strings.Builder
 	if err := WriteBenchText(&sb, flat); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "BenchmarkRefineDeblankWideDeep/worklist 1 ") {
+	if !strings.Contains(sb.String(), "BenchmarkRefineDeblankWideDeep 1 ") {
 		t.Errorf("bench text missing expected line:\n%s", sb.String())
 	}
 }

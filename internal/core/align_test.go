@@ -34,7 +34,7 @@ func TestAlignmentPairsSorted(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	c := randomCombined(r)
 	in := NewInterner()
-	p, _ := DeblankPartition(c.Graph, in)
+	p, _, _ := (&Engine{}).Deblank(c.Graph, in)
 	a := NewAlignment(c, p)
 	var last [2]rdf.NodeID
 	first := true
@@ -60,7 +60,7 @@ func TestCrossoverProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		c := randomCombined(r)
 		in := NewInterner()
-		p, _ := HybridPartition(c, in)
+		p, _, _ := (&Engine{}).Hybrid(c, in)
 		return NewAlignment(c, p).HasCrossover()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -73,7 +73,7 @@ func TestWeightedAlignmentThreshold(t *testing.T) {
 	g2 := figure1V2(t)
 	c := rdf.Union(g1, g2)
 	in := NewInterner()
-	hp, _ := HybridPartition(c, in)
+	hp, _, _ := (&Engine{}).Hybrid(c, in)
 	xi := NewWeighted(hp)
 
 	ss1 := mustURI(t, g1, "ss")
@@ -111,7 +111,7 @@ func TestEdgeAlignmentRatioBounds(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		c := randomCombined(r)
 		in := NewInterner()
-		p, _ := DeblankPartition(c.Graph, in)
+		p, _, _ := (&Engine{}).Deblank(c.Graph, in)
 		st := EdgeAlignment(c, p)
 		if st.Common > st.Source || st.Common > st.Target {
 			return false
@@ -132,8 +132,8 @@ func TestEdgeAlignmentMonotoneInHierarchy(t *testing.T) {
 		c := randomCombined(r)
 		in := NewInterner()
 		tp := TrivialPartition(c.Graph, in)
-		dp, _ := DeblankPartition(c.Graph, in)
-		hp, _ := HybridFromDeblank(c, dp)
+		dp, _, _ := (&Engine{}).Deblank(c.Graph, in)
+		hp, _, _ := (&Engine{}).HybridFromDeblank(c, dp)
 		rt := EdgeAlignment(c, tp).Common
 		rd := EdgeAlignment(c, dp).Common
 		rh := EdgeAlignment(c, hp).Common
@@ -161,7 +161,7 @@ func TestAlignedEntityCountFigure3(t *testing.T) {
 	g2 := figure3G2(t)
 	c := rdf.Union(g1, g2)
 	in := NewInterner()
-	dp, _ := DeblankPartition(c.Graph, in)
+	dp, _, _ := (&Engine{}).Deblank(c.Graph, in)
 	a := NewAlignment(c, dp)
 	// Classes with both sides under deblank: w, p, q, r, "a", "b",
 	// {b2,b3,b4}. u/v, b1/b5 unaligned.
@@ -179,7 +179,7 @@ func TestAlignedNodesFigure3(t *testing.T) {
 	g2 := figure3G2(t)
 	c := rdf.Union(g1, g2)
 	in := NewInterner()
-	dp, _ := DeblankPartition(c.Graph, in)
+	dp, _, _ := (&Engine{}).Deblank(c.Graph, in)
 	st := AlignedNodes(c, dp, false)
 	// Source side: w, p, q, r, "a", "b", b2, b3 → 8 (u, b1 unaligned).
 	if st.Source != 8 {

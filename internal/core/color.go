@@ -52,9 +52,7 @@ type ColorPair struct {
 // open-addressed table whose hash-equal candidates are compared structurally
 // against the composites store, so collisions cost a comparison, never a
 // wrong answer. Colors are assigned in interning order, making colorings
-// independent of the hash seed. The historical string-keyed implementation
-// survives as stringInterner (stringintern.go) and is used only by the
-// differential tests.
+// independent of the hash seed.
 //
 // An Interner is not safe for concurrent mutation. Lookups (including the
 // read-only probes of Composite on already-interned signatures) are safe
@@ -309,16 +307,6 @@ func (ps *pairStore) store(src []ColorPair) []ColorPair {
 	lo := len(ps.cur)
 	ps.cur = append(ps.cur, src...)
 	return ps.cur[lo:len(ps.cur):len(ps.cur)]
-}
-
-// CompositeDirected is Composite extended with a second pair set gathered
-// from *incoming* edges — the color (λ(n), {(λ(p), λ(o))…}, {(λ(p),
-// λ(s))…}) of the context-aware refinement variant (§3.3: "the proposed
-// framework could easily accommodate approaches that consider the incoming
-// edges"). The same stable-tree collapse applies when both pair sets are
-// unchanged.
-func (in *Interner) CompositeDirected(prev Color, outPairs, inPairs []ColorPair) Color {
-	return in.CompositeLists(prev, outPairs, inPairs)
 }
 
 // CompositeLists is the general composite over any number of pair lists

@@ -14,24 +14,21 @@ var depthTestBounds = []int{1, 2, 3, 0}
 // TestDepthBoundedOracle validates the MaxDepth semantics against the
 // synchronized-round naive oracle on random graphs: for every bound k the
 // engine's partition after k applied rounds captures exactly the relation
-// R_k (NaiveKBisimulation), for the default worklist and the full-recolor
-// reference alike.
+// R_k (NaiveKBisimulation), for the worklist and the full-recolor oracle
+// alike.
 func TestDepthBoundedOracle(t *testing.T) {
 	f := func(rngSeed int64) bool {
 		r := rand.New(rand.NewSource(rngSeed))
 		g := randomGraph(r, "depth", 2+r.Intn(4), r.Intn(5), r.Intn(3), r.Intn(16))
 		for _, k := range []int{0, 1, 2, 3, 4} {
 			want := NaiveKBisimulation(g, k)
-			for _, e := range []*Engine{
-				{MaxDepth: k},
-				{MaxDepth: k, FullRecolor: true},
-			} {
+			for _, e := range []refiner{&Engine{MaxDepth: k}, &fullRecolor{MaxDepth: k}} {
 				p, _, err := e.Bisim(g, NewInterner())
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !FromPartition(p).Equal(want) {
-					t.Logf("seed %d k=%d FullRecolor=%v: partition differs from R_k", rngSeed, k, e.FullRecolor)
+					t.Logf("seed %d k=%d %T: partition differs from R_k", rngSeed, k, e)
 					return false
 				}
 			}
@@ -44,36 +41,28 @@ func TestDepthBoundedOracle(t *testing.T) {
 }
 
 // TestDepthDeterminismWorkersAndSeeds extends the bit-identity guarantee to
-// every depth bound: on a wide frontier, the k-bounded colorings of the
-// full-recolor reference and the worklist must be color-for-color identical
-// (not merely equivalent) across hash seeds and the deprecated, ignored
+// every depth bound: on a wide frontier, the k-bounded worklist colorings
+// must be color-for-color identical (not merely equivalent) to the
+// full-recolor oracle's across hash seeds and the deprecated, ignored
 // Engine.Workers values callers may still set, with the same applied-round
 // count.
 func TestDepthDeterminismWorkersAndSeeds(t *testing.T) {
 	g := wideDeepTestGraph(512, 40)
 	for _, k := range depthTestBounds {
-		var want *Partition
-		var wantIters int
-		for _, full := range []bool{false, true} {
-			for _, seed := range internTestSeeds {
-				for _, workers := range []int{1, 2, 4, 8} {
-					e := &Engine{Workers: workers, MaxDepth: k, FullRecolor: full}
-					p, iters, err := e.Deblank(g, NewInternerSeeded(seed))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want == nil {
-						want, wantIters = p, iters
-						continue
-					}
-					if iters != wantIters {
-						t.Errorf("k=%d full=%v seed %#x workers %d: %d rounds, want %d",
-							k, full, seed, workers, iters, wantIters)
-					}
-					if !samePartition(want, p) {
-						t.Errorf("k=%d full=%v seed %#x workers %d: coloring diverged",
-							k, full, seed, workers)
-					}
+		want, wantIters, _ := (&fullRecolor{MaxDepth: k}).Deblank(g, NewInterner())
+		for _, seed := range internTestSeeds {
+			for _, workers := range []int{1, 2, 4, 8} {
+				e := &Engine{Workers: workers, MaxDepth: k}
+				p, iters, err := e.Deblank(g, NewInternerSeeded(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if iters != wantIters {
+					t.Errorf("k=%d seed %#x workers %d: %d rounds, want %d",
+						k, seed, workers, iters, wantIters)
+				}
+				if !samePartition(want, p) {
+					t.Errorf("k=%d seed %#x workers %d: coloring diverged", k, seed, workers)
 				}
 			}
 		}
@@ -84,32 +73,25 @@ func TestDepthDeterminismWorkersAndSeeds(t *testing.T) {
 }
 
 // TestDepthWeightedDeterminism is the weighted counterpart: k-bounded
-// Propagate must yield bit-identical colors and weights across the
-// full-recolor and worklist strategies and hash seeds.
+// Propagate must yield colors and weights bit-identical to the full-recolor
+// oracle's across hash seeds.
 func TestDepthWeightedDeterminism(t *testing.T) {
 	c := rdf.Union(wideDeepTestGraph(256, 30), wideDeepTestGraph(256, 30))
 	for _, k := range depthTestBounds {
-		var want *Weighted
-		for _, full := range []bool{false, true} {
-			for _, seed := range internTestSeeds {
-				in := NewInternerSeeded(seed)
-				xi := NewWeighted(TrivialPartition(c.Graph, in))
-				out, _, err := (&Engine{MaxDepth: k, FullRecolor: full}).Propagate(c, xi, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want == nil {
-					want = out
-					continue
-				}
-				if !samePartition(want.P, out.P) {
-					t.Errorf("k=%d full=%v seed %#x: weighted coloring diverged", k, full, seed)
-				}
-				for n := range out.W {
-					if out.W[n] != want.W[n] {
-						t.Fatalf("k=%d full=%v seed %#x: weight of node %d = %v, want %v",
-							k, full, seed, n, out.W[n], want.W[n])
-					}
+		want, _, _ := (&fullRecolor{MaxDepth: k}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
+		for _, seed := range internTestSeeds {
+			xi := NewWeighted(TrivialPartition(c.Graph, NewInternerSeeded(seed)))
+			out, _, err := (&Engine{MaxDepth: k}).Propagate(c, xi, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !samePartition(want.P, out.P) {
+				t.Errorf("k=%d seed %#x: weighted coloring diverged", k, seed)
+			}
+			for n := range out.W {
+				if out.W[n] != want.W[n] {
+					t.Fatalf("k=%d seed %#x: weight of node %d = %v, want %v",
+						k, seed, n, out.W[n], want.W[n])
 				}
 			}
 		}

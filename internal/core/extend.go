@@ -109,37 +109,6 @@ func recolorOpts(g *rdf.Graph, p *Partition, n rdf.NodeID, opt RefineOptions,
 	return p.in.CompositeLists(p.colors[n], outS, inS, poS)
 }
 
-// RefineStepOpts is RefineStep with direction and filter options.
-func RefineStepOpts(g *rdf.Graph, p *Partition, x []rdf.NodeID, opt RefineOptions) *Partition {
-	q := p.Clone()
-	var scratch [3][]ColorPair
-	for _, n := range x {
-		q.colors[n] = recolorOpts(g, p, n, opt, &scratch)
-	}
-	return q
-}
-
-// RefineOpts is Refine with direction and filter options: the fixpoint of
-// RefineStepOpts under grouping equivalence.
-func RefineOpts(g *rdf.Graph, p *Partition, x []rdf.NodeID, opt RefineOptions) (*Partition, int) {
-	q, n, _ := (&Engine{Opt: opt}).Refine(g, p, x)
-	return q, n
-}
-
-// DeblankPartitionOpts is DeblankPartition under the given options —
-// bisimulation refinement of blank nodes that can additionally see their
-// context (incoming edges) or a filtered edge subset.
-func DeblankPartitionOpts(g *rdf.Graph, in *Interner, opt RefineOptions) (*Partition, int) {
-	p, n, _ := (&Engine{Opt: opt}).Deblank(g, in)
-	return p, n
-}
-
-// HybridPartitionOpts is HybridPartition under the given options.
-func HybridPartitionOpts(c *rdf.Combined, in *Interner, opt RefineOptions) (*Partition, int) {
-	p, n, _ := (&Engine{Opt: opt}).Hybrid(c, in)
-	return p, n
-}
-
 // PredicateKeyFilter returns an EdgeFilter that keeps only half-edges whose
 // predicate node's URI label is in the key set — the "notion of a key for
 // graph databases" of §6. Nodes are compared by label so the filter works

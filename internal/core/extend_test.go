@@ -32,15 +32,15 @@ func TestDirectionSplitsByContext(t *testing.T) {
 	b1, b2 := findBlanks2(t, g)
 
 	in := NewInterner()
-	outP, _ := DeblankPartitionOpts(g, in, RefineOptions{Direction: DirOut})
+	outP, _, _ := (&Engine{Opt: RefineOptions{Direction: DirOut}}).Deblank(g, in)
 	if !outP.SameClass(b1, b2) {
 		t.Error("DirOut: identical contents should be bisimilar")
 	}
-	bothP, _ := DeblankPartitionOpts(g, NewInterner(), RefineOptions{Direction: DirBoth})
+	bothP, _, _ := (&Engine{Opt: RefineOptions{Direction: DirBoth}}).Deblank(g, NewInterner())
 	if bothP.SameClass(b1, b2) {
 		t.Error("DirBoth: different contexts (p from w vs r from x) should split the blanks")
 	}
-	inP, _ := DeblankPartitionOpts(g, NewInterner(), RefineOptions{Direction: DirIn})
+	inP, _, _ := (&Engine{Opt: RefineOptions{Direction: DirIn}}).Deblank(g, NewInterner())
 	if inP.SameClass(b1, b2) {
 		t.Error("DirIn: different contexts should split the blanks")
 	}
@@ -64,8 +64,8 @@ func TestDirOutMatchesDefaultEngine(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraph(r, "dirout", 2+r.Intn(4), r.Intn(5), r.Intn(3), r.Intn(16))
-		p1, _ := DeblankPartition(g, NewInterner())
-		p2, _ := DeblankPartitionOpts(g, NewInterner(), RefineOptions{Direction: DirOut})
+		p1, _, _ := (&Engine{}).Deblank(g, NewInterner())
+		p2, _, _ := (&Engine{Opt: RefineOptions{Direction: DirOut}}).Deblank(g, NewInterner())
 		return Equivalent(p1, p2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -84,8 +84,8 @@ func TestDirBothFinerThanDirOut(t *testing.T) {
 		for i := range all {
 			all[i] = rdf.NodeID(i)
 		}
-		outP, _ := RefineOpts(g, LabelPartition(g, in), all, RefineOptions{Direction: DirOut})
-		bothP, _ := RefineOpts(g, LabelPartition(g, in), all, RefineOptions{Direction: DirBoth})
+		outP, _, _ := (&Engine{Opt: RefineOptions{Direction: DirOut}}).Refine(g, LabelPartition(g, in), all)
+		bothP, _, _ := (&Engine{Opt: RefineOptions{Direction: DirBoth}}).Refine(g, LabelPartition(g, in), all)
 		return Finer(bothP, outP)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -111,27 +111,27 @@ func TestPredicateKeyFilter(t *testing.T) {
 	g := b.MustGraph()
 	n1, n2 := findBlanks2(t, g)
 
-	plain, _ := DeblankPartition(g, NewInterner())
+	plain, _, _ := (&Engine{}).Deblank(g, NewInterner())
 	if plain.SameClass(n1, n2) {
 		t.Fatal("without a key filter the differing annotations must split the blanks")
 	}
-	keyed, _ := DeblankPartitionOpts(g, NewInterner(), RefineOptions{
+	keyed, _, _ := (&Engine{Opt: RefineOptions{
 		Direction: DirOut,
 		Filter:    PredicateKeyFilter("key"),
-	})
+	}}).Deblank(g, NewInterner())
 	if !keyed.SameClass(n1, n2) {
 		t.Error("with the key filter the blanks should align on their key value")
 	}
 }
 
-func TestHybridPartitionOptsContext(t *testing.T) {
+func TestHybridContextOption(t *testing.T) {
 	// Combined version of the context graph: with DirBoth, the hybrid
 	// alignment distinguishes same-content nodes by how they are reached.
 	g1 := contextGraph(t)
 	g2 := contextGraph(t)
 	c := rdf.Union(g1, g2)
 	in := NewInterner()
-	p, iters := HybridPartitionOpts(c, in, RefineOptions{Direction: DirBoth})
+	p, iters, _ := (&Engine{Opt: RefineOptions{Direction: DirBoth}}).Hybrid(c, in)
 	if iters <= 0 {
 		t.Error("expected some refinement iterations")
 	}
@@ -180,7 +180,7 @@ func TestAdaptiveSplitsPredicates(t *testing.T) {
 	g2 := adaptiveVersion(t, "http://b/")
 	c := rdf.Union(g1, g2)
 
-	plain, _ := HybridPartition(c, NewInterner())
+	plain, _, _ := (&Engine{}).Hybrid(c, NewInterner())
 	name1 := c.FromSource(mustURI(t, g1, "http://a/name"))
 	year1 := c.FromSource(mustURI(t, g1, "http://a/year"))
 	name2 := c.FromTarget(mustURI(t, g2, "http://b/name"))
@@ -189,7 +189,7 @@ func TestAdaptiveSplitsPredicates(t *testing.T) {
 		t.Fatal("plain hybrid should lump all sink predicates (the §5.1 error)")
 	}
 
-	adaptive, _ := HybridPartitionOpts(c, NewInterner(), RefineOptions{Adaptive: true})
+	adaptive, _, _ := (&Engine{Opt: RefineOptions{Adaptive: true}}).Hybrid(c, NewInterner())
 	if !adaptive.SameClass(name1, name2) {
 		t.Error("adaptive should align the name predicates across versions")
 	}
@@ -234,8 +234,8 @@ func TestAdaptiveMatchesPlainOnContentNodes(t *testing.T) {
 		if !allHaveOut {
 			return true // vacuous
 		}
-		p1, _ := DeblankPartition(g, NewInterner())
-		p2, _ := DeblankPartitionOpts(g, NewInterner(), RefineOptions{Adaptive: true})
+		p1, _, _ := (&Engine{}).Deblank(g, NewInterner())
+		p2, _, _ := (&Engine{Opt: RefineOptions{Adaptive: true}}).Deblank(g, NewInterner())
 		return Equivalent(p1, p2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -252,29 +252,32 @@ func TestDirectionString(t *testing.T) {
 	}
 }
 
-func TestCompositeDirectedDistinctFromPlain(t *testing.T) {
+// TestCompositeListsDistinctFromPlain: the out/in pair-list composite of the
+// context-aware refinement never aliases a plain composite, collapses when
+// both lists repeat, and keeps its list boundaries.
+func TestCompositeListsDistinctFromPlain(t *testing.T) {
 	in := NewInterner()
 	a := in.Fresh()
 	prev := in.Fresh()
 	plain := in.Composite(prev, []ColorPair{{a, a}})
-	directed := in.CompositeDirected(prev, []ColorPair{{a, a}}, nil)
+	directed := in.CompositeLists(prev, []ColorPair{{a, a}}, nil)
 	if plain == directed {
 		t.Error("plain and directed composites with equal out-pairs must differ")
 	}
 	// Directed collapse.
-	d2 := in.CompositeDirected(directed, []ColorPair{{a, a}}, nil)
+	d2 := in.CompositeLists(directed, []ColorPair{{a, a}}, nil)
 	if d2 != directed {
 		t.Error("directed composite should collapse when both pair sets repeat")
 	}
 	// In-pairs distinguish.
-	d3 := in.CompositeDirected(prev, []ColorPair{{a, a}}, []ColorPair{{a, a}})
+	d3 := in.CompositeLists(prev, []ColorPair{{a, a}}, []ColorPair{{a, a}})
 	if d3 == directed {
 		t.Error("in-pairs must distinguish directed composites")
 	}
 	// Out/in boundary cannot shift.
 	x, y := in.Fresh(), in.Fresh()
-	left := in.CompositeDirected(prev, []ColorPair{{x, y}}, nil)
-	right := in.CompositeDirected(prev, nil, []ColorPair{{x, y}})
+	left := in.CompositeLists(prev, []ColorPair{{x, y}}, nil)
+	right := in.CompositeLists(prev, nil, []ColorPair{{x, y}})
 	if left == right {
 		t.Error("moving a pair from out to in must change the color")
 	}

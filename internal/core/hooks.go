@@ -27,9 +27,8 @@ type ProgressEvent struct {
 	// 0 when the stage runs to a fixpoint of unknown length.
 	Total int
 	// Dirty is the round's work: for refinement stages the number of
-	// nodes the round recolored — the frontier size for the worklist
-	// engines, the full recolor set size for the full-recolor reference
-	// engine; for overlap rounds the number of candidate pairs the
+	// nodes the round recolored — the worklist frontier's size; for
+	// overlap rounds the number of candidate pairs the
 	// matching screened since the previous overlap event (the first round
 	// includes the initial literal matching); 0 for archive versions.
 	Dirty int

@@ -12,10 +12,8 @@ import "rdfalign/internal/rdf"
 // Proposition 1 (the refinement engine captures Bisim(G)) in tests and to
 // ablate the refinement engine in benchmarks. It is exponential-free but
 // O(|N|² · avg-deg²) and intended for small graphs only. Being
-// interner-free, it also anchors the interning tests: together with the
-// string-keyed stringInterner (stringintern.go) it gives the hash interner
-// two independent references — one for the equivalence relation, one for
-// the color assignment.
+// interner-free, it also anchors the interning tests as the independent
+// reference for the equivalence relation.
 func NaiveMaximalBisimulation(g *rdf.Graph) *Relation {
 	n := g.NumNodes()
 	rel := NewRelation(n)
@@ -61,91 +59,6 @@ func simulatedBy(g *rdf.Graph, rel *Relation, n, m rdf.NodeID) bool {
 		}
 	}
 	return true
-}
-
-// NaiveKBisimulation computes the depth-bounded k-bisimulation relation:
-// R_0 is label equality and R_d removes from R_{d-1} every pair that is not
-// mutually simulated under R_{d-1}. Unlike NaiveMaximalBisimulation's
-// asynchronous deletion (which is only correct for the greatest fixpoint),
-// the rounds here are synchronized — each round reads the previous round's
-// relation — because R_d itself is the specification of what an Engine with
-// MaxDepth = d computes (each R_d is an equivalence: the surviving pairs
-// are exactly the ones whose outbound class-pair sets under R_{d-1}
-// coincide, which is what one refinement round distinguishes). k <= 0 means
-// unbounded, converging to Bisim(G). The quadratic per-round cost makes
-// this a small-graph test oracle only.
-func NaiveKBisimulation(g *rdf.Graph, k int) *Relation {
-	n := g.NumNodes()
-	rel := NewRelation(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if g.Label(rdf.NodeID(i)) == g.Label(rdf.NodeID(j)) {
-				rel.Set(rdf.NodeID(i), rdf.NodeID(j))
-			}
-		}
-	}
-	for d := 0; k <= 0 || d < k; d++ {
-		next := rel.Clone()
-		changed := false
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				ni, nj := rdf.NodeID(i), rdf.NodeID(j)
-				if !rel.Has(ni, nj) {
-					continue
-				}
-				if !simulatedBy(g, rel, ni, nj) || !simulatedBy(g, rel, nj, ni) {
-					next.Clear(ni, nj)
-					changed = true
-				}
-			}
-		}
-		rel = next
-		if !changed {
-			break
-		}
-	}
-	return rel
-}
-
-// NaiveDeblankEquivalence computes the equivalence relation the deblanking
-// alignment captures (§3.3; the paper's formal definition lives in its
-// appendix): the greatest relation R ⊆ label-equality such that blank pairs
-// additionally satisfy the bisimulation condition — non-blank nodes are
-// compared by label alone (they are never recolored by deblanking), and
-// recursion happens only through blank nodes.
-//
-// This is the quadratic reference oracle for DeblankPartition, mirroring
-// what NaiveMaximalBisimulation is for BisimPartition.
-func NaiveDeblankEquivalence(g *rdf.Graph) *Relation {
-	n := g.NumNodes()
-	rel := NewRelation(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if g.Label(rdf.NodeID(i)) == g.Label(rdf.NodeID(j)) {
-				rel.Set(rdf.NodeID(i), rdf.NodeID(j))
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < n; i++ {
-			if !g.IsBlank(rdf.NodeID(i)) {
-				continue // non-blank pairs are frozen at label equality
-			}
-			for j := 0; j < n; j++ {
-				ni, nj := rdf.NodeID(i), rdf.NodeID(j)
-				if !rel.Has(ni, nj) {
-					continue
-				}
-				if !simulatedBy(g, rel, ni, nj) || !simulatedBy(g, rel, nj, ni) {
-					rel.Clear(ni, nj)
-					rel.Clear(nj, ni)
-					changed = true
-				}
-			}
-		}
-	}
-	return rel
 }
 
 // Relation is a dense binary relation over the nodes of one graph, stored as

@@ -52,7 +52,7 @@ func TestFigure1Deblank(t *testing.T) {
 	g2 := figure1V2(t)
 	c := rdf.Union(g1, g2)
 	in := NewInterner()
-	p, _ := DeblankPartition(c.Graph, in)
+	p, _, _ := (&Engine{}).Deblank(c.Graph, in)
 	a := NewAlignment(c, p)
 
 	b1 := blankBySignature(t, g1, "zip", "EH8")
@@ -78,7 +78,7 @@ func TestFigure1Hybrid(t *testing.T) {
 	g2 := figure1V2(t)
 	c := rdf.Union(g1, g2)
 	in := NewInterner()
-	p, _ := HybridPartition(c, in)
+	p, _, _ := (&Engine{}).Hybrid(c, in)
 	a := NewAlignment(c, p)
 
 	if !a.Aligned(mustURI(t, g1, "ed-uni"), mustURI(t, g2, "uoe")) {
@@ -109,7 +109,7 @@ func TestFigure1Hybrid(t *testing.T) {
 func TestFigure2Bisimilarity(t *testing.T) {
 	g := figure3G1(t)
 	in := NewInterner()
-	p, iters := BisimPartition(g, in)
+	p, iters, _ := (&Engine{}).Bisim(g, in)
 	if iters == 0 {
 		t.Error("refinement should take at least one iteration on Figure 2")
 	}
@@ -156,7 +156,7 @@ func TestFigure3Deblank(t *testing.T) {
 	g2 := figure3G2(t)
 	c := rdf.Union(g1, g2)
 	in := NewInterner()
-	p, _ := DeblankPartition(c.Graph, in)
+	p, _, _ := (&Engine{}).Deblank(c.Graph, in)
 	a := NewAlignment(c, p)
 
 	b1 := blankBySignature(t, g1, "q", "b")
@@ -193,7 +193,7 @@ func TestFigure3Hybrid(t *testing.T) {
 	g2 := figure3G2(t)
 	c := rdf.Union(g1, g2)
 	in := NewInterner()
-	p, _ := HybridPartition(c, in)
+	p, _, _ := (&Engine{}).Hybrid(c, in)
 	a := NewAlignment(c, p)
 
 	if !a.Aligned(mustURI(t, g1, "u"), mustURI(t, g2, "v")) {
@@ -216,9 +216,9 @@ func TestFigure3Hierarchy(t *testing.T) {
 	in := NewInterner()
 
 	trivial := alignmentPairs(NewAlignment(c, TrivialPartition(c.Graph, in)))
-	deblankP, _ := DeblankPartition(c.Graph, in)
+	deblankP, _, _ := (&Engine{}).Deblank(c.Graph, in)
 	deblank := alignmentPairs(NewAlignment(c, deblankP))
-	hybridP, _ := HybridPartition(c, in)
+	hybridP, _, _ := (&Engine{}).Hybrid(c, in)
 	hybrid := alignmentPairs(NewAlignment(c, hybridP))
 
 	for pr := range trivial {

@@ -20,7 +20,7 @@ func TestParallelIdenticalToSequential(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraph(r, "par", 3+r.Intn(5), r.Intn(6), 1+r.Intn(3), 5+r.Intn(25))
 		in1 := NewInterner()
-		p1, it1 := BisimPartition(g, in1)
+		p1, it1, _ := (&Engine{}).Bisim(g, in1)
 		in2 := NewInterner()
 		p2, it2, err := (&Engine{Workers: 4}).Bisim(g, in2)
 		if err != nil {
@@ -61,7 +61,7 @@ func TestHybridParallelEquivalent(t *testing.T) {
 	g1 := mk("http://a")
 	g2 := mk("http://b")
 	c := rdf.Union(g1, g2)
-	seqP, _ := HybridPartition(c, NewInterner())
+	seqP, _, _ := (&Engine{}).Hybrid(c, NewInterner())
 	parP, _, err := (&Engine{Workers: 4}).Hybrid(c, NewInterner())
 	if err != nil {
 		t.Fatal(err)
@@ -99,8 +99,11 @@ func benchRefine(b *testing.B, g *rdf.Graph) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
+	e := &Engine{}
 	for i := 0; i < b.N; i++ {
-		BisimPartition(g, NewInterner())
+		if _, _, err := e.Bisim(g, NewInterner()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -137,7 +137,7 @@ func TestUnalignedOnFigure1(t *testing.T) {
 	g2 := figure1V2(t)
 	c := rdf.Union(g1, g2)
 	in := NewInterner()
-	dp, _ := DeblankPartition(c.Graph, in)
+	dp, _, _ := (&Engine{}).Deblank(c.Graph, in)
 	un1, un2 := Unaligned(c, dp)
 
 	want1 := map[string]bool{"ed-uni": true, "middle": true}
@@ -181,7 +181,7 @@ func TestUnalignedProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		c := randomCombined(r)
 		in := NewInterner()
-		p, _ := DeblankPartition(c.Graph, in)
+		p, _, _ := (&Engine{}).Deblank(c.Graph, in)
 		un1, _ := Unaligned(c, p)
 		unset := map[rdf.NodeID]bool{}
 		for _, n := range un1 {

@@ -7,24 +7,24 @@ import (
 	"rdfalign/internal/rdf"
 )
 
-// TestPropagateChangedSoundAndExact: PropagateChanged returns the same ξ as
-// Propagate bit for bit, and its change list is sound — every node outside
-// it keeps its input color and weight — complete against the strict
-// input/output diff, confined to the recolor set, sorted and duplicate-free.
-// Exercised across the worklist engine and the full-recolor reference.
+// TestPropagateChangedSoundAndExact: PropagateChanged returns the same ξ and
+// round count as the full-recolor oracle bit for bit, and its change list
+// is sound — every node outside it keeps its input color and weight —
+// complete against the strict input/output diff, confined to the recolor
+// set, sorted and duplicate-free. Exercised unbounded and depth-bounded.
 func TestPropagateChangedSoundAndExact(t *testing.T) {
 	engines := []struct {
 		name string
 		eng  *Engine
 	}{
 		{"worklist", &Engine{}},
-		{"full", &Engine{FullRecolor: true}},
+		{"k=2", &Engine{MaxDepth: 2}},
 	}
 	for seed := int64(0); seed < 25; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		c := randomCombined(r)
 		in := NewInterner()
-		hp, _ := HybridPartition(c, in)
+		hp, _, _ := (&Engine{}).Hybrid(c, in)
 		base := NewWeighted(hp)
 		// Random non-trivial starting weights on a few nodes, so weight
 		// changes flow through the tracker too.
@@ -32,10 +32,7 @@ func TestPropagateChangedSoundAndExact(t *testing.T) {
 			base.W[i] = float64(r.Intn(10)) / 20
 		}
 		for _, e := range engines {
-			want, wantIters, err := e.eng.Propagate(c, base, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want, wantIters, _ := (&fullRecolor{MaxDepth: e.eng.MaxDepth}).Propagate(c, base, 0)
 			got, gotIters, changed, err := e.eng.PropagateChanged(c, base, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -60,7 +57,7 @@ func TestPropagateChangedSoundAndExact(t *testing.T) {
 			for i := 0; i < c.NumNodes(); i++ {
 				n := rdf.NodeID(i)
 				if want.P.Color(n) != got.P.Color(n) || want.W[n] != got.W[n] {
-					t.Fatalf("seed %d %s: node %d diverges from Propagate: (%d, %v) vs (%d, %v)",
+					t.Fatalf("seed %d %s: node %d diverges from the full-recolor oracle: (%d, %v) vs (%d, %v)",
 						seed, e.name, n, got.P.Color(n), got.W[n], want.P.Color(n), want.W[n])
 				}
 				moved := got.P.Color(n) != base.P.Color(n) || got.W[n] != base.W[n]

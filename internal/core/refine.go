@@ -24,75 +24,3 @@ func recolor(g *rdf.Graph, p *Partition, n rdf.NodeID, scratch []ColorPair) (Col
 	}
 	return p.in.Composite(p.colors[n], scratch), scratch
 }
-
-// RefineStep applies the one-step bisimulation partition refinement
-// BisimRefine_X(λ) of §3.2 equation (2): nodes in x are recolored with
-// recolor_λ, all other nodes keep their color. The input partition is not
-// modified.
-func RefineStep(g *rdf.Graph, p *Partition, x []rdf.NodeID) *Partition {
-	q := p.Clone()
-	var scratch []ColorPair
-	for _, n := range x {
-		var c Color
-		c, scratch = recolor(g, p, n, scratch)
-		q.colors[n] = c
-	}
-	return q
-}
-
-// Refine computes the refinement fixpoint BisimRefine*_X(λ) (Definition 4):
-// RefineStep is applied iteratively until it yields a partition equivalent
-// to its input — the paper's Λⁿ(λ) ≡ Λⁿ⁺¹(λ) with n minimal — and returns
-// Λⁿ(λ) together with n.
-//
-// Stabilisation is detected by grouping equivalence rather than by class
-// counting: while refinement of label partitions is strictly monotone, the
-// hybrid/propagation uses start from partitions that already contain
-// composite colors, and a recolored node may legitimately *join* such a
-// class when its derivation tree coincides with an aligned node's tree
-// (paper Example 4: "the depth of the trees may be greater than the number
-// of iterations … for aligned nodes colors from the deblanking alignments
-// are used").
-//
-// Refine and the partition constructors below are uncancellable wrappers
-// over Engine; sessions needing cancellation or progress use an Engine
-// directly.
-func Refine(g *rdf.Graph, p *Partition, x []rdf.NodeID) (*Partition, int) {
-	q, n, _ := (&Engine{}).Refine(g, p, x)
-	return q, n
-}
-
-// BisimPartition computes λ_Bisim = BisimRefine*_{N_G}(ℓ_G), which by
-// Proposition 1 captures the maximal bisimulation on G.
-func BisimPartition(g *rdf.Graph, in *Interner) (*Partition, int) {
-	p, n, _ := (&Engine{}).Bisim(g, in)
-	return p, n
-}
-
-// DeblankPartition computes λ_Deblank = BisimRefine*_{Blanks(G)}(ℓ_G)
-// (§3.3): bisimulation refinement restricted to blank nodes, which
-// characterises each blank node by its contents (the URIs and data values
-// reachable from it). It returns the partition and the number of refinement
-// iterations.
-func DeblankPartition(g *rdf.Graph, in *Interner) (*Partition, int) {
-	p, n, _ := (&Engine{}).Deblank(g, in)
-	return p, n
-}
-
-// HybridPartition computes λ_Hybrid (§3.4): starting from the deblank
-// partition, the colors of unaligned non-literal nodes are reset to the
-// neutral blank color and bisimulation refinement is re-run on exactly those
-// nodes, allowing URIs with different labels (ontology changes) — and blank
-// nodes whose deblank color embedded such URIs — to align. It returns the
-// partition and the total refinement iterations (deblank + hybrid phases).
-func HybridPartition(c *rdf.Combined, in *Interner) (*Partition, int) {
-	p, n, _ := (&Engine{}).Hybrid(c, in)
-	return p, n
-}
-
-// HybridFromDeblank runs only the second phase of the hybrid construction,
-// for callers that already hold λ_Deblank.
-func HybridFromDeblank(c *rdf.Combined, deblank *Partition) (*Partition, int) {
-	p, n, _ := (&Engine{}).HybridFromDeblank(c, deblank)
-	return p, n
-}

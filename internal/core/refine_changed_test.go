@@ -8,19 +8,24 @@ import (
 )
 
 // refineEngines is the engine matrix the incremental-maintenance tests run
-// against: the worklist and the full-recolor reference must agree.
+// against: the default outbound recoloring and the extended recolorings,
+// which share the worklist loop but widen its frontier.
 var refineEngines = []struct {
 	name string
 	eng  *Engine
 }{
 	{"worklist", &Engine{}},
-	{"full", &Engine{FullRecolor: true}},
+	{"in", &Engine{Opt: RefineOptions{Direction: DirIn}}},
+	{"both+adaptive", &Engine{Opt: RefineOptions{Direction: DirBoth, Adaptive: true}}},
+	{"keys", &Engine{Opt: RefineOptions{Filter: PredicateKeyFilter("u0", "u2")}}},
 }
 
 // TestRefineChangedSoundAndExact: RefineChanged returns the same partition
-// as Refine bit for bit, and its change list is sound — every node outside
-// it keeps its input color — complete against the strict input/output diff,
-// confined to the recolor set, sorted and duplicate-free.
+// as Refine bit for bit, and as the full-recolor oracle color for color;
+// its change list is sound — every node outside it keeps its input color —
+// complete against the strict input/output diff (it may list more: a node
+// that changes and reverts stays listed), confined to the recolor set,
+// sorted and duplicate-free.
 func TestRefineChangedSoundAndExact(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -52,8 +57,12 @@ func TestRefineChangedSoundAndExact(t *testing.T) {
 			if wantIters != gotIters {
 				t.Fatalf("seed %d %s: iters %d, want %d", seed, e.name, gotIters, wantIters)
 			}
-			if !Equivalent(want, got) {
+			if !samePartition(want, got) {
 				t.Fatalf("seed %d %s: RefineChanged partition differs from Refine", seed, e.name)
+			}
+			oracle, oracleIters, _ := (&fullRecolor{Opt: e.eng.Opt}).Refine(g, LabelPartition(g, NewInterner()), x)
+			if oracleIters != gotIters || !samePartition(oracle, got) {
+				t.Fatalf("seed %d %s: diverges from the full-recolor oracle (%d vs %d rounds)", seed, e.name, gotIters, oracleIters)
 			}
 			inX := map[rdf.NodeID]bool{}
 			for _, n := range x {

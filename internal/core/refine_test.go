@@ -16,7 +16,7 @@ func TestProposition1(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraph(r, "prop1", 2+r.Intn(4), r.Intn(5), r.Intn(3), r.Intn(16))
 		in := NewInterner()
-		p, _ := BisimPartition(g, in)
+		p, _, _ := (&Engine{}).Bisim(g, in)
 		return FromPartition(p).Equal(NaiveMaximalBisimulation(g))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -24,7 +24,7 @@ func TestProposition1(t *testing.T) {
 	}
 }
 
-// TestDeblankAgainstNaive validates DeblankPartition against the naive
+// TestDeblankAgainstNaive validates Engine.Deblank against the naive
 // deblank-equivalence oracle (the §3.3 appendix relation) on random graphs,
 // the deblanking counterpart of Proposition 1.
 func TestDeblankAgainstNaive(t *testing.T) {
@@ -32,7 +32,7 @@ func TestDeblankAgainstNaive(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraph(r, "deblank-naive", 2+r.Intn(4), r.Intn(5), r.Intn(3), r.Intn(16))
 		in := NewInterner()
-		p, _ := DeblankPartition(g, in)
+		p, _, _ := (&Engine{}).Deblank(g, in)
 		return FromPartition(p).Equal(NaiveDeblankEquivalence(g))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -77,7 +77,7 @@ func TestRefineFixpointIsFixed(t *testing.T) {
 		for i := range all {
 			all[i] = rdf.NodeID(i)
 		}
-		p, _ := Refine(g, LabelPartition(g, in), all)
+		p, _, _ := (&Engine{}).Refine(g, LabelPartition(g, in), all)
 		return Equivalent(p, RefineStep(g, p, all))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -115,8 +115,8 @@ func TestRefineRepresentationIndependence(t *testing.T) {
 		if !Equivalent(p1, p2) {
 			return false
 		}
-		r1, _ := Refine(g, p1, all)
-		r2, _ := Refine(g, p2, all)
+		r1, _, _ := (&Engine{}).Refine(g, p1, all)
+		r2, _, _ := (&Engine{}).Refine(g, p2, all)
 		return Equivalent(r1, r2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -130,7 +130,7 @@ func TestDeblankOnlyRecolorsBlanks(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	g := randomGraph(r, "deblank", 5, 4, 3, 20)
 	in := NewInterner()
-	p, _ := DeblankPartition(g, in)
+	p, _, _ := (&Engine{}).Deblank(g, in)
 	g.Nodes(func(n rdf.NodeID) {
 		if g.IsBlank(n) {
 			return
@@ -149,9 +149,9 @@ func TestHierarchyProperty(t *testing.T) {
 		c := randomCombined(r)
 		in := NewInterner()
 		trivial := alignmentPairs(NewAlignment(c, TrivialPartition(c.Graph, in)))
-		dp, _ := DeblankPartition(c.Graph, in)
+		dp, _, _ := (&Engine{}).Deblank(c.Graph, in)
 		deblank := alignmentPairs(NewAlignment(c, dp))
-		hp, _ := HybridFromDeblank(c, dp)
+		hp, _, _ := (&Engine{}).HybridFromDeblank(c, dp)
 		hybrid := alignmentPairs(NewAlignment(c, hp))
 		for pr := range trivial {
 			if !deblank[pr] {
@@ -185,7 +185,7 @@ func TestSelfAlignmentComplete(t *testing.T) {
 		}
 		c := rdf.Union(g1, copyG)
 		in := NewInterner()
-		dp, _ := DeblankPartition(c.Graph, in)
+		dp, _, _ := (&Engine{}).Deblank(c.Graph, in)
 		stats := EdgeAlignment(c, dp)
 		return stats.Ratio() == 1.0
 	}
@@ -210,7 +210,7 @@ func TestRefineIterationCount(t *testing.T) {
 	}
 	g := mustGraph(t, b)
 	in := NewInterner()
-	part, iters := DeblankPartition(g, in)
+	part, iters, _ := (&Engine{}).Deblank(g, in)
 	if iters < n-1 {
 		t.Errorf("chain of %d blanks refined in %d iterations; expected ≥ %d", n, iters, n-1)
 	}
@@ -242,7 +242,7 @@ func TestRefineCyclicBlanks(t *testing.T) {
 	g2 := build("cyc2")
 	c := rdf.Union(g1, g2)
 	in := NewInterner()
-	dp, _ := DeblankPartition(c.Graph, in)
+	dp, _, _ := (&Engine{}).Deblank(c.Graph, in)
 	a := NewAlignment(c, dp)
 	// All six blanks are mutually bisimilar (in a symmetric 3-cycle every
 	// node has identical unfoldings), so each G1 blank aligns with every

@@ -10,7 +10,8 @@ package core
 // comparison, never a wrong answer. Hash-based signature interning is the
 // partitioning strategy the fastest k-bisimulation implementations use
 // (Rau, Richerby & Scherp 2022); here it replaces the string-keyed map of
-// the seed implementation (kept as stringInterner for differential tests).
+// the seed implementation (kept in the tests as stringInterner, the
+// differential reference).
 //
 // The hash seed perturbs bucket placement only: colors are assigned in
 // interning order, so colorings are bit-identical across seeds. Tests vary

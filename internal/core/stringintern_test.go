@@ -8,11 +8,11 @@ import (
 
 // stringInterner is the historical composite-interning path: every
 // signature is serialised into a canonical byte-string key and resolved
-// through a Go map. It is retained, build-tag-free, as the reference
+// through a Go map. It is retained as the test-only reference
 // implementation for the hash interner — the differential tests in
 // intern_test.go replay identical construction sequences through both and
 // require identical colors, and BenchmarkInternComposite measures the
-// hash interner's win over it. Production code paths never construct one.
+// hash interner's win over it.
 //
 // The key encoding is the original one: a leading tag byte keeps plain
 // ('P') and multi-list ('L') signatures disjoint, every varint-encoded

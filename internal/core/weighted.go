@@ -79,45 +79,3 @@ func reweight(g *rdf.Graph, w []float64, n rdf.NodeID) float64 {
 	}
 	return acc
 }
-
-// RefineWeightedStep is the one-step weighted refinement BisimRefine_X(ξ) of
-// §4.5: colors of nodes in x are refined exactly as in the unweighted case
-// (through the same hash-interned recolor, so weighted and unweighted
-// fixpoints share one color universe per interner), and their weights are
-// recomputed with reweight (synchronously: all reads see the input
-// weights).
-func RefineWeightedStep(g *rdf.Graph, xi *Weighted, x []rdf.NodeID) *Weighted {
-	out := xi.Clone()
-	var scratch []ColorPair
-	for _, n := range x {
-		var c Color
-		c, scratch = recolor(g, xi.P, n, scratch)
-		out.P.colors[n] = c
-		out.W[n] = reweight(g, xi.W, n)
-	}
-	return out
-}
-
-// RefineWeighted computes BisimRefine*_X(ξ): weighted refinement iterated
-// until the partition stabilises (class count unchanged) and the weights
-// stabilise (max change < eps). It returns the result and the number of
-// steps. Weights of nodes in x start at 0 in every use in the paper and
-// only increase during refinement, which guarantees convergence; the
-// iteration cap turns any violation of that contract into a panic.
-func RefineWeighted(g *rdf.Graph, xi *Weighted, x []rdf.NodeID, eps float64) (*Weighted, int) {
-	out, n, _ := (&Engine{}).RefineWeighted(g, xi, x, eps)
-	return out, n
-}
-
-// Propagate spreads alignment information in ξ to the currently unaligned
-// non-literal nodes (§4.5):
-//
-//	Propagate(ξ) = BisimRefine*_{UN(ξ)}(Blank(ξ, UN(ξ)))
-//
-// It blanks the colors and zeroes the weights of unaligned non-literal
-// nodes, then refines on exactly those nodes so their identity — and a
-// confidence weight — is rebuilt from their outbound neighbourhoods.
-func Propagate(c *rdf.Combined, xi *Weighted, eps float64) (*Weighted, int) {
-	out, n, _ := (&Engine{}).Propagate(c, xi, eps)
-	return out, n
-}

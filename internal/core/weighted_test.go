@@ -52,7 +52,7 @@ func TestWeightedDistance(t *testing.T) {
 	g2 := figure1V2(t)
 	c := rdf.Union(g1, g2)
 	in := NewInterner()
-	hp, _ := HybridPartition(c, in)
+	hp, _, _ := (&Engine{}).Hybrid(c, in)
 	xi := NewWeighted(hp)
 
 	ss1 := c.FromSource(mustURI(t, g1, "ss"))
@@ -79,11 +79,11 @@ func TestPropagateIdentity(t *testing.T) {
 	check := func(t *testing.T, c *rdf.Combined) {
 		t.Helper()
 		in := NewInterner()
-		hybrid, _ := HybridPartition(c, in)
+		hybrid, _, _ := (&Engine{}).Hybrid(c, in)
 
-		fromTrivial, _ := Propagate(c, NewWeighted(TrivialPartition(c.Graph, in)), 0)
-		dp, _ := DeblankPartition(c.Graph, in)
-		fromDeblank, _ := Propagate(c, NewWeighted(dp), 0)
+		fromTrivial, _, _ := (&Engine{}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, in)), 0)
+		dp, _, _ := (&Engine{}).Deblank(c.Graph, in)
+		fromDeblank, _, _ := (&Engine{}).Propagate(c, NewWeighted(dp), 0)
 
 		if !Equivalent(fromTrivial.P, hybrid) {
 			t.Error("Propagate((λTrivial,0)) is not equivalent to λHybrid")
@@ -119,7 +119,7 @@ func TestRefineWeightedWeightsBounded(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		c := randomCombined(r)
 		in := NewInterner()
-		dp, _ := DeblankPartition(c.Graph, in)
+		dp, _, _ := (&Engine{}).Deblank(c.Graph, in)
 		xi := NewWeighted(dp)
 		// Seed some aligned-node weights as enrichment would.
 		for i := range xi.W {
@@ -155,7 +155,7 @@ func TestRefineWeightedConverges(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	c := randomCombined(r)
 	in := NewInterner()
-	dp, _ := DeblankPartition(c.Graph, in)
+	dp, _, _ := (&Engine{}).Deblank(c.Graph, in)
 	xi := NewWeighted(dp)
 	for i := range xi.W {
 		if r.Intn(3) == 0 {
@@ -164,7 +164,7 @@ func TestRefineWeightedConverges(t *testing.T) {
 	}
 	un := UnalignedNonLiterals(c, xi.P)
 	blanked := BlankOutWeighted(xi, un)
-	res, iters := RefineWeighted(c.Graph, blanked, un, 1e-9)
+	res, iters, _ := (&Engine{}).RefineWeighted(c.Graph, blanked, un, 1e-9)
 	if iters <= 0 {
 		t.Error("RefineWeighted should report at least one iteration")
 	}
@@ -223,7 +223,7 @@ func TestBlankOutWeighted(t *testing.T) {
 	g2 := figure1V2(t)
 	c := rdf.Union(g1, g2)
 	in := NewInterner()
-	dp, _ := DeblankPartition(c.Graph, in)
+	dp, _, _ := (&Engine{}).Deblank(c.Graph, in)
 	xi := NewWeighted(dp)
 	for i := range xi.W {
 		xi.W[i] = 0.5

@@ -3,49 +3,56 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"rdfalign/internal/rdf"
 )
 
-// This file implements the incremental worklist refinement engine, the
-// default evaluation strategy for Engine.Refine and Engine.RefineWeighted.
+// This file implements the incremental worklist refinement engine, the one
+// evaluation strategy behind Engine.Refine and Engine.RefineWeighted.
 //
-// The full-recolor reference engine recolors every node of the recolor set x
-// and clones the whole partition on every iteration, even though after the
-// first few rounds only a shrinking frontier of nodes can still change color
-// — the observation behind efficient bisimulation partition refinement
-// (Paige–Tarjan-style splitting; cf. the distributed signature refinement of
-// Schätzle et al. the paper cites in §5.3). The worklist engine exploits the
-// locality of recolor_λ: the color assigned to n depends only on λ(n) and on
-// λ(p), λ(o) for the outbound half-edges (p, o) ∈ out(n), so after a round
-// changes the colors of a set C, only the nodes of x with an out-edge into C
-// — rdf.Graph.Dependents(C) ∩ x — can recolor differently next round.
+// Recoloring every node of the recolor set x and cloning the whole
+// partition on every iteration wastes work: after the first few rounds only
+// a shrinking frontier of nodes can still change color — the observation
+// behind efficient bisimulation partition refinement (Paige–Tarjan-style
+// splitting; cf. the distributed signature refinement of Schätzle et al.
+// the paper cites in §5.3). The worklist engine exploits the locality of
+// recolor_λ: the color assigned to n depends only on λ(n) and on λ(p), λ(o)
+// for the outbound half-edges (p, o) ∈ out(n), so after a round changes the
+// colors of a set C, only the nodes of x with an out-edge into C —
+// rdf.Graph.Dependents(C) ∩ x — can recolor differently next round. The
+// extended recolorings (extend.go) also read inbound half-edges and
+// predicate occurrences; for them the frontier widens to every node of x
+// that shares a triple with a changed node.
 //
 // Two properties make the frontier exact rather than merely sound:
 //
-//   - Stable-tree collapse (Interner.Composite): when a node's outbound pair
-//     set is unchanged, recoloring returns its current color unchanged, even
-//     though the node's own color changed last round. A node therefore never
-//     re-dirties itself; only neighbourhood changes do.
+//   - Stable-tree collapse (Interner.Composite, Interner.CompositeLists):
+//     when a node's pair lists are unchanged, recoloring returns its
+//     current color unchanged, even though the node's own color changed
+//     last round. A node therefore never re-dirties itself; only
+//     neighbourhood changes do, and a frontier node whose neighbourhood
+//     did not actually change keeps its color.
 //   - First-round seeding: the first round recolors all of x, establishing
 //     the invariant that every x node's color is a composite whose stored
-//     pair set equals its current outbound pair set.
+//     pair lists equal its current pair lists.
 //
-// Consequently a worklist round computes exactly the partition the full
-// RefineStep would, and the engines agree color for color: dirty nodes are
-// interned in ascending node order (the frontier is kept sorted), matching
-// the full engine's iteration order over an ascending x.
+// Consequently a worklist round computes exactly the partition a full
+// recoloring of x (the one-step refinement BisimRefine_X of §3.2) would:
+// dirty nodes are interned in ascending node order (the frontier is kept
+// sorted), matching a full round's iteration order over an ascending x, so
+// the two agree color for color (the tests keep the full-recolor loop as
+// the oracle).
 //
 // Stabilisation cannot be detected by an empty frontier alone: the
-// documented grouping-equivalence semantics (see Refine) allow a recolored
-// node to keep changing color while the induced grouping is stable — on a
-// cycle of blank nodes every round renames the cycle's class to a fresh
-// color forever. The engine therefore buffers each round's changes and asks
-// whether applying them would merely rename classes (equivalentRenaming);
-// if so the round is discarded and the pre-round partition returned, exactly
-// as the full engine's equivalentColors scan decides — but in O(|changes|)
-// instead of O(|N|) per round.
+// documented grouping-equivalence semantics (see Engine.Refine) allow a
+// recolored node to keep changing color while the induced grouping is
+// stable — on a cycle of blank nodes every round renames the cycle's class
+// to a fresh color forever. The engine therefore buffers each round's
+// changes and asks whether applying them would merely rename classes
+// (renameCheck); if so the round is discarded and the pre-round
+// partition returned, exactly as a full-partition grouping-equivalence scan
+// would decide — but in O(|changes|) instead of O(|N|) per round.
 
 // change records one recolored node within a round, before application.
 type change struct {
@@ -198,8 +205,8 @@ func (rc *renameCheck) equivalent(changes []change, cc *colorCounts) bool {
 }
 
 // dedupFrontier copies x into a frontier, dropping duplicate node IDs while
-// preserving first-occurrence order (the full engine's interning order for
-// the first round). mark is stamped with stamp.
+// preserving first-occurrence order (a full round's interning order). mark
+// is stamped with stamp.
 func dedupFrontier(x []rdf.NodeID, mark []int32, stamp int32) []rdf.NodeID {
 	out := make([]rdf.NodeID, 0, len(x))
 	for _, n := range x {
@@ -214,38 +221,40 @@ func dedupFrontier(x []rdf.NodeID, mark []int32, stamp int32) []rdf.NodeID {
 
 // nextFrontier computes the next round's dirty set: every node of x with an
 // outbound half-edge into a node whose color (or, for the weighted engine,
-// weight) just changed. The result is sorted ascending so interning stays
-// deterministic.
-func nextFrontier(g *rdf.Graph, changed []rdf.NodeID, inX []bool, mark []int32, stamp int32, out []rdf.NodeID) []rdf.NodeID {
+// weight) just changed. ext widens it to every node of x sharing a triple
+// with a changed node m — the subjects, predicates and objects of m's
+// outbound, inbound and predicate-occurrence half-edges — which covers
+// every color the extended recoloring reads. The result is sorted
+// ascending so interning stays deterministic.
+func nextFrontier(g *rdf.Graph, changed []rdf.NodeID, ext bool, inX []bool, mark []int32, stamp int32, out []rdf.NodeID) []rdf.NodeID {
 	out = out[:0]
+	add := func(s rdf.NodeID) {
+		if inX[s] && mark[s] != stamp {
+			mark[s] = stamp
+			out = append(out, s)
+		}
+	}
 	for _, m := range changed {
 		for _, s := range g.Dependents(m) {
-			if inX[s] && mark[s] != stamp {
-				mark[s] = stamp
-				out = append(out, s)
+			add(s)
+		}
+		if ext {
+			for _, es := range [...][]rdf.Edge{g.Out(m), g.In(m), g.PredOcc(m)} {
+				for _, e := range es {
+					add(e.P)
+					add(e.O)
+				}
 			}
 		}
 	}
-	sortNodeIDs(out)
+	slices.Sort(out)
 	return out
 }
 
-// sortNodeIDs sorts a frontier ascending; small frontiers (the steady state
-// of deep fixpoints) use insertion sort to avoid sort.Slice overhead.
-func sortNodeIDs(out []rdf.NodeID) {
-	if len(out) <= 32 {
-		for i := 1; i < len(out); i++ {
-			for j := i; j > 0 && out[j] < out[j-1]; j-- {
-				out[j], out[j-1] = out[j-1], out[j]
-			}
-		}
-		return
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-}
-
-// refineWorklist is the incremental fixpoint behind Engine.Refine for the
-// default outbound recoloring.
+// refineWorklist is the incremental fixpoint behind Engine.Refine. Engines
+// with extended options recolor through recolorOpts and widen the frontier
+// (nextFrontier); the choice is made once per run, so the default path's
+// gather loop carries no per-node branch.
 //
 // tracked, when non-nil, collects every node an applied round recolors (the
 // change list Engine.RefineChanged hands to incremental consumers). The
@@ -266,6 +275,8 @@ func (e *Engine) refineWorklist(g *rdf.Graph, p *Partition, x []rdf.NodeID, trac
 	changes := make([]change, 0, len(dirty))
 	changedNodes := make([]rdf.NodeID, 0, len(dirty))
 	var scratch []ColorPair
+	var extScratch [3][]ColorPair
+	ext := e.useOpts()
 	spillDir, spill := cur.in.spillDir()
 	for iter := 0; ; iter++ {
 		if err := e.Hooks.Err(); err != nil {
@@ -278,7 +289,7 @@ func (e *Engine) refineWorklist(g *rdf.Graph, p *Partition, x []rdf.NodeID, trac
 			panic(fmt.Sprintf("core: Refine (worklist) did not stabilise after %d iterations", iter))
 		}
 		changes = changes[:0]
-		if spill && len(dirty) >= extMergeThreshold {
+		if spill && !ext && len(dirty) >= extMergeThreshold {
 			// Out-of-core storage: group this round's unseen signatures by
 			// external merge sort in the spill directory (extsort.go)
 			// instead of buffering them in the heap. Bit-identical to the
@@ -288,6 +299,12 @@ func (e *Engine) refineWorklist(g *rdf.Graph, p *Partition, x []rdf.NodeID, trac
 			changes, err = extMergeRound(g, cur, dirty, changes, spillDir)
 			if err != nil {
 				return nil, 0, err
+			}
+		} else if ext {
+			for _, n := range dirty {
+				if c := recolorOpts(g, cur, n, e.Opt, &extScratch); c != colors[n] {
+					changes = append(changes, change{n: n, old: colors[n], new: c})
+				}
 			}
 		} else {
 			for _, n := range dirty {
@@ -301,8 +318,8 @@ func (e *Engine) refineWorklist(g *rdf.Graph, p *Partition, x []rdf.NodeID, trac
 		if rc.equivalent(changes, counts) {
 			// Quiescent: the round at most renames classes (a node joining
 			// an equivalent class, or a blank cycle re-deriving itself).
-			// Discard it and return the pre-round partition, as the full
-			// engine's grouping-equivalence scan does.
+			// Discard it and return the pre-round partition, as a full
+			// grouping-equivalence scan would.
 			return cur, iter, nil
 		}
 		changedNodes = changedNodes[:0]
@@ -318,7 +335,7 @@ func (e *Engine) refineWorklist(g *rdf.Graph, p *Partition, x []rdf.NodeID, trac
 		}
 		e.Hooks.RoundDirty(StageRefine, iter+1, len(dirty))
 		stamp++
-		dirty = nextFrontier(g, changedNodes, inX, mark, stamp, dirty)
+		dirty = nextFrontier(g, changedNodes, ext, inX, mark, stamp, dirty)
 	}
 }
 
@@ -353,7 +370,7 @@ func (t *changeTracker) add(n rdf.NodeID) {
 
 // sorted returns the tracked nodes ascending.
 func (t *changeTracker) sorted() []rdf.NodeID {
-	sortNodeIDs(t.nodes)
+	slices.Sort(t.nodes)
 	return t.nodes
 }
 
@@ -362,11 +379,11 @@ func (t *changeTracker) sorted() []rdf.NodeID {
 // applied round recolors or reweights (including the final, applied round —
 // see the stop handling below). A node re-enters the frontier when a node its
 // outbound neighbourhood mentions changed color or weight at all (δ > 0) —
-// not merely by ≥ ε — so skipped nodes are exactly the ones the full
-// RefineWeightedStep would recompute unchanged, and the engines agree
-// bit-for-bit on both colors and weights. ε governs only termination, as in
-// the full engine: the loop stops once a round moves no weight by ε or more
-// and at most renames color classes.
+// not merely by ≥ ε — so skipped nodes are exactly the ones a full weighted
+// round would recompute unchanged, and the result agrees bit-for-bit on
+// both colors and weights with full recoloring. ε governs only
+// termination: the loop stops once a round moves no weight by ε or more and
+// at most renames color classes.
 func (e *Engine) refineWeightedWorklist(g *rdf.Graph, xi *Weighted, x []rdf.NodeID, eps float64, tracked *changeTracker) (*Weighted, int, error) {
 	cur := xi.Clone()
 	colors := cur.P.colors
@@ -439,6 +456,6 @@ func (e *Engine) refineWeightedWorklist(g *rdf.Graph, xi *Weighted, x []rdf.Node
 			changedNodes = append(changedNodes, wc.n)
 		}
 		stamp++
-		dirty = nextFrontier(g, changedNodes, inX, mark, stamp, dirty)
+		dirty = nextFrontier(g, changedNodes, false, inX, mark, stamp, dirty)
 	}
 }

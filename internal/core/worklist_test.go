@@ -32,17 +32,16 @@ func samePartition(a, b *Partition) bool {
 	return true
 }
 
-// TestWorklistEnginesIdentical asserts the two evaluation strategies agree
-// on random graphs: the worklist engine (the default) and the full-recolor
-// reference produce the identical coloring in the same number of
-// iterations, and their common partition equals the naive greatest-fixpoint
-// bisimulation.
+// TestWorklistEnginesIdentical asserts the worklist agrees with the
+// full-recolor oracle on random graphs: identical coloring in the same
+// number of iterations, and their common partition equals the naive
+// greatest-fixpoint bisimulation.
 func TestWorklistEnginesIdentical(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraph(r, "wl", 3+r.Intn(5), r.Intn(6), 1+r.Intn(3), 5+r.Intn(25))
 		all := allNodes(g)
-		run := func(e *Engine) (*Partition, int) {
+		run := func(e refiner) (*Partition, int) {
 			in := NewInterner()
 			p, it, err := e.Refine(g, LabelPartition(g, in), all)
 			if err != nil {
@@ -51,7 +50,7 @@ func TestWorklistEnginesIdentical(t *testing.T) {
 			return p, it
 		}
 		wl, itWL := run(&Engine{})
-		full, itFull := run(&Engine{FullRecolor: true})
+		full, itFull := run(&fullRecolor{})
 		if itWL != itFull {
 			t.Logf("iteration counts diverge: wl=%d full=%d", itWL, itFull)
 			return false
@@ -78,10 +77,7 @@ func TestWorklistDeblankIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, itFull, err := (&Engine{FullRecolor: true}).Hybrid(c, NewInterner())
-		if err != nil {
-			t.Fatal(err)
-		}
+		full, itFull, _ := (&fullRecolor{}).Hybrid(c, NewInterner())
 		return itWL == itFull && samePartition(wl, full)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -90,7 +86,7 @@ func TestWorklistDeblankIdentical(t *testing.T) {
 }
 
 // TestWorklistParallelLargeFrontier checks the worklist on a 60k-node
-// frontier against the full-recolor reference and against an engine that
+// frontier against the full-recolor oracle and against an engine that
 // still sets the deprecated, ignored Workers field.
 func TestWorklistParallelLargeFrontier(t *testing.T) {
 	g := benchWideGraph()
@@ -103,10 +99,7 @@ func TestWorklistParallelLargeFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, itFull, err := (&Engine{FullRecolor: true}).Refine(g, LabelPartition(g, NewInterner()), all)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full, itFull, _ := (&fullRecolor{}).Refine(g, LabelPartition(g, NewInterner()), all)
 	if itSeq != itPar || itSeq != itFull {
 		t.Errorf("iteration counts: seq=%d par=%d full=%d", itSeq, itPar, itFull)
 	}
@@ -116,14 +109,14 @@ func TestWorklistParallelLargeFrontier(t *testing.T) {
 }
 
 // TestWorklistWeightedIdentical: the weighted worklist agrees bit-for-bit
-// (colors and weights) with the full-recolor weighted engine on random
+// (colors and weights) with the full-recolor weighted oracle on random
 // propagation workloads, per the exact dirty criterion (any weight motion
 // re-dirties dependents, ε only governs termination).
 func TestWorklistWeightedIdentical(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		c := randomCombined(r)
-		run := func(e *Engine) (*Weighted, int) {
+		run := func(e refiner) (*Weighted, int) {
 			in := NewInterner()
 			xi, it, err := e.Propagate(c, NewWeighted(TrivialPartition(c.Graph, in)), 0)
 			if err != nil {
@@ -132,7 +125,7 @@ func TestWorklistWeightedIdentical(t *testing.T) {
 			return xi, it
 		}
 		wl, itWL := run(&Engine{})
-		full, itFull := run(&Engine{FullRecolor: true})
+		full, itFull := run(&fullRecolor{})
 		if itWL != itFull {
 			t.Logf("weighted iteration counts diverge: wl=%d full=%d", itWL, itFull)
 			return false
@@ -158,7 +151,7 @@ func TestWorklistWeightedIdentical(t *testing.T) {
 // the case an empty-frontier criterion can never detect: a symmetric cycle
 // of blank nodes re-derives a fresh color for its class every round, so the
 // frontier never empties; the engine must recognise the pure renaming and
-// stop exactly where the full engine's equivalentColors scan does.
+// stop exactly where the oracle's equivalentColors scan does.
 func TestWorklistQuiescentCycle(t *testing.T) {
 	b := rdf.NewBuilder("cycle")
 	p := b.URI("p")
@@ -175,15 +168,12 @@ func TestWorklistQuiescentCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, itFull, err := (&Engine{FullRecolor: true}).Deblank(g, NewInterner())
-	if err != nil {
-		t.Fatal(err)
-	}
+	full, itFull, _ := (&fullRecolor{}).Deblank(g, NewInterner())
 	if itWL != itFull {
 		t.Errorf("iteration counts: worklist=%d full=%d", itWL, itFull)
 	}
 	if !samePartition(wl, full) {
-		t.Error("worklist diverged from full engine on the blank cycle")
+		t.Error("worklist diverged from the full-recolor oracle on the blank cycle")
 	}
 	// All three cycle blanks must share one class (mutually bisimilar).
 	if wl.Color(x) != wl.Color(y) || wl.Color(y) != wl.Color(z) {
@@ -236,7 +226,9 @@ func TestWorklistCancellationMidRun(t *testing.T) {
 }
 
 // TestWorklistProgressDirty: worklist rounds report the frontier size, which
-// must shrink on a chain workload (only a moving frontier stays dirty).
+// must shrink on a chain workload (only a moving frontier stays dirty) —
+// for the extended recolorings too, whose rounds report their widened
+// frontier rather than the whole recolor set.
 func TestWorklistProgressDirty(t *testing.T) {
 	b := rdf.NewBuilder("chain")
 	p := b.URI("p")
@@ -248,23 +240,83 @@ func TestWorklistProgressDirty(t *testing.T) {
 		prev = cur
 	}
 	g := mustGraph(t, b)
-	var dirties []int
-	eng := &Engine{Hooks: Hooks{OnRound: func(ev ProgressEvent) {
-		if ev.Stage == StageRefine {
-			dirties = append(dirties, ev.Dirty)
+	for _, opt := range []RefineOptions{{}, {Adaptive: true}, {Filter: PredicateKeyFilter("p")}} {
+		var dirties []int
+		eng := &Engine{Opt: opt, Hooks: Hooks{OnRound: func(ev ProgressEvent) {
+			if ev.Stage == StageRefine {
+				dirties = append(dirties, ev.Dirty)
+			}
+		}}}
+		if _, _, err := eng.Deblank(g, NewInterner()); err != nil {
+			t.Fatal(err)
 		}
-	}}}
-	if _, _, err := eng.Deblank(g, NewInterner()); err != nil {
-		t.Fatal(err)
+		if len(dirties) == 0 {
+			t.Fatalf("%+v: no refine rounds reported", opt)
+		}
+		if dirties[0] != g.NumBlanks() {
+			t.Errorf("%+v: first round dirty = %d, want all %d blanks", opt, dirties[0], g.NumBlanks())
+		}
+		last := dirties[len(dirties)-1]
+		if last >= dirties[0] {
+			t.Errorf("%+v: frontier did not shrink: first %d, last %d", opt, dirties[0], last)
+		}
 	}
-	if len(dirties) == 0 {
-		t.Fatal("no refine rounds reported")
+}
+
+// extendedTestOptions are the extended recolorings the worklist is checked
+// against the full-recolor oracle with: each direction, the adaptive
+// fallback, their combinations and a predicate-key filter. randomGraph's
+// predicates are u0, u1 and u2 (or p0), so the filter keeps a strict
+// subset of the edges.
+var extendedTestOptions = []RefineOptions{
+	{Direction: DirIn},
+	{Direction: DirBoth},
+	{Adaptive: true},
+	{Direction: DirIn, Adaptive: true},
+	{Direction: DirBoth, Adaptive: true},
+	{Filter: PredicateKeyFilter("u0", "u2")},
+	{Direction: DirBoth, Adaptive: true, Filter: PredicateKeyFilter("u1")},
+}
+
+// TestWorklistExtendedIdentical: with extended options the worklist's
+// widened frontier recolors exactly what a full round would change, so it
+// matches the full-recolor oracle color for color and in round count —
+// for every option set, depth bound and interner seed, on Bisim and on the
+// two-phase Hybrid pipeline.
+func TestWorklistExtendedIdentical(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := randomGraph(r, "ext", 2+r.Intn(5), r.Intn(6), 1+r.Intn(3), 3+r.Intn(25))
+		c := randomCombined(r)
+		for _, opt := range extendedTestOptions {
+			for _, k := range []int{0, 1, 2, 3} {
+				oracle := &fullRecolor{Opt: opt, MaxDepth: k}
+				wantB, itB, _ := oracle.Bisim(g, NewInterner())
+				wantH, itH, _ := oracle.Hybrid(c, NewInterner())
+				for _, is := range internTestSeeds {
+					e := &Engine{Opt: opt, MaxDepth: k}
+					gotB, gotItB, err := e.Bisim(g, NewInternerSeeded(is))
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotH, gotItH, err := e.Hybrid(c, NewInternerSeeded(is))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if gotItB != itB || !samePartition(gotB, wantB) {
+						t.Logf("seed %d %+v k=%d interner %#x: Bisim diverges (%d vs %d rounds)", seed, opt, k, is, gotItB, itB)
+						return false
+					}
+					if gotItH != itH || !samePartition(gotH, wantH) {
+						t.Logf("seed %d %+v k=%d interner %#x: Hybrid diverges (%d vs %d rounds)", seed, opt, k, is, gotItH, itH)
+						return false
+					}
+				}
+			}
+		}
+		return true
 	}
-	if dirties[0] != g.NumBlanks() {
-		t.Errorf("first round dirty = %d, want all %d blanks", dirties[0], g.NumBlanks())
-	}
-	last := dirties[len(dirties)-1]
-	if last >= dirties[0] {
-		t.Errorf("frontier did not shrink: first %d, last %d", dirties[0], last)
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
 	}
 }

@@ -255,7 +255,7 @@ func TestEFODuplicatedBlanksAreBisimilar(t *testing.T) {
 	d := tinyEFO(t)
 	g := d.Graphs[2] // version with the highest duplication rate
 	in := core.NewInterner()
-	p, _ := core.DeblankPartition(g, in)
+	p, _, _ := (&core.Engine{}).Deblank(g, in)
 	// Count blanks per class; duplicated restriction blanks share colors.
 	classCount := map[core.Color]int{}
 	blanks := 0
@@ -389,7 +389,7 @@ func TestTruthClassify(t *testing.T) {
 	tr.Add("http://v1/c", "http://v2/c")
 
 	in := core.NewInterner()
-	hp, _ := core.HybridPartition(c, in)
+	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 	a := core.NewAlignment(c, hp)
 	p := truth.Classify(c, a.MatchesOf, tr)
 
@@ -423,7 +423,7 @@ func TestTruthAlignedPairs(t *testing.T) {
 	c := rdf.Union(d.Graphs[0], d.Graphs[1])
 	tr := d.GroundTruth(0, 1)
 	in := core.NewInterner()
-	hp, _ := core.HybridPartition(c, in)
+	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 	aligned := truth.AlignedTruthPairs(c, hp, tr)
 	if aligned <= 0 {
 		t.Error("hybrid should reproduce at least some ground-truth pairs")

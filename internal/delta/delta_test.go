@@ -21,7 +21,7 @@ func parse(t testing.TB, doc, name string) *rdf.Graph {
 
 func hybridOf(t testing.TB, c *rdf.Combined) *core.Partition {
 	t.Helper()
-	p, _ := core.HybridPartition(c, core.NewInterner())
+	p, _, _ := (&core.Engine{}).Hybrid(c, core.NewInterner())
 	return p
 }
 

@@ -39,7 +39,7 @@ func (e *Env) AblationSigmaEdit() *AblationSigmaEditResult {
 	}
 	c := rdf.Union(d.Graphs[2], d.Graphs[3])
 	in := core.NewInterner()
-	hybrid, _ := core.HybridPartition(c, in)
+	hybrid, _, _ := (&core.Engine{}).Hybrid(c, in)
 
 	out := &AblationSigmaEditResult{Nodes: c.NumNodes()}
 
@@ -214,7 +214,7 @@ func (e *Env) AblationFlooding() *AblationFloodingResult {
 
 	start = time.Now()
 	in := core.NewInterner()
-	hybrid, _ := core.HybridPartition(c, in)
+	hybrid, _, _ := (&core.Engine{}).Hybrid(c, in)
 	ov, err := similarity.OverlapAlign(c, hybrid, similarity.OverlapOptions{
 		Theta: e.Cfg.Theta, Epsilon: e.Cfg.Epsilon,
 	})
@@ -297,12 +297,12 @@ func (e *Env) AblationContext() *AblationContextResult {
 	out := &AblationContextResult{}
 
 	start := time.Now()
-	outP, _ := core.HybridPartition(c, core.NewInterner())
+	outP, _, _ := (&core.Engine{}).Hybrid(c, core.NewInterner())
 	out.OutTime = time.Since(start)
 	out.OutPrecision = truth.Classify(c, core.NewAlignment(c, outP).MatchesOf, tr)
 
 	start = time.Now()
-	bothP, _ := core.HybridPartitionOpts(c, core.NewInterner(), core.RefineOptions{Direction: core.DirBoth})
+	bothP, _, _ := (&core.Engine{Opt: core.RefineOptions{Direction: core.DirBoth}}).Hybrid(c, core.NewInterner())
 	out.BothTime = time.Since(start)
 	out.BothPrecision = truth.Classify(c, core.NewAlignment(c, bothP).MatchesOf, tr)
 	return out
@@ -333,7 +333,7 @@ func (e *Env) AblationRefinement() *AblationRefinementResult {
 
 	start := time.Now()
 	in := core.NewInterner()
-	p, _ := core.BisimPartition(g, in)
+	p, _, _ := (&core.Engine{}).Bisim(g, in)
 	out.RefineTime = time.Since(start)
 
 	start = time.Now()

@@ -12,38 +12,21 @@ import (
 	"rdfalign/internal/truth"
 )
 
-// This file implements the bounded-depth cross-algorithm sweep: for each
-// dataset it runs the deblank+hybrid alignment fixpoints under every
-// refinement evaluation strategy (full-recolor, incremental worklist) at a
-// range of depth bounds k, and reports
-// partition size, precision/recall against the dataset's ground truth, and
-// wall time. Because the engines are bit-identical per (k, dataset), the
-// quality columns must agree across engines row-for-row — the sweep doubles
-// as an end-to-end determinism check — while the time column exposes how
-// much of the exact fixpoint's cost small k buys back.
+// This file implements the bounded-depth sweep: for each dataset it runs
+// the deblank+hybrid alignment fixpoints at a range of depth bounds k, and
+// reports partition size, precision/recall against the dataset's ground
+// truth, and wall time. The quality columns show what ambiguity each bound
+// leaves, while the time column exposes how much of the exact fixpoint's
+// cost small k buys back.
 
 // DepthSweepDepths is the default bound set: the small bounds where
 // k-bisimulation pays off, a mid-range bound, and 0 (the exact unbounded
 // fixpoint).
 var DepthSweepDepths = []int{1, 2, 3, 5, 10, 0}
 
-// depthEngines are the evaluation strategies the sweep compares.
-var depthEngines = []struct {
-	name string
-	mk   func(hooks core.Hooks, k int) *core.Engine
-}{
-	{"sequential", func(h core.Hooks, k int) *core.Engine {
-		return &core.Engine{Hooks: h, MaxDepth: k, FullRecolor: true}
-	}},
-	{"worklist", func(h core.Hooks, k int) *core.Engine {
-		return &core.Engine{Hooks: h, MaxDepth: k}
-	}},
-}
-
-// DepthRow is one (dataset, engine, depth) cell of the sweep.
+// DepthRow is one (dataset, depth) cell of the sweep.
 type DepthRow struct {
 	Dataset string
-	Engine  string
 	Depth   int // 0 = exact unbounded fixpoint
 	Rounds  int // applied rounds across the deblank + hybrid fixpoints
 	Classes int // equivalence classes of the hybrid partition
@@ -122,25 +105,24 @@ func identityTruth(src, tgt *rdf.Graph) *truth.Truth {
 	return tr
 }
 
-// DepthSweep runs the cross-algorithm bounded-depth sweep at the given
-// bounds (DepthSweepDepths when none are given).
+// DepthSweep runs the bounded-depth sweep at the given bounds
+// (DepthSweepDepths when none are given).
 func (e *Env) DepthSweep(depths ...int) *DepthSweepResult {
 	if len(depths) == 0 {
 		depths = DepthSweepDepths
 	}
 	out := &DepthSweepResult{Depths: depths}
 	for _, tgt := range e.depthTargets() {
-		for _, ev := range depthEngines {
-			for _, k := range depths {
-				out.Rows = append(out.Rows, e.depthCell(tgt, ev.name, ev.mk(e.Cfg.Hooks, k), k))
-			}
+		for _, k := range depths {
+			out.Rows = append(out.Rows, e.depthCell(tgt, k))
 		}
 	}
 	return out
 }
 
-// depthCell runs one (dataset, engine, depth) alignment and classifies it.
-func (e *Env) depthCell(tgt depthTarget, engine string, eng *core.Engine, k int) DepthRow {
+// depthCell runs one (dataset, depth) alignment and classifies it.
+func (e *Env) depthCell(tgt depthTarget, k int) DepthRow {
+	eng := &core.Engine{Hooks: e.Cfg.Hooks, MaxDepth: k}
 	start := time.Now()
 	in := core.NewInterner()
 	deblank, r1, err := eng.Deblank(tgt.c.Graph, in)
@@ -156,7 +138,6 @@ func (e *Env) depthCell(tgt depthTarget, engine string, eng *core.Engine, k int)
 	good := float64(p.Exact + p.Inclusive)
 	row := DepthRow{
 		Dataset: tgt.name,
-		Engine:  engine,
 		Depth:   k,
 		Rounds:  r1 + r2,
 		Classes: hybrid.NumClasses(),
@@ -179,22 +160,22 @@ func (r *DepthSweepResult) String() string {
 		if row.Depth > 0 {
 			depth = fmt.Sprintf("k=%d", row.Depth)
 		}
-		rows[i] = []string{row.Dataset, row.Engine, depth, itoa(row.Rounds),
+		rows[i] = []string{row.Dataset, depth, itoa(row.Rounds),
 			itoa(row.Classes), f3(row.Precision), f3(row.Recall),
 			fmt.Sprintf("%.4f", row.Seconds)}
 	}
-	return renderTable("Bounded-depth sweep: engines × depth bounds",
-		[]string{"dataset", "engine", "depth", "rounds", "classes", "precision", "recall", "seconds"}, rows)
+	return renderTable("Bounded-depth sweep: datasets × depth bounds",
+		[]string{"dataset", "depth", "rounds", "classes", "precision", "recall", "seconds"}, rows)
 }
 
 // Workload renders the sweep in the BENCH_refine.json schema, one result
-// per cell named DepthSweep/<dataset>/<engine>/k=<depth> (k=0 is the exact
+// per cell named DepthSweep/<dataset>/k=<depth> (k=0 is the exact
 // fixpoint).
 func (r *DepthSweepResult) Workload(note string) benchjson.Workload {
 	w := benchjson.Workload{Name: "DepthSweep", Note: note}
 	for _, row := range r.Rows {
 		w.Results = append(w.Results, benchjson.Result{
-			Bench: fmt.Sprintf("DepthSweep/%s/%s/k=%d", row.Dataset, row.Engine, row.Depth),
+			Bench: fmt.Sprintf("DepthSweep/%s/k=%d", row.Dataset, row.Depth),
 			NsOp:  row.Seconds * 1e9,
 		})
 	}

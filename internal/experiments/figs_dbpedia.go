@@ -45,8 +45,9 @@ func (e *Env) Fig16() *Fig16Result {
 
 		start = time.Now()
 		in = core.NewInterner()
-		deblank, _ := core.DeblankPartition(c.Graph, in)
-		hybrid, _ := core.HybridFromDeblank(c, deblank)
+		eng := &core.Engine{}
+		deblank, _, _ := eng.Deblank(c.Graph, in)
+		hybrid, _, _ := eng.HybridFromDeblank(c, deblank)
 		row.Hybrid = time.Since(start)
 
 		start = time.Now()

@@ -21,7 +21,7 @@ func (e *Env) Fig9() *Fig9Result {
 	out := &Fig9Result{}
 	for _, g := range d.Graphs {
 		out.Stats = append(out.Stats, rdf.GatherStats(g))
-		p, _ := core.DeblankPartition(g, core.NewInterner())
+		p, _, _ := (&core.Engine{}).Deblank(g, core.NewInterner())
 		classes := map[core.Color]struct{}{}
 		g.Nodes(func(n rdf.NodeID) {
 			if g.IsBlank(n) {

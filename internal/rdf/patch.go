@@ -19,7 +19,7 @@ package rdf
 // indexes stay lazy; only the contextual/adaptive refinement variants read
 // them.
 
-import "sort"
+import "slices"
 
 // patchDenseFactor gates the splice: an edit touching a sizable fraction of
 // the graph gains nothing over the straight rebuild (and the per-event
@@ -192,7 +192,7 @@ func patchDependents(g, old *Graph, added, removed []Triple) {
 			affected = append(affected, k)
 		}
 	}
-	sortNodeIDsPatch(affected)
+	slices.Sort(affected)
 
 	idx := make([]int32, n+1)
 	nodes := make([]NodeID, 0, len(old.depNodes)+2*len(added))
@@ -267,10 +267,4 @@ func mentions(g *Graph, s, k NodeID) bool {
 		}
 	}
 	return false
-}
-
-// sortNodeIDsPatch sorts node IDs ascending (core has its own copy; the rdf
-// package cannot import it).
-func sortNodeIDsPatch(ns []NodeID) {
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
 }

@@ -87,7 +87,7 @@ func TestEnrichHeapDijkstraOracle(t *testing.T) {
 		}
 		h := &WeightedBipartite{A: a, B: b, Edges: edges}
 		in := core.NewInterner()
-		hp, _ := core.HybridPartition(c, in)
+		hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 		out, changed := EnrichChanged(core.NewWeighted(hp), h)
 
 		// Reference weights over each component, via the same union of
@@ -165,7 +165,7 @@ func TestEnrichPathologicalComponent(t *testing.T) {
 	}
 	h := &WeightedBipartite{A: a, B: b, Edges: edges}
 	in := core.NewInterner()
-	hp, _ := core.HybridPartition(c, in)
+	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 	out, changed := EnrichChanged(core.NewWeighted(hp), h)
 	if len(changed) != spokes+1 {
 		t.Fatalf("changed = %d nodes, want %d", len(changed), spokes+1)
@@ -200,7 +200,7 @@ func BenchmarkEnrich(b *testing.B) {
 	}
 	h := &WeightedBipartite{A: a, B: bb, Edges: edges}
 	in := core.NewInterner()
-	hp, _ := core.HybridPartition(c, in)
+	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 	xi := core.NewWeighted(hp)
 	b.ReportAllocs()
 	b.ResetTimer()

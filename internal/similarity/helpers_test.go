@@ -99,7 +99,7 @@ func combine(t testing.TB, g1, g2 *rdf.Graph) (*rdf.Combined, *core.Partition) {
 	t.Helper()
 	c := rdf.Union(g1, g2)
 	in := core.NewInterner()
-	hp, _ := core.HybridPartition(c, in)
+	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 	return c, hp
 }
 

@@ -57,7 +57,7 @@ func BenchmarkOverlapAlignCascade(b *testing.B) {
 				b.StopTimer()
 				c := rdf.Union(g1, g2)
 				in := core.NewInterner()
-				hp, _ := core.HybridPartition(c, in)
+				hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 				b.StartTimer()
 				res, err := OverlapAlign(c, hp, OverlapOptions{Theta: 0.65, scratchIndex: mode.scratch})
 				if err != nil {
@@ -82,7 +82,7 @@ func gtopdbOverlapInput(tb testing.TB, scale float64) (*rdf.Combined, *core.Part
 		tb.Fatal(err)
 	}
 	c := rdf.Union(d.Graphs[0], d.Graphs[1])
-	hp, _ := core.HybridPartition(c, core.NewInterner())
+	hp, _, _ := (&core.Engine{}).Hybrid(c, core.NewInterner())
 	return c, hp
 }
 

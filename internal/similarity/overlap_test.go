@@ -318,7 +318,7 @@ func TestOverlapMatchEmptyInputs(t *testing.T) {
 func TestEnrichSinglePair(t *testing.T) {
 	c, a, b := literalNodes(t, []string{"abc"}, []string{"abz"})
 	in := core.NewInterner()
-	hp, _ := core.HybridPartition(c, in)
+	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 	xi := core.NewWeighted(hp)
 	h := &WeightedBipartite{A: a, B: b, Edges: []BipartiteEdge{{A: a[0], B: b[0], D: 1.0 / 3.0}}}
 	out := Enrich(xi, h)
@@ -343,7 +343,7 @@ func TestEnrichComponentWeightsCoverDistances(t *testing.T) {
 	// the half-max weight rule: d*(a,b) ≤ w(a) ⊕ w(b) for all pairs.
 	c, a, b := literalNodes(t, []string{"x1", "x2"}, []string{"y1", "y2"})
 	in := core.NewInterner()
-	hp, _ := core.HybridPartition(c, in)
+	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 	xi := core.NewWeighted(hp)
 	h := &WeightedBipartite{A: a, B: b, Edges: []BipartiteEdge{
 		{A: a[0], B: b[0], D: 0.2},
@@ -384,7 +384,7 @@ func TestEnrichComponentWeightsCoverDistances(t *testing.T) {
 func TestEnrichSeparateComponents(t *testing.T) {
 	c, a, b := literalNodes(t, []string{"x1", "x2"}, []string{"y1", "y2"})
 	in := core.NewInterner()
-	hp, _ := core.HybridPartition(c, in)
+	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 	xi := core.NewWeighted(hp)
 	h := &WeightedBipartite{A: a, B: b, Edges: []BipartiteEdge{
 		{A: a[0], B: b[0], D: 0.2},
@@ -402,7 +402,7 @@ func TestEnrichSeparateComponents(t *testing.T) {
 func TestEnrichEmptyH(t *testing.T) {
 	c, a, b := literalNodes(t, []string{"x"}, []string{"y"})
 	in := core.NewInterner()
-	hp, _ := core.HybridPartition(c, in)
+	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 	xi := core.NewWeighted(hp)
 	out := Enrich(xi, &WeightedBipartite{A: a, B: b})
 	if !core.Equivalent(out.P, xi.P) {
@@ -515,7 +515,7 @@ func TestTheorem1(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			c := randomCombined(r)
 			in := core.NewInterner()
-			hp, _ := core.HybridPartition(c, in)
+			hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 			check(t, c, hp)
 		}
 	})
@@ -529,7 +529,7 @@ func TestOverlapAlignSubsumesHybrid(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		c := randomCombined(r)
 		in := core.NewInterner()
-		hp, _ := core.HybridPartition(c, in)
+		hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 		res, err := OverlapAlign(c, hp, OverlapOptions{Theta: 0.65})
 		if err != nil {
 			return false
@@ -610,7 +610,7 @@ func BenchmarkNLDistance(b *testing.B) {
 	g1, g2 := figure7WordyB(b)
 	c := rdf.Union(g1, g2)
 	in := core.NewInterner()
-	hp, _ := core.HybridPartition(c, in)
+	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 	xi := core.NewWeighted(hp)
 	u := c.FromSource(mustURIb(b, g1, "u"))
 	u2 := c.FromTarget(mustURIb(b, g2, "u'"))

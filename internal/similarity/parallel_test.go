@@ -173,7 +173,7 @@ func TestOverlapAlignIncrementalMatchesScratch(t *testing.T) {
 			run := func(scratch bool) (*rdf.Combined, *OverlapResult) {
 				c := randomCombined(rand.New(rand.NewSource(seed)))
 				in := core.NewInterner()
-				hp, _ := core.HybridPartition(c, in)
+				hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 				res, err := OverlapAlign(c, hp, OverlapOptions{Theta: 0.65, scratchIndex: scratch})
 				if err != nil {
 					t.Fatal(err)
@@ -246,7 +246,7 @@ func TestNLMatcherIndexMatchesRebuild(t *testing.T) {
 		for seed := int64(0); seed < 30; seed++ {
 			c := randomCombined(rand.New(rand.NewSource(seed)))
 			in := core.NewInterner()
-			hp, _ := core.HybridPartition(c, in)
+			hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 			check(t, c, hp)
 		}
 	})

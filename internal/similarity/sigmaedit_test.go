@@ -80,7 +80,7 @@ func TestSigmaEditBounds(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		c := randomCombined(r)
 		in := core.NewInterner()
-		hp, _ := core.HybridPartition(c, in)
+		hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 		s, err := NewSigmaEdit(c, hp, SigmaEditOptions{})
 		if err != nil {
 			return false
@@ -161,7 +161,7 @@ func TestSigmaEditEmptySides(t *testing.T) {
 	}
 	c := rdf.Union(g1, g2)
 	in := core.NewInterner()
-	hp, _ := core.HybridPartition(c, in)
+	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 	s, err := NewSigmaEdit(c, hp, SigmaEditOptions{})
 	if err != nil {
 		t.Fatal(err)

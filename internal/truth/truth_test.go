@@ -99,7 +99,7 @@ func exactScenario(t *testing.T) (*rdf.Combined, *Truth) {
 func TestClassifyExact(t *testing.T) {
 	c, tr := exactScenario(t)
 	in := core.NewInterner()
-	hp, _ := core.HybridPartition(c, in)
+	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 	a := core.NewAlignment(c, hp)
 	p := Classify(c, a.MatchesOf, tr)
 	if p.Exact != 1 {
@@ -126,7 +126,7 @@ func TestAlignedTruthPairsMissingNodes(t *testing.T) {
 	// Truth mentioning URIs absent from the graphs is simply skipped.
 	tr.Add("http://v1/ghost", "http://v2/ghost")
 	in := core.NewInterner()
-	hp, _ := core.HybridPartition(c, in)
+	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 	if got := AlignedTruthPairs(c, hp, tr); got != 1 {
 		t.Errorf("AlignedTruthPairs = %d, want 1", got)
 	}
