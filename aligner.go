@@ -113,7 +113,7 @@ func WithMaxDepth(k int) Option {
 
 // WithResolveAmbiguous makes BuildArchive additionally chain entities
 // inside ambiguous alignment classes by matching occurrence profiles; see
-// ArchiveOptions.ResolveAmbiguous. It has no effect on Align.
+// archive.BuildOptions.ResolveAmbiguous. It has no effect on Align.
 func WithResolveAmbiguous() Option {
 	return func(c *alignerConfig) { c.resolveAmbiguous = true }
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rdfalign/internal/archive"
 	"rdfalign/internal/core"
 	"rdfalign/internal/similarity"
 )
@@ -130,7 +131,7 @@ func TestThetaValidationUnified(t *testing.T) {
 	}
 	// θ = 0 selects the default at both layers rather than erroring.
 	for _, m := range []Method{Overlap, SigmaEdit} {
-		a, err := Align(g1, g2, Options{Method: m, Theta: 0})
+		a, err := alignWith(g1, g2, WithMethod(m), WithTheta(0))
 		if err != nil {
 			t.Fatalf("%s: theta 0 rejected: %v", m, err)
 		}
@@ -152,17 +153,18 @@ func samePairs(t *testing.T, want, got *Alignment) {
 	t.Helper()
 	ws, gs := pairSet(want), pairSet(got)
 	if len(ws) != len(gs) {
-		t.Fatalf("pair counts differ: legacy %d, aligner %d", len(ws), len(gs))
+		t.Fatalf("pair counts differ: want %d, got %d", len(ws), len(gs))
 	}
 	for p := range ws {
 		if !gs[p] {
-			t.Fatalf("pair %v missing from aligner result", p)
+			t.Fatalf("pair %v missing", p)
 		}
 	}
 }
 
-// TestOptionEquivalence proves the functional options produce identical
-// alignments to the legacy Options struct on the §5 generator datasets.
+// TestOptionEquivalence: every functional-option configuration aligns the
+// §5 generator datasets identically whether it configures a fresh session
+// or is layered onto a default one with Aligner.With.
 func TestOptionEquivalence(t *testing.T) {
 	efo, err := GenerateEFO(EFOConfig{Versions: 4, Scale: 0.01, Seed: 7})
 	if err != nil {
@@ -172,46 +174,42 @@ func TestOptionEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	base, err := NewAligner()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name   string
 		g1, g2 *Graph
-		legacy Options
 		opts   []Option
 	}{
-		{"efo/trivial", efo.Graphs[0], efo.Graphs[1], Options{Method: Trivial},
-			[]Option{WithMethod(Trivial)}},
-		{"efo/hybrid", efo.Graphs[2], efo.Graphs[3], Options{Method: Hybrid},
-			[]Option{WithMethod(Hybrid)}},
-		{"efo/overlap", efo.Graphs[2], efo.Graphs[3], Options{Method: Overlap, Theta: 0.5},
-			[]Option{WithMethod(Overlap), WithTheta(0.5)}},
-		{"efo/hybrid-context", efo.Graphs[0], efo.Graphs[1], Options{Method: Hybrid, Context: true},
-			[]Option{WithMethod(Hybrid), WithContextual()}},
-		{"efo/deblank-adaptive", efo.Graphs[0], efo.Graphs[1], Options{Method: Deblank, Adaptive: true},
-			[]Option{WithMethod(Deblank), WithAdaptive()}},
-		{"gtopdb/overlap", gtopdb.Graphs[0], gtopdb.Graphs[1], Options{Method: Overlap},
-			[]Option{WithMethod(Overlap)}},
+		{"efo/trivial", efo.Graphs[0], efo.Graphs[1], []Option{WithMethod(Trivial)}},
+		{"efo/hybrid", efo.Graphs[2], efo.Graphs[3], []Option{WithMethod(Hybrid)}},
+		{"efo/overlap", efo.Graphs[2], efo.Graphs[3], []Option{WithMethod(Overlap), WithTheta(0.5)}},
+		{"efo/hybrid-context", efo.Graphs[0], efo.Graphs[1], []Option{WithMethod(Hybrid), WithContextual()}},
+		{"efo/deblank-adaptive", efo.Graphs[0], efo.Graphs[1], []Option{WithMethod(Deblank), WithAdaptive()}},
+		{"gtopdb/overlap", gtopdb.Graphs[0], gtopdb.Graphs[1], []Option{WithMethod(Overlap)}},
 		{"gtopdb/hybrid-keys", gtopdb.Graphs[0], gtopdb.Graphs[1],
-			Options{Method: Hybrid, KeyPredicates: []string{"http://example.org/gtopdb/ligand#name"}},
 			[]Option{WithMethod(Hybrid), WithKeyPredicates("http://example.org/gtopdb/ligand#name")}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			legacy, err := Align(tc.g1, tc.g2, tc.legacy)
+			fresh, err := alignWith(tc.g1, tc.g2, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			al, err := NewAligner(tc.opts...)
+			al, err := base.With(tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := al.Align(context.Background(), tc.g1, tc.g2)
+			derived, err := al.Align(context.Background(), tc.g1, tc.g2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			samePairs(t, legacy, got)
-			if legacy.Method != got.Method || legacy.Theta != got.Theta {
-				t.Errorf("echoed config differs: legacy %v/%v, aligner %v/%v",
-					legacy.Method, legacy.Theta, got.Method, got.Theta)
+			samePairs(t, fresh, derived)
+			if fresh.Method != derived.Method || fresh.Theta != derived.Theta {
+				t.Errorf("echoed config differs: fresh %v/%v, derived %v/%v",
+					fresh.Method, fresh.Theta, derived.Method, derived.Theta)
 			}
 		})
 	}
@@ -225,7 +223,7 @@ func TestAlignerParallelismEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	g1, g2 := d.Graphs[6], d.Graphs[7] // the bulk prefix migration pair
-	seq, err := Align(g1, g2, Options{Method: Hybrid})
+	seq, err := alignWith(g1, g2, WithMethod(Hybrid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +298,7 @@ func TestRelationConformance(t *testing.T) {
 	g1, g2 := parseFig1(t)
 	for _, m := range []Method{Hybrid, Overlap, SigmaEdit} {
 		t.Run(m.String(), func(t *testing.T) {
-			a, err := Align(g1, g2, Options{Method: m})
+			a, err := alignWith(g1, g2, WithMethod(m))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,14 +331,14 @@ func TestAlignerProgressStages(t *testing.T) {
 	}
 }
 
-// TestAlignerBuildArchive: the session archive build matches the legacy
-// BuildArchive, reports one per-version event, and honours cancellation.
+// TestAlignerBuildArchive: the session archive build matches a direct
+// archive.Build, reports one per-version event, and honours cancellation.
 func TestAlignerBuildArchive(t *testing.T) {
 	d, err := GenerateEFO(EFOConfig{Versions: 4, Scale: 0.01, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := BuildArchive(d.Graphs, ArchiveOptions{})
+	direct, err := archive.Build(d.Graphs, archive.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,8 +356,8 @@ func TestAlignerBuildArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := arc.GatherStats().String(), legacy.GatherStats().String(); got != want {
-		t.Errorf("session archive differs from legacy:\n got %s\nwant %s", got, want)
+	if got, want := arc.GatherStats().String(), direct.GatherStats().String(); got != want {
+		t.Errorf("session archive differs from archive.Build:\n got %s\nwant %s", got, want)
 	}
 	if want := []string{"1/4", "2/4", "3/4", "4/4"}; fmt.Sprint(versions) != fmt.Sprint(want) {
 		t.Errorf("per-version progress = %v, want %v", versions, want)
@@ -373,26 +371,22 @@ func TestAlignerBuildArchive(t *testing.T) {
 }
 
 // TestWithThetaZeroMeansDefault: WithTheta(0) selects the 0.65 default for
-// every method, exactly like the legacy Options.Theta zero value.
+// every method, exactly like leaving θ unset.
 func TestWithThetaZeroMeansDefault(t *testing.T) {
 	g1, g2 := parseFig1(t)
 	for _, m := range []Method{Overlap, SigmaEdit} {
-		legacy, err := Align(g1, g2, Options{Method: m, Theta: 0})
+		unset, err := alignWith(g1, g2, WithMethod(m))
 		if err != nil {
 			t.Fatal(err)
 		}
-		al, err := NewAligner(WithMethod(m), WithTheta(0))
+		got, err := alignWith(g1, g2, WithMethod(m), WithTheta(0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := al.Align(context.Background(), g1, g2)
-		if err != nil {
-			t.Fatal(err)
+		if got.Theta != 0.65 || unset.Theta != 0.65 {
+			t.Errorf("%s: Theta echoed as %v (unset %v), want 0.65", m, got.Theta, unset.Theta)
 		}
-		if got.Theta != 0.65 || legacy.Theta != 0.65 {
-			t.Errorf("%s: Theta echoed as %v (legacy %v), want 0.65", m, got.Theta, legacy.Theta)
-		}
-		samePairs(t, legacy, got)
+		samePairs(t, unset, got)
 	}
 }
 
@@ -413,28 +407,16 @@ func TestAlignerArchiveHonoursExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := BuildArchive(d.Graphs, ArchiveOptions{
-		Refine: core.RefineOptions{
+	want, err := archive.Build(d.Graphs, archive.BuildOptions{Engine: core.Engine{
+		Opt: core.RefineOptions{
 			Direction: core.DirBoth,
 			Filter:    core.PredicateKeyFilter(key),
 		},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g, w := got.GatherStats().String(), want.GatherStats().String(); g != w {
 		t.Errorf("session archive ignores extensions:\n got %s\nwant %s", g, w)
-	}
-}
-
-// TestLegacyAlignStillValidates: the wrapper preserves the legacy error
-// behaviour for bad options.
-func TestLegacyAlignStillValidates(t *testing.T) {
-	g1, g2 := parseFig1(t)
-	if _, err := Align(g1, g2, Options{Theta: 2}); err == nil {
-		t.Error("theta 2 accepted")
-	}
-	if _, err := Align(g1, g2, Options{Method: Method(42)}); err == nil {
-		t.Error("unknown method accepted")
 	}
 }

@@ -45,7 +45,7 @@ ex:ed-uni ex:name "University of Edinburgh" .
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Align(g1, g2, Options{Method: Hybrid})
+	a, err := alignWith(g1, g2, WithMethod(Hybrid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ ex:ed-uni ex:name "University of Edinburgh" .
 // graph getter.
 func TestAlignmentAccessors(t *testing.T) {
 	g1, g2 := parseFig1(t)
-	a, err := Align(g1, g2, Options{Method: Overlap})
+	a, err := alignWith(g1, g2, WithMethod(Overlap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestAlignmentAccessors(t *testing.T) {
 	if a.OverlapRounds() <= 0 {
 		t.Error("OverlapRounds should be positive")
 	}
-	h, err := Align(g1, g2, Options{Method: Hybrid})
+	h, err := alignWith(g1, g2, WithMethod(Hybrid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestAlignmentAccessors(t *testing.T) {
 // Pairs, PairCount, MatchesOf, AlignedEntityCount and Distance.
 func TestSigmaEditAlignmentViews(t *testing.T) {
 	g1, g2 := parseFig1(t)
-	a, err := Align(g1, g2, Options{Method: SigmaEdit, Theta: 0.4})
+	a, err := alignWith(g1, g2, WithMethod(SigmaEdit), WithTheta(0.4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSigmaEditAlignmentViews(t *testing.T) {
 // Alignment.Distance.
 func TestDistanceBranches(t *testing.T) {
 	g1, g2 := parseFig1(t)
-	h, err := Align(g1, g2, Options{Method: Hybrid})
+	h, err := alignWith(g1, g2, WithMethod(Hybrid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestDistanceBranches(t *testing.T) {
 	if d := h.Distance(ed1, ss2); d != 1 {
 		t.Errorf("partition distance across classes = %v", d)
 	}
-	o, err := Align(g1, g2, Options{Method: Overlap})
+	o, err := alignWith(g1, g2, WithMethod(Overlap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestDistanceBranches(t *testing.T) {
 // TestMatchesOfURIMissing covers the absent-URI path.
 func TestMatchesOfURIMissing(t *testing.T) {
 	g1, g2 := parseFig1(t)
-	a, err := Align(g1, g2, Options{Method: Trivial})
+	a, err := alignWith(g1, g2, WithMethod(Trivial))
 	if err != nil {
 		t.Fatal(err)
 	}

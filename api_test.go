@@ -138,19 +138,12 @@ func TestAlignmentStale(t *testing.T) {
 	if a2.Stale() {
 		t.Fatal("newest alignment should not be stale")
 	}
-	// Legacy-path alignments carry no session and are never stale.
-	legacy, err := Align(g1, g2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Stale() {
-		t.Fatal("session-less alignment reported stale")
-	}
 }
 
-// TestOpenSnapshotHandle exercises the symmetric facade over both
-// snapshot kinds, including the appendability of a loaded archive
-// (RebuildTail) and single-section version reads.
+// TestOpenSnapshotHandle exercises the facade over both snapshot kinds:
+// the graph summary of a GRPM file, the archive file's sections, version
+// reads from the archive rows, and the appendability of a loaded archive
+// (RebuildTail).
 func TestOpenSnapshotHandle(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -167,7 +160,7 @@ func TestOpenSnapshotHandle(t *testing.T) {
 
 	gPath := filepath.Join(dir, "g.snap")
 	aPath := filepath.Join(dir, "a.snap")
-	if err := WriteGraphSnapshotFile(gPath, g1); err != nil {
+	if err := WriteGraphSnapshotMappedFile(gPath, g1); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteArchiveSnapshotFile(aPath, arch); err != nil {
@@ -182,6 +175,9 @@ func TestOpenSnapshotHandle(t *testing.T) {
 	defer gh.Close()
 	if gh.IsArchive() || gh.Versions() != 1 {
 		t.Fatalf("graph handle: archive=%v versions=%d", gh.IsArchive(), gh.Versions())
+	}
+	if want := `graph[0]: name="g1" nodes=3 triples=1`; !strings.Contains(gh.Info().String(), want) {
+		t.Fatalf("graph info lacks %q:\n%s", want, gh.Info())
 	}
 	if g, err := gh.Graph(); err != nil || g.NumTriples() != 1 {
 		t.Fatalf("graph load: %v", err)
@@ -208,8 +204,23 @@ func TestOpenSnapshotHandle(t *testing.T) {
 	if _, err := ah.Graph(); err == nil {
 		t.Fatal("Graph() on an archive snapshot should fail")
 	}
-	if g, err := ah.Version(1); err != nil || g.NumTriples() != 2 {
-		t.Fatalf("archive Version(1): %v", err)
+	var sections []string
+	for _, sec := range ah.Info().Sections {
+		sections = append(sections, sec.Name)
+	}
+	if got := strings.Join(sections, ","); got != "AMET,ALBL,AROW,FOOT" {
+		t.Fatalf("archive sections %s, want AMET,ALBL,AROW,FOOT", got)
+	}
+	for v := 0; v < arch.Versions(); v++ {
+		want, err := arch.Snapshot(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ah.Version(v)
+		if err != nil {
+			t.Fatalf("archive Version(%d): %v", v, err)
+		}
+		requireSameGraph(t, want, got)
 	}
 	loaded, err := ah.Archive()
 	if err != nil {
@@ -241,5 +252,111 @@ func TestOpenSnapshotHandle(t *testing.T) {
 
 	if _, err := OpenSnapshot(filepath.Join(dir, "missing.snap")); err == nil {
 		t.Fatal("OpenSnapshot on a missing file should fail")
+	}
+}
+
+// requireSameGraph fails unless got equals want node for node: same name,
+// labels under the same node IDs, and the same triples.
+func requireSameGraph(t *testing.T, want, got *Graph) {
+	t.Helper()
+	if want.Name() != got.Name() || want.NumNodes() != got.NumNodes() || want.NumTriples() != got.NumTriples() {
+		t.Fatalf("graph shape differs: %q %d nodes %d triples, want %q %d nodes %d triples",
+			got.Name(), got.NumNodes(), got.NumTriples(), want.Name(), want.NumNodes(), want.NumTriples())
+	}
+	for n := 0; n < want.NumNodes(); n++ {
+		if want.Label(NodeID(n)) != got.Label(NodeID(n)) {
+			t.Fatalf("node %d: label %v, want %v", n, got.Label(NodeID(n)), want.Label(NodeID(n)))
+		}
+	}
+	for i, tr := range want.Triples() {
+		if got.Triples()[i] != tr {
+			t.Fatalf("triple %d: %v, want %v", i, got.Triples()[i], tr)
+		}
+	}
+}
+
+// Snapshot files written by the earlier build whose writer emitted varint
+// GRPH graph sections: a graph snapshot of legacyGraphDoc, and an archive
+// of legacyArchiveDocs (built with WithResolveAmbiguous) that carries one
+// GRPH copy of every version next to its rows.
+var (
+	legacyGraphFixture   = filepath.Join("internal", "snapshot", "testdata", "graph-grph.snap")
+	legacyArchiveFixture = filepath.Join("internal", "snapshot", "testdata", "archive-grph.snap")
+	legacyArchiveDocs    = []string{
+		"<a> <p> <b> .\n<b> <p> \"x\" .\n_:n <q> <a> .\n",
+		"<a> <p> <b> .\n<b> <p> \"y\" .\n_:n <q> <a> .\n<c> <p> <a> .\n",
+		"<a> <p> <b> .\n<b2> <p> \"y\" .\n<c> <p> <a> .\n<a> <q> <c> .\n",
+	}
+)
+
+const legacyGraphDoc = "<http://example.org/s> <http://example.org/p> \"v\" .\n" +
+	"_:b <http://example.org/p> <http://example.org/s> .\n" +
+	"_:b <http://example.org/q> _:c .\n" +
+	"_:c <http://example.org/p> \"raw\xffbyte\" .\n" +
+	"<http://example.org/s> <http://example.org/q> <http://example.org/t> .\n"
+
+// TestLegacySnapshotFixtures: snapshots written before GRPM became the only
+// graph encoding load to the same graphs and archive through the public
+// API.
+func TestLegacySnapshotFixtures(t *testing.T) {
+	want, err := ParseNTriplesString(legacyGraphDoc, "fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenGraphSnapshotMapped(legacyGraphFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	requireSameGraph(t, want, mapped)
+	gh, err := OpenSnapshot(legacyGraphFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gh.Close()
+	g, err := gh.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameGraph(t, want, g)
+
+	var graphs []*Graph
+	for i, doc := range legacyArchiveDocs {
+		g, err := ParseNTriplesString(doc, "v")
+		if err != nil {
+			t.Fatalf("doc %d: %v", i, err)
+		}
+		graphs = append(graphs, g)
+	}
+	al, err := NewAligner(WithResolveAmbiguous())
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := al.BuildArchive(context.Background(), graphs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ah, err := OpenSnapshot(legacyArchiveFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ah.Close()
+	loaded, err := ah.Archive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := loaded.GatherStats().String(), built.GatherStats().String(); got != want {
+		t.Fatalf("legacy archive loads as\n%s\nwant\n%s", got, want)
+	}
+	for v := 0; v < built.Versions(); v++ {
+		want, err := built.Snapshot(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ah.Version(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameGraph(t, want, got)
 	}
 }

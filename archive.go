@@ -13,34 +13,20 @@ type (
 	// Archive stores a sequence of graph versions compactly and can
 	// reconstruct any version exactly.
 	Archive = archive.Archive
-	// ArchiveOptions configures archive construction.
-	ArchiveOptions = archive.BuildOptions
 	// ArchiveStats summarises an archive, including the §6
 	// enter/leave-with-subject coupling measurements.
 	ArchiveStats = archive.Stats
 )
 
-// BuildArchive archives a sequence of graph versions, aligning consecutive
-// versions to chain node identities. It is the uncancellable legacy entry
-// point.
-//
-// Deprecated: use NewAligner followed by (*Aligner).BuildArchive, which
-// adds cancellation and per-version progress and shares the session's
-// refinement configuration. This wrapper remains for source compatibility
-// only.
-func BuildArchive(graphs []*Graph, opt ArchiveOptions) (*Archive, error) {
-	return archive.Build(graphs, opt)
-}
-
 // BuildArchive archives a sequence of graph versions under the session's
 // configuration: consecutive versions are aligned with the session's
-// refinement extensions (WithContextual, WithAdaptive, WithKeyPredicates),
-// and, when the method is Overlap, its Overlap settings and matching
-// parallelism (the hybrid partition otherwise); WithResolveAmbiguous carries over. The
-// context is checked before each version pair and inside every alignment
-// fixpoint; the session's progress observer additionally receives one
-// "archive" event per archived version (Round = 1-based version, Total =
-// version count).
+// refinement extensions (WithContextual, WithAdaptive, WithKeyPredicates)
+// and depth bound (WithMaxDepth), and, when the method is Overlap, its
+// Overlap settings and matching parallelism (the hybrid partition
+// otherwise); WithResolveAmbiguous carries over. The context is checked
+// before each version pair and inside every alignment fixpoint; the
+// session's progress observer additionally receives one "archive" event
+// per archived version (Round = 1-based version, Total = version count).
 func (al *Aligner) BuildArchive(ctx context.Context, graphs []*Graph) (*Archive, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -51,15 +37,14 @@ func (al *Aligner) BuildArchive(ctx context.Context, graphs []*Graph) (*Archive,
 	return archive.Build(graphs, al.archiveOptions(ctx))
 }
 
-func (al *Aligner) archiveOptions(ctx context.Context) ArchiveOptions {
-	return ArchiveOptions{
+func (al *Aligner) archiveOptions(ctx context.Context) archive.BuildOptions {
+	return archive.BuildOptions{
 		UseOverlap:       al.cfg.method == Overlap,
 		ResolveAmbiguous: al.cfg.resolveAmbiguous,
 		Theta:            al.cfg.theta,
 		Epsilon:          al.cfg.epsilon,
-		Refine:           al.refineOptions(),
+		Engine:           *al.engine(ctx),
 		Workers:          al.cfg.workers,
-		Hooks:            al.hooks(ctx),
 	}
 }
 

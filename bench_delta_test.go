@@ -139,8 +139,12 @@ func BenchmarkAppendVersion(b *testing.B) {
 		}
 		graphs[v-1] = g
 	}
-	var opt ArchiveOptions
-	base, err := BuildArchive(graphs[:3], opt)
+	ctx := context.Background()
+	al, err := NewAligner()
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, err := al.BuildArchive(ctx, graphs[:3])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -148,7 +152,7 @@ func BenchmarkAppendVersion(b *testing.B) {
 	b.Run("append", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := base.Clone().AppendVersion(graphs[3], nil, opt); err != nil {
+			if _, err := al.AppendVersion(ctx, base.Clone(), graphs[3], nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -157,7 +161,7 @@ func BenchmarkAppendVersion(b *testing.B) {
 	b.Run("rebuild", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := BuildArchive(graphs, opt); err != nil {
+			if _, err := al.BuildArchive(ctx, graphs); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,10 +2,10 @@ package rdfalign
 
 // Snapshot benchmarks: loading the million-triple corpus from the binary
 // snapshot format versus parsing it. BenchmarkSnapshotLoad is the headline
-// number the roadmap gates on — the snapshot reader restores the term
-// dictionary, triple columns and both adjacency CSRs without rebuilding
-// anything, so the load must beat the parallel parse by ≥5×. Regenerate
-// the BENCH_refine.json entries with:
+// number the roadmap gates on — the heap reader restores the term
+// dictionary, triple columns and both adjacency CSRs from the GRPM
+// columns without rebuilding anything, so the load must beat the parallel
+// parse by ≥5×. Regenerate the BENCH_refine.json entries with:
 //
 //	go test -run '^$' -bench Snapshot -benchtime=3x -count=6 .
 
@@ -15,6 +15,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"rdfalign/internal/snapshot"
 )
 
 var (
@@ -33,7 +35,7 @@ func snapshotCorpus(b *testing.B) ([]byte, *Graph) {
 			panic(err)
 		}
 		var buf bytes.Buffer
-		if err := WriteGraphSnapshot(&buf, g); err != nil {
+		if err := snapshot.WriteGraphMapped(&buf, g); err != nil {
 			panic(err)
 		}
 		snapCorpus = buf.Bytes()
@@ -42,16 +44,17 @@ func snapshotCorpus(b *testing.B) ([]byte, *Graph) {
 	return snapCorpus, snapCorpusGraph
 }
 
-// BenchmarkSnapshotLoad measures ReadGraphSnapshot on the 1M-triple
-// corpus. Compare against BenchmarkParseNTriples/par8 on the same data:
-// the gate requires load ≥5× faster than the parallel parse.
+// BenchmarkSnapshotLoad measures the heap decode of the 1M-triple
+// corpus's snapshot (what OpenSnapshot does). Compare against
+// BenchmarkParseNTriples/par8 on the same data: the gate requires load ≥5×
+// faster than the parallel parse.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	blob, g := snapshotCorpus(b)
 	b.SetBytes(int64(len(blob)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		loaded, err := ReadGraphSnapshot(bytes.NewReader(blob))
+		loaded, err := snapshot.ReadGraph(bytes.NewReader(blob))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,22 +65,18 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 }
 
 // BenchmarkSnapshotMmapLoad measures OpenGraphSnapshotMapped on the
-// 1M-triple corpus in the mapped column format. Compare B/op against
+// 1M-triple corpus. Compare B/op against
 // BenchmarkSnapshotLoad: the mapped open validates checksums and builds
 // only the term dictionary view, serving all graph columns zero-copy from
 // the mapping, so its heap allocation is O(1) in the triple count while
 // the heap reader's is O(n).
 func BenchmarkSnapshotMmapLoad(b *testing.B) {
-	_, g := snapshotCorpus(b)
+	blob, g := snapshotCorpus(b)
 	path := filepath.Join(b.TempDir(), "corpus.snap")
-	if err := WriteGraphSnapshotMappedFile(path, g); err != nil {
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		b.Fatal(err)
 	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(fi.Size())
+	b.SetBytes(int64(len(blob)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -92,14 +91,15 @@ func BenchmarkSnapshotMmapLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotWrite measures serialising the parsed corpus.
+// BenchmarkSnapshotWrite measures serialising the parsed corpus (what
+// WriteGraphSnapshotMappedFile does, minus the file).
 func BenchmarkSnapshotWrite(b *testing.B) {
 	_, g := snapshotCorpus(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := WriteGraphSnapshot(&buf, g); err != nil {
+		if err := snapshot.WriteGraphMapped(&buf, g); err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
@@ -120,10 +120,10 @@ func TestSnapshotCorpusRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteGraphSnapshot(&buf, g); err != nil {
+	if err := snapshot.WriteGraphMapped(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadGraphSnapshot(bytes.NewReader(buf.Bytes()))
+	loaded, err := snapshot.ReadGraph(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

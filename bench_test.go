@@ -396,7 +396,7 @@ func benchAlign(b *testing.B, m Method) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Align(g1, g2, Options{Method: m}); err != nil {
+		if _, err := alignWith(g1, g2, WithMethod(m)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -417,7 +417,7 @@ func BenchmarkAlignSigmaEditSmall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Align(g1, g2, Options{Method: SigmaEdit}); err != nil {
+		if _, err := alignWith(g1, g2, WithMethod(SigmaEdit)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -143,7 +143,7 @@ func main() {
 
 func writeGraph(path string, g *rdfalign.Graph, format string) error {
 	if format == "snap" {
-		return rdfalign.WriteGraphSnapshotFile(path, g)
+		return rdfalign.WriteGraphSnapshotMappedFile(path, g)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -176,7 +176,7 @@ func snapshotFromNT(ntPath, snapPath string) error {
 	if err != nil {
 		return err
 	}
-	return rdfalign.WriteGraphSnapshotFile(snapPath, g)
+	return rdfalign.WriteGraphSnapshotMappedFile(snapPath, g)
 }
 
 // streamVersion streams one bench-dataset version straight to disk.

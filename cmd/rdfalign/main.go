@@ -60,18 +60,19 @@ func main() {
 	deltaFlag := flag.Bool("delta", false, "print the change description (retained/removed/added triples)")
 	applyDelta := flag.String("apply-delta", "", "after aligning, apply the edit script FILE to the target and print the maintained post-delta alignment stats")
 	applyDeltaScratch := flag.String("apply-delta-scratch", "", "after aligning, apply the edit script FILE to the target and print the stats of a from-scratch re-alignment (same output format as -apply-delta)")
-	saveSnapshot := flag.Bool("save-snapshot", false, "after parsing each input, write a binary snapshot next to it as <input>.snap (the mmap-native format with -storage disk)")
+	saveSnapshot := flag.Bool("save-snapshot", false, "after parsing each input, write a binary snapshot next to it as <input>.snap (mapped zero-copy by -storage disk)")
 	loadSnapshot := flag.Bool("load-snapshot", false, "load <input>.snap instead of parsing when it exists")
 	snapshotInfo := flag.String("snapshot-info", "", "print the layout of a snapshot file (verifying all CRCs) and exit")
 	storageMode := flag.String("storage", "mem", "working-set storage: mem (Go heap) or disk (input graphs served from mapped snapshots, alignment arrays in mmap-backed scratch files, signature grouping spilled by external merge)")
 	storageDir := flag.String("storage-dir", "", "directory for -storage disk scratch and spill files (default: the system temp directory)")
 	flag.Parse()
 	if *snapshotInfo != "" {
-		info, err := rdfalign.ReadSnapshotInfoFile(*snapshotInfo)
+		h, err := rdfalign.OpenSnapshot(*snapshotInfo)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Println(info)
+		fmt.Println(h.Info())
+		h.Close()
 		return
 	}
 	if flag.NArg() != 2 {
@@ -272,9 +273,8 @@ func loadSnapshot(path string) (*rdfalign.Graph, error) {
 func load(path, role string, opts loadOptions) *rdfalign.Graph {
 	if strings.HasSuffix(path, ".snap") {
 		if opts.disk {
-			// Zero-copy when the file carries the mmap-native section;
-			// archive snapshots (and plain GRPH files on platforms
-			// without mmap) fall through to the heap loaders below.
+			// Zero-copy for graph snapshots; archive snapshots fall
+			// through to the heap loader below.
 			if g, err := rdfalign.OpenGraphSnapshotMapped(path); err == nil {
 				return g
 			}
@@ -313,11 +313,7 @@ func load(path, role string, opts loadOptions) *rdfalign.Graph {
 		fatal(err)
 	}
 	if opts.saveSnapshot {
-		write := rdfalign.WriteGraphSnapshotFile
-		if opts.disk {
-			write = rdfalign.WriteGraphSnapshotMappedFile
-		}
-		if err := write(snapPath, g); err != nil {
+		if err := rdfalign.WriteGraphSnapshotMappedFile(snapPath, g); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "rdfalign: wrote snapshot %s\n", snapPath)

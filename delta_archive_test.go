@@ -1,13 +1,14 @@
 package rdfalign
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestComputeDeltaPublicAPI(t *testing.T) {
 	g1, g2 := parseFig1(t)
-	a, err := Align(g1, g2, Options{Method: Hybrid})
+	a, err := alignWith(g1, g2, WithMethod(Hybrid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestComputeDeltaPublicAPI(t *testing.T) {
 		t.Errorf("delta should list the removed middle name:\n%s", text)
 	}
 	// Self-delta is empty.
-	self, err := Align(g1, g1, Options{Method: Deblank})
+	self, err := alignWith(g1, g1, WithMethod(Deblank))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,11 @@ func TestBuildArchivePublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := BuildArchive(d.Graphs, ArchiveOptions{ResolveAmbiguous: true})
+	al, err := NewAligner(WithResolveAmbiguous())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := al.BuildArchive(context.Background(), d.Graphs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +68,7 @@ func TestBuildArchivePublicAPI(t *testing.T) {
 				v+1, snap.NumTriples(), d.Graphs[v].NumTriples())
 		}
 	}
-	if _, err := BuildArchive(nil, ArchiveOptions{}); err == nil {
+	if _, err := al.BuildArchive(context.Background(), nil); err == nil {
 		t.Error("empty history accepted")
 	}
 }
@@ -80,14 +85,14 @@ func TestAdaptiveOptionPublicAPI(t *testing.T) {
 	}
 	g1 := mk("http://a/")
 	g2 := mk("http://b/")
-	plain, err := Align(g1, g2, Options{Method: Hybrid})
+	plain, err := alignWith(g1, g2, WithMethod(Hybrid))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := plain.MatchesOfURI("http://a/name"); len(got) != 2 {
 		t.Errorf("plain hybrid should lump both predicates, got %v", got)
 	}
-	adaptive, err := Align(g1, g2, Options{Method: Hybrid, Adaptive: true})
+	adaptive, err := alignWith(g1, g2, WithMethod(Hybrid), WithAdaptive())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +105,7 @@ func TestAdaptiveOptionPublicAPI(t *testing.T) {
 	// The similarity methods honour the extension options for their
 	// hybrid base as well.
 	for _, m := range []Method{Overlap, SigmaEdit} {
-		a, err := Align(g1, g2, Options{Method: m, Adaptive: true})
+		a, err := alignWith(g1, g2, WithMethod(m), WithAdaptive())
 		if err != nil {
 			t.Fatal(err)
 		}

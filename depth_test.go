@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -119,6 +120,56 @@ func TestApplyDeltaBoundedDepth(t *testing.T) {
 					requireSameAlignment(t, fmt.Sprintf("k=%d seed %d method %v step %d kind %d", k, seed, m, step, kind), a2, scratch)
 					a = a2
 				}
+			}
+		}
+	}
+}
+
+// TestMaxDepthBoundsArchive: BuildArchive and AppendVersion honour
+// WithMaxDepth. On blank chains a one-round bound leaves the chain blanks
+// in one ambiguous class, so they stop chaining into the same entities and
+// the archive differs from the exact one; a bound at or above the exact
+// round count reproduces the exact archive.
+func TestMaxDepthBoundsArchive(t *testing.T) {
+	var graphs []*Graph
+	for i, doc := range []string{chainNT(12), chainNT(12) + "<http://x/a> <http://x/p> \"v\" .\n", chainNT(13)} {
+		g, err := ParseNTriplesString(doc, fmt.Sprintf("v%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	ctx := context.Background()
+	for _, m := range []Method{Hybrid, Overlap} {
+		exactRounds := 0
+		for v := 0; v+1 < len(graphs); v++ {
+			a, err := alignWith(graphs[v], graphs[v+1], WithMethod(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			exactRounds = max(exactRounds, a.RefineIterations())
+		}
+		build := func(k int) *Archive {
+			al, err := NewAligner(WithMethod(m), WithMaxDepth(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := al.BuildArchive(ctx, graphs[:2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := al.AppendVersion(ctx, a, graphs[2], nil); err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}
+		exact := build(0)
+		if reflect.DeepEqual(build(1).Raw(), exact.Raw()) {
+			t.Errorf("%v: the k=1 archive equals the exact one", m)
+		}
+		for _, k := range []int{exactRounds, exactRounds + 1, 1000} {
+			if !reflect.DeepEqual(build(k).Raw(), exact.Raw()) {
+				t.Errorf("%v: the k=%d archive differs from the exact one (exact rounds %d)", m, k, exactRounds)
 			}
 		}
 	}

@@ -57,23 +57,11 @@
 // partition (Trivial, Deblank, Hybrid, Overlap) or by the σEdit distance
 // (SigmaEdit), so callers treat all methods uniformly.
 //
-// NewAligner is the single entry point. The Options struct and the
-// package-level Align and BuildArchive wrappers that consume it are
-// deprecated: they predate the session API, cannot express cancellation,
-// progress, parallelism or maintenance, and exist only so old callers
-// keep compiling. Migrate by replacing
-//
-//	a, err := rdfalign.Align(g1, g2, rdfalign.Options{Method: rdfalign.Overlap, Theta: 0.65})
-//
-// with
-//
-//	al, err := rdfalign.NewAligner(rdfalign.WithMethod(rdfalign.Overlap), rdfalign.WithTheta(0.65))
-//	a, err := al.Align(ctx, g1, g2)
-//
-// — each Options field has a functional-option counterpart with the same
-// semantics and defaults. Aligner.With derives a new session from an
-// existing one (base options plus overrides), which is how the server
-// attaches per-job progress hooks without re-stating the configuration.
+// NewAligner is the single entry point; the pre-session Options struct
+// and the package-level Align and BuildArchive wrappers have been removed.
+// Aligner.With derives a new session from an existing one (base options
+// plus overrides), which is how the server attaches per-job progress hooks
+// without re-stating the configuration.
 //
 // # Maintenance
 //
@@ -180,19 +168,20 @@
 // invalid UTF-8 a lax parse admitted). Fuzz targets and golden files
 // under internal/rdf pin all three guarantees.
 //
-// Parsing can be skipped entirely on re-ingestion: WriteGraphSnapshot
-// serialises a graph to a versioned columnar binary format (front-coded
-// term dictionary, delta-packed triple columns, both adjacency CSRs) that
-// ReadGraphSnapshot loads without rebuilding anything — node-ID- and
-// triple-identical to the graph written, ≥5× faster than the parallel
-// parse of the same data. WriteArchiveSnapshot serialises a multi-version
-// Archive with one materialised graph section per version, and
-// ReadArchiveSnapshotVersion seeks straight to one version through the
-// file footer. Every section is CRC-checked; a damaged or truncated file
-// fails loudly with an error wrapping ErrSnapshotCorrupt that carries the
-// byte offset. FuzzReadGraph pins the never-panic/never-over-allocate
-// guarantee; see the internal/snapshot package for the format layout and
-// the compatibility policy.
+// Parsing can be skipped entirely on re-ingestion:
+// WriteGraphSnapshotMappedFile serialises a graph to a versioned columnar
+// binary format (the term dictionary, triple columns and both adjacency
+// CSRs as fixed-width arrays) that OpenGraphSnapshotMapped serves
+// zero-copy from a file mapping and OpenSnapshot decodes onto the heap
+// without rebuilding anything — node-ID- and triple-identical to the graph
+// written, ≥5× faster than the parallel parse of the same data.
+// WriteArchiveSnapshotFile serialises a multi-version Archive as its
+// entity and row columns, from which OpenSnapshot reconstructs the archive
+// and every version. Every section is CRC-checked; a damaged or truncated
+// file fails loudly with an error wrapping ErrSnapshotCorrupt that carries
+// the byte offset. FuzzReadGraph and FuzzOpenGraphMapped pin the
+// never-panic/never-over-allocate guarantee; see the internal/snapshot
+// package for the format layout and the compatibility policy.
 //
 // # Storage
 //

@@ -19,7 +19,7 @@ func TestEFOQualityClaims(t *testing.T) {
 	}
 	// The hardest pair: the bulk prefix migration between v7 and v8.
 	tr := d.GroundTruth(6, 7)
-	a, err := Align(d.Graphs[6], d.Graphs[7], Options{Method: Overlap})
+	a, err := alignWith(d.Graphs[6], d.Graphs[7], WithMethod(Overlap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestGtoPdbNoSharedVocabulary(t *testing.T) {
 	}
 	g1, g2 := d.Graphs[0], d.Graphs[1]
 	for _, m := range []Method{Trivial, Deblank} {
-		a, err := Align(g1, g2, Options{Method: m})
+		a, err := alignWith(g1, g2, WithMethod(m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestGtoPdbNoSharedVocabulary(t *testing.T) {
 	}
 	tr := d.GroundTruth(0, 1)
 	for _, m := range []Method{Hybrid, Overlap} {
-		a, err := Align(g1, g2, Options{Method: m})
+		a, err := alignWith(g1, g2, WithMethod(m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,11 +98,11 @@ func TestOverlapRefinesHybridEndToEnd(t *testing.T) {
 	}
 	for v := 0; v+1 < len(d.Graphs); v++ {
 		tr := d.GroundTruth(v, v+1)
-		h, err := Align(d.Graphs[v], d.Graphs[v+1], Options{Method: Hybrid})
+		h, err := alignWith(d.Graphs[v], d.Graphs[v+1], WithMethod(Hybrid))
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := Align(d.Graphs[v], d.Graphs[v+1], Options{Method: Overlap})
+		o, err := alignWith(d.Graphs[v], d.Graphs[v+1], WithMethod(Overlap))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,11 +121,11 @@ func TestOverlapRefinesHybridEndToEnd(t *testing.T) {
 // the public API and is stricter than the default.
 func TestContextOptionEndToEnd(t *testing.T) {
 	g1, g2 := parseFig1(t)
-	plain, err := Align(g1, g2, Options{Method: Hybrid})
+	plain, err := alignWith(g1, g2, WithMethod(Hybrid))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, err := Align(g1, g2, Options{Method: Hybrid, Context: true})
+	ctx, err := alignWith(g1, g2, WithMethod(Hybrid), WithContextual())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestKeyPredicatesOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Align(g1, g2, Options{Method: Deblank})
+	plain, err := alignWith(g1, g2, WithMethod(Deblank))
 	if err != nil {
 		t.Fatal(err)
 	}
-	keyed, err := Align(g1, g2, Options{Method: Deblank, KeyPredicates: []string{"key"}})
+	keyed, err := alignWith(g1, g2, WithMethod(Deblank), WithKeyPredicates("key"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestDeterministicEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() []string {
-		a, err := Align(d.Graphs[0], d.Graphs[1], Options{Method: Overlap})
+		a, err := alignWith(d.Graphs[0], d.Graphs[1], WithMethod(Overlap))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,21 +90,21 @@ type BuildOptions struct {
 	Theta float64
 	// Epsilon is the propagation stabilisation threshold.
 	Epsilon float64
-	// Refine selects the recoloring variant for the per-pair hybrid
-	// refinements (the context/adaptive/key extensions); the zero value
-	// is the paper's default outbound recoloring.
-	Refine core.RefineOptions
+	// Engine runs the per-pair alignments: its Opt selects the
+	// recoloring variant of the hybrid refinements (the context/adaptive/
+	// key extensions), its MaxDepth bounds every refinement fixpoint of
+	// the pair (overlap propagation included), and its Hooks thread
+	// cancellation and progress through them. Build additionally checks
+	// the context before each pair and reports one StageArchive event per
+	// archived version (Round is the 1-based version number, Total the
+	// version count). The zero value is the paper's exact, default
+	// outbound recoloring with no hooks.
+	Engine core.Engine
 	// Workers > 1 parallelises the per-pair overlap matching phases
 	// (similarity.OverlapOptions.Workers) when UseOverlap is set; it has
 	// no other effect, since refinement is sequential. Archives are
 	// bit-identical for every worker count.
 	Workers int
-	// Hooks threads cancellation and progress through the per-pair
-	// alignments; Build additionally checks the context before each pair
-	// and reports one StageArchive event per archived version (Round is
-	// the 1-based version number, Total the version count). The zero
-	// value disables both.
-	Hooks core.Hooks
 }
 
 // Build archives a sequence of graph versions. Consecutive versions are
@@ -131,15 +131,15 @@ func Build(graphs []*rdf.Graph, opt BuildOptions) (*Archive, error) {
 	for i := range cur {
 		cur[i] = a.newEntity()
 	}
-	if err := opt.Hooks.Err(); err != nil {
+	if err := opt.Engine.Hooks.Err(); err != nil {
 		return nil, err
 	}
 	a.recordVersion(graphs[0], 0, cur)
 	noteURIs(graphs[0], cur, lastSeen)
-	opt.Hooks.Round(core.StageArchive, 1, len(graphs))
+	opt.Engine.Hooks.Round(core.StageArchive, 1, len(graphs))
 
 	for v := 0; v+1 < len(graphs); v++ {
-		if err := opt.Hooks.Err(); err != nil {
+		if err := opt.Engine.Hooks.Err(); err != nil {
 			return nil, err
 		}
 		g1, g2 := graphs[v], graphs[v+1]
@@ -148,7 +148,7 @@ func Build(graphs []*rdf.Graph, opt BuildOptions) (*Archive, error) {
 			return nil, err
 		}
 		cur = next
-		opt.Hooks.Round(core.StageArchive, v+2, len(graphs))
+		opt.Engine.Hooks.Round(core.StageArchive, v+2, len(graphs))
 	}
 	a.tail = &archiveTail{lastGraph: graphs[len(graphs)-1], cur: cur, lastSeen: lastSeen}
 	return a, nil
@@ -180,9 +180,10 @@ func (a *Archive) appendAligned(g1, g2 *rdf.Graph, v int, cur []EntityID,
 // an identical archive (same rows, labels, stats and snapshots).
 //
 // AppendVersion is transactional: on any error — an edit script that does
-// not apply, or cancellation through opt.Hooks — the archive is unchanged
-// and a later append can retry. Archives loaded from raw columns (FromRaw)
-// carry no construction tail and cannot append; rebuild with Build.
+// not apply, or cancellation through opt.Engine.Hooks — the archive is
+// unchanged and a later append can retry. Archives loaded from raw columns
+// (FromRaw) carry no construction tail and cannot append; rebuild with
+// Build.
 //
 // opt should be the BuildOptions the archive was built with: chaining
 // decisions depend on them, and mixing options across versions makes the
@@ -195,7 +196,7 @@ func (a *Archive) AppendVersion(g *rdf.Graph, script *delta.Script, opt BuildOpt
 	if opt.Theta == 0 {
 		opt.Theta = similarity.DefaultTheta
 	}
-	if err := opt.Hooks.Err(); err != nil {
+	if err := opt.Engine.Hooks.Err(); err != nil {
 		return nil, err
 	}
 	g2 := g
@@ -216,7 +217,7 @@ func (a *Archive) AppendVersion(g *rdf.Graph, script *delta.Script, opt BuildOpt
 	a.versions++
 	a.tail.lastGraph = g2
 	a.tail.cur = next
-	opt.Hooks.Round(core.StageArchive, a.versions, a.versions)
+	opt.Engine.Hooks.Round(core.StageArchive, a.versions, a.versions)
 	return g2, nil
 }
 
@@ -267,8 +268,7 @@ func noteURIs(g *rdf.Graph, entity []EntityID, lastSeen map[string]EntityID) {
 func alignPair(g1, g2 *rdf.Graph, opt BuildOptions) (*core.Partition, *rdf.Combined, error) {
 	c := rdf.Union(g1, g2)
 	in := core.NewInterner()
-	eng := &core.Engine{Opt: opt.Refine, Hooks: opt.Hooks}
-	hybrid, _, err := eng.Hybrid(c, in)
+	hybrid, _, err := opt.Engine.Hybrid(c, in)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -276,10 +276,11 @@ func alignPair(g1, g2 *rdf.Graph, opt BuildOptions) (*core.Partition, *rdf.Combi
 		return hybrid, c, nil
 	}
 	res, err := similarity.OverlapAlign(c, hybrid, similarity.OverlapOptions{
-		Theta:   opt.Theta,
-		Epsilon: opt.Epsilon,
-		Hooks:   opt.Hooks,
-		Workers: opt.Workers,
+		Theta:    opt.Theta,
+		Epsilon:  opt.Epsilon,
+		Hooks:    opt.Engine.Hooks,
+		Workers:  opt.Workers,
+		MaxDepth: opt.Engine.MaxDepth,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -6,8 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"rdfalign/internal/core"
 	"rdfalign/internal/dataset"
 	"rdfalign/internal/rdf"
+	"rdfalign/internal/similarity"
 )
 
 func parse(t testing.TB, doc, name string) *rdf.Graph {
@@ -290,6 +292,37 @@ func TestBuildOverlapWorkersDeterministic(t *testing.T) {
 		}
 		if !reflect.DeepEqual(a.Rows(), base.Rows()) {
 			t.Fatalf("workers=%d: archive rows diverge from sequential build", workers)
+		}
+	}
+}
+
+// TestAlignPairHonoursMaxDepth: the per-pair overlap alignment bounds both
+// its hybrid refinement and the overlap propagation at Engine.MaxDepth, so
+// a bounded archive chains entities through exactly the k-bounded
+// alignment.
+func TestAlignPairHonoursMaxDepth(t *testing.T) {
+	// A pair whose overlap partition at k = 1 depends on the propagation
+	// bound, not only on the bounded hybrid partition it starts from.
+	d, err := dataset.GenerateEFO(dataset.EFOConfig{Versions: 3, Scale: 0.01, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 2} {
+		eng := core.Engine{MaxDepth: k}
+		got, c, err := alignPair(d.Graphs[1], d.Graphs[2], BuildOptions{UseOverlap: true, Theta: similarity.DefaultTheta, Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hybrid, _, err := eng.Hybrid(c, core.NewInterner())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := similarity.OverlapAlign(c, hybrid, similarity.OverlapOptions{Theta: similarity.DefaultTheta, MaxDepth: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !core.Equivalent(got, want.Xi.P) {
+			t.Errorf("k=%d: the archive's pair alignment differs from the k-bounded overlap alignment", k)
 		}
 	}
 }

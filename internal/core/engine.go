@@ -67,23 +67,7 @@ func (e *Engine) useOpts() bool { return e.Opt.extended() || e.Opt.Filter != nil
 // round only the nodes of x whose neighbourhood changed are recolored, and
 // stabilisation is decided from the round's change list.
 func (e *Engine) Refine(g *rdf.Graph, p *Partition, x []rdf.NodeID) (*Partition, int, error) {
-	return e.refineWorklist(g, p, x, nil)
-}
-
-// RefineChanged is Refine additionally returning the ascending,
-// deduplicated list of nodes whose color the refinement moved — the
-// worklist's per-round applied change lists. The list is a superset of the
-// strict input/output difference (a node that changes and later reverts
-// stays listed) and always a subset of the recolor set, so incremental
-// consumers (the overlap matcher's persistent index) can invalidate exactly
-// the dependents of the listed nodes.
-func (e *Engine) RefineChanged(g *rdf.Graph, p *Partition, x []rdf.NodeID) (*Partition, int, []rdf.NodeID, error) {
-	tracked := newChangeTracker(p.Len())
-	out, iters, err := e.refineWorklist(g, p, x, tracked)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	return out, iters, tracked.sorted(), nil
+	return e.refineWorklist(g, p, x)
 }
 
 // Bisim computes λ_Bisim = BisimRefine*_{N_G}(ℓ_G), which by Proposition 1

@@ -255,12 +255,7 @@ func nextFrontier(g *rdf.Graph, changed []rdf.NodeID, ext bool, inX []bool, mark
 // with extended options recolor through recolorOpts and widen the frontier
 // (nextFrontier); the choice is made once per run, so the default path's
 // gather loop carries no per-node branch.
-//
-// tracked, when non-nil, collects every node an applied round recolors (the
-// change list Engine.RefineChanged hands to incremental consumers). The
-// quiescent final round is discarded together with its changes, so those are
-// not tracked — unlike the weighted engine, which applies its last round.
-func (e *Engine) refineWorklist(g *rdf.Graph, p *Partition, x []rdf.NodeID, tracked *changeTracker) (*Partition, int, error) {
+func (e *Engine) refineWorklist(g *rdf.Graph, p *Partition, x []rdf.NodeID) (*Partition, int, error) {
 	cur := p.Clone()
 	colors := cur.colors
 	inX := make([]bool, len(colors))
@@ -327,11 +322,6 @@ func (e *Engine) refineWorklist(g *rdf.Graph, p *Partition, x []rdf.NodeID, trac
 			colors[ch.n] = ch.new
 			counts.move(ch.old, ch.new)
 			changedNodes = append(changedNodes, ch.n)
-		}
-		if tracked != nil {
-			for _, ch := range changes {
-				tracked.add(ch.n)
-			}
 		}
 		e.Hooks.RoundDirty(StageRefine, iter+1, len(dirty))
 		stamp++

@@ -320,3 +320,45 @@ func TestWorklistExtendedIdentical(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// refineEngines is the engine matrix TestDeblankFrom runs against: the
+// default outbound recoloring and the extended recolorings, which share
+// the worklist loop but widen its frontier.
+var refineEngines = []struct {
+	name string
+	eng  *Engine
+}{
+	{"worklist", &Engine{}},
+	{"in", &Engine{Opt: RefineOptions{Direction: DirIn}}},
+	{"both+adaptive", &Engine{Opt: RefineOptions{Direction: DirBoth, Adaptive: true}}},
+	{"keys", &Engine{Opt: RefineOptions{Filter: PredicateKeyFilter("u0", "u2")}}},
+}
+
+// TestDeblankFrom: DeblankFrom over LabelPartition is Deblank, color for
+// color, on every engine configuration.
+func TestDeblankFrom(t *testing.T) {
+	for seed := int64(0); seed < 15; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		g := randomGraph(r, "df", 3+r.Intn(5), 1+r.Intn(6), 1+r.Intn(3), 5+r.Intn(25))
+		for _, e := range refineEngines {
+			in := NewInterner()
+			want, wantIters, err := e.eng.Deblank(g, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in2 := NewInterner()
+			got, gotIters, err := e.eng.DeblankFrom(g, LabelPartition(g, in2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantIters != gotIters {
+				t.Fatalf("seed %d %s: iters %d, want %d", seed, e.name, gotIters, wantIters)
+			}
+			for n := 0; n < g.NumNodes(); n++ {
+				if want.Color(rdf.NodeID(n)) != got.Color(rdf.NodeID(n)) {
+					t.Fatalf("seed %d %s: node %d: %d vs %d", seed, e.name, n, got.Color(rdf.NodeID(n)), want.Color(rdf.NodeID(n)))
+				}
+			}
+		}
+	}
+}

@@ -29,7 +29,7 @@ type ArchiveResult struct {
 func (e *Env) ExperimentArchive() *ArchiveResult {
 	out := &ArchiveResult{}
 	add := func(name string, graphs []*rdf.Graph, opt archive.BuildOptions) {
-		opt.Hooks = e.Cfg.Hooks
+		opt.Engine.Hooks = e.Cfg.Hooks
 		a, err := archive.Build(graphs, opt)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: archive over %s: %v", name, err))

@@ -13,6 +13,7 @@ import (
 
 	"rdfalign"
 	"rdfalign/internal/rdf"
+	"rdfalign/internal/snapshot"
 )
 
 // Config sizes and parameterises a Server. The zero value is usable:
@@ -504,14 +505,14 @@ func bodyStatus(err error) int {
 // the body starts with the snapshot magic, N-Triples otherwise.
 func parseGraphBody(data []byte, name string) (*rdfalign.Graph, error) {
 	if detectSnapshot(data) {
-		info, err := rdfalign.ReadSnapshotInfo(bytes.NewReader(data), int64(len(data)))
+		info, err := snapshot.ReadInfo(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return nil, err
 		}
 		if info.Kind == "archive" {
 			return nil, errors.New("body is an archive snapshot; a graph snapshot or N-Triples is required here")
 		}
-		return rdfalign.ReadGraphSnapshot(bytes.NewReader(data))
+		return snapshot.ReadGraph(bytes.NewReader(data))
 	}
 	return rdfalign.ParseNTriples(bytes.NewReader(data), name)
 }
@@ -529,13 +530,13 @@ func (s *Server) handlePutArchive(w http.ResponseWriter, r *http.Request) {
 	}
 	var arch *rdfalign.Archive
 	if detectSnapshot(data) {
-		info, err := rdfalign.ReadSnapshotInfo(bytes.NewReader(data), int64(len(data)))
+		info, err := snapshot.ReadInfo(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		if info.Kind == "archive" {
-			if arch, err = rdfalign.ReadArchiveSnapshot(bytes.NewReader(data), int64(len(data))); err != nil {
+			if arch, err = snapshot.ReadArchive(bytes.NewReader(data), int64(len(data))); err != nil {
 				writeError(w, http.StatusBadRequest, err.Error())
 				return
 			}

@@ -246,7 +246,7 @@ func TestServerSnapshotLoading(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphPath := filepath.Join(dir, "graph.snap")
-	if err := rdfalign.WriteGraphSnapshotFile(graphPath, g0); err != nil {
+	if err := rdfalign.WriteGraphSnapshotMappedFile(graphPath, g0); err != nil {
 		t.Fatal(err)
 	}
 

@@ -13,19 +13,24 @@
 //	         offset · payload length
 //	trailer  uint64 LE footer offset + "RDSNAPFT"
 //
-// A graph file holds one "GRPH" section. An archive file holds "AMET"
-// (counts), "ALBL" (entity label runs), "AROW" (triple rows + version
-// intervals), and one "GRPH" section per version (index = version), so a
-// reader with an io.ReaderAt can seek straight to one materialised
-// version through the footer without decoding the rest of the file.
+// A graph file holds one "GRPM" section: the mmap-native column layout of
+// mapped.go, whose fixed-width, alignment-padded arrays OpenGraphMapped
+// serves straight from a file mapping and every other reader decodes onto
+// the heap. An archive file holds "AMET" (counts), "ALBL" (entity label
+// runs, front-coded) and "AROW" (triple rows + version intervals). The
+// rows reconstruct every version exactly (archive.Archive.Snapshot), so no
+// version is stored twice.
 //
-// Inside a graph section the columns are packed with the varint +
-// shared-prefix idiom: the term dictionary is front-coded (per label a
-// kind byte, then uvarint shared-prefix length with the previous term and
-// uvarint suffix length + suffix bytes), the triple list sorted by
-// (S, P, O) is stored as three delta-packed columns (uvarint subject
-// deltas, zigzag predicate/object deltas), and the out-adjacency and
-// reverse-dependency CSRs as varint degree columns (+ ascending-delta
+// Files written by earlier builds carry the varint-packed "GRPH" graph
+// section instead: as the graph of a graph file, and once per version
+// (index = version) in an archive file. No writer emits GRPH any more.
+// Readers still decode it in graph files; archive readers skip the
+// per-version copies. Inside a GRPH section the term dictionary is
+// front-coded (per label a kind byte, then uvarint shared-prefix length
+// with the previous term and uvarint suffix length + suffix bytes), the
+// (S, P, O)-sorted triple list is three delta-packed columns (uvarint
+// subject deltas, zigzag predicate/object deltas), and the out-adjacency
+// and reverse-dependency CSRs are varint degree columns (+ ascending-delta
 // node runs for the dependency CSR).
 //
 // Every section is CRC-checked; truncation, bit corruption and

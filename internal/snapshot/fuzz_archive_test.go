@@ -2,8 +2,8 @@ package snapshot
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
+	"os"
 	"slices"
 	"testing"
 
@@ -34,31 +34,21 @@ func fuzzGraph(tb testing.TB, doc string) *rdf.Graph {
 }
 
 // writeRawArchive frames raw archive columns exactly as WriteArchive does,
-// minus the per-version graph sections, without going through an Archive:
-// it produces well-framed snapshots (valid CRCs) of columns that break the
-// archive invariants, so the seeds reach FromRaw's checks and beyond.
+// without going through an Archive: it produces well-framed snapshots
+// (valid CRCs) of columns that break the archive invariants, so the seeds
+// reach FromRaw's checks and beyond.
 func writeRawArchive(tb testing.TB, raw archive.Raw) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	sw, err := newSectionWriter(&buf)
-	if err == nil {
-		meta := binary.AppendUvarint(nil, uint64(raw.Versions))
-		meta = binary.AppendUvarint(meta, uint64(len(raw.Labels)))
-		meta = binary.AppendUvarint(meta, uint64(len(raw.Rows)))
-		err = errors.Join(
-			sw.section(secArchiveMeta, 0, meta),
-			sw.section(secArchiveLabels, 0, appendArchiveLabels(nil, raw)),
-			sw.section(secArchiveRows, 0, appendArchiveRows(nil, raw)),
-			sw.finish())
-	}
-	if err != nil {
+	if err := writeArchiveRaw(&buf, raw); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // seedArchives returns a small written archive, byte-level corruptions of
-// it, and well-framed snapshots of hand-corrupted raw columns.
+// it, the same archive as an earlier build wrote it, and well-framed
+// snapshots of hand-corrupted raw columns.
 func seedArchives(tb testing.TB) [][]byte {
 	tb.Helper()
 	var graphs []*rdf.Graph
@@ -87,7 +77,11 @@ func seedArchives(tb testing.TB) [][]byte {
 		edit(&r)
 		seeds = append(seeds, writeRawArchive(tb, r))
 	}
-	broken(func(r *archive.Raw) {}) // the valid columns, minus graph sections
+	legacy, err := os.ReadFile(legacyArchiveFixture) // with per-version GRPH sections
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seeds = append(seeds, legacy)
 	broken(func(r *archive.Raw) { r.Rows[0], r.Rows[1] = r.Rows[1], r.Rows[0] })
 	broken(func(r *archive.Raw) { r.Rows = append(r.Rows, r.Rows[len(r.Rows)-1]) })
 	broken(func(r *archive.Raw) { r.Rows[0].Intervals = nil })

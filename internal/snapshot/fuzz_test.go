@@ -3,6 +3,8 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"rdfalign/internal/rdf"
@@ -18,6 +20,9 @@ var fuzzSeedDocs = []string{
 	"<s> <p> \"raw\xffbyte\" .\n",
 }
 
+// seedSnapshots returns the GRPM snapshots of fuzzSeedDocs followed by the
+// GRPH graph fixture written by an earlier build (no writer emits GRPH
+// any more, so the fixture is the only well-formed GRPH input).
 func seedSnapshots(tb testing.TB) [][]byte {
 	tb.Helper()
 	var seeds [][]byte
@@ -27,25 +32,23 @@ func seedSnapshots(tb testing.TB) [][]byte {
 			tb.Fatalf("seed doc %d: %v", i, err)
 		}
 		var buf bytes.Buffer
-		if err := WriteGraph(&buf, g); err != nil {
+		if err := WriteGraphMapped(&buf, g); err != nil {
 			tb.Fatalf("seed doc %d: %v", i, err)
 		}
 		seeds = append(seeds, buf.Bytes())
 	}
-	return seeds
+	legacy, err := os.ReadFile(legacyGraphFixture)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(seeds, legacy)
 }
 
-// FuzzReadGraph is the adversarial-input wall around the snapshot reader:
-// whatever bytes arrive, ReadGraph must return (never panic), must not
-// allocate proportionally to unchecked length claims, and must classify
-// every failure as ErrCorrupt with a byte offset. When a mutated input
-// happens to parse, the loaded graph must itself survive a write/read
-// round trip to the identical graph.
-func FuzzReadGraph(f *testing.F) {
+// addSeeds adds every seed snapshot plus hand-broken variants of it:
+// truncation, CRC damage, absurd section length, corrupted trailer.
+func addSeeds(f *testing.F) {
 	for _, blob := range seedSnapshots(f) {
 		f.Add(blob)
-		// Hand-broken variants: truncation, CRC damage, absurd section
-		// length, corrupted trailer.
 		if len(blob) > trailerSize {
 			f.Add(blob[:len(blob)/2])
 			f.Add(blob[:len(blob)-trailerSize])
@@ -59,42 +62,73 @@ func FuzzReadGraph(f *testing.F) {
 			f.Add(huge)
 		}
 	}
+}
+
+// requireCorruptError checks the failure contract shared by every reader:
+// the error wraps ErrCorrupt and carries a plausible byte offset.
+func requireCorruptError(t *testing.T, err error, size int) {
+	t.Helper()
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("failure does not wrap ErrCorrupt: %v", err)
+	}
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("failure carries no *CorruptError: %v", err)
+	}
+	if ce.Offset < 0 || ce.Offset > int64(size+trailerSize) {
+		t.Fatalf("implausible corruption offset %d for %d input bytes", ce.Offset, size)
+	}
+}
+
+// FuzzReadGraph is the adversarial-input wall around the snapshot reader:
+// whatever bytes arrive, ReadGraph must return (never panic), must not
+// allocate proportionally to unchecked length claims, and must classify
+// every failure as ErrCorrupt with a byte offset. When a mutated input
+// happens to parse, the loaded graph must itself survive a write/read
+// round trip to the identical graph.
+func FuzzReadGraph(f *testing.F) {
+	addSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadGraph(bytes.NewReader(data))
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("failure does not wrap ErrCorrupt: %v", err)
-			}
-			var ce *CorruptError
-			if !errors.As(err, &ce) {
-				t.Fatalf("failure carries no *CorruptError: %v", err)
-			}
-			if ce.Offset < 0 || ce.Offset > int64(len(data)+trailerSize) {
-				t.Fatalf("implausible corruption offset %d for %d input bytes", ce.Offset, len(data))
-			}
+			requireCorruptError(t, err, len(data))
 			return
 		}
 		var buf bytes.Buffer
-		if err := WriteGraph(&buf, g); err != nil {
+		if err := WriteGraphMapped(&buf, g); err != nil {
 			t.Fatalf("re-serialising an accepted graph: %v", err)
 		}
 		g2, err := ReadGraph(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("re-reading a re-serialised graph: %v", err)
 		}
-		if g.NumNodes() != g2.NumNodes() || g.NumTriples() != g2.NumTriples() ||
-			g.Name() != g2.Name() {
-			t.Fatalf("round trip of an accepted graph changed shape")
+		requireGraphsIdentical(t, g, g2)
+	})
+}
+
+// FuzzOpenGraphMapped is the adversarial-input wall around the mapped
+// open, the path every graph file written today takes: whatever bytes the
+// file holds, OpenGraphMapped must return (never panic, never fault on the
+// mapping) and either fail with ErrCorrupt or serve a graph with the same
+// labels and triples as the heap decode of the same bytes.
+func FuzzOpenGraphMapped(f *testing.F) {
+	addSeeds(f)
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(dir, "fuzz.snap")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		for i, tr := range g.Triples() {
-			if tr != g2.Triples()[i] {
-				t.Fatalf("round trip of an accepted graph changed triple %d", i)
-			}
+		g, err := OpenGraphMapped(path)
+		if err != nil {
+			requireCorruptError(t, err, len(data))
+			return
 		}
-		for n := 0; n < g.NumNodes(); n++ {
-			if g.Label(rdf.NodeID(n)) != g2.Label(rdf.NodeID(n)) {
-				t.Fatalf("round trip of an accepted graph changed label %d", n)
-			}
+		defer g.Close()
+		heap, err := ReadGraph(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("mapped open accepted bytes the heap decoder rejects: %v", err)
 		}
+		requireGraphsIdentical(t, heap, g)
 	})
 }

@@ -3,21 +3,20 @@ package snapshot
 import (
 	"fmt"
 	"io"
-	"os"
 	"strings"
 )
 
 // SectionInfo describes one section of a snapshot file.
 type SectionInfo struct {
 	Name   string // 4-character section tag
-	Index  int    // version index for per-version graph sections
+	Index  int    // section index (the version of a legacy per-version GRPH section)
 	Offset int64  // file offset of the section header
 	Length int64  // payload length in bytes
 }
 
 // GraphInfo summarises one graph section (decoded header only).
 type GraphInfo struct {
-	Version int // version index within an archive file; 0 for graph files
+	Version int // section index: 0, or the version of a legacy archive's GRPH section
 	Name    string
 	Nodes   int
 	Triples int
@@ -37,14 +36,15 @@ type Info struct {
 }
 
 // ReadInfo inspects a snapshot file through its footer table, verifying
-// every section's CRC and decoding only graph headers and archive counts.
+// every section's CRC and decoding only graph headers (GRPM and GRPH) and
+// archive counts.
 func ReadInfo(r io.ReaderAt, size int64) (*Info, error) {
 	f, err := openReaderAt(r, size)
 	if err != nil {
 		return nil, err
 	}
 	info := &Info{FormatVersion: FormatVersion, Size: size, Kind: "graph"}
-	for _, e := range f.table {
+	for _, e := range append(f.table, f.footer) {
 		info.Sections = append(info.Sections, SectionInfo{
 			Name: sectionName(e.id), Index: int(e.index), Offset: e.off, Length: e.length,
 		})
@@ -74,23 +74,17 @@ func ReadInfo(r io.ReaderAt, size int64) (*Info, error) {
 			info.Graphs = append(info.Graphs, GraphInfo{
 				Version: int(e.index), Name: name, Nodes: nodes, Triples: triples,
 			})
+		case secGraphMapped:
+			h, err := parseMappedBody(c.data, c.base)
+			if err != nil {
+				return nil, err
+			}
+			info.Graphs = append(info.Graphs, GraphInfo{
+				Version: int(e.index), Name: h.name, Nodes: h.nnodes, Triples: h.ntrip,
+			})
 		}
 	}
 	return info, nil
-}
-
-// ReadInfoFile inspects the snapshot file at path.
-func ReadInfoFile(path string) (*Info, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	return ReadInfo(f, st.Size())
 }
 
 // String renders the inspection summary, one line per fact, for the CLI.

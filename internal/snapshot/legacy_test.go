@@ -1,0 +1,98 @@
+package snapshot
+
+import (
+	"bytes"
+	"os"
+	"testing"
+
+	"rdfalign/internal/archive"
+	"rdfalign/internal/rdf"
+)
+
+// Snapshots written by the earlier build whose writer emitted varint GRPH
+// graph sections. legacyGraphFixture is the graph snapshot of
+// legacyGraphDoc (graph name "fixture"); legacyArchiveFixture is the
+// archive of fuzzArchiveDocs built with ResolveAmbiguous, which carries
+// one GRPH section per version next to its entity and row sections.
+const (
+	legacyGraphFixture   = "testdata/graph-grph.snap"
+	legacyArchiveFixture = "testdata/archive-grph.snap"
+)
+
+const legacyGraphDoc = "<http://example.org/s> <http://example.org/p> \"v\" .\n" +
+	"_:b <http://example.org/p> <http://example.org/s> .\n" +
+	"_:b <http://example.org/q> _:c .\n" +
+	"_:c <http://example.org/p> \"raw\xffbyte\" .\n" +
+	"<http://example.org/s> <http://example.org/q> <http://example.org/t> .\n"
+
+// TestLegacyGraphFixture: a GRPH graph snapshot still loads, identically,
+// through the sequential and the random-access readers, and its summary
+// decodes the GRPH header.
+func TestLegacyGraphFixture(t *testing.T) {
+	want, err := rdf.ParseNTriplesString(legacyGraphDoc, "fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(legacyGraphFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := ReadGraph(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireGraphsIdentical(t, want, g)
+	requireDependentsIdentical(t, g)
+	at, err := ReadGraphAt(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireGraphsIdentical(t, g, at)
+	info, err := ReadInfo(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(info.Graphs) != 1 || info.Graphs[0] != (GraphInfo{Name: "fixture", Nodes: g.NumNodes(), Triples: g.NumTriples()}) {
+		t.Fatalf("legacy graph info wrong: %+v", info.Graphs)
+	}
+}
+
+// TestLegacyArchiveFixture: an archive snapshot with per-version GRPH
+// sections loads to the archive the same history builds today, and the
+// rows reconstruct exactly the graphs those sections stored.
+func TestLegacyArchiveFixture(t *testing.T) {
+	var graphs []*rdf.Graph
+	for _, doc := range fuzzArchiveDocs {
+		graphs = append(graphs, fuzzGraph(t, doc))
+	}
+	want, err := archive.Build(graphs, archive.BuildOptions{ResolveAmbiguous: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := readArchiveFile(t, legacyArchiveFixture)
+	requireArchivesEqual(t, want, got)
+
+	data, err := os.ReadFile(legacyArchiveFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := openReaderAt(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < got.Versions(); v++ {
+		c, err := f.section(secGraph, uint32(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, err := decodeGraphBody(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rebuilt, err := got.Snapshot(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireGraphsIdentical(t, stored, rebuilt)
+	}
+}

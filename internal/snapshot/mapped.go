@@ -1,7 +1,7 @@
 package snapshot
 
-// The mmap-native graph section ("GRPM"). The varint-packed "GRPH" section
-// optimises for size; GRPM optimises for load: every column is stored in
+// The mmap-native graph section ("GRPM"), the one graph encoding written.
+// It optimises for load rather than size: every column is stored in
 // its in-memory representation — fixed-width little-endian integers at
 // file offsets aligned to their element size — so a reader that maps the
 // file serves the graph's columns directly out of the mapping. Loading a
@@ -66,11 +66,10 @@ func padTo(buf []byte, abs int64, align int) []byte {
 	return buf
 }
 
-// WriteGraphMapped serialises g as an mmap-native snapshot: one GRPM
-// section in the standard container. The output is deterministic and
-// larger than WriteGraph's varint encoding; use it when the file will be
-// opened with OpenGraphMapped. Any reader of the container can still load
-// it (the columns decode onto the heap without mmap).
+// WriteGraphMapped serialises g as a graph snapshot: one GRPM section in
+// the standard container. The output is deterministic: the same graph
+// produces the same bytes. OpenGraphMapped serves it zero-copy; every
+// other reader decodes the columns onto the heap.
 func WriteGraphMapped(w io.Writer, g *rdf.Graph) error {
 	sw, err := newSectionWriter(w)
 	if err != nil {
@@ -151,9 +150,9 @@ func appendMappedGraphBody(base int64, c rdf.Columns) []byte {
 // it) must not be used afterwards.
 //
 // When zero-copy serving is impossible — the platform has no mmap, the
-// host is big-endian, or the file holds only a varint GRPH section — the
-// snapshot is decoded onto the heap instead, exactly as ReadGraphFile
-// would, and Close is a no-op. Corrupt files fail with ErrCorrupt either
+// host is big-endian, or the file is a varint GRPH snapshot written by an
+// earlier build — the snapshot is decoded onto the heap instead, exactly
+// as ReadGraphFile would, and Close is a no-op. Corrupt files fail with ErrCorrupt either
 // way.
 func OpenGraphMapped(path string) (*rdf.Graph, error) {
 	m, err := mmapfile.Open(path)

@@ -169,18 +169,14 @@ func TestMappedCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestMappedFallbackReadsPlainSnapshot checks OpenGraphMapped serves
-// GRPH-only files through the heap decoder.
+// TestMappedFallbackReadsPlainSnapshot checks OpenGraphMapped serves a
+// GRPH snapshot written by an earlier build through the heap decoder.
 func TestMappedFallbackReadsPlainSnapshot(t *testing.T) {
-	g, err := rdf.ParseNTriplesString("<s> <p> <o> .\n", "plain")
+	g, err := rdf.ParseNTriplesString(legacyGraphDoc, "fixture")
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "plain.snap")
-	if err := WriteGraphFile(path, g); err != nil {
-		t.Fatal(err)
-	}
-	got, err := OpenGraphMapped(path)
+	got, err := OpenGraphMapped(legacyGraphFixture)
 	if err != nil {
 		t.Fatalf("OpenGraphMapped on GRPH-only file: %v", err)
 	}

@@ -87,8 +87,8 @@ func ReadGraphFile(path string) (*rdf.Graph, error) {
 }
 
 // ReadArchive reconstructs the Archive from the entity/row sections of an
-// archive snapshot. The per-version graph sections are not touched; use
-// ReadArchiveVersion to load one of those.
+// archive snapshot. Per-version GRPH sections, which archive files written
+// by earlier builds carry, are not read.
 func ReadArchive(r io.ReaderAt, size int64) (*archive.Archive, error) {
 	f, err := openReaderAt(r, size)
 	if err != nil {
@@ -123,55 +123,6 @@ func ReadArchive(r io.ReaderAt, size int64) (*archive.Archive, error) {
 		return nil, corrupt(rc.base, "%v", err)
 	}
 	return a, nil
-}
-
-// ReadArchiveVersion loads the materialised graph of version v (0-based)
-// from an archive snapshot, seeking through the footer: only the header,
-// footer and that one graph section are read and decoded.
-func ReadArchiveVersion(r io.ReaderAt, size int64, v int) (*rdf.Graph, error) {
-	f, err := openReaderAt(r, size)
-	if err != nil {
-		return nil, err
-	}
-	c, err := f.section(secGraph, uint32(v))
-	if err != nil {
-		return nil, err
-	}
-	return decodeGraphBody(c)
-}
-
-// ReadArchiveFile reads an archive snapshot from path.
-func ReadArchiveFile(path string) (*archive.Archive, error) {
-	f, size, err := openFile(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadArchive(f, size)
-}
-
-// ReadArchiveVersionFile loads one materialised version from an archive
-// snapshot file.
-func ReadArchiveVersionFile(path string, v int) (*rdf.Graph, error) {
-	f, size, err := openFile(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadArchiveVersion(f, size, v)
-}
-
-func openFile(path string) (*os.File, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	return f, st.Size(), nil
 }
 
 // ---------------------------------------------------------------------
@@ -252,9 +203,10 @@ func (sr *streamReader) trailer() error {
 // Random-access container reading (io.ReaderAt + footer table).
 
 type file struct {
-	r     io.ReaderAt
-	size  int64
-	table []tableEntry
+	r      io.ReaderAt
+	size   int64
+	table  []tableEntry
+	footer tableEntry // the FOOT section, which its own table does not list
 }
 
 func (f *file) readAt(off int64, n int) ([]byte, error) {
@@ -297,6 +249,10 @@ func openReaderAt(r io.ReaderAt, size int64) (*file, error) {
 	fc, err := f.sectionAt(footerOff, secFooter)
 	if err != nil {
 		return nil, err
+	}
+	f.footer = tableEntry{id: secFooter, off: footerOff, length: int64(len(fc.data))}
+	if end := footerOff + int64(secHdrSize+crcSize) + f.footer.length; end != size-int64(trailerSize) {
+		return nil, corrupt(end, "%d stray bytes between footer and trailer", size-int64(trailerSize)-end)
 	}
 	count, err := fc.uvarint()
 	if err != nil {

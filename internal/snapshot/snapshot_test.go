@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -81,8 +82,8 @@ func requireDependentsIdentical(t *testing.T, loaded *rdf.Graph) {
 func roundTripGraph(t *testing.T, g *rdf.Graph) *rdf.Graph {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteGraph(&buf, g); err != nil {
-		t.Fatalf("WriteGraph: %v", err)
+	if err := WriteGraphMapped(&buf, g); err != nil {
+		t.Fatalf("WriteGraphMapped: %v", err)
 	}
 	got, err := ReadGraph(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -188,22 +189,19 @@ func TestGraphRoundTripRandom(t *testing.T) {
 	}
 }
 
-// TestWriteDeterministic pins that the same graph serialises to the same
-// bytes.
+// TestWriteDeterministic pins that the same archive serialises to the
+// same bytes.
 func TestWriteDeterministic(t *testing.T) {
-	g, err := rdf.ParseNTriplesString("<s> <p> <o> .\n<s> <q> \"v\" .\n_:b <p> <s> .\n", "det")
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _ := buildTestArchive(t)
 	var b1, b2 bytes.Buffer
-	if err := WriteGraph(&b1, g); err != nil {
+	if err := WriteArchive(&b1, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteGraph(&b2, g); err != nil {
+	if err := WriteArchive(&b2, a); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatal("two serialisations of the same graph differ")
+		t.Fatal("two serialisations of the same archive differ")
 	}
 }
 
@@ -270,26 +268,18 @@ func TestArchiveRoundTrip(t *testing.T) {
 	}
 	requireArchivesEqual(t, a, got)
 
-	// Per-version sections load identically to freshly materialised
-	// snapshots, and match the loaded archive's own reconstruction.
+	// The loaded rows reconstruct every version node for node.
 	for v := 0; v < a.Versions(); v++ {
 		want, err := a.Snapshot(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := ReadArchiveVersion(bytes.NewReader(blob), int64(len(blob)), v)
-		if err != nil {
-			t.Fatalf("ReadArchiveVersion(%d): %v", v, err)
-		}
-		requireGraphsIdentical(t, want, fast)
-		requireDependentsIdentical(t, fast)
-		slow, err := got.Snapshot(v)
+		loaded, err := got.Snapshot(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rdf.FormatNTriples(slow) != rdf.FormatNTriples(want) {
-			t.Fatalf("loaded archive reconstructs version %d differently", v)
-		}
+		requireGraphsIdentical(t, want, loaded)
+		requireDependentsIdentical(t, loaded)
 	}
 }
 
@@ -303,10 +293,7 @@ func TestArchiveResolveQueriesAfterLoad(t *testing.T) {
 	if err := WriteArchiveFile(path, a); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadArchiveFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := readArchiveFile(t, path)
 	for v := range graphs {
 		want, err := a.Snapshot(v)
 		if err != nil {
@@ -319,14 +306,20 @@ func TestArchiveResolveQueriesAfterLoad(t *testing.T) {
 		if wd, gd := rdf.FormatNTriples(want), rdf.FormatNTriples(got); wd != gd {
 			t.Fatalf("version %d reconstruction differs after load:\n--- built\n%.400s\n--- loaded\n%.400s", v, wd, gd)
 		}
-		seek, err := ReadArchiveVersionFile(path, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rdf.FormatNTriples(seek) != rdf.FormatNTriples(want) {
-			t.Fatalf("version %d seek-load differs from reconstruction", v)
-		}
 	}
+}
+
+func readArchiveFile(t *testing.T, path string) *archive.Archive {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := ReadArchive(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }
 
 func TestGraphFileRoundTrip(t *testing.T) {
@@ -335,7 +328,7 @@ func TestGraphFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "g.snap")
-	if err := WriteGraphFile(path, g); err != nil {
+	if err := WriteGraphMappedFile(path, g); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadGraphFile(path)
@@ -359,19 +352,27 @@ func TestInfo(t *testing.T) {
 		info.Entities != a.NumEntities() || info.Rows != a.NumRows() {
 		t.Fatalf("archive info wrong: %+v", info)
 	}
-	if len(info.Graphs) != a.Versions() {
-		t.Fatalf("info lists %d graph sections, want %d", len(info.Graphs), a.Versions())
+	var names []string
+	for _, sec := range info.Sections {
+		names = append(names, sec.Name)
+	}
+	if got := strings.Join(names, ","); got != "AMET,ALBL,AROW,FOOT" {
+		t.Fatalf("archive sections %s, want AMET,ALBL,AROW,FOOT", got)
+	}
+	if len(info.Graphs) != 0 {
+		t.Fatalf("archive info lists %d graph sections, want none", len(info.Graphs))
 	}
 	if !strings.Contains(info.String(), "kind=archive") {
 		t.Fatalf("info rendering missing kind: %s", info)
 	}
 
+	// A graph snapshot: the summary decodes the GRPM header.
 	g, err := rdf.ParseNTriplesString("<s> <p> <o> .\n", "tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := WriteGraph(&buf, g); err != nil {
+	if err := WriteGraphMapped(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	ginfo, err := ReadInfo(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
@@ -381,6 +382,9 @@ func TestInfo(t *testing.T) {
 	if ginfo.Kind != "graph" || len(ginfo.Graphs) != 1 || ginfo.Graphs[0].Name != "tiny" ||
 		ginfo.Graphs[0].Nodes != 3 || ginfo.Graphs[0].Triples != 1 {
 		t.Fatalf("graph info wrong: %+v", ginfo)
+	}
+	if want := `graph[0]: name="tiny" nodes=3 triples=1`; !strings.Contains(ginfo.String(), want) {
+		t.Fatalf("graph info rendering lacks %q:\n%s", want, ginfo)
 	}
 }
 
@@ -394,7 +398,7 @@ func TestCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteGraph(&buf, g); err != nil {
+	if err := WriteGraphMapped(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	blob := buf.Bytes()

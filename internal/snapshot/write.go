@@ -3,7 +3,6 @@ package snapshot
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
@@ -12,25 +11,13 @@ import (
 	"rdfalign/internal/rdf"
 )
 
-// WriteGraph serialises g. The output is deterministic: the same graph
-// produces the same bytes.
-func WriteGraph(w io.Writer, g *rdf.Graph) error {
-	sw, err := newSectionWriter(w)
-	if err != nil {
-		return err
-	}
-	if err := sw.section(secGraph, 0, appendGraphBody(nil, g.Raw())); err != nil {
-		return err
-	}
-	return sw.finish()
+// WriteArchive serialises a as its entity and row columns, which
+// reconstruct the Archive — and through it every version — exactly.
+func WriteArchive(w io.Writer, a *archive.Archive) error {
+	return writeArchiveRaw(w, a.Raw())
 }
 
-// WriteArchive serialises a: the entity/row columns that reconstruct the
-// Archive exactly, plus one materialised graph section per version so a
-// single version loads through the footer without touching the rest of
-// the file.
-func WriteArchive(w io.Writer, a *archive.Archive) error {
-	raw := a.Raw()
+func writeArchiveRaw(w io.Writer, raw archive.Raw) error {
 	sw, err := newSectionWriter(w)
 	if err != nil {
 		return err
@@ -47,21 +34,7 @@ func WriteArchive(w io.Writer, a *archive.Archive) error {
 	if err := sw.section(secArchiveRows, 0, appendArchiveRows(nil, raw)); err != nil {
 		return err
 	}
-	for v := 0; v < raw.Versions; v++ {
-		g, err := a.Snapshot(v)
-		if err != nil {
-			return fmt.Errorf("snapshot: materialising version %d: %w", v, err)
-		}
-		if err := sw.section(secGraph, uint32(v), appendGraphBody(nil, g.Raw())); err != nil {
-			return err
-		}
-	}
 	return sw.finish()
-}
-
-// WriteGraphFile writes a graph snapshot to path.
-func WriteGraphFile(path string, g *rdf.Graph) error {
-	return writeFile(path, func(w io.Writer) error { return WriteGraph(w, g) })
 }
 
 // WriteArchiveFile writes an archive snapshot to path.
@@ -145,13 +118,6 @@ func (sw *sectionWriter) finish() error {
 	return sw.write(trailer)
 }
 
-// appendString front-codes nothing: plain uvarint length + bytes, for
-// one-off strings such as the graph name.
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
 // frontCoder shares prefixes between consecutive terms: each term is
 // emitted as uvarint(common prefix with the previous term) +
 // uvarint(suffix length) + suffix bytes — the rdfz varint/prefix-table
@@ -172,48 +138,6 @@ func (fc *frontCoder) append(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)-lcp))
 	buf = append(buf, s[lcp:]...)
 	fc.prev = s
-	return buf
-}
-
-// appendGraphBody encodes the frozen graph columns (see the package
-// comment for the layout).
-func appendGraphBody(buf []byte, raw rdf.Raw) []byte {
-	buf = appendString(buf, raw.Name)
-	buf = binary.AppendUvarint(buf, uint64(len(raw.Labels)))
-	buf = binary.AppendUvarint(buf, uint64(len(raw.Triples)))
-	var fc frontCoder
-	for _, l := range raw.Labels {
-		buf = append(buf, byte(l.Kind))
-		if l.Kind != rdf.Blank {
-			buf = fc.append(buf, l.Value)
-		}
-	}
-	prev := rdf.Triple{}
-	for _, t := range raw.Triples {
-		buf = binary.AppendUvarint(buf, uint64(t.S-prev.S))
-		prev.S = t.S
-	}
-	for _, t := range raw.Triples {
-		buf = binary.AppendVarint(buf, int64(t.P-prev.P))
-		prev.P = t.P
-	}
-	for _, t := range raw.Triples {
-		buf = binary.AppendVarint(buf, int64(t.O-prev.O))
-		prev.O = t.O
-	}
-	for n := 0; n < len(raw.Labels); n++ {
-		buf = binary.AppendUvarint(buf, uint64(raw.OutIndex[n+1]-raw.OutIndex[n]))
-	}
-	for n := 0; n < len(raw.Labels); n++ {
-		buf = binary.AppendUvarint(buf, uint64(raw.DepIndex[n+1]-raw.DepIndex[n]))
-	}
-	for n := 0; n < len(raw.Labels); n++ {
-		prevNode := rdf.NodeID(-1)
-		for _, m := range raw.DepNodes[raw.DepIndex[n]:raw.DepIndex[n+1]] {
-			buf = binary.AppendUvarint(buf, uint64(m-prevNode))
-			prevNode = m
-		}
-	}
 	return buf
 }
 

@@ -1,7 +1,6 @@
 package rdfalign
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -167,43 +166,7 @@ func (m *Method) UnmarshalText(b []byte) error {
 	return nil
 }
 
-// Options configures Align.
-//
-// Deprecated: Options is the legacy struct-configuration path. Use
-// NewAligner with functional options (WithMethod, WithTheta, WithEpsilon,
-// WithMaxSigmaEditPairs, WithContextual, WithAdaptive, WithKeyPredicates)
-// instead; every field has an exact functional equivalent, and only the
-// session API offers cancellation, progress reporting, delta maintenance
-// and derived sessions (Aligner.With). Options remains as a thin adapter
-// and will not grow new fields.
-type Options struct {
-	// Method selects the algorithm; the zero value is Trivial.
-	Method Method
-	// Theta is the similarity threshold θ for Overlap and SigmaEdit;
-	// default 0.65 (the paper's evaluation setting).
-	Theta float64
-	// Epsilon is the weight/distance stabilisation threshold for the
-	// fixpoint iterations; default 1e-9.
-	Epsilon float64
-	// MaxSigmaEditPairs bounds the σEdit pair matrix (default 4e6).
-	MaxSigmaEditPairs int
-	// Context switches the Deblank and Hybrid refinements to the
-	// context-aware variant of §3.3/§6: nodes are characterised by their
-	// incoming edges as well as their contents. Stricter — nodes with
-	// equal contents but different contexts no longer align.
-	Context bool
-	// Adaptive enables §5.1's suggested treatment of URIs used only in
-	// predicate position: nodes without contents are characterised by
-	// their predicate occurrences (the subject/object colors of triples
-	// using them), falling back to their context. Fixes the paper's
-	// known predicate misalignment errors.
-	Adaptive bool
-	// KeyPredicates, when non-empty, restricts refinement to edges whose
-	// predicate URI is listed — the graph-key variant of §6.
-	KeyPredicates []string
-}
-
-// Alignment is the result of Align: a relation between the nodes of the
+// Alignment is the result of Aligner.Align: a relation between the nodes of the
 // source and target graphs. Nodes are addressed by their per-graph NodeIDs
 // (as returned by the builders/parsers) or by URI via the *URI helpers.
 // Every relational accessor delegates to the Relation backing the method
@@ -225,47 +188,6 @@ type Alignment struct {
 	// Diagnostics.
 	refineIterations int
 	overlapRounds    int
-}
-
-// Align aligns a source and a target graph. It is the uncancellable legacy
-// entry point, equivalent to NewAligner(opt.options()...) followed by
-// Align(context.Background(), g1, g2).
-//
-// Deprecated: use NewAligner followed by (*Aligner).Align. The session
-// entry point adds context cancellation, progress reporting, session
-// reuse and delta maintenance; this wrapper remains for source
-// compatibility only.
-func Align(g1, g2 *Graph, opt Options) (*Alignment, error) {
-	al, err := NewAligner(opt.options()...)
-	if err != nil {
-		return nil, err
-	}
-	return al.Align(context.Background(), g1, g2)
-}
-
-// options translates the legacy Options struct into the equivalent
-// functional options.
-func (o Options) options() []Option {
-	opts := []Option{WithMethod(o.Method)}
-	if o.Theta != 0 {
-		opts = append(opts, WithTheta(o.Theta))
-	}
-	if o.Epsilon != 0 {
-		opts = append(opts, WithEpsilon(o.Epsilon))
-	}
-	if o.MaxSigmaEditPairs != 0 {
-		opts = append(opts, WithMaxSigmaEditPairs(o.MaxSigmaEditPairs))
-	}
-	if o.Context {
-		opts = append(opts, WithContextual())
-	}
-	if o.Adaptive {
-		opts = append(opts, WithAdaptive())
-	}
-	if len(o.KeyPredicates) > 0 {
-		opts = append(opts, WithKeyPredicates(o.KeyPredicates...))
-	}
-	return opts
 }
 
 // Combined returns the union graph the alignment was computed on.

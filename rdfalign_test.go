@@ -1,9 +1,19 @@
 package rdfalign
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
+
+// alignWith aligns g1 and g2 in a fresh session configured by opts.
+func alignWith(g1, g2 *Graph, opts ...Option) (*Alignment, error) {
+	al, err := NewAligner(opts...)
+	if err != nil {
+		return nil, err
+	}
+	return al.Align(context.Background(), g1, g2)
+}
 
 // figure1 documents from the paper's running example.
 const fig1V1 = `
@@ -48,7 +58,7 @@ func TestAlignMethodsOnFigure1(t *testing.T) {
 	g1, g2 := parseFig1(t)
 	for _, m := range []Method{Trivial, Deblank, Hybrid, Overlap, SigmaEdit} {
 		t.Run(m.String(), func(t *testing.T) {
-			a, err := Align(g1, g2, Options{Method: m})
+			a, err := alignWith(g1, g2, WithMethod(m))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +98,7 @@ func TestAlignOverlapAlignsEditedNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Align(g1, g2, Options{Method: Overlap, Theta: 0.5})
+	a, err := alignWith(g1, g2, WithMethod(Overlap), WithTheta(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +113,7 @@ func TestAlignOverlapAlignsEditedNames(t *testing.T) {
 		t.Errorf("distance of edited literals = %v, want in (0, θ)", d)
 	}
 	// Hybrid must not align them (strictness).
-	h, err := Align(g1, g2, Options{Method: Hybrid})
+	h, err := alignWith(g1, g2, WithMethod(Hybrid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +126,7 @@ func TestAlignmentHierarchyPairCounts(t *testing.T) {
 	g1, g2 := parseFig1(t)
 	var last int
 	for i, m := range []Method{Trivial, Deblank, Hybrid} {
-		a, err := Align(g1, g2, Options{Method: m})
+		a, err := alignWith(g1, g2, WithMethod(m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +140,7 @@ func TestAlignmentHierarchyPairCounts(t *testing.T) {
 
 func TestEdgeStatsRatio(t *testing.T) {
 	g1, g2 := parseFig1(t)
-	a, err := Align(g1, g2, Options{Method: Hybrid})
+	a, err := alignWith(g1, g2, WithMethod(Hybrid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +153,7 @@ func TestEdgeStatsRatio(t *testing.T) {
 		t.Errorf("Ratio = %v", r)
 	}
 	// Self-alignment is complete under Deblank.
-	self, err := Align(g1, g1, Options{Method: Deblank})
+	self, err := alignWith(g1, g1, WithMethod(Deblank))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +167,10 @@ func TestEdgeStatsRatio(t *testing.T) {
 
 func TestAlignInvalidOptions(t *testing.T) {
 	g1, g2 := parseFig1(t)
-	if _, err := Align(g1, g2, Options{Method: Method(99)}); err == nil {
+	if _, err := alignWith(g1, g2, WithMethod(Method(99))); err == nil {
 		t.Error("unknown method accepted")
 	}
-	if _, err := Align(g1, g2, Options{Theta: 2}); err == nil {
+	if _, err := alignWith(g1, g2, WithTheta(2)); err == nil {
 		t.Error("theta out of range accepted")
 	}
 }
@@ -182,7 +192,7 @@ func TestParseMethod(t *testing.T) {
 
 func TestUnaligned(t *testing.T) {
 	g1, g2 := parseFig1(t)
-	a, err := Align(g1, g2, Options{Method: Deblank})
+	a, err := alignWith(g1, g2, WithMethod(Deblank))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +217,7 @@ func TestClassifyWithGroundTruth(t *testing.T) {
 	for _, p := range []string{"address", "employer", "name", "zip", "city", "first", "last"} {
 		tr.Add(p, p)
 	}
-	a, err := Align(g1, g2, Options{Method: Hybrid})
+	a, err := alignWith(g1, g2, WithMethod(Hybrid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +229,7 @@ func TestClassifyWithGroundTruth(t *testing.T) {
 		t.Errorf("missing = %d, want 0 — hybrid aligns everything in Figure 1's truth (%s)", p.Missing, p)
 	}
 	// Trivial misses ed-uni.
-	at, err := Align(g1, g2, Options{Method: Trivial})
+	at, err := alignWith(g1, g2, WithMethod(Trivial))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +291,7 @@ func TestGeneratorsPublicAPI(t *testing.T) {
 
 func TestSigmaEditDistanceAPI(t *testing.T) {
 	g1, g2 := parseFig1(t)
-	a, err := Align(g1, g2, Options{Method: SigmaEdit, Theta: 0.5})
+	a, err := alignWith(g1, g2, WithMethod(SigmaEdit), WithTheta(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}

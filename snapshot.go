@@ -2,7 +2,6 @@ package rdfalign
 
 import (
 	"fmt"
-	"io"
 	"os"
 
 	"rdfalign/internal/snapshot"
@@ -10,10 +9,12 @@ import (
 
 // Binary snapshots (internal/snapshot): a versioned, columnar on-disk
 // format for graphs and archives whose load time is dominated by file
-// reads instead of parsing — the triple columns, term dictionary and both
-// adjacency CSRs are serialised in their frozen in-memory form. See the
-// internal/snapshot package comment for the layout and the compatibility
-// policy.
+// reads instead of parsing. A graph snapshot stores the graph's columns —
+// term dictionary, triples and both adjacency CSRs — in their in-memory
+// form, so OpenGraphSnapshotMapped serves them straight from a file
+// mapping; an archive snapshot stores the archive's entity and row
+// columns. See the internal/snapshot package comment for the layout and
+// the compatibility policy.
 type (
 	// SnapshotInfo is the inspection summary of a snapshot file.
 	SnapshotInfo = snapshot.Info
@@ -27,41 +28,11 @@ type (
 // file from an I/O error opening it.
 var ErrSnapshotCorrupt = snapshot.ErrCorrupt
 
-// WriteGraphSnapshot serialises g as a binary snapshot. Deterministic:
-// the same graph produces the same bytes.
-func WriteGraphSnapshot(w io.Writer, g *Graph) error {
-	return snapshot.WriteGraph(w, g)
-}
-
-// ReadGraphSnapshot loads a graph snapshot. The loaded graph is node-ID-
-// and triple-identical to the one written, with the out-adjacency and the
-// Dependents reverse-dependency index restored without a rebuild.
-func ReadGraphSnapshot(r io.Reader) (*Graph, error) {
-	return snapshot.ReadGraph(r)
-}
-
-// WriteGraphSnapshotFile writes a graph snapshot to path.
-func WriteGraphSnapshotFile(path string, g *Graph) error {
-	return snapshot.WriteGraphFile(path, g)
-}
-
-// ReadGraphSnapshotFile reads a graph snapshot from path.
-func ReadGraphSnapshotFile(path string) (*Graph, error) {
-	return snapshot.ReadGraphFile(path)
-}
-
-// WriteGraphSnapshotMapped serialises g as an mmap-native snapshot: the
-// graph columns are written as fixed-width, alignment-padded arrays that
-// OpenGraphSnapshotMapped can serve zero-copy straight from a file
-// mapping. Deterministic like WriteGraphSnapshot; readable by every
-// snapshot reader (the mapped section is a forward-compatible addition,
-// heap-decoded by ReadGraphSnapshot).
-func WriteGraphSnapshotMapped(w io.Writer, g *Graph) error {
-	return snapshot.WriteGraphMapped(w, g)
-}
-
-// WriteGraphSnapshotMappedFile writes an mmap-native graph snapshot to
-// path.
+// WriteGraphSnapshotMappedFile writes g to path as a graph snapshot. The
+// columns are fixed-width, alignment-padded arrays that
+// OpenGraphSnapshotMapped serves zero-copy; OpenSnapshot loads the same
+// file onto the heap. Deterministic: the same graph produces the same
+// bytes.
 func WriteGraphSnapshotMappedFile(path string, g *Graph) error {
 	return snapshot.WriteGraphMappedFile(path, g)
 }
@@ -71,59 +42,24 @@ func WriteGraphSnapshotMappedFile(path string, g *Graph) error {
 // validation, opening costs O(1) heap regardless of graph size, and the
 // kernel pages triples in on demand (and out under memory pressure).
 // Falls back to the heap decoder when the platform lacks mmap or the file
-// has no mapped section (plain WriteGraphSnapshot output), so it is safe
-// to use unconditionally. Close the returned graph to unmap.
+// is a varint snapshot written by an earlier build, so it is safe to use
+// unconditionally. Close the returned graph to unmap.
 func OpenGraphSnapshotMapped(path string) (*Graph, error) {
 	return snapshot.OpenGraphMapped(path)
 }
 
-// WriteArchiveSnapshot serialises an archive: its entity/row columns plus
-// one materialised graph section per version, seekable through the file
-// footer.
-func WriteArchiveSnapshot(w io.Writer, a *Archive) error {
-	return snapshot.WriteArchive(w, a)
-}
-
-// WriteArchiveSnapshotFile writes an archive snapshot to path.
+// WriteArchiveSnapshotFile writes an archive snapshot to path: the
+// archive's entity and row columns, from which OpenSnapshot reconstructs
+// the archive — and every version — exactly.
 func WriteArchiveSnapshotFile(path string, a *Archive) error {
 	return snapshot.WriteArchiveFile(path, a)
 }
 
-// ReadArchiveSnapshot reconstructs the archive from a snapshot. The
-// result is lossless: rows, intervals, entity labels and statistics all
-// equal the freshly built archive's.
-func ReadArchiveSnapshot(r io.ReaderAt, size int64) (*Archive, error) {
-	return snapshot.ReadArchive(r, size)
-}
-
-// ReadArchiveSnapshotFile reads an archive snapshot from path.
-func ReadArchiveSnapshotFile(path string) (*Archive, error) {
-	return snapshot.ReadArchiveFile(path)
-}
-
-// ReadArchiveSnapshotVersion loads the materialised graph of one version
-// (0-based) from an archive snapshot, reading only the header, footer and
-// that version's section.
-func ReadArchiveSnapshotVersion(r io.ReaderAt, size int64, v int) (*Graph, error) {
-	return snapshot.ReadArchiveVersion(r, size, v)
-}
-
-// ReadArchiveSnapshotVersionFile loads one materialised version from an
-// archive snapshot file.
-func ReadArchiveSnapshotVersionFile(path string, v int) (*Graph, error) {
-	return snapshot.ReadArchiveVersionFile(path, v)
-}
-
-// ReadSnapshotInfo inspects a snapshot, verifying every section CRC.
-func ReadSnapshotInfo(r io.ReaderAt, size int64) (*SnapshotInfo, error) {
-	return snapshot.ReadInfo(r, size)
-}
-
 // SnapshotHandle is an open snapshot file of either kind. OpenSnapshot
 // inspects the file once (verifying every section CRC) and the accessors
-// then decode graph, archive or single-version sections on demand through
-// the footer table — the symmetric read-side facade to WriteGraphSnapshot
-// and WriteArchiveSnapshot, and the loading path of both cmd/rdfalignd and
+// then decode the graph or the archive on demand through the footer table
+// — the read side of WriteGraphSnapshotMappedFile and
+// WriteArchiveSnapshotFile, and the loading path of both cmd/rdfalignd and
 // rdfalign -load-snapshot. A handle holds its file open until Close; the
 // accessors are independent and safe to call in any order, but the handle
 // itself is not safe for concurrent use.
@@ -186,9 +122,9 @@ func (h *SnapshotHandle) Archive() (*Archive, error) {
 	return snapshot.ReadArchive(h.f, h.size)
 }
 
-// Version loads the materialised graph of one version (0-based): the
-// per-version section of an archive snapshot, or — for a graph snapshot —
-// the graph itself (v must be 0). Only that version's section is decoded.
+// Version loads the graph of one version (0-based): for an archive
+// snapshot the version the archive's rows reconstruct (the whole archive
+// is decoded), for a graph snapshot the graph itself (v must be 0).
 func (h *SnapshotHandle) Version(v int) (*Graph, error) {
 	if !h.IsArchive() {
 		if v != 0 {
@@ -199,14 +135,13 @@ func (h *SnapshotHandle) Version(v int) (*Graph, error) {
 	if v < 0 || v >= h.info.Versions {
 		return nil, fmt.Errorf("rdfalign: version %d out of range [0, %d)", v, h.info.Versions)
 	}
-	return snapshot.ReadArchiveVersion(h.f, h.size, v)
+	a, err := h.Archive()
+	if err != nil {
+		return nil, err
+	}
+	return a.Snapshot(v)
 }
 
 // Close releases the underlying file. Graphs and archives already loaded
 // remain valid.
 func (h *SnapshotHandle) Close() error { return h.f.Close() }
-
-// ReadSnapshotInfoFile inspects the snapshot file at path.
-func ReadSnapshotInfoFile(path string) (*SnapshotInfo, error) {
-	return snapshot.ReadInfoFile(path)
-}
