@@ -203,34 +203,19 @@ func (al *Aligner) Theta() float64 { return al.cfg.theta }
 // (WithMaxDepth).
 func (al *Aligner) MaxDepth() int { return al.cfg.maxDepth }
 
-// hooks assembles the core hooks for one Align/BuildArchive call.
-func (al *Aligner) hooks(ctx context.Context) core.Hooks {
-	h := core.Hooks{Ctx: ctx}
-	if al.cfg.progress != nil {
-		h.OnRound = al.cfg.progress
-	}
-	return h
-}
-
-// refineOptions translates the extension options into core refinement
-// options.
-func (al *Aligner) refineOptions() core.RefineOptions {
-	var ro core.RefineOptions
-	if al.cfg.contextual {
-		ro.Direction = core.DirBoth
-	}
-	if al.cfg.adaptive {
-		ro.Adaptive = true
-	}
-	if len(al.cfg.keyPredicates) > 0 {
-		ro.Filter = core.PredicateKeyFilter(al.cfg.keyPredicates...)
-	}
-	return ro
-}
-
-// engine assembles the core engine for one call.
+// engine assembles the core engine for one call: the context and progress
+// observer as hooks, the extension options as refinement options, and the
+// depth bound.
 func (al *Aligner) engine(ctx context.Context) *core.Engine {
-	return &core.Engine{Opt: al.refineOptions(), Hooks: al.hooks(ctx), MaxDepth: al.cfg.maxDepth}
+	e := &core.Engine{Hooks: core.Hooks{Ctx: ctx, OnRound: al.cfg.progress}, MaxDepth: al.cfg.maxDepth}
+	if al.cfg.contextual {
+		e.Opt.Direction = core.DirBoth
+	}
+	e.Opt.Adaptive = al.cfg.adaptive
+	if len(al.cfg.keyPredicates) > 0 {
+		e.Opt.Filter = core.PredicateKeyFilter(al.cfg.keyPredicates...)
+	}
+	return e
 }
 
 // Align aligns a source and a target graph. The context is checked before
@@ -267,93 +252,94 @@ func (al *Aligner) Align(ctx context.Context, g1, g2 *Graph) (*Alignment, error)
 	}
 	st := &alignState{al: al, shared: &sessionShared{in: in}, c: c}
 	a := &Alignment{Method: al.cfg.method, Theta: al.cfg.theta, c: c, state: st}
+	var s stages
+	var err error
 	if al.cfg.method == Trivial {
-		p := core.TrivialPartition(c.Graph, in)
-		st.trivial = p.Colors()
-		a.part = p
-		a.rel = newPartitionRelation(c, p, core.NewAlignment(c, p))
-		return a, nil
-	}
-	deblank, itDeblank, err := eng.DeblankFrom(c.Graph, al.basePartition(st, c, in))
-	if err != nil {
+		s.part = core.TrivialPartition(c.Graph, in)
+		st.trivial = s.part.Colors()
+	} else if s, err = al.pipeline(eng, al.cfg.method, c, in, st); err != nil {
 		return nil, err
 	}
-	st.deblank = deblank
-	return al.finishFromDeblank(eng, a, deblank, itDeblank, nil)
+	al.relate(a, s)
+	return a, nil
 }
 
-// basePartition builds the label partition ℓ of the combined graph and
-// records its colors in the session state, where ApplyDelta extends them in
-// O(appended nodes) instead of rebuilding the label maps.
-func (al *Aligner) basePartition(st *alignState, c *rdf.Combined, in *core.Interner) *core.Partition {
-	p := core.LabelPartition(c.Graph, in)
-	st.base = p.Colors()
-	return p
+// stages holds the method tail's results: the final partition, the total
+// refinement rounds, and the Overlap or σEdit result of those methods.
+type stages struct {
+	part             *core.Partition
+	refineIterations int
+	overlap          *similarity.OverlapResult
+	sigma            *similarity.SigmaEdit
 }
 
-// finishFromDeblank runs the method pipeline from a freshly computed (or
-// maintained) deblank partition down to the final relation — the tail
-// shared by Align and ApplyDelta. invalidate lists the combined-graph nodes
-// whose outbound edge set changed since the previous call (nil on a fresh
-// alignment); the overlap matcher drops their cached characterisations.
-func (al *Aligner) finishFromDeblank(eng *core.Engine, a *Alignment, deblank *core.Partition, itDeblank int, invalidate []rdf.NodeID) (*Alignment, error) {
-	c := a.c
-	var err error
-	switch al.cfg.method {
-	case Deblank:
-		a.part = deblank
-		a.refineIterations = itDeblank
-	case Hybrid:
-		a.part, a.refineIterations, err = eng.HybridFromDeblank(c, deblank)
-		a.refineIterations += itDeblank
+// pipeline runs label partition → deblank → method tail over c: the one
+// composition behind Align and the archive's pair alignment. A non-nil st
+// keeps the label colors, the deblank fixpoint and the overlap matcher
+// caches for ApplyDelta.
+func (al *Aligner) pipeline(eng *core.Engine, method Method, c *rdf.Combined, in *core.Interner, st *alignState) (stages, error) {
+	base := core.LabelPartition(c.Graph, in)
+	deblank, itDeblank, err := eng.DeblankFrom(c.Graph, base)
+	if err != nil {
+		return stages{}, err
+	}
+	var overlap *similarity.OverlapState
+	if st != nil {
+		st.base, st.deblank, overlap = base.Colors(), deblank, &st.shared.overlap
+	}
+	return al.finishFromDeblank(eng, method, c, deblank, itDeblank, overlap, nil)
+}
+
+// finishFromDeblank runs the method tail (Deblank, Hybrid, Overlap or
+// SigmaEdit) from a fresh or maintained deblank partition. state carries
+// the overlap matcher caches across calls (nil for none); invalidate lists
+// the nodes whose outbound edge set changed since the previous call (nil on
+// a fresh alignment), whose cached characterisations the matcher drops.
+func (al *Aligner) finishFromDeblank(eng *core.Engine, method Method, c *rdf.Combined, deblank *core.Partition, itDeblank int,
+	state *similarity.OverlapState, invalidate []rdf.NodeID) (stages, error) {
+	if method == Deblank {
+		return stages{part: deblank, refineIterations: itDeblank}, nil
+	}
+	hybrid, it, err := eng.HybridFromDeblank(c, deblank)
+	if err != nil {
+		return stages{}, err
+	}
+	s := stages{part: hybrid, refineIterations: itDeblank + it}
+	switch method {
 	case Overlap:
-		var hybrid *core.Partition
-		hybrid, a.refineIterations, err = eng.HybridFromDeblank(c, deblank)
-		if err != nil {
-			break
-		}
-		a.refineIterations += itDeblank
-		var res *similarity.OverlapResult
-		res, err = similarity.OverlapAlign(c, hybrid, similarity.OverlapOptions{
+		s.overlap, err = similarity.OverlapAlign(c, hybrid, similarity.OverlapOptions{
 			Theta:      al.cfg.theta,
 			Epsilon:    al.cfg.epsilon,
 			Hooks:      eng.Hooks,
 			Workers:    al.cfg.workers,
 			MaxDepth:   al.cfg.maxDepth,
-			State:      &a.state.shared.overlap,
+			State:      state,
 			Invalidate: invalidate,
 		})
-		if err != nil {
-			break
+		if err == nil {
+			s.part = s.overlap.Xi.P
 		}
-		a.part = res.Xi.P
-		a.overlapRounds = res.Rounds
-		a.rel = newPartitionRelation(c, a.part, res.Alignment(c))
 	case SigmaEdit:
-		var hybrid *core.Partition
-		hybrid, a.refineIterations, err = eng.HybridFromDeblank(c, deblank)
-		if err != nil {
-			break
-		}
-		a.refineIterations += itDeblank
-		a.part = hybrid
-		var s *similarity.SigmaEdit
-		s, err = similarity.NewSigmaEdit(c, hybrid, similarity.SigmaEditOptions{
+		s.sigma, err = similarity.NewSigmaEdit(c, hybrid, similarity.SigmaEditOptions{
 			Epsilon:  al.cfg.epsilon,
 			MaxPairs: al.cfg.maxSigmaEditPairs,
 			Hooks:    eng.Hooks,
 			MaxDepth: al.cfg.maxDepth,
 		})
-		if err != nil {
-			break
-		}
-		a.rel = newSigmaRelation(c, hybrid, s, al.cfg.theta)
 	}
-	if err != nil {
-		return nil, err
+	return s, err
+}
+
+// relate fills a's partition, diagnostics and relation from the stages.
+func (al *Aligner) relate(a *Alignment, s stages) {
+	a.part, a.refineIterations = s.part, s.refineIterations
+	switch {
+	case s.overlap != nil:
+		a.overlapRounds = s.overlap.Rounds
+		a.rel = newPartitionRelation(a.c, a.part, s.overlap.Alignment(a.c))
+	case s.sigma != nil:
+		a.rel = newSigmaRelation(a.c, a.part, s.sigma, al.cfg.theta)
+	default:
+		a.rel = newPartitionRelation(a.c, a.part, core.NewAlignment(a.c, a.part))
 	}
-	if a.rel == nil {
-		a.rel = newPartitionRelation(c, a.part, core.NewAlignment(c, a.part))
-	}
-	return a, nil
 }

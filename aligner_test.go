@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"rdfalign/internal/archive"
 	"rdfalign/internal/core"
+	"rdfalign/internal/rdf"
 	"rdfalign/internal/similarity"
 )
 
@@ -331,18 +333,13 @@ func TestAlignerProgressStages(t *testing.T) {
 	}
 }
 
-// TestAlignerBuildArchive: the session archive build matches a direct
-// archive.Build, reports one per-version event, and honours cancellation.
+// TestAlignerBuildArchive: the session archive build reports one
+// per-version event and honours cancellation.
 func TestAlignerBuildArchive(t *testing.T) {
 	d, err := GenerateEFO(EFOConfig{Versions: 4, Scale: 0.01, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := archive.Build(d.Graphs, archive.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	var versions []string
 	al, err := NewAligner(WithMethod(Hybrid), WithProgress(func(p Progress) {
 		if p.Stage == "archive" {
@@ -352,12 +349,8 @@ func TestAlignerBuildArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arc, err := al.BuildArchive(context.Background(), d.Graphs)
-	if err != nil {
+	if _, err := al.BuildArchive(context.Background(), d.Graphs); err != nil {
 		t.Fatal(err)
-	}
-	if got, want := arc.GatherStats().String(), direct.GatherStats().String(); got != want {
-		t.Errorf("session archive differs from archive.Build:\n got %s\nwant %s", got, want)
 	}
 	if want := []string{"1/4", "2/4", "3/4", "4/4"}; fmt.Sprint(versions) != fmt.Sprint(want) {
 		t.Errorf("per-version progress = %v, want %v", versions, want)
@@ -367,6 +360,94 @@ func TestAlignerBuildArchive(t *testing.T) {
 	cancel()
 	if _, err := al.BuildArchive(ctx, d.Graphs); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled BuildArchive err = %v, want context.Canceled", err)
+	}
+}
+
+// TestBuildArchiveMatchesSessionAlign: BuildArchive and AppendVersion align
+// every consecutive pair exactly as the session's Align does — Overlap when
+// the method is Overlap, Hybrid otherwise — with the session's extensions,
+// depth bound, parallelism and ambiguity resolution. Each archive equals an
+// archive.Build whose Align wraps Aligner.Align.
+func TestBuildArchiveMatchesSessionAlign(t *testing.T) {
+	const key = "http://www.w3.org/2000/01/rdf-schema#label"
+	efo, err := GenerateEFO(EFOConfig{Versions: 4, Scale: 0.01, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gto, err := GenerateGtoPdb(GtoPdbConfig{Versions: 3, Scale: 0.01, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Blank chains, on which a one- or two-round bound changes the archive.
+	var chain []*Graph
+	for i, doc := range []string{chainNT(12), chainNT(12) + "<http://x/a> <http://x/p> \"v\" .\n", chainNT(13)} {
+		g, err := ParseNTriplesString(doc, fmt.Sprintf("v%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain = append(chain, g)
+	}
+	sessions := []struct {
+		name string
+		opts []Option
+	}{
+		{"hybrid", []Option{WithMethod(Hybrid)}},
+		{"overlap", []Option{WithMethod(Overlap)}},
+		{"overlap-k1", []Option{WithMethod(Overlap), WithMaxDepth(1)}},
+		{"overlap-k2", []Option{WithMethod(Overlap), WithMaxDepth(2)}},
+		{"overlap-resolve-par4", []Option{WithMethod(Overlap), WithResolveAmbiguous(), WithParallelism(4)}},
+		{"hybrid-extensions", []Option{WithMethod(Hybrid), WithContextual(), WithAdaptive(), WithKeyPredicates(key)}},
+		{"sigmaedit", []Option{WithMethod(SigmaEdit)}},
+	}
+	ctx := context.Background()
+	for _, ds := range []struct {
+		name   string
+		graphs []*Graph
+	}{{"efo", efo.Graphs}, {"gtopdb", gto.Graphs}, {"chain", chain}} {
+		for _, s := range sessions {
+			t.Run(ds.name+"/"+s.name, func(t *testing.T) {
+				al, err := NewAligner(s.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				last := len(ds.graphs) - 1
+				got, err := al.BuildArchive(ctx, ds.graphs[:last])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := al.AppendVersion(ctx, got, ds.graphs[last], nil); err != nil {
+					t.Fatal(err)
+				}
+
+				ref := al
+				if m := al.Method(); m != Overlap && m != Hybrid {
+					if ref, err = al.With(WithMethod(Hybrid)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				opt := archive.BuildOptions{
+					ResolveAmbiguous: al.cfg.resolveAmbiguous,
+					Align: func(g1, g2 *rdf.Graph) (*core.Partition, *rdf.Combined, error) {
+						a, err := ref.Align(ctx, g1, g2)
+						if err != nil {
+							return nil, nil, err
+						}
+						return a.part, a.c, nil
+					},
+				}
+				want, err := archive.Build(ds.graphs[:last], opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := want.AppendVersion(ds.graphs[last], nil, opt); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Raw(), want.Raw()) {
+					t.Errorf("session archive differs from archive.Build over Aligner.Align:\n got %s\nwant %s",
+						got.GatherStats(), want.GatherStats())
+				}
+			})
+		}
 	}
 }
 
@@ -387,36 +468,5 @@ func TestWithThetaZeroMeansDefault(t *testing.T) {
 			t.Errorf("%s: Theta echoed as %v (unset %v), want 0.65", m, got.Theta, unset.Theta)
 		}
 		samePairs(t, unset, got)
-	}
-}
-
-// TestAlignerArchiveHonoursExtensions: BuildArchive applies the session's
-// refinement extensions to the per-pair alignments — the session archive
-// matches a direct archive.Build with the equivalent RefineOptions.
-func TestAlignerArchiveHonoursExtensions(t *testing.T) {
-	d, err := GenerateEFO(EFOConfig{Versions: 3, Scale: 0.01, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const key = "http://www.w3.org/2000/01/rdf-schema#label"
-	al, err := NewAligner(WithMethod(Hybrid), WithContextual(), WithKeyPredicates(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := al.BuildArchive(context.Background(), d.Graphs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := archive.Build(d.Graphs, archive.BuildOptions{Engine: core.Engine{
-		Opt: core.RefineOptions{
-			Direction: core.DirBoth,
-			Filter:    core.PredicateKeyFilter(key),
-		},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, w := got.GatherStats().String(), want.GatherStats().String(); g != w {
-		t.Errorf("session archive ignores extensions:\n got %s\nwant %s", g, w)
 	}
 }

@@ -1,10 +1,12 @@
 package archive
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"rdfalign/internal/core"
 	"rdfalign/internal/delta"
 	"rdfalign/internal/rdf"
 )
@@ -28,10 +30,10 @@ func requireSameArchive(t *testing.T, label string, got, want *Archive) {
 // chaining configuration.
 func TestAppendVersionMatchesBuild(t *testing.T) {
 	opts := []BuildOptions{
-		{},
-		{UseOverlap: true},
-		{ResolveAmbiguous: true},
-		{UseOverlap: true, ResolveAmbiguous: true, Workers: 4},
+		{Align: hybridPair},
+		{Align: overlapPair(1)},
+		{Align: hybridPair, ResolveAmbiguous: true},
+		{Align: overlapPair(4), ResolveAmbiguous: true},
 	}
 	for seed := int64(0); seed < 6; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -80,7 +82,7 @@ func TestAppendVersionScript(t *testing.T) {
 		{Insert: true, T: rdf.TermTriple{S: uri("http://e/c"), P: uri("http://e/p"), O: uri("http://e/b")}},
 	}}
 
-	var opt BuildOptions
+	opt := BuildOptions{Align: hybridPair}
 	byScript, err := Build([]*rdf.Graph{g1}, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -96,12 +98,14 @@ func TestAppendVersionScript(t *testing.T) {
 	requireSameArchive(t, "script append vs build", byScript, want)
 }
 
-// TestAppendVersionErrors: raw-loaded archives cannot append; a script that
-// does not apply leaves the archive unchanged; Clone isolates appends.
+// TestAppendVersionErrors: raw-loaded archives cannot append, nor can an
+// append without an Align function; a script that does not apply or a
+// failing pair alignment leaves the archive unchanged; Clone isolates
+// appends.
 func TestAppendVersionErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	hist := randomHistory(r, 3)
-	var opt BuildOptions
+	opt := BuildOptions{Align: hybridPair}
 	a, err := Build(hist[:2], opt)
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +122,9 @@ func TestAppendVersionErrors(t *testing.T) {
 	if _, err := a.AppendVersion(nil, nil, opt); err == nil {
 		t.Fatal("append with neither graph nor script accepted")
 	}
+	if _, err := a.AppendVersion(hist[2], nil, BuildOptions{}); err == nil {
+		t.Fatal("append without an Align function accepted")
+	}
 
 	// A clone can append without disturbing the original, and a failing
 	// script leaves its archive byte-identical.
@@ -130,6 +137,12 @@ func TestAppendVersionErrors(t *testing.T) {
 	}}}}
 	if _, err := clone.AppendVersion(nil, bad, opt); err == nil {
 		t.Fatal("delete of absent triple accepted")
+	}
+	failing := BuildOptions{Align: func(g1, g2 *rdf.Graph) (*core.Partition, *rdf.Combined, error) {
+		return nil, nil, errors.New("align failed")
+	}}
+	if _, err := clone.AppendVersion(hist[2], nil, failing); err == nil {
+		t.Fatal("failed pair alignment accepted")
 	}
 	if _, err := clone.AppendVersion(hist[2], nil, opt); err != nil {
 		t.Fatalf("append after failed script: %v", err)

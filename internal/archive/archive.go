@@ -19,6 +19,7 @@
 package archive
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -26,8 +27,10 @@ import (
 	"rdfalign/internal/core"
 	"rdfalign/internal/delta"
 	"rdfalign/internal/rdf"
-	"rdfalign/internal/similarity"
 )
+
+// errNoAlign rejects a nil BuildOptions.Align: there is no built-in default.
+var errNoAlign = errors.New("archive: BuildOptions.Align is nil")
 
 // EntityID is a persistent node identity across versions.
 type EntityID int32
@@ -75,10 +78,6 @@ type archiveTail struct {
 
 // BuildOptions configures archive construction.
 type BuildOptions struct {
-	// UseOverlap selects the Overlap alignment for consecutive pairs
-	// (default is Hybrid — deterministic and fast; Overlap additionally
-	// chains edited entities at the cost of the heuristic's runtime).
-	UseOverlap bool
 	// ResolveAmbiguous additionally chains entities inside *ambiguous*
 	// alignment classes (several members on each side — predicate-only
 	// URIs, duplicated blanks) by matching occurrence profiles with the
@@ -86,36 +85,28 @@ type BuildOptions struct {
 	// with per-version prefixes: without it every predicate entity
 	// churns each version and triple rows never chain.
 	ResolveAmbiguous bool
-	// Theta is the Overlap threshold (default 0.65).
-	Theta float64
-	// Epsilon is the propagation stabilisation threshold.
-	Epsilon float64
-	// Engine runs the per-pair alignments: its Opt selects the
-	// recoloring variant of the hybrid refinements (the context/adaptive/
-	// key extensions), its MaxDepth bounds every refinement fixpoint of
-	// the pair (overlap propagation included), and its Hooks thread
-	// cancellation and progress through them. Build additionally checks
-	// the context before each pair and reports one StageArchive event per
-	// archived version (Round is the 1-based version number, Total the
-	// version count). The zero value is the paper's exact, default
-	// outbound recoloring with no hooks.
-	Engine core.Engine
-	// Workers > 1 parallelises the per-pair overlap matching phases
-	// (similarity.OverlapOptions.Workers) when UseOverlap is set; it has
-	// no other effect, since refinement is sequential. Archives are
-	// bit-identical for every worker count.
-	Workers int
+	// Hooks are checked for cancellation before each version pair, and
+	// receive one StageArchive event per archived version (Round is the
+	// 1-based version number, Total the version count).
+	Hooks core.Hooks
+	// Align aligns one consecutive version pair: it returns the union of
+	// g1 and g2 and a partition of it, whose mutual one-to-one classes
+	// chain entities. It is required; the root package supplies the
+	// session's pipeline (rdfalign.Aligner.BuildArchive). An error aborts
+	// the build or append.
+	Align func(g1, g2 *rdf.Graph) (*core.Partition, *rdf.Combined, error)
 }
 
 // Build archives a sequence of graph versions. Consecutive versions are
-// aligned; nodes connected by an unambiguous (mutual one-to-one) alignment
-// pair continue the same entity, everything else starts a fresh one.
+// aligned by opt.Align; nodes connected by an unambiguous (mutual
+// one-to-one) alignment pair continue the same entity, everything else
+// starts a fresh one. It fails when opt.Align is nil.
 func Build(graphs []*rdf.Graph, opt BuildOptions) (*Archive, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("archive: no versions")
 	}
-	if opt.Theta == 0 {
-		opt.Theta = similarity.DefaultTheta
+	if opt.Align == nil {
+		return nil, errNoAlign
 	}
 	a := &Archive{versions: len(graphs)}
 
@@ -131,15 +122,15 @@ func Build(graphs []*rdf.Graph, opt BuildOptions) (*Archive, error) {
 	for i := range cur {
 		cur[i] = a.newEntity()
 	}
-	if err := opt.Engine.Hooks.Err(); err != nil {
+	if err := opt.Hooks.Err(); err != nil {
 		return nil, err
 	}
 	a.recordVersion(graphs[0], 0, cur)
 	noteURIs(graphs[0], cur, lastSeen)
-	opt.Engine.Hooks.Round(core.StageArchive, 1, len(graphs))
+	opt.Hooks.Round(core.StageArchive, 1, len(graphs))
 
 	for v := 0; v+1 < len(graphs); v++ {
-		if err := opt.Engine.Hooks.Err(); err != nil {
+		if err := opt.Hooks.Err(); err != nil {
 			return nil, err
 		}
 		g1, g2 := graphs[v], graphs[v+1]
@@ -148,7 +139,7 @@ func Build(graphs []*rdf.Graph, opt BuildOptions) (*Archive, error) {
 			return nil, err
 		}
 		cur = next
-		opt.Engine.Hooks.Round(core.StageArchive, v+2, len(graphs))
+		opt.Hooks.Round(core.StageArchive, v+2, len(graphs))
 	}
 	a.tail = &archiveTail{lastGraph: graphs[len(graphs)-1], cur: cur, lastSeen: lastSeen}
 	return a, nil
@@ -161,7 +152,7 @@ func Build(graphs []*rdf.Graph, opt BuildOptions) (*Archive, error) {
 // exactly as it was.
 func (a *Archive) appendAligned(g1, g2 *rdf.Graph, v int, cur []EntityID,
 	lastSeen map[string]EntityID, opt BuildOptions) ([]EntityID, error) {
-	part, c, err := alignPair(g1, g2, opt)
+	part, c, err := opt.Align(g1, g2)
 	if err != nil {
 		return nil, err
 	}
@@ -179,24 +170,25 @@ func (a *Archive) appendAligned(g1, g2 *rdf.Graph, v int, cur []EntityID,
 // the archive already holds; a full Build over the extended history produces
 // an identical archive (same rows, labels, stats and snapshots).
 //
-// AppendVersion is transactional: on any error — an edit script that does
-// not apply, or cancellation through opt.Engine.Hooks — the archive is
-// unchanged and a later append can retry. Archives loaded from raw columns
-// (FromRaw) carry no construction tail and cannot append; rebuild with
-// Build.
+// AppendVersion is transactional: on any error — a nil opt.Align, an edit
+// script that does not apply, a failed alignment, or cancellation through
+// opt.Hooks — the archive is unchanged and a later append can retry.
+// Archives loaded from raw columns (FromRaw) carry no construction tail and
+// cannot append; rebuild with Build.
 //
-// opt should be the BuildOptions the archive was built with: chaining
-// decisions depend on them, and mixing options across versions makes the
-// archive equivalent to no single Build call. It returns the appended
-// version's graph (g itself, or the script application result).
+// opt should be the BuildOptions the archive was built with, its Align
+// aligning pairs the same way: chaining decisions depend on both, and
+// mixing them across versions makes the archive equivalent to no single
+// Build call. It returns the appended version's graph (g itself, or the
+// script application result).
 func (a *Archive) AppendVersion(g *rdf.Graph, script *delta.Script, opt BuildOptions) (*rdf.Graph, error) {
 	if a.tail == nil {
 		return nil, fmt.Errorf("archive: archive has no construction tail (loaded from raw columns); rebuild with Build to append")
 	}
-	if opt.Theta == 0 {
-		opt.Theta = similarity.DefaultTheta
+	if opt.Align == nil {
+		return nil, errNoAlign
 	}
-	if err := opt.Engine.Hooks.Err(); err != nil {
+	if err := opt.Hooks.Err(); err != nil {
 		return nil, err
 	}
 	g2 := g
@@ -217,7 +209,7 @@ func (a *Archive) AppendVersion(g *rdf.Graph, script *delta.Script, opt BuildOpt
 	a.versions++
 	a.tail.lastGraph = g2
 	a.tail.cur = next
-	opt.Engine.Hooks.Round(core.StageArchive, a.versions, a.versions)
+	opt.Hooks.Round(core.StageArchive, a.versions, a.versions)
 	return g2, nil
 }
 
@@ -263,29 +255,6 @@ func noteURIs(g *rdf.Graph, entity []EntityID, lastSeen map[string]EntityID) {
 			lastSeen[g.Label(n).Value] = entity[n]
 		}
 	})
-}
-
-func alignPair(g1, g2 *rdf.Graph, opt BuildOptions) (*core.Partition, *rdf.Combined, error) {
-	c := rdf.Union(g1, g2)
-	in := core.NewInterner()
-	hybrid, _, err := opt.Engine.Hybrid(c, in)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !opt.UseOverlap {
-		return hybrid, c, nil
-	}
-	res, err := similarity.OverlapAlign(c, hybrid, similarity.OverlapOptions{
-		Theta:    opt.Theta,
-		Epsilon:  opt.Epsilon,
-		Hooks:    opt.Engine.Hooks,
-		Workers:  opt.Workers,
-		MaxDepth: opt.Engine.MaxDepth,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Xi.P, c, nil
 }
 
 // chainEntities continues entities across one aligned pair: a target node

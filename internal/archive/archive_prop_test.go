@@ -144,10 +144,10 @@ func TestArchiveRandomHistoriesRoundTrip(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		graphs := randomHistory(r, 2+r.Intn(4))
 		for _, opt := range []BuildOptions{
-			{},
-			{ResolveAmbiguous: true},
-			{UseOverlap: true, Theta: 0.65},
-			{ResolveAmbiguous: true, UseOverlap: true, Theta: 0.65},
+			{Align: hybridPair},
+			{Align: hybridPair, ResolveAmbiguous: true},
+			{Align: overlapPair(1)},
+			{Align: overlapPair(1), ResolveAmbiguous: true},
 		} {
 			a, err := Build(graphs, opt)
 			if err != nil {
@@ -180,7 +180,7 @@ func TestArchiveStatsInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		graphs := randomHistory(r, 2+r.Intn(3))
-		a, err := Build(graphs, BuildOptions{ResolveAmbiguous: true})
+		a, err := Build(graphs, BuildOptions{Align: hybridPair, ResolveAmbiguous: true})
 		if err != nil {
 			return false
 		}

@@ -6,10 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"rdfalign/internal/core"
 	"rdfalign/internal/dataset"
 	"rdfalign/internal/rdf"
-	"rdfalign/internal/similarity"
 )
 
 func parse(t testing.TB, doc, name string) *rdf.Graph {
@@ -61,7 +59,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 <uoe> <name> "University of Edinburgh" .
 <ss> <city> "Edinburgh" .
 `, "v3")
-	a, err := Build([]*rdf.Graph{v1, v2, v3}, BuildOptions{})
+	a, err := Build([]*rdf.Graph{v1, v2, v3}, BuildOptions{Align: hybridPair})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +92,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 func TestArchiveRenameRecordedAsLabelRun(t *testing.T) {
 	v1 := parse(t, "<ss> <employer> <ed-uni> .\n<ed-uni> <name> \"UoE\" .\n", "v1")
 	v2 := parse(t, "<ss> <employer> <uoe> .\n<uoe> <name> \"UoE\" .\n", "v2")
-	a, err := Build([]*rdf.Graph{v1, v2}, BuildOptions{})
+	a, err := Build([]*rdf.Graph{v1, v2}, BuildOptions{Align: hybridPair})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +118,7 @@ func TestArchiveGapIntervals(t *testing.T) {
 	v1 := parse(t, doc+other, "v1")
 	v2 := parse(t, other, "v2")
 	v3 := parse(t, doc+other, "v3")
-	a, err := Build([]*rdf.Graph{v1, v2, v3}, BuildOptions{})
+	a, err := Build([]*rdf.Graph{v1, v2, v3}, BuildOptions{Align: hybridPair})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +141,14 @@ func TestArchiveGapIntervals(t *testing.T) {
 }
 
 func TestArchiveErrors(t *testing.T) {
-	if _, err := Build(nil, BuildOptions{}); err == nil {
+	if _, err := Build(nil, BuildOptions{Align: hybridPair}); err == nil {
 		t.Error("empty version list accepted")
 	}
 	g := parse(t, "<a> <p> <b> .\n", "v1")
-	a, err := Build([]*rdf.Graph{g}, BuildOptions{})
+	if _, err := Build([]*rdf.Graph{g}, BuildOptions{}); err == nil {
+		t.Error("build without an Align function accepted")
+	}
+	a, err := Build([]*rdf.Graph{g}, BuildOptions{Align: hybridPair})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestArchiveEFORoundTripAndCompression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Build(d.Graphs, BuildOptions{})
+	a, err := Build(d.Graphs, BuildOptions{Align: hybridPair})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +204,11 @@ func TestArchiveResolveAmbiguous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Build(d.Graphs, BuildOptions{})
+	plain, err := Build(d.Graphs, BuildOptions{Align: hybridPair})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolved, err := Build(d.Graphs, BuildOptions{ResolveAmbiguous: true})
+	resolved, err := Build(d.Graphs, BuildOptions{Align: hybridPair, ResolveAmbiguous: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +240,11 @@ func TestArchiveWithOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Build(d.Graphs, BuildOptions{})
+	plain, err := Build(d.Graphs, BuildOptions{Align: hybridPair})
 	if err != nil {
 		t.Fatal(err)
 	}
-	over, err := Build(d.Graphs, BuildOptions{UseOverlap: true, Theta: 0.65})
+	over, err := Build(d.Graphs, BuildOptions{Align: overlapPair(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,12 +278,12 @@ func TestBuildOverlapWorkersDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Build(d.Graphs, BuildOptions{UseOverlap: true, Theta: 0.65, Workers: 1})
+	base, err := Build(d.Graphs, BuildOptions{Align: overlapPair(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
-		a, err := Build(d.Graphs, BuildOptions{UseOverlap: true, Theta: 0.65, Workers: workers})
+		a, err := Build(d.Graphs, BuildOptions{Align: overlapPair(workers)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,37 +293,6 @@ func TestBuildOverlapWorkersDeterministic(t *testing.T) {
 		}
 		if !reflect.DeepEqual(a.Rows(), base.Rows()) {
 			t.Fatalf("workers=%d: archive rows diverge from sequential build", workers)
-		}
-	}
-}
-
-// TestAlignPairHonoursMaxDepth: the per-pair overlap alignment bounds both
-// its hybrid refinement and the overlap propagation at Engine.MaxDepth, so
-// a bounded archive chains entities through exactly the k-bounded
-// alignment.
-func TestAlignPairHonoursMaxDepth(t *testing.T) {
-	// A pair whose overlap partition at k = 1 depends on the propagation
-	// bound, not only on the bounded hybrid partition it starts from.
-	d, err := dataset.GenerateEFO(dataset.EFOConfig{Versions: 3, Scale: 0.01, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 2} {
-		eng := core.Engine{MaxDepth: k}
-		got, c, err := alignPair(d.Graphs[1], d.Graphs[2], BuildOptions{UseOverlap: true, Theta: similarity.DefaultTheta, Engine: eng})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hybrid, _, err := eng.Hybrid(c, core.NewInterner())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := similarity.OverlapAlign(c, hybrid, similarity.OverlapOptions{Theta: similarity.DefaultTheta, MaxDepth: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !core.Equivalent(got, want.Xi.P) {
-			t.Errorf("k=%d: the archive's pair alignment differs from the k-bounded overlap alignment", k)
 		}
 	}
 }

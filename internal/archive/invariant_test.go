@@ -24,7 +24,7 @@ func TestArchiveRowsSortedAfterEveryOperation(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		hist := randomHistory(r, 6)
-		for _, opt := range []BuildOptions{{}, {UseOverlap: true, ResolveAmbiguous: true}} {
+		for _, opt := range []BuildOptions{{Align: hybridPair}, {Align: overlapPair(1), ResolveAmbiguous: true}} {
 			a, err := Build(hist[:2], opt)
 			if err != nil {
 				t.Fatal(err)
@@ -73,7 +73,7 @@ func TestArchiveCloneDivergentAppends(t *testing.T) {
 	// The clone: apb leaves at v3 and returns at v4.
 	runB := []*rdf.Graph{uriGraph(bpc, cpa, cqa, aqc), v2, v1}
 
-	var opt BuildOptions
+	opt := BuildOptions{Align: hybridPair}
 	a, err := Build(base, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"rdfalign/internal/archive"
+	"rdfalign/internal/core"
 	"rdfalign/internal/rdf"
 )
 
@@ -25,23 +27,32 @@ type ArchiveResult struct {
 // GtoPdb history is archived three ways: with plain hybrid chaining (the
 // predicate-cluster ambiguity prevents chaining across the per-version
 // prefixes, so rows do not compress at all), with ambiguity resolution by
-// occurrence-profile overlap, and with Overlap-based alignment on top.
+// occurrence-profile overlap, and with Overlap-based alignment on top, each
+// pair aligned through the figures' pair cache.
 func (e *Env) ExperimentArchive() *ArchiveResult {
 	out := &ArchiveResult{}
-	add := func(name string, graphs []*rdf.Graph, opt archive.BuildOptions) {
-		opt.Engine.Hooks = e.Cfg.Hooks
-		a, err := archive.Build(graphs, opt)
+	add := func(name, dataset string, graphs []*rdf.Graph, resolve, overlap bool) {
+		a, err := archive.Build(graphs, archive.BuildOptions{
+			ResolveAmbiguous: resolve,
+			Hooks:            e.Cfg.Hooks,
+			Align: func(g1, g2 *rdf.Graph) (*core.Partition, *rdf.Combined, error) {
+				v := slices.Index(graphs, g1)
+				if a := e.pairBase(dataset, graphs, v, v+1); !overlap {
+					return a.hybrid, a.c, nil
+				}
+				a := e.pair(dataset, graphs, v, v+1)
+				return a.overlap.Xi.P, a.c, nil
+			},
+		})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: archive over %s: %v", name, err))
 		}
 		out.Rows = append(out.Rows, ArchiveRow{Dataset: name, Stats: a.GatherStats()})
 	}
-	add("efo (hybrid)", e.EFO().Graphs, archive.BuildOptions{})
-	add("gtopdb (hybrid)", e.GtoPdb().Graphs, archive.BuildOptions{})
-	add("gtopdb (resolve)", e.GtoPdb().Graphs, archive.BuildOptions{ResolveAmbiguous: true})
-	add("gtopdb (resolve+overlap)", e.GtoPdb().Graphs, archive.BuildOptions{
-		ResolveAmbiguous: true, UseOverlap: true, Theta: e.Cfg.Theta, Epsilon: e.Cfg.Epsilon,
-	})
+	add("efo (hybrid)", "efo", e.EFO().Graphs, false, false)
+	add("gtopdb (hybrid)", "gtopdb", e.GtoPdb().Graphs, false, false)
+	add("gtopdb (resolve)", "gtopdb", e.GtoPdb().Graphs, true, false)
+	add("gtopdb (resolve+overlap)", "gtopdb", e.GtoPdb().Graphs, true, true)
 	return out
 }
 

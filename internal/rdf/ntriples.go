@@ -220,17 +220,15 @@ func (p *lineParser) blankLabel() (string, error) {
 	}
 	p.pos += 2
 	start := p.pos
-	for p.pos < len(p.s) {
-		c := p.s[p.pos]
-		if c == ' ' || c == '\t' {
-			break
-		}
-		if c == '.' && (p.pos+1 >= len(p.s) || p.s[p.pos+1] == ' ' || p.s[p.pos+1] == '\t') {
-			// A '.' that terminates the statement rather than being
-			// part of the label.
-			break
-		}
+	for p.pos < len(p.s) && p.s[p.pos] != ' ' && p.s[p.pos] != '\t' {
 		p.pos++
+	}
+	// A label never ends in '.' (as in the W3C BLANK_NODE_LABEL): trailing
+	// dots belong to the statement, so "_:a." is the label "a" followed by
+	// the terminator, and every accepted label can be written back as
+	// "_:label ." and read again.
+	for p.pos > start && p.s[p.pos-1] == '.' {
+		p.pos--
 	}
 	if p.pos == start {
 		return "", p.err("empty blank node label")

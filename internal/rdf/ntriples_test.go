@@ -76,6 +76,18 @@ _:x <q> _:x .`
 	}
 }
 
+// TestParseBlankLabelDots: a blank label may contain dots but never ends
+// in one; a dot right after the label is the statement terminator.
+func TestParseBlankLabelDots(t *testing.T) {
+	g, err := ParseNTriplesString("_:a.b <p> _:c.\n_:c <p> _:a.b .", "dots")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumBlanks() != 2 || g.NumTriples() != 2 {
+		t.Errorf("NumBlanks, NumTriples = %d, %d, want 2, 2 (labels _:a.b and _:c)", g.NumBlanks(), g.NumTriples())
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -97,6 +109,8 @@ func TestParseErrors(t *testing.T) {
 		{"stray term start", `s <p> <o> .`},
 		{"blank without colon", `_x <p> <o> .`},
 		{"empty blank label", `_: <p> <o> .`},
+		{"blank label of dots", `_:0 <p> _:..`},
+		{"blank label ending in a dot", `<s> <p> _:a..`},
 		{"surrogate escape", `<s> <p> "\uD800" .`},
 	}
 	for _, c := range cases {

@@ -394,7 +394,13 @@ func (r *Registry) AppendGraph(ctx context.Context, name string, g *rdfalign.Gra
 	e.setSink(sink)
 	defer e.setSink(nil)
 
-	cur := e.head.Load()
+	return e.appendVersion(ctx, e.head.Load(), g)
+}
+
+// appendVersion publishes g as the version after head cur: it aligns the
+// pair (cur.latest, g), extends a clone of the archive and swaps the new
+// head in. The caller holds e.appendMu.
+func (e *entry) appendVersion(ctx context.Context, cur *head, g *rdfalign.Graph) (*head, error) {
 	align, err := e.al.Align(ctx, cur.latest, g)
 	if err != nil {
 		return nil, err
@@ -437,17 +443,7 @@ func (r *Registry) AppendDelta(ctx context.Context, name string, captured *head,
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadDelta, err)
 		}
-		align, err := e.al.Align(ctx, captured.latest, g2)
-		if err != nil {
-			return nil, err
-		}
-		arch2 := cur.arch.Clone()
-		if _, err := e.al.AppendVersion(ctx, arch2, g2, nil); err != nil {
-			return nil, err
-		}
-		h := newHead(e.al, arch2, cur.version-1, captured.latest, g2, align)
-		e.head.Store(h)
-		return h, nil
+		return e.appendVersion(ctx, cur, g2)
 	}
 
 	// Maintain the captured session. If a concurrent delta advanced the

@@ -334,6 +334,90 @@ func TestServerDeltaConflict(t *testing.T) {
 	}
 }
 
+// TestServerDeltaOnSingleVersion: a delta against a PUT-only archive has no
+// aligned pair to maintain, so it is published like an uploaded version:
+// the archive reaches version 2 with an aligned pair, and every query
+// answers exactly as on an archive that received the edited graph by POST.
+func TestServerDeltaOnSingleVersion(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, name := range []string{"bydelta", "byversion"} {
+		if w := do(t, s, "PUT", "/archives/"+name, triplesV0, nil); w.Code != 201 {
+			t.Fatalf("PUT %s: %d %s", name, w.Code, w.Body)
+		}
+	}
+	var job JobInfo
+	// triplesV0 plus this insertion is triplesV1.
+	if w := do(t, s, "POST", "/archives/bydelta/deltas", "+ <http://x/c> <http://x/p> \"gamma\" .\n", &job); w.Code != 202 {
+		t.Fatalf("POST delta: %d %s", w.Code, w.Body)
+	}
+	if info := waitJob(t, s, job.ID); info.State != JobDone || info.Version != 2 {
+		t.Fatalf("delta job: %+v", info)
+	}
+	do(t, s, "POST", "/archives/byversion/versions", triplesV1, &job)
+	if info := waitJob(t, s, job.ID); info.State != JobDone || info.Version != 2 {
+		t.Fatalf("version job: %+v", info)
+	}
+
+	var got, want archiveSummary
+	do(t, s, "GET", "/archives/bydelta", "", &got)
+	do(t, s, "GET", "/archives/byversion", "", &want)
+	if got.Versions != 2 || !got.Aligned {
+		t.Fatalf("after delta: %+v", got)
+	}
+	// The archive names and the latest graph's name differ by construction.
+	got.Name, want.Name, got.Latest.Name, want.Latest.Name = "", "", "", ""
+	if got != want {
+		t.Fatalf("delta summary %+v, version summary %+v", got, want)
+	}
+	for _, q := range []string{
+		"/stats",
+		"/versions",
+		"/versions/1",
+		"/matches?uri=http://x/c",
+		"/aligned?source=http://x/a&target=http://x/a",
+		"/distance?source=http://x/b&target=http://x/b",
+		"/resolve?uri=http://x/a&from=0&to=1",
+	} {
+		gw := do(t, s, "GET", "/archives/bydelta"+q, "", nil)
+		ww := do(t, s, "GET", "/archives/byversion"+q, "", nil)
+		if gw.Code != 200 || gw.Code != ww.Code || gw.Body.String() != ww.Body.String() {
+			t.Errorf("%s: delta archive %d %q, version archive %d %q", q, gw.Code, gw.Body, ww.Code, ww.Body)
+		}
+	}
+}
+
+// TestServerDeltaOnSingleVersionConflict: a delta captured against a
+// PUT-only archive fails with 409 when another version lands before it
+// runs, and the archive keeps that version.
+func TestServerDeltaOnSingleVersionConflict(t *testing.T) {
+	s := newTestServer(t, Config{AlignJobs: 1})
+	if w := do(t, s, "PUT", "/archives/c", triplesV0, nil); w.Code != 201 {
+		t.Fatalf("PUT: %d", w.Code)
+	}
+	// Hold the only alignment slot so the delta is captured against the
+	// single-version head and waits; publish a version past it meanwhile.
+	if err := s.budget.AcquireAlign(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var job JobInfo
+	do(t, s, "POST", "/archives/c/deltas", "+ <http://x/e> <http://x/p> \"one\" .\n", &job)
+	if _, err := s.Registry().AppendGraph(context.Background(), "c", mustParse(t, triplesV1, "v1"), nil); err != nil {
+		s.budget.ReleaseAlign()
+		t.Fatal(err)
+	}
+	s.budget.ReleaseAlign()
+
+	info := waitJob(t, s, job.ID)
+	if info.State != JobFailed || info.Status != 409 || !strings.Contains(info.Error, "conflict") {
+		t.Fatalf("delta on a superseded single-version head should fail with 409: %+v", info)
+	}
+	var sum archiveSummary
+	do(t, s, "GET", "/archives/c", "", &sum)
+	if sum.Versions != 2 || sum.Latest.Triples != 4 {
+		t.Fatalf("archive after the lost delta: %+v", sum)
+	}
+}
+
 func TestServerJobCancellation(t *testing.T) {
 	s := newTestServer(t, Config{AlignJobs: 1})
 	var sum archiveSummary

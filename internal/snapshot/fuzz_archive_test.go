@@ -8,8 +8,17 @@ import (
 	"testing"
 
 	"rdfalign/internal/archive"
+	"rdfalign/internal/core"
 	"rdfalign/internal/rdf"
 )
+
+// hybridPair is the archive pair alignment of this package's tests: the
+// Hybrid partition of the pair's union.
+func hybridPair(g1, g2 *rdf.Graph) (*core.Partition, *rdf.Combined, error) {
+	c := rdf.Union(g1, g2)
+	p, _, err := (&core.Engine{}).Hybrid(c, core.NewInterner())
+	return p, c, err
+}
 
 // fuzzArchiveDocs are the versions of the small archive whose snapshot
 // seeds FuzzReadArchive: URIs, a literal, a blank node, a triple that
@@ -55,7 +64,7 @@ func seedArchives(tb testing.TB) [][]byte {
 	for _, doc := range fuzzArchiveDocs {
 		graphs = append(graphs, fuzzGraph(tb, doc))
 	}
-	a, err := archive.Build(graphs, archive.BuildOptions{ResolveAmbiguous: true})
+	a, err := archive.Build(graphs, archive.BuildOptions{ResolveAmbiguous: true, Align: hybridPair})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -128,7 +137,7 @@ func FuzzReadArchive(f *testing.F) {
 		if err := a.RebuildTail(); err != nil {
 			return // a loaded archive whose newest version does not rebuild
 		}
-		if _, err := a.AppendVersion(next, nil, archive.BuildOptions{}); err != nil {
+		if _, err := a.AppendVersion(next, nil, archive.BuildOptions{Align: hybridPair}); err != nil {
 			t.Fatalf("append to a rebuilt archive: %v", err)
 		}
 		if _, err := archive.FromRaw(a.Raw()); err != nil {

@@ -65,7 +65,7 @@ func TestLegacyArchiveFixture(t *testing.T) {
 	for _, doc := range fuzzArchiveDocs {
 		graphs = append(graphs, fuzzGraph(t, doc))
 	}
-	want, err := archive.Build(graphs, archive.BuildOptions{ResolveAmbiguous: true})
+	want, err := archive.Build(graphs, archive.BuildOptions{ResolveAmbiguous: true, Align: hybridPair})
 	if err != nil {
 		t.Fatal(err)
 	}

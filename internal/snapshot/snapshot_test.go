@@ -214,7 +214,7 @@ func buildTestArchive(t *testing.T) (*archive.Archive, []*rdf.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := archive.Build(d.Graphs, archive.BuildOptions{ResolveAmbiguous: true})
+	a, err := archive.Build(d.Graphs, archive.BuildOptions{ResolveAmbiguous: true, Align: hybridPair})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,9 +186,7 @@ func (al *Aligner) maintain(ctx context.Context, st *alignState, res *rdf.EditRe
 			}
 		}
 		st2.trivial = colors
-		p := core.NewPartition(in, colors)
-		a2.part = p
-		a2.rel = newPartitionRelation(c2, p, core.NewAlignment(c2, p))
+		al.relate(a2, stages{part: core.NewPartition(in, colors)})
 		return a2, nil
 	}
 
@@ -237,5 +235,10 @@ func (al *Aligner) maintain(ctx context.Context, st *alignState, res *rdf.EditRe
 		}
 	}
 	st2.deblank = deblank2
-	return al.finishFromDeblank(eng, a2, deblank2, itDeblank, touched)
+	s, err := al.finishFromDeblank(eng, al.cfg.method, c2, deblank2, itDeblank, &sh.overlap, touched)
+	if err != nil {
+		return nil, err
+	}
+	al.relate(a2, s)
+	return a2, nil
 }

@@ -30,9 +30,11 @@ func InMemory() Storage { return core.InMemory() }
 // still works.
 func OutOfCore(dir string) Storage { return core.OutOfCore(dir) }
 
-// WithStorage selects the storage backend for the session's alignment
-// working set (default InMemory). Pair it with OpenGraphSnapshotMapped
-// inputs to keep whole-graph alignment out of the Go heap end to end:
+// WithStorage selects the storage backend for the working set of the
+// session's Align calls (default InMemory); BuildArchive and AppendVersion
+// align on the heap, since an arena would grow with every archived pair.
+// Pair it with OpenGraphSnapshotMapped inputs to keep whole-graph alignment
+// out of the Go heap end to end:
 //
 //	al, _ := rdfalign.NewAligner(
 //	    rdfalign.WithMethod(rdfalign.Deblank),
