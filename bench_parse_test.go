@@ -2,13 +2,14 @@ package rdfalign
 
 // Ingestion benchmarks: streaming-parser and writer throughput on a
 // million-triple DBpedia-like corpus (generated in memory by the
-// streaming dataset generator), plus an end-to-end parse→align workload.
-// The parallel configurations are bit-identical to the sequential ones by
-// construction; the speedup scales with available cores (on a single-core
-// machine seq and par8 coincide). Regenerate the BENCH_refine.json
-// entries with:
+// streaming dataset generator), parser throughput on one GtoPdb release
+// (the IRI-heavy document align-gtopdb parses in its set-up), plus an
+// end-to-end parse→align workload. The parallel configurations are
+// bit-identical to the sequential ones by construction; the speedup
+// scales with available cores (on a single-core machine seq and par8
+// coincide). Regenerate the BENCH_refine.json entries with:
 //
-//	go test -run '^$' -bench 'Parse|WriteNT' -benchtime=3x -count=6 .
+//	go test -run '^$' -bench 'Parse|WriteNT' -benchtime=3x -count=6 -benchmem .
 
 import (
 	"bytes"
@@ -26,6 +27,9 @@ const (
 var (
 	parseCorpusOnce sync.Once
 	parseCorpus     string
+
+	gtopdbCorpusOnce sync.Once
+	gtopdbCorpus     string
 )
 
 // corpus returns the shared ~1M-triple benchmark document (~90 MB),
@@ -41,8 +45,25 @@ func corpus() string {
 	return parseCorpus
 }
 
-func benchParse(b *testing.B, opts ...ParseOption) {
-	doc := corpus()
+// gtopdbDoc returns one GtoPdb release at scale 0.2 (~147k triples) as
+// N-Triples: align-gtopdb's set-up input. Its long, mostly distinct IRIs
+// weigh the lexer more than the dictionary-bound stream corpus does.
+func gtopdbDoc() string {
+	gtopdbCorpusOnce.Do(func() {
+		d, err := GenerateGtoPdb(GtoPdbConfig{Versions: 1, Scale: 0.2})
+		if err != nil {
+			panic(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteNTriples(&buf, d.Graphs[0]); err != nil {
+			panic(err)
+		}
+		gtopdbCorpus = buf.String()
+	})
+	return gtopdbCorpus
+}
+
+func benchParse(b *testing.B, doc string, opts ...ParseOption) {
 	b.SetBytes(int64(len(doc)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -58,8 +79,10 @@ func benchParse(b *testing.B, opts ...ParseOption) {
 }
 
 func BenchmarkParseNTriples(b *testing.B) {
-	b.Run("seq", func(b *testing.B) { benchParse(b) })
-	b.Run("par8", func(b *testing.B) { benchParse(b, WithParseWorkers(8)) })
+	b.Run("seq", func(b *testing.B) { benchParse(b, corpus()) })
+	b.Run("par8", func(b *testing.B) { benchParse(b, corpus(), WithParseWorkers(8)) })
+	b.Run("gtopdb-seq", func(b *testing.B) { benchParse(b, gtopdbDoc()) })
+	b.Run("gtopdb-par", func(b *testing.B) { benchParse(b, gtopdbDoc(), WithParseWorkers(-1)) })
 }
 
 func BenchmarkWriteNTriples(b *testing.B) {

@@ -1,6 +1,10 @@
 package rdf
 
-import "fmt"
+import (
+	"fmt"
+	"hash/maphash"
+	"strings"
+)
 
 // Builder constructs a Graph incrementally. URI and Literal perform
 // get-or-create lookups so that the finished graph satisfies the RDF
@@ -13,8 +17,8 @@ type Builder struct {
 	name    string
 	labels  []Label
 	triples []Triple
-	uris    map[string]NodeID
-	lits    map[string]NodeID
+	uris    termDict
+	lits    termDict
 	blanks  map[string]NodeID
 }
 
@@ -23,8 +27,8 @@ type Builder struct {
 func NewBuilder(name string) *Builder {
 	return &Builder{
 		name:   name,
-		uris:   make(map[string]NodeID),
-		lits:   make(map[string]NodeID),
+		uris:   newTermDict(),
+		lits:   newTermDict(),
 		blanks: make(map[string]NodeID),
 	}
 }
@@ -42,27 +46,34 @@ func (b *Builder) add(l Label) NodeID {
 	return id
 }
 
+func (b *Builder) valueAt(id NodeID) string { return b.labels[id].Value }
+
+// term returns the node labelled (kind, v) from d, the dictionary of that
+// kind, creating it on first use; h is termHash(v). A v that is a view
+// into parser input (owned false) is cloned only when a node is created.
+func (b *Builder) term(d *termDict, kind Kind, v string, h uint64, owned bool) NodeID {
+	if id, ok := d.lookup(h, v, b.valueAt); ok {
+		return id
+	}
+	if !owned {
+		v = strings.Clone(v)
+	}
+	id := b.add(Label{Kind: kind, Value: v})
+	d.insert(h, v, id)
+	return id
+}
+
 // URI returns the node labelled with the given URI, creating it on first
 // use.
 func (b *Builder) URI(v string) NodeID {
-	if id, ok := b.uris[v]; ok {
-		return id
-	}
-	id := b.add(URILabel(v))
-	b.uris[v] = id
-	return id
+	return b.term(&b.uris, URI, v, termHash(v), true)
 }
 
 // Literal returns the node carrying the given literal value, creating it on
 // first use. Literal values are unique per graph (§2.1), so repeated data
 // strings share one node.
 func (b *Builder) Literal(v string) NodeID {
-	if id, ok := b.lits[v]; ok {
-		return id
-	}
-	id := b.add(LiteralLabel(v))
-	b.lits[v] = id
-	return id
+	return b.term(&b.lits, Literal, v, termHash(v), true)
 }
 
 // Blank returns the blank node with the given document-local name, creating
@@ -112,4 +123,57 @@ func (b *Builder) MustGraph() *Graph {
 		panic(fmt.Sprintf("rdf: MustGraph: %v", err))
 	}
 	return g
+}
+
+// termSeed seeds termHash for the life of the process.
+var termSeed = maphash.MakeSeed()
+
+// termHash hashes a URI or literal value for the term dictionaries. The
+// parser hashes each term once: a parse worker stores the hash with the
+// term and the merge reuses it. The hash only locates a value; it never
+// reaches a node ID, a color or a file, so tests may swap in a colliding
+// function without changing any parse result.
+var termHash = func(v string) uint64 { return maphash.String(termSeed, v) }
+
+// termDict maps URI or literal values to node IDs by their termHash. The
+// first value seen with a given hash owns that hash's slot; a later,
+// different value with the same hash is a genuine collision and lives in
+// the overflow map. The dictionary does not store values: lookups confirm
+// a slot hit against the value held by the slot's node.
+type termDict struct {
+	byHash   map[uint64]NodeID
+	overflow map[string]NodeID // nil until the first collision
+}
+
+func newTermDict() termDict {
+	return termDict{byHash: make(map[uint64]NodeID)}
+}
+
+// lookup returns the node holding v, where h = termHash(v) and valueAt
+// returns the value held by a node of this dictionary.
+func (d *termDict) lookup(h uint64, v string, valueAt func(NodeID) string) (NodeID, bool) {
+	id, ok := d.byHash[h]
+	if !ok || valueAt(id) == v {
+		return id, ok
+	}
+	id, ok = d.overflow[v]
+	return id, ok
+}
+
+// insert records id as the node holding v, which lookup did not find.
+func (d *termDict) insert(h uint64, v string, id NodeID) {
+	if _, taken := d.byHash[h]; !taken {
+		d.byHash[h] = id
+		return
+	}
+	if d.overflow == nil {
+		d.overflow = make(map[string]NodeID)
+	}
+	d.overflow[v] = id
+}
+
+// reset empties the dictionary, keeping its allocated capacity.
+func (d *termDict) reset() {
+	clear(d.byHash)
+	clear(d.overflow)
 }

@@ -21,19 +21,30 @@ import (
 //     documents survive write → reparse with their label multisets and
 //     counts intact.
 //
+// FuzzLexTerm (lex_test.go) holds the lexer's word-at-a-time fast paths
+// to the byte-at-a-time reference lexer.
+//
 // Seed corpora live under testdata/fuzz/<target>/ (the native Go corpus
 // location); the f.Add seeds below are a code-reviewable duplicate of the
 // interesting ones.
 
+// ntSeedDocs are the N-Triples fuzz seeds; TestForcedTermHashCollisions
+// parses them too.
+var ntSeedDocs = []string{
+	"<ss> <employer> <ed-uni> .\n<ss> <name> _:b2 .\n_:b2 <first> \"Slawek\" .\n",
+	`<s> <p> "line\nbreak \"q\" tab\t \U0001F600 é" .` + "\n",
+	"<s> <p> \"chat\"@fr .\n<s> <q> \"42\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n",
+	"# comment\n\n   \t\n<s> <p> <o> . # trailing\n",
+	"_:x <p> _:y .\r\n_:y <q> _:x .\r\n<a> <p> \"no newline\"",
+	"<s> <p> oops .\n",
+	"<s> <p> \"raw\xffbyte\" .\n",
+	strings.Repeat("<hub> <p> <n> .\n<n> <val> \"lit\" .\n_:b <ref> <hub> .\n", 20),
+}
+
 func ntSeeds(f *testing.F) {
-	f.Add([]byte("<ss> <employer> <ed-uni> .\n<ss> <name> _:b2 .\n_:b2 <first> \"Slawek\" .\n"))
-	f.Add([]byte(`<s> <p> "line\nbreak \"q\" tab\t \U0001F600 é" .` + "\n"))
-	f.Add([]byte("<s> <p> \"chat\"@fr .\n<s> <q> \"42\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n"))
-	f.Add([]byte("# comment\n\n   \t\n<s> <p> <o> . # trailing\n"))
-	f.Add([]byte("_:x <p> _:y .\r\n_:y <q> _:x .\r\n<a> <p> \"no newline\""))
-	f.Add([]byte("<s> <p> oops .\n"))
-	f.Add([]byte("<s> <p> \"raw\xffbyte\" .\n"))
-	f.Add([]byte(strings.Repeat("<hub> <p> <n> .\n<n> <val> \"lit\" .\n_:b <ref> <hub> .\n", 20)))
+	for _, doc := range ntSeedDocs {
+		f.Add([]byte(doc))
+	}
 }
 
 func FuzzParseNTriples(f *testing.F) {

@@ -170,9 +170,21 @@ func (p *lineParser) checkUTF8(v, what string) error {
 
 // iri parses <...>. The owned result reports whether the returned string
 // was freshly built (escape decoding) or is a view into the line.
+//
+// The common IRI — no escape, nothing the grammar rejects — is found with
+// one IndexByte for the closing '>' and one word-at-a-time check of the
+// span. Any other IRI takes the byte-at-a-time loop from its start, which
+// decodes escapes and reports every error at its exact column.
 func (p *lineParser) iri() (v string, owned bool, err error) {
 	p.pos++ // '<'
 	start := p.pos
+	if n := strings.IndexByte(p.s[start:], '>'); n >= 0 && iriPlain(p.s[start:start+n]) {
+		p.pos += n + 1
+		if n == 0 {
+			return "", false, p.err("empty IRI")
+		}
+		return p.s[start : start+n], false, nil
+	}
 	var sb *strings.Builder
 	for p.pos < len(p.s) {
 		c := p.s[p.pos]
@@ -212,6 +224,69 @@ func (p *lineParser) iri() (v string, owned bool, err error) {
 		}
 	}
 	return "", false, p.err("unterminated IRI")
+}
+
+// Word-at-a-time span checks for the lexer's fast paths. Each loads eight
+// bytes as one little-endian word and tests all of them at once with the
+// classic SWAR predicates (exact for "some byte matches", which is all the
+// lexer asks). A span that fails the check is not necessarily wrong — it
+// only has to take the byte loop.
+const (
+	swarLo = 0x0101010101010101
+	swarHi = 0x8080808080808080
+)
+
+// word8 reads s[i:i+8] as a little-endian word; the compiler folds the
+// byte loads into one.
+func word8(s string, i int) uint64 {
+	s = s[i : i+8]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// byteBelow has the high bit set in some byte iff a byte of x is below n
+// (n <= 0x80).
+func byteBelow(x uint64, n byte) uint64 { return (x - swarLo*uint64(n)) &^ x & swarHi }
+
+// byteIs has the high bit set in some byte iff a byte of x equals c.
+func byteIs(x uint64, c byte) uint64 { return byteBelow(x^(swarLo*uint64(c)), 1) }
+
+// iriPlain reports whether the IRI body s (the bytes between '<' and the
+// first '>') is accepted verbatim by the byte loop in every mode: it holds
+// no space, tab or control character (nothing below 0x21), '<', '"' or
+// '\\'.
+func iriPlain(s string) bool {
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		x := word8(s, i)
+		if byteBelow(x, 0x21)|byteIs(x, '<')|byteIs(x, '"')|byteIs(x, '\\') != 0 {
+			return false
+		}
+	}
+	for ; i < len(s); i++ {
+		if c := s[i]; c < 0x21 || c == '<' || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
+}
+
+// literalPlain is iriPlain for a literal body (the bytes between the
+// opening quote and the next '"'): it holds no control character and no
+// '\\'.
+func literalPlain(s string) bool {
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		if x := word8(s, i); byteBelow(x, 0x20)|byteIs(x, '\\') != 0 {
+			return false
+		}
+	}
+	for ; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c == '\\' {
+			return false
+		}
+	}
+	return true
 }
 
 func (p *lineParser) blankLabel() (string, error) {
@@ -262,10 +337,23 @@ func (p *lineParser) checkBlankLabel(label string) error {
 
 // literal parses a quoted literal with its optional language-tag or
 // datatype suffix folded in. The owned result reports whether the value
-// required fresh allocation or is a view into the line.
+// required fresh allocation or is a view into the line. Like iri, a body
+// without escapes or control characters is taken in one scan; any other
+// body takes the byte-at-a-time loop from its start.
 func (p *lineParser) literal() (v string, owned bool, err error) {
 	p.pos++ // opening quote
 	start := p.pos
+	if n := strings.IndexByte(p.s[start:], '"'); n >= 0 && literalPlain(p.s[start:start+n]) {
+		p.pos += n + 1
+		suffix, err := p.literalSuffix()
+		if err != nil {
+			return "", false, err
+		}
+		if suffix == "" {
+			return p.s[start : start+n], false, nil
+		}
+		return p.s[start:start+n] + suffix, true, nil
+	}
 	var sb *strings.Builder
 	for p.pos < len(p.s) {
 		c := p.s[p.pos]

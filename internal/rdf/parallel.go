@@ -3,6 +3,7 @@ package rdf
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,27 +81,11 @@ type termSink interface {
 type builderSink struct{ b *Builder }
 
 func (s builderSink) uriTerm(v string, owned bool) NodeID {
-	if id, ok := s.b.uris[v]; ok {
-		return id
-	}
-	if !owned {
-		v = strings.Clone(v)
-	}
-	id := s.b.add(URILabel(v))
-	s.b.uris[v] = id
-	return id
+	return s.b.term(&s.b.uris, URI, v, termHash(v), owned)
 }
 
 func (s builderSink) literalTerm(v string, owned bool) NodeID {
-	if id, ok := s.b.lits[v]; ok {
-		return id
-	}
-	if !owned {
-		v = strings.Clone(v)
-	}
-	id := s.b.add(LiteralLabel(v))
-	s.b.lits[v] = id
-	return id
+	return s.b.term(&s.b.lits, Literal, v, termHash(v), owned)
 }
 
 func (s builderSink) blankTerm(name string, owned bool) NodeID {
@@ -118,15 +103,20 @@ func (s builderSink) blankTerm(name string, owned bool) NodeID {
 func (s builderSink) triple(sub, p, o NodeID) { s.b.Triple(sub, p, o) }
 
 // batchTerm is one block-local term: its kind plus the URI/literal value
-// or, for blanks, the document-local blank label.
+// or, for blanks, the document-local blank label. The value is usually a
+// view into the block; hash is its termHash (zero for blanks), computed
+// once by the worker and reused by the merge.
 type batchTerm struct {
 	kind  Kind
 	value string
+	hash  uint64
 }
 
 // parseBatch is the parsed form of one block: terms in block-local
 // first-occurrence order, triples over block-local term indexes, and the
 // first syntax error (already carrying its global line number), if any.
+// Once merged, a batch's triples become part of the graph's edge list and
+// the rest of the batch is recycled for a later block.
 type parseBatch struct {
 	index   int
 	terms   []batchTerm
@@ -135,66 +125,82 @@ type parseBatch struct {
 }
 
 // batchBuilder interns terms block-locally while a worker parses a block.
+// A worker keeps one batchBuilder for all its blocks: its dictionaries are
+// emptied, not reallocated, between blocks.
 type batchBuilder struct {
 	terms   []batchTerm
-	uris    map[string]NodeID
-	lits    map[string]NodeID
-	blanks  map[string]NodeID
 	triples []Triple
+	uris    termDict
+	lits    termDict
+	blanks  map[string]NodeID
 }
 
 func newBatchBuilder() *batchBuilder {
 	return &batchBuilder{
-		uris:   make(map[string]NodeID),
-		lits:   make(map[string]NodeID),
+		uris:   newTermDict(),
+		lits:   newTermDict(),
 		blanks: make(map[string]NodeID),
 	}
 }
 
-func (bb *batchBuilder) intern(m map[string]NodeID, kind Kind, v string, owned bool) NodeID {
-	if id, ok := m[v]; ok {
+func (bb *batchBuilder) valueAt(id NodeID) string { return bb.terms[id].value }
+
+// term interns a URI or literal without copying it: a view stays a view
+// into the block until the merge decides whether the document needs it.
+func (bb *batchBuilder) term(d *termDict, kind Kind, v string) NodeID {
+	h := termHash(v)
+	if id, ok := d.lookup(h, v, bb.valueAt); ok {
 		return id
 	}
-	if !owned {
-		v = strings.Clone(v)
-	}
 	id := NodeID(len(bb.terms))
-	bb.terms = append(bb.terms, batchTerm{kind: kind, value: v})
-	m[v] = id
+	bb.terms = append(bb.terms, batchTerm{kind: kind, value: v, hash: h})
+	d.insert(h, v, id)
 	return id
 }
 
-func (bb *batchBuilder) uriTerm(v string, owned bool) NodeID {
-	return bb.intern(bb.uris, URI, v, owned)
+func (bb *batchBuilder) uriTerm(v string, _ bool) NodeID {
+	return bb.term(&bb.uris, URI, v)
 }
 
-func (bb *batchBuilder) literalTerm(v string, owned bool) NodeID {
-	return bb.intern(bb.lits, Literal, v, owned)
+func (bb *batchBuilder) literalTerm(v string, _ bool) NodeID {
+	return bb.term(&bb.lits, Literal, v)
 }
 
-func (bb *batchBuilder) blankTerm(name string, owned bool) NodeID {
-	return bb.intern(bb.blanks, Blank, name, owned)
+func (bb *batchBuilder) blankTerm(name string, _ bool) NodeID {
+	if id, ok := bb.blanks[name]; ok {
+		return id
+	}
+	id := NodeID(len(bb.terms))
+	bb.terms = append(bb.terms, batchTerm{kind: Blank, value: name})
+	bb.blanks[name] = id
+	return id
 }
 
 func (bb *batchBuilder) triple(s, p, o NodeID) {
 	bb.triples = append(bb.triples, Triple{S: s, P: p, O: o})
 }
 
-// parseBlockBatch parses one block into a batch. Past a syntax error the
-// rest of the block is skipped, exactly like the sequential parse.
-func parseBlockBatch(blk parseBlock, strict bool) *parseBatch {
-	batch := &parseBatch{index: blk.index}
+// parseBlockBatch parses one block into batch, whose slices it reuses.
+// Past a syntax error the rest of the block is skipped, exactly like the
+// sequential parse.
+func (bb *batchBuilder) parseBlockBatch(batch *parseBatch, blk parseBlock, strict bool) {
+	batch.index = blk.index
+	batch.err = nil
 	if blk.readErr != nil {
 		batch.err = fmt.Errorf("ntriples: read: %w", blk.readErr)
-		return batch
+		return
 	}
-	bb := newBatchBuilder()
+	bb.uris.reset()
+	bb.lits.reset()
+	clear(bb.blanks)
+	// A line holds at most one triple, so the block's triples fit without
+	// growing; the merge keeps this slice as part of the graph's edge list.
+	bb.terms, bb.triples = batch.terms[:0], make([]Triple, 0, strings.Count(blk.data, "\n")+1)
 	batch.err = forEachLine(blk.data, blk.startLine, func(line string, lineNo int) error {
 		return parseLineInto(bb, line, lineNo, strict)
 	})
-	batch.terms = bb.terms
-	batch.triples = bb.triples
-	return batch
+	batch.terms, batch.triples = bb.terms, bb.triples
+	bb.terms, bb.triples = nil, nil
 }
 
 // ConcurrentBuilder merges per-block parse batches into a single Builder
@@ -219,6 +225,11 @@ type ConcurrentBuilder struct {
 	next     int
 	maxAhead int
 	err      error
+	remap    []NodeID      // apply's block-local → global ID table
+	free     []*parseBatch // merged batches, handed back to workers
+	// chunks holds the merged triples, one remapped batch slice per block
+	// in block order; result concatenates them once.
+	chunks [][]Triple
 }
 
 func newConcurrentBuilder(name string, workers int) *ConcurrentBuilder {
@@ -235,15 +246,16 @@ func newConcurrentBuilder(name string, workers int) *ConcurrentBuilder {
 // ready in block order. It returns false once an error has been recorded:
 // the earliest errored block whose predecessors all parsed cleanly — i.e.
 // the first error in document order — wins, and later batches are
-// discarded.
-func (cb *ConcurrentBuilder) commit(batch *parseBatch) bool {
+// discarded. spare is a merged batch for the caller to parse its next
+// block into, or nil when none is free.
+func (cb *ConcurrentBuilder) commit(batch *parseBatch) (spare *parseBatch, ok bool) {
 	cb.mu.Lock()
 	defer cb.mu.Unlock()
 	for cb.err == nil && batch.index > cb.next+cb.maxAhead {
 		cb.frontier.Wait()
 	}
 	if cb.err != nil {
-		return false
+		return nil, false
 	}
 	cb.pending[batch.index] = batch
 	advanced := false
@@ -256,36 +268,52 @@ func (cb *ConcurrentBuilder) commit(batch *parseBatch) bool {
 		if nb.err != nil {
 			cb.err = nb.err
 			cb.frontier.Broadcast()
-			return false
+			return nil, false
 		}
 		cb.apply(nb)
 		cb.next++
 		advanced = true
+		// Drop the merged batch's views so a recycled batch does not pin
+		// its old block.
+		clear(nb.terms)
+		cb.free = append(cb.free, nb)
 	}
 	if advanced {
 		cb.frontier.Broadcast()
 	}
-	return true
+	if n := len(cb.free); n > 0 {
+		spare = cb.free[n-1]
+		cb.free = cb.free[:n-1]
+	}
+	return spare, true
 }
 
 // apply merges one batch: block-local term indexes are remapped through
-// the builder's get-or-create tables in first-occurrence order.
+// the builder's get-or-create tables in first-occurrence order, reusing
+// the hash each worker computed. A term value is cloned out of its block
+// only when it is new to the whole document. The batch's triples are
+// remapped in place and kept as the next chunk of the edge list, so the
+// merge never copies triples into a growing slice.
 func (cb *ConcurrentBuilder) apply(batch *parseBatch) {
-	remap := make([]NodeID, len(batch.terms))
-	sink := builderSink{cb.b}
+	b := cb.b
+	remap := slices.Grow(cb.remap[:0], len(batch.terms))[:len(batch.terms)]
+	sink := builderSink{b}
 	for i, t := range batch.terms {
 		switch t.kind {
 		case URI:
-			remap[i] = sink.uriTerm(t.value, true)
+			remap[i] = b.term(&b.uris, URI, t.value, t.hash, false)
 		case Literal:
-			remap[i] = sink.literalTerm(t.value, true)
+			remap[i] = b.term(&b.lits, Literal, t.value, t.hash, false)
 		default:
-			remap[i] = sink.blankTerm(t.value, true)
+			remap[i] = sink.blankTerm(t.value, false)
 		}
 	}
-	for _, tr := range batch.triples {
-		cb.b.Triple(remap[tr.S], remap[tr.P], remap[tr.O])
+	for i, tr := range batch.triples {
+		batch.triples[i] = Triple{S: remap[tr.S], P: remap[tr.P], O: remap[tr.O]}
 	}
+	cb.chunks = append(cb.chunks, batch.triples)
+	batch.triples = nil
+	cb.remap = remap
 }
 
 // result finalises the merged graph, or returns the recorded first error.
@@ -295,6 +323,7 @@ func (cb *ConcurrentBuilder) result() (*Graph, error) {
 	if cb.err != nil {
 		return nil, cb.err
 	}
+	cb.b.triples, cb.chunks = slices.Concat(cb.chunks...), nil
 	return cb.b.Graph()
 }
 
@@ -346,17 +375,23 @@ func parseNTriplesParallel(sc *blockScanner, name string, o parseOpts) (*Graph, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			bb := newBatchBuilder()
+			var spare *parseBatch
 			for blk := range blocks {
-				var batch *parseBatch
+				batch := spare
+				if batch == nil {
+					batch = &parseBatch{}
+				}
 				if stop.Load() && blk.readErr == nil {
 					// An earlier block already failed; any block still in
 					// flight is later in the document, so its content can
 					// never be committed. Skip the parse work.
-					batch = &parseBatch{index: blk.index}
+					*batch = parseBatch{index: blk.index}
 				} else {
-					batch = parseBlockBatch(blk, o.strict)
+					bb.parseBlockBatch(batch, blk, o.strict)
 				}
-				if !cb.commit(batch) {
+				var ok bool
+				if spare, ok = cb.commit(batch); !ok {
 					stop.Store(true)
 				}
 			}

@@ -19,7 +19,9 @@
 package rdf
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -449,15 +451,14 @@ func (g *Graph) FindLiteral(v string) (NodeID, bool) {
 // freeze finalises a graph under construction: it sorts and deduplicates the
 // triple list and builds the CSR adjacency. labels must already be final.
 func freeze(name string, labels []Label, triples []Triple) *Graph {
-	sort.Slice(triples, func(i, j int) bool {
-		a, b := triples[i], triples[j]
-		if a.S != b.S {
-			return a.S < b.S
+	slices.SortFunc(triples, func(a, b Triple) int {
+		if c := cmp.Compare(a.S, b.S); c != 0 {
+			return c
 		}
-		if a.P != b.P {
-			return a.P < b.P
+		if c := cmp.Compare(a.P, b.P); c != 0 {
+			return c
 		}
-		return a.O < b.O
+		return cmp.Compare(a.O, b.O)
 	})
 	// Deduplicate: E_G is a set of triples.
 	dedup := triples[:0]
@@ -518,8 +519,8 @@ func freezeSortedIn(alloc Allocator, name string, labels []Label, triples []Trip
 // not to; Union does not re-validate (a union of two RDF graphs is
 // legitimately *not* an RDF graph, since labels may repeat across sides).
 func (g *Graph) Validate() error {
-	seenURI := make(map[string]NodeID, g.nnodes)
-	seenLit := make(map[string]NodeID)
+	seenURI := make(map[string]NodeID, g.NumURIs())
+	seenLit := make(map[string]NodeID, g.NumLiterals())
 	for i := 0; i < g.nnodes; i++ {
 		n := NodeID(i)
 		l := g.Label(n)
