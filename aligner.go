@@ -19,6 +19,11 @@ import (
 // versions) or 0 for fixpoints of unknown length.
 type Progress = core.ProgressEvent
 
+// ErrNoFixpoint matches, under errors.Is, the error an alignment returns
+// when a refinement or σEdit fixpoint reaches its round cap without
+// stabilising; the message names the stage and the round.
+var ErrNoFixpoint = core.ErrNoFixpoint
+
 // ProgressFunc observes per-round progress of an Aligner. It is called
 // synchronously from the alignment loops — and, when the Aligner is used
 // concurrently, from multiple goroutines — so it must be fast and

@@ -125,8 +125,7 @@ func Build(graphs []*rdf.Graph, opt BuildOptions) (*Archive, error) {
 	if err := opt.Hooks.Err(); err != nil {
 		return nil, err
 	}
-	a.recordVersion(graphs[0], 0, cur)
-	noteURIs(graphs[0], cur, lastSeen)
+	a.recordVersion(graphs[0], 0, cur, lastSeen)
 	opt.Hooks.Round(core.StageArchive, 1, len(graphs))
 
 	for v := 0; v+1 < len(graphs); v++ {
@@ -158,8 +157,7 @@ func (a *Archive) appendAligned(g1, g2 *rdf.Graph, v int, cur []EntityID,
 	}
 	next := make([]EntityID, g2.NumNodes())
 	chainEntities(a, c, part, cur, next, g2, lastSeen, opt.ResolveAmbiguous)
-	a.recordVersion(g2, v, next)
-	noteURIs(g2, next, lastSeen)
+	a.recordVersion(g2, v, next, lastSeen)
 	return next, nil
 }
 
@@ -249,14 +247,6 @@ func slabCopy[T any](slab *[]T, src []T) []T {
 	return (*slab)[lo:len(*slab):len(*slab)]
 }
 
-func noteURIs(g *rdf.Graph, entity []EntityID, lastSeen map[string]EntityID) {
-	g.Nodes(func(n rdf.NodeID) {
-		if g.IsURI(n) {
-			lastSeen[g.Label(n).Value] = entity[n]
-		}
-	})
-}
-
 // chainEntities continues entities across one aligned pair: a target node
 // inherits the entity of its alignment partner when the partnership is
 // mutual and unambiguous (exactly one node on each side of the class);
@@ -313,30 +303,34 @@ func (a *Archive) newEntity() EntityID {
 	return EntityID(len(a.labels) - 1)
 }
 
-// recordVersion stores labels and triples of one version.
-func (a *Archive) recordVersion(g *rdf.Graph, v int, entity []EntityID) {
-	g.Nodes(func(n rdf.NodeID) {
-		e := entity[n]
+// recordVersion stores labels and triples of one version. entity is the
+// version's node→entity assignment, which is injective: chaining hands each
+// entity to at most one node of a version.
+//
+// A URI is noted in lastSeen only when its entity opens a new label run.
+// When the entity extends a run, lastSeen already maps the URI to it: the
+// previous version noted it, and no other node of either version carries
+// the URI, since a URI labels at most one node per version.
+func (a *Archive) recordVersion(g *rdf.Graph, v int, entity []EntityID, lastSeen map[string]EntityID) {
+	for i := 0; i < g.NumNodes(); i++ {
+		e := entity[i]
 		runs := a.labels[e]
-		l := g.Label(n)
+		l := g.Label(rdf.NodeID(i))
 		if len(runs) > 0 && runs[len(runs)-1].label == l && runs[len(runs)-1].iv.To == v-1 {
 			a.labels[e][len(runs)-1].iv.To = v
-		} else {
-			a.labels[e] = append(a.labels[e], labelRun{label: l, iv: Interval{v, v}})
+			continue
 		}
-	})
-	// Merge the version's sorted, distinct entity keys into the sorted rows:
-	// a forward merge-join extends matching rows and compacts the unmatched
-	// keys into added; a backward merge then moves the old rows up in place
-	// around the new ones, whose intervals share one slab.
-	keys := make([][3]EntityID, 0, g.NumTriples())
-	g.EachTriple(func(t rdf.Triple) bool {
-		keys = append(keys, [3]EntityID{entity[t.S], entity[t.P], entity[t.O]})
-		return true
-	})
-	a.totalTriples += len(keys)
-	slices.SortFunc(keys, compareKey)
-	keys = slices.Compact(keys)
+		a.labels[e] = append(a.labels[e], labelRun{label: l, iv: Interval{v, v}})
+		if l.Kind == rdf.URI {
+			lastSeen[l.Value] = e
+		}
+	}
+	// Merge the version's ascending, distinct entity keys into the sorted
+	// rows: a forward merge-join extends matching rows and compacts the
+	// unmatched keys into added; a backward merge then moves the old rows up
+	// in place around the new ones, whose intervals share one slab.
+	keys := a.versionKeys(g, entity)
+	a.totalTriples += g.NumTriples()
 	added, i := keys[:0], 0
 	for _, k := range keys {
 		for i < len(a.rows) && compareKey(a.rows[i].key(), k) < 0 {
@@ -366,6 +360,40 @@ func (a *Archive) recordVersion(g *rdf.Graph, v int, entity []EntityID) {
 			j--
 		}
 	}
+}
+
+// versionKeys returns the entity keys of g's triples under the injective
+// assignment entity, strictly ascending by (S, P, O). Instead of sorting
+// all keys, it inverts the assignment over the subjects, visits them in
+// ascending entity order and sorts only each subject's out-edges, each
+// (P, O) pair packed into one uint64 (entity IDs are non-negative int32s,
+// so the packed order is the pair order).
+func (a *Archive) versionKeys(g *rdf.Graph, entity []EntityID) [][3]EntityID {
+	// subject[e] is 1 + the node of entity e when that node has out-edges.
+	subject := make([]rdf.NodeID, len(a.labels))
+	for i := 0; i < g.NumNodes(); i++ {
+		if g.OutDegree(rdf.NodeID(i)) > 0 {
+			subject[entity[i]] = rdf.NodeID(i) + 1
+		}
+	}
+	keys := make([][3]EntityID, 0, g.NumTriples())
+	var po []uint64
+	for e, n := range subject {
+		if n == 0 {
+			continue
+		}
+		po = po[:0]
+		for _, ed := range g.Out(n - 1) {
+			po = append(po, uint64(entity[ed.P])<<32|uint64(entity[ed.O]))
+		}
+		slices.Sort(po)
+		for j, k := range po {
+			if j == 0 || k != po[j-1] {
+				keys = append(keys, [3]EntityID{EntityID(e), EntityID(k >> 32), EntityID(uint32(k))})
+			}
+		}
+	}
+	return keys
 }
 
 func (r *TripleRow) key() [3]EntityID { return [3]EntityID{r.S, r.P, r.O} }
@@ -498,9 +526,8 @@ func (a *Archive) RebuildTail() error {
 		cur[n] = entities[n]
 	}
 	// lastSeen maps each URI to the entity that most recently carried it:
-	// replaying noteURIs version by version is equivalent to taking, per
-	// URI, the run with the greatest end version (at any single version a
-	// URI labels at most one node, hence one entity).
+	// per URI, the entity of the run with the greatest end version (at any
+	// single version a URI labels at most one node, hence one entity).
 	lastSeen := make(map[string]EntityID)
 	lastTo := make(map[string]int)
 	for e, runs := range a.labels {

@@ -190,6 +190,17 @@ func (in *Interner) entry(c Color) *compositeEntry {
 	return nil
 }
 
+// reserveBase presizes the label maps for the given numbers of URI and
+// literal labels. A map that already holds colors is left as it is.
+func (in *Interner) reserveBase(uris, literals int) {
+	if len(in.uris) == 0 {
+		in.uris = make(map[string]Color, uris)
+	}
+	if len(in.literals) == 0 {
+		in.literals = make(map[string]Color, literals)
+	}
+}
+
 // Base returns the color of a node label, allocating it on first use.
 // All blank labels map to the shared blank color. Literal values are
 // looked up in their own map, every other label kind in the URI map.

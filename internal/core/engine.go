@@ -138,7 +138,7 @@ func (e *Engine) HybridFromDeblank(c *rdf.Combined, deblank *Partition) (*Partit
 // characterisation; the engine's Opt does not apply. Weights of nodes in x
 // start at 0 in every use in the paper and only increase during
 // refinement, which guarantees convergence; the iteration cap turns any
-// violation of that contract into a panic.
+// violation of that contract into an ErrNoFixpoint error.
 func (e *Engine) RefineWeighted(g *rdf.Graph, xi *Weighted, x []rdf.NodeID, eps float64) (*Weighted, int, error) {
 	if eps <= 0 {
 		eps = DefaultEpsilon

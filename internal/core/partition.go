@@ -20,12 +20,16 @@ func NewPartition(in *Interner, colors []Color) *Partition {
 }
 
 // LabelPartition returns the node labeling partition ℓ_G: nodes grouped by
-// label, with all blank nodes in one class (§2.2).
+// label, with all blank nodes in one class (§2.2). Colors are allocated in
+// first-use order. On a fresh interner the label maps are presized from
+// g.DistinctLabels — on a union, the source side's counts — so they start
+// near their final size without room reserved for every union node.
 func LabelPartition(g *rdf.Graph, in *Interner) *Partition {
+	in.reserveBase(g.DistinctLabels())
 	colors := in.allocColors(g.NumNodes())
-	g.Nodes(func(n rdf.NodeID) {
-		colors[n] = in.Base(g.Label(n))
-	})
+	for i := range colors {
+		colors[i] = in.Base(g.Label(rdf.NodeID(i)))
+	}
 	return &Partition{in: in, colors: colors}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -221,5 +222,38 @@ func TestNumClassesAndClasses(t *testing.T) {
 	}
 	if total != p.Len() {
 		t.Errorf("classes cover %d nodes, want %d", total, p.Len())
+	}
+}
+
+// TestLabelPartitionFirstUseOrder: presizing the label maps changes no
+// color. LabelPartition on a union, on a fresh interner and on one that
+// already holds colors, assigns each label the color of its first use,
+// blanks the pre-allocated blank color.
+func TestLabelPartitionFirstUseOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 50; i++ {
+		c := randomCombined(r)
+		want := make([]Color, c.NumNodes())
+		first := map[rdf.Label]Color{}
+		next := Color(1) // 0 is the blank color
+		for n := range want {
+			l := c.Label(rdf.NodeID(n))
+			if l.Kind == rdf.Blank {
+				continue
+			}
+			if _, ok := first[l]; !ok {
+				first[l] = next
+				next++
+			}
+			want[n] = first[l]
+		}
+		in := NewInterner()
+		if got := LabelPartition(c.Graph, in).Colors(); !slices.Equal(got, want) {
+			t.Fatalf("LabelPartition colors %v, want first-use order %v", got, want)
+		}
+		// A second call on the same interner keeps its maps and colors.
+		if got := LabelPartition(c.Graph, in).Colors(); !slices.Equal(got, want) {
+			t.Fatalf("LabelPartition on a used interner: %v, want %v", got, want)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -280,8 +279,8 @@ func (e *Engine) refineWorklist(g *rdf.Graph, p *Partition, x []rdf.NodeID) (*Pa
 		if e.MaxDepth > 0 && iter >= e.MaxDepth {
 			return cur, iter, nil // k-bounded: exactly MaxDepth applied rounds
 		}
-		if iter > DefaultMaxIterations {
-			panic(fmt.Sprintf("core: Refine (worklist) did not stabilise after %d iterations", iter))
+		if iter > maxIterations {
+			return nil, 0, &NoFixpointError{Stage: StageRefine, Round: iter}
 		}
 		changes = changes[:0]
 		if spill && !ext && len(dirty) >= extMergeThreshold {
@@ -398,8 +397,8 @@ func (e *Engine) refineWeightedWorklist(g *rdf.Graph, xi *Weighted, x []rdf.Node
 		if e.MaxDepth > 0 && iter >= e.MaxDepth {
 			return cur, iter, nil // k-bounded: exactly MaxDepth applied rounds
 		}
-		if iter > DefaultMaxIterations {
-			panic(fmt.Sprintf("core: RefineWeighted (worklist) did not stabilise after %d iterations", iter))
+		if iter > maxIterations {
+			return nil, 0, &NoFixpointError{Stage: StagePropagate, Round: iter}
 		}
 		changes, wchanges = changes[:0], wchanges[:0]
 		maxDelta := 0.0

@@ -187,16 +187,7 @@ func TestWorklistQuiescentCycle(t *testing.T) {
 func TestWorklistCancellationMidRun(t *testing.T) {
 	// A long blank chain refines one node per round — plenty of rounds to
 	// cancel within.
-	b := rdf.NewBuilder("chain")
-	p := b.URI("p")
-	end := b.URI("end")
-	prev := end
-	for i := 0; i < 200; i++ {
-		cur := b.FreshBlank()
-		b.Triple(cur, p, prev)
-		prev = cur
-	}
-	g := mustGraph(t, b)
+	g := blankChain(t, 200)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	rounds := 0
@@ -360,5 +351,63 @@ func TestDeblankFrom(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// blankChain is a chain of n blank nodes ending in a URI: deblank refines
+// one more link per round, so its fixpoint needs about n rounds.
+func blankChain(t *testing.T, n int) *rdf.Graph {
+	b := rdf.NewBuilder("chain")
+	p := b.URI("p")
+	prev := b.URI("end")
+	for i := 0; i < n; i++ {
+		cur := b.FreshBlank()
+		b.Triple(cur, p, prev)
+		prev = cur
+	}
+	return mustGraph(t, b)
+}
+
+// requireNoFixpoint runs f with the refinement cap lowered to three rounds
+// and requires the ErrNoFixpoint that names stage and the capped round.
+func requireNoFixpoint(t *testing.T, stage string, f func() error) {
+	t.Helper()
+	defer func(saved int) { maxIterations = saved }(maxIterations)
+	maxIterations = 3
+	err := f()
+	var nf *NoFixpointError
+	if !errors.Is(err, ErrNoFixpoint) || !errors.As(err, &nf) {
+		t.Fatalf("err = %v, want ErrNoFixpoint", err)
+	}
+	if nf.Stage != stage || nf.Round != maxIterations+1 {
+		t.Errorf("gave up in stage %q round %d, want %q round %d", nf.Stage, nf.Round, stage, maxIterations+1)
+	}
+}
+
+// TestWorklistNoFixpoint: the worklist refinement returns ErrNoFixpoint
+// when it reaches its round cap, instead of panicking. Under the default
+// cap the same chain converges.
+func TestWorklistNoFixpoint(t *testing.T) {
+	g := blankChain(t, 20)
+	requireNoFixpoint(t, StageRefine, func() error {
+		_, _, err := (&Engine{}).Deblank(g, NewInterner())
+		return err
+	})
+	if _, _, err := (&Engine{}).Deblank(g, NewInterner()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWeightedWorklistNoFixpoint is TestWorklistNoFixpoint for the weighted
+// worklist behind Propagate.
+func TestWeightedWorklistNoFixpoint(t *testing.T) {
+	c := rdf.Union(blankChain(t, 20), blankChain(t, 20))
+	propagate := func() error {
+		_, _, err := (&Engine{}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
+		return err
+	}
+	requireNoFixpoint(t, StagePropagate, propagate)
+	if err := propagate(); err != nil {
+		t.Fatal(err)
 	}
 }

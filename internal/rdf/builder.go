@@ -106,10 +106,12 @@ func (b *Builder) TripleURI(s NodeID, p string, o NodeID) {
 }
 
 // Graph finalises the builder into an immutable Graph and validates the RDF
-// conditions of §2.1. The builder must not be used afterwards.
+// conditions of §2.1. Only the triple conditions need checking: the term
+// dictionaries already made URI and literal labels unique. The builder must
+// not be used afterwards.
 func (b *Builder) Graph() (*Graph, error) {
 	g := freeze(b.name, b.labels, b.triples)
-	if err := g.Validate(); err != nil {
+	if err := g.validateTriples(); err != nil {
 		return nil, err
 	}
 	return g, nil

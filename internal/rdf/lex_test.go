@@ -200,7 +200,9 @@ func collidingTermHash(v string) uint64 { return maphash.String(termSeed, v) & 3
 // TestForcedTermHashCollisions parses the golden and fuzz seed documents
 // with the real term hash and with collidingTermHash, sequentially and in
 // parallel, and requires identical graphs and errors: the hash only
-// locates a value and never decides an ID.
+// locates a value and never decides an ID. Every graph, and its Turtle
+// re-parse, must also pass the full Validate that Builder.Graph skips the
+// uniqueness half of (archive snapshots: unique_test.go).
 func TestForcedTermHashCollisions(t *testing.T) {
 	docs := append([]string(nil), ntSeedDocs...)
 	for _, g := range goldenGraphs() {
@@ -241,8 +243,23 @@ func TestForcedTermHashCollisions(t *testing.T) {
 				t.Errorf("doc %d, %d options: error %q under colliding hash, %q under real hash", i, len(opts), got.err, want[i].err)
 				continue
 			}
-			if want[i].g != nil && !graphsIdentical(got.g, want[i].g) {
+			if want[i].g == nil {
+				continue
+			}
+			if !graphsIdentical(got.g, want[i].g) {
 				t.Errorf("doc %d, %d options: graph differs under colliding hash", i, len(opts))
+			}
+			// Builder.Graph skips the label-uniqueness pass; the full
+			// Validate must still pass, for Turtle re-parses too.
+			if err := got.g.Validate(); err != nil {
+				t.Errorf("doc %d, %d options: %v", i, len(opts), err)
+			}
+			ttl, err := ParseTurtleString(FormatTurtle(got.g), "ttl")
+			if err != nil {
+				t.Fatalf("doc %d: Turtle re-parse: %v", i, err)
+			}
+			if err := ttl.Validate(); err != nil {
+				t.Errorf("doc %d, %d options, Turtle: %v", i, len(opts), err)
 			}
 		}
 	}

@@ -111,6 +111,16 @@ type Edge struct {
 // parsing N-Triples, by Union, or — for read-only mapped snapshots — with
 // FromColumns. The zero Graph is empty and usable.
 //
+// Labels are unique within each side: no two nodes of an RDF graph share a
+// URI label, and no two share a literal label (§2.1). Builder enforces this
+// by construction — URI and Literal are get-or-create lookups in its term
+// dictionaries — so every graph it makes holds it: the N-Triples and Turtle
+// parsers, sequential and parallel, and archive snapshots all build through
+// a Builder. Editor keeps it across edits through its label maps. FromRaw,
+// FromColumns and the snapshot readers trust their input to come from such
+// a graph and do not re-check it; Validate does. A Union holds it within
+// each operand's node range but not across them.
+//
 // Storage: the default Graph keeps every column in Go slices (labels,
 // outIndex/outEdges, the lazy adjacencies). A Graph built by FromColumns
 // leaves labels nil and serves label lookups through its Columns backing
@@ -161,6 +171,11 @@ type Graph struct {
 
 	blanks int // number of blank-labelled nodes
 	lits   int // number of literal-labelled nodes
+
+	// srcURIs and srcLits are, on a graph made by UnionIn, the source
+	// operand's distinct URI and literal counts (see DistinctLabels); zero
+	// otherwise.
+	srcURIs, srcLits int
 }
 
 // Name returns the diagnostic name given at construction (e.g. a version
@@ -181,6 +196,19 @@ func (g *Graph) NumLiterals() int { return g.lits }
 
 // NumURIs returns |URIs(G)|.
 func (g *Graph) NumURIs() int { return g.nnodes - g.blanks - g.lits }
+
+// DistinctLabels returns how many distinct URI and literal labels to expect
+// among g's nodes, for presizing label maps. Labels are unique within a
+// graph, so for one built by a Builder the counts are exact. A union's
+// labels repeat across its sides; for the graph Union or UnionIn makes the
+// counts are the source operand's, since most target labels repeat a
+// source label.
+func (g *Graph) DistinctLabels() (uris, literals int) {
+	if g.srcURIs > 0 || g.srcLits > 0 {
+		return g.srcURIs, g.srcLits
+	}
+	return g.NumURIs(), g.NumLiterals()
+}
 
 // Label returns the label of node n. It panics if n is out of range, which
 // always indicates a programming error (node IDs are never user input). On
@@ -515,9 +543,10 @@ func freezeSortedIn(alloc Allocator, name string, labels []Label, triples []Trip
 // Validate checks the RDF-graph conditions of §2.1 on top of the triple
 // graph model: no two nodes share a URI or literal label, literal nodes
 // occur only as objects, and predicates are not blank. It returns the first
-// violation found, or nil. Builders call this automatically unless asked
-// not to; Union does not re-validate (a union of two RDF graphs is
-// legitimately *not* an RDF graph, since labels may repeat across sides).
+// violation found, or nil. Builder.Graph checks only the triple conditions
+// (validateTriples): its dictionaries already make labels unique. Union
+// does not re-validate (a union of two RDF graphs is legitimately *not* an
+// RDF graph, since labels may repeat across sides).
 func (g *Graph) Validate() error {
 	seenURI := make(map[string]NodeID, g.NumURIs())
 	seenLit := make(map[string]NodeID, g.NumLiterals())
@@ -537,6 +566,12 @@ func (g *Graph) Validate() error {
 			seenLit[l.Value] = n
 		}
 	}
+	return g.validateTriples()
+}
+
+// validateTriples checks Validate's triple conditions: no literal subject
+// and no blank or literal predicate.
+func (g *Graph) validateTriples() error {
 	var verr error
 	g.EachTriple(func(t Triple) bool {
 		switch {

@@ -209,6 +209,23 @@ func TestUnionDisjointness(t *testing.T) {
 	}
 }
 
+// TestUnionDistinctLabels: a graph expects its own URI and literal counts,
+// a union its source operand's, since target labels mostly repeat them.
+func TestUnionDistinctLabels(t *testing.T) {
+	g1 := figure2(t)
+	g2 := figure2(t)
+	if u, l := g1.DistinctLabels(); u != g1.NumURIs() || l != g1.NumLiterals() {
+		t.Fatalf("graph DistinctLabels = (%d, %d), want (%d, %d)", u, l, g1.NumURIs(), g1.NumLiterals())
+	}
+	c := Union(g1, g2)
+	if u, l := c.DistinctLabels(); u != g1.NumURIs() || l != g1.NumLiterals() {
+		t.Fatalf("union DistinctLabels = (%d, %d), want the source's (%d, %d)", u, l, g1.NumURIs(), g1.NumLiterals())
+	}
+	if c.NumURIs() != 2*g1.NumURIs() {
+		t.Fatalf("union NumURIs = %d, want both sides' %d", c.NumURIs(), 2*g1.NumURIs())
+	}
+}
+
 func TestUnionSidePanics(t *testing.T) {
 	g1 := figure2(t)
 	g2 := figure2(t)

@@ -58,8 +58,10 @@ func UnionIn(alloc Allocator, g1, g2 *Graph) *Combined {
 		return true
 	})
 	name := g1.name + "⊎" + g2.name
+	g := freezeSortedIn(alloc, name, labels, triples)
+	g.srcURIs, g.srcLits = g1.DistinctLabels()
 	return &Combined{
-		Graph: freezeSortedIn(alloc, name, labels, triples),
+		Graph: g,
 		N1:    g1.NumNodes(),
 		N2:    g2.NumNodes(),
 		g1:    g1,

@@ -160,6 +160,11 @@ func (s *SigmaEdit) unaligned(n rdf.NodeID) bool {
 	return sides&1 == 0
 }
 
+// maxSigmaEditRounds caps the distance propagation. Entries increase
+// monotonically and are bounded by 1, so the cap only turns a would-be
+// infinite loop into an ErrNoFixpoint error; tests lower it.
+var maxSigmaEditRounds = 1000
+
 // propagate runs the fixpoint iteration: starting from the all-zero matrix,
 // each round recomputes every unaligned non-literal pair's distance as the
 // optimal matching over their outbound edges; entries increase monotonically
@@ -176,8 +181,8 @@ func (s *SigmaEdit) propagate(eps float64, hooks core.Hooks) error {
 			return nil // k-bounded: exactly maxDepth applied rounds
 		}
 		s.iters++
-		if s.iters > 1000 {
-			panic("similarity: σEdit propagation did not converge")
+		if s.iters > maxSigmaEditRounds {
+			return &core.NoFixpointError{Stage: core.StageSigmaEdit, Round: s.iters}
 		}
 		maxDelta := 0.0
 		for i, n := range s.nl1 {

@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -172,5 +173,22 @@ func TestSigmaEditEmptySides(t *testing.T) {
 	}
 	if s.Distance(0, rdf.NodeID(c.N1)) != 0 {
 		t.Error("identical versions should align node 0 with its twin")
+	}
+}
+
+// TestSigmaEditNoFixpoint: a σEdit propagation that reaches its round cap
+// returns ErrNoFixpoint naming the stage and round, instead of panicking.
+// Figure 7 needs at least two rounds (w depends on u and v).
+func TestSigmaEditNoFixpoint(t *testing.T) {
+	defer func(saved int) { maxSigmaEditRounds = saved }(maxSigmaEditRounds)
+	maxSigmaEditRounds = 1
+	c, hp := combine(t, figure7G1(t), figure7G2(t))
+	_, err := NewSigmaEdit(c, hp, SigmaEditOptions{})
+	var nf *core.NoFixpointError
+	if !errors.Is(err, core.ErrNoFixpoint) || !errors.As(err, &nf) {
+		t.Fatalf("err = %v, want ErrNoFixpoint", err)
+	}
+	if nf.Stage != core.StageSigmaEdit || nf.Round != 2 {
+		t.Errorf("gave up in stage %q round %d, want %q round 2", nf.Stage, nf.Round, core.StageSigmaEdit)
 	}
 }
