@@ -268,9 +268,10 @@ func requireSameGraph(t *testing.T, want, got *Graph) {
 			t.Fatalf("node %d: label %v, want %v", n, got.Label(NodeID(n)), want.Label(NodeID(n)))
 		}
 	}
+	gotTriples := got.Triples()
 	for i, tr := range want.Triples() {
-		if got.Triples()[i] != tr {
-			t.Fatalf("triple %d: %v, want %v", i, got.Triples()[i], tr)
+		if gotTriples[i] != tr {
+			t.Fatalf("triple %d: %v, want %v", i, gotTriples[i], tr)
 		}
 	}
 }

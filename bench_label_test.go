@@ -17,7 +17,10 @@ import (
 	"rdfalign/internal/core"
 )
 
-func BenchmarkLabelPartition(b *testing.B) {
+// streamBenchPair parses the two ingest-stream releases and opens the
+// first again from a mapped snapshot. It returns the heap and the mapped
+// source, and the target release.
+func streamBenchPair(b *testing.B) (sources []benchSource, target *Graph) {
 	var releases [2]*Graph
 	for v := range releases {
 		var buf bytes.Buffer
@@ -38,12 +41,19 @@ func BenchmarkLabelPartition(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer mapped.Close()
-	for _, src := range []struct {
-		name string
-		g    *Graph
-	}{{"heap", releases[0]}, {"mapped", mapped}} {
-		c := Union(src.g, releases[1])
+	b.Cleanup(func() { mapped.Close() })
+	return []benchSource{{"heap", releases[0]}, {"mapped", mapped}}, releases[1]
+}
+
+type benchSource struct {
+	name string
+	g    *Graph
+}
+
+func BenchmarkLabelPartition(b *testing.B) {
+	sources, target := streamBenchPair(b)
+	for _, src := range sources {
+		c := Union(src.g, target)
 		b.Run(src.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -131,8 +131,9 @@ func TestSnapshotCorpusRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed shape: %d/%d nodes, %d/%d triples",
 			g.NumNodes(), loaded.NumNodes(), g.NumTriples(), loaded.NumTriples())
 	}
+	loadedTriples := loaded.Triples()
 	for i, tr := range g.Triples() {
-		if tr != loaded.Triples()[i] {
+		if tr != loadedTriples[i] {
 			t.Fatalf("triple %d changed", i)
 		}
 	}

@@ -83,12 +83,12 @@ func resolveAmbiguous(a *Archive, c *rdf.Combined, p *core.Partition,
 
 	for _, col := range cols {
 		g := groups[col]
-		h := similarity.OverlapMatch(g.src, g.tgt, resolveProfileTheta,
+		h, _ := similarity.OverlapMatch(g.src, g.tgt, resolveProfileTheta,
 			func(n rdf.NodeID) []uint64 { return profile(c, p, n) },
 			func(x, y rdf.NodeID) (float64, bool) {
 				ov := similarity.Overlap(profile(c, p, x), profile(c, p, y))
 				return 1 - ov, ov >= resolveProfileTheta
-			})
+			}, core.Hooks{}, 1) // no context: cannot fail
 		// Greedy one-to-one by ascending distance.
 		sort.SliceStable(h.Edges, func(i, j int) bool {
 			if h.Edges[i].D != h.Edges[j].D {

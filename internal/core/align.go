@@ -208,14 +208,15 @@ func EdgeAlignment(c *rdf.Combined, p *Partition) EdgeAlignStats {
 	)
 	seen := make(map[edgeSig]uint8, c.NumTriples())
 	n1 := rdf.NodeID(c.N1)
-	for _, t := range c.Triples() {
+	c.EachTriple(func(t rdf.Triple) bool {
 		sig := edgeSig{s: p.colors[t.S], p: p.colors[t.P], o: p.colors[t.O]}
 		if t.S < n1 {
 			seen[sig] |= inSrc
 		} else {
 			seen[sig] |= inTgt
 		}
-	}
+		return true
+	})
 	var st EdgeAlignStats
 	for _, sides := range seen {
 		if sides&inSrc != 0 {

@@ -61,14 +61,13 @@ func InMemory() Storage { return heapStorage{} }
 // heapStorage is the Go-heap Storage. It is stateless.
 type heapStorage struct{}
 
-func (heapStorage) AllocTriples(n int) []rdf.Triple { return make([]rdf.Triple, n) }
-func (heapStorage) AllocEdges(n int) []rdf.Edge     { return make([]rdf.Edge, n) }
-func (heapStorage) AllocIndex(n int) []int32        { return make([]int32, n) }
-func (heapStorage) AllocNodes(n int) []rdf.NodeID   { return make([]rdf.NodeID, n) }
-func (heapStorage) AllocColors(n int) []Color       { return make([]Color, n) }
-func (heapStorage) AllocPairs(n int) []ColorPair    { return make([]ColorPair, n) }
-func (heapStorage) SpillDir() (string, bool)        { return "", false }
-func (heapStorage) Close() error                    { return nil }
+func (heapStorage) AllocEdges(n int) []rdf.Edge   { return make([]rdf.Edge, n) }
+func (heapStorage) AllocIndex(n int) []int32      { return make([]int32, n) }
+func (heapStorage) AllocNodes(n int) []rdf.NodeID { return make([]rdf.NodeID, n) }
+func (heapStorage) AllocColors(n int) []Color     { return make([]Color, n) }
+func (heapStorage) AllocPairs(n int) []ColorPair  { return make([]ColorPair, n) }
+func (heapStorage) SpillDir() (string, bool)      { return "", false }
+func (heapStorage) Close() error                  { return nil }
 
 // OutOfCore returns a Storage that allocates from writable mmap regions
 // backed by unlinked temporary files in dir ("" = os.TempDir()), and
@@ -135,12 +134,11 @@ func castAlloc[T any](s *diskStorage, n int) []T {
 	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 }
 
-func (s *diskStorage) AllocTriples(n int) []rdf.Triple { return castAlloc[rdf.Triple](s, n) }
-func (s *diskStorage) AllocEdges(n int) []rdf.Edge     { return castAlloc[rdf.Edge](s, n) }
-func (s *diskStorage) AllocIndex(n int) []int32        { return castAlloc[int32](s, n) }
-func (s *diskStorage) AllocNodes(n int) []rdf.NodeID   { return castAlloc[rdf.NodeID](s, n) }
-func (s *diskStorage) AllocColors(n int) []Color       { return castAlloc[Color](s, n) }
-func (s *diskStorage) AllocPairs(n int) []ColorPair    { return castAlloc[ColorPair](s, n) }
+func (s *diskStorage) AllocEdges(n int) []rdf.Edge   { return castAlloc[rdf.Edge](s, n) }
+func (s *diskStorage) AllocIndex(n int) []int32      { return castAlloc[int32](s, n) }
+func (s *diskStorage) AllocNodes(n int) []rdf.NodeID { return castAlloc[rdf.NodeID](s, n) }
+func (s *diskStorage) AllocColors(n int) []Color     { return castAlloc[Color](s, n) }
+func (s *diskStorage) AllocPairs(n int) []ColorPair  { return castAlloc[ColorPair](s, n) }
 
 func (s *diskStorage) SpillDir() (string, bool) { return s.dir, true }
 

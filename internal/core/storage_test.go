@@ -120,11 +120,10 @@ func TestDiskStorageAllocator(t *testing.T) {
 		colors[i] = Color(i)
 	}
 	// Interleave other allocations, then confirm the first array intact.
-	tr := st.AllocTriples(100)
 	ed := st.AllocEdges(100)
 	ix := st.AllocIndex(100)
 	nd := st.AllocNodes(100)
-	if len(tr) != 100 || len(ed) != 100 || len(ix) != 100 || len(nd) != 100 {
+	if len(ed) != 100 || len(ix) != 100 || len(nd) != 100 {
 		t.Fatal("typed allocation lengths wrong")
 	}
 	pairs := st.AllocPairs(7)

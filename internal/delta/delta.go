@@ -35,23 +35,20 @@ type Delta struct {
 // Compute derives the delta of a combined graph under a partition.
 func Compute(c *rdf.Combined, p *core.Partition) *Delta {
 	type sig struct{ s, pr, o core.Color }
-	count1 := make(map[sig]int)
-	var edges1 []rdf.Triple
-	var edges2 []rdf.Triple
-	for _, t := range c.Triples() {
-		k := sig{p.Color(t.S), p.Color(t.P), p.Color(t.O)}
-		if int(t.S) < c.N1 {
-			count1[k]++
-			edges1 = append(edges1, t)
-		} else {
-			edges2 = append(edges2, t)
+	// side calls f with the signature of every triple whose subject lies in
+	// [lo, hi), in (S, P, O) order.
+	side := func(lo, hi int, f func(rdf.Triple, sig)) {
+		for s := rdf.NodeID(lo); int(s) < hi; s++ {
+			for _, e := range c.Out(s) {
+				f(rdf.Triple{S: s, P: e.P, O: e.O}, sig{p.Color(s), p.Color(e.P), p.Color(e.O)})
+			}
 		}
 	}
+	remaining := make(map[sig]int)
+	side(0, c.N1, func(_ rdf.Triple, k sig) { remaining[k]++ })
 	d := &Delta{}
 	// Match G2 edges against G1 signature multiset.
-	remaining := count1
-	for _, t := range edges2 {
-		k := sig{p.Color(t.S), p.Color(t.P), p.Color(t.O)}
+	side(c.N1, c.N1+c.N2, func(t rdf.Triple, k sig) {
 		if remaining[k] > 0 {
 			remaining[k]--
 			d.Retained++
@@ -60,15 +57,14 @@ func Compute(c *rdf.Combined, p *core.Partition) *Delta {
 				S: c.ToTarget(t.S), P: c.ToTarget(t.P), O: c.ToTarget(t.O),
 			})
 		}
-	}
+	})
 	// G1 edges not consumed by a match were removed.
-	for _, t := range edges1 {
-		k := sig{p.Color(t.S), p.Color(t.P), p.Color(t.O)}
+	side(0, c.N1, func(t rdf.Triple, k sig) {
 		if remaining[k] > 0 {
 			remaining[k]--
 			d.Removed = append(d.Removed, t)
 		}
-	}
+	})
 	sortTriples(d.Removed)
 	sortTriples(d.Added)
 	return d

@@ -135,7 +135,7 @@ func (e *Env) AblationPrefixFilter() *AblationPrefixFilterResult {
 	}
 
 	start := time.Now()
-	h := similarity.OverlapMatch(litA, litB, theta, char, dist)
+	h, _ := similarity.OverlapMatch(litA, litB, theta, char, dist, core.Hooks{}, 1) // no context: cannot fail
 	out.HeuristicTime = time.Since(start)
 	out.HeuristicPairs = len(h.Edges)
 

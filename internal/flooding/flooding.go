@@ -96,13 +96,11 @@ func Flood(c *rdf.Combined, opt Options) (*Result, error) {
 	// Group edges by predicate label per side.
 	bySide := func(lo, hi int) map[string][]rdf.Triple {
 		m := make(map[string][]rdf.Triple)
-		for _, t := range c.Triples() {
-			if int(t.S) < lo || int(t.S) >= hi {
-				continue
-			}
-			l := c.Label(t.P)
-			if l.Kind == rdf.URI {
-				m[l.Value] = append(m[l.Value], t)
+		for s := lo; s < hi; s++ {
+			for _, e := range c.Out(rdf.NodeID(s)) {
+				if l := c.Label(e.P); l.Kind == rdf.URI {
+					m[l.Value] = append(m[l.Value], rdf.Triple{S: rdf.NodeID(s), P: e.P, O: e.O})
+				}
 			}
 		}
 		return m

@@ -356,8 +356,7 @@ func (e *Editor) Revert(res *EditResult) {
 }
 
 // hasTriple reports triple membership by binary search over the subject's
-// out-CSR run (always materialised, unlike the flat triple list of a
-// spliced graph).
+// out-CSR run.
 func hasTriple(g *Graph, t Triple) bool {
 	if int(t.S) >= g.NumNodes() {
 		// A node the current script introduced: no pre-edit triples.
@@ -365,7 +364,7 @@ func hasTriple(g *Graph, t Triple) bool {
 	}
 	run := g.Out(t.S)
 	e := Edge{P: t.P, O: t.O}
-	i := sort.Search(len(run), func(i int) bool { return !edgeLess(run[i], e) })
+	i := sort.Search(len(run), func(i int) bool { return compareEdges(run[i], e) >= 0 })
 	return i < len(run) && run[i] == e
 }
 

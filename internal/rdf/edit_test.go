@@ -52,8 +52,8 @@ func TestEditorApply(t *testing.T) {
 		}
 	}
 	// The result equals a from-scratch freeze of the same label/triple sets.
-	want := freeze("g", res.Graph.labels, append([]Triple(nil), res.Graph.triples...))
-	if !reflect.DeepEqual(want.triples, res.Graph.triples) ||
+	want := freeze("g", res.Graph.labels, res.Graph.Triples())
+	if !reflect.DeepEqual(want.Triples(), res.Graph.Triples()) ||
 		!reflect.DeepEqual(want.outIndex, res.Graph.outIndex) ||
 		!reflect.DeepEqual(want.outEdges, res.Graph.outEdges) {
 		t.Errorf("edited graph differs from from-scratch freeze")
@@ -81,7 +81,7 @@ func TestEditorApply(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-apply after revert: %v", err)
 	}
-	if !reflect.DeepEqual(res2.Graph.triples, res.Graph.triples) {
+	if !reflect.DeepEqual(res2.Graph.Triples(), res.Graph.Triples()) {
 		t.Error("re-apply after revert differs")
 	}
 }

@@ -9,3 +9,9 @@ func CollideTermHash() (restore func()) {
 	termHash = collidingTermHash
 	return func() { termHash = saved }
 }
+
+// PatchDenseFactor and WithParseBlockSize expose the edit-path threshold
+// and the parse block size to the external tests.
+const PatchDenseFactor = patchDenseFactor
+
+var WithParseBlockSize = withParseBlockSize

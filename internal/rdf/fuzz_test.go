@@ -192,14 +192,15 @@ func assertRoundTripIsomorphic(t *testing.T, g *Graph) {
 		seen[to] = true
 		m[i] = to
 	}
-	mapped := make([]Triple, len(g.triples))
-	for i, tr := range g.triples {
+	ts, ts2 := g.Triples(), g2.Triples()
+	mapped := make([]Triple, len(ts))
+	for i, tr := range ts {
 		mapped[i] = Triple{S: m[tr.S], P: m[tr.P], O: m[tr.O]}
 	}
 	sortTripleSlice(mapped)
 	for i, tr := range mapped {
-		if tr != g2.triples[i] {
-			t.Fatalf("triple %d differs after round trip: %v vs %v\ndoc:\n%s", i, tr, g2.triples[i], doc)
+		if tr != ts2[i] {
+			t.Fatalf("triple %d differs after round trip: %v vs %v\ndoc:\n%s", i, tr, ts2[i], doc)
 		}
 	}
 }

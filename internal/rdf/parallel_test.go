@@ -12,7 +12,8 @@ import (
 // sense the parallel pipeline guarantees: same labels in the same NodeID
 // order and the same triple list. Diagnostic names are ignored.
 func graphsIdentical(a, b *Graph) bool {
-	if len(a.labels) != len(b.labels) || len(a.triples) != len(b.triples) {
+	at, bt := a.Triples(), b.Triples()
+	if len(a.labels) != len(b.labels) || len(at) != len(bt) {
 		return false
 	}
 	for i := range a.labels {
@@ -20,8 +21,8 @@ func graphsIdentical(a, b *Graph) bool {
 			return false
 		}
 	}
-	for i := range a.triples {
-		if a.triples[i] != b.triples[i] {
+	for i := range at {
+		if at[i] != bt[i] {
 			return false
 		}
 	}

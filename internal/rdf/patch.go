@@ -1,14 +1,17 @@
 package rdf
 
 // Spliced graph construction. The edit and rebase paths (edit.go) produce a
-// post-edit graph whose triple list differs from the base graph's by a
-// sparse, sorted set of additions and removals. Rebuilding every index from
-// scratch (freezeSorted) costs O(|E|) counting passes per edit — for an
+// post-edit graph whose edge set differs from the base graph's by a sparse,
+// sorted set of additions and removals. Rebuilding the out-CSR from a
+// merged triple list (freezeSorted) costs O(|E|) passes per edit — for an
 // alignment session applying one small edit script per delta, those passes
-// dominate the whole maintenance step. patchedGraph instead splices the new
+// dominate the whole maintenance step. splicedGraph instead splices the new
 // graph's indexes out of the base graph's: runs of consecutive unaffected
 // nodes are block-copied, and only the touched nodes' runs are recomputed,
 // so the cost is one block copy of each index plus O(churn) run merges.
+// A dense edit takes the rebuild instead (patchDenseFactor), which lists
+// the base graph's triples from its CSR, merges the edit in and refreezes;
+// BenchmarkPatchDensity measures where the two paths cross.
 //
 // The result is field-for-field identical to the freezeSorted graph — the
 // property tests in patch_test.go assert that — including the lazily built
@@ -26,30 +29,29 @@ import "slices"
 // bookkeeping would cost more than the counting passes it replaces).
 const patchDenseFactor = 8
 
-// patchedGraph builds the graph equal to
-//
-//	freezeSorted(name, labels, mergeEdits(old.triples, added, removed))
-//
-// choosing between the full rebuild and the index splice by edit density.
-// labels must extend old's labels (nodes are only ever appended), and
-// added/removed must satisfy mergeEdits' preconditions.
+// patchedGraph builds the graph equal to rebuiltGraph's, choosing between
+// the full rebuild and the index splice by edit density. labels must extend
+// old's labels (nodes are only ever appended), and added/removed must
+// satisfy mergeEdits' preconditions.
 func patchedGraph(old *Graph, name string, labels []Label, added, removed []Triple) *Graph {
-	if patchDenseFactor*(len(added)+len(removed)) >= old.ntrip+len(added) {
-		return freezeSorted(name, labels, mergeEdits(old.Triples(), added, removed))
+	if patchDenseFactor*(len(added)+len(removed)) >= old.NumTriples()+len(added) {
+		return rebuiltGraph(old, name, labels, added, removed)
 	}
 	return splicedGraph(old, name, labels, added, removed)
 }
 
-// splicedGraph is the splice path of patchedGraph, unconditionally. The flat
-// triple list is left unmaterialised (see Graph.Triples): refinement over the
-// post-edit graph reads only the spliced adjacency indexes, so the O(|E|)
-// merged copy is built lazily by whoever first needs the list.
+// rebuiltGraph is the dense path of patchedGraph: it lists old's triples
+// from the out-CSR, merges the edit in and freezes the result.
+func rebuiltGraph(old *Graph, name string, labels []Label, added, removed []Triple) *Graph {
+	return freezeSorted(name, labels, mergeEdits(old.tripleList(), added, removed))
+}
+
+// splicedGraph is the splice path of patchedGraph, unconditionally.
 func splicedGraph(old *Graph, name string, labels []Label, added, removed []Triple) *Graph {
 	g := &Graph{
 		name:   name,
 		nnodes: len(labels),
 		labels: labels,
-		ntrip:  old.ntrip + len(added) - len(removed),
 		blanks: old.blanks,
 		lits:   old.lits,
 	}
@@ -66,21 +68,13 @@ func splicedGraph(old *Graph, name string, labels []Label, added, removed []Trip
 	return g
 }
 
-// edgeLess is the (P, O) order of adjacency runs.
-func edgeLess(a, b Edge) bool {
-	if a.P != b.P {
-		return a.P < b.P
-	}
-	return a.O < b.O
-}
-
 // patchOut builds g's out-CSR by splicing old's: block copies for untouched
 // subjects, a three-way sorted merge for each touched one.
 func patchOut(g, old *Graph, added, removed []Triple) {
 	n := g.NumNodes()
 	nOld := old.NumNodes()
 	idx := make([]int32, n+1)
-	edges := make([]Edge, 0, g.ntrip)
+	edges := make([]Edge, 0, old.NumTriples()+len(added)-len(removed))
 	prev := 0
 	// flush emits nodes [prev, hi): old runs block-copied with a constant
 	// index shift, nodes past old's range (necessarily untouched here) empty.
@@ -136,7 +130,7 @@ func patchOut(g, old *Graph, added, removed []Triple) {
 func mergeEdgeRun(dst []Edge, base, add, rem []Edge) []Edge {
 	ai, ri := 0, 0
 	for _, e := range base {
-		for ai < len(add) && edgeLess(add[ai], e) {
+		for ai < len(add) && compareEdges(add[ai], e) < 0 {
 			dst = append(dst, add[ai])
 			ai++
 		}

@@ -3,6 +3,8 @@ package rdf
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -41,7 +43,7 @@ func randomPatchCase(r *rand.Rand) (base *Graph, labels []Label, added, removed 
 	base = freeze("base", baseLabels, triples)
 
 	// removed: a random subset of base's (already sorted, unique) triples.
-	for _, t := range base.triples {
+	for _, t := range base.Triples() {
 		if r.Intn(4) == 0 {
 			removed = append(removed, t)
 		}
@@ -55,8 +57,8 @@ func randomPatchCase(r *rand.Rand) (base *Graph, labels []Label, added, removed 
 	// added: random triples over the extended node range, minus anything
 	// already in base (added must be disjoint from base, and removed ⊆ base
 	// keeps it disjoint from removed too).
-	inBase := make(map[Triple]struct{}, len(base.triples))
-	for _, t := range base.triples {
+	inBase := make(map[Triple]struct{}, base.NumTriples())
+	for _, t := range base.Triples() {
 		inBase[t] = struct{}{}
 	}
 	addSet := make(map[Triple]struct{})
@@ -78,8 +80,8 @@ func randomPatchCase(r *rand.Rand) (base *Graph, labels []Label, added, removed 
 // editedReference computes the post-edit graph from first principles: a
 // triple set rebuilt with map semantics and frozen from scratch.
 func editedReference(base *Graph, labels []Label, added, removed []Triple) *Graph {
-	set := make(map[Triple]struct{}, len(base.triples))
-	for _, t := range base.triples {
+	set := make(map[Triple]struct{}, base.NumTriples())
+	for _, t := range base.Triples() {
 		set[t] = struct{}{}
 	}
 	for _, t := range removed {
@@ -165,8 +167,8 @@ func TestMergeEditsMatchesSetSemantics(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		r := rand.New(rand.NewSource(seed + 1000))
 		base, _, added, removed := randomPatchCase(r)
-		set := make(map[Triple]struct{}, len(base.triples))
-		for _, tr := range base.triples {
+		set := make(map[Triple]struct{}, base.NumTriples())
+		for _, tr := range base.Triples() {
 			set[tr] = struct{}{}
 		}
 		for _, tr := range removed {
@@ -176,9 +178,71 @@ func TestMergeEditsMatchesSetSemantics(t *testing.T) {
 			set[tr] = struct{}{}
 		}
 		want := sortedTripleSet(set)
-		got := mergeEdits(base.triples, added, removed)
+		got := mergeEdits(base.Triples(), added, removed)
 		if !sameSlice(got, want) {
 			t.Fatalf("seed %d: mergeEdits mismatch:\ngot  %v\nwant %v", seed, got, want)
+		}
+	}
+}
+
+// patchSink keeps the benchmarked edit paths live.
+var patchSink []NodeID
+
+// BenchmarkPatchDensity times the two edit paths of patchedGraph — the
+// splice and the dense rebuild — on one base graph (60k nodes, 200k
+// triples, dependents built) at rising churn, so the crossover that
+// patchDenseFactor encodes is measured rather than guessed. Both paths end
+// with the dependents built, as a maintained session's next refinement
+// needs them. Run it with:
+//
+//	go test -run '^$' -bench PatchDensity -benchmem ./internal/rdf
+func BenchmarkPatchDensity(b *testing.B) {
+	const nodes, edges = 60_000, 200_000
+	r := rand.New(rand.NewSource(1))
+	labels := make([]Label, nodes)
+	for i := range labels {
+		labels[i] = URILabel("http://n/" + strconv.Itoa(i))
+	}
+	triples := make([]Triple, edges)
+	for i := range triples {
+		triples[i] = Triple{S: NodeID(r.Intn(nodes)), P: NodeID(r.Intn(64)), O: NodeID(r.Intn(nodes))}
+	}
+	base := freeze("base", labels, triples)
+	base.Dependents(0)
+	baseTriples := base.Triples()
+	inBase := make(map[Triple]bool, len(baseTriples))
+	for _, t := range baseTriples {
+		inBase[t] = true
+	}
+	for _, churn := range []struct {
+		name string
+		frac float64
+	}{{"0.1%", 0.001}, {"2%", 0.02}, {"7%", 0.07}, {"15%", 0.15}, {"30%", 0.30}} {
+		k := int(churn.frac * float64(len(baseTriples)))
+		picked := r.Perm(len(baseTriples))[:k/2]
+		slices.Sort(picked)
+		removed := make([]Triple, len(picked))
+		for i, j := range picked {
+			removed[i] = baseTriples[j]
+		}
+		addSet := make(map[Triple]struct{})
+		for len(addSet) < k-k/2 {
+			t := Triple{S: NodeID(r.Intn(nodes)), P: NodeID(r.Intn(64)), O: NodeID(r.Intn(nodes))}
+			if !inBase[t] {
+				addSet[t] = struct{}{}
+			}
+		}
+		added := sortedTripleSet(addSet)
+		for _, path := range []struct {
+			name string
+			fn   func(*Graph, string, []Label, []Triple, []Triple) *Graph
+		}{{"splice", splicedGraph}, {"rebuild", rebuiltGraph}} {
+			b.Run("churn="+churn.name+"/"+path.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					patchSink = path.fn(base, "edited", labels, added, removed).Dependents(0)
+				}
+			})
 		}
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -108,22 +107,28 @@ type Edge struct {
 }
 
 // Graph is an immutable triple graph. Construct one with a Builder, by
-// parsing N-Triples, by Union, or — for read-only mapped snapshots — with
-// FromColumns. The zero Graph is empty and usable.
+// parsing N-Triples, by Union, or over stored columns — a snapshot, heap or
+// mapped — with FromColumns. The zero Graph is empty and usable.
 //
 // Labels are unique within each side: no two nodes of an RDF graph share a
 // URI label, and no two share a literal label (§2.1). Builder enforces this
 // by construction — URI and Literal are get-or-create lookups in its term
 // dictionaries — so every graph it makes holds it: the N-Triples and Turtle
 // parsers, sequential and parallel, and archive snapshots all build through
-// a Builder. Editor keeps it across edits through its label maps. FromRaw,
+// a Builder. Editor keeps it across edits through its label maps.
 // FromColumns and the snapshot readers trust their input to come from such
 // a graph and do not re-check it; Validate does. A Union holds it within
 // each operand's node range but not across them.
 //
-// Storage: the default Graph keeps every column in Go slices (labels,
-// outIndex/outEdges, the lazy adjacencies). A Graph built by FromColumns
-// leaves labels nil and serves label lookups through its Columns backing
+// Edges: the out-CSR (outIndex/outEdges) is the graph's one stored edge
+// list. Node n's run outEdges[outIndex[n]:outIndex[n+1]] is out_G(n) sorted
+// by (P, O), so walking the runs in node order yields the triples in
+// (S, P, O) order (EachTriple). Triples copies that order into a fresh
+// slice for tests and small tools.
+//
+// Storage: the default Graph keeps every column in Go slices (labels, the
+// out-CSR, the lazy adjacencies). A Graph built by FromColumns leaves
+// labels nil and serves label lookups through its Columns backing
 // (store.go); the CSR columns are cached slice views into that backing, so
 // the hot Out/Dependents paths are identical for both storages.
 type Graph struct {
@@ -132,21 +137,11 @@ type Graph struct {
 	labels []Label // nil for column-backed graphs; use Label(n)/Kind(n)
 	kinds  []Kind  // per-node label kinds for column-backed graphs
 	cols   Columns // non-nil for column-backed graphs
-	// alloc, when non-nil, supplies backing storage for the large
-	// pointer-free columns the lazy builders materialise (see Allocator).
+	// alloc, when non-nil, supplies backing storage for a union's out-CSR
+	// and for the columns the lazy builders fill (see Allocator).
 	alloc Allocator
 
-	// triples is the edge list sorted by (S, P, O), deduplicated. Spliced
-	// graphs (patch.go) leave it nil and materialise it on first Triples()
-	// call from the out-CSR, which holds the same edges in the same order —
-	// the alignment session's refinement never reads the flat list, so a
-	// maintained delta skips the O(|E|) merge entirely. ntrip is always the
-	// triple count, materialised or not. Access the list through Triples().
-	triples  []Triple
-	tripOnce sync.Once
-	ntrip    int
-
-	// CSR adjacency: out edges of node n are
+	// CSR adjacency, the edge list: out edges of node n are
 	// outEdges[outIndex[n]:outIndex[n+1]], sorted by (P, O).
 	outIndex []int32
 	outEdges []Edge
@@ -186,7 +181,7 @@ func (g *Graph) Name() string { return g.name }
 func (g *Graph) NumNodes() int { return g.nnodes }
 
 // NumTriples returns |E_G|.
-func (g *Graph) NumTriples() int { return g.ntrip }
+func (g *Graph) NumTriples() int { return len(g.outEdges) }
 
 // NumBlanks returns |Blanks(G)|.
 func (g *Graph) NumBlanks() int { return g.blanks }
@@ -279,31 +274,45 @@ func (g *Graph) InDegree(n NodeID) int {
 }
 
 func (g *Graph) buildIn() {
-	ts := g.Triples()
-	g.inIndex = g.allocIndex(g.nnodes + 1)
-	for _, t := range ts {
-		g.inIndex[t.O+1]++
-	}
+	g.inIndex, g.inEdges = g.regroup(
+		func(t Triple) NodeID { return t.O },
+		func(t Triple) Edge { return Edge{P: t.P, O: t.S} })
+}
+
+// regroup builds a CSR over the triples regrouped by key: node k's run
+// holds val(t) for every triple t with key(t) == k, sorted by (P, O).
+func (g *Graph) regroup(key func(Triple) NodeID, val func(Triple) Edge) ([]int32, []Edge) {
+	index := g.allocIndex(g.nnodes + 1)
+	g.EachTriple(func(t Triple) bool {
+		index[key(t)+1]++
+		return true
+	})
 	for i := 1; i <= g.nnodes; i++ {
-		g.inIndex[i] += g.inIndex[i-1]
+		index[i] += index[i-1]
 	}
-	g.inEdges = g.allocEdges(len(ts))
+	edges := g.allocEdges(g.NumTriples())
 	cursor := make([]int32, g.nnodes)
-	copy(cursor, g.inIndex[:g.nnodes])
-	for _, t := range ts {
-		g.inEdges[cursor[t.O]] = Edge{P: t.P, O: t.S}
-		cursor[t.O]++
-	}
-	// Sort each node's in-edge run by (P, O) for determinism.
+	copy(cursor, index[:g.nnodes])
+	g.EachTriple(func(t Triple) bool {
+		k := key(t)
+		edges[cursor[k]] = val(t)
+		cursor[k]++
+		return true
+	})
+	// Runs fill in subject order; sort each by (P, O) for determinism (the
+	// entries of one run are distinct, so the order is unique).
 	for n := 0; n < g.nnodes; n++ {
-		run := g.inEdges[g.inIndex[n]:g.inIndex[n+1]]
-		sort.Slice(run, func(i, j int) bool {
-			if run[i].P != run[j].P {
-				return run[i].P < run[j].P
-			}
-			return run[i].O < run[j].O
-		})
+		slices.SortFunc(edges[index[n]:index[n+1]], compareEdges)
 	}
+	return index, edges
+}
+
+// compareEdges is the (P, O) order of adjacency runs.
+func compareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.P, b.P); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.O, b.O)
 }
 
 // PredOcc returns the predicate occurrences of node n as (s, o) pairs — for
@@ -324,30 +333,9 @@ func (g *Graph) PredOccDegree(n NodeID) int {
 }
 
 func (g *Graph) buildPredOcc() {
-	ts := g.Triples()
-	g.poIndex = g.allocIndex(g.nnodes + 1)
-	for _, t := range ts {
-		g.poIndex[t.P+1]++
-	}
-	for i := 1; i <= g.nnodes; i++ {
-		g.poIndex[i] += g.poIndex[i-1]
-	}
-	g.poEdges = g.allocEdges(len(ts))
-	cursor := make([]int32, g.nnodes)
-	copy(cursor, g.poIndex[:g.nnodes])
-	for _, t := range ts {
-		g.poEdges[cursor[t.P]] = Edge{P: t.S, O: t.O}
-		cursor[t.P]++
-	}
-	for n := 0; n < g.nnodes; n++ {
-		run := g.poEdges[g.poIndex[n]:g.poIndex[n+1]]
-		sort.Slice(run, func(i, j int) bool {
-			if run[i].P != run[j].P {
-				return run[i].P < run[j].P
-			}
-			return run[i].O < run[j].O
-		})
-	}
+	g.poIndex, g.poEdges = g.regroup(
+		func(t Triple) NodeID { return t.P },
+		func(t Triple) Edge { return Edge{P: t.S, O: t.O} })
 }
 
 // Dependents returns the subjects whose outbound neighbourhood mentions n:
@@ -369,28 +357,29 @@ func (g *Graph) buildDependents() {
 		// over from the pre-edit graph before the graph is published).
 		return
 	}
-	ts := g.Triples()
 	n := g.nnodes
 	idx := make([]int32, n+1)
-	for _, t := range ts {
-		idx[t.P+1]++
-		idx[t.O+1]++
+	for _, e := range g.outEdges {
+		idx[e.P+1]++
+		idx[e.O+1]++
 	}
 	for i := 1; i <= n; i++ {
 		idx[i] += idx[i-1]
 	}
-	nodes := g.allocNodes(2 * len(ts))
+	nodes := g.allocNodes(2 * len(g.outEdges))
 	cursor := make([]int32, n)
 	copy(cursor, idx[:n])
-	for _, t := range ts {
-		nodes[cursor[t.P]] = t.S
-		cursor[t.P]++
-		nodes[cursor[t.O]] = t.S
-		cursor[t.O]++
+	for s := 0; s < n; s++ {
+		for _, e := range g.outEdges[g.outIndex[s]:g.outIndex[s+1]] {
+			nodes[cursor[e.P]] = NodeID(s)
+			cursor[e.P]++
+			nodes[cursor[e.O]] = NodeID(s)
+			cursor[e.O]++
+		}
 	}
-	// Each run is filled in triple order and triples are sorted by subject,
-	// so runs arrive already sorted; deduplicate them with an in-place
-	// compaction (the write position never overtakes the read position).
+	// Each run is filled in subject order, so runs arrive already sorted;
+	// deduplicate them with an in-place compaction (the write position
+	// never overtakes the read position).
 	out := nodes[:0]
 	newIdx := g.allocIndex(n + 1)
 	for i := 0; i < n; i++ {
@@ -409,34 +398,25 @@ func (g *Graph) buildDependents() {
 	g.depNodes = out
 }
 
-// Triples returns the edge list sorted by (S, P, O). The slice aliases
-// internal storage and must not be modified. On a spliced graph that never
-// materialised the list, the first call rebuilds it from the out-CSR (same
-// edges, same order).
-func (g *Graph) Triples() []Triple {
-	g.tripOnce.Do(g.buildTriples)
-	return g.triples
-}
+// Triples returns the edge list sorted by (S, P, O) as a fresh slice. It
+// copies the out-CSR on every call, so it is meant for tests, examples and
+// small tools; algorithms walk EachTriple or Out instead.
+func (g *Graph) Triples() []Triple { return g.tripleList() }
 
-func (g *Graph) buildTriples() {
-	if g.triples != nil || g.ntrip == 0 {
-		return
-	}
-	ts := g.allocTriples(g.ntrip)[:0]
-	for n := 0; n < g.nnodes; n++ {
-		for _, e := range g.outEdges[g.outIndex[n]:g.outIndex[n+1]] {
-			ts = append(ts, Triple{S: NodeID(n), P: e.P, O: e.O})
-		}
-	}
-	g.triples = ts
+// tripleList is Triples for the package's own transient lists (the dense
+// edit path and the canonical writer order).
+func (g *Graph) tripleList() []Triple {
+	ts := make([]Triple, 0, g.NumTriples())
+	g.EachTriple(func(t Triple) bool {
+		ts = append(ts, t)
+		return true
+	})
+	return ts
 }
 
 // EachTriple calls yield for every triple in (S, P, O) order, stopping
-// early when yield returns false. It iterates the out-CSR directly and
-// never materialises the flat triple list, so streaming serialisers can
-// walk a spliced or mapped graph without the O(|E|) allocation of
-// Triples(). The order is identical to Triples() (the CSR holds the same
-// edges in the same order).
+// early when yield returns false. It walks the out-CSR and allocates
+// nothing.
 func (g *Graph) EachTriple(yield func(Triple) bool) {
 	for n := 0; n < g.nnodes; n++ {
 		for _, e := range g.outEdges[g.outIndex[n]:g.outIndex[n+1]] {
@@ -478,6 +458,7 @@ func (g *Graph) FindLiteral(v string) (NodeID, bool) {
 
 // freeze finalises a graph under construction: it sorts and deduplicates the
 // triple list and builds the CSR adjacency. labels must already be final.
+// The graph does not keep triples.
 func freeze(name string, labels []Label, triples []Triple) *Graph {
 	slices.SortFunc(triples, func(a, b Triple) int {
 		if c := cmp.Compare(a.S, b.S); c != 0 {
@@ -502,32 +483,21 @@ func freeze(name string, labels []Label, triples []Triple) *Graph {
 }
 
 // freezeSorted is freeze for a triple list that is already sorted by
-// (S, P, O) and duplicate-free — the edit/rebase paths (edit.go) maintain
-// that invariant with sorted merges, so rebuilding a graph after a sparse
-// edit costs a linear CSR pass instead of a full sort.
+// (S, P, O) and duplicate-free — the dense edit path (patch.go) keeps that
+// invariant with a sorted merge, so it costs a linear CSR pass instead of
+// a full sort.
 func freezeSorted(name string, labels []Label, triples []Triple) *Graph {
-	return freezeSortedIn(nil, name, labels, triples)
-}
-
-// freezeSortedIn is freezeSorted with the CSR columns drawn from alloc
-// (nil means the heap); the graph keeps alloc for its lazy adjacency
-// builds. The triples slice is stored as passed — callers that want it
-// allocator-backed allocate it themselves.
-func freezeSortedIn(alloc Allocator, name string, labels []Label, triples []Triple) *Graph {
-	g := &Graph{name: name, nnodes: len(labels), labels: labels, triples: triples, ntrip: len(triples), alloc: alloc}
-	g.outIndex = g.allocIndex(len(labels) + 1)
+	g := &Graph{name: name, nnodes: len(labels), labels: labels}
+	g.outIndex = make([]int32, len(labels)+1)
 	for _, t := range triples {
 		g.outIndex[t.S+1]++
 	}
 	for i := 1; i <= len(labels); i++ {
 		g.outIndex[i] += g.outIndex[i-1]
 	}
-	g.outEdges = g.allocEdges(len(triples))
-	cursor := make([]int32, len(labels))
-	copy(cursor, g.outIndex[:len(labels)])
-	for _, t := range triples {
-		g.outEdges[cursor[t.S]] = Edge{P: t.P, O: t.O}
-		cursor[t.S]++
+	g.outEdges = make([]Edge, len(triples))
+	for i, t := range triples {
+		g.outEdges[i] = Edge{P: t.P, O: t.O}
 	}
 	for _, l := range labels {
 		switch l.Kind {

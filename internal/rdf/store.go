@@ -4,13 +4,14 @@ import "fmt"
 
 // This file defines the pluggable column-storage contract of Graph. A Graph
 // is, at bottom, a set of frozen columns: per-node labels (kind + value),
-// the out-adjacency CSR, and optionally the reverse-dependency CSR. The
-// default Graphs built by freeze/FromRaw keep every column in Go slices;
-// the Columns interface lets an alternative backing — in practice the
-// read-only mmap view of internal/snapshot — serve the same columns without
-// copying them onto the heap. FromColumns validates a Columns implementation
-// exactly as FromRaw validates heap columns, so every engine invariant
-// (sorted adjacency, IDs in range) holds regardless of where the bytes live.
+// the out-adjacency CSR — the graph's edge list — and optionally the
+// reverse-dependency CSR. Graphs built by a Builder, a parse, Union or an
+// edit keep every column in Go slices. FromColumns is the one constructor
+// over stored columns: a snapshot decoded onto the heap or the read-only
+// mmap view of internal/snapshot serves its columns through the Columns
+// interface without copying them again. FromColumns validates them, so
+// every engine invariant (sorted adjacency, IDs in range) holds regardless
+// of where the bytes live.
 
 // Columns is the narrow accessor a Graph needs from its backing storage.
 // Implementations must be immutable after construction and safe for
@@ -52,7 +53,7 @@ type sliceColumns struct {
 
 func (s *sliceColumns) GraphName() string { return s.g.name }
 func (s *sliceColumns) NumNodes() int     { return s.g.NumNodes() }
-func (s *sliceColumns) NumTriples() int   { return s.g.ntrip }
+func (s *sliceColumns) NumTriples() int   { return s.g.NumTriples() }
 func (s *sliceColumns) Label(n NodeID) Label {
 	return s.g.Label(n)
 }
@@ -76,7 +77,7 @@ func (s *sliceColumns) Close() error { return nil }
 // Columns returns a Columns view over the graph's frozen storage — the
 // slice-backed default implementation of the interface. Serialisers use it
 // to write any graph (heap or mapped) through one code path. The view's
-// DepCSR forces the lazy dependency CSR, exactly like Raw.
+// DepCSR forces the lazy dependency CSR.
 func (g *Graph) Columns() Columns {
 	if g.cols != nil {
 		return g.cols
@@ -87,9 +88,9 @@ func (g *Graph) Columns() Columns {
 // FromColumns builds a Graph served directly by c, validating the freeze
 // invariants the engines rely on for memory safety (IDs in range, CSR
 // monotone and spanning, runs strictly ascending by (P, O)) in one linear
-// scan — the mapped analogue of FromRaw. The flat triple list is not
-// materialised; Triples() rebuilds it lazily from the CSR if ever called
-// (EachTriple iterates without it).
+// scan. It does not re-check the RDF label-uniqueness conditions of
+// Validate: stored columns are trusted to come from a graph that was
+// validated when it was built.
 func FromColumns(c Columns) (*Graph, error) {
 	n := c.NumNodes()
 	if n > 1<<31-2 {
@@ -129,7 +130,6 @@ func FromColumns(c Columns) (*Graph, error) {
 		nnodes:   n,
 		kinds:    kinds,
 		cols:     c,
-		ntrip:    len(outEdges),
 		outIndex: outIndex,
 		outEdges: outEdges,
 	}
@@ -155,6 +155,31 @@ func FromColumns(c Columns) (*Graph, error) {
 	return g, nil
 }
 
+// validateCSR checks the structural invariants the engines rely on: a
+// monotone index covering nodes exactly, and strictly ascending in-range
+// runs.
+func validateCSR(what string, index []int32, nodes []NodeID, n int) error {
+	if len(index) != n+1 {
+		return fmt.Errorf("rdf: column %s index has %d entries for %d nodes", what, len(index), n)
+	}
+	if index[0] != 0 || int(index[n]) != len(nodes) {
+		return fmt.Errorf("rdf: column %s index spans [%d,%d], want [0,%d]", what, index[0], index[n], len(nodes))
+	}
+	for i := 0; i < n; i++ {
+		if index[i+1] < index[i] {
+			return fmt.Errorf("rdf: column %s index decreases at node %d", what, i)
+		}
+		prev := NodeID(-1)
+		for _, m := range nodes[index[i]:index[i+1]] {
+			if m <= prev || int(m) >= n {
+				return fmt.Errorf("rdf: column %s run for node %d not strictly ascending in range", what, i)
+			}
+			prev = m
+		}
+	}
+	return nil
+}
+
 // Allocator supplies backing storage for a graph's large pointer-free
 // columns. A nil Allocator means the Go heap (plain make). The out-of-core
 // alignment mode passes an allocator whose arrays live in unlinked
@@ -163,15 +188,14 @@ func FromColumns(c Columns) (*Graph, error) {
 // collector never needs to see the backing memory; the allocator's owner
 // must outlive every graph built over its allocations.
 type Allocator interface {
-	AllocTriples(n int) []Triple
 	AllocEdges(n int) []Edge
 	AllocIndex(n int) []int32
 	AllocNodes(n int) []NodeID
 }
 
 // labelsAll returns the full label column as a slice, materialising it on
-// the heap for column-backed graphs (Union and Raw need a flat column; the
-// string values still share their bytes with the backing storage).
+// the heap for column-backed graphs (Union and Editor need a flat column;
+// the string values still share their bytes with the backing storage).
 func (g *Graph) labelsAll() []Label {
 	if g.labels != nil || g.nnodes == 0 {
 		return g.labels
@@ -181,13 +205,6 @@ func (g *Graph) labelsAll() []Label {
 		labels[i] = g.cols.Label(NodeID(i))
 	}
 	return labels
-}
-
-func (g *Graph) allocTriples(n int) []Triple {
-	if g.alloc != nil {
-		return g.alloc.AllocTriples(n)
-	}
-	return make([]Triple, n)
 }
 
 func (g *Graph) allocEdges(n int) []Edge {

@@ -673,8 +673,7 @@ func WriteTurtle(w io.Writer, g *Graph) error {
 	}
 
 	// Group triples by subject and predicate while streaming the stored
-	// (S, P, O)-sorted order; EachTriple avoids materialising the flat
-	// triple list for column-backed graphs.
+	// (S, P, O)-sorted order.
 	started := false
 	var curS, curP NodeID
 	g.EachTriple(func(t Triple) bool {

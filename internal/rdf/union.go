@@ -29,41 +29,39 @@ const (
 // Union builds the disjoint union of g1 and g2.
 func Union(g1, g2 *Graph) *Combined { return UnionIn(nil, g1, g2) }
 
-// UnionIn is Union with the big pointer-free columns (the combined triple
-// list and CSR adjacencies, including the lazily built ones) drawn from
-// alloc; nil means the Go heap. Each side's triples stream through
-// EachTriple, so a mapped operand never materialises its flat triple list.
-// The concatenation of the two sides is already sorted by (S, P, O) —
-// every G2 subject is offset past every G1 node — and each side is
-// duplicate-free with disjoint ID ranges, so the union freezes with a
-// linear CSR pass and no sort.
+// UnionIn is Union with the big pointer-free columns (the union's CSR
+// adjacencies, including the lazily built ones) drawn from alloc; nil means
+// the Go heap. The union's out-CSR is the two operands' CSRs concatenated:
+// g1's index and edges are copied as they are, g2's follow with node IDs
+// offset by |N1| and edge positions by |E1|. Every G2 subject sorts after
+// every G1 node, so the result is already in (S, P, O) order and nothing
+// is sorted or counted.
 func UnionIn(alloc Allocator, g1, g2 *Graph) *Combined {
-	off := NodeID(g1.NumNodes())
-	labels := make([]Label, 0, g1.NumNodes()+g2.NumNodes())
+	n1, n2 := g1.NumNodes(), g2.NumNodes()
+	labels := make([]Label, 0, n1+n2)
 	labels = append(labels, g1.labelsAll()...)
 	labels = append(labels, g2.labelsAll()...)
-	nt := g1.NumTriples() + g2.NumTriples()
-	var triples []Triple
-	if alloc != nil {
-		triples = alloc.AllocTriples(nt)[:0]
-	} else {
-		triples = make([]Triple, 0, nt)
-	}
-	g1.EachTriple(func(t Triple) bool {
-		triples = append(triples, t)
-		return true
-	})
-	g2.EachTriple(func(t Triple) bool {
-		triples = append(triples, Triple{S: t.S + off, P: t.P + off, O: t.O + off})
-		return true
-	})
-	name := g1.name + "⊎" + g2.name
-	g := freezeSortedIn(alloc, name, labels, triples)
+	g := &Graph{name: g1.name + "⊎" + g2.name, nnodes: n1 + n2, labels: labels, alloc: alloc}
+	g.blanks = g1.blanks + g2.blanks
+	g.lits = g1.lits + g2.lits
 	g.srcURIs, g.srcLits = g1.DistinctLabels()
+
+	e1 := len(g1.outEdges)
+	g.outIndex = g.allocIndex(n1 + n2 + 1)
+	copy(g.outIndex, g1.outIndex) // empty for a zero-value g1, whose one entry is 0
+	for i := 1; i <= n2; i++ {
+		g.outIndex[n1+i] = g2.outIndex[i] + int32(e1)
+	}
+	g.outEdges = g.allocEdges(e1 + len(g2.outEdges))
+	copy(g.outEdges, g1.outEdges)
+	off := NodeID(n1)
+	for i, e := range g2.outEdges {
+		g.outEdges[e1+i] = Edge{P: e.P + off, O: e.O + off}
+	}
 	return &Combined{
 		Graph: g,
-		N1:    g1.NumNodes(),
-		N2:    g2.NumNodes(),
+		N1:    n1,
+		N2:    n2,
 		g1:    g1,
 		g2:    g2,
 	}

@@ -93,8 +93,8 @@ func WriteNTriples(w io.Writer, g *Graph, opts ...WriteOption) error {
 // triple stream is exactly its own ID. Graphs built by parsing or loaded
 // from snapshots always satisfy this (the parser assigns IDs in first-
 // occurrence order and the freeze sort is a parse fixpoint), which lets
-// the writer stream straight from the CSR without materialising the flat
-// triple list or a rank permutation. The scan is allocation-free: having
+// the writer stream straight from the CSR without listing the triples or
+// building a rank permutation. The scan is allocation-free: having
 // only ever granted rank next to node next, the seen set is always the
 // prefix [0, next), so "unseen" is the single comparison n >= next.
 func identityCanonical(g *Graph) bool {
@@ -118,7 +118,7 @@ func identityCanonical(g *Graph) bool {
 // tripleSeq is the triple stream the formatting core iterates: either an
 // explicit reordered list (ts non-nil, the canonicalOrder fall-back) or
 // the graph's own CSR in stored order (the identity-canonical fast path,
-// which never materialises the list).
+// which lists nothing).
 type tripleSeq struct {
 	g  *Graph
 	ts []Triple
@@ -169,13 +169,12 @@ const maxCanonIters = 64
 // at maxCanonIters as a defensive bound, and an uncoverged order is still
 // deterministic, just not parse-stable).
 func canonicalOrder(g *Graph) ([]Triple, []NodeID, bool) {
-	ts := g.Triples()
+	ts := g.tripleList()
 	n := g.NumNodes()
 	rank := make([]NodeID, n)
 	for i := range rank {
 		rank[i] = NodeID(i)
 	}
-	owned := false
 	for iter := 0; iter < maxCanonIters; iter++ {
 		// First-occurrence ranks under the current emission order.
 		newRank := make([]NodeID, n)
@@ -216,10 +215,6 @@ func canonicalOrder(g *Graph) ([]Triple, []NodeID, bool) {
 			return ts, rank, true
 		}
 		rank = newRank
-		if !owned {
-			ts = append([]Triple(nil), ts...)
-			owned = true
-		}
 		sort.Slice(ts, func(i, j int) bool {
 			a, b := ts[i], ts[j]
 			if rank[a.S] != rank[b.S] {

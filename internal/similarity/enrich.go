@@ -16,16 +16,12 @@ import (
 // Only nodes incident to an edge of H participate (isolated nodes are
 // removed from consideration, as the paper assumes). The input ξ is not
 // modified.
-func Enrich(xi *core.Weighted, h *WeightedBipartite) *core.Weighted {
-	out, _ := EnrichChanged(xi, h)
-	return out
-}
-
-// EnrichChanged is Enrich additionally returning the nodes whose color or
-// weight it touched (every member of every component of H, ascending) — the
-// change list the incremental overlap matcher combines with the propagation
-// change list to invalidate exactly the characterisations a round moved.
-func EnrichChanged(xi *core.Weighted, h *WeightedBipartite) (*core.Weighted, []rdf.NodeID) {
+//
+// Enrich also returns the nodes whose color or weight it touched (every
+// member of every component of H, ascending) — the change list the
+// incremental overlap matcher combines with the propagation change list to
+// invalidate exactly the characterisations a round moved.
+func Enrich(xi *core.Weighted, h *WeightedBipartite) (*core.Weighted, []rdf.NodeID) {
 	if !h.HasEdges() {
 		return xi.Clone(), nil
 	}

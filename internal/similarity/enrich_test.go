@@ -88,7 +88,7 @@ func TestEnrichHeapDijkstraOracle(t *testing.T) {
 		h := &WeightedBipartite{A: a, B: b, Edges: edges}
 		in := core.NewInterner()
 		hp, _, _ := (&core.Engine{}).Hybrid(c, in)
-		out, changed := EnrichChanged(core.NewWeighted(hp), h)
+		out, changed := Enrich(core.NewWeighted(hp), h)
 
 		// Reference weights over each component, via the same union of
 		// incident nodes.
@@ -166,7 +166,7 @@ func TestEnrichPathologicalComponent(t *testing.T) {
 	h := &WeightedBipartite{A: a, B: b, Edges: edges}
 	in := core.NewInterner()
 	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
-	out, changed := EnrichChanged(core.NewWeighted(hp), h)
+	out, changed := Enrich(core.NewWeighted(hp), h)
 	if len(changed) != spokes+1 {
 		t.Fatalf("changed = %d nodes, want %d", len(changed), spokes+1)
 	}

@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -185,4 +186,14 @@ func randomCombined(r *rand.Rand) *rdf.Combined {
 	g1 := mk("g1", r)
 	g2 := mk("g2", r)
 	return rdf.Union(g1, g2)
+}
+
+// matchSeq runs OverlapMatch sequentially and without a context, where it
+// cannot fail.
+func matchSeq[O cmp.Ordered](a, b []rdf.NodeID, theta float64, char func(rdf.NodeID) []O, dist DistFunc) *WeightedBipartite {
+	h, err := OverlapMatch(a, b, theta, char, dist, core.Hooks{}, 1)
+	if err != nil {
+		panic(err)
+	}
+	return h
 }

@@ -14,7 +14,7 @@ import (
 // colors and weights while Unaligned only shrinks. The matcher instead
 // keeps all three structures alive across rounds and repairs them from the
 // round's change list (the nodes whose color or weight Enrich or the
-// propagation worklist moved, see EnrichChanged and Engine.PropagateChanged):
+// propagation worklist moved, see Enrich and Engine.PropagateChanged):
 //
 //   - char(n) and the σNL edge list of n read only the colors and weights
 //     of n's outbound neighbourhood, so exactly the recolor dependents
@@ -27,7 +27,7 @@ import (
 // The repaired index is element-identical to a from-scratch rebuild —
 // posting-list order may differ, but candidate sets are deduplicated and
 // sorted and the prefix filter reads only posting lengths, so every round's
-// H is bit-identical to the one OverlapMatchWorkers would discover (the
+// H is bit-identical to the one OverlapMatch would discover (the
 // oracle property tests pin this).
 type nlMatcher struct {
 	c       *rdf.Combined

@@ -40,7 +40,7 @@ type OverlapOptions struct {
 	MaxDepth int
 	// Workers > 1 parallelises the matching phases (candidate generation
 	// and σ-verification fan out across source nodes, see
-	// OverlapMatchWorkers); <= 1 runs sequentially. Propagation is
+	// OverlapMatch); <= 1 runs sequentially. Propagation is
 	// sequential either way. Every worker count produces bit-identical
 	// colorings, weights and pair sets.
 	Workers int
@@ -191,7 +191,7 @@ func OverlapAlign(c *rdf.Combined, hybrid *core.Partition, opt OverlapOptions) (
 	}
 	// Lines 2–4: initial literal matching.
 	a0, b0 := unalignedLiterals(c, xi.P)
-	h, err := OverlapMatchWorkers(a0, b0, opt.Theta, func(n rdf.NodeID) []string {
+	h, err := OverlapMatch(a0, b0, opt.Theta, func(n rdf.NodeID) []string {
 		return Split(c.Label(n).Value)
 	}, func(n, m rdf.NodeID) (float64, bool) {
 		return strdist.WithinThreshold(c.Label(n).Value, c.Label(m).Value, opt.Theta)
@@ -215,7 +215,7 @@ func OverlapAlign(c *rdf.Combined, hybrid *core.Partition, opt OverlapOptions) (
 		if res.Rounds > opt.MaxRounds {
 			return nil, fmt.Errorf("similarity: overlap alignment did not terminate after %d rounds", opt.MaxRounds)
 		}
-		enriched, enrichChanged := EnrichChanged(xi, h)
+		enriched, enrichChanged := Enrich(xi, h)
 		next, _, propChanged, err := eng.PropagateChanged(c, enriched, opt.Epsilon)
 		if err != nil {
 			return nil, err

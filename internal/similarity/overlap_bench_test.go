@@ -32,7 +32,7 @@ func BenchmarkOverlapMatch(b *testing.B) {
 		b.Run(fmt.Sprintf("par%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := OverlapMatchWorkers(aa, bb, theta, char, dist, core.Hooks{}, workers); err != nil {
+				if _, err := OverlapMatch(aa, bb, theta, char, dist, core.Hooks{}, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

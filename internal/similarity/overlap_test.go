@@ -132,7 +132,7 @@ func TestOverlapMatchFindsEditedLiterals(t *testing.T) {
 		[]string{"experimental factor ontologies", "the guide to pharmacology", "different altogether"},
 	)
 	theta := 0.5
-	h := OverlapMatch(a, b, theta,
+	h := matchSeq(a, b, theta,
 		func(n rdf.NodeID) []string { return Split(c.Label(n).Value) },
 		func(n, m rdf.NodeID) (float64, bool) {
 			return strdist.WithinThreshold(c.Label(n).Value, c.Label(m).Value, theta)
@@ -162,7 +162,7 @@ func TestOverlapMatchFindsEditedLiterals(t *testing.T) {
 func TestOverlapMatchInclusiveThreshold(t *testing.T) {
 	c, a, b := literalNodes(t, []string{"aa bb cccccc"}, []string{"aa bb dddddd"})
 	theta := 0.5
-	h := OverlapMatch(a, b, theta,
+	h := matchSeq(a, b, theta,
 		func(n rdf.NodeID) []string { return Split(c.Label(n).Value) },
 		func(n, m rdf.NodeID) (float64, bool) {
 			return strdist.WithinThreshold(c.Label(n).Value, c.Label(m).Value, theta)
@@ -205,7 +205,7 @@ func TestOverlapMatchLossless(t *testing.T) {
 		dist := func(n, m rdf.NodeID) (float64, bool) {
 			return strdist.WithinThreshold(c.Label(n).Value, c.Label(m).Value, theta)
 		}
-		h := OverlapMatch(a, b, theta, char, dist)
+		h := matchSeq(a, b, theta, char, dist)
 		got := map[[2]rdf.NodeID]bool{}
 		for _, e := range h.Edges {
 			got[[2]rdf.NodeID{e.A, e.B}] = true
@@ -264,7 +264,7 @@ func TestOverlapMatchLossless(t *testing.T) {
 		char := func(n rdf.NodeID) []int { return chars[n] }
 		accept := func(rdf.NodeID, rdf.NodeID) (float64, bool) { return 0, true }
 		got := map[[2]rdf.NodeID]bool{}
-		for _, e := range OverlapMatch(a, b, theta, char, accept).Edges {
+		for _, e := range matchSeq(a, b, theta, char, accept).Edges {
 			got[[2]rdf.NodeID{e.A, e.B}] = true
 		}
 		want := map[[2]rdf.NodeID]bool{}
@@ -299,7 +299,7 @@ func TestOverlapMatchLossless(t *testing.T) {
 		chars[m] = append([]int{50 + j}, chars[0][7:]...)
 		b = append(b, m)
 	}
-	h := OverlapMatch([]rdf.NodeID{0}, b, 0.65, func(n rdf.NodeID) []int { return chars[n] },
+	h := matchSeq([]rdf.NodeID{0}, b, 0.65, func(n rdf.NodeID) []int { return chars[n] },
 		func(rdf.NodeID, rdf.NodeID) (float64, bool) { return 0, true })
 	if len(h.Edges) == 0 || h.Edges[0].B != 100 {
 		t.Errorf("pair at overlap exactly θ lost: edges %v", h.Edges)
@@ -307,7 +307,7 @@ func TestOverlapMatchLossless(t *testing.T) {
 }
 
 func TestOverlapMatchEmptyInputs(t *testing.T) {
-	h := OverlapMatch(nil, nil, 0.5,
+	h := matchSeq(nil, nil, 0.5,
 		func(rdf.NodeID) []string { return nil },
 		func(rdf.NodeID, rdf.NodeID) (float64, bool) { return 0, true })
 	if h.HasEdges() {
@@ -321,7 +321,7 @@ func TestEnrichSinglePair(t *testing.T) {
 	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 	xi := core.NewWeighted(hp)
 	h := &WeightedBipartite{A: a, B: b, Edges: []BipartiteEdge{{A: a[0], B: b[0], D: 1.0 / 3.0}}}
-	out := Enrich(xi, h)
+	out, _ := Enrich(xi, h)
 	if out.P.Color(a[0]) != out.P.Color(b[0]) {
 		t.Fatal("enriched pair should share a cluster")
 	}
@@ -350,7 +350,7 @@ func TestEnrichComponentWeightsCoverDistances(t *testing.T) {
 		{A: a[1], B: b[0], D: 0.1},
 		{A: a[1], B: b[1], D: 0.3},
 	}}
-	out := Enrich(xi, h)
+	out, _ := Enrich(xi, h)
 	col := out.P.Color(a[0])
 	for _, n := range []rdf.NodeID{a[1], b[0], b[1]} {
 		if out.P.Color(n) != col {
@@ -390,7 +390,7 @@ func TestEnrichSeparateComponents(t *testing.T) {
 		{A: a[0], B: b[0], D: 0.2},
 		{A: a[1], B: b[1], D: 0.4},
 	}}
-	out := Enrich(xi, h)
+	out, _ := Enrich(xi, h)
 	if out.P.Color(a[0]) == out.P.Color(a[1]) {
 		t.Error("separate components must get distinct clusters")
 	}
@@ -404,7 +404,7 @@ func TestEnrichEmptyH(t *testing.T) {
 	in := core.NewInterner()
 	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 	xi := core.NewWeighted(hp)
-	out := Enrich(xi, &WeightedBipartite{A: a, B: b})
+	out, _ := Enrich(xi, &WeightedBipartite{A: a, B: b})
 	if !core.Equivalent(out.P, xi.P) {
 		t.Error("enriching with an empty H must be the identity")
 	}
@@ -637,7 +637,7 @@ func BenchmarkOverlapMatchLiterals(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		OverlapMatch(aa, bb, theta, char, dist)
+		matchSeq(aa, bb, theta, char, dist)
 	}
 }
 

@@ -87,31 +87,24 @@ type DistFunc func(a, b rdf.NodeID) (float64, bool)
 // candidates only the longer prefix would add provably fail the overlap
 // screen, so the output is identical to the pseudocode's.
 //
+// Cancellation: the matching phase can dominate a round's cost (it runs
+// edit-distance verification over the candidate pairs), so the hooks'
+// context is checked once per source node and additionally once per
+// cancelBatch candidates inside each node's verification scan, and the scan
+// aborts with the context's error.
+//
+// Parallelism: with workers > 1 the inverted index over B is built once,
+// then workers scan disjoint chunks of A over the shared read-only index,
+// verifying their own candidates (the σ/edit-distance verification
+// dominates the scan, so it is what parallelises). Per-worker edge batches
+// are merged in source order and finally sorted by (A, B), so the output is
+// bit-identical to the sequential scan for every worker count. workers <= 1
+// runs sequentially; with workers > 1 both char and dist must be safe for
+// concurrent use (the characterisations and distances of Algorithm 2 are
+// pure reads).
+//
 // The output is deterministic: edges are sorted by (A, B).
-func OverlapMatch[O cmp.Ordered](a, b []rdf.NodeID, theta float64, char func(rdf.NodeID) []O, dist DistFunc) *WeightedBipartite {
-	h, _ := OverlapMatchHooks(a, b, theta, char, dist, core.Hooks{})
-	return h
-}
-
-// OverlapMatchHooks is OverlapMatch with cancellation: the matching phase
-// can dominate a round's cost (it runs edit-distance verification over the
-// candidate pairs), so the hooks' context is checked once per source node
-// and additionally once per cancelBatch candidates inside each node's
-// verification scan, and the scan aborts with the context's error.
-func OverlapMatchHooks[O cmp.Ordered](a, b []rdf.NodeID, theta float64, char func(rdf.NodeID) []O, dist DistFunc, hooks core.Hooks) (*WeightedBipartite, error) {
-	return OverlapMatchWorkers(a, b, theta, char, dist, hooks, 1)
-}
-
-// OverlapMatchWorkers is OverlapMatchHooks parallelised across source
-// nodes: the inverted index over B is built once, then workers scan
-// disjoint chunks of A over the shared read-only index, verifying their own
-// candidates (the σ/edit-distance verification dominates the scan, so it is
-// what parallelises). Per-worker edge batches are merged in source order
-// and finally sorted by (A, B), so the output is bit-identical to the
-// sequential scan for every worker count. workers <= 1 runs sequentially;
-// with workers > 1 both char and dist must be safe for concurrent use
-// (the characterisations and distances of Algorithm 2 are pure reads).
-func OverlapMatchWorkers[O cmp.Ordered](a, b []rdf.NodeID, theta float64, char func(rdf.NodeID) []O, dist DistFunc, hooks core.Hooks, workers int) (*WeightedBipartite, error) {
+func OverlapMatch[O cmp.Ordered](a, b []rdf.NodeID, theta float64, char func(rdf.NodeID) []O, dist DistFunc, hooks core.Hooks, workers int) (*WeightedBipartite, error) {
 	h := &WeightedBipartite{A: a, B: b}
 	if err := hooks.Err(); err != nil {
 		return nil, err

@@ -21,13 +21,13 @@ func TestOverlapMatchHooksCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	h, err := OverlapMatchHooks(a, b, 0.5, char, dist, core.Hooks{Ctx: ctx})
+	h, err := OverlapMatch(a, b, 0.5, char, dist, core.Hooks{Ctx: ctx}, 1)
 	if h != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("OverlapMatchHooks = %v, %v; want nil, context.Canceled", h, err)
+		t.Fatalf("OverlapMatch = %v, %v; want nil, context.Canceled", h, err)
 	}
 
 	// Zero hooks: same scan succeeds and finds the pairs.
-	h, err = OverlapMatchHooks(a, b, 0.5, char, dist, core.Hooks{})
+	h, err = OverlapMatch(a, b, 0.5, char, dist, core.Hooks{}, 1)
 	if err != nil || len(h.Edges) != 4 {
 		t.Fatalf("uncancelled scan = %v edges, %v; want 4, nil", len(h.Edges), err)
 	}
@@ -61,7 +61,7 @@ func TestOverlapMatchCancelMidNode(t *testing.T) {
 			mu.Unlock()
 			return 0, true
 		}
-		h, err := OverlapMatchWorkers(a, b, 0.5, char, dist, core.Hooks{Ctx: ctx}, workers)
+		h, err := OverlapMatch(a, b, 0.5, char, dist, core.Hooks{Ctx: ctx}, workers)
 		if h != nil || !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: = %v, %v; want nil, context.Canceled", workers, h, err)
 		}

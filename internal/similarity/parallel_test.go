@@ -109,12 +109,12 @@ func TestOverlapMatchWorkersBitIdentical(t *testing.T) {
 		dist := func(n, m rdf.NodeID) (float64, bool) {
 			return strdist.WithinThreshold(c.Label(n).Value, c.Label(m).Value, theta)
 		}
-		want, err := OverlapMatchWorkers(a, b, theta, char, dist, core.Hooks{}, 1)
+		want, err := OverlapMatch(a, b, theta, char, dist, core.Hooks{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			got, err := OverlapMatchWorkers(a, b, theta, char, dist, core.Hooks{}, workers)
+			got, err := OverlapMatch(a, b, theta, char, dist, core.Hooks{}, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +198,7 @@ func TestNLMatcherIndexMatchesRebuild(t *testing.T) {
 		const theta = 0.65
 		xi := core.NewWeighted(hp.Clone())
 		a0, b0 := unalignedLiterals(c, xi.P)
-		h, err := OverlapMatchWorkers(a0, b0, theta, func(n rdf.NodeID) []string {
+		h, err := OverlapMatch(a0, b0, theta, func(n rdf.NodeID) []string {
 			return Split(c.Label(n).Value)
 		}, func(n, m rdf.NodeID) (float64, bool) {
 			return strdist.WithinThreshold(c.Label(n).Value, c.Label(m).Value, theta)
@@ -209,7 +209,7 @@ func TestNLMatcherIndexMatchesRebuild(t *testing.T) {
 		eng := &core.Engine{}
 		inc := newNLMatcher(c, theta, 1)
 		for round := 1; round <= 100; round++ {
-			enriched, enrichChanged := EnrichChanged(xi, h)
+			enriched, enrichChanged := Enrich(xi, h)
 			next, _, propChanged, err := eng.PropagateChanged(c, enriched, 0)
 			if err != nil {
 				t.Fatal(err)

@@ -12,8 +12,10 @@ import (
 // linear budget is what keeps "never over-allocate" true.
 const dictExpansionFactor = 512
 
-// decodeGraphBody decodes one graph section into a Graph, delegating the
-// structural freeze-invariant checks to rdf.FromRaw.
+// decodeGraphBody decodes one legacy GRPH graph section straight into the
+// out-CSR and hands it to rdf.FromColumns, as the heap GRPM decode does.
+// The section's subject column is redundant with its out index; each
+// subject is checked against the run that holds its triple.
 func decodeGraphBody(c *cursor) (*rdf.Graph, error) {
 	name, err := c.readString()
 	if err != nil {
@@ -27,28 +29,22 @@ func decodeGraphBody(c *cursor) (*rdf.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	labels, err := decodeDict(c, numNodes)
+	labels, kinds, err := decodeDict(c, numNodes)
 	if err != nil {
 		return nil, err
 	}
-	triples := make([]rdf.Triple, numTriples)
-	var prev int64
-	for i := range triples {
-		d, err := c.uvarint()
-		if err != nil {
+	subjects := *c // rewound below, once the out index is known
+	for i := 0; i < numTriples; i++ {
+		if _, err := c.uvarint(); err != nil {
 			return nil, err
 		}
-		prev += int64(d)
-		if prev > maxInt {
-			return nil, corrupt(c.off(), "subject column overflows at triple %d", i)
-		}
-		triples[i].S = rdf.NodeID(prev)
 	}
+	outEdges := make([]rdf.Edge, numTriples)
 	for _, col := range []func(i int, v rdf.NodeID){
-		func(i int, v rdf.NodeID) { triples[i].P = v },
-		func(i int, v rdf.NodeID) { triples[i].O = v },
+		func(i int, v rdf.NodeID) { outEdges[i].P = v },
+		func(i int, v rdf.NodeID) { outEdges[i].O = v },
 	} {
-		prev = 0
+		prev := int64(0)
 		for i := 0; i < numTriples; i++ {
 			d, err := c.varint()
 			if err != nil {
@@ -91,18 +87,30 @@ func decodeGraphBody(c *cursor) (*rdf.Graph, error) {
 	if err := c.expectEnd(); err != nil {
 		return nil, err
 	}
-	g, err := rdf.FromRaw(rdf.Raw{
-		Name:     name,
-		Labels:   labels,
-		Triples:  triples,
-		OutIndex: outIndex,
-		DepIndex: depIndex,
-		DepNodes: depNodes,
-	})
-	if err != nil {
-		return nil, corrupt(c.base, "%v", err)
+	var subj uint64
+	for i := 0; i < numTriples; i++ {
+		d, err := subjects.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if d >= uint64(numNodes)-subj {
+			return nil, corrupt(subjects.off(), "subject of triple %d outside [0,%d)", i, numNodes)
+		}
+		subj += d
+		if int32(i) < outIndex[subj] || int32(i) >= outIndex[subj+1] {
+			return nil, corrupt(subjects.off(), "out index run of node %d excludes its triple %d", subj, i)
+		}
 	}
-	return g, nil
+	hc := &heapColumns{
+		name:     name,
+		labels:   labels,
+		kinds:    kinds,
+		outIndex: outIndex,
+		outEdges: outEdges,
+		depIndex: depIndex,
+		depNodes: depNodes,
+	}
+	return hc.graph(c.base)
 }
 
 // decodeDict decodes the front-coded term dictionary in two passes: the
@@ -110,7 +118,7 @@ func decodeGraphBody(c *cursor) (*rdf.Graph, error) {
 // the second fills one contiguous byte arena and converts it to a single
 // string, so every label value is a zero-copy substring — two large
 // allocations for the whole dictionary instead of one per term.
-func decodeDict(c *cursor, numNodes int) ([]rdf.Label, error) {
+func decodeDict(c *cursor, numNodes int) ([]rdf.Label, []rdf.Kind, error) {
 	type spec struct {
 		lcp, suffOff, suffLen int
 	}
@@ -122,7 +130,7 @@ func decodeDict(c *cursor, numNodes int) ([]rdf.Label, error) {
 	for i := 0; i < numNodes; i++ {
 		k, err := c.byte()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		kinds[i] = rdf.Kind(k)
 		if rdf.Kind(k) == rdf.Blank {
@@ -131,24 +139,24 @@ func decodeDict(c *cursor, numNodes int) ([]rdf.Label, error) {
 		}
 		lcp, err := c.uvarint()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if lcp > uint64(prevLen) {
-			return nil, corrupt(c.off(), "term %d shares %d prefix bytes with a %d-byte predecessor", i, lcp, prevLen)
+			return nil, nil, corrupt(c.off(), "term %d shares %d prefix bytes with a %d-byte predecessor", i, lcp, prevLen)
 		}
 		suffLen, err := c.count("term suffix")
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		suffOff := c.pos
 		if _, err := c.bytes(suffLen); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		specs[i] = spec{lcp: int(lcp), suffOff: suffOff, suffLen: suffLen}
 		prevLen = int(lcp) + suffLen
 		total += int64(prevLen)
 		if total > budget {
-			return nil, corrupt(c.off(), "term dictionary decodes to over %d bytes from %d encoded", budget, len(c.data))
+			return nil, nil, corrupt(c.off(), "term dictionary decodes to over %d bytes from %d encoded", budget, len(c.data))
 		}
 	}
 	arena := make([]byte, 0, total)
@@ -174,7 +182,7 @@ func decodeDict(c *cursor, numNodes int) ([]rdf.Label, error) {
 			labels[i].Value = blob[spans[i].start:spans[i].end]
 		}
 	}
-	return labels, nil
+	return labels, kinds, nil
 }
 
 // decodeDegrees reads a varint degree column and prefix-sums it into a

@@ -462,11 +462,7 @@ func decodeMappedGraphBody(c *cursor) (*rdf.Graph, error) {
 	for i := range hc.depNodes {
 		hc.depNodes[i] = rdf.NodeID(binary.LittleEndian.Uint32(h.depNds[4*i:]))
 	}
-	g, err := rdf.FromColumns(hc)
-	if err != nil {
-		return nil, corrupt(c.base, "%v", err)
-	}
-	return g, nil
+	return hc.graph(c.base)
 }
 
 func decodeI32Column(b []byte, n int) []int32 {
@@ -477,8 +473,9 @@ func decodeI32Column(b []byte, n int) []int32 {
 	return out
 }
 
-// heapColumns is the slice-backed Columns a heap decode of a GRPM section
-// produces; unlike sliceColumns it is not a view of an existing Graph.
+// heapColumns is the slice-backed Columns a heap decode of a graph section
+// (GRPM or legacy GRPH) produces; unlike sliceColumns it is not a view of
+// an existing Graph.
 type heapColumns struct {
 	name     string
 	labels   []rdf.Label
@@ -497,3 +494,13 @@ func (hc *heapColumns) Kinds() []rdf.Kind               { return hc.kinds }
 func (hc *heapColumns) OutCSR() ([]int32, []rdf.Edge)   { return hc.outIndex, hc.outEdges }
 func (hc *heapColumns) DepCSR() ([]int32, []rdf.NodeID) { return hc.depIndex, hc.depNodes }
 func (hc *heapColumns) Close() error                    { return nil }
+
+// graph builds the Graph over hc, reporting a structural fault as
+// corruption of the section at base.
+func (hc *heapColumns) graph(base int64) (*rdf.Graph, error) {
+	g, err := rdf.FromColumns(hc)
+	if err != nil {
+		return nil, corrupt(base, "%v", err)
+	}
+	return g, nil
+}
