@@ -20,8 +20,8 @@ import (
 type Progress = core.ProgressEvent
 
 // ErrNoFixpoint matches, under errors.Is, the error an alignment returns
-// when a refinement or σEdit fixpoint reaches its round cap without
-// stabilising; the message names the stage and the round.
+// when a refinement, overlap or σEdit fixpoint reaches its round cap
+// without stabilising; the message names the stage and the round.
 var ErrNoFixpoint = core.ErrNoFixpoint
 
 // ProgressFunc observes per-round progress of an Aligner. It is called

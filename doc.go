@@ -118,7 +118,7 @@
 // non-literal match is incremental: the
 // inverted index and the characterisation/σNL caches survive across rounds
 // and are repaired from the nodes Enrich and Propagate actually moved
-// (core.Engine.PropagateChanged exposes the worklist's change lists)
+// (core.Engine.Propagate returns the worklist's change lists)
 // instead of being rebuilt while the unaligned sets only shrink —
 // oracle-tested against a from-scratch rebuild every round. Component
 // enrichment runs a heap-based Dijkstra, so a pathologically large

@@ -78,10 +78,10 @@ func TestDepthDeterminismWorkersAndSeeds(t *testing.T) {
 func TestDepthWeightedDeterminism(t *testing.T) {
 	c := rdf.Union(wideDeepTestGraph(256, 30), wideDeepTestGraph(256, 30))
 	for _, k := range depthTestBounds {
-		want, _, _ := (&fullRecolor{MaxDepth: k}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
+		want, _, _, _ := (&fullRecolor{MaxDepth: k}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
 		for _, seed := range internTestSeeds {
 			xi := NewWeighted(TrivialPartition(c.Graph, NewInternerSeeded(seed)))
-			out, _, err := (&Engine{MaxDepth: k}).Propagate(c, xi, 0)
+			out, _, _, err := (&Engine{MaxDepth: k}).Propagate(c, xi, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,11 +118,11 @@ func TestDepthLargeBoundEqualsUnbounded(t *testing.T) {
 	}
 
 	c := rdf.Union(wideDeepTestGraph(150, 20), wideDeepTestGraph(150, 20))
-	wExact, wIters, err := (&Engine{}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
+	wExact, wIters, _, err := (&Engine{}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wBounded, wbIters, err := (&Engine{MaxDepth: 10_000}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
+	wBounded, wbIters, _, err := (&Engine{MaxDepth: 10_000}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,14 +7,13 @@ import (
 // Engine bundles the cross-cutting configuration of one alignment session:
 // the refinement extensions (direction, edge filter, adaptive predicate
 // handling), the cancellation/progress hooks and the depth bound. Every
-// fixpoint in the package flows through an Engine, and every partition
-// fixpoint — default or extended recoloring — runs on the one incremental
-// worklist loop (worklist.go); weighted fixpoints run on its weighted
-// counterpart. Refinement is sequential: a concurrent gather-and-intern
-// round lost to the sequential worklist at two cores (the sequential
-// frontier is cheap and the per-round coordination is not), so parallelism
-// is confined to the overlap matching scans
-// (similarity.OverlapOptions.Workers).
+// fixpoint in the package flows through an Engine, and every refinement
+// fixpoint — default or extended recoloring, unweighted or weighted — runs
+// on the one incremental worklist loop (worklist.go). Refinement is
+// sequential: a concurrent gather-and-intern round lost to the sequential
+// worklist at two cores (the sequential frontier is cheap and the
+// per-round coordination is not), so parallelism is confined to the
+// overlap matching scans (similarity.OverlapOptions.Workers).
 //
 // Engine methods check the hooks' context once per round and return its
 // error as soon as cancellation is observed; with a nil context they never
@@ -67,7 +66,16 @@ func (e *Engine) useOpts() bool { return e.Opt.extended() || e.Opt.Filter != nil
 // round only the nodes of x whose neighbourhood changed are recolored, and
 // stabilisation is decided from the round's change list.
 func (e *Engine) Refine(g *rdf.Graph, p *Partition, x []rdf.NodeID) (*Partition, int, error) {
-	return e.refineWorklist(g, p, x)
+	return e.refineOwned(g, p.Clone(), x)
+}
+
+// refineOwned is Refine on a partition the caller owns, refined in place.
+func (e *Engine) refineOwned(g *rdf.Graph, p *Partition, x []rdf.NodeID) (*Partition, int, error) {
+	iters, err := e.worklist(g, p, nil, x, 0, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	return p, iters, nil
 }
 
 // Bisim computes λ_Bisim = BisimRefine*_{N_G}(ℓ_G), which by Proposition 1
@@ -125,25 +133,7 @@ func (e *Engine) Hybrid(c *rdf.Combined, in *Interner) (*Partition, int, error) 
 // for callers that already hold λ_Deblank.
 func (e *Engine) HybridFromDeblank(c *rdf.Combined, deblank *Partition) (*Partition, int, error) {
 	un := UnalignedNonLiterals(c, deblank)
-	blanked := BlankOut(deblank, un)
-	return e.Refine(c.Graph, blanked, un)
-}
-
-// RefineWeighted computes BisimRefine*_X(ξ) (§4.5): weighted refinement —
-// colors of nodes in x refined exactly as in the unweighted case, their
-// weights recomputed with reweight — iterated until the partition and the
-// weights stabilise (max weight change < eps), reporting one
-// StagePropagate round per iteration. It returns the result and the number
-// of steps. Weighted recoloring always uses the paper's default outbound
-// characterisation; the engine's Opt does not apply. Weights of nodes in x
-// start at 0 in every use in the paper and only increase during
-// refinement, which guarantees convergence; the iteration cap turns any
-// violation of that contract into an ErrNoFixpoint error.
-func (e *Engine) RefineWeighted(g *rdf.Graph, xi *Weighted, x []rdf.NodeID, eps float64) (*Weighted, int, error) {
-	if eps <= 0 {
-		eps = DefaultEpsilon
-	}
-	return e.refineWeightedWorklist(g, xi, x, eps, nil)
+	return e.refineOwned(c.Graph, BlankOut(deblank, un), un)
 }
 
 // Propagate spreads alignment information in ξ to the currently unaligned
@@ -152,35 +142,38 @@ func (e *Engine) RefineWeighted(g *rdf.Graph, xi *Weighted, x []rdf.NodeID, eps 
 //	Propagate(ξ) = BisimRefine*_{UN(ξ)}(Blank(ξ, UN(ξ)))
 //
 // It blanks the colors and zeroes the weights of unaligned non-literal
-// nodes, then refines on exactly those nodes so their identity — and a
-// confidence weight — is rebuilt from their outbound neighbourhoods.
-func (e *Engine) Propagate(c *rdf.Combined, xi *Weighted, eps float64) (*Weighted, int, error) {
-	un := UnalignedNonLiterals(c, xi.P)
-	blanked := BlankOutWeighted(xi, un)
-	return e.RefineWeighted(c.Graph, blanked, un, eps)
-}
-
-// PropagateChanged is Propagate additionally returning the ascending,
-// deduplicated list of nodes whose color or weight the propagation moved —
-// the initial blank-out plus the worklist's per-round change lists. The
-// list is a superset of the strict input/output difference (a node that
-// changes and reverts stays listed) and is always a subset of the
-// propagation's recolor set, so incremental consumers (the overlap
+// nodes, then runs weighted refinement on exactly those nodes — colors
+// refined as in the unweighted case, weights recomputed with reweight —
+// until the partition and the weights stabilise (max weight change < eps;
+// eps <= 0 selects DefaultEpsilon), so their identity and a confidence
+// weight are rebuilt from their outbound neighbourhoods. It reports one
+// StagePropagate round per iteration and returns the result, the number of
+// steps, and the ascending, deduplicated list of nodes whose color or
+// weight the propagation moved — the initial blank-out plus the worklist's
+// per-round change lists. The list is a superset of the strict
+// input/output difference (a node that changes and reverts stays listed)
+// and a subset of the recolor set, so incremental consumers (the overlap
 // matcher's per-round index) can invalidate exactly the dependents of the
 // listed nodes.
-func (e *Engine) PropagateChanged(c *rdf.Combined, xi *Weighted, eps float64) (*Weighted, int, []rdf.NodeID, error) {
-	un := UnalignedNonLiterals(c, xi.P)
-	blanked := BlankOutWeighted(xi, un)
+//
+// Weighted recoloring always uses the paper's default outbound
+// characterisation; the engine's Opt does not apply. Weights of the
+// refined nodes start at 0 and only increase during refinement, which
+// guarantees convergence; the iteration cap turns any violation of that
+// contract into an ErrNoFixpoint error.
+func (e *Engine) Propagate(c *rdf.Combined, xi *Weighted, eps float64) (*Weighted, int, []rdf.NodeID, error) {
 	if eps <= 0 {
 		eps = DefaultEpsilon
 	}
+	un := UnalignedNonLiterals(c, xi.P)
+	out := BlankOutWeighted(xi, un)
 	tracked := newChangeTracker(len(xi.W))
 	for _, n := range un {
-		if blanked.P.colors[n] != xi.P.colors[n] || blanked.W[n] != xi.W[n] {
+		if out.P.colors[n] != xi.P.colors[n] || out.W[n] != xi.W[n] {
 			tracked.add(n)
 		}
 	}
-	out, iters, err := e.refineWeightedWorklist(c.Graph, blanked, un, eps, tracked)
+	iters, err := e.worklist(c.Graph, out.P, out.W, un, eps, tracked)
 	if err != nil {
 		return nil, 0, nil, err
 	}

@@ -14,9 +14,10 @@ import (
 )
 
 // This file implements the out-of-core variant of a worklist refinement
-// round (refineWorklist): signature grouping by external merge sort
-// instead of the in-heap hash table, engaged when the session storage is
-// spillable (Storage.SpillDir) and the dirty frontier is large.
+// round (Engine.worklist, unweighted and weighted alike): signature
+// grouping by external merge sort instead of the in-heap hash table,
+// engaged when the session storage is spillable (Storage.SpillDir), the
+// recoloring is the default outbound one, and the dirty frontier is large.
 //
 // A sequential round walks the dirty frontier in order, canonicalises
 // each node's outbound color pairs and interns the signature (prev,

@@ -79,7 +79,7 @@ func TestInternDeterminismWeighted(t *testing.T) {
 	for _, seed := range internTestSeeds {
 		in := NewInternerSeeded(seed)
 		xi := NewWeighted(TrivialPartition(c.Graph, in))
-		out, _, err := (&Engine{}).Propagate(c, xi, 0)
+		out, _, _, err := (&Engine{}).Propagate(c, xi, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,7 +64,7 @@ type refiner interface {
 	Bisim(g *rdf.Graph, in *Interner) (*Partition, int, error)
 	Deblank(g *rdf.Graph, in *Interner) (*Partition, int, error)
 	Hybrid(c *rdf.Combined, in *Interner) (*Partition, int, error)
-	Propagate(c *rdf.Combined, xi *Weighted, eps float64) (*Weighted, int, error)
+	Propagate(c *rdf.Combined, xi *Weighted, eps float64) (*Weighted, int, []rdf.NodeID, error)
 }
 
 // fullRecolor is the full-recolor reference engine: every round recolors
@@ -121,36 +121,33 @@ func (f *fullRecolor) Hybrid(c *rdf.Combined, in *Interner) (*Partition, int, er
 	return p, it1 + it2, nil
 }
 
-// RefineWeighted iterates RefineWeightedStep until the partition is
-// grouping-equivalent and no weight moved by eps or more, returning the
-// last (applied) step.
-func (f *fullRecolor) RefineWeighted(g *rdf.Graph, xi *Weighted, x []rdf.NodeID, eps float64) (*Weighted, int, error) {
+// Propagate blanks the unaligned non-literals of ξ and iterates
+// RefineWeightedStep on them until the partition is grouping-equivalent and
+// no weight moved by eps or more, returning the last (applied) step. The
+// oracle tracks no change list; it returns nil in its place.
+func (f *fullRecolor) Propagate(c *rdf.Combined, xi *Weighted, eps float64) (*Weighted, int, []rdf.NodeID, error) {
 	if eps <= 0 {
 		eps = DefaultEpsilon
 	}
-	cur := xi
+	un := UnalignedNonLiterals(c, xi.P)
+	cur := BlankOutWeighted(xi, un)
 	for iter := 0; ; iter++ {
 		if f.MaxDepth > 0 && iter >= f.MaxDepth {
-			return cur, iter, nil
+			return cur, iter, nil, nil
 		}
 		if iter > DefaultMaxIterations {
-			panic(fmt.Sprintf("core: reference RefineWeighted did not stabilise after %d iterations", iter))
+			panic(fmt.Sprintf("core: reference Propagate did not stabilise after %d iterations", iter))
 		}
-		next := RefineWeightedStep(g, cur, x)
+		next := RefineWeightedStep(c.Graph, cur, un)
 		maxDelta := 0.0
-		for _, n := range x {
+		for _, n := range un {
 			maxDelta = math.Max(maxDelta, math.Abs(next.W[n]-cur.W[n]))
 		}
 		if maxDelta < eps && equivalentColors(cur.P.colors, next.P.colors) {
-			return next, iter + 1, nil
+			return next, iter + 1, nil, nil
 		}
 		cur = next
 	}
-}
-
-func (f *fullRecolor) Propagate(c *rdf.Combined, xi *Weighted, eps float64) (*Weighted, int, error) {
-	un := UnalignedNonLiterals(c, xi.P)
-	return f.RefineWeighted(c.Graph, BlankOutWeighted(xi, un), un, eps)
 }
 
 // NaiveKBisimulation computes the depth-bounded k-bisimulation relation:

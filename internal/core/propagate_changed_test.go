@@ -7,7 +7,7 @@ import (
 	"rdfalign/internal/rdf"
 )
 
-// TestPropagateChangedSoundAndExact: PropagateChanged returns the same ξ and
+// TestPropagateChangedSoundAndExact: Propagate returns the same ξ and
 // round count as the full-recolor oracle bit for bit, and its change list
 // is sound — every node outside it keeps its input color and weight —
 // complete against the strict input/output diff, confined to the recolor
@@ -32,8 +32,8 @@ func TestPropagateChangedSoundAndExact(t *testing.T) {
 			base.W[i] = float64(r.Intn(10)) / 20
 		}
 		for _, e := range engines {
-			want, wantIters, _ := (&fullRecolor{MaxDepth: e.eng.MaxDepth}).Propagate(c, base, 0)
-			got, gotIters, changed, err := e.eng.PropagateChanged(c, base, 0)
+			want, wantIters, _, _ := (&fullRecolor{MaxDepth: e.eng.MaxDepth}).Propagate(c, base, 0)
+			got, gotIters, changed, err := e.eng.Propagate(c, base, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,7 +23,10 @@ func newTestDiskInterner(t *testing.T, seed uint64) (*Interner, Storage) {
 // external-merge signature grouping must be bit-identical — color value for
 // color value, not merely grouping-equivalent — to the in-memory engine,
 // across hash seeds and spill-run sizes (tiny runs force
-// genuine multi-run k-way merges).
+// genuine multi-run k-way merges). Each trial also runs the weighted
+// fixpoint, Propagate((λTrivial, 0)) on a combined pair, whose rounds take
+// the same external-merge path: colors, weights and round counts must
+// match the in-memory run exactly.
 func TestDeblankOutOfCoreIdentity(t *testing.T) {
 	defer func(th, rb int) { extMergeThreshold = th; extSpillRunBytes = rb }(extMergeThreshold, extSpillRunBytes)
 	variants := []struct {
@@ -36,11 +39,17 @@ func TestDeblankOutOfCoreIdentity(t *testing.T) {
 		{"alloc-only", 1 << 30, 8 << 20}, // storage-backed arrays, heap grouping
 	}
 	r := rand.New(rand.NewSource(77))
+	rw := rand.New(rand.NewSource(78)) // second graphs of the weighted pairs
 	for trial := 0; trial < 30; trial++ {
 		g := randomGraph(r, "ooc", 3+r.Intn(5), 1+r.Intn(8), 1+r.Intn(3), 5+r.Intn(40))
 		want, wantIters, err := (&Engine{}).Deblank(g, NewInterner())
 		if err != nil {
 			t.Fatalf("trial %d: in-memory deblank: %v", trial, err)
+		}
+		c := rdf.Union(g, randomGraph(rw, "ooc2", 3+rw.Intn(5), 1+rw.Intn(8), 1+rw.Intn(3), 5+rw.Intn(40)))
+		wantXi, wantWIters, _, err := (&Engine{}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
+		if err != nil {
+			t.Fatalf("trial %d: in-memory propagate: %v", trial, err)
 		}
 		for _, v := range variants {
 			extMergeThreshold = v.threshold
@@ -60,6 +69,26 @@ func TestDeblankOutOfCoreIdentity(t *testing.T) {
 					if wc[n] != gc[n] {
 						t.Fatalf("trial %d %s seed=%#x: node %d colored %d, in-memory %d",
 							trial, v.name, seed, n, gc[n], wc[n])
+					}
+				}
+				if err := st.Close(); err != nil {
+					t.Fatalf("storage close: %v", err)
+				}
+
+				in, st = newTestDiskInterner(t, seed)
+				xi, wIters, _, err := (&Engine{}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, in)), 0)
+				if err != nil {
+					t.Fatalf("trial %d %s: propagate: %v", trial, v.name, err)
+				}
+				if wIters != wantWIters {
+					t.Fatalf("trial %d %s seed=%#x: propagate took %d iterations, in-memory %d",
+						trial, v.name, seed, wIters, wantWIters)
+				}
+				wc, gc = wantXi.P.Colors(), xi.P.Colors()
+				for n := range wc {
+					if wc[n] != gc[n] || wantXi.W[n] != xi.W[n] {
+						t.Fatalf("trial %d %s seed=%#x: propagate gave node %d (%d, %v), in-memory (%d, %v)",
+							trial, v.name, seed, n, gc[n], xi.W[n], wc[n], wantXi.W[n])
 					}
 				}
 				if err := st.Close(); err != nil {

@@ -81,9 +81,9 @@ func TestPropagateIdentity(t *testing.T) {
 		in := NewInterner()
 		hybrid, _, _ := (&Engine{}).Hybrid(c, in)
 
-		fromTrivial, _, _ := (&Engine{}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, in)), 0)
+		fromTrivial, _, _, _ := (&Engine{}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, in)), 0)
 		dp, _, _ := (&Engine{}).Deblank(c.Graph, in)
-		fromDeblank, _, _ := (&Engine{}).Propagate(c, NewWeighted(dp), 0)
+		fromDeblank, _, _, _ := (&Engine{}).Propagate(c, NewWeighted(dp), 0)
 
 		if !Equivalent(fromTrivial.P, hybrid) {
 			t.Error("Propagate((λTrivial,0)) is not equivalent to λHybrid")
@@ -163,10 +163,9 @@ func TestRefineWeightedConverges(t *testing.T) {
 		}
 	}
 	un := UnalignedNonLiterals(c, xi.P)
-	blanked := BlankOutWeighted(xi, un)
-	res, iters, _ := (&Engine{}).RefineWeighted(c.Graph, blanked, un, 1e-9)
+	res, iters, _, _ := (&Engine{}).Propagate(c, xi, 1e-9)
 	if iters <= 0 {
-		t.Error("RefineWeighted should report at least one iteration")
+		t.Error("Propagate should report at least one iteration")
 	}
 	again := RefineWeightedStep(c.Graph, res, un)
 	for _, n := range un {
@@ -175,7 +174,7 @@ func TestRefineWeightedConverges(t *testing.T) {
 		}
 	}
 	if !Equivalent(res.P, again.P) {
-		t.Error("partition not stabilised after RefineWeighted")
+		t.Error("partition not stabilised after Propagate")
 	}
 }
 

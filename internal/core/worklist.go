@@ -8,7 +8,9 @@ import (
 )
 
 // This file implements the incremental worklist refinement engine, the one
-// evaluation strategy behind Engine.Refine and Engine.RefineWeighted.
+// loop that runs refinement rounds: Engine.Refine's partition fixpoint and
+// Engine.Propagate's weighted one (§4.5: the same recoloring plus a reweight
+// of the same nodes).
 //
 // Recoloring every node of the recolor set x and cloning the whole
 // partition on every iteration wastes work: after the first few rounds only
@@ -250,84 +252,6 @@ func nextFrontier(g *rdf.Graph, changed []rdf.NodeID, ext bool, inX []bool, mark
 	return out
 }
 
-// refineWorklist is the incremental fixpoint behind Engine.Refine. Engines
-// with extended options recolor through recolorOpts and widen the frontier
-// (nextFrontier); the choice is made once per run, so the default path's
-// gather loop carries no per-node branch.
-func (e *Engine) refineWorklist(g *rdf.Graph, p *Partition, x []rdf.NodeID) (*Partition, int, error) {
-	cur := p.Clone()
-	colors := cur.colors
-	inX := make([]bool, len(colors))
-	for _, n := range x {
-		inX[n] = true
-	}
-	mark := make([]int32, len(colors))
-	stamp := int32(1)
-	dirty := dedupFrontier(x, mark, stamp)
-	counts := newColorCounts(colors)
-	var rc renameCheck
-	changes := make([]change, 0, len(dirty))
-	changedNodes := make([]rdf.NodeID, 0, len(dirty))
-	var scratch []ColorPair
-	var extScratch [3][]ColorPair
-	ext := e.useOpts()
-	spillDir, spill := cur.in.spillDir()
-	for iter := 0; ; iter++ {
-		if err := e.Hooks.Err(); err != nil {
-			return nil, 0, err
-		}
-		if e.MaxDepth > 0 && iter >= e.MaxDepth {
-			return cur, iter, nil // k-bounded: exactly MaxDepth applied rounds
-		}
-		if iter > maxIterations {
-			return nil, 0, &NoFixpointError{Stage: StageRefine, Round: iter}
-		}
-		changes = changes[:0]
-		if spill && !ext && len(dirty) >= extMergeThreshold {
-			// Out-of-core storage: group this round's unseen signatures by
-			// external merge sort in the spill directory (extsort.go)
-			// instead of buffering them in the heap. Bit-identical to the
-			// in-memory paths below; small frontiers (the deep tail of a
-			// fixpoint) fall through to them.
-			var err error
-			changes, err = extMergeRound(g, cur, dirty, changes, spillDir)
-			if err != nil {
-				return nil, 0, err
-			}
-		} else if ext {
-			for _, n := range dirty {
-				if c := recolorOpts(g, cur, n, e.Opt, &extScratch); c != colors[n] {
-					changes = append(changes, change{n: n, old: colors[n], new: c})
-				}
-			}
-		} else {
-			for _, n := range dirty {
-				var c Color
-				c, scratch = recolor(g, cur, n, scratch)
-				if c != colors[n] {
-					changes = append(changes, change{n: n, old: colors[n], new: c})
-				}
-			}
-		}
-		if rc.equivalent(changes, counts) {
-			// Quiescent: the round at most renames classes (a node joining
-			// an equivalent class, or a blank cycle re-deriving itself).
-			// Discard it and return the pre-round partition, as a full
-			// grouping-equivalence scan would.
-			return cur, iter, nil
-		}
-		changedNodes = changedNodes[:0]
-		for _, ch := range changes {
-			colors[ch.n] = ch.new
-			counts.move(ch.old, ch.new)
-			changedNodes = append(changedNodes, ch.n)
-		}
-		e.Hooks.RoundDirty(StageRefine, iter+1, len(dirty))
-		stamp++
-		dirty = nextFrontier(g, changedNodes, ext, inX, mark, stamp, dirty)
-	}
-}
-
 // wchange records one reweighted node within a weighted round.
 type wchange struct {
 	n rdf.NodeID
@@ -336,7 +260,7 @@ type wchange struct {
 
 // changeTracker accumulates, deduplicated, every node a weighted worklist
 // run recolored or reweighted in an applied round — the change list
-// Engine.PropagateChanged hands to incremental consumers (the overlap
+// Engine.Propagate hands to incremental consumers (the overlap
 // matcher's per-round index repair). The set is a superset of the
 // input/output diff: a node that changes and later reverts stays tracked,
 // which is sound for cache invalidation (recomputing an unchanged node
@@ -363,20 +287,31 @@ func (t *changeTracker) sorted() []rdf.NodeID {
 	return t.nodes
 }
 
-// refineWeightedWorklist is the incremental fixpoint behind
-// Engine.RefineWeighted. tracked, when non-nil, collects every node an
-// applied round recolors or reweights (including the final, applied round —
-// see the stop handling below). A node re-enters the frontier when a node its
-// outbound neighbourhood mentions changed color or weight at all (δ > 0) —
-// not merely by ≥ ε — so skipped nodes are exactly the ones a full weighted
-// round would recompute unchanged, and the result agrees bit-for-bit on
-// both colors and weights with full recoloring. ε governs only
-// termination: the loop stops once a round moves no weight by ε or more and
-// at most renames color classes.
-func (e *Engine) refineWeightedWorklist(g *rdf.Graph, xi *Weighted, x []rdf.NodeID, eps float64, tracked *changeTracker) (*Weighted, int, error) {
-	cur := xi.Clone()
-	colors := cur.P.colors
-	w := cur.W
+// worklist runs a refinement fixpoint over the recolor set x on cur, which
+// the caller owns and which is refined in place, and returns the number of
+// applied rounds. On error cur is left partly refined.
+//
+// With w == nil it is the partition fixpoint behind Engine.Refine: engines
+// with extended options recolor through recolorOpts and widen the frontier
+// (nextFrontier), a round that at most renames classes is discarded, and
+// rounds report as StageRefine. With a weight column it is the weighted
+// fixpoint behind Engine.Propagate: a reweight pass over the same frontier
+// follows the recoloring (always the paper's default outbound one), a node
+// re-enters the frontier when a node its outbound neighbourhood mentions
+// changed color or weight at all (δ > 0) — not merely by ≥ ε — so skipped
+// nodes are exactly the ones a full weighted round would recompute
+// unchanged, the final round is applied (the refined ξ is returned, not the
+// pre-round one), and rounds report as StagePropagate. ε governs only
+// termination: the weighted loop stops once a round moves no weight by ε or
+// more and at most renames color classes. tracked, when non-nil, collects
+// every node an applied round recolors or reweights.
+//
+// The gather step — external-merge grouping on spillable storage, extended
+// recoloring, or plain recoloring — is chosen once per run, so the gather
+// loops carry no per-node branch, and the one rule the modes differ in
+// (discard or apply the quiescent round) is decided at the stop check.
+func (e *Engine) worklist(g *rdf.Graph, cur *Partition, w []float64, x []rdf.NodeID, eps float64, tracked *changeTracker) (int, error) {
+	colors := cur.colors
 	inX := make([]bool, len(colors))
 	for _, n := range x {
 		inX[n] = true
@@ -387,39 +322,74 @@ func (e *Engine) refineWeightedWorklist(g *rdf.Graph, xi *Weighted, x []rdf.Node
 	counts := newColorCounts(colors)
 	var rc renameCheck
 	changes := make([]change, 0, len(dirty))
-	wchanges := make([]wchange, 0, len(dirty))
+	var wchanges []wchange
 	changedNodes := make([]rdf.NodeID, 0, len(dirty))
 	var scratch []ColorPair
+	var extScratch [3][]ColorPair
+	stage, ext := StageRefine, e.useOpts()
+	if w != nil {
+		stage, ext = StagePropagate, false
+	}
+	spillDir, spill := cur.in.spillDir()
+	spill = spill && !ext
 	for iter := 0; ; iter++ {
 		if err := e.Hooks.Err(); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		if e.MaxDepth > 0 && iter >= e.MaxDepth {
-			return cur, iter, nil // k-bounded: exactly MaxDepth applied rounds
+			return iter, nil // k-bounded: exactly MaxDepth applied rounds
 		}
 		if iter > maxIterations {
-			return nil, 0, &NoFixpointError{Stage: StagePropagate, Round: iter}
+			return 0, &NoFixpointError{Stage: stage, Round: iter}
 		}
-		changes, wchanges = changes[:0], wchanges[:0]
-		maxDelta := 0.0
-		for _, n := range dirty {
-			var c Color
-			c, scratch = recolor(g, cur.P, n, scratch)
-			if c != colors[n] {
-				changes = append(changes, change{n: n, old: colors[n], new: c})
+		changes = changes[:0]
+		if spill && len(dirty) >= extMergeThreshold {
+			// Out-of-core storage: group this round's unseen signatures by
+			// external merge sort in the spill directory (extsort.go)
+			// instead of buffering them in the heap. Bit-identical to the
+			// in-memory paths below; small frontiers (the deep tail of a
+			// fixpoint) fall through to them.
+			var err error
+			changes, err = extMergeRound(g, cur, dirty, changes, spillDir)
+			if err != nil {
+				return 0, err
 			}
-			nw := reweight(g, w, n)
-			if d := math.Abs(nw - w[n]); d > 0 {
-				wchanges = append(wchanges, wchange{n: n, w: nw})
-				if d > maxDelta {
-					maxDelta = d
+		} else if ext {
+			for _, n := range dirty {
+				if c := recolorOpts(g, cur, n, e.Opt, &extScratch); c != colors[n] {
+					changes = append(changes, change{n: n, old: colors[n], new: c})
+				}
+			}
+		} else {
+			for _, n := range dirty {
+				var c Color
+				c, scratch = recolor(g, cur, n, scratch)
+				if c != colors[n] {
+					changes = append(changes, change{n: n, old: colors[n], new: c})
 				}
 			}
 		}
-		stop := maxDelta < eps && rc.equivalent(changes, counts)
-		// The weighted fixpoint applies its final step (it returns the
-		// refined ξ, not the pre-round one — see RefineWeighted), so apply
-		// before deciding to return.
+		maxDelta := 0.0
+		if w != nil {
+			wchanges = wchanges[:0]
+			for _, n := range dirty {
+				nw := reweight(g, w, n)
+				if d := math.Abs(nw - w[n]); d > 0 {
+					wchanges = append(wchanges, wchange{n: n, w: nw})
+					if d > maxDelta {
+						maxDelta = d
+					}
+				}
+			}
+		}
+		stop := (w == nil || maxDelta < eps) && rc.equivalent(changes, counts)
+		if stop && w == nil {
+			// Quiescent: the round at most renames classes (a node joining
+			// an equivalent class, or a blank cycle re-deriving itself).
+			// Discard it and return the pre-round partition, as a full
+			// grouping-equivalence scan would.
+			return iter, nil
+		}
 		changedNodes = changedNodes[:0]
 		for _, ch := range changes {
 			colors[ch.n] = ch.new
@@ -428,23 +398,18 @@ func (e *Engine) refineWeightedWorklist(g *rdf.Graph, xi *Weighted, x []rdf.Node
 		}
 		for _, wc := range wchanges {
 			w[wc.n] = wc.w
+			changedNodes = append(changedNodes, wc.n)
 		}
 		if tracked != nil {
-			for _, ch := range changes {
-				tracked.add(ch.n)
-			}
-			for _, wc := range wchanges {
-				tracked.add(wc.n)
+			for _, n := range changedNodes {
+				tracked.add(n)
 			}
 		}
 		if stop {
-			return cur, iter + 1, nil
+			return iter + 1, nil
 		}
-		e.Hooks.RoundDirty(StagePropagate, iter+1, len(dirty))
-		for _, wc := range wchanges {
-			changedNodes = append(changedNodes, wc.n)
-		}
+		e.Hooks.RoundDirty(stage, iter+1, len(dirty))
 		stamp++
-		dirty = nextFrontier(g, changedNodes, false, inX, mark, stamp, dirty)
+		dirty = nextFrontier(g, changedNodes, ext, inX, mark, stamp, dirty)
 	}
 }

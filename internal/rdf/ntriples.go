@@ -402,7 +402,9 @@ func (p *lineParser) literal() (v string, owned bool, err error) {
 // round-tripping through our plain-literal model stays lossless enough for
 // alignment purposes. The suffix is part of the literal value, so strict
 // mode applies the same raw-control-character rejection here as inside
-// the quotes.
+// the quotes. Neither a LANGTAG nor a datatype IRIREF ends in '.', so
+// trailing dots belong to the statement, as after a blank label:
+// "x"@en. is the tag "@en" followed by the terminator.
 func (p *lineParser) literalSuffix() (string, error) {
 	if p.pos >= len(p.s) {
 		return "", nil
@@ -421,6 +423,9 @@ func (p *lineParser) literalSuffix() (string, error) {
 			return "", p.err("raw control character in literal suffix (use \\u escape)")
 		}
 		p.pos++
+	}
+	for p.pos > start && p.s[p.pos-1] == '.' {
+		p.pos--
 	}
 	return p.s[start:p.pos], nil
 }

@@ -51,16 +51,25 @@ func TestParseEscapes(t *testing.T) {
 
 func TestParseLanguageTagAndDatatype(t *testing.T) {
 	doc := `<s> <p> "chat"@fr .
-<s> <q> "42"^^<http://www.w3.org/2001/XMLSchema#integer> .`
+<s> <q> "42"^^<http://www.w3.org/2001/XMLSchema#integer> .
+<s> <p> "x"@en.
+<s> <p> "x"^^<http://t>.`
 	g, err := ParseNTriplesString(doc, "tags")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := g.FindLiteral(`chat@fr`); !ok {
-		t.Error("language tag should be folded into the literal value")
+	for _, v := range []string{`chat@fr`, `x@en`} {
+		if _, ok := g.FindLiteral(v); !ok {
+			t.Errorf("language tag should be folded into the literal value %q", v)
+		}
 	}
-	if _, ok := g.FindLiteral(`42^^<http://www.w3.org/2001/XMLSchema#integer>`); !ok {
-		t.Error("datatype should be folded into the literal value")
+	for _, v := range []string{`42^^<http://www.w3.org/2001/XMLSchema#integer>`, `x^^<http://t>`} {
+		if _, ok := g.FindLiteral(v); !ok {
+			t.Errorf("datatype should be folded into the literal value %q", v)
+		}
+	}
+	if g.NumTriples() != 4 {
+		t.Errorf("NumTriples = %d, want 4", g.NumTriples())
 	}
 }
 

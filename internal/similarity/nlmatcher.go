@@ -14,7 +14,7 @@ import (
 // colors and weights while Unaligned only shrinks. The matcher instead
 // keeps all three structures alive across rounds and repairs them from the
 // round's change list (the nodes whose color or weight Enrich or the
-// propagation worklist moved, see Enrich and Engine.PropagateChanged):
+// propagation worklist moved, see Enrich and Engine.Propagate):
 //
 //   - char(n) and the σNL edge list of n read only the colors and weights
 //     of n's outbound neighbourhood, so exactly the recolor dependents

@@ -21,10 +21,6 @@ type OverlapOptions struct {
 	Theta float64
 	// Epsilon is the weight stabilisation threshold for propagation.
 	Epsilon float64
-	// MaxRounds caps the enrich/propagate loop; Algorithm 2 terminates
-	// because every round with a non-empty H strictly shrinks the
-	// unaligned sets, so the cap only guards against bugs. Default 1000.
-	MaxRounds int
 	// Hooks threads cancellation and progress through the loop: the
 	// context is checked once per round, once per propagation round
 	// inside it, and once per source node plus once per candidate batch
@@ -147,6 +143,12 @@ func (r *OverlapResult) Alignment(c *rdf.Combined) *core.Alignment {
 	return core.NewWeightedAlignment(c, r.Xi, r.Theta)
 }
 
+// maxOverlapRounds caps the enrich/propagate loop. Algorithm 2 terminates
+// because every round with a non-empty H strictly shrinks the unaligned
+// sets, so the cap only turns a would-be infinite loop into an
+// ErrNoFixpoint error; tests lower it.
+var maxOverlapRounds = 1000
+
 // OverlapAlign runs Algorithm 2 (§4.7) on a combined graph, starting from
 // the given hybrid partition:
 //
@@ -169,9 +171,6 @@ func OverlapAlign(c *rdf.Combined, hybrid *core.Partition, opt OverlapOptions) (
 	}
 	if err := ValidateTheta(opt.Theta); err != nil {
 		return nil, fmt.Errorf("similarity: %w", err)
-	}
-	if opt.MaxRounds <= 0 {
-		opt.MaxRounds = 1000
 	}
 	res := &OverlapResult{Theta: opt.Theta}
 
@@ -212,11 +211,11 @@ func OverlapAlign(c *rdf.Combined, hybrid *core.Partition, opt OverlapOptions) (
 			return nil, err
 		}
 		res.Rounds++
-		if res.Rounds > opt.MaxRounds {
-			return nil, fmt.Errorf("similarity: overlap alignment did not terminate after %d rounds", opt.MaxRounds)
+		if res.Rounds > maxOverlapRounds {
+			return nil, &core.NoFixpointError{Stage: core.StageOverlap, Round: res.Rounds}
 		}
 		enriched, enrichChanged := Enrich(xi, h)
-		next, _, propChanged, err := eng.PropagateChanged(c, enriched, opt.Epsilon)
+		next, _, propChanged, err := eng.Propagate(c, enriched, opt.Epsilon)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -575,11 +576,18 @@ func TestOverlapAlignDefaultTheta(t *testing.T) {
 func TestOverlapAlignMaxRoundsGuard(t *testing.T) {
 	// The wordy Figure 7 cascade needs at least two enrich/propagate
 	// rounds (literals, then u/u′, then w/w′); capping at one round must
-	// surface as an error instead of silently truncating the alignment.
+	// surface as ErrNoFixpoint instead of silently truncating the alignment.
+	defer func(saved int) { maxOverlapRounds = saved }(maxOverlapRounds)
+	maxOverlapRounds = 1
 	g1, g2 := figure7Wordy(t)
 	c, hp := combine(t, g1, g2)
-	if _, err := OverlapAlign(c, hp, OverlapOptions{Theta: 0.65, MaxRounds: 1}); err == nil {
-		t.Error("MaxRounds guard did not fire on an unfinished cascade")
+	_, err := OverlapAlign(c, hp, OverlapOptions{Theta: 0.65})
+	var nf *core.NoFixpointError
+	if !errors.Is(err, core.ErrNoFixpoint) || !errors.As(err, &nf) {
+		t.Fatalf("err = %v, want ErrNoFixpoint", err)
+	}
+	if nf.Stage != core.StageOverlap || nf.Round != 2 {
+		t.Errorf("gave up in stage %q round %d, want %q round 2", nf.Stage, nf.Round, core.StageOverlap)
 	}
 }
 

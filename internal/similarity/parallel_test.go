@@ -210,7 +210,7 @@ func TestNLMatcherIndexMatchesRebuild(t *testing.T) {
 		inc := newNLMatcher(c, theta, 1)
 		for round := 1; round <= 100; round++ {
 			enriched, enrichChanged := Enrich(xi, h)
-			next, _, propChanged, err := eng.PropagateChanged(c, enriched, 0)
+			next, _, propChanged, err := eng.Propagate(c, enriched, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
