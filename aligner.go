@@ -256,6 +256,7 @@ func (al *Aligner) Align(ctx context.Context, g1, g2 *Graph) (*Alignment, error)
 		in = core.NewInterner()
 	}
 	st := &alignState{al: al, shared: &sessionShared{in: in}, c: c}
+	eng.Work = core.NewWorkspace()
 	a := &Alignment{Method: al.cfg.method, Theta: al.cfg.theta, c: c, state: st}
 	var s stages
 	var err error
@@ -279,11 +280,12 @@ type stages struct {
 }
 
 // pipeline runs label partition → deblank → method tail over c: the one
-// composition behind Align and the archive's pair alignment. A non-nil st
-// keeps the label colors, the deblank fixpoint and the overlap matcher
-// caches for ApplyDelta.
+// composition behind Align and the archive's pair alignment, on the
+// engine's workspace. A non-nil st keeps the label colors, the deblank
+// fixpoint and the overlap matcher caches for ApplyDelta.
 func (al *Aligner) pipeline(eng *core.Engine, method Method, c *rdf.Combined, in *core.Interner, st *alignState) (stages, error) {
 	base := core.LabelPartition(c.Graph, in)
+	eng.Work.Track(c, base)
 	deblank, itDeblank, err := eng.DeblankFrom(c.Graph, base)
 	if err != nil {
 		return stages{}, err
@@ -296,10 +298,11 @@ func (al *Aligner) pipeline(eng *core.Engine, method Method, c *rdf.Combined, in
 }
 
 // finishFromDeblank runs the method tail (Deblank, Hybrid, Overlap or
-// SigmaEdit) from a fresh or maintained deblank partition. state carries
-// the overlap matcher caches across calls (nil for none); invalidate lists
-// the nodes whose outbound edge set changed since the previous call (nil on
-// a fresh alignment), whose cached characterisations the matcher drops.
+// SigmaEdit) from a fresh or maintained deblank partition, on the engine's
+// workspace. state carries the overlap matcher caches across calls (nil
+// for none); invalidate lists the nodes whose outbound edge set changed
+// since the previous call (nil on a fresh alignment), whose cached
+// characterisations the matcher drops.
 func (al *Aligner) finishFromDeblank(eng *core.Engine, method Method, c *rdf.Combined, deblank *core.Partition, itDeblank int,
 	state *similarity.OverlapState, invalidate []rdf.NodeID) (stages, error) {
 	if method == Deblank {
@@ -320,6 +323,7 @@ func (al *Aligner) finishFromDeblank(eng *core.Engine, method Method, c *rdf.Com
 			MaxDepth:   al.cfg.maxDepth,
 			State:      state,
 			Invalidate: invalidate,
+			Work:       eng.Work,
 		})
 		if err == nil {
 			s.part = s.overlap.Xi.P

@@ -53,7 +53,9 @@ func (al *Aligner) archiveOptions(ctx context.Context) archive.BuildOptions {
 		Hooks:            eng.Hooks,
 		Align: func(g1, g2 *rdf.Graph) (*core.Partition, *rdf.Combined, error) {
 			c := rdf.Union(g1, g2)
-			s, err := al.pipeline(eng, method, c, core.NewInterner(), nil)
+			pairEng := *eng
+			pairEng.Work = core.NewWorkspace()
+			s, err := al.pipeline(&pairEng, method, c, core.NewInterner(), nil)
 			return s.part, c, err
 		},
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"rdfalign/internal/rdf"
 )
 
@@ -17,8 +19,9 @@ import (
 //
 // Engine methods check the hooks' context once per round and return its
 // error as soon as cancellation is observed; with a nil context they never
-// fail. An Engine is immutable after construction and safe for concurrent
-// use.
+// fail. An Engine without a Workspace is immutable after construction and
+// safe for concurrent use; one with a Workspace attached is not, because
+// every method refines through that workspace.
 type Engine struct {
 	// Opt selects the recoloring variant (§3.3/§5.1/§6 extensions). The
 	// zero value is the paper's default outbound recoloring.
@@ -40,6 +43,10 @@ type Engine struct {
 	// that stabilises before round k is unaffected: bounded and unbounded
 	// results coincide.
 	MaxDepth int
+	// Work, when non-nil, is the refinement workspace every method runs
+	// on, kept by its owner across calls (an alignment session keeps one
+	// per lineage). nil gives each call a workspace of its own.
+	Work *Workspace
 }
 
 // useOpts reports whether recoloring must go through the extended path.
@@ -66,12 +73,15 @@ func (e *Engine) useOpts() bool { return e.Opt.extended() || e.Opt.Filter != nil
 // round only the nodes of x whose neighbourhood changed are recolored, and
 // stabilisation is decided from the round's change list.
 func (e *Engine) Refine(g *rdf.Graph, p *Partition, x []rdf.NodeID) (*Partition, int, error) {
-	return e.refineOwned(g, p.Clone(), x)
+	ws := e.workspace()
+	q := p.Clone()
+	ws.Follow(p, q, nil)
+	return e.refineOwned(ws, g, q, x)
 }
 
 // refineOwned is Refine on a partition the caller owns, refined in place.
-func (e *Engine) refineOwned(g *rdf.Graph, p *Partition, x []rdf.NodeID) (*Partition, int, error) {
-	iters, err := e.worklist(g, p, nil, x, 0, nil)
+func (e *Engine) refineOwned(ws *Workspace, g *rdf.Graph, p *Partition, x []rdf.NodeID) (*Partition, int, error) {
+	iters, err := e.worklist(ws, g, p, nil, x, 0, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -132,8 +142,11 @@ func (e *Engine) Hybrid(c *rdf.Combined, in *Interner) (*Partition, int, error) 
 // HybridFromDeblank runs only the second phase of the hybrid construction,
 // for callers that already hold λ_Deblank.
 func (e *Engine) HybridFromDeblank(c *rdf.Combined, deblank *Partition) (*Partition, int, error) {
-	un := UnalignedNonLiterals(c, deblank)
-	return e.refineOwned(c.Graph, BlankOut(deblank, un), un)
+	ws := e.workspace()
+	un := ws.unalignedNonLiterals(c, deblank)
+	p := BlankOut(deblank, un)
+	ws.Follow(deblank, p, un)
+	return e.refineOwned(ws, c.Graph, p, un)
 }
 
 // Propagate spreads alignment information in ξ to the currently unaligned
@@ -165,17 +178,24 @@ func (e *Engine) Propagate(c *rdf.Combined, xi *Weighted, eps float64) (*Weighte
 	if eps <= 0 {
 		eps = DefaultEpsilon
 	}
-	un := UnalignedNonLiterals(c, xi.P)
+	ws := e.workspace()
+	un := ws.unalignedNonLiterals(c, xi.P)
 	out := BlankOutWeighted(xi, un)
-	tracked := newChangeTracker(len(xi.W))
+	// Follow journals all of un, which covers the weights the worklist
+	// moves: it reweights only nodes of its recolor set.
+	ws.Follow(xi.P, out.P, un)
+	ws.tracked.reset(len(xi.W))
+	var tracked []rdf.NodeID
 	for _, n := range un {
 		if out.P.colors[n] != xi.P.colors[n] || out.W[n] != xi.W[n] {
-			tracked.add(n)
+			ws.tracked.add(int(n))
+			tracked = append(tracked, n)
 		}
 	}
-	iters, err := e.worklist(c.Graph, out.P, out.W, un, eps, tracked)
+	iters, err := e.worklist(ws, c.Graph, out.P, out.W, un, eps, &tracked)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	return out, iters, tracked.sorted(), nil
+	slices.Sort(tracked)
+	return out, iters, tracked, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rdfalign/internal/rdf"
 )
@@ -233,4 +234,24 @@ func NaiveDeblankEquivalence(g *rdf.Graph) *Relation {
 		}
 	}
 	return rel
+}
+
+// UnalignedNonLiterals returns UN(λ) = Unaligned(λ) \ Literals(G) (§3.4
+// equation 4) as a single sorted slice of combined-graph node IDs: the
+// one-shot reference for the workspace's class index.
+func UnalignedNonLiterals(c *rdf.Combined, p *Partition) []rdf.NodeID {
+	un1, un2 := Unaligned(c, p)
+	out := make([]rdf.NodeID, 0, len(un1)+len(un2))
+	for _, n := range un1 {
+		if !c.IsLiteral(n) {
+			out = append(out, n)
+		}
+	}
+	for _, n := range un2 {
+		if !c.IsLiteral(n) {
+			out = append(out, n)
+		}
+	}
+	slices.Sort(out)
+	return out
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"rdfalign/internal/rdf"
 )
@@ -171,18 +171,24 @@ type sideCount struct {
 }
 
 // classSides holds per-color side counts for a combined graph, backed by a
-// dense Color-indexed array when the interner is small enough relative to
-// the node count (colors are dense interner indices) and by a map otherwise
-// (a long-lived session interner can dwarf any one partition's color range).
-// Both backings produce identical lookups.
+// dense Color-indexed array when the partition's largest color is small
+// enough relative to the node count (colors are dense interner indices) and
+// by a map otherwise (a long-lived session interner can dwarf any one
+// partition's color range). Both backings produce identical lookups.
 type classSides struct {
 	dense  []sideCount
 	sparse map[Color]sideCount
 }
 
-// newClassSides computes per-color side counts for a combined graph.
+// newClassSides computes per-color side counts for a combined graph. It
+// reads only p's colors, never the interner, which a session may be
+// extending concurrently while an older version is queried.
 func newClassSides(c *rdf.Combined, p *Partition) classSides {
-	if size := p.in.Size(); size <= 8*len(p.colors)+1024 {
+	size := 0
+	if len(p.colors) > 0 {
+		size = int(slices.Max(p.colors)) + 1
+	}
+	if size <= 8*len(p.colors)+1024 {
 		dense := make([]sideCount, size)
 		for i, col := range p.colors {
 			if i < c.N1 {
@@ -232,23 +238,4 @@ func Unaligned(c *rdf.Combined, p *Partition) (un1, un2 []rdf.NodeID) {
 		}
 	}
 	return un1, un2
-}
-
-// UnalignedNonLiterals returns UN(λ) = Unaligned(λ) \ Literals(G) (§3.4
-// equation 4) as a single sorted slice of combined-graph node IDs.
-func UnalignedNonLiterals(c *rdf.Combined, p *Partition) []rdf.NodeID {
-	un1, un2 := Unaligned(c, p)
-	out := make([]rdf.NodeID, 0, len(un1)+len(un2))
-	for _, n := range un1 {
-		if !c.IsLiteral(n) {
-			out = append(out, n)
-		}
-	}
-	for _, n := range un2 {
-		if !c.IsLiteral(n) {
-			out = append(out, n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

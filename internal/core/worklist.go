@@ -54,51 +54,18 @@ import (
 // (renameCheck); if so the round is discarded and the pre-round
 // partition returned, exactly as a full-partition grouping-equivalence scan
 // would decide — but in O(|changes|) instead of O(|N|) per round.
+//
+// All the loop's state lives in a Workspace (workspace.go) that its owner
+// keeps across runs: the recolor-set and frontier marks and the renameCheck
+// witnesses are generation-stamped, so a run resets them in O(1) instead
+// of allocating arrays sized by the graph or the interner, and the class
+// sizes renameCheck reads come from the workspace's class index, which
+// every applied round updates.
 
 // change records one recolored node within a round, before application.
 type change struct {
 	n        rdf.NodeID
 	old, new Color
-}
-
-// colorCounts tracks the class size of every color under the current
-// coloring, so grouping equivalence can be decided from a round's change
-// list alone.
-type colorCounts struct {
-	n []int32
-}
-
-func newColorCounts(colors []Color) *colorCounts {
-	max := Color(0)
-	for _, c := range colors {
-		if c > max {
-			max = c
-		}
-	}
-	cc := &colorCounts{n: make([]int32, int(max)+1)}
-	for _, c := range colors {
-		cc.n[c]++
-	}
-	return cc
-}
-
-// at returns the class size of c (0 for colors never assigned).
-func (cc *colorCounts) at(c Color) int32 {
-	if int(c) < len(cc.n) {
-		return cc.n[c]
-	}
-	return 0
-}
-
-// move re-assigns one node from old to new.
-func (cc *colorCounts) move(old, new Color) {
-	cc.n[old]--
-	if int(new) >= len(cc.n) {
-		grown := make([]int32, int(new)+1+len(cc.n)/2)
-		copy(grown, cc.n)
-		cc.n = grown
-	}
-	cc.n[new]++
 }
 
 // renameCheck decides whether applying a round's changes would yield a
@@ -114,108 +81,65 @@ func (cc *colorCounts) move(old, new Color) {
 //  3. no node outside the change set already holds a target color
 //     (otherwise classes merged), and the renaming is injective.
 //
-// The forward/backward renaming witnesses are generation-stamped arrays
-// indexed by color and reused across rounds, so the check is O(|changes|)
-// per round with no allocation beyond amortised array growth — long
-// fixpoints with churning change lists (a chain of blanks renames its whole
-// suffix every round) previously spent more on building the per-round
-// witness maps than on recoloring.
+// The forward/backward renaming witnesses live in two small open-addressing
+// maps keyed by color (colorMap), sized by the colors a round touches
+// rather than the interner, emptied by a generation stamp and kept in the
+// Workspace across rounds and runs, so the check is O(|changes|) per round
+// with no allocation beyond amortised growth — long fixpoints with
+// churning change lists (a chain of blanks renames its whole suffix every
+// round) would otherwise spend more on building per-round witness maps
+// than on recoloring. Class sizes come from the workspace's class index,
+// which holds the pre-round partition while the check runs.
 type renameCheck struct {
-	fwd, bwd   []Color // old→new and new→old witnesses, valid when stamped
-	fwdStamp   []int32
-	bwdStamp   []int32
-	moved      []int32 // changes vacating each old color, valid when stamped
-	movedStamp []int32
-	stamp      int32
-}
-
-// ensure grows the stamped arrays to cover color c.
-func (rc *renameCheck) ensure(c Color) {
-	if int(c) < len(rc.fwd) {
-		return
-	}
-	n := int(c) + 1 + len(rc.fwd)/2
-	grow := func(s []int32) []int32 {
-		g := make([]int32, n)
-		copy(g, s)
-		return g
-	}
-	gc := make([]Color, n)
-	copy(gc, rc.fwd)
-	rc.fwd = gc
-	gc = make([]Color, n)
-	copy(gc, rc.bwd)
-	rc.bwd = gc
-	rc.fwdStamp = grow(rc.fwdStamp)
-	rc.bwdStamp = grow(rc.bwdStamp)
-	rc.moved = grow(rc.moved)
-	rc.movedStamp = grow(rc.movedStamp)
+	from colorMap // old color → its new color, and the changes vacating it
+	to   colorMap // new color → its old color
 }
 
 // equivalent reports the grouping-equivalence decision for one round.
-func (rc *renameCheck) equivalent(changes []change, cc *colorCounts) bool {
+func (rc *renameCheck) equivalent(changes []change, ix *classIndex) bool {
 	if len(changes) == 0 {
 		return true
 	}
-	rc.stamp++
-	st := rc.stamp
-	maxC := Color(0)
+	rc.from.reset()
+	rc.to.reset()
 	for _, ch := range changes {
-		if ch.old > maxC {
-			maxC = ch.old
-		}
-		if ch.new > maxC {
-			maxC = ch.new
-		}
-	}
-	rc.ensure(maxC)
-	for _, ch := range changes {
-		if rc.fwdStamp[ch.old] == st {
-			if rc.fwd[ch.old] != ch.new {
-				return false // class split across two new colors
-			}
-		} else {
-			rc.fwdStamp[ch.old] = st
-			rc.fwd[ch.old] = ch.new
-			if rc.bwdStamp[ch.new] == st && rc.bwd[ch.new] != ch.old {
+		f, seen := rc.from.slot(ch.old)
+		if !seen {
+			f.val, f.count = ch.new, 0
+			b, seenNew := rc.to.slot(ch.new)
+			if seenNew && b.val != ch.old {
 				return false // two classes merged into one new color
 			}
-			rc.bwdStamp[ch.new] = st
-			rc.bwd[ch.new] = ch.old
+			b.val = ch.old
+		} else if f.val != ch.new {
+			return false // class split across two new colors
 		}
-		if rc.movedStamp[ch.old] == st {
-			rc.moved[ch.old]++
-		} else {
-			rc.movedStamp[ch.old] = st
-			rc.moved[ch.old] = 1
-		}
+		f.count++
 	}
 	for _, ch := range changes {
-		if cc.at(ch.old) != rc.moved[ch.old] {
+		if ix.size(ch.old) != rc.from.find(ch.old).count {
 			return false // a node outside the change set keeps old
 		}
 		movedFromNew := int32(0) // changes vacating the target color
-		if rc.movedStamp[ch.new] == st {
-			movedFromNew = rc.moved[ch.new]
+		if f := rc.from.find(ch.new); f != nil {
+			movedFromNew = f.count
 		}
-		if cc.at(ch.new) != movedFromNew {
+		if ix.size(ch.new) != movedFromNew {
 			return false // a node outside the change set already holds new
 		}
 	}
 	return true
 }
 
-// dedupFrontier copies x into a frontier, dropping duplicate node IDs while
-// preserving first-occurrence order (a full round's interning order). mark
-// is stamped with stamp.
-func dedupFrontier(x []rdf.NodeID, mark []int32, stamp int32) []rdf.NodeID {
-	out := make([]rdf.NodeID, 0, len(x))
+// dedupFrontier copies x into out, dropping duplicate node IDs while
+// preserving first-occurrence order (a full round's interning order); the
+// caller reset mark.
+func dedupFrontier(x []rdf.NodeID, mark *stampSet, out []rdf.NodeID) []rdf.NodeID {
+	out = slices.Grow(out[:0], len(x))
 	for _, n := range x {
-		if mark[n] == stamp {
-			continue
+		if mark.add(int(n)) {
+			out = append(out, n)
 		}
-		mark[n] = stamp
-		out = append(out, n)
 	}
 	return out
 }
@@ -226,12 +150,11 @@ func dedupFrontier(x []rdf.NodeID, mark []int32, stamp int32) []rdf.NodeID {
 // with a changed node m — the subjects, predicates and objects of m's
 // outbound, inbound and predicate-occurrence half-edges — which covers
 // every color the extended recoloring reads. The result is sorted
-// ascending so interning stays deterministic.
-func nextFrontier(g *rdf.Graph, changed []rdf.NodeID, ext bool, inX []bool, mark []int32, stamp int32, out []rdf.NodeID) []rdf.NodeID {
+// ascending so interning stays deterministic; the caller reset mark.
+func nextFrontier(g *rdf.Graph, changed []rdf.NodeID, ext bool, inX, mark *stampSet, out []rdf.NodeID) []rdf.NodeID {
 	out = out[:0]
 	add := func(s rdf.NodeID) {
-		if inX[s] && mark[s] != stamp {
-			mark[s] = stamp
+		if inX.has(int(s)) && mark.add(int(s)) {
 			out = append(out, s)
 		}
 	}
@@ -258,38 +181,11 @@ type wchange struct {
 	w float64
 }
 
-// changeTracker accumulates, deduplicated, every node a weighted worklist
-// run recolored or reweighted in an applied round — the change list
-// Engine.Propagate hands to incremental consumers (the overlap
-// matcher's per-round index repair). The set is a superset of the
-// input/output diff: a node that changes and later reverts stays tracked,
-// which is sound for cache invalidation (recomputing an unchanged node
-// reproduces the cached value).
-type changeTracker struct {
-	mark  []bool
-	nodes []rdf.NodeID
-}
-
-func newChangeTracker(n int) *changeTracker {
-	return &changeTracker{mark: make([]bool, n)}
-}
-
-func (t *changeTracker) add(n rdf.NodeID) {
-	if !t.mark[n] {
-		t.mark[n] = true
-		t.nodes = append(t.nodes, n)
-	}
-}
-
-// sorted returns the tracked nodes ascending.
-func (t *changeTracker) sorted() []rdf.NodeID {
-	slices.Sort(t.nodes)
-	return t.nodes
-}
-
 // worklist runs a refinement fixpoint over the recolor set x on cur, which
 // the caller owns and which is refined in place, and returns the number of
-// applied rounds. On error cur is left partly refined.
+// applied rounds. On error cur is left partly refined. The workspace's
+// class index follows cur through every applied round (it is rebuilt
+// first if it followed another partition), and its scratch is reused.
 //
 // With w == nil it is the partition fixpoint behind Engine.Refine: engines
 // with extended options recolor through recolorOpts and widen the frontier
@@ -303,29 +199,35 @@ func (t *changeTracker) sorted() []rdf.NodeID {
 // unchanged, the final round is applied (the refined ξ is returned, not the
 // pre-round one), and rounds report as StagePropagate. ε governs only
 // termination: the weighted loop stops once a round moves no weight by ε or
-// more and at most renames color classes. tracked, when non-nil, collects
-// every node an applied round recolors or reweights.
+// more and at most renames color classes. tracked, when non-nil, receives
+// every node an applied round recolors or reweights that the workspace's
+// tracked set (reset by the caller) does not hold yet.
 //
 // The gather step — external-merge grouping on spillable storage, extended
 // recoloring, or plain recoloring — is chosen once per run, so the gather
 // loops carry no per-node branch, and the one rule the modes differ in
 // (discard or apply the quiescent round) is decided at the stop check.
-func (e *Engine) worklist(g *rdf.Graph, cur *Partition, w []float64, x []rdf.NodeID, eps float64, tracked *changeTracker) (int, error) {
+func (e *Engine) worklist(ws *Workspace, g *rdf.Graph, cur *Partition, w []float64, x []rdf.NodeID, eps float64, tracked *[]rdf.NodeID) (int, error) {
 	colors := cur.colors
-	inX := make([]bool, len(colors))
-	for _, n := range x {
-		inX[n] = true
+	ix := &ws.ix
+	if !ix.valid || ix.p != cur {
+		// A partition no workspace step produced (a caller's own, or a
+		// fresh workspace): one O(N) pass to index it. Only class sizes
+		// are read here, so the side split is immaterial.
+		ws.track(cur, len(colors))
 	}
-	mark := make([]int32, len(colors))
-	stamp := int32(1)
-	dirty := dedupFrontier(x, mark, stamp)
-	counts := newColorCounts(colors)
-	var rc renameCheck
-	changes := make([]change, 0, len(dirty))
-	var wchanges []wchange
-	changedNodes := make([]rdf.NodeID, 0, len(dirty))
-	var scratch []ColorPair
-	var extScratch [3][]ColorPair
+	ws.inX.reset(len(colors))
+	for _, n := range x {
+		ws.inX.add(int(n))
+	}
+	ws.mark.reset(len(colors))
+	dirty := dedupFrontier(x, &ws.mark, ws.frontier)
+	changes := slices.Grow(ws.changes[:0], len(dirty))
+	changedNodes := slices.Grow(ws.changedNodes[:0], len(dirty))
+	wchanges := ws.wchanges[:0]
+	defer func() { // hand the grown buffers back for the next run
+		ws.frontier, ws.changes, ws.wchanges, ws.changedNodes = dirty, changes, wchanges, changedNodes
+	}()
 	stage, ext := StageRefine, e.useOpts()
 	if w != nil {
 		stage, ext = StagePropagate, false
@@ -356,14 +258,14 @@ func (e *Engine) worklist(g *rdf.Graph, cur *Partition, w []float64, x []rdf.Nod
 			}
 		} else if ext {
 			for _, n := range dirty {
-				if c := recolorOpts(g, cur, n, e.Opt, &extScratch); c != colors[n] {
+				if c := recolorOpts(g, cur, n, e.Opt, &ws.extScratch); c != colors[n] {
 					changes = append(changes, change{n: n, old: colors[n], new: c})
 				}
 			}
 		} else {
 			for _, n := range dirty {
 				var c Color
-				c, scratch = recolor(g, cur, n, scratch)
+				c, ws.scratch = recolor(g, cur, n, ws.scratch)
 				if c != colors[n] {
 					changes = append(changes, change{n: n, old: colors[n], new: c})
 				}
@@ -382,7 +284,7 @@ func (e *Engine) worklist(g *rdf.Graph, cur *Partition, w []float64, x []rdf.Nod
 				}
 			}
 		}
-		stop := (w == nil || maxDelta < eps) && rc.equivalent(changes, counts)
+		stop := (w == nil || maxDelta < eps) && ws.rename.equivalent(changes, ix)
 		if stop && w == nil {
 			// Quiescent: the round at most renames classes (a node joining
 			// an equivalent class, or a blank cycle re-deriving itself).
@@ -393,7 +295,7 @@ func (e *Engine) worklist(g *rdf.Graph, cur *Partition, w []float64, x []rdf.Nod
 		changedNodes = changedNodes[:0]
 		for _, ch := range changes {
 			colors[ch.n] = ch.new
-			counts.move(ch.old, ch.new)
+			ix.move(ch.n, ch.old, ch.new)
 			changedNodes = append(changedNodes, ch.n)
 		}
 		for _, wc := range wchanges {
@@ -402,14 +304,16 @@ func (e *Engine) worklist(g *rdf.Graph, cur *Partition, w []float64, x []rdf.Nod
 		}
 		if tracked != nil {
 			for _, n := range changedNodes {
-				tracked.add(n)
+				if ws.tracked.add(int(n)) {
+					*tracked = append(*tracked, n)
+				}
 			}
 		}
 		if stop {
 			return iter + 1, nil
 		}
 		e.Hooks.RoundDirty(stage, iter+1, len(dirty))
-		stamp++
-		dirty = nextFrontier(g, changedNodes, ext, inX, mark, stamp, dirty)
+		ws.mark.reset(len(colors))
+		dirty = nextFrontier(g, changedNodes, ext, &ws.inX, &ws.mark, dirty)
 	}
 }

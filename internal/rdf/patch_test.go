@@ -217,7 +217,7 @@ func BenchmarkPatchDensity(b *testing.B) {
 	for _, churn := range []struct {
 		name string
 		frac float64
-	}{{"0.1%", 0.001}, {"2%", 0.02}, {"7%", 0.07}, {"15%", 0.15}, {"30%", 0.30}} {
+	}{{"0.1%", 0.001}, {"2%", 0.02}, {"4%", 0.04}, {"7%", 0.07}, {"15%", 0.15}, {"30%", 0.30}} {
 		k := int(churn.frac * float64(len(baseTriples)))
 		picked := r.Perm(len(baseTriples))[:k/2]
 		slices.Sort(picked)

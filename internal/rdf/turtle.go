@@ -366,7 +366,7 @@ func (p *turtleParser) iriRef() (string, error) {
 				return "", err
 			}
 			sb.WriteRune(r)
-		case ' ', '\t', '\n', '"', '{', '}', '|', '^', '`':
+		case ' ', '\t', '\n', '<', '"', '{', '}', '|', '^', '`':
 			return "", p.errf("character %q not allowed in IRI", c)
 		default:
 			sb.WriteByte(c)

@@ -153,6 +153,7 @@ func TestParseTurtleErrors(t *testing.T) {
 		{"literal subject", `@prefix ex: <http://e/> . "s" ex:p ex:o .`},
 		{"bad numeric", `@prefix ex: <http://e/> . ex:s ex:p +x .`},
 		{"empty iri", `@prefix ex: <http://e/> . ex:s ex:p <> .`},
+		{"angle bracket in iri", `<http://a/s> <http://a/p> <http://a/x<y> .`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -197,3 +197,37 @@ func matchSeq[O cmp.Ordered](a, b []rdf.NodeID, theta float64, char func(rdf.Nod
 	}
 	return h
 }
+
+// unalignedLiterals returns the unaligned literal nodes of each side
+// (Algorithm 2 lines 2–3) through the one-shot core.Unaligned.
+func unalignedLiterals(c *rdf.Combined, p *core.Partition) (a, b []rdf.NodeID) {
+	un1, un2 := core.Unaligned(c, p)
+	for _, n := range un1 {
+		if c.IsLiteral(n) {
+			a = append(a, n)
+		}
+	}
+	for _, n := range un2 {
+		if c.IsLiteral(n) {
+			b = append(b, n)
+		}
+	}
+	return a, b
+}
+
+// unalignedNonLiteralsBySide returns the unaligned non-literal nodes of
+// each side (Algorithm 2 lines 9–10) through the one-shot core.Unaligned.
+func unalignedNonLiteralsBySide(c *rdf.Combined, p *core.Partition) (a, b []rdf.NodeID) {
+	un1, un2 := core.Unaligned(c, p)
+	for _, n := range un1 {
+		if !c.IsLiteral(n) {
+			a = append(a, n)
+		}
+	}
+	for _, n := range un2 {
+		if !c.IsLiteral(n) {
+			b = append(b, n)
+		}
+	}
+	return a, b
+}

@@ -57,6 +57,12 @@ type OverlapOptions struct {
 	// color/weight diff — the node's own color may be unchanged — so these
 	// cache entries are dropped directly during the rebase.
 	Invalidate []rdf.NodeID
+	// Work, when non-nil, is the refinement workspace the loop runs on:
+	// the one that refined hybrid, so the unaligned sets come from its
+	// class index, and on a resumed State the carry list comes from its
+	// journal (see resumeNLMatcher). nil runs on a workspace of the
+	// call's own.
+	Work *core.Workspace
 
 	// scratchIndex disables the incremental per-round index of the
 	// non-literal matching phase, rebuilding it from scratch every round.
@@ -80,14 +86,19 @@ type OverlapState struct {
 func (s *OverlapState) Reset() { *s = OverlapState{} }
 
 // resumeNLMatcher returns the matcher for this call and the carry change
-// list for its first round: the exact color/weight diff between the
-// previous call's final ξ and this call's starting ξ0 over the previous
-// node range. Cached entries are valid with respect to the previous final
-// ξ, while the per-round change lists are relative to ξ0; carrying the diff
-// into the first round's repair restores the matcher's invariant. A state
-// that cannot be reused (first call, mismatched θ, a shrunken graph, or the
-// scratch oracle knob) yields a fresh matcher and no carry.
-func resumeNLMatcher(c *rdf.Combined, xi0 *core.Weighted, opt OverlapOptions) (*nlMatcher, []rdf.NodeID) {
+// list for its first round: the nodes of the previous node range whose
+// color or weight differs between the previous call's final ξ and this
+// call's starting ξ0. Cached entries are valid with respect to the
+// previous final ξ, while the per-round change lists are relative to ξ0;
+// carrying the diff into the first round's repair restores the matcher's
+// invariant. The workspace's journal names a superset of those nodes (the
+// previous run's moves, rewound since, plus this run's hybrid moves), so
+// only they are compared; a workspace that cannot vouch for it — the
+// deblank fixpoint re-ran, or the workspace was dropped — leaves the full
+// O(N) diff. A state that cannot be reused (first call, mismatched θ, a
+// shrunken graph, or the scratch oracle knob) yields a fresh matcher and
+// no carry.
+func resumeNLMatcher(c *rdf.Combined, xi0 *core.Weighted, ws *core.Workspace, opt OverlapOptions) (*nlMatcher, []rdf.NodeID) {
 	st := opt.State
 	if st == nil || st.matcher == nil || st.lastXi == nil ||
 		st.theta != opt.Theta || opt.scratchIndex ||
@@ -97,9 +108,20 @@ func resumeNLMatcher(c *rdf.Combined, xi0 *core.Weighted, opt OverlapOptions) (*
 	m := st.matcher
 	m.rebase(c, opt.Workers, opt.Invalidate)
 	oc, nc := st.lastXi.P.Colors(), xi0.P.Colors()
+	differs := func(n rdf.NodeID) bool {
+		return oc[n] != nc[n] || st.lastXi.W[n] != xi0.W[n]
+	}
 	var carry []rdf.NodeID
-	for n, col := range oc {
-		if col != nc[n] || st.lastXi.W[n] != xi0.W[n] {
+	if cands, ok := ws.Carry(st.lastXi.P, xi0.P); ok {
+		for _, n := range cands {
+			if int(n) < len(oc) && differs(n) {
+				carry = append(carry, n)
+			}
+		}
+		return m, carry
+	}
+	for n := range oc {
+		if differs(rdf.NodeID(n)) {
 			carry = append(carry, rdf.NodeID(n))
 		}
 	}
@@ -174,8 +196,13 @@ func OverlapAlign(c *rdf.Combined, hybrid *core.Partition, opt OverlapOptions) (
 	}
 	res := &OverlapResult{Theta: opt.Theta}
 
+	ws := opt.Work
+	if ws == nil {
+		ws = core.NewWorkspace()
+	}
 	xi := core.NewWeighted(hybrid.Clone())
-	matcher, carry := resumeNLMatcher(c, xi, opt)
+	ws.Follow(hybrid, xi.P, nil)
+	matcher, carry := resumeNLMatcher(c, xi, ws, opt)
 	if opt.State != nil {
 		// Refresh the carried state on success; reset it on any error so
 		// the next call rebuilds from scratch instead of repairing from a
@@ -189,7 +216,7 @@ func OverlapAlign(c *rdf.Combined, hybrid *core.Partition, opt OverlapOptions) (
 		}()
 	}
 	// Lines 2–4: initial literal matching.
-	a0, b0 := unalignedLiterals(c, xi.P)
+	a0, b0 := ws.Unaligned(c, xi.P, true)
 	h, err := OverlapMatch(a0, b0, opt.Theta, func(n rdf.NodeID) []string {
 		return Split(c.Label(n).Value)
 	}, func(n, m rdf.NodeID) (float64, bool) {
@@ -203,7 +230,7 @@ func OverlapAlign(c *rdf.Combined, hybrid *core.Partition, opt OverlapOptions) (
 	reported := 0
 
 	// Lines 5–12.
-	eng := &core.Engine{Hooks: opt.Hooks, MaxDepth: opt.MaxDepth}
+	eng := &core.Engine{Hooks: opt.Hooks, MaxDepth: opt.MaxDepth, Work: ws}
 	matcher.scratchRounds = opt.scratchIndex
 	var changed []rdf.NodeID
 	for {
@@ -215,6 +242,7 @@ func OverlapAlign(c *rdf.Combined, hybrid *core.Partition, opt OverlapOptions) (
 			return nil, &core.NoFixpointError{Stage: core.StageOverlap, Round: res.Rounds}
 		}
 		enriched, enrichChanged := Enrich(xi, h)
+		ws.Follow(xi.P, enriched.P, enrichChanged)
 		next, _, propChanged, err := eng.Propagate(c, enriched, opt.Epsilon)
 		if err != nil {
 			return nil, err
@@ -229,7 +257,7 @@ func OverlapAlign(c *rdf.Combined, hybrid *core.Partition, opt OverlapOptions) (
 		carry = nil
 		changed = append(changed, enrichChanged...)
 		changed = append(changed, propChanged...)
-		ai, bi := unalignedNonLiteralsBySide(c, xi.P)
+		ai, bi := ws.Unaligned(c, xi.P, false)
 		h, err = matcher.round(xi, ai, bi, changed, opt.Hooks)
 		if err != nil {
 			return nil, err
@@ -252,40 +280,6 @@ func Split(s string) []string {
 	return strings.FieldsFunc(s, func(r rune) bool {
 		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
 	})
-}
-
-// unalignedLiterals returns the unaligned literal nodes of each side
-// (Algorithm 2 lines 2–3).
-func unalignedLiterals(c *rdf.Combined, p *core.Partition) (a, b []rdf.NodeID) {
-	un1, un2 := core.Unaligned(c, p)
-	for _, n := range un1 {
-		if c.IsLiteral(n) {
-			a = append(a, n)
-		}
-	}
-	for _, n := range un2 {
-		if c.IsLiteral(n) {
-			b = append(b, n)
-		}
-	}
-	return a, b
-}
-
-// unalignedNonLiteralsBySide returns the unaligned non-literal nodes of
-// each side (Algorithm 2 lines 9–10).
-func unalignedNonLiteralsBySide(c *rdf.Combined, p *core.Partition) (a, b []rdf.NodeID) {
-	un1, un2 := core.Unaligned(c, p)
-	for _, n := range un1 {
-		if !c.IsLiteral(n) {
-			a = append(a, n)
-		}
-	}
-	for _, n := range un2 {
-		if !c.IsLiteral(n) {
-			b = append(b, n)
-		}
-	}
-	return a, b
 }
 
 // outColorKey encodes an out-color pair (λ(p), λ(o)) as a single comparable

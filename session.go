@@ -40,7 +40,25 @@ import (
 //   - the overlap matcher's inverted index and σNL caches survive in
 //     sessionShared and are repaired from the edit's touched subjects plus
 //     the color/weight diff against the previous final ξ (see
-//     similarity.OverlapState).
+//     similarity.OverlapState), taken over the nodes the refinement
+//     workspace journaled rather than over every node;
+//   - the refinement workspace (core.Workspace) survives in sessionShared
+//     from the first delta on: the worklist's marks and grouping-
+//     equivalence witnesses are reset by generation stamps instead of
+//     being reallocated per run, and its class index — per-color side
+//     counts, members and an unaligned bitmap —
+//     follows every recoloring, so the unaligned sets that hybrid,
+//     propagation and overlap matching read cost O(changes + |Unaligned|).
+//     Between versions the index is rewound to the new deblank partition by
+//     re-assigning only the nodes the previous run moved plus the appended
+//     ones; the first delta, a re-run deblank fixpoint, extended options,
+//     or a failed previous delta rebuild it with one O(N) pass.
+//
+// Still O(N) per delta, each to keep the previous Alignment valid for
+// queries: the copies of the label, deblank and hybrid colors and of ξ at
+// each overlap step (Partition.Clone, Weighted.Clone), and the rebased
+// union's index columns. Copy-on-write column chunks would make them
+// proportional to the edit too.
 //
 // Interner note: the session replays refinement over the persistent
 // interner, whose composite colors are content-addressed — identical
@@ -69,6 +87,13 @@ type sessionShared struct {
 	// overlap carries the overlap matcher's index and caches across
 	// versions (Overlap method only; zero value otherwise).
 	overlap similarity.OverlapState
+	// work is the lineage's refinement workspace, built lazily on the
+	// first ApplyDelta: Align's own workspace goes with its call, so a
+	// lineage that is never advanced keeps none. Between versions its
+	// class index follows the newest version's final partition, with a
+	// journal of the nodes moved since that version's deblank partition.
+	// Only ApplyDelta touches it; queries on any Alignment never do.
+	work *core.Workspace
 }
 
 // alignState is the per-version session snapshot an Alignment carries.
@@ -124,12 +149,15 @@ func (al *Aligner) ApplyDelta(ctx context.Context, a *Alignment, s *EditScript) 
 	if err != nil {
 		return nil, fmt.Errorf("rdfalign: apply delta: %w", err)
 	}
-	a2, err := al.maintain(ctx, st, res)
+	a2, err := al.maintain(ctx, st, a.part, res)
 	if err != nil {
 		// Roll the edit back so the lineage stays on version a; a failed
-		// OverlapAlign has already reset the shared matcher state, so a
-		// retry starts from a consistent snapshot either way.
+		// OverlapAlign has already reset the shared matcher state, and the
+		// workspace's index, which followed the failed run, is dropped and
+		// rebuilt by the retry, so a retry starts from a consistent
+		// snapshot either way.
 		sh.editor.Revert(res)
+		sh.work.Drop()
 		return nil, err
 	}
 	sh.version++
@@ -159,11 +187,18 @@ func (a *Alignment) ApplyDelta(ctx context.Context, s *EditScript) (*Alignment, 
 }
 
 // maintain rebuilds the alignment over the edited target from the previous
-// version's state. It never mutates st; on error the caller rolls the
-// editor back and the lineage is untouched.
-func (al *Aligner) maintain(ctx context.Context, st *alignState, res *rdf.EditResult) (*Alignment, error) {
+// version's state; prev is that version's final partition, which the
+// workspace's index follows. It never mutates st; on error the caller
+// rolls the editor back and the lineage is untouched.
+func (al *Aligner) maintain(ctx context.Context, st *alignState, prev *core.Partition, res *rdf.EditResult) (*Alignment, error) {
 	eng := al.engine(ctx)
 	sh := st.shared
+	if sh.work == nil {
+		// The lineage's first delta: the Rewind below finds no index
+		// and builds it with one O(N) pass.
+		sh.work = core.NewWorkspace()
+	}
+	eng.Work = sh.work
 	in := sh.in
 	c2 := rdf.RebaseUnion(st.c, res.Graph, res.Added, res.Removed)
 	oldN, newN := st.c.NumNodes(), c2.NumNodes()
@@ -227,13 +262,22 @@ func (al *Aligner) maintain(ctx context.Context, st *alignState, res *rdf.EditRe
 		copy(colors, st.deblank.Colors())
 		copy(colors[oldN:], base2[oldN:])
 		deblank2 = core.NewPartition(in, colors)
+		// Rewind the class index to deblank2: only the nodes the previous
+		// run moved and the appended nodes are re-assigned.
+		sh.work.Rewind(c2, prev, deblank2)
 	} else {
+		// The fixpoint re-runs over every blank, so the index is rebuilt
+		// for its base partition with one O(N) pass, like the run itself.
+		basePart := core.NewPartition(in, base2)
+		sh.work.Track(c2, basePart)
 		var err error
-		deblank2, itDeblank, err = eng.DeblankFrom(c2.Graph, core.NewPartition(in, base2))
+		deblank2, itDeblank, err = eng.DeblankFrom(c2.Graph, basePart)
 		if err != nil {
 			return nil, err
 		}
 	}
+	// The next delta rewinds to here: journal the nodes this run moves.
+	sh.work.Checkpoint(c2, deblank2)
 	st2.deblank = deblank2
 	s, err := al.finishFromDeblank(eng, al.cfg.method, c2, deblank2, itDeblank, &sh.overlap, touched)
 	if err != nil {
