@@ -3,7 +3,8 @@ package rdfalign
 // Ingestion benchmarks: streaming-parser and writer throughput on a
 // million-triple DBpedia-like corpus (generated in memory by the
 // streaming dataset generator), parser throughput on one GtoPdb release
-// (the IRI-heavy document align-gtopdb parses in its set-up), plus an
+// (the IRI-heavy document align-gtopdb parses in its set-up; also read as
+// Turtle, of which N-Triples is a subset), plus an
 // end-to-end parse→align workload. The parallel configurations are
 // bit-identical to the sequential ones by construction; the speedup
 // scales with available cores (on a single-core machine seq and par8
@@ -64,11 +65,15 @@ func gtopdbDoc() string {
 }
 
 func benchParse(b *testing.B, doc string, opts ...ParseOption) {
+	benchParseWith(b, doc, func(doc string) (*Graph, error) { return ParseNTriplesString(doc, "bench", opts...) })
+}
+
+func benchParseWith(b *testing.B, doc string, parse func(string) (*Graph, error)) {
 	b.SetBytes(int64(len(doc)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := ParseNTriplesString(doc, "bench", opts...)
+		g, err := parse(doc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,6 +88,11 @@ func BenchmarkParseNTriples(b *testing.B) {
 	b.Run("par8", func(b *testing.B) { benchParse(b, corpus(), WithParseWorkers(8)) })
 	b.Run("gtopdb-seq", func(b *testing.B) { benchParse(b, gtopdbDoc()) })
 	b.Run("gtopdb-par", func(b *testing.B) { benchParse(b, gtopdbDoc(), WithParseWorkers(-1)) })
+	// The same document through the Turtle reader, which shares the
+	// N-Triples term lexer.
+	b.Run("gtopdb-turtle", func(b *testing.B) {
+		benchParseWith(b, gtopdbDoc(), func(doc string) (*Graph, error) { return ParseTurtleString(doc, "bench") })
+	})
 }
 
 func BenchmarkWriteNTriples(b *testing.B) {

@@ -13,7 +13,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // testdata/golden/. Each case concentrates on one escaping edge: control
 // characters that must become \u escapes, quotes and backslashes, non-BMP
 // runes written raw, language tags and datatype suffixes folded into
-// literal values, and IRI-forbidden characters.
+// literal values, and IRI-forbidden characters (in N-Triples, and the
+// extra ones in Turtle).
 func goldenGraphs() map[string]*Graph {
 	out := map[string]*Graph{}
 
@@ -52,6 +53,13 @@ func goldenGraphs() map[string]*Graph {
 	b.Triple(s, p, sp)
 	b.Triple(sp, p, b.Literal("iri edge cases"))
 	out["iri-escapes"] = b.MustGraph()
+
+	// Turtle rejects these raw in IRIs, so the writer escapes them.
+	b = NewBuilder("turtle-iris")
+	s = b.URI("http://example.org/set{a|b}")
+	p = b.URI("http://example.org/p^q")
+	b.Triple(s, p, b.URI("http://example.org/`tick`"))
+	out["iri-escapes-turtle"] = b.MustGraph()
 
 	b = NewBuilder("blanks")
 	p = b.URI("http://example.org/p")
@@ -112,6 +120,14 @@ func TestGoldenNTriples(t *testing.T) {
 			}
 			if _, err := ParseNTriplesString(string(want), "golden-strict", WithStrictMode()); err != nil {
 				t.Errorf("golden file rejected in strict mode: %v", err)
+			}
+			// N-Triples is a subset of Turtle.
+			ttl, err := ParseTurtleString(string(want), "golden-ttl")
+			if err != nil {
+				t.Fatalf("golden file rejected as Turtle: %v", err)
+			}
+			if reformatted := FormatNTriples(ttl); reformatted != string(want) {
+				t.Errorf("golden file read as Turtle changed:\n--- reparse+write\n%s--- file\n%s", reformatted, want)
 			}
 		})
 	}

@@ -18,9 +18,14 @@ import (
 //	_:blank <uri> <uri> .          (etc.)
 //
 // Comments (# ...) and blank lines are accepted. Literal language tags and
-// datatype IRIs are parsed and folded into the literal value verbatim
-// (`"v"@en` keeps the tag as part of the value), since the paper's data
-// model has plain string literals only.
+// datatype IRIs are parsed and folded into the literal value (`"v"@en`
+// keeps the tag as part of the value), since the paper's data model has
+// plain string literals only.
+//
+// lineParser is also the term lexer of the Turtle reader (turtle.go),
+// which runs it over a whole document: IRIREF, quoted strings, escapes,
+// language tags and blank-label ends are lexed by the code below in both
+// grammars.
 //
 // Input is consumed in line-boundary-aligned blocks (scan.go); with
 // WithParseWorkers(n > 1) blocks are parsed concurrently and merged in
@@ -67,14 +72,15 @@ func parseNTriplesScanner(sc *blockScanner, name string, o parseOpts) (*Graph, e
 }
 
 type lineParser struct {
-	s      string
-	pos    int
-	line   int
-	strict bool
+	s         string
+	pos       int
+	line      int
+	lineStart int // offset of the line's first byte in s (Turtle lexes a whole document)
+	strict    bool
 }
 
 func (p *lineParser) err(msg string) error {
-	return &ParseError{Line: p.line, Col: p.pos + 1, Msg: msg}
+	return &ParseError{Line: p.line, Col: p.pos - p.lineStart + 1, Msg: msg}
 }
 
 func (p *lineParser) skipWS() {
@@ -298,23 +304,26 @@ func (p *lineParser) blankLabel() (string, error) {
 	for p.pos < len(p.s) && p.s[p.pos] != ' ' && p.s[p.pos] != '\t' {
 		p.pos++
 	}
-	// A label never ends in '.' (as in the W3C BLANK_NODE_LABEL): trailing
-	// dots belong to the statement, so "_:a." is the label "a" followed by
-	// the terminator, and every accepted label can be written back as
-	// "_:label ." and read again.
+	label, err := p.labelEnd(start)
+	if err == nil && p.strict {
+		err = p.checkBlankLabel(label)
+	}
+	return label, err
+}
+
+// labelEnd finishes a blank label that runs from start to p.pos, where
+// each dialect's end rule stopped it. A label never ends in '.' (as in the
+// W3C BLANK_NODE_LABEL): trailing dots belong to the statement, so "_:a."
+// is the label "a" followed by the terminator, and every accepted label
+// can be written back as "_:label ." and read again.
+func (p *lineParser) labelEnd(start int) (string, error) {
 	for p.pos > start && p.s[p.pos-1] == '.' {
 		p.pos--
 	}
 	if p.pos == start {
 		return "", p.err("empty blank node label")
 	}
-	label := p.s[start:p.pos]
-	if p.strict {
-		if err := p.checkBlankLabel(label); err != nil {
-			return "", err
-		}
-	}
-	return label, nil
+	return p.s[start:p.pos], nil
 }
 
 // checkBlankLabel enforces the strict-mode label alphabet: an
@@ -337,43 +346,43 @@ func (p *lineParser) checkBlankLabel(label string) error {
 
 // literal parses a quoted literal with its optional language-tag or
 // datatype suffix folded in. The owned result reports whether the value
-// required fresh allocation or is a view into the line. Like iri, a body
-// without escapes or control characters is taken in one scan; any other
-// body takes the byte-at-a-time loop from its start.
+// required fresh allocation or is a view into the line.
 func (p *lineParser) literal() (v string, owned bool, err error) {
+	v, owned, err = p.quoted('"')
+	if err != nil {
+		return "", false, err
+	}
+	suffix, err := p.literalSuffix()
+	switch {
+	case err != nil:
+		return "", false, err
+	case suffix == "":
+		return v, owned, nil
+	}
+	return v + suffix, true, nil
+}
+
+// quoted lexes a short string body closed by the quote byte q (a double
+// quote, or in Turtle also a single quote) and decodes its escapes. Like
+// iri, a body without escapes or control characters is taken in one scan;
+// any other body takes the byte-at-a-time loop from its start.
+func (p *lineParser) quoted(q byte) (v string, owned bool, err error) {
 	p.pos++ // opening quote
 	start := p.pos
-	if n := strings.IndexByte(p.s[start:], '"'); n >= 0 && literalPlain(p.s[start:start+n]) {
+	if n := strings.IndexByte(p.s[start:], q); n >= 0 && literalPlain(p.s[start:start+n]) {
 		p.pos += n + 1
-		suffix, err := p.literalSuffix()
-		if err != nil {
-			return "", false, err
-		}
-		if suffix == "" {
-			return p.s[start : start+n], false, nil
-		}
-		return p.s[start:start+n] + suffix, true, nil
+		return p.s[start : start+n], false, nil
 	}
 	var sb *strings.Builder
 	for p.pos < len(p.s) {
 		c := p.s[p.pos]
 		switch c {
-		case '"':
-			var v string
-			if sb != nil {
-				v = sb.String()
-			} else {
-				v = p.s[start:p.pos]
-			}
+		case q:
 			p.pos++
-			suffix, err := p.literalSuffix()
-			if err != nil {
-				return "", false, err
+			if sb != nil {
+				return sb.String(), true, nil
 			}
-			if suffix == "" {
-				return v, sb != nil, nil
-			}
-			return v + suffix, true, nil
+			return p.s[start : p.pos-1], false, nil
 		case '\\':
 			if sb == nil {
 				sb = &strings.Builder{}
@@ -397,31 +406,45 @@ func (p *lineParser) literal() (v string, owned bool, err error) {
 	return "", false, p.err("unterminated literal")
 }
 
-// literalSuffix consumes an optional language tag or datatype annotation and
-// returns its verbatim text, which is folded into the literal value so that
+// literalSuffix consumes an optional language tag or datatype annotation
+// and returns its text, which is folded into the literal value so that
 // round-tripping through our plain-literal model stays lossless enough for
-// alignment purposes. The suffix is part of the literal value, so strict
-// mode applies the same raw-control-character rejection here as inside
-// the quotes. Neither a LANGTAG nor a datatype IRIREF ends in '.', so
-// trailing dots belong to the statement, as after a blank label:
-// "x"@en. is the tag "@en" followed by the terminator.
+// alignment purposes. A datatype IRIREF is lexed by iri in every mode, so
+// its escapes decode as in any other IRI. Strict mode, like Turtle, takes
+// a tag as a LANGTAG and requires an IRIREF after "^^"; lax mode keeps any
+// other suffix verbatim up to the next space or tab. Neither a LANGTAG nor
+// an IRIREF ends in '.', so trailing dots belong to the statement, as
+// after a blank label: "x"@en. is the tag "@en" followed by the
+// terminator.
 func (p *lineParser) literalSuffix() (string, error) {
-	if p.pos >= len(p.s) {
-		return "", nil
-	}
 	start := p.pos
 	switch {
+	case p.pos >= len(p.s):
+		return "", nil
 	case p.s[p.pos] == '@':
+		if p.strict {
+			return p.langTag()
+		}
 		p.pos++
-	case p.pos+1 < len(p.s) && p.s[p.pos] == '^' && p.s[p.pos+1] == '^':
+	case strings.HasPrefix(p.s[p.pos:], "^^"):
 		p.pos += 2
+		if p.pos < len(p.s) && p.s[p.pos] == '<' {
+			v, owned, err := p.iri()
+			switch {
+			case err != nil:
+				return "", err
+			case !owned:
+				return p.s[start:p.pos], nil
+			}
+			return "^^<" + v + ">", nil
+		}
+		if p.strict {
+			return "", p.err("expected '<' to start a datatype IRI")
+		}
 	default:
 		return "", nil
 	}
 	for p.pos < len(p.s) && p.s[p.pos] != ' ' && p.s[p.pos] != '\t' {
-		if p.strict && p.s[p.pos] < 0x20 {
-			return "", p.err("raw control character in literal suffix (use \\u escape)")
-		}
 		p.pos++
 	}
 	for p.pos > start && p.s[p.pos-1] == '.' {
@@ -429,6 +452,33 @@ func (p *lineParser) literalSuffix() (string, error) {
 	}
 	return p.s[start:p.pos], nil
 }
+
+// langTag lexes a LANGTAG, @[A-Za-z]+(-[A-Za-z0-9]+)*, as a view of the
+// input. A '-' not followed by a letter or digit is left for the caller.
+func (p *lineParser) langTag() (string, error) {
+	start := p.pos
+	p.pos++ // '@'
+	for sub := 0; ; sub++ {
+		from := p.pos
+		for p.pos < len(p.s) && (asciiLetter(p.s[p.pos]) || sub > 0 && '0' <= p.s[p.pos] && p.s[p.pos] <= '9') {
+			p.pos++
+		}
+		if p.pos == from {
+			if sub == 0 {
+				return "", p.err("expected a language tag after '@'")
+			}
+			p.pos-- // the '-'
+			break
+		}
+		if p.pos == len(p.s) || p.s[p.pos] != '-' {
+			break
+		}
+		p.pos++
+	}
+	return p.s[start:p.pos], nil
+}
+
+func asciiLetter(c byte) bool { return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' }
 
 // escape consumes a backslash escape sequence and returns the decoded rune.
 func (p *lineParser) escape() (rune, error) {

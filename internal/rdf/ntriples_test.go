@@ -53,23 +53,27 @@ func TestParseLanguageTagAndDatatype(t *testing.T) {
 	doc := `<s> <p> "chat"@fr .
 <s> <q> "42"^^<http://www.w3.org/2001/XMLSchema#integer> .
 <s> <p> "x"@en.
-<s> <p> "x"^^<http://t>.`
-	g, err := ParseNTriplesString(doc, "tags")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []string{`chat@fr`, `x@en`} {
-		if _, ok := g.FindLiteral(v); !ok {
-			t.Errorf("language tag should be folded into the literal value %q", v)
+<s> <p> "x"^^<http://t>.
+<s> <p> "x"^^<http://t\u0041> .`
+	for _, opts := range [][]ParseOption{nil, {WithStrictMode()}} {
+		g, err := ParseNTriplesString(doc, "tags", opts...)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, v := range []string{`42^^<http://www.w3.org/2001/XMLSchema#integer>`, `x^^<http://t>`} {
-		if _, ok := g.FindLiteral(v); !ok {
-			t.Errorf("datatype should be folded into the literal value %q", v)
+		for _, v := range []string{`chat@fr`, `x@en`} {
+			if _, ok := g.FindLiteral(v); !ok {
+				t.Errorf("language tag should be folded into the literal value %q", v)
+			}
 		}
-	}
-	if g.NumTriples() != 4 {
-		t.Errorf("NumTriples = %d, want 4", g.NumTriples())
+		// A datatype IRI's escapes decode as in any other IRI.
+		for _, v := range []string{`42^^<http://www.w3.org/2001/XMLSchema#integer>`, `x^^<http://t>`, `x^^<http://tA>`} {
+			if _, ok := g.FindLiteral(v); !ok {
+				t.Errorf("%d options: datatype should be folded into the literal value %q", len(opts), v)
+			}
+		}
+		if g.NumTriples() != 5 {
+			t.Errorf("NumTriples = %d, want 5", g.NumTriples())
+		}
 	}
 }
 

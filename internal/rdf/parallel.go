@@ -38,10 +38,13 @@ func WithParseWorkers(n int) ParseOption {
 
 // WithStrictMode tightens the accepted N-Triples dialect: term values must
 // be valid UTF-8, control characters in IRIs and literals must use escape
-// sequences rather than appearing raw, and blank node labels are
-// restricted to [A-Za-z0-9_], '-' and non-final '.' (an approximation of
-// the W3C BLANK_NODE_LABEL production). The default, lax mode accepts
-// everything strict mode does and more, byte-preservingly.
+// sequences rather than appearing raw, blank node labels are restricted
+// to [A-Za-z0-9_], '-' and non-final '.' (an approximation of the W3C
+// BLANK_NODE_LABEL production), and a literal suffix must be a LANGTAG
+// (@[A-Za-z]+(-[A-Za-z0-9]+)*) or "^^" and an IRIREF, as in Turtle. The
+// default, lax mode accepts everything strict mode does and more,
+// byte-preservingly: it keeps any other suffix verbatim up to the next
+// space or tab. In both modes a datatype IRIREF's escapes are decoded.
 func WithStrictMode() ParseOption {
 	return func(o *parseOpts) { o.strict = true }
 }

@@ -239,6 +239,9 @@ func TestParseStrictMode(t *testing.T) {
 		"<s> <p> \"\\u0041\x19suffix\" .\n", // control after escape
 		"<s> <p> \"v\"@e\x01n .\n",          // raw control in language tag
 		"<s> <p> \"v\"^^<t\x02> .\n",        // raw control in datatype suffix
+		"<s> <p> \"x\"@en<foo> .\n",         // a LANGTAG ends at '<'
+		"<s> <p> \"x\"@ .\n",                // empty language tag
+		"<s> <p> \"x\"^^xsd:int .\n",        // datatype must be an IRIREF
 	}
 	for _, doc := range rejected {
 		if _, err := ParseNTriplesString(doc, "strict-bad", WithStrictMode()); err == nil {

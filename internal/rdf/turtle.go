@@ -26,17 +26,35 @@ import (
 // Not supported (rejected with a position-carrying error): RDF collections
 // "( ... )" and relative IRI resolution beyond simple concatenation with
 // the current @base.
+//
+// N-Triples is a subset of Turtle, and the terms the two grammars share
+// are lexed by one lexer: the N-Triples lineParser (ntriples.go), run over
+// the current line of the document, lexes IRIREFs, short strings ('"' and
+// '\'' alike), escapes and language tags, and finishes blank labels. Its
+// word-at-a-time fast paths and zero-copy views serve Turtle too, and
+// views reach the Builder through builderSink, which clones them. The
+// lexer runs in its lax mode, so raw control bytes and invalid UTF-8 pass
+// into values, while literal suffixes take the strict LANGTAG rule. Only
+// long strings, prefixed names, numerics, keywords, '[ ]' and directives
+// are lexed here. Two rules stay Turtle's own: a blank label ends at the
+// first character outside the PN_CHARS alphabet (lax N-Triples runs it to
+// whitespace), and an IRIREF may not hold a raw '{', '}', '|', '^' or '`'.
+// The W3C IRIREF rule excludes those in both grammars, but checking them
+// in the N-Triples fast path slowed BenchmarkParseNTriples/gtopdb-seq by
+// 8-13% on a 2-core Xeon, so the N-Triples reader admits them and Turtle
+// checks the raw IRIREF span instead. WriteNTriples escapes all five, so
+// its output reads as Turtle.
 
-// turtleParser is a recursive-descent parser over the whole document.
+// turtleParser is a recursive-descent parser over the whole document. The
+// embedded lexer's s is the document up to the end of the current line
+// (see newline), so the shared lexer stops at a line end as it does in
+// N-Triples; only whitespace, comments and long strings cross lines.
 type turtleParser struct {
+	lineParser
 	src      string
-	pos      int
-	line     int
-	lineBase int // byte offset of the current line start
-	b        *Builder
+	sink     builderSink
 	prefixes map[string]string
 	base     string
-	blankSeq int
 }
 
 // ParseTurtle reads a Turtle document into a validated graph.
@@ -48,55 +66,56 @@ func ParseTurtle(r io.Reader, name string) (*Graph, error) {
 	return ParseTurtleString(string(data), name)
 }
 
-// ParseTurtleString parses an in-memory Turtle document.
+// ParseTurtleString parses an in-memory Turtle document. Labels never
+// alias the document.
 func ParseTurtleString(doc, name string) (*Graph, error) {
-	p := &turtleParser{
-		src:      doc,
-		line:     1,
-		b:        NewBuilder(name),
-		prefixes: map[string]string{},
-	}
+	b := NewBuilder(name)
+	p := &turtleParser{src: doc, sink: builderSink{b}, prefixes: map[string]string{}}
+	p.newline(0)
 	if err := p.document(); err != nil {
 		return nil, err
 	}
-	return p.b.Graph()
+	return b.Graph()
 }
 
-func (p *turtleParser) errf(format string, args ...interface{}) error {
-	return &ParseError{Line: p.line, Col: p.pos - p.lineBase + 1, Msg: fmt.Sprintf(format, args...)}
+// newline starts the line at offset i: it advances the line count and
+// ends the lexer's view at the line's '\n'.
+func (p *turtleParser) newline(i int) {
+	p.line++
+	p.lineStart = i
+	if n := strings.IndexByte(p.src[i:], '\n'); n >= 0 {
+		p.s = p.src[:i+n]
+	} else {
+		p.s = p.src
+	}
 }
 
-// skipWS consumes whitespace and comments.
-func (p *turtleParser) skipWS() {
+// skipSpace consumes whitespace, line ends and comments.
+func (p *turtleParser) skipSpace() {
 	for p.pos < len(p.src) {
-		c := p.src[p.pos]
-		switch c {
+		switch p.src[p.pos] {
 		case ' ', '\t', '\r':
 			p.pos++
 		case '\n':
 			p.pos++
-			p.line++
-			p.lineBase = p.pos
+			p.newline(p.pos)
 		case '#':
-			for p.pos < len(p.src) && p.src[p.pos] != '\n' {
-				p.pos++
-			}
+			p.pos = len(p.s)
 		default:
 			return
 		}
 	}
 }
 
-func (p *turtleParser) eof() bool {
-	p.skipWS()
+func (p *turtleParser) atEnd() bool {
+	p.skipSpace()
 	return p.pos >= len(p.src)
 }
 
 // expect consumes the given byte or fails.
 func (p *turtleParser) expect(c byte) error {
-	p.skipWS()
-	if p.pos >= len(p.src) || p.src[p.pos] != c {
-		return p.errf("expected %q", string(c))
+	if p.peek() != c {
+		return p.err(fmt.Sprintf("expected %q", string(c)))
 	}
 	p.pos++
 	return nil
@@ -104,26 +123,26 @@ func (p *turtleParser) expect(c byte) error {
 
 // peek returns the next non-space byte without consuming it (0 at EOF).
 func (p *turtleParser) peek() byte {
-	p.skipWS()
-	if p.pos >= len(p.src) {
+	p.skipSpace()
+	if p.pos >= len(p.s) {
 		return 0
 	}
-	return p.src[p.pos]
+	return p.s[p.pos]
 }
 
 // hasKeyword case-insensitively matches an alphabetic keyword at the
 // current position.
 func (p *turtleParser) hasKeyword(kw string) bool {
-	p.skipWS()
-	if p.pos+len(kw) > len(p.src) {
+	p.skipSpace()
+	if p.pos+len(kw) > len(p.s) {
 		return false
 	}
-	if !strings.EqualFold(p.src[p.pos:p.pos+len(kw)], kw) {
+	if !strings.EqualFold(p.s[p.pos:p.pos+len(kw)], kw) {
 		return false
 	}
 	// Must not run into a longer identifier.
-	if p.pos+len(kw) < len(p.src) {
-		c := p.src[p.pos+len(kw)]
+	if p.pos+len(kw) < len(p.s) {
+		c := p.s[p.pos+len(kw)]
 		if isPNChar(rune(c)) || c == ':' {
 			return false
 		}
@@ -132,7 +151,7 @@ func (p *turtleParser) hasKeyword(kw string) bool {
 }
 
 func (p *turtleParser) document() error {
-	for !p.eof() {
+	for !p.atEnd() {
 		switch {
 		case p.peek() == '@':
 			if err := p.directive(); err != nil {
@@ -163,54 +182,52 @@ func (p *turtleParser) document() error {
 func (p *turtleParser) directive() error {
 	p.pos++ // '@'
 	switch {
-	case strings.HasPrefix(p.src[p.pos:], "prefix"):
+	case strings.HasPrefix(p.s[p.pos:], "prefix"):
 		p.pos += len("prefix")
 		return p.prefixDecl(true)
-	case strings.HasPrefix(p.src[p.pos:], "base"):
+	case strings.HasPrefix(p.s[p.pos:], "base"):
 		p.pos += len("base")
 		return p.baseDecl(true)
 	default:
-		return p.errf("unknown directive")
+		return p.err("unknown directive")
 	}
 }
 
 func (p *turtleParser) prefixDecl(dotted bool) error {
-	p.skipWS()
+	p.skipSpace()
 	// prefix name ends with ':'.
 	start := p.pos
-	for p.pos < len(p.src) && p.src[p.pos] != ':' {
-		c := p.src[p.pos]
-		if c == ' ' || c == '\t' || c == '\n' || c == '<' {
-			return p.errf("malformed prefix name")
+	for p.pos < len(p.s) && p.s[p.pos] != ':' {
+		if c := p.s[p.pos]; c == ' ' || c == '\t' || c == '<' {
+			return p.err("malformed prefix name")
 		}
 		p.pos++
 	}
-	if p.pos >= len(p.src) {
-		return p.errf("unterminated prefix declaration")
+	if p.pos >= len(p.s) {
+		return p.err("unterminated prefix declaration")
 	}
-	name := p.src[start:p.pos]
+	name := p.s[start:p.pos]
 	p.pos++ // ':'
-	iri, err := p.iriRef()
+	iri, _, err := p.iriRefValue()
 	if err != nil {
 		return err
 	}
 	p.prefixes[name] = iri
-	if dotted {
-		return p.expect('.')
-	}
-	// SPARQL-style PREFIX takes no dot; an optional one is tolerated.
-	if p.peek() == '.' {
-		p.pos++
-	}
-	return nil
+	return p.declEnd(dotted)
 }
 
 func (p *turtleParser) baseDecl(dotted bool) error {
-	iri, err := p.iriRef()
+	iri, _, err := p.iriRefValue()
 	if err != nil {
 		return err
 	}
 	p.base = iri
+	return p.declEnd(dotted)
+}
+
+// declEnd ends a directive: @prefix and @base take a '.', the SPARQL
+// forms take none but tolerate one.
+func (p *turtleParser) declEnd(dotted bool) error {
 	if dotted {
 		return p.expect('.')
 	}
@@ -245,7 +262,7 @@ func (p *turtleParser) predicateObjectList(subj NodeID, allowEmpty bool) error {
 			if err != nil {
 				return err
 			}
-			p.b.Triple(subj, pred, obj)
+			p.sink.triple(subj, pred, obj)
 			if p.peek() != ',' {
 				break
 			}
@@ -268,10 +285,9 @@ func (p *turtleParser) predicateObjectList(subj NodeID, allowEmpty bool) error {
 const rdfTypeIRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
 func (p *turtleParser) verb() (NodeID, error) {
-	p.skipWS()
 	if p.hasKeyword("a") {
 		p.pos++
-		return p.b.URI(rdfTypeIRI), nil
+		return p.sink.uriTerm(rdfTypeIRI, true), nil
 	}
 	return p.iriNode()
 }
@@ -279,8 +295,7 @@ func (p *turtleParser) verb() (NodeID, error) {
 // atBlankLabel reports whether the cursor sits on a "_:" blank node label
 // (a bare '_' can also start a prefixed name).
 func (p *turtleParser) atBlankLabel() bool {
-	p.skipWS()
-	return p.pos+1 < len(p.src) && p.src[p.pos] == '_' && p.src[p.pos+1] == ':'
+	return p.peek() == '_' && strings.HasPrefix(p.s[p.pos:], "_:")
 }
 
 func (p *turtleParser) subject() (NodeID, error) {
@@ -292,9 +307,9 @@ func (p *turtleParser) subject() (NodeID, error) {
 	case c == '[':
 		return p.anonBlank()
 	case c == '(':
-		return 0, p.errf("RDF collections are not supported by this Turtle subset")
+		return 0, p.err("RDF collections are not supported by this Turtle subset")
 	default:
-		return 0, p.errf("expected a subject term")
+		return 0, p.err("expected a subject term")
 	}
 }
 
@@ -307,83 +322,85 @@ func (p *turtleParser) object() (NodeID, error) {
 	case c == '[':
 		return p.anonBlank()
 	case c == '(':
-		return 0, p.errf("RDF collections are not supported by this Turtle subset")
+		return 0, p.err("RDF collections are not supported by this Turtle subset")
 	case c == '"' || c == '\'':
-		v, err := p.literal()
+		v, owned, err := p.stringLiteral()
 		if err != nil {
 			return 0, err
 		}
-		return p.b.Literal(v), nil
+		return p.sink.literalTerm(v, owned), nil
 	case c >= '0' && c <= '9' || c == '+' || c == '-':
 		return p.numericLiteral()
 	case p.hasKeyword("true"):
 		p.pos += 4
-		return p.b.Literal("true"), nil
+		return p.sink.literalTerm("true", true), nil
 	case p.hasKeyword("false"):
 		p.pos += 5
-		return p.b.Literal("false"), nil
+		return p.sink.literalTerm("false", true), nil
 	case isPNStart(rune(c)) || c == ':':
 		return p.iriNode()
 	default:
-		return 0, p.errf("expected an object term")
+		return 0, p.err("expected an object term")
 	}
 }
 
 // iriNode parses an IRIREF or prefixed name into a URI node.
 func (p *turtleParser) iriNode() (NodeID, error) {
-	p.skipWS()
-	if p.pos < len(p.src) && p.src[p.pos] == '<' {
-		iri, err := p.iriRef()
-		if err != nil {
-			return 0, err
-		}
-		return p.b.URI(iri), nil
+	var iri string
+	var owned bool
+	var err error
+	if p.peek() == '<' {
+		iri, owned, err = p.iriRefValue()
+	} else {
+		iri, owned, err = p.prefixedNameValue()
 	}
-	return p.prefixedName()
+	if err != nil {
+		return 0, err
+	}
+	return p.sink.uriTerm(iri, owned), nil
 }
 
-// iriRef parses <...> applying escapes and base resolution.
-func (p *turtleParser) iriRef() (string, error) {
-	p.skipWS()
-	if p.pos >= len(p.src) || p.src[p.pos] != '<' {
-		return "", p.errf("expected '<'")
+// iriRefValue lexes an IRIREF with the shared lexer, applies Turtle's raw
+// '{', '}', '|', '^' and '`' rule to the raw span, and applies the current
+// @base to a relative IRI. Resolution is the simple concatenation scheme
+// (absolute IRIs — containing a scheme — pass through), which covers the
+// @base usage of curated datasets. owned is the lexer's flag: false means
+// a view of the document.
+func (p *turtleParser) iriRefValue() (iri string, owned bool, err error) {
+	if p.peek() != '<' {
+		return "", false, p.err("expected '<'")
 	}
-	p.pos++
-	var sb strings.Builder
-	for p.pos < len(p.src) {
-		c := p.src[p.pos]
-		switch c {
-		case '>':
-			p.pos++
-			iri := sb.String()
-			if iri == "" {
-				return "", p.errf("empty IRI")
-			}
-			return p.resolve(iri), nil
-		case '\\':
-			r, err := p.escape()
-			if err != nil {
-				return "", err
-			}
-			sb.WriteRune(r)
-		case ' ', '\t', '\n', '<', '"', '{', '}', '|', '^', '`':
-			return "", p.errf("character %q not allowed in IRI", c)
-		default:
-			sb.WriteByte(c)
-			p.pos++
-		}
+	start := p.pos
+	if iri, owned, err = p.iri(); err != nil {
+		return "", false, err
 	}
-	return "", p.errf("unterminated IRI")
-}
-
-// resolve applies the current @base to a relative IRI. Resolution is the
-// simple concatenation scheme (absolute IRIs — containing a scheme — pass
-// through), which covers the @base usage of curated datasets.
-func (p *turtleParser) resolve(iri string) string {
+	if i := turtleReserved(p.s[start:p.pos]); i >= 0 {
+		p.pos = start + i
+		return "", false, p.err(fmt.Sprintf("character %q not allowed in IRI", p.s[p.pos]))
+	}
 	if p.base == "" || hasScheme(iri) {
-		return iri
+		return iri, owned, nil
 	}
-	return p.base + iri
+	return p.base + iri, true, nil
+}
+
+// turtleReserved returns the offset of the first '{', '}', '|', '^' or '`'
+// in s, or -1. Like iriPlain, it tests a word at a time.
+func turtleReserved(s string) int {
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		x := word8(s, i)
+		if byteIs(x, '{')|byteIs(x, '}')|byteIs(x, '|')|byteIs(x, '^')|byteIs(x, '`') != 0 {
+			break
+		}
+	}
+	for ; i < len(s); i++ {
+		switch s[i] {
+		case '{', '}', '|', '^', '`':
+			return i
+		}
+	}
+	return -1
 }
 
 func hasScheme(iri string) bool {
@@ -400,52 +417,44 @@ func hasScheme(iri string) bool {
 	return false
 }
 
-// prefixedName parses pre:local into a URI node.
-func (p *turtleParser) prefixedName() (NodeID, error) {
-	iri, err := p.prefixedNameValue()
-	if err != nil {
-		return 0, err
-	}
-	return p.b.URI(iri), nil
-}
-
 // prefixedNameValue parses pre:local and resolves it to its IRI without
 // creating a node — datatype annotations are folded into the literal
-// value and must not intern an isolated URI node as a side effect.
-func (p *turtleParser) prefixedNameValue() (string, error) {
-	p.skipWS()
+// value and must not intern an isolated URI node as a side effect. An
+// empty local name makes the IRI the namespace itself, which may be a
+// view of the document, so only a non-empty one is owned.
+func (p *turtleParser) prefixedNameValue() (iri string, owned bool, err error) {
+	p.skipSpace()
 	start := p.pos
-	for p.pos < len(p.src) && p.src[p.pos] != ':' {
-		r, size := utf8.DecodeRuneInString(p.src[p.pos:])
+	for p.pos < len(p.s) && p.s[p.pos] != ':' {
+		r, size := utf8.DecodeRuneInString(p.s[p.pos:])
 		if !isPNChar(r) {
 			break
 		}
 		p.pos += size
 	}
-	if p.pos >= len(p.src) || p.src[p.pos] != ':' {
-		return "", p.errf("expected a prefixed name")
+	if p.pos >= len(p.s) || p.s[p.pos] != ':' {
+		return "", false, p.err("expected a prefixed name")
 	}
-	prefix := p.src[start:p.pos]
+	prefix := p.s[start:p.pos]
 	p.pos++ // ':'
 	ns, ok := p.prefixes[prefix]
 	if !ok {
-		return "", p.errf("undeclared prefix %q", prefix)
+		return "", false, p.err(fmt.Sprintf("undeclared prefix %q", prefix))
 	}
 	localStart := p.pos
-	for p.pos < len(p.src) {
-		r, size := utf8.DecodeRuneInString(p.src[p.pos:])
+	for p.pos < len(p.s) {
+		r, size := utf8.DecodeRuneInString(p.s[p.pos:])
 		if !(isPNChar(r) || r == '.' || r == ':' || r == '%' || r == '-') {
 			break
 		}
 		p.pos += size
 	}
-	local := p.src[localStart:p.pos]
 	// A trailing '.' terminates the statement, not the name.
-	for strings.HasSuffix(local, ".") {
-		local = local[:len(local)-1]
+	for p.pos > localStart && p.s[p.pos-1] == '.' {
 		p.pos--
 	}
-	return ns + local, nil
+	local := p.s[localStart:p.pos]
+	return ns + local, local != "", nil
 }
 
 func isPNStart(r rune) bool {
@@ -456,38 +465,32 @@ func isPNChar(r rune) bool {
 	return isPNStart(r) || r >= '0' && r <= '9'
 }
 
+// blankLabelNode parses a "_:" label (atBlankLabel holds), which ends at
+// the first character outside the label alphabet.
 func (p *turtleParser) blankLabelNode() (NodeID, error) {
-	p.skipWS()
-	if p.pos+1 >= len(p.src) || p.src[p.pos] != '_' || p.src[p.pos+1] != ':' {
-		return 0, p.errf("expected '_:'")
-	}
 	p.pos += 2
 	start := p.pos
-	for p.pos < len(p.src) {
-		r, size := utf8.DecodeRuneInString(p.src[p.pos:])
+	for p.pos < len(p.s) {
+		r, size := utf8.DecodeRuneInString(p.s[p.pos:])
 		if !(isPNChar(r) || r == '.' || r == '-') {
 			break
 		}
 		p.pos += size
 	}
-	label := p.src[start:p.pos]
-	for strings.HasSuffix(label, ".") {
-		label = label[:len(label)-1]
-		p.pos--
+	label, err := p.labelEnd(start)
+	if err != nil {
+		return 0, err
 	}
-	if label == "" {
-		return 0, p.errf("empty blank node label")
-	}
-	return p.b.Blank(label), nil
+	return p.sink.blankTerm(label, false), nil
 }
 
-// anonBlank parses [ predicateObjectList ].
+// anonBlank parses [ predicateObjectList ]. The node has no label, so it
+// can never merge with a labelled blank.
 func (p *turtleParser) anonBlank() (NodeID, error) {
 	if err := p.expect('['); err != nil {
 		return 0, err
 	}
-	p.blankSeq++
-	node := p.b.Blank(fmt.Sprintf("anon-%d", p.blankSeq))
+	node := p.sink.b.FreshBlank()
 	if err := p.predicateObjectList(node, true); err != nil {
 		return 0, err
 	}
@@ -497,111 +500,91 @@ func (p *turtleParser) anonBlank() (NodeID, error) {
 	return node, nil
 }
 
-// literal parses short and long string literals with an optional language
-// tag or datatype suffix (folded into the value).
-func (p *turtleParser) literal() (string, error) {
-	p.skipWS()
-	quote := p.src[p.pos]
-	long := strings.HasPrefix(p.src[p.pos:], strings.Repeat(string(quote), 3))
-	var sb strings.Builder
-	if long {
-		p.pos += 3
-		for {
-			if p.pos >= len(p.src) {
-				return "", p.errf("unterminated long literal")
-			}
-			if strings.HasPrefix(p.src[p.pos:], strings.Repeat(string(quote), 3)) {
-				p.pos += 3
-				break
-			}
-			if p.src[p.pos] == '\\' {
-				r, err := p.escape()
-				if err != nil {
-					return "", err
-				}
-				sb.WriteRune(r)
-				continue
-			}
-			if p.src[p.pos] == '\n' {
-				p.line++
-				p.lineBase = p.pos + 1
-			}
-			sb.WriteByte(p.src[p.pos])
-			p.pos++
-		}
+// stringLiteral parses a short or long string literal with an optional
+// LANGTAG or datatype suffix folded into the value.
+func (p *turtleParser) stringLiteral() (v string, owned bool, err error) {
+	if q := p.s[p.pos]; p.pos+2 < len(p.s) && p.s[p.pos+1] == q && p.s[p.pos+2] == q {
+		v, err = p.longString()
+		owned = true
 	} else {
-		p.pos++
-		for {
-			if p.pos >= len(p.src) || p.src[p.pos] == '\n' {
-				return "", p.errf("unterminated literal")
+		v, owned, err = p.quoted(p.s[p.pos])
+	}
+	if err != nil {
+		return "", false, err
+	}
+	var suffix string
+	switch {
+	case p.pos < len(p.s) && p.s[p.pos] == '@':
+		suffix, err = p.langTag()
+	case strings.HasPrefix(p.s[p.pos:], "^^"):
+		p.pos += 2
+		var dt string
+		if p.pos < len(p.s) && p.s[p.pos] == '<' {
+			dt, _, err = p.iriRefValue()
+		} else {
+			dt, _, err = p.prefixedNameValue()
+		}
+		suffix = "^^<" + dt + ">"
+	default:
+		return v, owned, nil
+	}
+	if err != nil {
+		return "", false, err
+	}
+	return v + suffix, true, nil
+}
+
+// longString reads a string in triple quotes, which may span lines.
+func (p *turtleParser) longString() (string, error) {
+	delim := p.s[p.pos : p.pos+3]
+	p.pos += 3
+	var sb strings.Builder
+	for {
+		if p.pos >= len(p.src) {
+			return "", p.err("unterminated long literal")
+		}
+		if strings.HasPrefix(p.src[p.pos:], delim) {
+			p.pos += 3
+			return sb.String(), nil
+		}
+		switch c := p.src[p.pos]; c {
+		case '\\':
+			r, err := p.escape()
+			if err != nil {
+				return "", err
 			}
-			c := p.src[p.pos]
-			if c == quote {
-				p.pos++
-				break
-			}
-			if c == '\\' {
-				r, err := p.escape()
-				if err != nil {
-					return "", err
-				}
-				sb.WriteRune(r)
-				continue
-			}
+			sb.WriteRune(r)
+		case '\n':
+			p.newline(p.pos + 1)
+			fallthrough
+		default:
 			sb.WriteByte(c)
 			p.pos++
 		}
 	}
-	// Optional suffix.
-	if p.pos < len(p.src) && p.src[p.pos] == '@' {
-		start := p.pos
-		p.pos++
-		for p.pos < len(p.src) && (isPNChar(rune(p.src[p.pos])) || p.src[p.pos] == '-') {
-			p.pos++
-		}
-		sb.WriteString(p.src[start:p.pos])
-	} else if p.pos+1 < len(p.src) && p.src[p.pos] == '^' && p.src[p.pos+1] == '^' {
-		p.pos += 2
-		sb.WriteString("^^")
-		if p.pos < len(p.src) && p.src[p.pos] == '<' {
-			iri, err := p.iriRef()
-			if err != nil {
-				return "", err
-			}
-			sb.WriteString("<" + iri + ">")
-		} else {
-			iri, err := p.prefixedNameValue()
-			if err != nil {
-				return "", err
-			}
-			sb.WriteString("<" + iri + ">")
-		}
-	}
-	return sb.String(), nil
 }
 
 // numericLiteral reads an integer/decimal/double token as its lexical form.
 func (p *turtleParser) numericLiteral() (NodeID, error) {
-	p.skipWS()
 	start := p.pos
-	if p.pos < len(p.src) && (p.src[p.pos] == '+' || p.src[p.pos] == '-') {
+	if p.s[p.pos] == '+' || p.s[p.pos] == '-' {
 		p.pos++
 	}
 	digits := 0
-	for p.pos < len(p.src) {
-		c := p.src[p.pos]
+	for p.pos < len(p.s) {
+		c := p.s[p.pos]
 		if c >= '0' && c <= '9' {
 			digits++
 			p.pos++
 			continue
 		}
-		if c == '.' && p.pos+1 < len(p.src) && p.src[p.pos+1] >= '0' && p.src[p.pos+1] <= '9' {
+		if c == '.' && p.pos+1 < len(p.s) && p.s[p.pos+1] >= '0' && p.s[p.pos+1] <= '9' {
 			p.pos++
 			continue
 		}
 		if (c == 'e' || c == 'E') && digits > 0 {
 			p.pos++
-			if p.pos < len(p.src) && (p.src[p.pos] == '+' || p.src[p.pos] == '-') {
+			if p.pos < len(p.s) && (p.s[p.pos] == '+' || p.s[p.pos] == '-') {
 				p.pos++
 			}
 			continue
@@ -609,26 +592,15 @@ func (p *turtleParser) numericLiteral() (NodeID, error) {
 		break
 	}
 	if digits == 0 {
-		return 0, p.errf("malformed numeric literal")
+		return 0, p.err("malformed numeric literal")
 	}
-	return p.b.Literal(p.src[start:p.pos]), nil
-}
-
-// escape reuses the N-Triples escape decoding on the shared source.
-func (p *turtleParser) escape() (rune, error) {
-	lp := &lineParser{s: p.src, pos: p.pos, line: p.line}
-	r, err := lp.escape()
-	if err != nil {
-		return 0, p.errf("%s", err.(*ParseError).Msg)
-	}
-	p.pos = lp.pos
-	return r, nil
+	return p.sink.literalTerm(p.s[start:p.pos], false), nil
 }
 
 // WriteTurtle serialises g as Turtle: namespaces that occur three or more
 // times are given @prefix declarations, triples are grouped by subject with
 // ';' predicate lists and ',' object lists, and output order is
-// deterministic.
+// deterministic. Every other term is written as WriteNTriples writes it.
 func WriteTurtle(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	prefixes := derivePrefixes(g)
@@ -638,38 +610,29 @@ func WriteTurtle(w io.Writer, g *Graph) error {
 	}
 	sort.Strings(names)
 	for _, ns := range names {
-		fmt.Fprintf(bw, "@prefix %s: <%s> .\n", prefixes[ns], ns)
+		bw.WriteString("@prefix " + prefixes[ns] + ": <")
+		escapeInto(bw, ns, true)
+		bw.WriteString("> .\n")
 	}
 	if len(names) > 0 {
 		bw.WriteByte('\n')
 	}
 
-	term := func(n NodeID) string {
-		l := g.Label(n)
-		switch l.Kind {
-		case URI:
-			if l.Value == rdfTypeIRI {
-				return "a"
+	// term writes n; only a predicate may be written as the keyword 'a'.
+	term := func(n NodeID, pred bool) {
+		if l := g.Label(n); l.Kind == URI {
+			if pred && l.Value == rdfTypeIRI {
+				bw.WriteByte('a')
+				return
 			}
 			if ns, local, ok := splitNamespace(l.Value); ok {
 				if pre, ok := prefixes[ns]; ok && turtleSafeLocal(local) {
-					return pre + ":" + local
+					bw.WriteString(pre + ":" + local)
+					return
 				}
 			}
-			var sb strings.Builder
-			sb.WriteByte('<')
-			escapeIRITurtle(&sb, l.Value)
-			sb.WriteByte('>')
-			return sb.String()
-		case Literal:
-			var sb strings.Builder
-			sb.WriteByte('"')
-			escapeLiteralTurtle(&sb, l.Value)
-			sb.WriteByte('"')
-			return sb.String()
-		default:
-			return fmt.Sprintf("_:b%d", n)
 		}
+		writeTerm(bw, g, n, nil)
 	}
 
 	// Group triples by subject and predicate while streaming the stored
@@ -682,16 +645,18 @@ func WriteTurtle(w io.Writer, g *Graph) error {
 			if started {
 				bw.WriteString(" .\n")
 			}
-			fmt.Fprintf(bw, "%s ", term(t.S))
-			fmt.Fprintf(bw, "%s ", term(t.P))
+			term(t.S, false)
+			bw.WriteByte(' ')
+			term(t.P, true)
 			started = true
 		case t.P != curP:
 			bw.WriteString(" ;\n    ")
-			fmt.Fprintf(bw, "%s ", term(t.P))
+			term(t.P, true)
 		default:
-			bw.WriteString(", ")
+			bw.WriteString(",")
 		}
-		bw.WriteString(term(t.O))
+		bw.WriteByte(' ')
+		term(t.O, false)
 		curS, curP = t.S, t.P
 		return true
 	})
@@ -773,52 +738,4 @@ func turtleSafeLocal(local string) bool {
 		}
 	}
 	return true
-}
-
-// escapeIRITurtle and escapeLiteralTurtle scan bytewise: every character
-// that needs escaping is ASCII, and clean spans (including invalid UTF-8
-// a lax parse admitted) are copied through verbatim, keeping the round
-// trip lossless at the byte level.
-func escapeIRITurtle(sb *strings.Builder, s string) {
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c <= 0x20:
-		case c == '<', c == '>', c == '"', c == '{', c == '}', c == '|', c == '^', c == '`', c == '\\':
-		default:
-			continue
-		}
-		sb.WriteString(s[start:i])
-		fmt.Fprintf(sb, "\\u%04X", c)
-		start = i + 1
-	}
-	sb.WriteString(s[start:])
-}
-
-func escapeLiteralTurtle(sb *strings.Builder, s string) {
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 0x20 && c != '\\' && c != '"' {
-			continue
-		}
-		sb.WriteString(s[start:i])
-		switch c {
-		case '\\':
-			sb.WriteString(`\\`)
-		case '"':
-			sb.WriteString(`\"`)
-		case '\n':
-			sb.WriteString(`\n`)
-		case '\r':
-			sb.WriteString(`\r`)
-		case '\t':
-			sb.WriteString(`\t`)
-		default:
-			fmt.Fprintf(sb, "\\u%04X", c)
-		}
-		start = i + 1
-	}
-	sb.WriteString(s[start:])
 }

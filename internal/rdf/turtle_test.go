@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestParseTurtleBasics(t *testing.T) {
@@ -65,6 +66,24 @@ ex:other ex:p [] .`
 	}
 }
 
+// An anonymous blank has no label, so a labelled blank that happens to be
+// called like one stays a different node.
+func TestParseTurtleAnonymousBlankKeepsApartFromLabels(t *testing.T) {
+	g, err := ParseTurtleString(`_:anon-1 <http://p> [ <http://q> <http://r> ] .`, "ttl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumBlanks() != 2 {
+		t.Errorf("blanks = %d, want 2\n%s", g.NumBlanks(), FormatNTriples(g))
+	}
+	g.EachTriple(func(tr Triple) bool {
+		if tr.S == tr.O {
+			t.Errorf("self-loop %v\n%s", tr, FormatNTriples(g))
+		}
+		return true
+	})
+}
+
 func TestParseTurtleBase(t *testing.T) {
 	doc := `@base <http://example.org/> .
 <s> <p> <o> .
@@ -109,7 +128,8 @@ literal""" ;
      ex:i -3.14 ;
      ex:j 1e10 ;
      ex:k true ;
-     ex:l false .`
+     ex:l false ;
+     ex:m "x"^^<http://t\u0041> .`
 	g, err := ParseTurtleString(doc, "ttl")
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +138,7 @@ literal""" ;
 		"plain", "escaped \"q\" and \n newline", "long\nliteral",
 		"single", "long single", "tagged@en-GB",
 		"typed^^<http://www.w3.org/2001/XMLSchema#string>",
-		"42", "-3.14", "1e10", "true", "false",
+		"42", "-3.14", "1e10", "true", "false", "x^^<http://tA>",
 	} {
 		if _, ok := g.FindLiteral(want); !ok {
 			t.Errorf("missing literal %q", want)
@@ -154,6 +174,12 @@ func TestParseTurtleErrors(t *testing.T) {
 		{"bad numeric", `@prefix ex: <http://e/> . ex:s ex:p +x .`},
 		{"empty iri", `@prefix ex: <http://e/> . ex:s ex:p <> .`},
 		{"angle bracket in iri", `<http://a/s> <http://a/p> <http://a/x<y> .`},
+		{"raw brace in iri", `<http://a/s> <http://a/p> <http://a/{y}> .`},
+		{"raw bar in iri", `<http://a/s> <http://a/p> <http://a/x|y> .`},
+		{"line end in iri", "<http://a/s> <http://a/p> <http://a/x\ny> ."},
+		{"line end in string", "<http://a/s> <http://a/p> \"x\ny\" ."},
+		{"empty language tag", `<http://a/s> <http://a/p> "x"@ .`},
+		{"language tag runs into iri", `<http://a/s> <http://a/p> "x"@en<http://a/o> .`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -172,6 +198,15 @@ func TestParseTurtleErrorPositions(t *testing.T) {
 	}
 	if pe.Line != 2 {
 		t.Errorf("line = %d, want 2", pe.Line)
+	}
+	// An error inside an IRI, which the shared lexer reports.
+	line2 := "ex:s ex:p <http://e/a b> ."
+	_, err = ParseTurtleString("@prefix ex: <http://e/> .\n"+line2, "pos")
+	if pe, ok = err.(*ParseError); !ok {
+		t.Fatalf("error type %T (%v)", err, err)
+	}
+	if want := strings.Index(line2, " b>") + 1; pe.Line != 2 || pe.Col != want {
+		t.Errorf("IRI error at line %d col %d, want line 2 col %d (%v)", pe.Line, pe.Col, want, pe)
 	}
 }
 
@@ -192,6 +227,64 @@ _:b <http://e/p> <http://e/s> .`
 	}
 	if FormatNTriples(g1) != FormatNTriples(g2) {
 		t.Errorf("Turtle and N-Triples disagree:\n%s---\n%s", FormatNTriples(g1), FormatNTriples(g2))
+	}
+}
+
+// TestParsedLabelsDoNotAliasInput checks that no label of a parsed graph
+// points into the document: the lexers hand the Builder views of the
+// input, and a view kept as a label would pin the whole document.
+func TestParsedLabelsDoNotAliasInput(t *testing.T) {
+	docs := append([]string(nil), ntSeedDocs...)
+	for _, g := range goldenGraphs() {
+		docs = append(docs, FormatNTriples(g))
+	}
+	turtleDocs := []string{
+		"@prefix ex: <http://example.org/> .\n@prefix e: <http://e/> .\nex:a ex:p ex:b , ex: , e:x ; ex:q \"lit\"@en , 'single' , 42 , true .\n",
+		"@base <http://base/> .\n<rel> <p> <http://abs/o> .\n<s> <p> \"\"\"long\nstring\"\"\" , \"x\"^^<http://t> .\n",
+		"<http://a> <http://p> [ <http://q> _:x ] .\n_:x <http://p> \"v\" .\n",
+	}
+	docs = append(docs, turtleDocs...)
+	parsers := map[string]func(string) (*Graph, error){
+		"ntriples": func(doc string) (*Graph, error) { return ParseNTriplesString(doc, "nt") },
+		"parallel": func(doc string) (*Graph, error) {
+			return ParseNTriplesString(doc, "par", WithParseWorkers(3), withParseBlockSize(37))
+		},
+		"turtle": func(doc string) (*Graph, error) { return ParseTurtleString(doc, "ttl") },
+	}
+	for name, parse := range parsers {
+		for i, doc := range docs {
+			g, err := parse(doc)
+			if err != nil {
+				if name == "turtle" && i >= len(docs)-len(turtleDocs) {
+					t.Errorf("turtle: %v", err)
+				}
+				continue
+			}
+			lo := uintptr(unsafe.Pointer(unsafe.StringData(doc)))
+			hi := lo + uintptr(len(doc))
+			for i, l := range g.labels {
+				if p := uintptr(unsafe.Pointer(unsafe.StringData(l.Value))); l.Value != "" && lo <= p && p < hi {
+					t.Errorf("%s: label %d (%s) points into the document %q", name, i, l, doc)
+				}
+			}
+		}
+	}
+}
+
+// rdf:type is written as 'a' only where Turtle allows the keyword.
+func TestWriteTurtleTypeOutsidePredicate(t *testing.T) {
+	b := NewBuilder("type")
+	typ := b.URI(rdfTypeIRI)
+	b.Triple(typ, typ, b.URI("http://e/Property"))
+	b.Triple(b.URI("http://e/s"), b.URI("http://e/p"), typ)
+	g := b.MustGraph()
+	ttl := FormatTurtle(g)
+	g2, err := ParseTurtleString(ttl, "rt")
+	if err != nil {
+		t.Fatalf("re-parse: %v\n%s", err, ttl)
+	}
+	if FormatNTriples(g) != FormatNTriples(g2) {
+		t.Errorf("Turtle round trip changed the graph:\n%s", ttl)
 	}
 }
 

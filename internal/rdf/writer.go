@@ -359,19 +359,18 @@ func writeTerm(w ntSink, g *Graph, n NodeID, rank []NodeID) {
 	}
 }
 
-// escapeInto writes s with N-Triples escaping. Every byte that needs an
-// escape is ASCII, so the scan works bytewise: maximal clean spans are
-// copied through with a single WriteString, which both avoids per-rune
-// work and preserves the exact input bytes (including invalid UTF-8 that a
-// lax parse admitted — the round trip is lossless at the byte level).
+// escapeInto writes s with N-Triples escaping; the Turtle writer uses it
+// too. Every byte that needs an escape is ASCII, so the scan works
+// bytewise: maximal clean spans are copied through with a single
+// WriteString, which both avoids per-rune work and preserves the exact
+// input bytes (including invalid UTF-8 that a lax parse admitted — the
+// round trip is lossless at the byte level).
 func escapeInto(w ntSink, s string, iri bool) {
 	start := 0
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if iri {
-			// The parser rejects raw '<', '>', '"', spaces and controls
-			// inside IRIs, so all of them must round-trip as escapes.
-			if c > 0x20 && c != '\\' && c != '"' && c != '<' && c != '>' {
+			if !iriEscaped[c] {
 				continue
 			}
 		} else {
@@ -404,6 +403,20 @@ func escapeInto(w ntSink, s string, iri bool) {
 	}
 	w.WriteString(s[start:])
 }
+
+// iriEscaped marks the IRI bytes escapeInto escapes: everything the
+// N-Triples reader cannot read back raw ('<', '>', '"', '\\', spaces and
+// controls) and the '{', '}', '|', '^' and '`' that the Turtle reader
+// rejects raw, so that WriteNTriples output is valid Turtle.
+var iriEscaped = func() (t [256]bool) {
+	for c := 0; c <= 0x20; c++ {
+		t[c] = true
+	}
+	for _, c := range []byte("<>\"\\{}|^`") {
+		t[c] = true
+	}
+	return t
+}()
 
 const hexDigits = "0123456789ABCDEF"
 
