@@ -1,9 +1,27 @@
 package main
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+// TestNormalizeStampsMachine checks that -normalize heads its output with
+// the measuring machine's configuration lines, as -emit does for the
+// baseline, and strips the -GOMAXPROCS suffix from benchmark names.
+func TestNormalizeStampsMachine(t *testing.T) {
+	raw := "goos: linux\nBenchmarkA-8   \t      10\t   1234 ns/op\nPASS\n"
+	var out strings.Builder
+	if err := normalize(&out, strings.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("nproc: %d\ngomaxprocs: %d\ngo: %s\nBenchmarkA 1 1234 ns/op\n",
+		runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version())
+	if out.String() != want {
+		t.Errorf("normalize wrote\n%s\nwant\n%s", out.String(), want)
+	}
+}
 
 func TestGatePassAndFail(t *testing.T) {
 	old := map[string]float64{"BenchmarkA": 100, "BenchmarkB": 200}

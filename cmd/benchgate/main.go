@@ -10,7 +10,9 @@
 //	benchgate -normalize raw.txt
 //	    Re-emit the measured `go test -bench` output with benchmark names
 //	    normalized (the -GOMAXPROCS suffix stripped) — the "new" input to
-//	    benchstat, so names match the baseline across machines.
+//	    benchstat, so names match the baseline across machines — headed by
+//	    the measuring machine's nproc, gomaxprocs and go configuration
+//	    lines. Run it on the machine that ran the benchmarks.
 //
 //	benchgate -baseline BENCH_refine.json -new raw.txt -max-ratio 1.20
 //	    The gate: take the median measured ns/op per benchmark (across
@@ -96,12 +98,25 @@ func runNormalize(path string) error {
 		return err
 	}
 	defer r.Close()
+	return normalize(os.Stdout, r)
+}
+
+// normalize writes the running machine's configuration lines and then
+// every result of the bench output in r under its normalized name.
+func normalize(w io.Writer, r io.Reader) error {
 	results, err := benchjson.ParseBenchOutput(r)
 	if err != nil {
 		return err
 	}
+	var machine benchjson.File
+	machine.StampMachine()
+	if err := machine.WriteConfig(w); err != nil {
+		return err
+	}
 	for _, res := range results {
-		fmt.Printf("%s 1 %.0f ns/op\n", res.Bench, res.NsOp)
+		if _, err := fmt.Fprintf(w, "%s 1 %.0f ns/op\n", res.Bench, res.NsOp); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -187,16 +187,16 @@
 //
 // Backing memory for the alignment working set is pluggable. The Storage
 // interface is an append-only allocation arena behind the Aligner: it
-// hands out the union graph's columns, the partition color arrays and
-// the interner's signature pair lists. InMemory (the default) allocates
-// from the Go heap and needs no cleanup. OutOfCore(dir) allocates from
-// mmap-backed scratch files created unlinked in dir — the working set
-// then lives outside the Go heap, where GOMEMLIMIT does not count it and
-// the kernel pages it out under memory pressure — and additionally
-// switches deblank refinement rounds with large dirty frontiers to
-// sequential scans with external-merge signature grouping, so the
-// fixpoint's transient state spills to sorted runs on disk instead of a
-// heap hash table. Select it per session:
+// hands out the union graph's columns, the partition color arrays and the
+// interner's entry table and signature pair lists. InMemory (the default)
+// allocates from the Go heap and needs no cleanup. OutOfCore(dir)
+// allocates from mmap-backed scratch files created unlinked in dir — the
+// working set then lives outside the Go heap, where GOMEMLIMIT does not
+// count it and the kernel pages it out under memory pressure — and
+// additionally switches deblank refinement rounds with large dirty
+// frontiers to sequential scans with external-merge signature grouping,
+// so the fixpoint's transient state spills to sorted runs on disk instead
+// of a heap hash table. Select it per session:
 //
 //	st := rdfalign.OutOfCore(scratch)
 //	defer st.Close() // releases every mapping; results stay valid until then

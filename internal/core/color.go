@@ -16,6 +16,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"rdfalign/internal/rdf"
 )
@@ -50,9 +51,15 @@ type ColorPair struct {
 // (prev, lists) form is hashed directly from the ColorPair slices — no
 // byte-key serialisation, no allocation on lookup — and resolved through an
 // open-addressed table whose hash-equal candidates are compared structurally
-// against the composites store, so collisions cost a comparison, never a
-// wrong answer. Colors are assigned in interning order, making colorings
+// against the entry table, so collisions cost a comparison, never a wrong
+// answer. Colors are assigned in interning order, making colorings
 // independent of the hash seed.
+//
+// Every color has one pointer-free 20-byte entry. Entries live in chunks
+// that never move, so Fresh never copies the table and a *compositeEntry
+// stays valid for the life of the interner; the garbage collector never
+// scans them, and a storage-backed interner (NewInternerIn) draws them from
+// its Storage together with the stored pair lists they reference.
 //
 // An Interner is not safe for concurrent mutation. Lookups (including the
 // read-only probes of Composite on already-interned signatures) are safe
@@ -65,50 +72,129 @@ type Interner struct {
 	blank          Color
 	next           Color
 	seed           uint64
-	// composites is the source of truth for composite color structure,
-	// indexed by Color (kind sigKindNone for base/fresh colors): the hash
-	// table resolves into it for collision checking, derivation trees are
-	// rendered from it, and tests inspect the DAG through it.
-	composites []compositeEntry
-	// pairs backs the stored pair lists of composite entries so that
-	// interning a new composite does not allocate per color. The store is
-	// chunked — stored lists are capped sub-slices of chunks that never
-	// move — and draws its chunks from st when the interner is
-	// storage-backed (NewInternerIn), keeping the bulk of the interner's
-	// footprint out of the Go heap in out-of-core mode.
-	pairs pairStore
-	// st is the session storage color arrays and pair chunks come from;
-	// nil means the Go heap. The composites table above deliberately stays
-	// on the heap regardless: its entries hold Go slice headers, which
-	// must never live in memory the garbage collector does not trace.
+	// entries is the source of truth for composite color structure: color
+	// c's entry is entries[k][off] for (k, off) = entrySlot(c), of kind
+	// sigKindNone for base and fresh colors. The hash table resolves into
+	// it for collision checking, derivation trees are rendered from it, and
+	// tests inspect the DAG through it.
+	entries []*entryChunk
+	// pairs stores the pair lists entries reference, so that interning a
+	// new composite does not allocate per color; lists stores the
+	// per-list references of CompositeLists entries.
+	pairs chunkStore[ColorPair]
+	lists chunkStore[storeRef]
+	// st is the storage entry chunks, store chunks and partition color
+	// arrays come from; nil means the Go heap.
 	st Storage
 }
 
 // compositeEntry kinds. sigKindPairs entries come from Composite (one
 // outbound pair set, stored in pairs); sigKindLists entries come from
 // CompositeLists (positional pair lists: out/in/pred by the §3.3/§5.1
-// conventions, stored in lists). The kinds intern disjointly, mirroring the
-// historical 'P'/'L' key tags.
+// conventions, one reference per list stored in lists). The kinds intern
+// disjointly, mirroring the historical 'P'/'L' key tags.
 const (
 	sigKindNone  uint8 = 0
 	sigKindPairs uint8 = 'P'
 	sigKindLists uint8 = 'L'
 )
 
-// compositeEntry remembers a composite color's structure.
+// compositeEntry remembers a color's structure. It holds no pointers, so
+// its chunks may live outside the Go heap.
 type compositeEntry struct {
-	prev  Color
-	kind  uint8
-	pairs []ColorPair   // sigKindPairs: the outbound pair set
-	lists [][]ColorPair // sigKindLists: positional pair lists
+	prev Color
+	// ref is the pair set's reference (sigKindPairs; see storePairs) or
+	// locates the per-list references in Interner.lists (sigKindLists).
+	ref  storeRef
+	kind uint8
 }
 
-// outPairs returns the entry's first (outbound) pair list.
-func (e *compositeEntry) outPairs() []ColorPair {
-	if e.kind == sigKindPairs {
-		return e.pairs
+// entryChunkBits sets the entry chunk size: 1,024 colors, 20 KiB. One
+// chunk is all a small interner allocates, and a large one wastes at most
+// one chunk's tail. A fixed power of two keeps a color's chunk and offset
+// a shift and a mask away on the lookup path.
+const entryChunkBits = 10
+
+// entryChunk is one chunk of the entry table.
+type entryChunk [1 << entryChunkBits]compositeEntry
+
+// entrySlot locates color c's entry: offset off of chunk k.
+func entrySlot(c Color) (k, off int) {
+	return int(uint32(c) >> entryChunkBits), int(uint32(c) & (1<<entryChunkBits - 1))
+}
+
+// storeRef locates n elements at offset off of chunk chunk of a
+// chunkStore. The zero value is the empty list. A pair-list reference with
+// n == 1 holds its pair itself instead (see Interner.storePairs).
+type storeRef struct {
+	chunk, off, n uint32
+}
+
+// Store chunks double from 4 KiB to 512 KiB of elements; a list longer
+// than that gets a chunk of its own.
+const (
+	storeFirstChunkBytes = 4 << 10
+	storeMaxChunkBytes   = 512 << 10
+)
+
+// chunkStore is a chunked append-only arena of a pointer-free element
+// type. Chunks are allocated from a Storage (the Go heap when it is nil)
+// and never moved or reallocated, so the views handed out stay valid
+// forever. When the active chunk lacks room the rest of it is abandoned;
+// that waste is bounded by the longest list stored.
+type chunkStore[T any] struct {
+	chunks [][]T
+	used   int // elements used in the last chunk
+}
+
+// alloc reserves n zeroed elements, allocating a chunk from st when the
+// active one lacks room.
+func (cs *chunkStore[T]) alloc(st Storage, n int) storeRef {
+	if n == 0 {
+		return storeRef{}
 	}
-	return e.lists[0]
+	k := len(cs.chunks) - 1
+	if k < 0 || len(cs.chunks[k])-cs.used < n {
+		var zero T
+		size := storeFirstChunkBytes / int(unsafe.Sizeof(zero))
+		if k >= 0 {
+			size = min(2*len(cs.chunks[k]), storeMaxChunkBytes/int(unsafe.Sizeof(zero)))
+		}
+		cs.chunks = append(cs.chunks, allocChunk[T](st, max(size, n)))
+		k++
+		cs.used = 0
+	}
+	r := storeRef{chunk: uint32(k), off: uint32(cs.used), n: uint32(n)}
+	cs.used += n
+	return r
+}
+
+// add copies src into the store and returns its reference.
+func (cs *chunkStore[T]) add(st Storage, src []T) storeRef {
+	r := cs.alloc(st, len(src))
+	copy(cs.view(r), src)
+	return r
+}
+
+// view returns the stored elements r references. The slice is capped, so
+// appending to it cannot overwrite a neighbour.
+func (cs *chunkStore[T]) view(r storeRef) []T {
+	if r.n == 0 {
+		return nil
+	}
+	return cs.chunks[r.chunk][r.off : r.off+r.n : r.off+r.n]
+}
+
+// allocChunk allocates n zeroed elements of a pointer-free type T from st,
+// as int32 words from AllocColors, or from the Go heap when st is nil. T
+// must be at most 4-byte aligned.
+func allocChunk[T any](st Storage, n int) []T {
+	if st == nil {
+		return make([]T, n)
+	}
+	var zero T
+	words := st.AllocColors((n*int(unsafe.Sizeof(zero)) + 3) / 4)
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(words))), n)
 }
 
 // NewInterner returns an empty interner with the default hash seed. The
@@ -122,33 +208,32 @@ func NewInterner() *Interner {
 // interner assigns depend solely on the order of interning calls, so
 // colorings are bit-identical across seeds (property-tested).
 func NewInternerSeeded(seed uint64) *Interner {
+	return newInterner(seed, nil)
+}
+
+// NewInternerIn returns an interner whose entries and stored pair lists —
+// and the color arrays of partitions built on it — are allocated from st.
+// A nil st is equivalent to NewInterner. The storage backend never changes
+// the colors assigned; it only moves the arrays out of the Go heap.
+func NewInternerIn(st Storage) *Interner {
+	return newInterner(sigSeedDefault, st)
+}
+
+func newInterner(seed uint64, st Storage) *Interner {
 	in := &Interner{
 		uris:     make(map[string]Color),
 		literals: make(map[string]Color),
 		seed:     seed,
+		st:       st,
 	}
 	in.blank = in.Fresh()
-	return in
-}
-
-// NewInternerIn returns an interner whose stored pair lists — and the
-// color arrays of partitions built on it — are allocated from st. A nil
-// st is equivalent to NewInterner. The storage backend never changes the
-// colors assigned; it only moves the arrays out of the Go heap.
-func NewInternerIn(st Storage) *Interner {
-	in := NewInterner()
-	in.st = st
-	in.pairs.st = st
 	return in
 }
 
 // allocColors allocates a color array through the interner's storage
 // (the Go heap when the interner is not storage-backed).
 func (in *Interner) allocColors(n int) []Color {
-	if in.st == nil {
-		return make([]Color, n)
-	}
-	return in.st.AllocColors(n)
+	return allocChunk[Color](in.st, n)
 }
 
 // spillDir returns the directory for external-merge spill runs, when the
@@ -166,28 +251,77 @@ func (in *Interner) Size() int { return int(in.next) }
 // Blank returns the shared base color of blank nodes.
 func (in *Interner) Blank() Color { return in.blank }
 
-// Fresh allocates a color equal only to itself.
+// Fresh allocates a color equal only to itself. Its entry, of kind
+// sigKindNone, is already zero; a new chunk is allocated when the color
+// starts one, and existing chunks never move.
 func (in *Interner) Fresh() Color {
 	c := in.next
 	in.next++
-	if int(c) >= len(in.composites) {
-		grown := make([]compositeEntry, int(c)+1+len(in.composites))
-		copy(grown, in.composites)
-		in.composites = grown
+	if _, off := entrySlot(c); off == 0 {
+		in.entries = append(in.entries, &allocChunk[entryChunk](in.st, 1)[0])
 	}
 	return c
 }
 
+// slot returns color c's entry, whatever its kind. c must have been
+// allocated by the interner.
+func (in *Interner) slot(c Color) *compositeEntry {
+	k, off := entrySlot(c)
+	return &in.entries[k][off]
+}
+
 // entry returns the composite entry of c, or nil when c is not a composite
-// color. The pointer is invalidated by the next Fresh call.
+// color. The pointer stays valid for the life of the interner.
 func (in *Interner) entry(c Color) *compositeEntry {
-	if int(c) >= len(in.composites) {
+	if uint32(c) >= uint32(in.next) {
 		return nil
 	}
-	if e := &in.composites[c]; e.kind != sigKindNone {
+	if e := in.slot(c); e.kind != sigKindNone {
 		return e
 	}
 	return nil
+}
+
+// storePairs stores a pair list and returns its reference. A single pair
+// — the common case of a node with one out-edge — is kept in the reference
+// itself (P in chunk, O in off), saving the store and a memory access on
+// every comparison against it; longer lists go to the pair store.
+func (in *Interner) storePairs(pairs []ColorPair) storeRef {
+	if len(pairs) == 1 {
+		return storeRef{chunk: uint32(pairs[0].P), off: uint32(pairs[0].O), n: 1}
+	}
+	return in.pairs.add(in.st, pairs)
+}
+
+// pairsEqualAt reports whether the pair list r references is exactly pairs.
+func (in *Interner) pairsEqualAt(r storeRef, pairs []ColorPair) bool {
+	switch {
+	case int(r.n) != len(pairs):
+		return false
+	case r.n == 1:
+		return pairs[0] == ColorPair{P: Color(r.chunk), O: Color(r.off)}
+	}
+	return pairsEqual(in.pairs.view(r), pairs)
+}
+
+// loadPairs returns the pair list r references. A single pair is copied
+// out of the reference; longer lists are views of the pair store.
+func (in *Interner) loadPairs(r storeRef) []ColorPair {
+	if r.n == 1 {
+		return []ColorPair{{P: Color(r.chunk), O: Color(r.off)}}
+	}
+	return in.pairs.view(r)
+}
+
+// outRef returns the reference of the entry's first (outbound) pair list.
+func (in *Interner) outRef(e *compositeEntry) storeRef {
+	if e.kind == sigKindPairs {
+		return e.ref
+	}
+	if refs := in.lists.view(e.ref); len(refs) > 0 {
+		return refs[0]
+	}
+	return storeRef{}
 }
 
 // reserveBase presizes the label maps for the given numbers of URI and
@@ -248,9 +382,9 @@ func (in *Interner) stablePairs(prev Color, pairs []ColorPair) bool {
 	}
 	switch e.kind {
 	case sigKindPairs:
-		return pairsEqual(e.pairs, pairs)
+		return in.pairsEqualAt(e.ref, pairs)
 	case sigKindLists:
-		return len(e.lists) == 1 && pairsEqual(e.lists[0], pairs)
+		return e.ref.n == 1 && in.pairsEqualAt(in.outRef(e), pairs)
 	}
 	return false
 }
@@ -275,49 +409,8 @@ func (in *Interner) internPairs(h uint64, prev Color, pairs []ColorPair) Color {
 	}
 	c := in.Fresh()
 	in.table.insert(h, c)
-	in.composites[c] = compositeEntry{prev: prev, kind: sigKindPairs, pairs: in.storePairs(pairs)}
+	*in.slot(c) = compositeEntry{prev: prev, kind: sigKindPairs, ref: in.storePairs(pairs)}
 	return c
-}
-
-// storePairs copies pairs into the interner's pair store and returns the
-// stored view. The returned slice is never appended to, so later store
-// growth cannot alias it.
-func (in *Interner) storePairs(pairs []ColorPair) []ColorPair {
-	return in.pairs.store(pairs)
-}
-
-// pairChunkLen is the pair-store chunk granularity (512 KiB of pairs).
-const pairChunkLen = 1 << 16
-
-// pairStore is a chunked append-only arena for stored pair lists. Chunks
-// are allocated from st (the Go heap when st is nil) and never moved or
-// reallocated, so the capped sub-slices handed out stay valid forever. A
-// list longer than a chunk gets a dedicated chunk; the abandoned tail of
-// the previous chunk is bounded by the longest list stored.
-type pairStore struct {
-	st  Storage
-	cur []ColorPair // active chunk; appended to in place, never grown
-}
-
-func (ps *pairStore) store(src []ColorPair) []ColorPair {
-	n := len(src)
-	if n == 0 {
-		return nil
-	}
-	if cap(ps.cur)-len(ps.cur) < n {
-		size := pairChunkLen
-		if n > size {
-			size = n
-		}
-		if ps.st == nil {
-			ps.cur = make([]ColorPair, 0, size)
-		} else {
-			ps.cur = ps.st.AllocPairs(size)[:0]
-		}
-	}
-	lo := len(ps.cur)
-	ps.cur = append(ps.cur, src...)
-	return ps.cur[lo:len(ps.cur):len(ps.cur)]
 }
 
 // CompositeLists is the general composite over any number of pair lists
@@ -332,11 +425,11 @@ func (in *Interner) CompositeLists(prev Color, lists ...[]ColorPair) Color {
 	if e := in.entry(prev); e != nil {
 		switch e.kind {
 		case sigKindPairs:
-			if len(lists) == 1 && pairsEqual(e.pairs, lists[0]) {
+			if len(lists) == 1 && in.pairsEqualAt(e.ref, lists[0]) {
 				return prev
 			}
 		case sigKindLists:
-			if listsEqual(e.lists, lists) {
+			if in.listsEqual(e.ref, lists) {
 				return prev
 			}
 		}
@@ -347,20 +440,23 @@ func (in *Interner) CompositeLists(prev Color, lists ...[]ColorPair) Color {
 	}
 	c := in.Fresh()
 	in.table.insert(h, c)
-	stored := make([][]ColorPair, len(lists))
+	ref := in.lists.alloc(in.st, len(lists))
+	refs := in.lists.view(ref)
 	for i, pairs := range lists {
-		stored[i] = in.storePairs(pairs)
+		refs[i] = in.storePairs(pairs)
 	}
-	in.composites[c] = compositeEntry{prev: prev, kind: sigKindLists, lists: stored}
+	*in.slot(c) = compositeEntry{prev: prev, kind: sigKindLists, ref: ref}
 	return c
 }
 
-func listsEqual(a, b [][]ColorPair) bool {
-	if len(a) != len(b) {
+// listsEqual reports whether the list references at ref hold exactly lists.
+func (in *Interner) listsEqual(ref storeRef, lists [][]ColorPair) bool {
+	refs := in.lists.view(ref)
+	if len(refs) != len(lists) {
 		return false
 	}
-	for i := range a {
-		if !pairsEqual(a[i], b[i]) {
+	for i, r := range refs {
+		if !in.pairsEqualAt(r, lists[i]) {
 			return false
 		}
 	}
@@ -387,7 +483,7 @@ func (in *Interner) IsComposite(c Color) (prev Color, pairs []ColorPair, ok bool
 	if e == nil {
 		return 0, nil, false
 	}
-	return e.prev, e.outPairs(), true
+	return e.prev, in.loadPairs(in.outRef(e)), true
 }
 
 // DerivationString renders the derivation DAG rooted at c up to the given
@@ -402,7 +498,7 @@ func (in *Interner) DerivationString(c Color, depth int) string {
 		return fmt.Sprintf("c%d", c)
 	}
 	s := "(" + in.DerivationString(e.prev, depth-1) + " {"
-	for i, pr := range e.outPairs() {
+	for i, pr := range in.loadPairs(in.outRef(e)) {
 		if i > 0 {
 			s += " "
 		}

@@ -4,14 +4,17 @@ package core
 // 64-bit signature hash computed directly from the canonical (prev, lists)
 // form — no byte-key serialisation, no allocation — and the open-addressed
 // table that resolves a hash to a Color. The table stores only (hash, color)
-// pairs; on a hash hit the candidate color's entry in Interner.composites is
-// compared structurally (pairsEqual/listsEqual), so composites stays the
+// pairs; on a hash hit the candidate color's entry in Interner.entries is
+// compared structurally against the pair lists it references
+// (Interner.pairsEqualAt and listsEqual), so the entry table stays the
 // single source of truth for what a color means and hash collisions cost a
-// comparison, never a wrong answer. Hash-based signature interning is the
-// partitioning strategy the fastest k-bisimulation implementations use
-// (Rau, Richerby & Scherp 2022); here it replaces the string-keyed map of
-// the seed implementation (kept in the tests as stringInterner, the
-// differential reference).
+// comparison, never a wrong answer. Entries, pair lists and list
+// references hold no pointers, so the garbage collector never scans them
+// and a storage-backed interner keeps them out of the Go heap.
+// Hash-based signature interning is the partitioning strategy the fastest
+// k-bisimulation implementations use (Rau, Richerby & Scherp 2022); here it
+// replaces the string-keyed map of the seed implementation (kept in the
+// tests as stringInterner, the differential reference).
 //
 // The hash seed perturbs bucket placement only: colors are assigned in
 // interning order, so colorings are bit-identical across seeds. Tests vary
@@ -126,8 +129,9 @@ func (t *sigTable) insert(h uint64, c Color) {
 
 // lookupPairs resolves the plain-composite signature (prev, pairs) under
 // hash h, comparing hash-equal candidates structurally against the
-// interner's composite entries. Only 'P'-kind entries can match, keeping
-// the Composite and CompositeLists domains disjoint.
+// interner's entries and the pair lists they reference. Only 'P'-kind
+// entries can match, keeping the Composite and CompositeLists domains
+// disjoint.
 func (in *Interner) lookupPairs(h uint64, prev Color, pairs []ColorPair) (Color, bool) {
 	t := &in.table
 	if t.slots == nil {
@@ -142,8 +146,8 @@ func (in *Interner) lookupPairs(h uint64, prev Color, pairs []ColorPair) (Color,
 			continue
 		}
 		c := Color(s.ref - 1)
-		e := &in.composites[c]
-		if e.kind == sigKindPairs && e.prev == prev && pairsEqual(e.pairs, pairs) {
+		e := in.slot(c)
+		if e.kind == sigKindPairs && e.prev == prev && in.pairsEqualAt(e.ref, pairs) {
 			return c, true
 		}
 	}
@@ -165,8 +169,8 @@ func (in *Interner) lookupLists(h uint64, prev Color, lists [][]ColorPair) (Colo
 			continue
 		}
 		c := Color(s.ref - 1)
-		e := &in.composites[c]
-		if e.kind == sigKindLists && e.prev == prev && listsEqual(e.lists, lists) {
+		e := in.slot(c)
+		if e.kind == sigKindLists && e.prev == prev && in.listsEqual(e.ref, lists) {
 			return c, true
 		}
 	}

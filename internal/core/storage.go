@@ -10,7 +10,8 @@ import (
 
 // Storage supplies backing memory for the large pointer-free arrays of an
 // alignment run: the combined graph's columns (via rdf.Allocator), the
-// partition color arrays, and the interner's stored pair lists. The choice
+// partition color arrays, and the interner's entry table, stored pair
+// lists and list references (as int32 words from AllocColors). The choice
 // of backend never changes results — colorings are bit-identical across
 // backends (property-tested) — only where the bytes live:
 //
@@ -24,13 +25,6 @@ import (
 //     grouping of the worklist engine (extsort.go), which spills each
 //     round's unseen signatures to sorted runs instead of buffering them.
 //
-// Deliberately not storage-backed: the interner's composites table and the
-// hash-table slots. Composite entries hold Go slice headers, and the
-// garbage collector must never trace a heap pointer stored outside the
-// heap, so they stay on the heap by necessity; next to them the slot
-// array is small. The pair lists those entries point at — the bulk of the
-// interner's footprint — are what the storage backs.
-//
 // A Storage is an arena: allocations are only reclaimed all at once by
 // Close, which must not be called before every graph, partition and
 // alignment built on the storage is unreachable. The backing files are
@@ -41,9 +35,6 @@ type Storage interface {
 
 	// AllocColors returns a zeroed color array of length n.
 	AllocColors(n int) []Color
-
-	// AllocPairs returns a zeroed pair array of length n.
-	AllocPairs(n int) []ColorPair
 
 	// SpillDir returns the directory for external-merge spill runs and
 	// whether spilling is enabled. In-memory storage reports false, which
@@ -65,7 +56,6 @@ func (heapStorage) AllocEdges(n int) []rdf.Edge   { return make([]rdf.Edge, n) }
 func (heapStorage) AllocIndex(n int) []int32      { return make([]int32, n) }
 func (heapStorage) AllocNodes(n int) []rdf.NodeID { return make([]rdf.NodeID, n) }
 func (heapStorage) AllocColors(n int) []Color     { return make([]Color, n) }
-func (heapStorage) AllocPairs(n int) []ColorPair  { return make([]ColorPair, n) }
 func (heapStorage) SpillDir() (string, bool)      { return "", false }
 func (heapStorage) Close() error                  { return nil }
 
@@ -138,7 +128,6 @@ func (s *diskStorage) AllocEdges(n int) []rdf.Edge   { return castAlloc[rdf.Edge
 func (s *diskStorage) AllocIndex(n int) []int32      { return castAlloc[int32](s, n) }
 func (s *diskStorage) AllocNodes(n int) []rdf.NodeID { return castAlloc[rdf.NodeID](s, n) }
 func (s *diskStorage) AllocColors(n int) []Color     { return castAlloc[Color](s, n) }
-func (s *diskStorage) AllocPairs(n int) []ColorPair  { return castAlloc[ColorPair](s, n) }
 
 func (s *diskStorage) SpillDir() (string, bool) { return s.dir, true }
 

@@ -12,10 +12,7 @@ import (
 func newTestDiskInterner(t *testing.T, seed uint64) (*Interner, Storage) {
 	t.Helper()
 	st := OutOfCore(t.TempDir())
-	in := NewInternerSeeded(seed)
-	in.st = st
-	in.pairs.st = st
-	return in, st
+	return newInterner(seed, st), st
 }
 
 // TestDeblankOutOfCoreIdentity is the core property test of the out-of-core
@@ -155,7 +152,7 @@ func TestDiskStorageAllocator(t *testing.T) {
 	if len(ed) != 100 || len(ix) != 100 || len(nd) != 100 {
 		t.Fatal("typed allocation lengths wrong")
 	}
-	pairs := st.AllocPairs(7)
+	pairs := allocChunk[ColorPair](st, 7)
 	for i := range pairs {
 		pairs[i] = ColorPair{P: Color(i), O: Color(-i)}
 	}
@@ -178,8 +175,8 @@ func TestDiskStorageAllocator(t *testing.T) {
 // TestPairStoreChunking checks that stored views survive chunk rollover and
 // that oversized lists get dedicated chunks.
 func TestPairStoreChunking(t *testing.T) {
-	var ps pairStore // heap-backed
-	var stored [][]ColorPair
+	var ps chunkStore[ColorPair] // heap-backed
+	var stored []storeRef
 	var want [][]ColorPair
 	mk := func(n, base int) []ColorPair {
 		l := make([]ColorPair, n)
@@ -189,15 +186,15 @@ func TestPairStoreChunking(t *testing.T) {
 		return l
 	}
 	for i := 0; i < 100; i++ {
-		l := mk(1+i*700, i) // crosses pairChunkLen repeatedly, incl. oversized
+		l := mk(1+i*700, i) // crosses the chunk size repeatedly, incl. oversized
 		want = append(want, l)
-		stored = append(stored, ps.store(l))
+		stored = append(stored, ps.add(nil, l))
 	}
-	if got := ps.store(nil); got != nil {
-		t.Fatal("storing an empty list must return nil")
+	if got := ps.add(nil, nil); got != (storeRef{}) || ps.view(got) != nil {
+		t.Fatal("storing an empty list must return the empty reference")
 	}
 	for i := range want {
-		if !pairsEqual(stored[i], want[i]) {
+		if !pairsEqual(ps.view(stored[i]), want[i]) {
 			t.Fatalf("stored list %d corrupted after later stores", i)
 		}
 	}

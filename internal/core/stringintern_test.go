@@ -80,6 +80,19 @@ func (in *stringInterner) Composite(prev Color, pairs []ColorPair) Color {
 	return c
 }
 
+// listsEqual reports whether a and b hold equal pair lists in order.
+func listsEqual(a, b [][]ColorPair) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !pairsEqual(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // CompositeLists is Interner.CompositeLists on the string-keyed path.
 func (in *stringInterner) CompositeLists(prev Color, lists ...[]ColorPair) Color {
 	for i := range lists {

@@ -109,23 +109,25 @@ func ParseString(src string) (*Script, error) {
 			insert = true
 		case '-':
 		default:
-			return nil, &rdf.ParseError{Line: lineNo, Col: indent + 1, Msg: fmt.Sprintf("expected '+' or '-' operation marker, found %q", trimmed[0])}
+			return nil, &rdf.ParseError{Format: "delta", Line: lineNo, Col: indent + 1, Msg: fmt.Sprintf("expected '+' or '-' operation marker, found %q", trimmed[0])}
 		}
 		if len(trimmed) < 2 || (trimmed[1] != ' ' && trimmed[1] != '\t') {
-			return nil, &rdf.ParseError{Line: lineNo, Col: indent + 2, Msg: "expected a space after the operation marker"}
+			return nil, &rdf.ParseError{Format: "delta", Line: lineNo, Col: indent + 2, Msg: "expected a space after the operation marker"}
 		}
 		body := trimmed[2:]
 		t, ok, err := rdf.ParseTermTriple(body, lineNo, false)
 		if err != nil {
 			// Term errors are positioned within body; shift them to the
-			// full-line column so editors jump to the right byte.
+			// full-line column so editors jump to the right byte, and
+			// name the script's grammar rather than the term lexer's.
 			if pe, isPE := err.(*rdf.ParseError); isPE {
+				pe.Format = "delta"
 				pe.Col += indent + 2
 			}
 			return nil, err
 		}
 		if !ok {
-			return nil, &rdf.ParseError{Line: lineNo, Col: indent + 3, Msg: "operation marker with no statement"}
+			return nil, &rdf.ParseError{Format: "delta", Line: lineNo, Col: indent + 3, Msg: "operation marker with no statement"}
 		}
 		s.Ops = append(s.Ops, Op{Insert: insert, T: t})
 	}

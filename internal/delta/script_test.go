@@ -2,6 +2,7 @@ package delta
 
 import (
 	"flag"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -172,6 +173,9 @@ func TestScriptParseErrors(t *testing.T) {
 			}
 			if pe.Line != tc.line || pe.Col != tc.col {
 				t.Errorf("position = line %d col %d, want line %d col %d (%v)", pe.Line, pe.Col, tc.line, tc.col, err)
+			}
+			if want := fmt.Sprintf("delta: line %d col %d: ", tc.line, tc.col); !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("error %q does not start with %q", err, want)
 			}
 		})
 	}

@@ -36,13 +36,20 @@ import (
 // numbers are global 1-based document positions regardless of how the
 // input was split into blocks or how many parse workers ran.
 type ParseError struct {
-	Line int    // 1-based line number
-	Col  int    // 1-based byte offset within the line
-	Msg  string // description of the problem
+	Format string // grammar of the document: "ntriples", "turtle" or "delta"
+	Line   int    // 1-based line number
+	Col    int    // 1-based byte offset within the line
+	Msg    string // description of the problem
 }
 
+// Error prefixes the message with the document's grammar, so a Turtle
+// error reads "turtle: line 1 col 10: …".
 func (e *ParseError) Error() string {
-	return fmt.Sprintf("ntriples: line %d col %d: %s", e.Line, e.Col, e.Msg)
+	msg := fmt.Sprintf("line %d col %d: %s", e.Line, e.Col, e.Msg)
+	if e.Format == "" {
+		return msg
+	}
+	return e.Format + ": " + msg
 }
 
 // ParseNTriples reads an N-Triples document and builds a validated Graph
@@ -80,7 +87,7 @@ type lineParser struct {
 }
 
 func (p *lineParser) err(msg string) error {
-	return &ParseError{Line: p.line, Col: p.pos - p.lineStart + 1, Msg: msg}
+	return &ParseError{Format: "ntriples", Line: p.line, Col: p.pos - p.lineStart + 1, Msg: msg}
 }
 
 func (p *lineParser) skipWS() {

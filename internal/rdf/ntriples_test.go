@@ -37,6 +37,44 @@ _:b2 <last> "Staworko" .
 	}
 }
 
+// TestWriteIRIEscapesAreUCHAR checks that a backslash, tab, LF or CR in an
+// IRI is written as a \u escape — the W3C IRIREF rule admits no ECHAR
+// escapes — by every writer, that literals keep their ECHAR escapes, and
+// that each output reads back to the same labels.
+func TestWriteIRIEscapesAreUCHAR(t *testing.T) {
+	const iri = "http://e/a\\b\tc\nd\re"
+	const lit = "x\\y\tz"
+	b := NewBuilder("iri-uchar")
+	b.Triple(b.URI(iri), b.URI("http://e/p"), b.Literal(lit))
+	g := b.MustGraph()
+	const want = `<http://e/a\u005Cb\u0009c\u000Ad\u000De>`
+	if got := (Term{Kind: URI, Value: iri}).String(); got != want {
+		t.Errorf("Term.String = %s, want %s", got, want)
+	}
+	nt, ttl := FormatNTriples(g), FormatTurtle(g)
+	for name, doc := range map[string]string{"N-Triples": nt, "Turtle": ttl} {
+		if !strings.Contains(doc, want) || !strings.Contains(doc, `"x\\y\tz"`) {
+			t.Errorf("%s output lacks %s or the literal's ECHAR escapes:\n%s", name, want, doc)
+		}
+	}
+	reads := map[string]func() (*Graph, error){
+		"N-Triples":        func() (*Graph, error) { return ParseNTriplesString(nt, "nt") },
+		"strict N-Triples": func() (*Graph, error) { return ParseNTriplesString(nt, "strict", WithStrictMode()) },
+		"Turtle":           func() (*Graph, error) { return ParseTurtleString(ttl, "ttl") },
+	}
+	for name, read := range reads {
+		g2, err := read()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		labels := map[Label]bool{}
+		g2.Nodes(func(n NodeID) { labels[g2.Label(n)] = true })
+		if !labels[URILabel(iri)] || !labels[LiteralLabel(lit)] {
+			t.Errorf("%s read back %v, want the IRI %q and the literal %q", name, labels, iri, lit)
+		}
+	}
+}
+
 func TestParseEscapes(t *testing.T) {
 	doc := `<s> <p> "line\nbreak and \"quote\" and tab\t and é and \U0001F600" .`
 	g, err := ParseNTriplesString(doc, "esc")

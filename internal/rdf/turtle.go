@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -73,6 +74,11 @@ func ParseTurtleString(doc, name string) (*Graph, error) {
 	p := &turtleParser{src: doc, sink: builderSink{b}, prefixes: map[string]string{}}
 	p.newline(0)
 	if err := p.document(); err != nil {
+		// The lexer shared with N-Triples reports its errors as such.
+		var pe *ParseError
+		if errors.As(err, &pe) {
+			pe.Format = "turtle"
+		}
 		return nil, err
 	}
 	return b.Graph()

@@ -183,8 +183,12 @@ func TestParseTurtleErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := ParseTurtleString(c.doc, "bad"); err == nil {
-				t.Errorf("accepted %q", c.doc)
+			_, err := ParseTurtleString(c.doc, "bad")
+			if err == nil {
+				t.Fatalf("accepted %q", c.doc)
+			}
+			if !strings.HasPrefix(err.Error(), "turtle: line ") {
+				t.Errorf("error %q does not name the Turtle grammar", err)
 			}
 		})
 	}

@@ -364,11 +364,15 @@ func writeTerm(w ntSink, g *Graph, n NodeID, rank []NodeID) {
 // bytewise: maximal clean spans are copied through with a single
 // WriteString, which both avoids per-rune work and preserves the exact
 // input bytes (including invalid UTF-8 that a lax parse admitted — the
-// round trip is lossless at the byte level).
+// round trip is lossless at the byte level). Literals use the ECHAR
+// escapes \\, \n, \r, \t and \" where they exist; IRIs use only UCHAR
+// escapes (\u005C for a backslash), the one form the W3C IRIREF rule
+// admits.
 func escapeInto(w ntSink, s string, iri bool) {
 	start := 0
 	for i := 0; i < len(s); i++ {
 		c := s[i]
+		var esc string
 		if iri {
 			if !iriEscaped[c] {
 				continue
@@ -377,19 +381,16 @@ func escapeInto(w ntSink, s string, iri bool) {
 			if c >= 0x20 && c != '\\' && c != '"' {
 				continue
 			}
-		}
-		var esc string
-		switch c {
-		case '\\':
-			esc = `\\`
-		case '\n':
-			esc = `\n`
-		case '\r':
-			esc = `\r`
-		case '\t':
-			esc = `\t`
-		case '"':
-			if !iri {
+			switch c {
+			case '\\':
+				esc = `\\`
+			case '\n':
+				esc = `\n`
+			case '\r':
+				esc = `\r`
+			case '\t':
+				esc = `\t`
+			case '"':
 				esc = `\"`
 			}
 		}

@@ -4,9 +4,9 @@ import "rdfalign/internal/core"
 
 // Storage selects where an alignment session keeps its large working
 // arrays — the combined graph's columns, the partition color arrays and
-// the interner's signature pair lists. The backend never changes results:
-// colorings are bit-identical across backends, worker counts and hash
-// seeds (property-tested). It only moves the bytes.
+// the interner's entry table and signature pair lists. The backend never
+// changes results: colorings are bit-identical across backends, worker
+// counts and hash seeds (property-tested). It only moves the bytes.
 type Storage = core.Storage
 
 // InMemory returns the default storage: everything lives on the Go heap.
