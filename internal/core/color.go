@@ -103,8 +103,8 @@ const (
 // its chunks may live outside the Go heap.
 type compositeEntry struct {
 	prev Color
-	// ref is the pair set's reference (sigKindPairs; see storePairs) or
-	// locates the per-list references in Interner.lists (sigKindLists).
+	// ref locates the pair set in Interner.pairs (sigKindPairs) or the
+	// per-list references in Interner.lists (sigKindLists).
 	ref  storeRef
 	kind uint8
 }
@@ -124,18 +124,15 @@ func entrySlot(c Color) (k, off int) {
 }
 
 // storeRef locates n elements at offset off of chunk chunk of a
-// chunkStore. The zero value is the empty list. A pair-list reference with
-// n == 1 holds its pair itself instead (see Interner.storePairs).
+// chunkStore. The zero value is the empty list.
 type storeRef struct {
 	chunk, off, n uint32
 }
 
-// Store chunks double from 4 KiB to 512 KiB of elements; a list longer
+// storeChunkLen is the chunkStore chunk granularity in elements (32 KiB
+// of pairs), small enough that a small interner stays small; a list longer
 // than that gets a chunk of its own.
-const (
-	storeFirstChunkBytes = 4 << 10
-	storeMaxChunkBytes   = 512 << 10
-)
+const storeChunkLen = 1 << 12
 
 // chunkStore is a chunked append-only arena of a pointer-free element
 // type. Chunks are allocated from a Storage (the Go heap when it is nil)
@@ -155,12 +152,7 @@ func (cs *chunkStore[T]) alloc(st Storage, n int) storeRef {
 	}
 	k := len(cs.chunks) - 1
 	if k < 0 || len(cs.chunks[k])-cs.used < n {
-		var zero T
-		size := storeFirstChunkBytes / int(unsafe.Sizeof(zero))
-		if k >= 0 {
-			size = min(2*len(cs.chunks[k]), storeMaxChunkBytes/int(unsafe.Sizeof(zero)))
-		}
-		cs.chunks = append(cs.chunks, allocChunk[T](st, max(size, n)))
+		cs.chunks = append(cs.chunks, allocChunk[T](st, max(storeChunkLen, n)))
 		k++
 		cs.used = 0
 	}
@@ -282,37 +274,6 @@ func (in *Interner) entry(c Color) *compositeEntry {
 	return nil
 }
 
-// storePairs stores a pair list and returns its reference. A single pair
-// — the common case of a node with one out-edge — is kept in the reference
-// itself (P in chunk, O in off), saving the store and a memory access on
-// every comparison against it; longer lists go to the pair store.
-func (in *Interner) storePairs(pairs []ColorPair) storeRef {
-	if len(pairs) == 1 {
-		return storeRef{chunk: uint32(pairs[0].P), off: uint32(pairs[0].O), n: 1}
-	}
-	return in.pairs.add(in.st, pairs)
-}
-
-// pairsEqualAt reports whether the pair list r references is exactly pairs.
-func (in *Interner) pairsEqualAt(r storeRef, pairs []ColorPair) bool {
-	switch {
-	case int(r.n) != len(pairs):
-		return false
-	case r.n == 1:
-		return pairs[0] == ColorPair{P: Color(r.chunk), O: Color(r.off)}
-	}
-	return pairsEqual(in.pairs.view(r), pairs)
-}
-
-// loadPairs returns the pair list r references. A single pair is copied
-// out of the reference; longer lists are views of the pair store.
-func (in *Interner) loadPairs(r storeRef) []ColorPair {
-	if r.n == 1 {
-		return []ColorPair{{P: Color(r.chunk), O: Color(r.off)}}
-	}
-	return in.pairs.view(r)
-}
-
 // outRef returns the reference of the entry's first (outbound) pair list.
 func (in *Interner) outRef(e *compositeEntry) storeRef {
 	if e.kind == sigKindPairs {
@@ -382,9 +343,9 @@ func (in *Interner) stablePairs(prev Color, pairs []ColorPair) bool {
 	}
 	switch e.kind {
 	case sigKindPairs:
-		return in.pairsEqualAt(e.ref, pairs)
+		return pairsEqual(in.pairs.view(e.ref), pairs)
 	case sigKindLists:
-		return e.ref.n == 1 && in.pairsEqualAt(in.outRef(e), pairs)
+		return e.ref.n == 1 && pairsEqual(in.pairs.view(in.outRef(e)), pairs)
 	}
 	return false
 }
@@ -409,7 +370,7 @@ func (in *Interner) internPairs(h uint64, prev Color, pairs []ColorPair) Color {
 	}
 	c := in.Fresh()
 	in.table.insert(h, c)
-	*in.slot(c) = compositeEntry{prev: prev, kind: sigKindPairs, ref: in.storePairs(pairs)}
+	*in.slot(c) = compositeEntry{prev: prev, kind: sigKindPairs, ref: in.pairs.add(in.st, pairs)}
 	return c
 }
 
@@ -425,7 +386,7 @@ func (in *Interner) CompositeLists(prev Color, lists ...[]ColorPair) Color {
 	if e := in.entry(prev); e != nil {
 		switch e.kind {
 		case sigKindPairs:
-			if len(lists) == 1 && in.pairsEqualAt(e.ref, lists[0]) {
+			if len(lists) == 1 && pairsEqual(in.pairs.view(e.ref), lists[0]) {
 				return prev
 			}
 		case sigKindLists:
@@ -443,7 +404,7 @@ func (in *Interner) CompositeLists(prev Color, lists ...[]ColorPair) Color {
 	ref := in.lists.alloc(in.st, len(lists))
 	refs := in.lists.view(ref)
 	for i, pairs := range lists {
-		refs[i] = in.storePairs(pairs)
+		refs[i] = in.pairs.add(in.st, pairs)
 	}
 	*in.slot(c) = compositeEntry{prev: prev, kind: sigKindLists, ref: ref}
 	return c
@@ -456,7 +417,7 @@ func (in *Interner) listsEqual(ref storeRef, lists [][]ColorPair) bool {
 		return false
 	}
 	for i, r := range refs {
-		if !in.pairsEqualAt(r, lists[i]) {
+		if !pairsEqual(in.pairs.view(r), lists[i]) {
 			return false
 		}
 	}
@@ -483,7 +444,7 @@ func (in *Interner) IsComposite(c Color) (prev Color, pairs []ColorPair, ok bool
 	if e == nil {
 		return 0, nil, false
 	}
-	return e.prev, in.loadPairs(in.outRef(e)), true
+	return e.prev, in.pairs.view(in.outRef(e)), true
 }
 
 // DerivationString renders the derivation DAG rooted at c up to the given
@@ -498,7 +459,7 @@ func (in *Interner) DerivationString(c Color, depth int) string {
 		return fmt.Sprintf("c%d", c)
 	}
 	s := "(" + in.DerivationString(e.prev, depth-1) + " {"
-	for i, pr := range in.loadPairs(in.outRef(e)) {
+	for i, pr := range in.pairs.view(in.outRef(e)) {
 		if i > 0 {
 			s += " "
 		}

@@ -312,16 +312,14 @@ func extMergeRound(g *rdf.Graph, cur *Partition, dirty []rdf.NodeID, changes []c
 		sp.add(uint32(i), prev, pairs)
 	}
 
-	// Merge: collect each distinct new signature once — its hash, and its
-	// pairs stored through the interner (storage-backed) — with its
-	// minimum frontier position, and one pending change per occurrence. A
-	// new signature always yields a fresh color, so every occurrence
-	// changes.
+	// Merge: collect each distinct new signature once — pairs stored into
+	// the interner's (storage-backed) pair store — with its minimum
+	// frontier position, and one pending change per occurrence. A new
+	// signature always yields a fresh color, so every occurrence changes.
 	type newSig struct {
 		minPos uint32
 		seq    int32 // index into sigs, for the sort's tiebreak-free order
 		prev   Color
-		hash   uint64
 		pairs  storeRef
 		color  Color
 	}
@@ -338,8 +336,7 @@ func extMergeRound(g *rdf.Graph, cur *Partition, dirty []rdf.NodeID, changes []c
 					O: Color(binary.BigEndian.Uint32(key[8+8*k:])),
 				})
 			}
-			sigs = append(sigs, newSig{minPos: pos, seq: int32(len(sigs)), prev: prev,
-				hash: sigHashPairs(in.seed, prev, scratch), pairs: in.storePairs(scratch)})
+			sigs = append(sigs, newSig{minPos: pos, seq: int32(len(sigs)), prev: prev, pairs: in.pairs.add(in.st, scratch)})
 		}
 		s := &sigs[len(sigs)-1]
 		if pos < s.minPos {
@@ -363,7 +360,7 @@ func extMergeRound(g *rdf.Graph, cur *Partition, dirty []rdf.NodeID, changes []c
 	for _, si := range byMin {
 		s := &sigs[si]
 		c := in.Fresh()
-		in.table.insert(s.hash, c)
+		in.table.insert(sigHashPairs(in.seed, s.prev, in.pairs.view(s.pairs)), c)
 		*in.slot(c) = compositeEntry{prev: s.prev, kind: sigKindPairs, ref: s.pairs}
 		s.color = c
 	}

@@ -139,28 +139,27 @@ func TestInternerChunkBoundaries(t *testing.T) {
 		st := &countingStorage{Storage: OutOfCore(t.TempDir())}
 		defer st.Close()
 		in := NewInternerIn(st)
-		base := make([]Color, 64)
+		base := make([]Color, 256)
 		for i := range base {
 			base[i] = in.Fresh()
 		}
 		var recs []internedColor
-		for i := 0; i < 3500; i++ {
-			// Two distinct pairs: multi-pair lists go to the pair store.
-			out := []ColorPair{{base[i%64], base[i/64%64]}, {base[0], base[i%7+1]}}
+		// Intern until the colors span 4 entry, 3 pair and 2 list chunks.
+		for i := 0; len(in.entries) < 4 || len(in.pairs.chunks) < 3 || len(in.lists.chunks) < 2; i++ {
+			out := []ColorPair{{base[i%256], base[i/256%256]}, {base[0], base[i%7+1]}}
 			sortPairs(out)
+			out = dedupPairs(out)
 			prev := base[i%5]
-			if i%3 == 0 {
+			if i%2 == 0 {
+				// Three positional lists, as extended refinement interns them.
 				in2 := []ColorPair{{base[i%11], base[2]}}
-				c := in.CompositeLists(prev, append([]ColorPair(nil), out...), append([]ColorPair(nil), in2...))
-				recs = append(recs, internedColor{c: c, prev: prev, lists: [][]ColorPair{out, in2}, isLists: true})
+				po := []ColorPair{{base[3], base[i%13]}}
+				c := in.CompositeLists(prev, append([]ColorPair(nil), out...), append([]ColorPair(nil), in2...), append([]ColorPair(nil), po...))
+				recs = append(recs, internedColor{c: c, prev: prev, lists: [][]ColorPair{out, in2, po}, isLists: true})
 				continue
 			}
 			c := in.Composite(prev, append([]ColorPair(nil), out...))
 			recs = append(recs, internedColor{c: c, prev: prev, lists: [][]ColorPair{out}})
-		}
-		if len(in.entries) < 4 || len(in.pairs.chunks) < 3 || len(in.lists.chunks) < 2 {
-			t.Fatalf("crossed too few boundaries: %d entry, %d pair, %d list chunks",
-				len(in.entries), len(in.pairs.chunks), len(in.lists.chunks))
 		}
 		entryWords := len(in.entries) * int(unsafe.Sizeof(entryChunk{})) / 4
 		if st.words < entryWords {
@@ -197,7 +196,7 @@ func TestInternerChunkBoundaries(t *testing.T) {
 		if !samePartition(want, got) || in.Size() != want.in.Size() {
 			t.Fatal("external-merge deblank diverged from the in-memory engine")
 		}
-		if len(in.entries) < 3 || len(in.pairs.chunks) < 3 {
+		if len(in.entries) < 3 || len(in.pairs.chunks) < 2 {
 			t.Fatalf("crossed too few boundaries: %d entry, %d pair chunks", len(in.entries), len(in.pairs.chunks))
 		}
 		var recs []internedColor

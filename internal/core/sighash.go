@@ -6,7 +6,7 @@ package core
 // table that resolves a hash to a Color. The table stores only (hash, color)
 // pairs; on a hash hit the candidate color's entry in Interner.entries is
 // compared structurally against the pair lists it references
-// (Interner.pairsEqualAt and listsEqual), so the entry table stays the
+// (pairsEqual and Interner.listsEqual), so the entry table stays the
 // single source of truth for what a color means and hash collisions cost a
 // comparison, never a wrong answer. Entries, pair lists and list
 // references hold no pointers, so the garbage collector never scans them
@@ -147,7 +147,7 @@ func (in *Interner) lookupPairs(h uint64, prev Color, pairs []ColorPair) (Color,
 		}
 		c := Color(s.ref - 1)
 		e := in.slot(c)
-		if e.kind == sigKindPairs && e.prev == prev && in.pairsEqualAt(e.ref, pairs) {
+		if e.kind == sigKindPairs && e.prev == prev && pairsEqual(in.pairs.view(e.ref), pairs) {
 			return c, true
 		}
 	}

@@ -45,11 +45,7 @@ type ParseError struct {
 // Error prefixes the message with the document's grammar, so a Turtle
 // error reads "turtle: line 1 col 10: …".
 func (e *ParseError) Error() string {
-	msg := fmt.Sprintf("line %d col %d: %s", e.Line, e.Col, e.Msg)
-	if e.Format == "" {
-		return msg
-	}
-	return e.Format + ": " + msg
+	return fmt.Sprintf("%s: line %d col %d: %s", e.Format, e.Line, e.Col, e.Msg)
 }
 
 // ParseNTriples reads an N-Triples document and builds a validated Graph
@@ -84,10 +80,11 @@ type lineParser struct {
 	line      int
 	lineStart int // offset of the line's first byte in s (Turtle lexes a whole document)
 	strict    bool
+	format    string // grammar named in errors: "ntriples" or "turtle"
 }
 
 func (p *lineParser) err(msg string) error {
-	return &ParseError{Format: "ntriples", Line: p.line, Col: p.pos - p.lineStart + 1, Msg: msg}
+	return &ParseError{Format: p.format, Line: p.line, Col: p.pos - p.lineStart + 1, Msg: msg}
 }
 
 func (p *lineParser) skipWS() {
@@ -101,7 +98,7 @@ func (p *lineParser) eof() bool { return p.pos >= len(p.s) }
 // parseLineInto parses one line into the sink. Blank lines and comments
 // are skipped.
 func parseLineInto(sink termSink, line string, lineNo int, strict bool) error {
-	p := &lineParser{s: line, line: lineNo, strict: strict}
+	p := &lineParser{s: line, line: lineNo, strict: strict, format: "ntriples"}
 	p.skipWS()
 	if p.eof() || p.s[p.pos] == '#' {
 		return nil

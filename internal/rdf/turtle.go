@@ -2,7 +2,6 @@ package rdf
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -71,14 +70,9 @@ func ParseTurtle(r io.Reader, name string) (*Graph, error) {
 // alias the document.
 func ParseTurtleString(doc, name string) (*Graph, error) {
 	b := NewBuilder(name)
-	p := &turtleParser{src: doc, sink: builderSink{b}, prefixes: map[string]string{}}
+	p := &turtleParser{lineParser: lineParser{format: "turtle"}, src: doc, sink: builderSink{b}, prefixes: map[string]string{}}
 	p.newline(0)
 	if err := p.document(); err != nil {
-		// The lexer shared with N-Triples reports its errors as such.
-		var pe *ParseError
-		if errors.As(err, &pe) {
-			pe.Format = "turtle"
-		}
 		return nil, err
 	}
 	return b.Graph()
