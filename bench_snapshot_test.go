@@ -44,7 +44,7 @@ func snapshotCorpus(b *testing.B) ([]byte, *Graph) {
 	return snapCorpus, snapCorpusGraph
 }
 
-// BenchmarkSnapshotLoad measures the heap decode of the 1M-triple
+// BenchmarkSnapshotLoad measures the heap load of the 1M-triple
 // corpus's snapshot (what OpenSnapshot does). Compare against
 // BenchmarkParseNTriples/par8 on the same data: the gate requires load ≥5×
 // faster than the parallel parse.

@@ -171,17 +171,22 @@
 // Parsing can be skipped entirely on re-ingestion:
 // WriteGraphSnapshotMappedFile serialises a graph to a versioned columnar
 // binary format (the term dictionary, triple columns and both adjacency
-// CSRs as fixed-width arrays) that OpenGraphSnapshotMapped serves
-// zero-copy from a file mapping and OpenSnapshot decodes onto the heap
-// without rebuilding anything — node-ID- and triple-identical to the graph
-// written, ≥5× faster than the parallel parse of the same data.
-// WriteArchiveSnapshotFile serialises a multi-version Archive as its
-// entity and row columns, from which OpenSnapshot reconstructs the archive
-// and every version. Every section is CRC-checked; a damaged or truncated
-// file fails loudly with an error wrapping ErrSnapshotCorrupt that carries
-// the byte offset. FuzzReadGraph and FuzzOpenGraphMapped pin the
-// never-panic/never-over-allocate guarantee; see the internal/snapshot
-// package for the format layout and the compatibility policy.
+// CSRs as fixed-width arrays) whose columns every reader serves in place,
+// without decoding or rebuilding anything: OpenGraphSnapshotMapped from a
+// file mapping, OpenSnapshot from one heap copy of the graph section —
+// node-ID- and triple-identical to the graph written, ≥5× faster than the
+// parallel parse of the same data. WriteArchiveSnapshotFile serialises a
+// multi-version Archive as its entity and row columns, from which
+// OpenSnapshot reconstructs the archive and every version. Writes are
+// crash-safe: a snapshot is written to a temporary file and renamed over
+// its path, so a failed write leaves the previous file intact and a graph
+// mapped from it keeps answering. Every section a reader uses is
+// CRC-checked; a damaged or truncated file fails loudly with an error
+// wrapping ErrSnapshotCorrupt that carries the byte offset. FuzzReadGraph
+// (which also runs the inspection behind OpenSnapshot) and
+// FuzzOpenGraphMapped pin the never-panic/never-over-allocate guarantee;
+// see the internal/snapshot package for the format layout and the
+// compatibility policy.
 //
 // # Storage
 //

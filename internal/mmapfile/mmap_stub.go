@@ -5,7 +5,7 @@ package mmapfile
 const supported = false
 
 // Open fails on platforms without file mapping; callers fall back to the
-// heap decode path.
+// heap path (snapshot.OpenGraphMapped reads the file onto the heap).
 func Open(path string) (*Mapping, error) { return nil, ErrUnsupported }
 
 // Close is a no-op on platforms without file mapping.

@@ -501,20 +501,31 @@ func bodyStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// parseGraphBody decodes an uploaded graph: a binary graph snapshot when
-// the body starts with the snapshot magic, N-Triples otherwise.
-func parseGraphBody(data []byte, name string) (*rdfalign.Graph, error) {
-	if detectSnapshot(data) {
-		info, err := snapshot.ReadInfo(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			return nil, err
-		}
-		if info.Kind == "archive" {
-			return nil, errors.New("body is an archive snapshot; a graph snapshot or N-Triples is required here")
-		}
-		return snapshot.ReadGraph(bytes.NewReader(data))
+// parseBody decodes an uploaded body: a binary snapshot when it starts
+// with the snapshot magic, N-Triples otherwise. A snapshot is inspected
+// once — ReadInfo verifies every section CRC and tells a graph from an
+// archive — and then only its graph or archive sections are read. An
+// archive snapshot is accepted only where archiveOK; the result then
+// holds the archive instead of a graph.
+func parseBody(data []byte, name string, archiveOK bool) (*rdfalign.Graph, *rdfalign.Archive, error) {
+	if !detectSnapshot(data) {
+		g, err := rdfalign.ParseNTriples(bytes.NewReader(data), name)
+		return g, nil, err
 	}
-	return rdfalign.ParseNTriples(bytes.NewReader(data), name)
+	r := bytes.NewReader(data)
+	info, err := snapshot.ReadInfo(r, r.Size())
+	if err != nil {
+		return nil, nil, err
+	}
+	if info.Kind != "archive" {
+		g, err := snapshot.ReadGraphAt(r, r.Size())
+		return g, nil, err
+	}
+	if !archiveOK {
+		return nil, nil, errors.New("body is an archive snapshot; a graph snapshot or N-Triples is required here")
+	}
+	arch, err := snapshot.ReadArchive(r, r.Size())
+	return nil, arch, err
 }
 
 // handlePutArchive synchronously loads a request body — archive snapshot,
@@ -528,26 +539,12 @@ func (s *Server) handlePutArchive(w http.ResponseWriter, r *http.Request) {
 		writeError(w, bodyStatus(err), err.Error())
 		return
 	}
-	var arch *rdfalign.Archive
-	if detectSnapshot(data) {
-		info, err := snapshot.ReadInfo(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if info.Kind == "archive" {
-			if arch, err = snapshot.ReadArchive(bytes.NewReader(data), int64(len(data))); err != nil {
-				writeError(w, http.StatusBadRequest, err.Error())
-				return
-			}
-		}
+	g, arch, err := parseBody(data, name, true)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	if arch == nil {
-		g, err := parseGraphBody(data, name)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
 		if arch, err = s.base.BuildArchive(r.Context(), []*rdfalign.Graph{g}); err != nil {
 			writeError(w, statusOf(err), err.Error())
 			return
@@ -581,7 +578,7 @@ func (s *Server) handlePostVersion(w http.ResponseWriter, r *http.Request) {
 		writeError(w, bodyStatus(err), err.Error())
 		return
 	}
-	g, err := parseGraphBody(data, fmt.Sprintf("%s-upload", name))
+	g, _, err := parseBody(data, fmt.Sprintf("%s-upload", name), false)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

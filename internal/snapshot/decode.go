@@ -13,10 +13,10 @@ import (
 const dictExpansionFactor = 512
 
 // decodeGraphBody decodes one legacy GRPH graph section straight into the
-// out-CSR and hands it to rdf.FromColumns, as the heap GRPM decode does.
-// The section's subject column is redundant with its out index; each
-// subject is checked against the run that holds its triple.
-func decodeGraphBody(c *cursor) (*rdf.Graph, error) {
+// columns rdf.FromColumns takes. The section's subject column is
+// redundant with its out index; each subject is checked against the run
+// that holds its triple.
+func decodeGraphBody(c *cursor) (*heapColumns, error) {
 	name, err := c.readString()
 	if err != nil {
 		return nil, err
@@ -101,7 +101,7 @@ func decodeGraphBody(c *cursor) (*rdf.Graph, error) {
 			return nil, corrupt(subjects.off(), "out index run of node %d excludes its triple %d", subj, i)
 		}
 	}
-	hc := &heapColumns{
+	return &heapColumns{
 		name:     name,
 		labels:   labels,
 		kinds:    kinds,
@@ -109,9 +109,29 @@ func decodeGraphBody(c *cursor) (*rdf.Graph, error) {
 		outEdges: outEdges,
 		depIndex: depIndex,
 		depNodes: depNodes,
-	}
-	return hc.graph(c.base)
+	}, nil
 }
+
+// heapColumns is the slice-backed Columns the decode of a legacy GRPH
+// section produces.
+type heapColumns struct {
+	name     string
+	labels   []rdf.Label
+	kinds    []rdf.Kind
+	outIndex []int32
+	outEdges []rdf.Edge
+	depIndex []int32
+	depNodes []rdf.NodeID
+}
+
+func (hc *heapColumns) GraphName() string               { return hc.name }
+func (hc *heapColumns) NumNodes() int                   { return len(hc.labels) }
+func (hc *heapColumns) NumTriples() int                 { return len(hc.outEdges) }
+func (hc *heapColumns) Label(n rdf.NodeID) rdf.Label    { return hc.labels[n] }
+func (hc *heapColumns) Kinds() []rdf.Kind               { return hc.kinds }
+func (hc *heapColumns) OutCSR() ([]int32, []rdf.Edge)   { return hc.outIndex, hc.outEdges }
+func (hc *heapColumns) DepCSR() ([]int32, []rdf.NodeID) { return hc.depIndex, hc.depNodes }
+func (hc *heapColumns) Close() error                    { return nil }
 
 // decodeDict decodes the front-coded term dictionary in two passes: the
 // first validates every (lcp, suffix) pair and sizes the decoded arena,

@@ -14,9 +14,9 @@
 //	trailer  uint64 LE footer offset + "RDSNAPFT"
 //
 // A graph file holds one "GRPM" section: the mmap-native column layout of
-// mapped.go, whose fixed-width, alignment-padded arrays OpenGraphMapped
-// serves straight from a file mapping and every other reader decodes onto
-// the heap. An archive file holds "AMET" (counts), "ALBL" (entity label
+// mapped.go, whose fixed-width, alignment-padded arrays every reader
+// serves in place — OpenGraphMapped from a file mapping, the others from
+// one heap copy of the bytes, placed so the arrays stay aligned. An archive file holds "AMET" (counts), "ALBL" (entity label
 // runs, front-coded) and "AROW" (triple rows + version intervals). The
 // rows reconstruct every version exactly (archive.Archive.Snapshot), so no
 // version is stored twice.
@@ -33,17 +33,19 @@
 // and reverse-dependency CSRs are varint degree columns (+ ascending-delta
 // node runs for the dependency CSR).
 //
-// Every section is CRC-checked; truncation, bit corruption and
-// adversarial length claims fail loudly with an error wrapping ErrCorrupt
-// that carries the byte offset of the failure.
+// All readers find sections through the footer table, and each section
+// a reader uses is CRC-checked (ReadInfo checks every one); truncation,
+// bit corruption and adversarial length claims fail loudly with an error
+// wrapping ErrCorrupt that carries the byte offset of the failure.
 //
 // # Compatibility policy
 //
 // The format version in the header is bumped on any incompatible layout
 // change; readers reject versions they do not know with ErrCorrupt
 // ("format version N not supported") rather than guessing. Unknown
-// section IDs are skipped (their CRC is still verified), so forward-
-// compatible additions — new optional sections — do not require a bump.
+// section IDs are skipped (ReadInfo still verifies their CRC), so
+// forward-compatible additions — new optional sections — do not require
+// a bump.
 package snapshot
 
 import (

@@ -80,19 +80,32 @@ func requireCorruptError(t *testing.T, err error, size int) {
 	}
 }
 
-// FuzzReadGraph is the adversarial-input wall around the snapshot reader:
-// whatever bytes arrive, ReadGraph must return (never panic), must not
-// allocate proportionally to unchecked length claims, and must classify
-// every failure as ErrCorrupt with a byte offset. When a mutated input
-// happens to parse, the loaded graph must itself survive a write/read
-// round trip to the identical graph.
+// FuzzReadGraph is the adversarial-input wall around the snapshot reader
+// and ReadInfo, which rdfalignd runs on every uploaded snapshot: whatever
+// bytes arrive, both must return (never panic), must not allocate
+// proportionally to unchecked length claims, and must classify every
+// failure as ErrCorrupt with a byte offset. When a mutated input happens
+// to parse, ReadInfo must describe the same graph, and the loaded graph
+// must itself survive a write/read round trip to the identical graph.
 func FuzzReadGraph(f *testing.F) {
 	addSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		info, infoErr := ReadInfo(bytes.NewReader(data), int64(len(data)))
+		if infoErr != nil {
+			requireCorruptError(t, infoErr, len(data))
+		}
 		g, err := ReadGraph(bytes.NewReader(data))
 		if err != nil {
 			requireCorruptError(t, err, len(data))
 			return
+		}
+		if infoErr != nil {
+			t.Fatalf("ReadGraph accepted bytes ReadInfo rejects: %v", infoErr)
+		}
+		if info.Kind != "graph" || len(info.Graphs) != 1 ||
+			info.Graphs[0].Nodes != g.NumNodes() || info.Graphs[0].Triples != g.NumTriples() {
+			t.Fatalf("ReadInfo %+v disagrees with the loaded graph (%d nodes, %d triples)",
+				info, g.NumNodes(), g.NumTriples())
 		}
 		var buf bytes.Buffer
 		if err := WriteGraphMapped(&buf, g); err != nil {
@@ -110,7 +123,7 @@ func FuzzReadGraph(f *testing.F) {
 // open, the path every graph file written today takes: whatever bytes the
 // file holds, OpenGraphMapped must return (never panic, never fault on the
 // mapping) and either fail with ErrCorrupt or serve a graph with the same
-// labels and triples as the heap decode of the same bytes.
+// labels and triples as the heap load of the same bytes.
 func FuzzOpenGraphMapped(f *testing.F) {
 	addSeeds(f)
 	dir := f.TempDir()
@@ -127,7 +140,7 @@ func FuzzOpenGraphMapped(f *testing.F) {
 		defer g.Close()
 		heap, err := ReadGraph(bytes.NewReader(data))
 		if err != nil {
-			t.Fatalf("mapped open accepted bytes the heap decoder rejects: %v", err)
+			t.Fatalf("mapped open accepted bytes the heap load rejects: %v", err)
 		}
 		requireGraphsIdentical(t, heap, g)
 	})

@@ -36,8 +36,8 @@ type Info struct {
 }
 
 // ReadInfo inspects a snapshot file through its footer table, verifying
-// every section's CRC and decoding only graph headers (GRPM and GRPH) and
-// archive counts.
+// every section's CRC and decoding only graph headers (GRPH), the column
+// layout of GRPM sections and archive counts.
 func ReadInfo(r io.ReaderAt, size int64) (*Info, error) {
 	f, err := openReaderAt(r, size)
 	if err != nil {
@@ -75,12 +75,12 @@ func ReadInfo(r io.ReaderAt, size int64) (*Info, error) {
 				Version: int(e.index), Name: name, Nodes: nodes, Triples: triples,
 			})
 		case secGraphMapped:
-			h, err := parseMappedBody(c.data, c.base)
+			mc, err := mappedColumnsOver(nil, c.data, c.base)
 			if err != nil {
 				return nil, err
 			}
 			info.Graphs = append(info.Graphs, GraphInfo{
-				Version: int(e.index), Name: h.name, Nodes: h.nnodes, Triples: h.ntrip,
+				Version: int(e.index), Name: mc.name, Nodes: mc.nnodes, Triples: mc.NumTriples(),
 			})
 		}
 	}

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"testing"
 
@@ -26,7 +27,7 @@ const legacyGraphDoc = "<http://example.org/s> <http://example.org/p> \"v\" .\n"
 	"<http://example.org/s> <http://example.org/q> <http://example.org/t> .\n"
 
 // TestLegacyGraphFixture: a GRPH graph snapshot still loads, identically,
-// through the sequential and the random-access readers, and its summary
+// through ReadGraph and ReadGraphAt, and its summary
 // decodes the GRPH header.
 func TestLegacyGraphFixture(t *testing.T) {
 	want, err := rdf.ParseNTriplesString(legacyGraphDoc, "fixture")
@@ -59,7 +60,8 @@ func TestLegacyGraphFixture(t *testing.T) {
 
 // TestLegacyArchiveFixture: an archive snapshot with per-version GRPH
 // sections loads to the archive the same history builds today, and the
-// rows reconstruct exactly the graphs those sections stored.
+// rows reconstruct exactly the graphs those sections stored. The graph
+// readers reject the file although it holds a GRPH[0] section.
 func TestLegacyArchiveFixture(t *testing.T) {
 	var graphs []*rdf.Graph
 	for _, doc := range fuzzArchiveDocs {
@@ -76,6 +78,9 @@ func TestLegacyArchiveFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := ReadGraph(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReadGraph on an archive snapshot: %v, want ErrCorrupt", err)
+	}
 	f, err := openReaderAt(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +90,11 @@ func TestLegacyArchiveFixture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stored, err := decodeGraphBody(c)
+		cols, err := decodeGraphBody(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, err := rdf.FromColumns(cols)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,16 +26,16 @@ package snapshot
 //	pad4 · depNodes d × i32
 //
 // The section rides in the standard container (CRC-framed, listed in the
-// footer), so OpenGraphMapped still validates the header, trailer and the
-// section CRC before trusting any of it; readers that cannot map the file
-// (other platforms, big-endian hosts, misaligned or GRPH-only files)
-// decode the same bytes onto the heap through decodeMappedGraphBody.
+// footer), so every reader validates the header, trailer and the section
+// CRC before trusting any of it. Every reader also serves the columns the
+// same way, by casting them in place (mappedColumnsOver): OpenGraphMapped
+// over the mapping, the heap readers over a heap copy of the bytes placed
+// so that each column keeps the alignment its file offset gives it. A
+// big-endian host byte-swaps the integer columns of its heap copy first.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"unsafe"
 
@@ -45,15 +45,9 @@ import (
 
 const mappedFixedHeader = 4 * 8 // nnodes, ntrip, depCount, nameLen
 
-// errMappedFallback marks conditions under which the mapped open cannot
-// serve the file zero-copy but a heap decode can: no GRPM section (a
-// GRPH-only snapshot), a big-endian host, or a layout whose columns are
-// not aligned in this file.
-var errMappedFallback = errors.New("snapshot: file cannot be served from a mapping")
-
 // hostLittleEndian reports whether native byte order matches the on-disk
-// little-endian column encoding, the precondition for casting mapped
-// bytes to integer slices.
+// little-endian column encoding, the precondition for casting the bytes
+// of a file to integer slices without swapping them first.
 func hostLittleEndian() bool {
 	return binary.NativeEndian.Uint16([]byte{0x34, 0x12}) == 0x1234
 }
@@ -68,8 +62,8 @@ func padTo(buf []byte, abs int64, align int) []byte {
 
 // WriteGraphMapped serialises g as a graph snapshot: one GRPM section in
 // the standard container. The output is deterministic: the same graph
-// produces the same bytes. OpenGraphMapped serves it zero-copy; every
-// other reader decodes the columns onto the heap.
+// produces the same bytes. OpenGraphMapped serves it zero-copy from a
+// mapping; the other readers serve it from one heap copy of its bytes.
 func WriteGraphMapped(w io.Writer, g *rdf.Graph) error {
 	sw, err := newSectionWriter(w)
 	if err != nil {
@@ -149,86 +143,42 @@ func appendMappedGraphBody(base int64, c rdf.Columns) []byte {
 // release the mapping; the graph (and any string or slice obtained from
 // it) must not be used afterwards.
 //
-// When zero-copy serving is impossible — the platform has no mmap, the
-// host is big-endian, or the file is a varint GRPH snapshot written by an
-// earlier build — the snapshot is decoded onto the heap instead, exactly
-// as ReadGraphFile would, and Close is a no-op. Corrupt files fail with ErrCorrupt either
-// way.
+// Where the platform has no mmap, or the host is big-endian (its columns
+// must be byte-swapped, which a read-only mapping cannot hold), the file
+// is read onto the heap exactly as ReadGraphFile would, and Close is a
+// no-op. A varint GRPH snapshot written by an earlier build is decoded
+// onto the heap and its mapping released before return. Corrupt files
+// fail with ErrCorrupt either way.
 func OpenGraphMapped(path string) (*rdf.Graph, error) {
+	if !hostLittleEndian() {
+		return ReadGraphFile(path)
+	}
 	m, err := mmapfile.Open(path)
+	if errors.Is(err, mmapfile.ErrUnsupported) {
+		return ReadGraphFile(path)
+	}
 	if err != nil {
-		if errors.Is(err, mmapfile.ErrUnsupported) {
-			return ReadGraphFile(path)
-		}
 		return nil, err
 	}
-	g, err := graphFromMapping(m)
+	f, err := openBytes(m.Data())
 	if err != nil {
 		m.Close()
-		if errors.Is(err, errMappedFallback) {
-			return ReadGraphFile(path)
-		}
 		return nil, err
 	}
-	return g, nil
+	g, err := readGraph(f, m)
+	if err != nil || !f.has(secGraphMapped, 0) {
+		m.Close() // only GRPM columns alias the mapping
+	}
+	return g, err
 }
 
-// graphFromMapping builds the zero-copy graph over an open mapping. On
-// success the returned graph owns m (its Close unmaps). Errors wrapping
-// errMappedFallback mean the file is fine but needs the heap decoder.
-func graphFromMapping(m *mmapfile.Mapping) (*rdf.Graph, error) {
-	data := m.Data()
-	f, err := openReaderAt(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	var entry *tableEntry
-	for i := range f.table {
-		if f.table[i].id == secGraphMapped && f.table[i].index == 0 {
-			entry = &f.table[i]
-			break
-		}
-	}
-	if entry == nil {
-		return nil, errMappedFallback
-	}
-	if !hostLittleEndian() {
-		return nil, errMappedFallback
-	}
-	off := entry.off
-	if off < 0 || off+int64(secHdrSize) > int64(len(data)) {
-		return nil, corrupt(off, "section %s header outside file", sectionName(secGraphMapped))
-	}
-	hdr := data[off : off+int64(secHdrSize)]
-	if id := binary.LittleEndian.Uint32(hdr); id != secGraphMapped {
-		return nil, corrupt(off, "expected section %s, found %s", sectionName(secGraphMapped), sectionName(id))
-	}
-	length := binary.LittleEndian.Uint64(hdr[4:])
-	pbase := off + int64(secHdrSize)
-	if length > uint64(maxSectionSize) || int64(length) > int64(len(data))-pbase-int64(crcSize) {
-		return nil, corrupt(off, "section %s claims %d bytes", sectionName(secGraphMapped), length)
-	}
-	payload := data[pbase : pbase+int64(length)]
-	stored := binary.LittleEndian.Uint32(data[pbase+int64(length):])
-	if got := crc32.Checksum(payload, crcTable); got != stored {
-		return nil, corrupt(off, "section %s CRC mismatch: computed %08x, stored %08x", sectionName(secGraphMapped), got, stored)
-	}
-	cols, err := mappedColumnsOver(m, payload, pbase)
-	if err != nil {
-		return nil, err
-	}
-	g, err := rdf.FromColumns(cols)
-	if err != nil {
-		return nil, corrupt(pbase, "%v", err)
-	}
-	return g, nil
-}
-
-// mappedColumns serves rdf.Columns straight out of a file mapping. All
-// slice fields alias the mapping; the struct keeps the Mapping reachable
-// (slices into non-heap memory do not), and Close unmaps it.
+// mappedColumns serves rdf.Columns straight out of the bytes of a GRPM
+// section: a file mapping or a heap copy. All slice fields alias those
+// bytes. Over a mapping the struct keeps the Mapping reachable (slices
+// into non-heap memory do not) and Close unmaps it; over a heap copy m is
+// nil, the slices keep the copy alive and Close does nothing.
 type mappedColumns struct {
-	m        *mmapfile.Mapping
+	m        *mmapfile.Mapping // nil over a heap copy
 	name     string
 	nnodes   int
 	kinds    []rdf.Kind
@@ -258,12 +208,15 @@ func (mc *mappedColumns) OutCSR() ([]int32, []rdf.Edge) { return mc.outIndex, mc
 func (mc *mappedColumns) DepCSR() ([]int32, []rdf.NodeID) {
 	return mc.depIndex, mc.depNodes
 }
-func (mc *mappedColumns) Close() error { return mc.m.Close() }
+func (mc *mappedColumns) Close() error {
+	if mc.m == nil {
+		return nil
+	}
+	return mc.m.Close()
+}
 
 // mappedReader walks a GRPM payload, pairing each read with the absolute
-// file offset needed to resolve the alignment pads. Both the zero-copy
-// view and the heap decoder use it, so the two paths cannot disagree
-// about the layout.
+// file offset needed to resolve the alignment pads.
 type mappedReader struct {
 	data []byte
 	pos  int
@@ -291,34 +244,37 @@ func (r *mappedReader) take(n int, what string) ([]byte, error) {
 }
 
 // column skips the pad bringing the absolute offset to align and returns
-// the raw bytes of a column of n elemSize-byte elements. align can be
-// smaller than elemSize (edges are 8-byte pairs of 4-byte-aligned int32s).
-func (r *mappedReader) column(n, elemSize, align int, what string) ([]byte, error) {
+// the next n elements of T, cast in place. align can be smaller than the
+// element size (edges are 8-byte pairs of 4-byte-aligned int32s). The
+// caller places data at an address congruent to base mod 8, so the cast
+// is aligned; on a big-endian host data is a heap copy, and the 4-byte
+// words of integer columns are byte-swapped in place first. The result
+// aliases data, so whatever owns data's memory must outlive it.
+func column[T any](r *mappedReader, n, align int, what string) ([]T, error) {
 	if pad := int((int64(align) - r.off()%int64(align)) % int64(align)); pad > 0 {
 		if _, err := r.take(pad, what+" padding"); err != nil {
 			return nil, err
 		}
 	}
-	if n > (len(r.data)-r.pos)/elemSize {
-		return nil, corrupt(r.off(), "%s column of %d × %d bytes exceeds section", what, n, elemSize)
+	size := int(unsafe.Sizeof(*new(T)))
+	if n > (len(r.data)-r.pos)/size {
+		return nil, corrupt(r.off(), "%s column of %d × %d bytes exceeds section", what, n, size)
 	}
-	return r.take(n*elemSize, what)
+	b, err := r.take(n*size, what)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	if size >= 4 && !hostLittleEndian() {
+		swap32(b)
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n), nil
 }
 
-// mappedHeader is the decoded fixed part of a GRPM payload plus the raw
-// column bytes, still unconverted.
-type mappedHeader struct {
-	name                               string
-	nnodes, ntrip, depCount            int
-	kinds, labelOff, blob              []byte
-	outIndex, outEdges, depIdx, depNds []byte
-}
-
-// parseMappedBody splits a GRPM payload into its columns, validating
-// every count against the payload size. No column content is inspected
-// here; structural validation happens in rdf.FromColumns and the
-// labelOff scan of the callers.
-func parseMappedBody(data []byte, base int64) (*mappedHeader, error) {
+// mappedColumnsOver serves the columns of a GRPM payload in place,
+// validating every count against the payload size and the label offsets
+// that Label slices with; the CSRs are validated by rdf.FromColumns. m
+// is the mapping the payload lives in, or nil for a heap copy.
+func mappedColumnsOver(m *mmapfile.Mapping, data []byte, base int64) (*mappedColumns, error) {
 	r := &mappedReader{data: data, base: base}
 	nn, err1 := r.u64("node count")
 	nt, err2 := r.u64("triple count")
@@ -332,38 +288,40 @@ func parseMappedBody(data []byte, base int64) (*mappedHeader, error) {
 	if nn > maxInt || nt > maxInt || nd > maxInt || nl > uint64(len(data)) {
 		return nil, corrupt(r.off(), "mapped graph counts (%d nodes, %d triples, %d dependency entries) out of range", nn, nt, nd)
 	}
-	h := &mappedHeader{nnodes: int(nn), ntrip: int(nt), depCount: int(nd)}
+	n := int(nn)
 	nameB, err := r.take(int(nl), "graph name")
 	if err != nil {
 		return nil, err
 	}
-	h.name = string(nameB)
-	if h.kinds, err = r.column(h.nnodes, 1, 1, "kind"); err != nil {
+	mc := &mappedColumns{m: m, name: string(nameB), nnodes: n}
+	if mc.kinds, err = column[rdf.Kind](r, n, 1, "kind"); err != nil {
 		return nil, err
 	}
-	if h.labelOff, err = r.column(h.nnodes+1, 4, 4, "label offset"); err != nil {
+	if mc.labelOff, err = column[uint32](r, n+1, 4, "label offset"); err != nil {
 		return nil, err
 	}
-	blobLen := int(binary.LittleEndian.Uint32(h.labelOff[4*h.nnodes:]))
-	if h.blob, err = r.column(blobLen, 1, 1, "label blob"); err != nil {
+	if mc.blob, err = column[byte](r, int(mc.labelOff[n]), 1, "label blob"); err != nil {
 		return nil, err
 	}
-	if h.outIndex, err = r.column(h.nnodes+1, 4, 4, "out index"); err != nil {
+	if mc.outIndex, err = column[int32](r, n+1, 4, "out index"); err != nil {
 		return nil, err
 	}
-	if h.outEdges, err = r.column(h.ntrip, 8, 4, "out edge"); err != nil {
+	if mc.outEdges, err = column[rdf.Edge](r, int(nt), 4, "out edge"); err != nil {
 		return nil, err
 	}
-	if h.depIdx, err = r.column(h.nnodes+1, 4, 4, "dependency index"); err != nil {
+	if mc.depIndex, err = column[int32](r, n+1, 4, "dependency index"); err != nil {
 		return nil, err
 	}
-	if h.depNds, err = r.column(h.depCount, 4, 4, "dependency node"); err != nil {
+	if mc.depNodes, err = column[rdf.NodeID](r, int(nd), 4, "dependency node"); err != nil {
 		return nil, err
 	}
 	if r.pos != len(data) {
 		return nil, corrupt(r.off(), "%d trailing bytes after mapped graph columns", len(data)-r.pos)
 	}
-	return h, nil
+	if err := validateLabelOff(mc.labelOff, len(mc.blob), base); err != nil {
+		return nil, err
+	}
+	return mc, nil
 }
 
 // validateLabelOff checks the label byte ranges Label() will slice with:
@@ -380,127 +338,10 @@ func validateLabelOff(off []uint32, blobLen int, base int64) error {
 	return nil
 }
 
-// mappedColumnsOver casts the payload's columns into typed slices that
-// alias the mapping. Misaligned columns (a writer that computed pads for
-// a different base) fall back to the heap decoder.
-func mappedColumnsOver(m *mmapfile.Mapping, payload []byte, base int64) (*mappedColumns, error) {
-	h, err := parseMappedBody(payload, base)
-	if err != nil {
-		return nil, err
+// swap32 reverses the byte order of every 4-byte word of b in place,
+// turning little-endian u32/i32 columns into their big-endian reading.
+func swap32(b []byte) {
+	for i := 0; i+4 <= len(b); i += 4 {
+		b[i], b[i+1], b[i+2], b[i+3] = b[i+3], b[i+2], b[i+1], b[i]
 	}
-	for _, col := range [][]byte{h.labelOff, h.outIndex, h.outEdges, h.depIdx, h.depNds} {
-		if len(col) > 0 && uintptr(unsafe.Pointer(&col[0]))%4 != 0 {
-			return nil, errMappedFallback
-		}
-	}
-	mc := &mappedColumns{
-		m:        m,
-		name:     h.name,
-		nnodes:   h.nnodes,
-		kinds:    castSlice[rdf.Kind](h.kinds, h.nnodes),
-		labelOff: castSlice[uint32](h.labelOff, h.nnodes+1),
-		blob:     h.blob,
-		outIndex: castSlice[int32](h.outIndex, h.nnodes+1),
-		outEdges: castSlice[rdf.Edge](h.outEdges, h.ntrip),
-		depIndex: castSlice[int32](h.depIdx, h.nnodes+1),
-		depNodes: castSlice[rdf.NodeID](h.depNds, h.depCount),
-	}
-	if err := validateLabelOff(mc.labelOff, len(h.blob), base); err != nil {
-		return nil, err
-	}
-	return mc, nil
-}
-
-// castSlice reinterprets a little-endian column as n elements of T. The
-// caller has checked alignment and that len(b) == n × sizeof(T); the
-// result aliases b, so whatever owns b's memory must outlive it.
-func castSlice[T any](b []byte, n int) []T {
-	if n == 0 {
-		return nil
-	}
-	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
-}
-
-// decodeMappedGraphBody decodes a GRPM section onto the heap: the
-// portable fallback used by ReadGraph/ReadGraphAt and by OpenGraphMapped
-// on hosts that cannot serve the mapping. One pass per column; label
-// values are substrings of a single blob copy, as in decodeDict.
-func decodeMappedGraphBody(c *cursor) (*rdf.Graph, error) {
-	h, err := parseMappedBody(c.data[c.pos:], c.base+int64(c.pos))
-	if err != nil {
-		return nil, err
-	}
-	hc := &heapColumns{
-		name:     h.name,
-		kinds:    make([]rdf.Kind, h.nnodes),
-		outIndex: decodeI32Column(h.outIndex, h.nnodes+1),
-		depIndex: decodeI32Column(h.depIdx, h.nnodes+1),
-	}
-	for i := range hc.kinds {
-		hc.kinds[i] = rdf.Kind(h.kinds[i])
-	}
-	labelOff := make([]uint32, h.nnodes+1)
-	for i := range labelOff {
-		labelOff[i] = binary.LittleEndian.Uint32(h.labelOff[4*i:])
-	}
-	if err := validateLabelOff(labelOff, len(h.blob), c.base); err != nil {
-		return nil, err
-	}
-	blob := string(h.blob)
-	hc.labels = make([]rdf.Label, h.nnodes)
-	for i := range hc.labels {
-		hc.labels[i] = rdf.Label{Kind: hc.kinds[i], Value: blob[labelOff[i]:labelOff[i+1]]}
-	}
-	hc.outEdges = make([]rdf.Edge, h.ntrip)
-	for i := range hc.outEdges {
-		hc.outEdges[i] = rdf.Edge{
-			P: rdf.NodeID(binary.LittleEndian.Uint32(h.outEdges[8*i:])),
-			O: rdf.NodeID(binary.LittleEndian.Uint32(h.outEdges[8*i+4:])),
-		}
-	}
-	hc.depNodes = make([]rdf.NodeID, h.depCount)
-	for i := range hc.depNodes {
-		hc.depNodes[i] = rdf.NodeID(binary.LittleEndian.Uint32(h.depNds[4*i:]))
-	}
-	return hc.graph(c.base)
-}
-
-func decodeI32Column(b []byte, n int) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-// heapColumns is the slice-backed Columns a heap decode of a graph section
-// (GRPM or legacy GRPH) produces; unlike sliceColumns it is not a view of
-// an existing Graph.
-type heapColumns struct {
-	name     string
-	labels   []rdf.Label
-	kinds    []rdf.Kind
-	outIndex []int32
-	outEdges []rdf.Edge
-	depIndex []int32
-	depNodes []rdf.NodeID
-}
-
-func (hc *heapColumns) GraphName() string               { return hc.name }
-func (hc *heapColumns) NumNodes() int                   { return len(hc.labels) }
-func (hc *heapColumns) NumTriples() int                 { return len(hc.outEdges) }
-func (hc *heapColumns) Label(n rdf.NodeID) rdf.Label    { return hc.labels[n] }
-func (hc *heapColumns) Kinds() []rdf.Kind               { return hc.kinds }
-func (hc *heapColumns) OutCSR() ([]int32, []rdf.Edge)   { return hc.outIndex, hc.outEdges }
-func (hc *heapColumns) DepCSR() ([]int32, []rdf.NodeID) { return hc.depIndex, hc.depNodes }
-func (hc *heapColumns) Close() error                    { return nil }
-
-// graph builds the Graph over hc, reporting a structural fault as
-// corruption of the section at base.
-func (hc *heapColumns) graph(base int64) (*rdf.Graph, error) {
-	g, err := rdf.FromColumns(hc)
-	if err != nil {
-		return nil, corrupt(base, "%v", err)
-	}
-	return g, nil
 }

@@ -2,8 +2,10 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -64,8 +66,8 @@ func TestMappedRoundTripEmpty(t *testing.T) {
 // TestMappedRoundTripRandom is the property test of the tentpole: the
 // mmap-backed graph must be indistinguishable from the heap graph it was
 // written from — same labels, triples, CSRs — across random graphs, for
-// all three read paths (zero-copy open, heap GRPM decode via ReadGraph,
-// random-access decode via ReadGraphAt).
+// the zero-copy open and both heap loads (ReadGraphFile, ReadGraphAt over
+// bytes in memory).
 func TestMappedRoundTripRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	tested := 0
@@ -84,7 +86,7 @@ func TestMappedRoundTripRandom(t *testing.T) {
 		requireGraphsIdentical(t, g, mapped)
 		requireDependentsIdentical(t, mapped)
 
-		// Heap decode of the same bytes: streaming reader.
+		// Heap copy of the same bytes, read from the file.
 		heap, err := ReadGraphFile(path)
 		if err != nil {
 			t.Fatalf("ReadGraphFile over mapped snapshot: %v", err)
@@ -92,7 +94,7 @@ func TestMappedRoundTripRandom(t *testing.T) {
 		requireGraphsIdentical(t, g, heap)
 		requireDependentsIdentical(t, heap)
 
-		// Heap decode: random-access reader.
+		// Heap copy of the section, read through an io.ReaderAt.
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -157,7 +159,7 @@ func TestMappedCorruptionDetected(t *testing.T) {
 		}
 		got, err := OpenGraphMapped(path)
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, errMappedFallback) {
+			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("offset %d: error does not wrap ErrCorrupt: %v", off, err)
 			}
 			continue
@@ -170,7 +172,7 @@ func TestMappedCorruptionDetected(t *testing.T) {
 }
 
 // TestMappedFallbackReadsPlainSnapshot checks OpenGraphMapped serves a
-// GRPH snapshot written by an earlier build through the heap decoder.
+// GRPH snapshot written by an earlier build through the GRPH decoder.
 func TestMappedFallbackReadsPlainSnapshot(t *testing.T) {
 	g, err := rdf.ParseNTriplesString(legacyGraphDoc, "fixture")
 	if err != nil {
@@ -182,4 +184,99 @@ func TestMappedFallbackReadsPlainSnapshot(t *testing.T) {
 	}
 	defer got.Close()
 	requireGraphsIdentical(t, g, got)
+}
+
+// TestWriteFileFailureKeepsOldFile: a snapshot write that fails part way
+// leaves the previous file byte-identical and no temporary file behind.
+func TestWriteFileFailureKeepsOldFile(t *testing.T) {
+	g, err := rdf.ParseNTriplesString("<s> <p> <o> .\n_:b <p> \"v\" .\n", "old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeMappedFile(t, g)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errFail := errors.New("writer failed")
+	err = writeFile(path, func(w io.Writer) error {
+		// More than the write buffer, so part of it reaches the file.
+		if _, err := w.Write(bytes.Repeat([]byte{0xAB}, 3<<20)); err != nil {
+			return err
+		}
+		return errFail
+	})
+	if !errors.Is(err, errFail) {
+		t.Fatalf("writeFile returned %v, want the writer's error", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("failed write changed the existing snapshot")
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(path) {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v after a failed write, want only %s", names, filepath.Base(path))
+	}
+}
+
+// TestMappedGraphSurvivesRewrite: rewriting the path a graph is mapped
+// from replaces the file, not its bytes, so the mapped graph keeps
+// answering with the old content while a new open sees the new one.
+func TestMappedGraphSurvivesRewrite(t *testing.T) {
+	old, err := rdf.ParseNTriplesString(strings.Repeat("<hub> <p> <n> .\n<n> <val> \"lit\" .\n_:b <ref> <hub> .\n", 50), "old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeMappedFile(t, old)
+	mapped, err := OpenGraphMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	next, err := rdf.ParseNTriplesString("<x> <y> <z> .\n", "new")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteGraphMappedFile(path, next); err != nil {
+		t.Fatal(err)
+	}
+	requireGraphsIdentical(t, old, mapped)
+	reopened, err := OpenGraphMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	requireGraphsIdentical(t, next, reopened)
+}
+
+// TestSwap32 pins the byte swap big-endian hosts apply to the integer
+// columns before casting them: swapping twice is the identity, and
+// swapping once yields the big-endian reading of the little-endian words.
+func TestSwap32(t *testing.T) {
+	words := []uint32{0, 1, 0x01020304, 0xDEADBEEF, 0x80000000}
+	var orig []byte
+	for _, w := range words {
+		orig = binary.LittleEndian.AppendUint32(orig, w)
+	}
+	b := bytes.Clone(orig)
+	swap32(b)
+	for i, w := range words {
+		if got := binary.BigEndian.Uint32(b[4*i:]); got != w {
+			t.Fatalf("word %d: big-endian reading after swap is %#x, want %#x", i, got, w)
+		}
+	}
+	swap32(b)
+	if !bytes.Equal(b, orig) {
+		t.Fatalf("swapping twice gave % x, want % x", b, orig)
+	}
 }

@@ -1,89 +1,126 @@
 package snapshot
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"io"
 	"os"
+	"unsafe"
 
 	"rdfalign/internal/archive"
+	"rdfalign/internal/mmapfile"
 	"rdfalign/internal/rdf"
 )
 
-// ReadGraph reads a graph snapshot sequentially from r. Every failure —
+// ReadGraph reads a graph snapshot from r onto the heap. Every failure —
 // truncation, bit corruption, format violations, adversarial length
 // claims — returns an error wrapping ErrCorrupt with the byte offset;
 // the reader never panics and never allocates more than a small multiple
 // of the bytes actually present in the input.
 func ReadGraph(r io.Reader) (*rdf.Graph, error) {
-	sr := &streamReader{r: r}
-	if err := sr.header(); err != nil {
+	data, err := readAll(r)
+	if err != nil {
+		return nil, corrupt(int64(len(data)), "read failed: %v", err)
+	}
+	f, err := openBytes(data)
+	if err != nil {
 		return nil, err
 	}
-	var g *rdf.Graph
-	for {
-		id, payload, base, err := sr.nextSection()
-		if err != nil {
-			return nil, err
-		}
-		if id == secGraph && g == nil {
-			g, err = decodeGraphBody(&cursor{data: payload, base: base})
-			if err != nil {
-				return nil, err
-			}
-		}
-		if id == secGraphMapped && g == nil {
-			g, err = decodeMappedGraphBody(&cursor{data: payload, base: base})
-			if err != nil {
-				return nil, err
-			}
-		}
-		if id == secFooter {
-			if err := sr.trailer(); err != nil {
-				return nil, err
-			}
-			break
-		}
-	}
-	if g == nil {
-		return nil, corrupt(sr.off, "no graph section in file")
-	}
-	return g, nil
+	return readGraph(f, nil)
 }
 
-// ReadGraphAt loads a graph snapshot through the footer table of r — the
-// random-access counterpart of ReadGraph. Long-lived services (OpenSnapshot,
-// cmd/rdfalignd) serve graph and archive snapshots alike from one
-// io.ReaderAt-backed handle; only the header, footer and the graph section
-// are read.
+// ReadGraphAt loads a graph snapshot through the footer table of r onto
+// the heap. Long-lived services (OpenSnapshot, cmd/rdfalignd) serve graph
+// and archive snapshots alike from one io.ReaderAt-backed handle; only the
+// header, footer and the graph section are read.
 func ReadGraphAt(r io.ReaderAt, size int64) (*rdf.Graph, error) {
 	f, err := openReaderAt(r, size)
 	if err != nil {
 		return nil, err
 	}
-	if f.has(secGraphMapped, 0) && !f.has(secGraph, 0) {
-		c, err := f.section(secGraphMapped, 0)
-		if err != nil {
-			return nil, err
-		}
-		return decodeMappedGraphBody(c)
-	}
-	c, err := f.section(secGraph, 0)
-	if err != nil {
-		return nil, err
-	}
-	return decodeGraphBody(c)
+	return readGraph(f, nil)
 }
 
-// ReadGraphFile reads a graph snapshot from path.
+// ReadGraphFile reads a graph snapshot from path onto the heap.
 func ReadGraphFile(path string) (*rdf.Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadGraph(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return ReadGraphAt(f, st.Size())
+}
+
+// readGraph serves the graph of f. A GRPM section's columns are cast in
+// place, so the graph aliases f's bytes and its Close releases m, the
+// mapping they live in (nil for heap bytes). A legacy GRPH section is
+// decoded into fresh heap columns that alias nothing. Archive files are
+// rejected: their graphs are the archive's versions.
+func readGraph(f *file, m *mmapfile.Mapping) (*rdf.Graph, error) {
+	if f.has(secArchiveMeta, 0) {
+		return nil, corrupt(f.size, "file holds an archive, not a graph")
+	}
+	id := secGraphMapped
+	if !f.has(id, 0) {
+		id = secGraph
+	}
+	c, err := f.section(id, 0)
+	if err != nil {
+		return nil, err
+	}
+	var cols rdf.Columns
+	if id == secGraphMapped {
+		cols, err = mappedColumnsOver(m, c.data, c.base)
+	} else {
+		cols, err = decodeGraphBody(c)
+	}
+	if err != nil {
+		return nil, err
+	}
+	g, err := rdf.FromColumns(cols)
+	if err != nil {
+		return nil, corrupt(c.base, "%v", err)
+	}
+	return g, nil
+}
+
+// readAll reads r to its end into a heap buffer that starts on an 8-byte
+// boundary, so the GRPM columns cast in place at their file offsets. A
+// reader that reports its unread length (bytes.Reader, bytes.Buffer,
+// strings.Reader) is read into one buffer of that size.
+func readAll(r io.Reader) ([]byte, error) {
+	n := 512
+	if l, ok := r.(interface{ Len() int }); ok && l.Len() >= n {
+		n = l.Len() + 1 // one spare byte to read io.EOF into
+	}
+	buf := alignedBuf(n, 0)[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(alignedBuf(2*cap(buf), 0)[:0], buf...)
+		}
+		k, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+k]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// alignedBuf allocates n heap bytes whose address is congruent to the file
+// offset off mod 8: a column the writer padded to its element size at
+// some file offset lands on an address aligned the same way.
+func alignedBuf(n int, off int64) []byte {
+	words := make([]uint64, n/8+2)
+	b := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), 8*len(words))
+	k := int(off % 8)
+	return b[k : k+n]
 }
 
 // ReadArchive reconstructs the Archive from the entity/row sections of an
@@ -126,94 +163,29 @@ func ReadArchive(r io.ReaderAt, size int64) (*archive.Archive, error) {
 }
 
 // ---------------------------------------------------------------------
-// Sequential container reading.
-
-type streamReader struct {
-	r   io.Reader
-	off int64
-}
-
-func (sr *streamReader) readFull(n int) ([]byte, error) {
-	buf := make([]byte, n)
-	m, err := io.ReadFull(sr.r, buf)
-	sr.off += int64(m)
-	if err != nil {
-		return nil, corrupt(sr.off, "truncated: wanted %d bytes, got %d", n, m)
-	}
-	return buf, nil
-}
-
-func (sr *streamReader) header() error {
-	b, err := sr.readFull(headerSize)
-	if err != nil {
-		return err
-	}
-	if string(b[:len(headerMagic)]) != headerMagic {
-		return corrupt(0, "bad magic %q", b[:len(headerMagic)])
-	}
-	if v := binary.LittleEndian.Uint16(b[len(headerMagic):]); v != FormatVersion {
-		return corrupt(int64(len(headerMagic)), "format version %d not supported (reader speaks %d)", v, FormatVersion)
-	}
-	return nil
-}
-
-// nextSection reads one CRC-framed section. The payload buffer grows as
-// bytes actually arrive, so a length claim far beyond the real input
-// fails on truncation without a matching allocation.
-func (sr *streamReader) nextSection() (id uint32, payload []byte, base int64, err error) {
-	hdr, err := sr.readFull(secHdrSize)
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	id = binary.LittleEndian.Uint32(hdr)
-	length := binary.LittleEndian.Uint64(hdr[4:])
-	if length > uint64(maxSectionSize) {
-		return 0, nil, 0, corrupt(sr.off-8, "section %s claims %d bytes", sectionName(id), length)
-	}
-	base = sr.off
-	var buf bytes.Buffer
-	m, err := io.CopyN(&buf, sr.r, int64(length))
-	sr.off += m
-	if err != nil {
-		return 0, nil, 0, corrupt(sr.off, "section %s truncated: wanted %d payload bytes, got %d", sectionName(id), length, m)
-	}
-	crcB, err := sr.readFull(crcSize)
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	payload = buf.Bytes()
-	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(crcB); got != want {
-		return 0, nil, 0, corrupt(base, "section %s CRC mismatch: computed %08x, stored %08x", sectionName(id), got, want)
-	}
-	return id, payload, base, nil
-}
-
-func (sr *streamReader) trailer() error {
-	b, err := sr.readFull(trailerSize)
-	if err != nil {
-		return err
-	}
-	if string(b[8:]) != trailerMagic {
-		return corrupt(sr.off-int64(len(trailerMagic)), "bad trailer magic %q", b[8:])
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------
-// Random-access container reading (io.ReaderAt + footer table).
+// Container reading: the footer table, over an io.ReaderAt or bytes
+// already in memory.
 
 type file struct {
-	r      io.ReaderAt
+	r      io.ReaderAt // nil when mem holds the whole file
+	mem    []byte
 	size   int64
 	table  []tableEntry
 	footer tableEntry // the FOOT section, which its own table does not list
 }
 
+// readAt returns the n bytes at off: a sub-slice of an in-memory file,
+// otherwise a heap copy placed by alignedBuf. Either way the address is
+// congruent to off mod 8, given that mem starts on an 8-byte boundary (a
+// mapping starts on a page, readAll's buffer on a word).
 func (f *file) readAt(off int64, n int) ([]byte, error) {
 	if n < 0 || off < 0 || off+int64(n) > f.size {
 		return nil, corrupt(off, "read of %d bytes beyond file size %d", n, f.size)
 	}
-	buf := make([]byte, n)
+	if f.r == nil {
+		return f.mem[off : off+int64(n) : off+int64(n)], nil
+	}
+	buf := alignedBuf(n, off)
 	if _, err := f.r.ReadAt(buf, off); err != nil {
 		return nil, corrupt(off, "read failed: %v", err)
 	}
@@ -221,7 +193,16 @@ func (f *file) readAt(off int64, n int) ([]byte, error) {
 }
 
 func openReaderAt(r io.ReaderAt, size int64) (*file, error) {
-	f := &file{r: r, size: size}
+	return (&file{r: r, size: size}).open()
+}
+
+func openBytes(data []byte) (*file, error) {
+	return (&file{mem: data, size: int64(len(data))}).open()
+}
+
+// open checks the header and trailer and reads the footer table.
+func (f *file) open() (*file, error) {
+	size := f.size
 	if size < int64(headerSize+trailerSize+secHdrSize+crcSize) {
 		return nil, corrupt(0, "file of %d bytes is smaller than any snapshot", size)
 	}

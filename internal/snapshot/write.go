@@ -3,9 +3,13 @@ package snapshot
 import (
 	"bufio"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
+	"math/rand/v2"
 	"os"
+	"path/filepath"
+	"runtime"
 
 	"rdfalign/internal/archive"
 	"rdfalign/internal/rdf"
@@ -42,17 +46,57 @@ func WriteArchiveFile(path string, a *archive.Archive) error {
 	return writeFile(path, func(w io.Writer) error { return WriteArchive(w, a) })
 }
 
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
+// writeFile writes a snapshot to path so that no reader ever sees a
+// partial file: the bytes go to a temporary file in the same directory,
+// which is synced and renamed over path, and then the directory is synced
+// so the rename itself is durable. On failure the temporary file is
+// removed and a previous file at path is left as it was. The rename
+// replaces the directory entry, not the old file's bytes, so a graph
+// mapped from the old file keeps answering.
+func writeFile(path string, write func(io.Writer) error) (err error) {
+	tmp := fmt.Sprintf("%s.tmp-%d", path, rand.Uint64())
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
 	bw := bufio.NewWriterSize(f, 1<<20)
-	err = write(bw)
-	if err == nil {
-		err = bw.Flush()
+	if err = write(bw); err != nil {
+		return err
 	}
-	if cerr := f.Close(); err == nil {
+	if err = bw.Flush(); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir flushes a directory's entries to disk. Windows cannot open a
+// directory for syncing; there the rename is as durable as the file
+// system makes it.
+func syncDir(dir string) error {
+	if runtime.GOOS == "windows" {
+		return nil
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
 		err = cerr
 	}
 	return err

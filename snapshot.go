@@ -32,7 +32,8 @@ var ErrSnapshotCorrupt = snapshot.ErrCorrupt
 // columns are fixed-width, alignment-padded arrays that
 // OpenGraphSnapshotMapped serves zero-copy; OpenSnapshot loads the same
 // file onto the heap. Deterministic: the same graph produces the same
-// bytes.
+// bytes. The file is written under a temporary name and renamed over
+// path, so a failed write leaves a previous file at path intact.
 func WriteGraphSnapshotMappedFile(path string, g *Graph) error {
 	return snapshot.WriteGraphMappedFile(path, g)
 }
@@ -41,9 +42,10 @@ func WriteGraphSnapshotMappedFile(path string, g *Graph) error {
 // columns directly from the mapping: after header and checksum
 // validation, opening costs O(1) heap regardless of graph size, and the
 // kernel pages triples in on demand (and out under memory pressure).
-// Falls back to the heap decoder when the platform lacks mmap or the file
-// is a varint snapshot written by an earlier build, so it is safe to use
-// unconditionally. Close the returned graph to unmap.
+// Reads the file onto the heap instead when the platform lacks mmap or the
+// host is big-endian, and decodes a varint snapshot written by an earlier
+// build onto the heap, so it is safe to use unconditionally. Close the
+// returned graph to unmap.
 func OpenGraphSnapshotMapped(path string) (*Graph, error) {
 	return snapshot.OpenGraphMapped(path)
 }
