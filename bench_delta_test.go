@@ -7,7 +7,7 @@ package rdfalign
 // applies a real edit of the same size without the graph drifting.
 // Regenerate the BENCH_refine.json entries with:
 //
-//	go test -run '^$' -bench 'ApplyDelta|AppendVersion' -benchtime=3x -count=6 .
+//	go test -run '^$' -bench 'ApplyDelta|AppendVersion' -benchtime=3x -count=6 -benchmem .
 
 import (
 	"bytes"
@@ -63,12 +63,14 @@ func deltaCorpus(b *testing.B) (*Graph, *EditScript, *EditScript) {
 // from-scratch re-alignment of the same post-delta pair (the acceptance
 // ratio: maintained must be ≥10× faster). Both sub-benchmarks produce
 // identical alignments — the session property tests assert that bitwise.
+// overlap-maintained is the maintained step under Overlap, whose
+// enrich/propagate rounds run after the hybrid stage.
 func BenchmarkApplyDelta(b *testing.B) {
 	g, fwd, bwd := deltaCorpus(b)
 	ctx := context.Background()
 
-	b.Run("maintained", func(b *testing.B) {
-		al, err := NewAligner(WithMethod(Hybrid))
+	maintained := func(b *testing.B, m Method) {
+		al, err := NewAligner(WithMethod(m))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -96,7 +98,9 @@ func BenchmarkApplyDelta(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	})
+	}
+	b.Run("maintained", func(b *testing.B) { maintained(b, Hybrid) })
+	b.Run("overlap-maintained", func(b *testing.B) { maintained(b, Overlap) })
 
 	b.Run("scratch", func(b *testing.B) {
 		al, err := NewAligner(WithMethod(Hybrid))

@@ -339,7 +339,7 @@ func BenchmarkRefinePropagateWideDeep(b *testing.B) {
 	c := rdf.Union(refineWideDeepGraph(5000, 300), refineWideDeepGraph(5000, 300))
 	benchRefine(b, func(e *core.Engine) error {
 		xi := core.NewWeighted(core.TrivialPartition(c.Graph, core.NewInterner()))
-		_, _, _, err := e.Propagate(c, xi, 0)
+		_, _, err := e.Propagate(c, xi, 0)
 		return err
 	})
 }
@@ -378,7 +378,7 @@ func BenchmarkRefinePropagateGtoPdb(b *testing.B) {
 	c := rdf.Union(d.Graphs[0], d.Graphs[1])
 	benchRefine(b, func(e *core.Engine) error {
 		xi := core.NewWeighted(core.TrivialPartition(c.Graph, core.NewInterner()))
-		_, _, _, err := e.Propagate(c, xi, 0)
+		_, _, err := e.Propagate(c, xi, 0)
 		return err
 	})
 }

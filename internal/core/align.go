@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"sync"
 
 	"rdfalign/internal/rdf"
 )
@@ -22,6 +23,14 @@ type Alignment struct {
 	// W is nil for plain partition alignments.
 	W     []float64
 	Theta float64
+
+	// targets indexes the target nodes by color for MatchesOf and Pairs:
+	// each entry is color<<32 | node, sorted, so one class's target
+	// members form one run in ascending node order. Built on the first
+	// call that needs it, never by the constructors, so an alignment that
+	// is never queried that way pays nothing.
+	targetsOnce sync.Once
+	targets     []uint64
 }
 
 // NewAlignment wraps a partition alignment Align(λ).
@@ -64,38 +73,54 @@ func (a *Alignment) Distance(n1, n2 rdf.NodeID) float64 {
 	return 0
 }
 
+// classTargets returns the run of the target index holding the combined
+// target nodes colored col, ascending, building the index on first use.
+func (a *Alignment) classTargets(col Color) []uint64 {
+	a.targetsOnce.Do(func() {
+		t := make([]uint64, a.C.N2)
+		for i := range t {
+			n := a.C.N1 + i
+			t[i] = uint64(uint32(a.P.colors[n]))<<32 | uint64(n)
+		}
+		slices.Sort(t)
+		a.targets = t
+	})
+	key := uint64(uint32(col)) << 32
+	i, _ := slices.BinarySearch(a.targets, key)
+	j := i
+	for j < len(a.targets) && a.targets[j]&^0xFFFFFFFF == key {
+		j++
+	}
+	return a.targets[i:j]
+}
+
+// appendMatches appends to dst the G2 node IDs aligned with the combined
+// source node cn, ascending.
+func (a *Alignment) appendMatches(dst []rdf.NodeID, cn rdf.NodeID) []rdf.NodeID {
+	for _, e := range a.classTargets(a.P.colors[cn]) {
+		cm := rdf.NodeID(uint32(e))
+		if a.W != nil && OPlus(a.W[cn], a.W[cm]) > a.Theta {
+			continue
+		}
+		dst = append(dst, a.C.ToTarget(cm))
+	}
+	return dst
+}
+
 // MatchesOf returns the sorted G2 node IDs aligned with the G1 node n1.
 func (a *Alignment) MatchesOf(n1 rdf.NodeID) []rdf.NodeID {
-	var out []rdf.NodeID
-	col := a.P.colors[a.C.FromSource(n1)]
-	for i := a.C.N1; i < a.C.N1+a.C.N2; i++ {
-		cm := rdf.NodeID(i)
-		if a.P.colors[cm] != col {
-			continue
-		}
-		if a.W != nil && OPlus(a.W[a.C.FromSource(n1)], a.W[cm]) > a.Theta {
-			continue
-		}
-		out = append(out, a.C.ToTarget(cm))
-	}
-	return out
+	return a.appendMatches(nil, a.C.FromSource(n1))
 }
 
 // Pairs calls f for every aligned pair, in sorted (n1, n2) order. Intended
 // for tests and tools; the pair set can be quadratic in pathological cases.
 func (a *Alignment) Pairs(f func(n1, n2 rdf.NodeID)) {
-	byColor := make(map[Color][]rdf.NodeID)
-	for i := a.C.N1; i < a.C.N1+a.C.N2; i++ {
-		c := a.P.colors[i]
-		byColor[c] = append(byColor[c], rdf.NodeID(i))
-	}
+	var buf []rdf.NodeID
 	for n1 := 0; n1 < a.C.N1; n1++ {
 		cn := rdf.NodeID(n1)
-		for _, cm := range byColor[a.P.colors[cn]] {
-			if a.W != nil && OPlus(a.W[cn], a.W[cm]) > a.Theta {
-				continue
-			}
-			f(cn, a.C.ToTarget(cm))
+		buf = a.appendMatches(buf[:0], cn)
+		for _, n2 := range buf {
+			f(cn, n2)
 		}
 	}
 }
@@ -265,6 +290,6 @@ func AlignedNodes(c *rdf.Combined, p *Partition, onlyURIs bool) AlignedNodeStats
 // SortNodeIDs sorts a node ID slice in place and returns it. Exported for
 // sibling packages that must keep deterministic node orderings.
 func SortNodeIDs(ids []rdf.NodeID) []rdf.NodeID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }

@@ -78,10 +78,11 @@ func TestDepthDeterminismWorkersAndSeeds(t *testing.T) {
 func TestDepthWeightedDeterminism(t *testing.T) {
 	c := rdf.Union(wideDeepTestGraph(256, 30), wideDeepTestGraph(256, 30))
 	for _, k := range depthTestBounds {
-		want, _, _, _ := (&fullRecolor{MaxDepth: k}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
+		want := NewWeighted(TrivialPartition(c.Graph, NewInterner()))
+		(&fullRecolor{MaxDepth: k}).Propagate(c, want, 0)
 		for _, seed := range internTestSeeds {
-			xi := NewWeighted(TrivialPartition(c.Graph, NewInternerSeeded(seed)))
-			out, _, _, err := (&Engine{MaxDepth: k}).Propagate(c, xi, 0)
+			out := NewWeighted(TrivialPartition(c.Graph, NewInternerSeeded(seed)))
+			_, _, err := (&Engine{MaxDepth: k}).Propagate(c, out, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,11 +119,13 @@ func TestDepthLargeBoundEqualsUnbounded(t *testing.T) {
 	}
 
 	c := rdf.Union(wideDeepTestGraph(150, 20), wideDeepTestGraph(150, 20))
-	wExact, wIters, _, err := (&Engine{}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
+	wExact := NewWeighted(TrivialPartition(c.Graph, NewInterner()))
+	wIters, _, err := (&Engine{}).Propagate(c, wExact, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wBounded, wbIters, _, err := (&Engine{MaxDepth: 10_000}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
+	wBounded := NewWeighted(TrivialPartition(c.Graph, NewInterner()))
+	wbIters, _, err := (&Engine{MaxDepth: 10_000}).Propagate(c, wBounded, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,48 +154,51 @@ func (e *Engine) HybridFromDeblank(c *rdf.Combined, deblank *Partition) (*Partit
 //
 //	Propagate(ξ) = BisimRefine*_{UN(ξ)}(Blank(ξ, UN(ξ)))
 //
-// It blanks the colors and zeroes the weights of unaligned non-literal
-// nodes, then runs weighted refinement on exactly those nodes — colors
-// refined as in the unweighted case, weights recomputed with reweight —
-// until the partition and the weights stabilise (max weight change < eps;
-// eps <= 0 selects DefaultEpsilon), so their identity and a confidence
-// weight are rebuilt from their outbound neighbourhoods. It reports one
-// StagePropagate round per iteration and returns the result, the number of
-// steps, and the ascending, deduplicated list of nodes whose color or
-// weight the propagation moved — the initial blank-out plus the worklist's
-// per-round change lists. The list is a superset of the strict
-// input/output difference (a node that changes and reverts stays listed)
-// and a subset of the recolor set, so incremental consumers (the overlap
-// matcher's per-round index) can invalidate exactly the dependents of the
-// listed nodes.
+// It refines xi, which the caller owns, in place: it blanks the colors and
+// zeroes the weights of the unaligned non-literal nodes, then runs weighted
+// refinement on exactly those nodes — colors refined as in the unweighted
+// case, weights recomputed with reweight — until the partition and the
+// weights stabilise (max weight change < eps; eps <= 0 selects
+// DefaultEpsilon), so their identity and a confidence weight are rebuilt
+// from their outbound neighbourhoods. Callers that need the input ξ
+// afterwards propagate a copy. It reports one StagePropagate round per
+// iteration and returns the number of steps and the ascending,
+// deduplicated list of nodes whose color or weight the propagation moved —
+// the initial blank-out plus the worklist's per-round change lists. The
+// list is a superset of the strict input/output difference (a node that
+// changes and reverts stays listed) and a subset of the recolor set, so
+// incremental consumers (the overlap matcher's per-round index) can
+// invalidate exactly the dependents of the listed nodes. On error xi is
+// left partly refined.
 //
 // Weighted recoloring always uses the paper's default outbound
 // characterisation; the engine's Opt does not apply. Weights of the
 // refined nodes start at 0 and only increase during refinement, which
 // guarantees convergence; the iteration cap turns any violation of that
 // contract into an ErrNoFixpoint error.
-func (e *Engine) Propagate(c *rdf.Combined, xi *Weighted, eps float64) (*Weighted, int, []rdf.NodeID, error) {
+func (e *Engine) Propagate(c *rdf.Combined, xi *Weighted, eps float64) (int, []rdf.NodeID, error) {
 	if eps <= 0 {
 		eps = DefaultEpsilon
 	}
 	ws := e.workspace()
 	un := ws.unalignedNonLiterals(c, xi.P)
-	out := BlankOutWeighted(xi, un)
-	// Follow journals all of un, which covers the weights the worklist
-	// moves: it reweights only nodes of its recolor set.
-	ws.Follow(xi.P, out.P, un)
+	// Blank(ξ, UN) in place. Assign journals all of un, which covers the
+	// weights the worklist moves: it reweights only nodes of its recolor
+	// set.
 	ws.tracked.reset(len(xi.W))
 	var tracked []rdf.NodeID
+	blank := xi.P.in.Blank()
 	for _, n := range un {
-		if out.P.colors[n] != xi.P.colors[n] || out.W[n] != xi.W[n] {
+		if xi.P.colors[n] != blank || xi.W[n] != 0 {
 			ws.tracked.add(int(n))
 			tracked = append(tracked, n)
 		}
+		ws.Assign(xi, n, blank, 0)
 	}
-	iters, err := e.worklist(ws, c.Graph, out.P, out.W, un, eps, &tracked)
+	iters, err := e.worklist(ws, c.Graph, xi.P, xi.W, un, eps, &tracked)
 	if err != nil {
-		return nil, 0, nil, err
+		return 0, nil, err
 	}
 	slices.Sort(tracked)
-	return out, iters, tracked, nil
+	return iters, tracked, nil
 }

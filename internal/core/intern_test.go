@@ -78,8 +78,8 @@ func TestInternDeterminismWeighted(t *testing.T) {
 	var want *Weighted
 	for _, seed := range internTestSeeds {
 		in := NewInternerSeeded(seed)
-		xi := NewWeighted(TrivialPartition(c.Graph, in))
-		out, _, _, err := (&Engine{}).Propagate(c, xi, 0)
+		out := NewWeighted(TrivialPartition(c.Graph, in))
+		_, _, err := (&Engine{}).Propagate(c, out, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

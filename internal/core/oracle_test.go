@@ -58,6 +58,24 @@ func RefineWeightedStep(g *rdf.Graph, xi *Weighted, x []rdf.NodeID) *Weighted {
 	return out
 }
 
+// Clone returns a deep copy sharing the interner: tests that run one
+// weighted partition through several in-place steps copy it first.
+func (xi *Weighted) Clone() *Weighted {
+	return &Weighted{P: xi.P.Clone(), W: slices.Clone(xi.W)}
+}
+
+// BlankOutWeighted extends Blank(ξ, X) to weighted partitions (§4.5): a
+// copy of xi in which the nodes of x carry the neutral blank color and
+// weight 0. Engine.Propagate blanks in place; this is the reference form.
+func BlankOutWeighted(xi *Weighted, x []rdf.NodeID) *Weighted {
+	out := xi.Clone()
+	for _, n := range x {
+		out.P.colors[n] = xi.P.in.Blank()
+		out.W[n] = 0
+	}
+	return out
+}
+
 // refiner is the fixpoint surface shared by Engine and the fullRecolor
 // oracle, so tests can run one workload through both.
 type refiner interface {
@@ -65,7 +83,7 @@ type refiner interface {
 	Bisim(g *rdf.Graph, in *Interner) (*Partition, int, error)
 	Deblank(g *rdf.Graph, in *Interner) (*Partition, int, error)
 	Hybrid(c *rdf.Combined, in *Interner) (*Partition, int, error)
-	Propagate(c *rdf.Combined, xi *Weighted, eps float64) (*Weighted, int, []rdf.NodeID, error)
+	Propagate(c *rdf.Combined, xi *Weighted, eps float64) (int, []rdf.NodeID, error)
 }
 
 // fullRecolor is the full-recolor reference engine: every round recolors
@@ -124,17 +142,19 @@ func (f *fullRecolor) Hybrid(c *rdf.Combined, in *Interner) (*Partition, int, er
 
 // Propagate blanks the unaligned non-literals of ξ and iterates
 // RefineWeightedStep on them until the partition is grouping-equivalent and
-// no weight moved by eps or more, returning the last (applied) step. The
-// oracle tracks no change list; it returns nil in its place.
-func (f *fullRecolor) Propagate(c *rdf.Combined, xi *Weighted, eps float64) (*Weighted, int, []rdf.NodeID, error) {
+// no weight moved by eps or more, and writes the last (applied) step into
+// xi, like Engine.Propagate. The oracle tracks no change list; it returns
+// nil in its place.
+func (f *fullRecolor) Propagate(c *rdf.Combined, xi *Weighted, eps float64) (int, []rdf.NodeID, error) {
 	if eps <= 0 {
 		eps = DefaultEpsilon
 	}
 	un := UnalignedNonLiterals(c, xi.P)
 	cur := BlankOutWeighted(xi, un)
-	for iter := 0; ; iter++ {
+	iter := 0
+	for ; ; iter++ {
 		if f.MaxDepth > 0 && iter >= f.MaxDepth {
-			return cur, iter, nil, nil
+			break
 		}
 		if iter > DefaultMaxIterations {
 			panic(fmt.Sprintf("core: reference Propagate did not stabilise after %d iterations", iter))
@@ -144,11 +164,16 @@ func (f *fullRecolor) Propagate(c *rdf.Combined, xi *Weighted, eps float64) (*We
 		for _, n := range un {
 			maxDelta = math.Max(maxDelta, math.Abs(next.W[n]-cur.W[n]))
 		}
-		if maxDelta < eps && equivalentColors(cur.P.colors, next.P.colors) {
-			return next, iter + 1, nil, nil
-		}
+		stop := maxDelta < eps && equivalentColors(cur.P.colors, next.P.colors)
 		cur = next
+		if stop {
+			iter++
+			break
+		}
 	}
+	copy(xi.P.colors, cur.P.colors)
+	copy(xi.W, cur.W)
+	return iter, nil, nil
 }
 
 // NaiveKBisimulation computes the depth-bounded k-bisimulation relation:

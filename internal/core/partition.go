@@ -62,9 +62,6 @@ func (p *Partition) Color(n rdf.NodeID) Color { return p.colors[n] }
 // consumers diff two partitions in O(N) without per-node method calls.
 func (p *Partition) Colors() []Color { return p.colors }
 
-// SetColor recolors a single node. Use on partitions you own.
-func (p *Partition) SetColor(n rdf.NodeID, c Color) { p.colors[n] = c }
-
 // Clone returns a deep copy sharing the interner. The copy's color array
 // comes from the interner's storage backend, like the originals from
 // LabelPartition and TrivialPartition.

@@ -93,7 +93,7 @@ func TestEquivalentDetectsRecoloring(t *testing.T) {
 		c0 := merged.Color(0)
 		for i := 0; i < merged.Len(); i++ {
 			if merged.Color(rdf.NodeID(i)) != c0 {
-				merged.SetColor(rdf.NodeID(i), c0)
+				merged.colors[i] = c0
 				break
 			}
 		}

@@ -32,8 +32,9 @@ func TestPropagateChangedSoundAndExact(t *testing.T) {
 			base.W[i] = float64(r.Intn(10)) / 20
 		}
 		for _, e := range engines {
-			want, wantIters, _, _ := (&fullRecolor{MaxDepth: e.eng.MaxDepth}).Propagate(c, base, 0)
-			got, gotIters, changed, err := e.eng.Propagate(c, base, 0)
+			want, got := base.Clone(), base.Clone()
+			wantIters, _, _ := (&fullRecolor{MaxDepth: e.eng.MaxDepth}).Propagate(c, want, 0)
+			gotIters, changed, err := e.eng.Propagate(c, got, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -44,7 +44,8 @@ func TestDeblankOutOfCoreIdentity(t *testing.T) {
 			t.Fatalf("trial %d: in-memory deblank: %v", trial, err)
 		}
 		c := rdf.Union(g, randomGraph(rw, "ooc2", 3+rw.Intn(5), 1+rw.Intn(8), 1+rw.Intn(3), 5+rw.Intn(40)))
-		wantXi, wantWIters, _, err := (&Engine{}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
+		wantXi := NewWeighted(TrivialPartition(c.Graph, NewInterner()))
+		wantWIters, _, err := (&Engine{}).Propagate(c, wantXi, 0)
 		if err != nil {
 			t.Fatalf("trial %d: in-memory propagate: %v", trial, err)
 		}
@@ -73,7 +74,8 @@ func TestDeblankOutOfCoreIdentity(t *testing.T) {
 				}
 
 				in, st = newTestDiskInterner(t, seed)
-				xi, wIters, _, err := (&Engine{}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, in)), 0)
+				xi := NewWeighted(TrivialPartition(c.Graph, in))
+				wIters, _, err := (&Engine{}).Propagate(c, xi, 0)
 				if err != nil {
 					t.Fatalf("trial %d %s: propagate: %v", trial, v.name, err)
 				}

@@ -34,13 +34,6 @@ func NewWeighted(p *Partition) *Weighted {
 	return &Weighted{P: p, W: make([]float64, p.Len())}
 }
 
-// Clone returns a deep copy sharing the interner.
-func (xi *Weighted) Clone() *Weighted {
-	w := make([]float64, len(xi.W))
-	copy(w, xi.W)
-	return &Weighted{P: xi.P.Clone(), W: w}
-}
-
 // Distance is the node distance function σ_ξ induced by the weighted
 // partition (§4.3 equation 5): ω(n) ⊕ ω(m) when the nodes share a cluster,
 // and 1 otherwise.
@@ -49,17 +42,6 @@ func (xi *Weighted) Distance(n, m rdf.NodeID) float64 {
 		return 1
 	}
 	return OPlus(xi.W[n], xi.W[m])
-}
-
-// BlankOutWeighted extends Blank(ξ, X) to weighted partitions (§4.5): nodes
-// in x get the neutral blank color and weight 0.
-func BlankOutWeighted(xi *Weighted, x []rdf.NodeID) *Weighted {
-	out := xi.Clone()
-	for _, n := range x {
-		out.P.colors[n] = xi.P.in.Blank()
-		out.W[n] = 0
-	}
-	return out
 }
 
 // reweight computes reweight_ω(n) (§4.5):

@@ -81,9 +81,11 @@ func TestPropagateIdentity(t *testing.T) {
 		in := NewInterner()
 		hybrid, _, _ := (&Engine{}).Hybrid(c, in)
 
-		fromTrivial, _, _, _ := (&Engine{}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, in)), 0)
+		fromTrivial := NewWeighted(TrivialPartition(c.Graph, in))
+		(&Engine{}).Propagate(c, fromTrivial, 0)
 		dp, _, _ := (&Engine{}).Deblank(c.Graph, in)
-		fromDeblank, _, _, _ := (&Engine{}).Propagate(c, NewWeighted(dp), 0)
+		fromDeblank := NewWeighted(dp)
+		(&Engine{}).Propagate(c, fromDeblank, 0)
 
 		if !Equivalent(fromTrivial.P, hybrid) {
 			t.Error("Propagate((λTrivial,0)) is not equivalent to λHybrid")
@@ -163,7 +165,8 @@ func TestRefineWeightedConverges(t *testing.T) {
 		}
 	}
 	un := UnalignedNonLiterals(c, xi.P)
-	res, iters, _, _ := (&Engine{}).Propagate(c, xi, 1e-9)
+	res := xi
+	iters, _, _ := (&Engine{}).Propagate(c, res, 1e-9)
 	if iters <= 0 {
 		t.Error("Propagate should report at least one iteration")
 	}

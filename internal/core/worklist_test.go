@@ -118,7 +118,8 @@ func TestWorklistWeightedIdentical(t *testing.T) {
 		c := randomCombined(r)
 		run := func(e refiner) (*Weighted, int) {
 			in := NewInterner()
-			xi, it, _, err := e.Propagate(c, NewWeighted(TrivialPartition(c.Graph, in)), 0)
+			xi := NewWeighted(TrivialPartition(c.Graph, in))
+			it, _, err := e.Propagate(c, xi, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,7 +211,7 @@ func TestWorklistCancellationMidRun(t *testing.T) {
 	cancel2()
 	eng2 := &Engine{Hooks: Hooks{Ctx: ctx2}}
 	c := rdf.Union(g, g)
-	_, _, _, err = eng2.Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
+	_, _, err = eng2.Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("weighted err = %v, want context.Canceled", err)
 	}
@@ -403,7 +404,7 @@ func TestWorklistNoFixpoint(t *testing.T) {
 func TestWeightedWorklistNoFixpoint(t *testing.T) {
 	c := rdf.Union(blankChain(t, 20), blankChain(t, 20))
 	propagate := func() error {
-		_, _, _, err := (&Engine{}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
+		_, _, err := (&Engine{}).Propagate(c, NewWeighted(TrivialPartition(c.Graph, NewInterner())), 0)
 		return err
 	}
 	requireNoFixpoint(t, StagePropagate, propagate)

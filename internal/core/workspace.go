@@ -18,12 +18,15 @@ import (
 //
 // The class index holds, for every color, the class's source and target
 // member counts and its members (an intrusive list), plus an unaligned
-// bitmap over the nodes. Every step that recolors feeds it — BlankOut and
-// BlankOutWeighted through Follow, each applied worklist round, Enrich's
-// assignments through Follow — so Unaligned reads Unaligned(λ) in
-// O(changes + |Unaligned|) plus one word per 64 nodes (the first listing
-// after a rebuild builds the bitmap in one O(N) pass), and the worklist
-// reads class sizes from it instead of recounting colors.
+// bitmap over the nodes. Every step that recolors feeds it — the hybrid
+// BlankOut through Follow, each applied worklist round, and the in-place
+// writes of Propagate's blank-out and Enrich's assignments through Assign
+// — so Unaligned reads Unaligned(λ) in O(changes + |Unaligned|) plus one
+// word per 64 nodes (the first listing after a rebuild builds the bitmap
+// in one O(N) pass), and the worklist reads class sizes from it instead of
+// recounting colors. The overlap loop refines one weighted partition in
+// place across its rounds, so after the one copy of the hybrid partition
+// it starts from, a round costs the nodes it writes.
 //
 // The index follows exactly one partition, by pointer. A query or a run on
 // any other partition rebuilds it with one O(N) pass, so a Workspace is
@@ -151,6 +154,18 @@ func (ws *Workspace) Follow(from, to *Partition, changed []rdf.NodeID) {
 		ix.move(n, from.colors[n], to.colors[n])
 	}
 	ix.p = to
+}
+
+// Assign sets node n of xi, a weighted partition its caller owns, to color
+// c and weight w in place. When the class index follows xi.P, n is
+// re-indexed and journaled like a node an applied worklist round moves;
+// otherwise the next use on xi.P rebuilds the index.
+func (ws *Workspace) Assign(xi *Weighted, n rdf.NodeID, c Color, w float64) {
+	if ix := &ws.ix; ix.valid && ix.p == xi.P {
+		ix.move(n, xi.P.colors[n], c)
+	}
+	xi.P.colors[n] = c
+	xi.W[n] = w
 }
 
 // Unaligned returns the unaligned nodes of p over c per side, ascending:

@@ -60,10 +60,10 @@ func checkIndex(t *testing.T, label string, ws *Workspace, c *rdf.Combined, p *P
 }
 
 // enrichLike mimics similarity.Enrich on the unaligned non-literals: it
-// clusters a few random source/target pairs under fresh colors with random
-// weights and returns the new ξ and the nodes it assigned.
-func enrichLike(r *rand.Rand, ws *Workspace, c *rdf.Combined, xi *Weighted) (*Weighted, []rdf.NodeID) {
-	out := xi.Clone()
+// clusters a few random source/target pairs of xi under fresh colors with
+// random weights, in place through Assign, and returns the nodes it
+// assigned.
+func enrichLike(r *rand.Rand, ws *Workspace, c *rdf.Combined, xi *Weighted) []rdf.NodeID {
 	a, b := ws.Unaligned(c, xi.P, false)
 	var changed []rdf.NodeID
 	for i := 0; i < 3 && len(a) > 0 && len(b) > 0; i++ {
@@ -73,12 +73,11 @@ func enrichLike(r *rand.Rand, ws *Workspace, c *rdf.Combined, xi *Weighted) (*We
 			if !slices.Contains(changed, k) {
 				changed = append(changed, k)
 			}
-			out.P.colors[k] = col
-			out.W[k] = float64(r.Intn(5)) / 10
+			ws.Assign(xi, k, col, float64(r.Intn(5))/10)
 		}
 	}
 	slices.Sort(changed)
-	return out, changed
+	return changed
 }
 
 // TestWorkspaceIndexFollowsChains drives random Hybrid → Enrich →
@@ -113,15 +112,12 @@ func TestWorkspaceIndexFollowsChains(t *testing.T) {
 		xi := NewWeighted(hybrid.Clone())
 		ws.Follow(hybrid, xi.P, nil)
 		for round := 0; round < 4; round++ {
-			enriched, changed := enrichLike(r, ws, c, xi)
-			ws.Follow(xi.P, enriched.P, changed)
-			checkIndex(t, "enrich", ws, c, enriched.P)
-			next, _, _, err := eng.Propagate(c, enriched, 0)
-			if err != nil {
+			enrichLike(r, ws, c, xi)
+			checkIndex(t, "enrich", ws, c, xi.P)
+			if _, _, err := eng.Propagate(c, xi, 0); err != nil {
 				t.Fatal(err)
 			}
-			checkIndex(t, "propagate", ws, c, next.P)
-			xi = next
+			checkIndex(t, "propagate", ws, c, xi.P)
 		}
 
 		// The next version: the target gains triples on URI subjects, some
@@ -274,8 +270,8 @@ func TestWorkspaceStampWrap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			xi, _, _, err := eng.Propagate(c, NewWeighted(hybrid), 0)
-			if err != nil {
+			xi := NewWeighted(hybrid)
+			if _, _, err := eng.Propagate(c, xi, 0); err != nil {
 				t.Fatal(err)
 			}
 			return xi.P.colors

@@ -386,7 +386,7 @@ func TestEdgeColumnsAgree(t *testing.T) {
 
 				c := rdf.Union(heap2, base)
 				c.Dependents(0)
-				rc := rdf.RebaseUnion(c, res.Graph, res.Added, res.Removed)
+				rc := rdf.RebaseUnion(c, res)
 				requireEdgeColumns(t, what+" RebaseUnion", rc.Graph, unionRef(ref2, ec.after))
 			}
 		}

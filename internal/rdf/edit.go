@@ -16,7 +16,9 @@ package rdf
 // term resolution O(1) per operation rather than O(|N|) per edit.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -293,12 +295,13 @@ func (e *Editor) Apply(ops []EditOp) (*EditResult, error) {
 	}
 	added := sortedTripleSet(addSet)
 	removed := sortedTripleSet(delSet)
+	touched := touchedSubjects(added, removed)
 	res := &EditResult{
-		Graph:       patchedGraph(g, g.name, labels, added, removed),
+		Graph:       patchedGraph(g, g.name, labels, added, removed, touched),
 		OldNumNodes: g.NumNodes(),
 		Added:       added,
 		Removed:     removed,
-		Touched:     touchedSubjects(added, removed),
+		Touched:     touched,
 		prev:        g,
 		newURIs:     newURIs,
 		newLits:     newLits,
@@ -368,15 +371,15 @@ func hasTriple(g *Graph, t Triple) bool {
 	return i < len(run) && run[i] == e
 }
 
-// tripleLess is the (S, P, O) order all triple lists are sorted by.
-func tripleLess(a, b Triple) bool {
-	if a.S != b.S {
-		return a.S < b.S
+// compareTriples is the (S, P, O) order all triple lists are sorted by.
+func compareTriples(a, b Triple) int {
+	if c := cmp.Compare(a.S, b.S); c != 0 {
+		return c
 	}
-	if a.P != b.P {
-		return a.P < b.P
+	if c := cmp.Compare(a.P, b.P); c != 0 {
+		return c
 	}
-	return a.O < b.O
+	return cmp.Compare(a.O, b.O)
 }
 
 func sortedTripleSet(set map[Triple]struct{}) []Triple {
@@ -387,29 +390,29 @@ func sortedTripleSet(set map[Triple]struct{}) []Triple {
 	for t := range set {
 		out = append(out, t)
 	}
-	sort.Slice(out, func(i, j int) bool { return tripleLess(out[i], out[j]) })
+	slices.SortFunc(out, compareTriples)
 	return out
 }
 
-// touchedSubjects returns the sorted, deduplicated subjects of both change
-// lists.
+// touchedSubjects returns the subjects of both change lists, ascending and
+// deduplicated. Each list is sorted by subject, so one merge suffices.
 func touchedSubjects(added, removed []Triple) []NodeID {
 	out := make([]NodeID, 0, len(added)+len(removed))
-	for _, t := range added {
-		out = append(out, t.S)
-	}
-	for _, t := range removed {
-		out = append(out, t.S)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	dedup := out[:0]
-	for i, n := range out {
-		if i > 0 && n == out[i-1] {
-			continue
+	ai, ri := 0, 0
+	for ai < len(added) || ri < len(removed) {
+		var s NodeID
+		if ri == len(removed) || (ai < len(added) && added[ai].S <= removed[ri].S) {
+			s = added[ai].S
+			ai++
+		} else {
+			s = removed[ri].S
+			ri++
 		}
-		dedup = append(dedup, n)
+		if len(out) == 0 || out[len(out)-1] != s {
+			out = append(out, s)
+		}
 	}
-	return dedup
+	return out
 }
 
 // mergeEdits produces base \ removed ∪ added as a fresh sorted slice.
@@ -425,12 +428,12 @@ func mergeEdits(base, added, removed []Triple) []Triple {
 	for ai < len(added) || ri < len(removed) {
 		var ev Triple
 		isAdd := false
-		if ri == len(removed) || (ai < len(added) && tripleLess(added[ai], removed[ri])) {
+		if ri == len(removed) || (ai < len(added) && compareTriples(added[ai], removed[ri]) < 0) {
 			ev, isAdd = added[ai], true
 		} else {
 			ev = removed[ri]
 		}
-		j := bi + sort.Search(len(base)-bi, func(k int) bool { return !tripleLess(base[bi+k], ev) })
+		j := bi + sort.Search(len(base)-bi, func(k int) bool { return compareTriples(base[bi+k], ev) >= 0 })
 		out = append(out, base[bi:j]...)
 		bi = j
 		if isAdd {
@@ -446,13 +449,14 @@ func mergeEdits(base, added, removed []Triple) []Triple {
 }
 
 // RebaseUnion rebuilds a combined graph after its target side advanced from
-// c.TargetGraph() to g2 under an edit (Editor.Apply): node IDs of g2 extend
-// the old target's, added and removed are the edit's target-graph triple
-// changes, each sorted by (S, P, O). The result is identical — labels,
-// triples, node IDs — to Union(c.SourceGraph(), g2), but costs a linear
-// merge instead of a full sort: every existing union node keeps its ID, and
-// g2's new nodes take the IDs following the old union's.
-func RebaseUnion(c *Combined, g2 *Graph, added, removed []Triple) *Combined {
+// c.TargetGraph() to res.Graph under the edit res (Editor.Apply): node IDs
+// of the edited graph extend the old target's. The result is identical —
+// labels, triples, node IDs — to Union(c.SourceGraph(), res.Graph), but
+// costs a linear merge instead of a full sort: every existing union node
+// keeps its ID, and the edited graph's new nodes take the IDs following the
+// old union's.
+func RebaseUnion(c *Combined, res *EditResult) *Combined {
+	g2 := res.Graph
 	off := NodeID(c.N1)
 	labels := c.Graph.labelsAll()
 	if g2.NumNodes() > c.N2 {
@@ -465,9 +469,13 @@ func RebaseUnion(c *Combined, g2 *Graph, added, removed []Triple) *Combined {
 		}
 		return out
 	}
+	touched := make([]NodeID, len(res.Touched))
+	for i, s := range res.Touched {
+		touched[i] = s + off
+	}
 	name := c.g1.name + "⊎" + g2.name
 	return &Combined{
-		Graph: patchedGraph(c.Graph, name, labels, shift(added), shift(removed)),
+		Graph: patchedGraph(c.Graph, name, labels, shift(res.Added), shift(res.Removed), touched),
 		N1:    c.N1,
 		N2:    g2.NumNodes(),
 		g1:    c.g1,

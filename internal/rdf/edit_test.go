@@ -218,7 +218,7 @@ func TestRebaseUnion(t *testing.T) {
 			continue
 		}
 
-		got := RebaseUnion(c, res.Graph, res.Added, res.Removed)
+		got := RebaseUnion(c, res)
 		want := Union(g1, res.Graph)
 		if got.N1 != want.N1 || got.N2 != want.N2 {
 			t.Fatalf("trial %d: N1/N2 = %d/%d, want %d/%d", trial, got.N1, got.N2, want.N1, want.N2)

@@ -34,13 +34,14 @@ const patchDenseFactor = 25
 
 // patchedGraph builds the graph equal to rebuiltGraph's, choosing between
 // the full rebuild and the index splice by edit density. labels must extend
-// old's labels (nodes are only ever appended), and added/removed must
-// satisfy mergeEdits' preconditions.
-func patchedGraph(old *Graph, name string, labels []Label, added, removed []Triple) *Graph {
+// old's labels (nodes are only ever appended), added/removed must satisfy
+// mergeEdits' preconditions, and touched must be their subjects
+// (touchedSubjects).
+func patchedGraph(old *Graph, name string, labels []Label, added, removed []Triple, touched []NodeID) *Graph {
 	if patchDenseFactor*(len(added)+len(removed)) >= old.NumTriples()+len(added) {
 		return rebuiltGraph(old, name, labels, added, removed)
 	}
-	return splicedGraph(old, name, labels, added, removed)
+	return splicedGraph(old, name, labels, added, removed, touched)
 }
 
 // rebuiltGraph is the dense path of patchedGraph: it lists old's triples
@@ -50,7 +51,7 @@ func rebuiltGraph(old *Graph, name string, labels []Label, added, removed []Trip
 }
 
 // splicedGraph is the splice path of patchedGraph, unconditionally.
-func splicedGraph(old *Graph, name string, labels []Label, added, removed []Triple) *Graph {
+func splicedGraph(old *Graph, name string, labels []Label, added, removed []Triple, touched []NodeID) *Graph {
 	g := &Graph{
 		name:   name,
 		nnodes: len(labels),
@@ -66,14 +67,14 @@ func splicedGraph(old *Graph, name string, labels []Label, added, removed []Trip
 			g.lits++
 		}
 	}
-	patchOut(g, old, added, removed)
+	patchOut(g, old, added, removed, touched)
 	patchDependents(g, old, added, removed)
 	return g
 }
 
 // patchOut builds g's out-CSR by splicing old's: block copies for untouched
 // subjects, a three-way sorted merge for each touched one.
-func patchOut(g, old *Graph, added, removed []Triple) {
+func patchOut(g, old *Graph, added, removed []Triple, touched []NodeID) {
 	n := g.NumNodes()
 	nOld := old.NumNodes()
 	idx := make([]int32, n+1)
@@ -103,7 +104,7 @@ func patchOut(g, old *Graph, added, removed []Triple) {
 	}
 	var addRun, remRun []Edge
 	ai, ri := 0, 0
-	for _, u := range touchedSubjects(added, removed) {
+	for _, u := range touched {
 		flush(int(u))
 		addRun, remRun = addRun[:0], remRun[:0]
 		for ai < len(added) && added[ai].S == u {

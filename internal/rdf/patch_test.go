@@ -135,7 +135,7 @@ func TestSplicedGraphMatchesRebuild(t *testing.T) {
 
 		// Splice without a prebuilt dependents index: it must stay lazy and
 		// still build correctly on demand.
-		got := splicedGraph(base, "base", labels, added, removed)
+		got := splicedGraph(base, "base", labels, added, removed, touchedSubjects(added, removed))
 		requireSameGraph(t, got, want)
 		if got.depIndex != nil {
 			t.Fatalf("seed %d: dependents spliced although base never built them", seed)
@@ -149,7 +149,7 @@ func TestSplicedGraphMatchesRebuild(t *testing.T) {
 		// Splice with the base index built: the patched index must equal the
 		// from-scratch build without being rebuilt.
 		base.Dependents(0)
-		got2 := splicedGraph(base, "base", labels, added, removed)
+		got2 := splicedGraph(base, "base", labels, added, removed, touchedSubjects(added, removed))
 		requireSameGraph(t, got2, want)
 		if got2.depIndex == nil {
 			t.Fatalf("seed %d: dependents not spliced although base built them", seed)
@@ -236,7 +236,9 @@ func BenchmarkPatchDensity(b *testing.B) {
 		for _, path := range []struct {
 			name string
 			fn   func(*Graph, string, []Label, []Triple, []Triple) *Graph
-		}{{"splice", splicedGraph}, {"rebuild", rebuiltGraph}} {
+		}{{"splice", func(old *Graph, name string, labels []Label, added, removed []Triple) *Graph {
+			return splicedGraph(old, name, labels, added, removed, touchedSubjects(added, removed))
+		}}, {"rebuild", rebuiltGraph}} {
 			b.Run("churn="+churn.name+"/"+path.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

@@ -88,9 +88,11 @@ type head struct {
 	versionsOnce sync.Once
 	versionInfos []VersionInfo
 
-	uriOnce   sync.Once
-	anchorURI map[string]rdfalign.NodeID
-	latestURI map[string]rdfalign.NodeID
+	// anchorURI and latestURI index the URIs of anchor and latest. A head
+	// whose anchor or latest is the previous head's graph shares that
+	// head's index, and the append jobs build latestURI before they
+	// publish, so queries after a publish find both built.
+	anchorURI, latestURI *uriIndex
 
 	// depthAligns caches the k-bounded alignments of the head's pair, one
 	// per queried depth. Heads are immutable, so the cache never needs
@@ -135,39 +137,57 @@ func (h *head) VersionInfos() []VersionInfo {
 	return h.versionInfos
 }
 
-// buildURIIndexes indexes URI labels of the aligned pair's graphs;
-// Graph.FindURI is a linear scan, far too slow for the query path.
-func (h *head) buildURIIndexes() {
-	h.uriOnce.Do(func() {
-		index := func(g *rdfalign.Graph) map[string]rdfalign.NodeID {
-			if g == nil {
-				return nil
-			}
-			m := make(map[string]rdfalign.NodeID, g.NumURIs())
-			g.Nodes(func(n rdfalign.NodeID) {
-				if g.IsURI(n) {
-					m[g.Label(n).Value] = n
-				}
-			})
-			return m
+// uriIndex maps the URI labels of one graph to their nodes, built once on
+// first use; Graph.FindURI is a linear scan, far too slow for the query
+// path. A nil graph indexes nothing.
+type uriIndex struct {
+	g    *rdfalign.Graph
+	once sync.Once
+	m    map[string]rdfalign.NodeID
+}
+
+// build indexes the graph unless an earlier call did.
+func (x *uriIndex) build() {
+	x.once.Do(func() {
+		if x.g == nil {
+			return
 		}
-		h.anchorURI = index(h.anchor)
-		h.latestURI = index(h.latest)
+		x.m = make(map[string]rdfalign.NodeID, x.g.NumURIs())
+		x.g.Nodes(func(n rdfalign.NodeID) {
+			if x.g.IsURI(n) {
+				x.m[x.g.Label(n).Value] = n
+			}
+		})
 	})
+}
+
+func (x *uriIndex) find(uri string) (rdfalign.NodeID, bool) {
+	x.build()
+	n, ok := x.m[uri]
+	return n, ok
+}
+
+// uriIndexFor returns prev's index of g when prev, the head published
+// before this one, indexes that same graph, and a new one otherwise.
+func uriIndexFor(prev *head, g *rdfalign.Graph) *uriIndex {
+	if prev != nil && g != nil {
+		for _, x := range [...]*uriIndex{prev.anchorURI, prev.latestURI} {
+			if x.g == g {
+				return x
+			}
+		}
+	}
+	return &uriIndex{g: g}
 }
 
 // findAnchor resolves a URI in the alignment's source (anchor) graph.
 func (h *head) findAnchor(uri string) (rdfalign.NodeID, bool) {
-	h.buildURIIndexes()
-	n, ok := h.anchorURI[uri]
-	return n, ok
+	return h.anchorURI.find(uri)
 }
 
 // findLatest resolves a URI in the alignment's target (newest) graph.
 func (h *head) findLatest(uri string) (rdfalign.NodeID, bool) {
-	h.buildURIIndexes()
-	n, ok := h.latestURI[uri]
-	return n, ok
+	return h.latestURI.find(uri)
 }
 
 // alignAt returns the head's alignment at the given depth bound: depth <= 0
@@ -319,8 +339,10 @@ func (r *Registry) entry(name string) (*entry, error) {
 
 // newHead assembles and caches the derived-state shell around an archive
 // state. al is the entry's aligner, kept for depth-bounded query-path
-// alignments. Callers publish the result with entry.head.Store.
-func newHead(al *rdfalign.Aligner, arch *archive.Archive, anchorVersion int, anchor, latest *rdfalign.Graph, align *rdfalign.Alignment) *head {
+// alignments; prev is the head this one succeeds (nil for none), whose URI
+// indexes it shares where the graphs are the same. Callers publish the
+// result with entry.head.Store.
+func newHead(al *rdfalign.Aligner, arch *archive.Archive, anchorVersion int, anchor, latest *rdfalign.Graph, align *rdfalign.Alignment, prev *head) *head {
 	v := arch.Versions()
 	return &head{
 		arch:          arch,
@@ -330,6 +352,8 @@ func newHead(al *rdfalign.Aligner, arch *archive.Archive, anchorVersion int, anc
 		latest:        latest,
 		align:         align,
 		version:       v,
+		anchorURI:     uriIndexFor(prev, anchor),
+		latestURI:     uriIndexFor(prev, latest),
 		entOnce:       make([]sync.Once, v),
 		entIdx:        make([]map[string]archive.EntityID, v),
 	}
@@ -369,7 +393,7 @@ func (r *Registry) Create(ctx context.Context, name string, arch *archive.Archiv
 			return fmt.Errorf("server: align %q head pair: %w", name, err)
 		}
 	}
-	e.head.Store(newHead(eal, arch, anchorVersion, anchor, latest, align))
+	e.head.Store(newHead(eal, arch, anchorVersion, anchor, latest, align, nil))
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -409,7 +433,8 @@ func (e *entry) appendVersion(ctx context.Context, cur *head, g *rdfalign.Graph)
 	if _, err := e.al.AppendVersion(ctx, arch2, g, nil); err != nil {
 		return nil, err
 	}
-	h := newHead(e.al, arch2, cur.version-1, cur.latest, g, align)
+	h := newHead(e.al, arch2, cur.version-1, cur.latest, g, align, cur)
+	h.latestURI.build()
 	e.head.Store(h)
 	return h, nil
 }
@@ -464,7 +489,8 @@ func (r *Registry) AppendDelta(ctx context.Context, name string, captured *head,
 	if _, err := e.al.AppendVersion(ctx, arch2, a2.Target(), nil); err != nil {
 		return nil, err
 	}
-	h := newHead(e.al, arch2, captured.anchorVersion, captured.anchor, a2.Target(), a2)
+	h := newHead(e.al, arch2, captured.anchorVersion, captured.anchor, a2.Target(), a2, cur)
+	h.latestURI.build()
 	e.head.Store(h)
 	return h, nil
 }

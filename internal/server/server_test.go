@@ -493,3 +493,52 @@ func TestServerUploadLimit(t *testing.T) {
 		t.Fatalf("in-limit PUT: status %d (body %q)", w.Code, w.Body.String())
 	}
 }
+
+// TestHeadURIIndexes: a published head shares its URI indexes with the
+// head before it wherever the graph is the same one — a delta keeps the
+// anchor, a new version re-anchors at the previous latest graph — and the
+// append jobs build the latest graph's index before they publish.
+func TestHeadURIIndexes(t *testing.T) {
+	s := newTestServer(t, Config{})
+	if w := do(t, s, "PUT", "/archives/c", triplesV0, nil); w.Code != 201 {
+		t.Fatalf("PUT: %d %s", w.Code, w.Body)
+	}
+	e, err := s.Registry().entry("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job JobInfo
+	do(t, s, "POST", "/archives/c/versions", triplesV1, &job)
+	if info := waitJob(t, s, job.ID); info.State != JobDone {
+		t.Fatalf("version job: %+v", info)
+	}
+	h1 := e.head.Load()
+	do(t, s, "POST", "/archives/c/deltas", deltaV2, &job)
+	if info := waitJob(t, s, job.ID); info.State != JobDone {
+		t.Fatalf("delta job: %+v", info)
+	}
+	h2 := e.head.Load()
+	if h2.anchor != h1.anchor || h2.anchorURI != h1.anchorURI {
+		t.Error("a delta's head does not share the anchor's URI index")
+	}
+	if h2.latestURI.m == nil {
+		t.Error("the delta job published a head whose latest URI index is not built")
+	}
+	do(t, s, "POST", "/archives/c/versions", triplesV0, &job)
+	if info := waitJob(t, s, job.ID); info.State != JobDone {
+		t.Fatalf("second version job: %+v", info)
+	}
+	h3 := e.head.Load()
+	if h3.anchor != h2.latest || h3.anchorURI != h2.latestURI {
+		t.Error("a new version's head does not share the previous latest graph's URI index")
+	}
+	if h3.latestURI.m == nil {
+		t.Error("the version job published a head whose latest URI index is not built")
+	}
+	if n, ok := h3.findAnchor("http://x/d"); !ok || h2.latest.Label(n).Value != "http://x/d" {
+		t.Errorf("findAnchor(http://x/d) = %d, %v", n, ok)
+	}
+	if _, ok := h3.findLatest("http://x/d"); ok {
+		t.Error("findLatest found a URI the latest graph lacks")
+	}
+}

@@ -14,18 +14,19 @@ import (
 // every source/target pair of the component.
 //
 // Only nodes incident to an edge of H participate (isolated nodes are
-// removed from consideration, as the paper assumes). The input ξ is not
-// modified.
+// removed from consideration, as the paper assumes). Enrich writes into
+// xi, which the caller owns, through ws (Workspace.Assign), so the
+// workspace's class index and journal follow every assignment; callers
+// that need the input ξ afterwards enrich a copy.
 //
-// Enrich also returns the nodes whose color or weight it touched (every
-// member of every component of H, ascending) — the change list the
-// incremental overlap matcher combines with the propagation change list to
-// invalidate exactly the characterisations a round moved.
-func Enrich(xi *core.Weighted, h *WeightedBipartite) (*core.Weighted, []rdf.NodeID) {
+// Enrich returns the nodes whose color or weight it touched (every member
+// of every component of H, ascending) — the change list the incremental
+// overlap matcher combines with the propagation change list to invalidate
+// exactly the characterisations a round moved.
+func Enrich(xi *core.Weighted, h *WeightedBipartite, ws *core.Workspace) []rdf.NodeID {
 	if !h.HasEdges() {
-		return xi.Clone(), nil
+		return nil
 	}
-	out := xi.Clone()
 
 	// Union-find over the nodes incident to H's edges.
 	parent := make(map[rdf.NodeID]rdf.NodeID)
@@ -84,13 +85,12 @@ func Enrich(xi *core.Weighted, h *WeightedBipartite) (*core.Weighted, []rdf.Node
 		weights := cw.compute(comp, compEdges[r], aSide)
 		color := xi.P.Interner().Fresh()
 		for i, n := range comp {
-			out.P.SetColor(n, color)
-			out.W[n] = weights[i]
+			ws.Assign(xi, n, color, weights[i])
 			changed = append(changed, n)
 		}
 	}
 	core.SortNodeIDs(changed)
-	return out, changed
+	return changed
 }
 
 // compWeights computes the enrichment weights of one component of H: for

@@ -88,7 +88,8 @@ func TestEnrichHeapDijkstraOracle(t *testing.T) {
 		h := &WeightedBipartite{A: a, B: b, Edges: edges}
 		in := core.NewInterner()
 		hp, _, _ := (&core.Engine{}).Hybrid(c, in)
-		out, changed := Enrich(core.NewWeighted(hp), h)
+		out := core.NewWeighted(hp)
+		changed := Enrich(out, h, core.NewWorkspace())
 
 		// Reference weights over each component, via the same union of
 		// incident nodes.
@@ -166,7 +167,8 @@ func TestEnrichPathologicalComponent(t *testing.T) {
 	h := &WeightedBipartite{A: a, B: b, Edges: edges}
 	in := core.NewInterner()
 	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
-	out, changed := Enrich(core.NewWeighted(hp), h)
+	out := core.NewWeighted(hp)
+	changed := Enrich(out, h, core.NewWorkspace())
 	if len(changed) != spokes+1 {
 		t.Fatalf("changed = %d nodes, want %d", len(changed), spokes+1)
 	}
@@ -202,9 +204,10 @@ func BenchmarkEnrich(b *testing.B) {
 	in := core.NewInterner()
 	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 	xi := core.NewWeighted(hp)
+	ws := core.NewWorkspace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Enrich(xi, h)
+		Enrich(xi, h, ws)
 	}
 }

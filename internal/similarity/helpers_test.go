@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rdfalign/internal/core"
@@ -200,6 +201,12 @@ func matchSeq[O cmp.Ordered](a, b []rdf.NodeID, theta float64, char func(rdf.Nod
 
 // unalignedLiterals returns the unaligned literal nodes of each side
 // (Algorithm 2 lines 2–3) through the one-shot core.Unaligned.
+// cloneWeighted copies a weighted partition, for tests that keep the input
+// of an in-place step (Enrich, core.Engine.Propagate) to compare against.
+func cloneWeighted(xi *core.Weighted) *core.Weighted {
+	return &core.Weighted{P: xi.P.Clone(), W: slices.Clone(xi.W)}
+}
+
 func unalignedLiterals(c *rdf.Combined, p *core.Partition) (a, b []rdf.NodeID) {
 	un1, un2 := core.Unaligned(c, p)
 	for _, n := range un1 {

@@ -180,6 +180,12 @@ var maxOverlapRounds = 1000
 //	        Hi := OverlapMatch(unaligned non-literals, θ, out-color, σNL)
 //	until Hi has no edges
 //
+// ξ0 is the one copy the call makes: every round enriches and propagates
+// that same ξ in place (Enrich, core.Engine.Propagate), and hybrid itself
+// is never modified, so callers may run OverlapAlign on one hybrid
+// partition any number of times. The returned ξ is the call's own; on
+// error it is discarded.
+//
 // The per-round non-literal match runs over an incrementally maintained
 // index: the inverted index over B and the characterisation/σNL caches
 // survive across rounds and are repaired from the nodes Enrich and
@@ -241,13 +247,11 @@ func OverlapAlign(c *rdf.Combined, hybrid *core.Partition, opt OverlapOptions) (
 		if res.Rounds > maxOverlapRounds {
 			return nil, &core.NoFixpointError{Stage: core.StageOverlap, Round: res.Rounds}
 		}
-		enriched, enrichChanged := Enrich(xi, h)
-		ws.Follow(xi.P, enriched.P, enrichChanged)
-		next, _, propChanged, err := eng.Propagate(c, enriched, opt.Epsilon)
+		enrichChanged := Enrich(xi, h, ws)
+		_, propChanged, err := eng.Propagate(c, xi, opt.Epsilon)
 		if err != nil {
 			return nil, err
 		}
-		xi = next
 		// The round moved exactly the colors/weights Enrich assigned plus
 		// the ones the propagation worklist recolored or reweighted; the
 		// incremental matcher invalidates their recolor dependents. On a

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -322,7 +323,12 @@ func TestEnrichSinglePair(t *testing.T) {
 	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 	xi := core.NewWeighted(hp)
 	h := &WeightedBipartite{A: a, B: b, Edges: []BipartiteEdge{{A: a[0], B: b[0], D: 1.0 / 3.0}}}
-	out, _ := Enrich(xi, h)
+	ws := core.NewWorkspace()
+	if un1, un2 := ws.Unaligned(c, xi.P, true); !slices.Contains(un1, a[0]) || !slices.Contains(un2, b[0]) {
+		t.Fatal("the pair should start unaligned")
+	}
+	out := xi
+	Enrich(out, h, ws)
 	if out.P.Color(a[0]) != out.P.Color(b[0]) {
 		t.Fatal("enriched pair should share a cluster")
 	}
@@ -333,9 +339,10 @@ func TestEnrichSinglePair(t *testing.T) {
 	if d := out.Distance(a[0], b[0]); math.Abs(d-1.0/3.0) > 1e-12 {
 		t.Errorf("induced distance = %v, want 1/3", d)
 	}
-	// Input unchanged.
-	if xi.P.Color(a[0]) == xi.P.Color(b[0]) {
-		t.Error("Enrich must not mutate its input")
+	// Enrich wrote in place through the workspace that indexes ξ, so its
+	// unaligned sets follow without a rebuild.
+	if un1, un2 := ws.Unaligned(c, xi.P, true); slices.Contains(un1, a[0]) || slices.Contains(un2, b[0]) {
+		t.Error("the enriched pair is still listed unaligned")
 	}
 }
 
@@ -351,7 +358,8 @@ func TestEnrichComponentWeightsCoverDistances(t *testing.T) {
 		{A: a[1], B: b[0], D: 0.1},
 		{A: a[1], B: b[1], D: 0.3},
 	}}
-	out, _ := Enrich(xi, h)
+	out := xi
+	Enrich(out, h, core.NewWorkspace())
 	col := out.P.Color(a[0])
 	for _, n := range []rdf.NodeID{a[1], b[0], b[1]} {
 		if out.P.Color(n) != col {
@@ -391,7 +399,8 @@ func TestEnrichSeparateComponents(t *testing.T) {
 		{A: a[0], B: b[0], D: 0.2},
 		{A: a[1], B: b[1], D: 0.4},
 	}}
-	out, _ := Enrich(xi, h)
+	out := xi
+	Enrich(out, h, core.NewWorkspace())
 	if out.P.Color(a[0]) == out.P.Color(a[1]) {
 		t.Error("separate components must get distinct clusters")
 	}
@@ -405,8 +414,11 @@ func TestEnrichEmptyH(t *testing.T) {
 	in := core.NewInterner()
 	hp, _, _ := (&core.Engine{}).Hybrid(c, in)
 	xi := core.NewWeighted(hp)
-	out, _ := Enrich(xi, &WeightedBipartite{A: a, B: b})
-	if !core.Equivalent(out.P, xi.P) {
+	out := cloneWeighted(xi)
+	if changed := Enrich(out, &WeightedBipartite{A: a, B: b}, core.NewWorkspace()); changed != nil {
+		t.Errorf("enriching with an empty H changed %v", changed)
+	}
+	if !core.Equivalent(out.P, xi.P) || !slices.Equal(out.W, xi.W) {
 		t.Error("enriching with an empty H must be the identity")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rdfalign/internal/core"
@@ -206,15 +207,15 @@ func TestNLMatcherIndexMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := &core.Engine{}
+		ws := core.NewWorkspace()
+		eng := &core.Engine{Work: ws}
 		inc := newNLMatcher(c, theta, 1)
 		for round := 1; round <= 100; round++ {
-			enriched, enrichChanged := Enrich(xi, h)
-			next, _, propChanged, err := eng.Propagate(c, enriched, 0)
+			enrichChanged := Enrich(xi, h, ws)
+			_, propChanged, err := eng.Propagate(c, xi, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			xi = next
 			changed := append(append([]rdf.NodeID(nil), enrichChanged...), propChanged...)
 			ai, bi := unalignedNonLiteralsBySide(c, xi.P)
 			hInc, err := inc.round(xi, ai, bi, changed, core.Hooks{})
@@ -322,5 +323,64 @@ func TestOverlapAlignCascadeDepth(t *testing.T) {
 	}
 	if math.IsNaN(res.Xi.W[srcNode(t, c, fmt.Sprintf("g1-x%d", depth))]) {
 		t.Error("cascade weights must stay finite")
+	}
+}
+
+// TestOverlapAlignReusesHybrid runs OverlapAlign repeatedly on one hybrid
+// partition, as the θ sweeps do: under different thresholds, without and
+// with a shared OverlapState and Workspace. Every round refines the call's
+// own ξ in place, so the hybrid partition must come out of every call
+// unchanged, and every result must equal a fresh run's on freshly built
+// inputs — the same grouping, bit-identical weights and the same counts
+// (color numbers differ, because the shared interner minted more colors).
+func TestOverlapAlignReusesHybrid(t *testing.T) {
+	workloads := map[string]func() (*rdf.Combined, *core.Partition){
+		"cascade": func() (*rdf.Combined, *core.Partition) {
+			g1, g2 := cascadePair(t, 5, 20)
+			return combine(t, g1, g2)
+		},
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		workloads[fmt.Sprintf("random%d", seed)] = func() (*rdf.Combined, *core.Partition) {
+			c := randomCombined(rand.New(rand.NewSource(seed)))
+			hp, _, _ := (&core.Engine{}).Hybrid(c, core.NewInterner())
+			return c, hp
+		}
+	}
+	for name, build := range workloads {
+		c, hp := build()
+		hybrid := slices.Clone(hp.Colors())
+		var st OverlapState
+		ws := core.NewWorkspace()
+		for i, cfg := range []struct {
+			theta  float64
+			shared bool
+		}{{0.65, false}, {0.5, true}, {0.65, true}, {0.65, true}, {0.8, false}} {
+			opt := OverlapOptions{Theta: cfg.theta}
+			if cfg.shared {
+				opt.State, opt.Work = &st, ws
+			}
+			got, err := OverlapAlign(c, hp, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(hp.Colors(), hybrid) {
+				t.Fatalf("%s call %d: OverlapAlign modified the hybrid partition", name, i)
+			}
+			fc, fhp := build()
+			want, err := OverlapAlign(fc, fhp, OverlapOptions{Theta: cfg.theta})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Rounds != got.Rounds || want.LiteralPairs != got.LiteralPairs ||
+				want.NonLiteralPairs != got.NonLiteralPairs || want.Candidates != got.Candidates {
+				t.Fatalf("%s call %d: rounds/pairs/candidates %d/%d/%d/%d, fresh %d/%d/%d/%d", name, i,
+					got.Rounds, got.LiteralPairs, got.NonLiteralPairs, got.Candidates,
+					want.Rounds, want.LiteralPairs, want.NonLiteralPairs, want.Candidates)
+			}
+			if !core.Equivalent(want.Xi.P, got.Xi.P) || !slices.Equal(want.Xi.W, got.Xi.W) {
+				t.Fatalf("%s call %d (θ=%v, shared=%v): result differs from a fresh run", name, i, cfg.theta, cfg.shared)
+			}
+		}
 	}
 }

@@ -54,11 +54,17 @@ import (
 //     ones; the first delta, a re-run deblank fixpoint, extended options,
 //     or a failed previous delta rebuild it with one O(N) pass.
 //
-// Still O(N) per delta, each to keep the previous Alignment valid for
-// queries: the copies of the label, deblank and hybrid colors and of ξ at
-// each overlap step (Partition.Clone, Weighted.Clone), and the rebased
-// union's index columns. Copy-on-write column chunks would make them
-// proportional to the edit too.
+// Committed columns are never written, so versions share what a delta
+// leaves unchanged: when it appends no node (the steady state of an edit
+// stream that reuses labels), the label base colors, the trivial colors
+// and, on the path that does not re-run the deblank fixpoint, the deblank
+// colors are the previous version's slices. Still O(N) per delta, each to
+// keep the previous Alignment valid for queries: one hybrid color column
+// (the blank-out copy of the deblank colors), under Overlap one ξ — a copy
+// of the hybrid colors plus a weight column, which every enrich/propagate
+// round then refines in place — and the rebased union's index columns
+// (its out-CSR and dependents splices). A delta that appends nodes also
+// copies the label and deblank columns to extend them.
 //
 // Interner note: the session replays refinement over the persistent
 // interner, whose composite colors are content-addressed — identical
@@ -200,7 +206,7 @@ func (al *Aligner) maintain(ctx context.Context, st *alignState, prev *core.Part
 	}
 	eng.Work = sh.work
 	in := sh.in
-	c2 := rdf.RebaseUnion(st.c, res.Graph, res.Added, res.Removed)
+	c2 := rdf.RebaseUnion(st.c, res)
 	oldN, newN := st.c.NumNodes(), c2.NumNodes()
 	touched := make([]rdf.NodeID, len(res.Touched))
 	for i, n := range res.Touched {
@@ -211,8 +217,7 @@ func (al *Aligner) maintain(ctx context.Context, st *alignState, prev *core.Part
 	a2 := &Alignment{Method: al.cfg.method, Theta: al.cfg.theta, c: c2, state: st2}
 
 	if al.cfg.method == Trivial {
-		colors := make([]core.Color, newN)
-		copy(colors, st.trivial)
+		colors := extendColors(st.trivial, newN)
 		for n := oldN; n < newN; n++ {
 			if c2.IsBlank(rdf.NodeID(n)) {
 				colors[n] = in.Fresh()
@@ -227,8 +232,7 @@ func (al *Aligner) maintain(ctx context.Context, st *alignState, prev *core.Part
 
 	// Extend the label base colors for the appended nodes; existing nodes
 	// keep their IDs and labels, so their base colors are already right.
-	base2 := make([]core.Color, newN)
-	copy(base2, st.base)
+	base2 := extendColors(st.base, newN)
 	for n := oldN; n < newN; n++ {
 		base2[n] = in.Base(c2.Label(rdf.NodeID(n)))
 	}
@@ -258,8 +262,7 @@ func (al *Aligner) maintain(ctx context.Context, st *alignState, prev *core.Part
 	var deblank2 *core.Partition
 	itDeblank := 0
 	if !seeds && !al.cfg.contextual && !al.cfg.adaptive && len(al.cfg.keyPredicates) == 0 {
-		colors := make([]core.Color, newN)
-		copy(colors, st.deblank.Colors())
+		colors := extendColors(st.deblank.Colors(), newN)
 		copy(colors[oldN:], base2[oldN:])
 		deblank2 = core.NewPartition(in, colors)
 		// Rewind the class index to deblank2: only the nodes the previous
@@ -285,4 +288,18 @@ func (al *Aligner) maintain(ctx context.Context, st *alignState, prev *core.Part
 	}
 	al.relate(a2, s)
 	return a2, nil
+}
+
+// extendColors returns a committed version's color column sized for n
+// nodes, n >= len(prev): prev itself when the delta appended no node —
+// committed columns are never written, so versions share them — and
+// otherwise a copy with room for the appended nodes, which the caller
+// fills.
+func extendColors(prev []core.Color, n int) []core.Color {
+	if n == len(prev) {
+		return prev
+	}
+	colors := make([]core.Color, n)
+	copy(colors, prev)
+	return colors
 }

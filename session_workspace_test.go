@@ -6,8 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
+
+	"rdfalign/internal/rdf"
 )
 
 // churnPair generates two releases of the stream corpus and the edit script
@@ -97,12 +100,37 @@ func TestApplyDeltaCancelAtEachPropagateRound(t *testing.T) {
 	}
 }
 
+// alignmentAnswers is what a query client reads off an alignment: its
+// pairs, unaligned sets, the matches of every 7th source node and the
+// distances of every 5th pair — the last read the weights of the final ξ.
+type alignmentAnswers struct {
+	pairs        [][2]NodeID
+	unSrc, unTgt []NodeID
+	matches      [][]NodeID
+	dist         []float64
+}
+
+func queryAlignment(a *Alignment) alignmentAnswers {
+	var ans alignmentAnswers
+	a.Pairs(func(n1, n2 NodeID) { ans.pairs = append(ans.pairs, [2]NodeID{n1, n2}) })
+	ans.unSrc, ans.unTgt = a.Unaligned()
+	for n := 0; n < a.Source().NumNodes(); n += 7 {
+		ans.matches = append(ans.matches, a.MatchesOf(NodeID(n)))
+	}
+	for i := 0; i < len(ans.pairs); i += 5 {
+		ans.dist = append(ans.dist, a.Distance(ans.pairs[i][0], ans.pairs[i][1]))
+	}
+	return ans
+}
+
 // TestQueriesDuringApplyDelta queries the previous alignment — Pairs,
-// Unaligned, MatchesOf — from other goroutines while ApplyDelta advances
-// the lineage: the stale alignment keeps answering as before, and (under
-// -race) nothing it reads is written by the maintenance run.
+// Unaligned, MatchesOf, Distance — from other goroutines while ApplyDelta
+// advances the lineage: the stale alignment keeps answering as before, and
+// (under -race) nothing it reads, its colors and weights included, is
+// written by the maintenance run.
 func TestQueriesDuringApplyDelta(t *testing.T) {
 	g1, g2, fwd := churnPair(t, 1000, 0.05)
+	g1 = withEditedLiterals(t, g1, 9) // weighted pairs for Distance to read
 	bwd := fwd.Inverse()
 	al, err := NewAligner(WithMethod(Overlap))
 	if err != nil {
@@ -112,20 +140,7 @@ func TestQueriesDuringApplyDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type answers struct {
-		pairs        [][2]NodeID
-		unSrc, unTgt []NodeID
-		matches      [][]NodeID
-	}
-	query := func(a *Alignment) answers {
-		var ans answers
-		a.Pairs(func(n1, n2 NodeID) { ans.pairs = append(ans.pairs, [2]NodeID{n1, n2}) })
-		ans.unSrc, ans.unTgt = a.Unaligned()
-		for n := 0; n < a.Source().NumNodes(); n += 7 {
-			ans.matches = append(ans.matches, a.MatchesOf(NodeID(n)))
-		}
-		return ans
-	}
+	query := queryAlignment
 	for step := 0; step < 6; step++ {
 		prev, want := a, query(a)
 		done := make(chan struct{})
@@ -158,4 +173,98 @@ func TestQueriesDuringApplyDelta(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// withEditedLiterals returns g with the literal object of every k-th
+// blank-free triple rewritten into a near variant, written out and parsed
+// back so that the old literal nodes are gone: Overlap then aligns each
+// edited literal with its original as a weighted pair.
+func withEditedLiterals(t *testing.T, g *Graph, k int) *Graph {
+	t.Helper()
+	term := func(n NodeID) rdf.Term {
+		l := g.Label(n)
+		return rdf.Term{Kind: l.Kind, Value: l.Value}
+	}
+	s := &EditScript{}
+	for i, tr := range g.Triples() {
+		if i%k != 0 || !g.IsLiteral(tr.O) || g.IsBlank(tr.S) {
+			continue
+		}
+		old := rdf.TermTriple{S: term(tr.S), P: term(tr.P), O: term(tr.O)}
+		edited := old
+		edited.O.Value += " v2"
+		s.Ops = append(s.Ops, rdf.EditOp{T: old}, rdf.EditOp{Insert: true, T: edited})
+	}
+	edited, err := ApplyEditScript(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteNTriples(&buf, edited); err != nil {
+		t.Fatal(err)
+	}
+	out, err := ParseNTriplesString(buf.String(), g.Name()+"-edited")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestCancelledOverlapDeltaKeepsPrevious cancels an Overlap ApplyDelta at
+// each of its propagation rounds in turn. Every round of the cancelled run
+// writes into the run's own ξ, never into the previous version's: after
+// each attempt the previous alignment's pairs, matches and distances —
+// weighted ones among them — are what they were before, and it still
+// advances to a from-scratch result.
+func TestCancelledOverlapDeltaKeepsPrevious(t *testing.T) {
+	g1, g2, fwd := churnPair(t, 1000, 0.05)
+	g1 = withEditedLiterals(t, g1, 9)
+	var cancel context.CancelFunc
+	cancelAt, seen := 0, 0
+	al, err := NewAligner(WithMethod(Overlap), WithProgress(func(p Progress) {
+		if p.Stage == "propagate" {
+			if seen++; seen == cancelAt {
+				cancel()
+			}
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := al.Align(context.Background(), g1, g2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Advance once so the lineage holds a workspace and matcher state, and
+	// its newest ξ carries enrichment weights.
+	if a, err = a.ApplyDelta(context.Background(), fwd); err != nil {
+		t.Fatal(err)
+	}
+	want := queryAlignment(a)
+	if !slices.ContainsFunc(want.dist, func(d float64) bool { return d > 0 }) {
+		t.Fatal("no weighted pair among the sampled distances")
+	}
+	bwd := fwd.Inverse()
+	var a2 *Alignment
+	for cancelAt = 1; a2 == nil; cancelAt++ {
+		var ctx context.Context
+		ctx, cancel = context.WithCancel(context.Background())
+		seen = 0
+		a2, err = al.ApplyDelta(ctx, a, bwd)
+		cancel()
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at propagation round %d: %v", cancelAt, err)
+		}
+		if got := queryAlignment(a); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cancel at propagation round %d changed the previous alignment's answers", cancelAt)
+		}
+	}
+	if cancelAt <= 2 {
+		t.Fatal("the delta reported no propagation round to cancel at")
+	}
+	scratch, err := al.Align(context.Background(), g1, a2.Target())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameAlignment(t, "after the cancelled attempts", a2, scratch)
 }
