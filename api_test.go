@@ -1,8 +1,11 @@
 package rdfalign
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -295,6 +298,59 @@ const legacyGraphDoc = "<http://example.org/s> <http://example.org/p> \"v\" .\n"
 	"_:b <http://example.org/q> _:c .\n" +
 	"_:c <http://example.org/p> \"raw\xffbyte\" .\n" +
 	"<http://example.org/s> <http://example.org/q> <http://example.org/t> .\n"
+
+// TestOpenSnapshotRejectsFlippedByte: OpenSnapshot checksums each section
+// once, and a byte flipped in any section's header, payload or CRC — of a
+// graph or an archive file — still fails the open with ErrSnapshotCorrupt.
+func TestOpenSnapshotRejectsFlippedByte(t *testing.T) {
+	dir := t.TempDir()
+	g1, _ := ParseNTriplesString("<http://x/a> <http://x/p> \"v\" .\n_:b <http://x/p> <http://x/a> .\n", "g1")
+	g2, _ := ParseNTriplesString("<http://x/a> <http://x/p> \"v\" .\n<http://x/b> <http://x/p> \"w\" .\n", "g2")
+	al, err := NewAligner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, err := al.BuildArchive(context.Background(), []*Graph{g1, g2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gPath, aPath := filepath.Join(dir, "g.snap"), filepath.Join(dir, "a.snap")
+	if err := WriteGraphSnapshotMappedFile(gPath, g1); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteArchiveSnapshotFile(aPath, arch); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{gPath, aPath} {
+		h, err := OpenSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sections := h.Info().Sections
+		h.Close()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sec := range sections {
+			payload := sec.Offset + 12 // section id and payload length
+			for _, pos := range []int64{sec.Offset, payload + sec.Length/2, payload + sec.Length} {
+				mut := bytes.Clone(data)
+				mut[pos] ^= 0x20
+				bad := filepath.Join(dir, "bad.snap")
+				if err := os.WriteFile(bad, mut, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if h, err := OpenSnapshot(bad); !errors.Is(err, ErrSnapshotCorrupt) {
+					if h != nil {
+						h.Close()
+					}
+					t.Errorf("%s: flip at %d in section %s: %v, want ErrSnapshotCorrupt", filepath.Base(path), pos, sec.Name, err)
+				}
+			}
+		}
+	}
+}
 
 // TestLegacySnapshotFixtures: snapshots written before GRPM became the only
 // graph encoding load to the same graphs and archive through the public

@@ -61,7 +61,6 @@ func main() {
 		alignWorkers = flag.Int("align-workers", 0, "overlap-matching goroutines per alignment; refinement is sequential (0 = all cores)")
 		queryTimeout = flag.Duration("query-timeout", 10*time.Second, "per-query deadline, including budget wait")
 		maxBody      = flag.Int64("max-body-bytes", server.DefaultMaxUploadBytes, "max request body bytes; oversized uploads are rejected with 413")
-		maxUpload    = flag.Int64("max-upload", 0, "deprecated alias for -max-body-bytes (takes precedence when set)")
 		jobHistory   = flag.Int("job-history", server.DefaultJobHistory, "terminal jobs retained per archive before the oldest are evicted")
 		storageMode  = flag.String("storage", "mem", "alignment working-set storage: mem (Go heap) or disk (mmap-backed scratch files + spilled signature grouping in -storage-dir; scratch space is reclaimed only at process exit)")
 		storageDir   = flag.String("storage-dir", "", "directory for -storage disk scratch and spill files (default: the system temp directory)")
@@ -80,14 +79,10 @@ func main() {
 	})
 	flag.Parse()
 
-	limit := *maxBody
-	if *maxUpload > 0 {
-		limit = *maxUpload
-	}
-	if err := validateFlags(*queryWorkers, *alignJobs, *alignWorkers, *jobHistory, *queryTimeout, limit, *storageMode); err != nil {
+	if err := validateFlags(*queryWorkers, *alignJobs, *alignWorkers, *jobHistory, *queryTimeout, *maxBody, *storageMode); err != nil {
 		log.Fatal(err)
 	}
-	if err := run(*addr, archives, *method, *theta, *resolveAmbig, *queryWorkers, *alignJobs, *alignWorkers, *jobHistory, *queryTimeout, limit, *storageMode, *storageDir); err != nil {
+	if err := run(*addr, archives, *method, *theta, *resolveAmbig, *queryWorkers, *alignJobs, *alignWorkers, *jobHistory, *queryTimeout, *maxBody, *storageMode, *storageDir); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -112,9 +112,13 @@
 // screens an order of magnitude fewer candidates at θ = 0.65.
 // WithParallelism fans the matching scans out across workers: candidates
 // are generated from a shared read-only inverted index and each worker
-// verifies its own source nodes, with per-worker edge batches merged in
-// source order — the discovered pairs, and therefore the final colorings
-// and weights, are bit-identical for every worker count. And the per-round
+// verifies its own chunks of source nodes, with the chunks' edges merged
+// in source order — the discovered pairs, and therefore the final
+// colorings and weights, are bit-identical for every worker count. The
+// parallel parse, the parallel write and the matching scans share one
+// ordered worker pool (internal/par): results are committed in input
+// order, at most 2·workers+4 items are in flight, and the first error in
+// input order wins. And the per-round
 // non-literal match is incremental: the
 // inverted index and the characterisation/σNL caches survive across rounds
 // and are repaired from the nodes Enrich and Propagate actually moved
@@ -148,8 +152,8 @@
 // # Ingestion
 //
 // N-Triples input streams through a chunked parallel pipeline: the input
-// is split into ~256 KB blocks on line boundaries, a worker pool lexes
-// blocks into per-block triple batches (no per-line allocations;
+// is split into ~256 KB blocks on line boundaries, the ordered worker pool
+// lexes blocks into per-block triple batches (no per-line allocations;
 // zero-copy blocks when parsing from a string), and the batches are
 // merged in block order, so NodeID assignment — and therefore the
 // resulting Graph — is bit-identical to a sequential parse for every
@@ -161,8 +165,9 @@
 //
 // Syntax errors report global 1-based line numbers (the first error in
 // document order) regardless of worker count. WriteNTriples mirrors the
-// pipeline with a parallel formatting fast path (WithWriteWorkers) whose
-// output is byte-identical to the sequential writer, canonical (parsing
+// pipeline with a parallel formatting fast path (WithWriteWorkers): the
+// same pool formats 16,384-triple chunks and writes them in chunk order,
+// so the output is byte-identical to the sequential writer, canonical (parsing
 // the output and re-serialising reproduces it exactly) and
 // byte-preserving (labels round-trip at the byte level, including
 // invalid UTF-8 a lax parse admitted). Fuzz targets and golden files
@@ -173,7 +178,8 @@
 // binary format (the term dictionary, triple columns and both adjacency
 // CSRs as fixed-width arrays) whose columns every reader serves in place,
 // without decoding or rebuilding anything: OpenGraphSnapshotMapped from a
-// file mapping, OpenSnapshot from one heap copy of the graph section —
+// file mapping, OpenSnapshot from the one heap copy of the graph section
+// that its CRC check read —
 // node-ID- and triple-identical to the graph written, ≥5× faster than the
 // parallel parse of the same data. WriteArchiveSnapshotFile serialises a
 // multi-version Archive as its entity and row columns, from which
@@ -181,7 +187,9 @@
 // crash-safe: a snapshot is written to a temporary file and renamed over
 // its path, so a failed write leaves the previous file intact and a graph
 // mapped from it keeps answering. Every section a reader uses is
-// CRC-checked; a damaged or truncated file fails loudly with an error
+// CRC-checked — by OpenSnapshot once, every section, before the graph or
+// archive is decoded from the verified bytes; a damaged or truncated
+// file fails loudly with an error
 // wrapping ErrSnapshotCorrupt that carries the byte offset. FuzzReadGraph
 // (which also runs the inspection behind OpenSnapshot) and
 // FuzzOpenGraphMapped pin the never-panic/never-over-allocate guarantee;

@@ -5,17 +5,17 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
+
+	"rdfalign/internal/par"
 )
 
 // This file implements the parallel streaming ingestion pipeline: a worker
 // pool lexes line-boundary-aligned input blocks (see scan.go) into
 // per-worker triple batches with block-local term interning, and a
-// ConcurrentBuilder merges the batches into one Builder, committing them
-// strictly in block order so that NodeID assignment — and therefore the
-// finished Graph — is bit-identical to a sequential parse: workers produce
-// out of order, allocation happens in sequential order.
+// batchMerge merges the batches into one Builder, strictly in block order
+// (par.Ordered), so that NodeID assignment — and therefore the finished
+// Graph — is bit-identical to a sequential parse: workers produce out of
+// order, allocation happens in sequential order.
 
 // ParseOption configures ParseNTriples and ParseNTriplesString.
 type ParseOption func(*parseOpts)
@@ -121,7 +121,6 @@ type batchTerm struct {
 // Once merged, a batch's triples become part of the graph's edge list and
 // the rest of the batch is recycled for a later block.
 type parseBatch struct {
-	index   int
 	terms   []batchTerm
 	triples []Triple
 	err     error
@@ -187,7 +186,6 @@ func (bb *batchBuilder) triple(s, p, o NodeID) {
 // Past a syntax error the rest of the block is skipped, exactly like the
 // sequential parse.
 func (bb *batchBuilder) parseBlockBatch(batch *parseBatch, blk parseBlock, strict bool) {
-	batch.index = blk.index
 	batch.err = nil
 	if blk.readErr != nil {
 		batch.err = fmt.Errorf("ntriples: read: %w", blk.readErr)
@@ -198,7 +196,10 @@ func (bb *batchBuilder) parseBlockBatch(batch *parseBatch, blk parseBlock, stric
 	clear(bb.blanks)
 	// A line holds at most one triple, so the block's triples fit without
 	// growing; the merge keeps this slice as part of the graph's edge list.
-	bb.terms, bb.triples = batch.terms[:0], make([]Triple, 0, strings.Count(blk.data, "\n")+1)
+	// A block has about as many distinct terms as lines, so a fresh batch
+	// starts with that room instead of growing to it.
+	lines := strings.Count(blk.data, "\n") + 1
+	bb.terms, bb.triples = slices.Grow(batch.terms[:0], lines), make([]Triple, 0, lines)
 	batch.err = forEachLine(blk.data, blk.startLine, func(line string, lineNo int) error {
 		return parseLineInto(bb, line, lineNo, strict)
 	})
@@ -206,89 +207,15 @@ func (bb *batchBuilder) parseBlockBatch(batch *parseBatch, blk parseBlock, stric
 	bb.terms, bb.triples = nil, nil
 }
 
-// ConcurrentBuilder merges per-block parse batches into a single Builder
-// with deterministic NodeID assignment: however the batches arrive,
-// they are committed strictly in ascending block order, so every term gets
-// the ID a sequential first-occurrence scan would have given it. It is
-// safe for concurrent use by multiple workers.
-//
-// Memory is bounded: a worker trying to hand over a batch more than
-// maxAhead blocks past the commit frontier waits until the frontier
-// catches up, so at most maxAhead parsed-but-uncommitted batches exist at
-// any time even when one block parses much slower than its successors.
-// The wait cannot deadlock — blocks are handed to workers in index order,
-// so whenever every index in [next, next+maxAhead] has been handed out,
-// one of them is held by a worker that is allowed to commit (were they
-// all already in pending, the drain loop would have advanced next).
-type ConcurrentBuilder struct {
-	mu       sync.Mutex
-	frontier sync.Cond
-	b        *Builder
-	pending  map[int]*parseBatch
-	next     int
-	maxAhead int
-	err      error
-	remap    []NodeID      // apply's block-local → global ID table
-	free     []*parseBatch // merged batches, handed back to workers
+// batchMerge merges parsed batches into one Builder. The pool hands it
+// the batches strictly in block order, so every term gets the ID a
+// sequential first-occurrence scan would have given it.
+type batchMerge struct {
+	b     *Builder
+	remap []NodeID // apply's block-local → global ID table
 	// chunks holds the merged triples, one remapped batch slice per block
-	// in block order; result concatenates them once.
+	// in block order; parseNTriplesParallel concatenates them once.
 	chunks [][]Triple
-}
-
-func newConcurrentBuilder(name string, workers int) *ConcurrentBuilder {
-	cb := &ConcurrentBuilder{
-		b:        NewBuilder(name),
-		pending:  make(map[int]*parseBatch),
-		maxAhead: 2*workers + 4,
-	}
-	cb.frontier.L = &cb.mu
-	return cb
-}
-
-// commit hands over a finished batch and applies every batch that is now
-// ready in block order. It returns false once an error has been recorded:
-// the earliest errored block whose predecessors all parsed cleanly — i.e.
-// the first error in document order — wins, and later batches are
-// discarded. spare is a merged batch for the caller to parse its next
-// block into, or nil when none is free.
-func (cb *ConcurrentBuilder) commit(batch *parseBatch) (spare *parseBatch, ok bool) {
-	cb.mu.Lock()
-	defer cb.mu.Unlock()
-	for cb.err == nil && batch.index > cb.next+cb.maxAhead {
-		cb.frontier.Wait()
-	}
-	if cb.err != nil {
-		return nil, false
-	}
-	cb.pending[batch.index] = batch
-	advanced := false
-	for {
-		nb, ok := cb.pending[cb.next]
-		if !ok {
-			break
-		}
-		delete(cb.pending, cb.next)
-		if nb.err != nil {
-			cb.err = nb.err
-			cb.frontier.Broadcast()
-			return nil, false
-		}
-		cb.apply(nb)
-		cb.next++
-		advanced = true
-		// Drop the merged batch's views so a recycled batch does not pin
-		// its old block.
-		clear(nb.terms)
-		cb.free = append(cb.free, nb)
-	}
-	if advanced {
-		cb.frontier.Broadcast()
-	}
-	if n := len(cb.free); n > 0 {
-		spare = cb.free[n-1]
-		cb.free = cb.free[:n-1]
-	}
-	return spare, true
 }
 
 // apply merges one batch: block-local term indexes are remapped through
@@ -296,10 +223,15 @@ func (cb *ConcurrentBuilder) commit(batch *parseBatch) (spare *parseBatch, ok bo
 // the hash each worker computed. A term value is cloned out of its block
 // only when it is new to the whole document. The batch's triples are
 // remapped in place and kept as the next chunk of the edge list, so the
-// merge never copies triples into a growing slice.
-func (cb *ConcurrentBuilder) apply(batch *parseBatch) {
-	b := cb.b
-	remap := slices.Grow(cb.remap[:0], len(batch.terms))[:len(batch.terms)]
+// merge never copies triples into a growing slice. A batch holding a
+// syntax or read error is not merged: its error is returned instead, and
+// being the first in block order, it is the first in the document.
+func (m *batchMerge) apply(batch *parseBatch) error {
+	if batch.err != nil {
+		return batch.err
+	}
+	b := m.b
+	remap := slices.Grow(m.remap[:0], len(batch.terms))[:len(batch.terms)]
 	sink := builderSink{b}
 	for i, t := range batch.terms {
 		switch t.kind {
@@ -314,20 +246,13 @@ func (cb *ConcurrentBuilder) apply(batch *parseBatch) {
 	for i, tr := range batch.triples {
 		batch.triples[i] = Triple{S: remap[tr.S], P: remap[tr.P], O: remap[tr.O]}
 	}
-	cb.chunks = append(cb.chunks, batch.triples)
+	m.chunks = append(m.chunks, batch.triples)
+	m.remap = remap
+	// Drop the merged batch's views so the recycled slot does not pin its
+	// old block.
+	clear(batch.terms)
 	batch.triples = nil
-	cb.remap = remap
-}
-
-// result finalises the merged graph, or returns the recorded first error.
-func (cb *ConcurrentBuilder) result() (*Graph, error) {
-	cb.mu.Lock()
-	defer cb.mu.Unlock()
-	if cb.err != nil {
-		return nil, cb.err
-	}
-	cb.b.triples, cb.chunks = slices.Concat(cb.chunks...), nil
-	return cb.b.Graph()
+	return nil
 }
 
 // parseNTriplesSeq is the sequential block-at-a-time parse: same scanner,
@@ -353,53 +278,23 @@ func parseNTriplesSeq(sc *blockScanner, name string, o parseOpts) (*Graph, error
 	return b.Graph()
 }
 
-// parseNTriplesParallel fans blocks out to a worker pool and merges the
-// batches through a ConcurrentBuilder. One goroutine scans blocks in
-// order; workers parse them concurrently; the builder commits in block
-// order, which guarantees deterministic IDs, and throttles workers that
-// run more than a bounded number of blocks ahead of the commit frontier,
-// which bounds the parsed-but-uncommitted memory.
+// parseNTriplesParallel parses blocks on a par.Ordered pool: workers
+// parse blocks into batches concurrently, each with its own batchBuilder,
+// and the merge runs in block order, which guarantees deterministic IDs
+// and reports the first error in document order. The pool's bound on
+// claimed-but-unmerged blocks bounds the parsed-but-unmerged memory.
 func parseNTriplesParallel(sc *blockScanner, name string, o parseOpts) (*Graph, error) {
-	cb := newConcurrentBuilder(name, o.workers)
-	var stop atomic.Bool
-	blocks := make(chan parseBlock, o.workers)
-	go func() {
-		defer close(blocks)
-		for !stop.Load() {
-			blk, ok := sc.next()
-			if !ok {
-				return
-			}
-			blocks <- blk
+	m := &batchMerge{b: NewBuilder(name)}
+	bbs := make([]*batchBuilder, o.workers)
+	parse := func(w int, blk parseBlock, batch *parseBatch) {
+		if bbs[w] == nil {
+			bbs[w] = newBatchBuilder()
 		}
-	}()
-	var wg sync.WaitGroup
-	for i := 0; i < o.workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			bb := newBatchBuilder()
-			var spare *parseBatch
-			for blk := range blocks {
-				batch := spare
-				if batch == nil {
-					batch = &parseBatch{}
-				}
-				if stop.Load() && blk.readErr == nil {
-					// An earlier block already failed; any block still in
-					// flight is later in the document, so its content can
-					// never be committed. Skip the parse work.
-					*batch = parseBatch{index: blk.index}
-				} else {
-					bb.parseBlockBatch(batch, blk, o.strict)
-				}
-				var ok bool
-				if spare, ok = cb.commit(batch); !ok {
-					stop.Store(true)
-				}
-			}
-		}()
+		bbs[w].parseBlockBatch(batch, blk, o.strict)
 	}
-	wg.Wait()
-	return cb.result()
+	if err := par.Ordered(o.workers, sc.next, parse, m.apply); err != nil {
+		return nil, err
+	}
+	m.b.triples = slices.Concat(m.chunks...)
+	return m.b.Graph()
 }

@@ -32,7 +32,6 @@ const (
 // position in the block sequence so the error surfaces only after every
 // earlier block parsed cleanly (matching sequential order).
 type parseBlock struct {
-	index     int    // 0-based sequence number
 	startLine int    // 1-based global line number of the first line
 	data      string // whole lines; all but possibly the last end in '\n'
 	readErr   error
@@ -43,14 +42,13 @@ type parseBlock struct {
 // buffers and converted to strings once, and an in-memory document, whose
 // blocks are zero-copy substring views.
 type blockScanner struct {
-	r     io.Reader
-	src   string // in-memory mode when r == nil
-	pos   int    // consumed prefix of src
-	size  int
-	rem   []byte // partial trailing line carried to the next block (reader mode)
-	line  int    // 1-based line number of the next block
-	index int
-	done  bool
+	r    io.Reader
+	src  string // in-memory mode when r == nil
+	pos  int    // consumed prefix of src
+	size int
+	rem  []byte // partial trailing line carried to the next block (reader mode)
+	line int    // 1-based line number of the next block
+	done bool
 }
 
 func newBlockScanner(r io.Reader, size int) *blockScanner {
@@ -87,7 +85,7 @@ func (s *blockScanner) next() (blk parseBlock, ok bool) {
 			}
 			if len(buf) > maxLineBytes {
 				s.done = true
-				return parseBlock{index: s.index, startLine: s.line,
+				return parseBlock{startLine: s.line,
 					readErr: fmt.Errorf("line %d exceeds %d bytes", s.line, maxLineBytes)}, true
 			}
 		}
@@ -103,13 +101,12 @@ func (s *blockScanner) next() (blk parseBlock, ok bool) {
 			if len(buf) == 0 {
 				return parseBlock{}, false
 			}
-			blk := parseBlock{index: s.index, startLine: s.line, data: string(buf)}
-			s.index++
+			blk := parseBlock{startLine: s.line, data: string(buf)}
 			return blk, true
 		}
 		if err != nil {
 			s.done = true
-			return parseBlock{index: s.index, startLine: s.line, readErr: err}, true
+			return parseBlock{startLine: s.line, readErr: err}, true
 		}
 	}
 }
@@ -131,9 +128,8 @@ func (s *blockScanner) nextString() (parseBlock, bool) {
 			cut = s.size + i + 1
 		}
 	}
-	blk := parseBlock{index: s.index, startLine: s.line, data: rest[:cut]}
+	blk := parseBlock{startLine: s.line, data: rest[:cut]}
 	s.pos += cut
-	s.index++
 	s.line += strings.Count(blk.data, "\n")
 	return blk, true
 }
@@ -145,8 +141,7 @@ func (s *blockScanner) emit(buf []byte, i int) parseBlock {
 	if i+1 < len(buf) {
 		s.rem = append([]byte(nil), buf[i+1:]...)
 	}
-	blk := parseBlock{index: s.index, startLine: s.line, data: string(buf[:i+1])}
-	s.index++
+	blk := parseBlock{startLine: s.line, data: string(buf[:i+1])}
 	s.line += strings.Count(blk.data, "\n")
 	return blk
 }

@@ -8,7 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
+
+	"rdfalign/internal/par"
 )
 
 // This file implements N-Triples serialisation. Output is deterministic
@@ -240,89 +241,42 @@ func FormatNTriples(g *Graph) string {
 }
 
 // writeNTriplesParallel formats fixed-size chunks of the triple list on a
-// worker pool and writes them strictly in chunk order, so the output bytes
-// match the sequential writer exactly. Memory is bounded by one chunk
-// buffer per worker.
+// par.Ordered pool and writes them strictly in chunk order, so the output
+// bytes match the sequential writer exactly. A chunk buffer is recycled
+// once written; the pool's bound on unwritten chunks bounds the memory.
 func writeNTriplesParallel(w io.Writer, g *Graph, seq tripleSeq, rank []NodeID, o writeOpts) error {
-	nchunks := (seq.len() + o.chunk - 1) / o.chunk
-	workers := o.workers
-	if workers > nchunks {
-		workers = nchunks
-	}
 	bw := bufio.NewWriterSize(w, 1<<16)
-	ow := newOrderedChunkWriter(bw)
-	jobs := make(chan int)
-	go func() {
-		defer close(jobs)
-		for i := 0; i < nchunks; i++ {
-			if ow.failed() {
-				return
-			}
-			jobs <- i
+	pos := 0
+	next := func() (int, bool) {
+		if pos >= seq.len() {
+			return 0, false
 		}
-	}()
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf bytes.Buffer
-			for i := range jobs {
-				lo := i * o.chunk
-				hi := lo + o.chunk
-				if hi > seq.len() {
-					hi = seq.len()
-				}
-				buf.Reset()
-				writeTripleRange(&buf, g, seq, lo, hi, rank)
-				ow.write(i, buf.Bytes())
-			}
-		}()
+		pos += o.chunk
+		return pos - o.chunk, true
 	}
-	wg.Wait()
-	if err := ow.err; err != nil {
+	format := func(_ int, lo int, buf *bytes.Buffer) {
+		hi := min(lo+o.chunk, seq.len())
+		// Size the buffer from the chunk's label bytes, with room for the
+		// next chunks the slot holds: grown by doubling, it would allocate
+		// about four times the chunk it ends up holding.
+		n := 0
+		seq.each(lo, hi, func(t Triple) {
+			n += len(g.Label(t.S).Value) + len(g.Label(t.P).Value) + len(g.Label(t.O).Value) + 12
+		})
+		if buf.Cap() < n {
+			*buf = *bytes.NewBuffer(make([]byte, 0, n+n/4))
+		}
+		buf.Reset()
+		writeTripleRange(buf, g, seq, lo, hi, rank)
+	}
+	write := func(buf *bytes.Buffer) error {
+		_, err := bw.Write(buf.Bytes())
+		return err
+	}
+	if err := par.Ordered(o.workers, next, format, write); err != nil {
 		return err
 	}
 	return bw.Flush()
-}
-
-// orderedChunkWriter serialises chunk writes: a worker holding chunk i
-// blocks until every chunk below i has been written. After a write error
-// the sequence keeps advancing (so no worker deadlocks) but all data is
-// discarded.
-type orderedChunkWriter struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	w    io.Writer
-	next int
-	err  error
-}
-
-func newOrderedChunkWriter(w io.Writer) *orderedChunkWriter {
-	ow := &orderedChunkWriter{w: w}
-	ow.cond = sync.NewCond(&ow.mu)
-	return ow
-}
-
-func (ow *orderedChunkWriter) write(i int, data []byte) {
-	ow.mu.Lock()
-	defer ow.mu.Unlock()
-	for ow.next != i {
-		ow.cond.Wait()
-	}
-	if ow.err == nil {
-		if _, err := ow.w.Write(data); err != nil {
-			ow.err = err
-		}
-	}
-	ow.next++
-	ow.cond.Broadcast()
-}
-
-func (ow *orderedChunkWriter) failed() bool {
-	ow.mu.Lock()
-	defer ow.mu.Unlock()
-	return ow.err != nil
 }
 
 // writeTripleRange formats triples [lo, hi) of the sequence; blank labels

@@ -502,29 +502,28 @@ func bodyStatus(err error) int {
 }
 
 // parseBody decodes an uploaded body: a binary snapshot when it starts
-// with the snapshot magic, N-Triples otherwise. A snapshot is inspected
-// once — ReadInfo verifies every section CRC and tells a graph from an
-// archive — and then only its graph or archive sections are read. An
-// archive snapshot is accepted only where archiveOK; the result then
-// holds the archive instead of a graph.
+// with the snapshot magic, N-Triples otherwise. A snapshot is checksummed
+// once — snapshot.Open verifies every section CRC and tells a graph from
+// an archive — and its graph or archive is decoded from the verified
+// bytes. An archive snapshot is accepted only where archiveOK; the result
+// then holds the archive instead of a graph.
 func parseBody(data []byte, name string, archiveOK bool) (*rdfalign.Graph, *rdfalign.Archive, error) {
 	if !detectSnapshot(data) {
 		g, err := rdfalign.ParseNTriples(bytes.NewReader(data), name)
 		return g, nil, err
 	}
-	r := bytes.NewReader(data)
-	info, err := snapshot.ReadInfo(r, r.Size())
+	h, err := snapshot.Open(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return nil, nil, err
 	}
-	if info.Kind != "archive" {
-		g, err := snapshot.ReadGraphAt(r, r.Size())
+	if h.Info().Kind != "archive" {
+		g, err := h.Graph()
 		return g, nil, err
 	}
 	if !archiveOK {
 		return nil, nil, errors.New("body is an archive snapshot; a graph snapshot or N-Triples is required here")
 	}
-	arch, err := snapshot.ReadArchive(r, r.Size())
+	arch, err := h.Archive()
 	return nil, arch, err
 }
 

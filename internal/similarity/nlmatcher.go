@@ -137,11 +137,9 @@ func (m *nlMatcher) round(xi *core.Weighted, a, b []rdf.NodeID, changed []rdf.No
 			return d, d <= m.theta
 		},
 	}
-	edges, cands, err := ix.scan(a, hooks, m.workers)
-	if err != nil {
+	if err := ix.scan(h, hooks, m.workers); err != nil {
 		return nil, err
 	}
-	h.Edges, h.Candidates = edges, cands
 	return h, nil
 }
 

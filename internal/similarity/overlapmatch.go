@@ -4,11 +4,9 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"rdfalign/internal/core"
+	"rdfalign/internal/par"
 	"rdfalign/internal/rdf"
 )
 
@@ -96,8 +94,8 @@ type DistFunc func(a, b rdf.NodeID) (float64, bool)
 // Parallelism: with workers > 1 the inverted index over B is built once,
 // then workers scan disjoint chunks of A over the shared read-only index,
 // verifying their own candidates (the σ/edit-distance verification
-// dominates the scan, so it is what parallelises). Per-worker edge batches
-// are merged in source order and finally sorted by (A, B), so the output is
+// dominates the scan, so it is what parallelises). The chunks' edges are
+// merged in source order and finally sorted by (A, B), so the output is
 // bit-identical to the sequential scan for every worker count. workers <= 1
 // runs sequentially; with workers > 1 both char and dist must be safe for
 // concurrent use (the characterisations and distances of Algorithm 2 are
@@ -131,11 +129,9 @@ func OverlapMatch[O cmp.Ordered](a, b []rdf.NodeID, theta float64, char func(rdf
 			ix.inv[o] = append(ix.inv[o], m)
 		}
 	}
-	edges, cands, err := ix.scan(a, hooks, workers)
-	if err != nil {
+	if err := ix.scan(h, hooks, workers); err != nil {
 		return nil, err
 	}
-	h.Edges, h.Candidates = edges, cands
 	return h, nil
 }
 
@@ -175,104 +171,72 @@ type matchIndex[O cmp.Ordered] struct {
 
 // matchScratch is one worker's reusable buffers.
 type matchScratch[O cmp.Ordered] struct {
-	seen    map[rdf.NodeID]int
-	stamp   int
 	cand    []rdf.NodeID
 	byFreq  []O
 	sortedA []O
 }
 
-// scan runs lines 9–19 over the source nodes a, returning the discovered
-// edges and the number of candidate pairs screened. With workers > 1 and
-// enough sources, disjoint chunks of a are scanned concurrently and the
-// per-chunk edge batches concatenated in chunk (= source) order; the final
-// (A, B) sort makes the output identical either way.
-func (ix *matchIndex[O]) scan(a []rdf.NodeID, hooks core.Hooks, workers int) ([]BipartiteEdge, int, error) {
-	var edges []BipartiteEdge
-	var cands int
-	var err error
-	if workers > len(a) {
-		workers = len(a)
+// matchChunk is the result of scanning one chunk of source nodes.
+type matchChunk struct {
+	edges []BipartiteEdge
+	cands int
+	err   error
+}
+
+// scan runs lines 9–19 over the source nodes h.A, filling in h's edges
+// and the number of candidate pairs screened. With workers > 1 and
+// enough sources, chunks of h.A are scanned on a par.Ordered pool (about
+// four chunks per worker: candidate-list sizes vary wildly, so a static
+// split would leave workers idle) and committed in source order, so the
+// first error in source order wins; the final (A, B) sort makes the
+// output identical for every worker count.
+func (ix *matchIndex[O]) scan(h *WeightedBipartite, hooks core.Hooks, workers int) error {
+	a := h.A
+	workers = min(workers, len(a))
+	if len(a) < parallelMatchMin {
+		workers = 1
 	}
-	if workers <= 1 || len(a) < parallelMatchMin {
-		edges, cands, err = ix.scanRange(a, hooks, &matchScratch[O]{seen: make(map[rdf.NodeID]int)})
-	} else {
-		edges, cands, err = ix.scanParallel(a, hooks, workers)
+	chunk := len(a)
+	if workers > 1 {
+		chunk = (len(a) + workers*4 - 1) / (workers * 4)
 	}
-	if err != nil {
-		return nil, 0, err
+	rest := a
+	next := func() ([]rdf.NodeID, bool) {
+		n := min(chunk, len(rest))
+		span := rest[:n]
+		rest = rest[n:]
+		return span, n > 0
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].A != edges[j].A {
-			return edges[i].A < edges[j].A
+	scratch := make([]matchScratch[O], max(workers, 1))
+	work := func(w int, span []rdf.NodeID, r *matchChunk) {
+		ix.scanRange(span, hooks, &scratch[w], r)
+	}
+	commit := func(r *matchChunk) error {
+		if h.Edges == nil {
+			h.Edges, r.edges = r.edges, nil // a sequential scan's one chunk: no copy
+		} else {
+			h.Edges = append(h.Edges, r.edges...)
 		}
-		return edges[i].B < edges[j].B
+		h.Candidates += r.cands
+		return r.err
+	}
+	if err := par.Ordered(workers, next, work, commit); err != nil {
+		return err
+	}
+	slices.SortFunc(h.Edges, func(x, y BipartiteEdge) int {
+		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
 	})
-	return edges, cands, nil
+	return nil
 }
 
-// scanParallel fans the scan out over a worker pool. Chunks are claimed
-// through an atomic cursor (candidate-list sizes vary wildly, so static
-// splitting would leave workers idle) but results land in a per-chunk slot,
-// so the merge is in chunk order and the first error in chunk order wins —
-// both independent of scheduling.
-func (ix *matchIndex[O]) scanParallel(a []rdf.NodeID, hooks core.Hooks, workers int) ([]BipartiteEdge, int, error) {
-	chunk := (len(a) + workers*4 - 1) / (workers * 4)
-	if chunk < 1 {
-		chunk = 1
-	}
-	nchunks := (len(a) + chunk - 1) / chunk
-	chunkEdges := make([][]BipartiteEdge, nchunks)
-	chunkCands := make([]int, nchunks)
-	chunkErr := make([]error, nchunks)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := &matchScratch[O]{seen: make(map[rdf.NodeID]int)}
-			for {
-				ci := int(cursor.Add(1)) - 1
-				if ci >= nchunks {
-					return
-				}
-				lo := ci * chunk
-				hi := lo + chunk
-				if hi > len(a) {
-					hi = len(a)
-				}
-				chunkEdges[ci], chunkCands[ci], chunkErr[ci] = ix.scanRange(a[lo:hi], hooks, sc)
-				if chunkErr[ci] != nil {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	total, cands := 0, 0
-	for ci := range chunkEdges {
-		if chunkErr[ci] != nil {
-			return nil, 0, chunkErr[ci]
-		}
-		total += len(chunkEdges[ci])
-		cands += chunkCands[ci]
-	}
-	edges := make([]BipartiteEdge, 0, total)
-	for _, ce := range chunkEdges {
-		edges = append(edges, ce...)
-	}
-	return edges, cands, nil
-}
-
-// scanRange scans one contiguous run of source nodes, returning the
-// discovered edges and the number of candidate pairs screened.
-func (ix *matchIndex[O]) scanRange(a []rdf.NodeID, hooks core.Hooks, sc *matchScratch[O]) ([]BipartiteEdge, int, error) {
-	var out []BipartiteEdge
-	cands := 0
+// scanRange scans one contiguous run of source nodes into r, reusing its
+// edge slice: the discovered edges, the number of candidate pairs
+// screened, or the hooks' error on cancellation.
+func (ix *matchIndex[O]) scanRange(a []rdf.NodeID, hooks core.Hooks, sc *matchScratch[O], r *matchChunk) {
+	*r = matchChunk{edges: r.edges[:0]}
 	for _, n := range a {
-		if err := hooks.Err(); err != nil {
-			return nil, 0, err
+		if r.err = hooks.Err(); r.err != nil {
+			return
 		}
 		objs := ix.charA(n)
 		k := len(objs)
@@ -284,30 +248,27 @@ func (ix *matchIndex[O]) scanRange(a []rdf.NodeID, hooks core.Hooks, sc *matchSc
 		// deterministically by scan position, via stable sort.
 		sc.byFreq = append(sc.byFreq[:0], objs...)
 		byFreq := sc.byFreq
-		sort.SliceStable(byFreq, func(i, j int) bool {
-			return len(ix.inv[byFreq[i]]) < len(ix.inv[byFreq[j]])
+		slices.SortStableFunc(byFreq, func(x, y O) int {
+			return len(ix.inv[x]) - len(ix.inv[y])
 		})
 		sc.sortedA = append(sc.sortedA[:0], objs...)
 		slices.Sort(sc.sortedA)
 		prefix := prefixLen(k, ix.theta)
-		sc.stamp++
+		// The candidates are the B nodes posted under the prefix objects,
+		// sorted and deduplicated.
 		cand := sc.cand[:0]
-		for i := 0; i < prefix; i++ {
-			for _, m := range ix.inv[byFreq[i]] {
-				if sc.seen[m] != sc.stamp {
-					sc.seen[m] = sc.stamp
-					cand = append(cand, m)
-				}
-			}
+		for _, o := range byFreq[:prefix] {
+			cand = append(cand, ix.inv[o]...)
 		}
+		slices.Sort(cand)
+		cand = slices.Compact(cand)
 		sc.cand = cand
-		cands += len(cand)
-		core.SortNodeIDs(cand)
+		r.cands += len(cand)
 		// Lines 14–19: overlap screen then distance verification.
 		for ci, m := range cand {
 			if ci%cancelBatch == cancelBatch-1 {
-				if err := hooks.Err(); err != nil {
-					return nil, 0, err
+				if r.err = hooks.Err(); r.err != nil {
+					return
 				}
 			}
 			sb := ix.sortedB(m)
@@ -317,11 +278,10 @@ func (ix *matchIndex[O]) scanRange(a []rdf.NodeID, hooks core.Hooks, sc *matchSc
 				continue
 			}
 			if d, ok := ix.dist(n, m); ok {
-				out = append(out, BipartiteEdge{A: n, B: m, D: d})
+				r.edges = append(r.edges, BipartiteEdge{A: n, B: m, D: d})
 			}
 		}
 	}
-	return out, cands, nil
 }
 
 // sortedIntersect counts the common elements of two ascending, duplicate-

@@ -34,7 +34,7 @@
 // node runs for the dependency CSR).
 //
 // All readers find sections through the footer table, and each section
-// a reader uses is CRC-checked (ReadInfo checks every one); truncation,
+// a reader uses is CRC-checked (Open checks every one); truncation,
 // bit corruption and adversarial length claims fail loudly with an error
 // wrapping ErrCorrupt that carries the byte offset of the failure.
 //
@@ -43,7 +43,7 @@
 // The format version in the header is bumped on any incompatible layout
 // change; readers reject versions they do not know with ErrCorrupt
 // ("format version N not supported") rather than guessing. Unknown
-// section IDs are skipped (ReadInfo still verifies their CRC), so
+// section IDs are skipped (Open still verifies their CRC), so
 // forward-compatible additions — new optional sections — do not require
 // a bump.
 package snapshot

@@ -116,7 +116,7 @@ func seedArchives(tb testing.TB) [][]byte {
 }
 
 // FuzzReadArchive is the adversarial-input wall around the archive reader:
-// whatever bytes arrive, ReadArchive must return (never panic) and classify
+// whatever bytes arrive, Open and Archive must return (never panic) and classify
 // every failure as ErrCorrupt. An archive that loads must survive
 // RebuildTail plus one AppendVersion — the append merge-joins into the
 // loaded rows, relying on the (S, P, O) order FromRaw checked — and still
@@ -127,7 +127,7 @@ func FuzzReadArchive(f *testing.F) {
 	}
 	next := fuzzGraph(f, fuzzAppendDoc)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, err := ReadArchive(bytes.NewReader(data), int64(len(data)))
+		a, err := openArchive(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("failure does not wrap ErrCorrupt: %v", err)

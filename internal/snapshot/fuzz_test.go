@@ -81,16 +81,16 @@ func requireCorruptError(t *testing.T, err error, size int) {
 }
 
 // FuzzReadGraph is the adversarial-input wall around the snapshot reader
-// and ReadInfo, which rdfalignd runs on every uploaded snapshot: whatever
+// and Open, which rdfalignd runs on every uploaded snapshot: whatever
 // bytes arrive, both must return (never panic), must not allocate
 // proportionally to unchecked length claims, and must classify every
 // failure as ErrCorrupt with a byte offset. When a mutated input happens
-// to parse, ReadInfo must describe the same graph, and the loaded graph
+// to parse, Open must describe the same graph, and the loaded graph
 // must itself survive a write/read round trip to the identical graph.
 func FuzzReadGraph(f *testing.F) {
 	addSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		info, infoErr := ReadInfo(bytes.NewReader(data), int64(len(data)))
+		info, infoErr := openInfo(data)
 		if infoErr != nil {
 			requireCorruptError(t, infoErr, len(data))
 		}
@@ -100,11 +100,11 @@ func FuzzReadGraph(f *testing.F) {
 			return
 		}
 		if infoErr != nil {
-			t.Fatalf("ReadGraph accepted bytes ReadInfo rejects: %v", infoErr)
+			t.Fatalf("ReadGraph accepted bytes Open rejects: %v", infoErr)
 		}
 		if info.Kind != "graph" || len(info.Graphs) != 1 ||
 			info.Graphs[0].Nodes != g.NumNodes() || info.Graphs[0].Triples != g.NumTriples() {
-			t.Fatalf("ReadInfo %+v disagrees with the loaded graph (%d nodes, %d triples)",
+			t.Fatalf("Open: info %+v disagrees with the loaded graph (%d nodes, %d triples)",
 				info, g.NumNodes(), g.NumTriples())
 		}
 		var buf bytes.Buffer

@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -35,15 +34,11 @@ type Info struct {
 	Sections      []SectionInfo
 }
 
-// ReadInfo inspects a snapshot file through its footer table, verifying
-// every section's CRC and decoding only graph headers (GRPH), the column
-// layout of GRPM sections and archive counts.
-func ReadInfo(r io.ReaderAt, size int64) (*Info, error) {
-	f, err := openReaderAt(r, size)
-	if err != nil {
-		return nil, err
-	}
-	info := &Info{FormatVersion: FormatVersion, Size: size, Kind: "graph"}
+// inspect reads every section of f through its footer table, verifying
+// its CRC and decoding only graph headers (GRPH), the column layout of
+// GRPM sections and archive counts.
+func (f *file) inspect() (*Info, error) {
+	info := &Info{FormatVersion: FormatVersion, Size: f.size, Kind: "graph"}
 	for _, e := range append(f.table, f.footer) {
 		info.Sections = append(info.Sections, SectionInfo{
 			Name: sectionName(e.id), Index: int(e.index), Offset: e.off, Length: e.length,

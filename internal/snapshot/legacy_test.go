@@ -27,7 +27,7 @@ const legacyGraphDoc = "<http://example.org/s> <http://example.org/p> \"v\" .\n"
 	"<http://example.org/s> <http://example.org/q> <http://example.org/t> .\n"
 
 // TestLegacyGraphFixture: a GRPH graph snapshot still loads, identically,
-// through ReadGraph and ReadGraphAt, and its summary
+// through ReadGraph and Open, and its summary
 // decodes the GRPH header.
 func TestLegacyGraphFixture(t *testing.T) {
 	want, err := rdf.ParseNTriplesString(legacyGraphDoc, "fixture")
@@ -44,12 +44,12 @@ func TestLegacyGraphFixture(t *testing.T) {
 	}
 	requireGraphsIdentical(t, want, g)
 	requireDependentsIdentical(t, g)
-	at, err := ReadGraphAt(bytes.NewReader(data), int64(len(data)))
+	at, err := openGraph(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireGraphsIdentical(t, g, at)
-	info, err := ReadInfo(bytes.NewReader(data), int64(len(data)))
+	info, err := openInfo(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestLegacyArchiveFixture(t *testing.T) {
 	if _, err := ReadGraph(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("ReadGraph on an archive snapshot: %v, want ErrCorrupt", err)
 	}
-	f, err := openReaderAt(bytes.NewReader(data), int64(len(data)))
+	f, err := openBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestMappedRoundTripEmpty(t *testing.T) {
 // TestMappedRoundTripRandom is the property test of the tentpole: the
 // mmap-backed graph must be indistinguishable from the heap graph it was
 // written from — same labels, triples, CSRs — across random graphs, for
-// the zero-copy open and both heap loads (ReadGraphFile, ReadGraphAt over
+// the zero-copy open and both heap loads (ReadGraphFile, Open over
 // bytes in memory).
 func TestMappedRoundTripRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
@@ -99,9 +99,9 @@ func TestMappedRoundTripRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		at, err := ReadGraphAt(bytes.NewReader(raw), int64(len(raw)))
+		at, err := openGraph(raw)
 		if err != nil {
-			t.Fatalf("ReadGraphAt over mapped snapshot: %v", err)
+			t.Fatalf("Open over mapped snapshot: %v", err)
 		}
 		requireGraphsIdentical(t, g, at)
 

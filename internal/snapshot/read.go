@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"unsafe"
 
 	"rdfalign/internal/archive"
@@ -29,18 +30,6 @@ func ReadGraph(r io.Reader) (*rdf.Graph, error) {
 	return readGraph(f, nil)
 }
 
-// ReadGraphAt loads a graph snapshot through the footer table of r onto
-// the heap. Long-lived services (OpenSnapshot, cmd/rdfalignd) serve graph
-// and archive snapshots alike from one io.ReaderAt-backed handle; only the
-// header, footer and the graph section are read.
-func ReadGraphAt(r io.ReaderAt, size int64) (*rdf.Graph, error) {
-	f, err := openReaderAt(r, size)
-	if err != nil {
-		return nil, err
-	}
-	return readGraph(f, nil)
-}
-
 // ReadGraphFile reads a graph snapshot from path onto the heap.
 func ReadGraphFile(path string) (*rdf.Graph, error) {
 	f, err := os.Open(path)
@@ -52,8 +41,58 @@ func ReadGraphFile(path string) (*rdf.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ReadGraphAt(f, st.Size())
+	h, err := Open(f, st.Size())
+	if err != nil {
+		return nil, err
+	}
+	return h.Graph()
 }
+
+// Handle is a snapshot file whose sections have all been read once and
+// CRC-checked. It keeps the verified bytes of the sections Graph or
+// Archive decode, so neither reads nor checksums the file again: a GRPM
+// graph's columns are cast in place over those bytes. Long-lived services
+// (rdfalign.OpenSnapshot, cmd/rdfalignd uploads) inspect and load graph
+// and archive snapshots alike through one Handle.
+type Handle struct {
+	f    *file
+	info *Info
+}
+
+// Open reads the snapshot of size bytes in r through its footer table,
+// verifying every section's CRC and decoding the summary Info reports.
+// Every failure returns an error wrapping ErrCorrupt with the byte offset.
+func Open(r io.ReaderAt, size int64) (*Handle, error) {
+	f, err := (&file{r: r, size: size, verified: make(map[sectionKey][]byte)}).open()
+	if err != nil {
+		return nil, err
+	}
+	info, err := f.inspect()
+	if err != nil {
+		return nil, err
+	}
+	keep := []uint32{secGraph, secGraphMapped}
+	if info.Kind == "archive" {
+		keep = []uint32{secArchiveMeta, secArchiveLabels, secArchiveRows}
+	}
+	for _, e := range append(f.table, f.footer) {
+		if e.index != 0 || !slices.Contains(keep, e.id) {
+			delete(f.verified, sectionKey{e.off, e.id})
+		}
+	}
+	return &Handle{f: f, info: info}, nil
+}
+
+// Info returns the summary read at open time.
+func (h *Handle) Info() *Info { return h.info }
+
+// Graph decodes the graph of a graph snapshot onto the heap.
+func (h *Handle) Graph() (*rdf.Graph, error) { return readGraph(h.f, nil) }
+
+// Archive reconstructs the Archive from the entity/row sections of an
+// archive snapshot. Per-version GRPH sections, which archive files written
+// by earlier builds carry, are not decoded.
+func (h *Handle) Archive() (*archive.Archive, error) { return readArchive(h.f) }
 
 // readGraph serves the graph of f. A GRPM section's columns are cast in
 // place, so the graph aliases f's bytes and its Close releases m, the
@@ -123,14 +162,7 @@ func alignedBuf(n int, off int64) []byte {
 	return b[k : k+n]
 }
 
-// ReadArchive reconstructs the Archive from the entity/row sections of an
-// archive snapshot. Per-version GRPH sections, which archive files written
-// by earlier builds carry, are not read.
-func ReadArchive(r io.ReaderAt, size int64) (*archive.Archive, error) {
-	f, err := openReaderAt(r, size)
-	if err != nil {
-		return nil, err
-	}
+func readArchive(f *file) (*archive.Archive, error) {
 	meta, err := f.section(secArchiveMeta, 0)
 	if err != nil {
 		return nil, err
@@ -172,6 +204,16 @@ type file struct {
 	size   int64
 	table  []tableEntry
 	footer tableEntry // the FOOT section, which its own table does not list
+	// verified, when non-nil, keeps CRC-checked section payloads, so a
+	// section is read and checksummed once.
+	verified map[sectionKey][]byte
+}
+
+// sectionKey names a section by its offset and the id its header was
+// checked to carry.
+type sectionKey struct {
+	off int64
+	id  uint32
 }
 
 // readAt returns the n bytes at off: a sub-slice of an in-memory file,
@@ -190,10 +232,6 @@ func (f *file) readAt(off int64, n int) ([]byte, error) {
 		return nil, corrupt(off, "read failed: %v", err)
 	}
 	return buf, nil
-}
-
-func openReaderAt(r io.ReaderAt, size int64) (*file, error) {
-	return (&file{r: r, size: size}).open()
 }
 
 func openBytes(data []byte) (*file, error) {
@@ -268,7 +306,11 @@ func (f *file) open() (*file, error) {
 }
 
 // sectionAt reads and CRC-checks the section whose header starts at off.
+// A payload verified earlier under the same id is served from f.verified.
 func (f *file) sectionAt(off int64, wantID uint32) (*cursor, error) {
+	if data, ok := f.verified[sectionKey{off, wantID}]; ok {
+		return &cursor{data: data, base: off + int64(secHdrSize)}, nil
+	}
 	hdr, err := f.readAt(off, secHdrSize)
 	if err != nil {
 		return nil, err
@@ -291,6 +333,9 @@ func (f *file) sectionAt(off int64, wantID uint32) (*cursor, error) {
 	}
 	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(crcB); got != want {
 		return nil, corrupt(off, "section %s CRC mismatch: computed %08x, stored %08x", sectionName(id), got, want)
+	}
+	if f.verified != nil {
+		f.verified[sectionKey{off, id}] = payload
 	}
 	return &cursor{data: payload, base: off + int64(secHdrSize)}, nil
 }

@@ -265,9 +265,9 @@ func TestArchiveRoundTrip(t *testing.T) {
 		t.Fatalf("WriteArchive: %v", err)
 	}
 	blob := buf.Bytes()
-	got, err := ReadArchive(bytes.NewReader(blob), int64(len(blob)))
+	got, err := openArchive(blob)
 	if err != nil {
-		t.Fatalf("ReadArchive: %v", err)
+		t.Fatalf("Open+Archive: %v", err)
 	}
 	requireArchivesEqual(t, a, got)
 
@@ -318,7 +318,7 @@ func readArchiveFile(t *testing.T, path string) *archive.Archive {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ReadArchive(bytes.NewReader(data), int64(len(data)))
+	a, err := openArchive(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestInfo(t *testing.T) {
 	if err := WriteArchive(&buf, a); err != nil {
 		t.Fatal(err)
 	}
-	info, err := ReadInfo(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	info, err := openInfo(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestInfo(t *testing.T) {
 	if err := WriteGraphMapped(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	ginfo, err := ReadInfo(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	ginfo, err := openInfo(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,11 +464,128 @@ func TestCorruptionDetected(t *testing.T) {
 		}
 		ablob := ab.Bytes()
 		for cut := 0; cut < len(ablob); cut += 1 + len(ablob)/53 {
-			if _, err := ReadArchive(bytes.NewReader(ablob[:cut]), int64(cut)); err == nil {
+			if _, err := openArchive(ablob[:cut]); err == nil {
 				t.Fatalf("truncation at %d accepted", cut)
 			} else if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("truncation at %d: error does not wrap ErrCorrupt: %v", cut, err)
 			}
 		}
 	})
+}
+
+// openInfo, openGraph and openArchive read an in-memory snapshot through
+// one Handle.
+func openInfo(data []byte) (*Info, error) {
+	h, err := Open(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return nil, err
+	}
+	return h.Info(), nil
+}
+
+func openGraph(data []byte) (*rdf.Graph, error) {
+	h, err := Open(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return nil, err
+	}
+	return h.Graph()
+}
+
+func openArchive(data []byte) (*archive.Archive, error) {
+	h, err := Open(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return nil, err
+	}
+	return h.Archive()
+}
+
+// countingReaderAt counts how often each byte of data is read.
+type countingReaderAt struct {
+	data  []byte
+	reads []int
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	n := copy(p, c.data[off:])
+	for i := range n {
+		c.reads[int(off)+i]++
+	}
+	return n, nil
+}
+
+// testSnapshots returns a graph snapshot and an archive snapshot.
+func testSnapshots(t *testing.T) (graph, arch []byte) {
+	t.Helper()
+	a, graphs := buildTestArchive(t)
+	var gb, ab bytes.Buffer
+	if err := WriteGraphMapped(&gb, graphs[len(graphs)-1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteArchive(&ab, a); err != nil {
+		t.Fatal(err)
+	}
+	return gb.Bytes(), ab.Bytes()
+}
+
+// TestOpenReadsEachByteOnce: Open verifies every section, and Graph or
+// Archive then decodes from the verified bytes, so opening and loading a
+// snapshot reads no byte of the file twice.
+func TestOpenReadsEachByteOnce(t *testing.T) {
+	graphBlob, archiveBlob := testSnapshots(t)
+	for _, c := range []struct {
+		name string
+		data []byte
+		load func(*Handle) error
+	}{
+		{"graph", graphBlob, func(h *Handle) error { _, err := h.Graph(); return err }},
+		{"archive", archiveBlob, func(h *Handle) error { _, err := h.Archive(); return err }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := &countingReaderAt{data: c.data, reads: make([]int, len(c.data))}
+			h, err := Open(r, int64(len(c.data)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.load(h); err != nil {
+				t.Fatal(err)
+			}
+			for off, n := range r.reads {
+				if n > 1 {
+					t.Fatalf("byte %d of %d read %d times", off, len(c.data), n)
+				}
+			}
+		})
+	}
+}
+
+// TestOpenRejectsSharedSectionOffset: a footer table whose AROW entry
+// points at the ALBL section is corrupt, although that offset was already
+// read and verified as ALBL.
+func TestOpenRejectsSharedSectionOffset(t *testing.T) {
+	_, blob := testSnapshots(t)
+	info, err := openInfo(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	sw, err := newSectionWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range []uint32{secArchiveMeta, secArchiveLabels} {
+		s := info.Sections[i]
+		payload := blob[s.Offset+int64(secHdrSize) : s.Offset+int64(secHdrSize)+s.Length]
+		if err := sw.section(id, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	forged := sw.table[1]
+	forged.id = secArchiveRows
+	sw.table = append(sw.table, forged)
+	if err := sw.finish(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openInfo(buf.Bytes()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("AROW entry at the ALBL offset: %v, want ErrCorrupt", err)
+	}
 }

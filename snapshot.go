@@ -58,17 +58,17 @@ func WriteArchiveSnapshotFile(path string, a *Archive) error {
 }
 
 // SnapshotHandle is an open snapshot file of either kind. OpenSnapshot
-// inspects the file once (verifying every section CRC) and the accessors
-// then decode the graph or the archive on demand through the footer table
-// — the read side of WriteGraphSnapshotMappedFile and
-// WriteArchiveSnapshotFile, and the loading path of both cmd/rdfalignd and
-// rdfalign -load-snapshot. A handle holds its file open until Close; the
-// accessors are independent and safe to call in any order, but the handle
-// itself is not safe for concurrent use.
+// reads the file once, verifying every section CRC, and the accessors then
+// decode the graph or the archive from the verified bytes without reading
+// or checksumming the file again — the read side of
+// WriteGraphSnapshotMappedFile and WriteArchiveSnapshotFile, and the
+// loading path of both cmd/rdfalignd and rdfalign -load-snapshot. A handle
+// holds its file open until Close and the verified bytes while it is
+// reachable; the accessors are independent and safe to call in any order,
+// but the handle itself is not safe for concurrent use.
 type SnapshotHandle struct {
-	f    *os.File
-	size int64
-	info *SnapshotInfo
+	f *os.File
+	h *snapshot.Handle
 }
 
 // OpenSnapshot opens the snapshot file at path, auto-detecting whether it
@@ -83,26 +83,26 @@ func OpenSnapshot(path string) (*SnapshotHandle, error) {
 		f.Close()
 		return nil, err
 	}
-	info, err := snapshot.ReadInfo(f, st.Size())
+	h, err := snapshot.Open(f, st.Size())
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &SnapshotHandle{f: f, size: st.Size(), info: info}, nil
+	return &SnapshotHandle{f: f, h: h}, nil
 }
 
 // Info returns the inspection summary read at open time.
-func (h *SnapshotHandle) Info() *SnapshotInfo { return h.info }
+func (h *SnapshotHandle) Info() *SnapshotInfo { return h.h.Info() }
 
 // IsArchive reports whether the snapshot holds an archive (otherwise it
 // holds a single graph).
-func (h *SnapshotHandle) IsArchive() bool { return h.info.Kind == "archive" }
+func (h *SnapshotHandle) IsArchive() bool { return h.Info().Kind == "archive" }
 
 // Versions returns the number of versions: the archive's version count,
 // or 1 for a graph snapshot.
 func (h *SnapshotHandle) Versions() int {
 	if h.IsArchive() {
-		return h.info.Versions
+		return h.Info().Versions
 	}
 	return 1
 }
@@ -111,9 +111,9 @@ func (h *SnapshotHandle) Versions() int {
 // Archive or Version.
 func (h *SnapshotHandle) Graph() (*Graph, error) {
 	if h.IsArchive() {
-		return nil, fmt.Errorf("rdfalign: %s is an archive snapshot (%d versions); use Archive or Version", h.f.Name(), h.info.Versions)
+		return nil, fmt.Errorf("rdfalign: %s is an archive snapshot (%d versions); use Archive or Version", h.f.Name(), h.Versions())
 	}
-	return snapshot.ReadGraphAt(h.f, h.size)
+	return h.h.Graph()
 }
 
 // Archive reconstructs the archive of an archive snapshot.
@@ -121,7 +121,7 @@ func (h *SnapshotHandle) Archive() (*Archive, error) {
 	if !h.IsArchive() {
 		return nil, fmt.Errorf("rdfalign: %s is a graph snapshot; use Graph", h.f.Name())
 	}
-	return snapshot.ReadArchive(h.f, h.size)
+	return h.h.Archive()
 }
 
 // Version loads the graph of one version (0-based): for an archive
@@ -132,10 +132,10 @@ func (h *SnapshotHandle) Version(v int) (*Graph, error) {
 		if v != 0 {
 			return nil, fmt.Errorf("rdfalign: version %d out of range: %s is a graph snapshot", v, h.f.Name())
 		}
-		return snapshot.ReadGraphAt(h.f, h.size)
+		return h.h.Graph()
 	}
-	if v < 0 || v >= h.info.Versions {
-		return nil, fmt.Errorf("rdfalign: version %d out of range [0, %d)", v, h.info.Versions)
+	if v < 0 || v >= h.Versions() {
+		return nil, fmt.Errorf("rdfalign: version %d out of range [0, %d)", v, h.Versions())
 	}
 	a, err := h.Archive()
 	if err != nil {
