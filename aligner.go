@@ -345,10 +345,10 @@ func (al *Aligner) relate(a *Alignment, s stages) {
 	switch {
 	case s.overlap != nil:
 		a.overlapRounds = s.overlap.Rounds
-		a.rel = newPartitionRelation(a.c, a.part, s.overlap.Alignment(a.c))
+		a.rel = s.overlap.Alignment(a.c)
 	case s.sigma != nil:
 		a.rel = newSigmaRelation(a.c, a.part, s.sigma, al.cfg.theta)
 	default:
-		a.rel = newPartitionRelation(a.c, a.part, core.NewAlignment(a.c, a.part))
+		a.rel = core.NewAlignment(a.c, a.part)
 	}
 }

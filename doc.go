@@ -53,9 +53,19 @@
 //	})
 //
 // Every result implements the Relation interface
-// (Aligned/Distance/MatchesOf/Pairs/Unaligned), whether it is backed by a
-// partition (Trivial, Deblank, Hybrid, Overlap) or by the σEdit distance
-// (SigmaEdit), so callers treat all methods uniformly.
+// (Aligned/Distance/MatchesOf/Pairs/Unaligned/AlignedEntityCount), whether
+// it is backed by a partition (Trivial, Deblank, Hybrid, Overlap) or by the
+// σEdit distance (SigmaEdit), so callers treat all methods uniformly.
+//
+// For the partition methods the relation is the partition alignment
+// itself. Aligned and Distance compare two nodes' colors. Every per-class
+// query — MatchesOf, Pairs, Unaligned, AlignedEntityCount, and the
+// archive's entity chaining — reads one class table: a single counting
+// pass over the partition's colors that lists each class's members in
+// ascending node order, sources first. The table is built on the first
+// such query, never by Align or ApplyDelta, and is indexed by color up to
+// the largest color the partition uses. SigmaEdit's unaligned sets are
+// those of its hybrid base partition, read from that partition's table.
 //
 // NewAligner is the single entry point; the pre-session Options struct
 // and the package-level Align and BuildArchive wrappers have been removed.

@@ -254,33 +254,20 @@ func slabCopy[T any](slab *[]T, src []T) []T {
 // label (identity across gaps); everything else starts a fresh entity.
 func chainEntities(a *Archive, c *rdf.Combined, p *core.Partition, cur, next []EntityID,
 	g2 *rdf.Graph, lastSeen map[string]EntityID, resolve bool) {
-	// Colors and entity IDs are dense, so both tables are slices.
-	type classInfo struct {
-		src       rdf.NodeID
-		srcN, tgN int32
-	}
-	colors := p.Colors()
-	classes := make([]classInfo, p.Interner().Size())
-	for i := 0; i < c.NumNodes(); i++ {
-		ci := &classes[colors[i]]
-		if i < c.N1 {
-			ci.src = rdf.NodeID(i)
-			ci.srcN++
-		} else {
-			ci.tgN++
-		}
-	}
-	used := make([]bool, len(a.labels))
 	for j := range next {
 		next[j] = -1
-		ci := &classes[colors[c.FromTarget(rdf.NodeID(j))]]
-		if ci.srcN == 1 && ci.tgN == 1 {
-			next[j] = cur[ci.src]
-			used[next[j]] = true
-		}
 	}
+	used := make([]bool, len(a.labels))
+	classes := core.NewAlignment(c, p)
+	classes.EachClass(func(src, tgt []rdf.NodeID) {
+		if len(src) == 1 && len(tgt) == 1 {
+			e := cur[src[0]]
+			next[c.ToTarget(tgt[0])] = e
+			used[e] = true
+		}
+	})
 	if resolve {
-		resolveAmbiguous(a, c, p, cur, next, used)
+		resolveAmbiguous(classes, cur, next, used)
 	}
 	for j := range next {
 		if next[j] != -1 {

@@ -1,7 +1,8 @@
 package archive
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rdfalign/internal/core"
 	"rdfalign/internal/rdf"
@@ -48,69 +49,42 @@ func profile(c *rdf.Combined, p *core.Partition, n rdf.NodeID) []uint64 {
 const resolveProfileTheta = 0.5
 
 // resolveAmbiguous chains entities between the source and target members of
-// ambiguous classes by occurrence-profile overlap. next entries of -1 are
-// unassigned; the function fills matched ones and marks their entities
+// ambiguous classes by occurrence-profile overlap, visiting the classes in
+// ascending color order. Only target members still unassigned (next entry
+// -1) take part; the function fills matched ones and marks their entities
 // used.
-func resolveAmbiguous(a *Archive, c *rdf.Combined, p *core.Partition,
-	cur, next []EntityID, used []bool) {
-	// Group unresolved nodes per ambiguous class.
-	type group struct {
-		src, tgt []rdf.NodeID
+func resolveAmbiguous(classes *core.Alignment, cur, next []EntityID, used []bool) {
+	c, p := classes.C, classes.P
+	char := func(n rdf.NodeID) []uint64 { return profile(c, p, n) }
+	dist := func(x, y rdf.NodeID) (float64, bool) {
+		ov := similarity.Overlap(profile(c, p, x), profile(c, p, y))
+		return 1 - ov, ov >= resolveProfileTheta
 	}
-	groups := make(map[core.Color]*group)
-	for i := 0; i < c.NumNodes(); i++ {
-		n := rdf.NodeID(i)
-		col := p.Color(n)
-		g := groups[col]
-		if g == nil {
-			g = &group{}
-			groups[col] = g
-		}
-		if i < c.N1 {
-			g.src = append(g.src, n)
-		} else if int(n-rdf.NodeID(c.N1)) < len(next) && next[c.ToTarget(n)] == -1 {
-			g.tgt = append(g.tgt, n)
-		}
-	}
-	// Deterministic class order.
-	cols := make([]core.Color, 0, len(groups))
-	for col, g := range groups {
-		if len(g.src) >= 1 && len(g.tgt) >= 1 && len(g.src)+len(g.tgt) > 2 {
-			cols = append(cols, col)
-		}
-	}
-	sort.Slice(cols, func(i, j int) bool { return cols[i] < cols[j] })
-
-	for _, col := range cols {
-		g := groups[col]
-		h, _ := similarity.OverlapMatch(g.src, g.tgt, resolveProfileTheta,
-			func(n rdf.NodeID) []uint64 { return profile(c, p, n) },
-			func(x, y rdf.NodeID) (float64, bool) {
-				ov := similarity.Overlap(profile(c, p, x), profile(c, p, y))
-				return 1 - ov, ov >= resolveProfileTheta
-			}, core.Hooks{}, 1) // no context: cannot fail
-		// Greedy one-to-one by ascending distance.
-		sort.SliceStable(h.Edges, func(i, j int) bool {
-			if h.Edges[i].D != h.Edges[j].D {
-				return h.Edges[i].D < h.Edges[j].D
+	var open []rdf.NodeID
+	classes.EachClass(func(src, tgt []rdf.NodeID) {
+		open = open[:0]
+		for _, n := range tgt {
+			if next[c.ToTarget(n)] == -1 {
+				open = append(open, n)
 			}
-			if h.Edges[i].A != h.Edges[j].A {
-				return h.Edges[i].A < h.Edges[j].A
-			}
-			return h.Edges[i].B < h.Edges[j].B
+		}
+		if len(src) == 0 || len(open) == 0 || len(src)+len(open) <= 2 {
+			return
+		}
+		h, _ := similarity.OverlapMatch(src, open, resolveProfileTheta, char, dist,
+			core.Hooks{}, 1) // no context: cannot fail
+		// Greedy one-to-one by ascending distance. A matched source's
+		// entity is marked used, which keeps it from matching again.
+		slices.SortFunc(h.Edges, func(x, y similarity.BipartiteEdge) int {
+			return cmp.Or(cmp.Compare(x.D, y.D), cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
 		})
-		usedSrc := make(map[rdf.NodeID]bool)
 		for _, e := range h.Edges {
-			if usedSrc[e.A] || used[cur[e.A]] {
-				continue
-			}
 			tj := c.ToTarget(e.B)
-			if next[tj] != -1 {
+			if used[cur[e.A]] || next[tj] != -1 {
 				continue
 			}
 			next[tj] = cur[e.A]
 			used[cur[e.A]] = true
-			usedSrc[e.A] = true
 		}
-	}
+	})
 }

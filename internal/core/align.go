@@ -24,13 +24,15 @@ type Alignment struct {
 	W     []float64
 	Theta float64
 
-	// targets indexes the target nodes by color for MatchesOf and Pairs:
-	// each entry is color<<32 | node, sorted, so one class's target
-	// members form one run in ascending node order. Built on the first
-	// call that needs it, never by the constructors, so an alignment that
-	// is never queried that way pays nothing.
-	targetsOnce sync.Once
-	targets     []uint64
+	// The class table lists every class's members grouped by color: class
+	// col holds members[start[col]:start[col+1]] in ascending node order,
+	// so its source members come first and its target members after.
+	// Every per-class query reads it. It is built by one counting pass on
+	// the first such query, never by the constructors, so an alignment
+	// that is never queried that way pays nothing.
+	tableOnce sync.Once
+	start     []int32
+	members   []rdf.NodeID
 }
 
 // NewAlignment wraps a partition alignment Align(λ).
@@ -73,32 +75,73 @@ func (a *Alignment) Distance(n1, n2 rdf.NodeID) float64 {
 	return 0
 }
 
-// classTargets returns the run of the target index holding the combined
-// target nodes colored col, ascending, building the index on first use.
-func (a *Alignment) classTargets(col Color) []uint64 {
-	a.targetsOnce.Do(func() {
-		t := make([]uint64, a.C.N2)
-		for i := range t {
-			n := a.C.N1 + i
-			t[i] = uint64(uint32(a.P.colors[n]))<<32 | uint64(n)
-		}
-		slices.Sort(t)
-		a.targets = t
-	})
-	key := uint64(uint32(col)) << 32
-	i, _ := slices.BinarySearch(a.targets, key)
-	j := i
-	for j < len(a.targets) && a.targets[j]&^0xFFFFFFFF == key {
-		j++
+// buildTable fills the class table by one counting pass over the colors.
+// It is sized by the partition's largest color, never by the interner,
+// which a session may be extending while an older version is queried.
+func (a *Alignment) buildTable() {
+	colors := a.P.colors
+	size := 0
+	if len(colors) > 0 {
+		size = int(slices.Max(colors)) + 1
 	}
-	return a.targets[i:j]
+	// Count class col into start[col+2], so that after the prefix sum
+	// start[col+1] is where the class begins and, once filling has advanced
+	// it past the members, where it ends.
+	start := make([]int32, size+2)
+	for _, col := range colors {
+		start[col+2]++
+	}
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	members := make([]rdf.NodeID, len(colors))
+	for n, col := range colors {
+		members[start[col+1]] = rdf.NodeID(n)
+		start[col+1]++
+	}
+	a.start, a.members = start[:size+1], members
+}
+
+// class returns the combined members of class col, ascending.
+func (a *Alignment) class(col Color) []rdf.NodeID {
+	a.tableOnce.Do(a.buildTable)
+	return a.members[a.start[col]:a.start[col+1]]
+}
+
+// sides splits class col into its source and target members, each
+// ascending, as combined node IDs.
+func (a *Alignment) sides(col Color) (src, tgt []rdf.NodeID) {
+	m := a.class(col)
+	k, _ := slices.BinarySearch(m, rdf.NodeID(a.C.N1))
+	return m[:k], m[k:]
+}
+
+// EachClass calls f for every class of the partition in ascending color
+// order with its source and target members, each ascending, as combined
+// node IDs. The slices belong to the alignment and must not be modified.
+func (a *Alignment) EachClass(f func(src, tgt []rdf.NodeID)) {
+	a.tableOnce.Do(a.buildTable)
+	n1 := rdf.NodeID(a.C.N1)
+	lo := a.start[0]
+	for _, hi := range a.start[1:] {
+		if m := a.members[lo:hi]; len(m) > 0 {
+			// Classes are mostly tiny, so a linear split beats a binary
+			// search; over all classes it reads each source once.
+			k := 0
+			for k < len(m) && m[k] < n1 {
+				k++
+			}
+			f(m[:k], m[k:])
+		}
+		lo = hi
+	}
 }
 
 // appendMatches appends to dst the G2 node IDs aligned with the combined
 // source node cn, ascending.
 func (a *Alignment) appendMatches(dst []rdf.NodeID, cn rdf.NodeID) []rdf.NodeID {
-	for _, e := range a.classTargets(a.P.colors[cn]) {
-		cm := rdf.NodeID(uint32(e))
+	_, tgt := a.sides(a.P.colors[cn])
+	for _, cm := range tgt {
 		if a.W != nil && OPlus(a.W[cn], a.W[cm]) > a.Theta {
 			continue
 		}
@@ -132,6 +175,33 @@ func (a *Alignment) PairCount() int {
 	return total
 }
 
+// Unaligned returns Unaligned_1(λ) and Unaligned_2(λ) (§3.1) as G1 and G2
+// node IDs: the source nodes whose class has no target member, and vice
+// versa, each ascending. Weights play no part: a class member on the other
+// side makes a node aligned whatever θ is.
+func (a *Alignment) Unaligned() (src, tgt []rdf.NodeID) {
+	n1 := rdf.NodeID(a.C.N1)
+	for i, col := range a.P.colors {
+		m, n := a.class(col), rdf.NodeID(i)
+		if n < n1 && m[len(m)-1] < n1 {
+			src = append(src, n)
+		} else if n >= n1 && m[0] >= n1 {
+			tgt = append(tgt, n-n1)
+		}
+	}
+	return src, tgt
+}
+
+// Unaligned returns Unaligned_1(λ) and Unaligned_2(λ) (§3.1) as combined
+// node IDs, each ascending.
+func Unaligned(c *rdf.Combined, p *Partition) (un1, un2 []rdf.NodeID) {
+	un1, un2 = NewAlignment(c, p).Unaligned()
+	for i, n := range un2 {
+		un2[i] = c.FromTarget(n)
+	}
+	return un1, un2
+}
+
 // AlignedEntityCount returns the number of equivalence classes containing
 // nodes from both sides — the duplicate-free count of aligned entities used
 // in the paper's Figure 13 ("any two URIs coming from two versions but
@@ -139,60 +209,14 @@ func (a *Alignment) PairCount() int {
 // restricts the count to classes containing a URI node, matching the
 // GtoPdb evaluation where ground truth covers resource URIs.
 func (a *Alignment) AlignedEntityCount(onlyURIs bool) int {
-	type info struct {
-		src, tgt bool
-		uri      bool
-	}
-	m := make(map[Color]*info)
-	for i, col := range a.P.colors {
-		inf := m[col]
-		if inf == nil {
-			inf = &info{}
-			m[col] = inf
-		}
-		n := rdf.NodeID(i)
-		if i < a.C.N1 {
-			inf.src = true
-		} else {
-			inf.tgt = true
-		}
-		if a.C.IsURI(n) {
-			inf.uri = true
-		}
-	}
 	total := 0
-	for _, inf := range m {
-		if inf.src && inf.tgt && (!onlyURIs || inf.uri) {
+	a.EachClass(func(src, tgt []rdf.NodeID) {
+		if len(src) > 0 && len(tgt) > 0 && (!onlyURIs ||
+			slices.ContainsFunc(src, a.C.IsURI) || slices.ContainsFunc(tgt, a.C.IsURI)) {
 			total++
 		}
-	}
-	return total
-}
-
-// HasCrossover verifies the crossover property of partition-defined
-// alignments (§3.1): whenever (n,m), (n,m') and (n',m) are aligned, so is
-// (n',m'). It holds by construction for Alignment; the check exists for the
-// property tests.
-func (a *Alignment) HasCrossover() bool {
-	type pair struct{ n1, n2 rdf.NodeID }
-	pairs := map[pair]bool{}
-	bySrc := map[rdf.NodeID][]rdf.NodeID{}
-	byTgt := map[rdf.NodeID][]rdf.NodeID{}
-	a.Pairs(func(n1, n2 rdf.NodeID) {
-		pairs[pair{n1, n2}] = true
-		bySrc[n1] = append(bySrc[n1], n2)
-		byTgt[n2] = append(byTgt[n2], n1)
 	})
-	for p := range pairs {
-		for _, m2 := range bySrc[p.n1] {
-			for _, n2 := range byTgt[p.n2] {
-				if !pairs[pair{n2, m2}] {
-					return false
-				}
-			}
-		}
-	}
-	return true
+	return total
 }
 
 // edgeSig is the color image of a triple under a partition.
@@ -252,36 +276,6 @@ func EdgeAlignment(c *rdf.Combined, p *Partition) EdgeAlignStats {
 		}
 		if sides == inSrc|inTgt {
 			st.Common++
-		}
-	}
-	return st
-}
-
-// AlignedNodeStats counts, per side, how many nodes are aligned (belong to a
-// class with members on the opposite side), optionally restricted to URIs.
-type AlignedNodeStats struct {
-	Source int
-	Target int
-}
-
-// AlignedNodes computes AlignedNodeStats for a partition.
-func AlignedNodes(c *rdf.Combined, p *Partition, onlyURIs bool) AlignedNodeStats {
-	sides := newClassSides(c, p)
-	var st AlignedNodeStats
-	for i, col := range p.colors {
-		n := rdf.NodeID(i)
-		if onlyURIs && !c.IsURI(n) {
-			continue
-		}
-		sc := sides.at(col)
-		if i < c.N1 {
-			if sc.tgt > 0 {
-				st.Source++
-			}
-		} else {
-			if sc.src > 0 {
-				st.Target++
-			}
 		}
 	}
 	return st

@@ -220,3 +220,59 @@ func alignmentPairs(a *Alignment) map[[2]rdf.NodeID]bool {
 	a.Pairs(func(n1, n2 rdf.NodeID) { m[[2]rdf.NodeID{n1, n2}] = true })
 	return m
 }
+
+// HasCrossover verifies the crossover property of partition-defined
+// alignments (§3.1): whenever (n,m), (n,m') and (n',m) are aligned, so is
+// (n',m'). It holds by construction for Alignment; the check exists for the
+// property tests.
+func (a *Alignment) HasCrossover() bool {
+	type pair struct{ n1, n2 rdf.NodeID }
+	pairs := map[pair]bool{}
+	bySrc := map[rdf.NodeID][]rdf.NodeID{}
+	byTgt := map[rdf.NodeID][]rdf.NodeID{}
+	a.Pairs(func(n1, n2 rdf.NodeID) {
+		pairs[pair{n1, n2}] = true
+		bySrc[n1] = append(bySrc[n1], n2)
+		byTgt[n2] = append(byTgt[n2], n1)
+	})
+	for p := range pairs {
+		for _, m2 := range bySrc[p.n1] {
+			for _, n2 := range byTgt[p.n2] {
+				if !pairs[pair{n2, m2}] {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// AlignedNodeStats counts, per side, how many nodes are aligned (belong to a
+// class with members on the opposite side), optionally restricted to URIs.
+type AlignedNodeStats struct {
+	Source int
+	Target int
+}
+
+// AlignedNodes computes AlignedNodeStats for a partition: every node not
+// in Unaligned_i(λ), optionally restricted to URIs.
+func AlignedNodes(c *rdf.Combined, p *Partition, onlyURIs bool) AlignedNodeStats {
+	un1, un2 := Unaligned(c, p)
+	unaligned := make(map[rdf.NodeID]bool)
+	for _, n := range append(un1, un2...) {
+		unaligned[n] = true
+	}
+	var st AlignedNodeStats
+	for i := range p.Len() {
+		n := rdf.NodeID(i)
+		if unaligned[n] || onlyURIs && !c.IsURI(n) {
+			continue
+		}
+		if i < c.N1 {
+			st.Source++
+		} else {
+			st.Target++
+		}
+	}
+	return st
+}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"rdfalign/internal/rdf"
-)
+import "rdfalign/internal/rdf"
 
 // Partition assigns a color to every node of a graph (§2.2). The zero value
 // is not usable; construct with LabelPartition, TrivialPartition or Clone.
@@ -159,80 +155,4 @@ func BlankOut(p *Partition, x []rdf.NodeID) *Partition {
 		q.colors[n] = p.in.Blank()
 	}
 	return q
-}
-
-// sideCount tallies how many members of a color class come from each side of
-// a combined graph.
-type sideCount struct {
-	src, tgt int32
-}
-
-// classSides holds per-color side counts for a combined graph, backed by a
-// dense Color-indexed array when the partition's largest color is small
-// enough relative to the node count (colors are dense interner indices) and
-// by a map otherwise (a long-lived session interner can dwarf any one
-// partition's color range). Both backings produce identical lookups.
-type classSides struct {
-	dense  []sideCount
-	sparse map[Color]sideCount
-}
-
-// newClassSides computes per-color side counts for a combined graph. It
-// reads only p's colors, never the interner, which a session may be
-// extending concurrently while an older version is queried.
-func newClassSides(c *rdf.Combined, p *Partition) classSides {
-	size := 0
-	if len(p.colors) > 0 {
-		size = int(slices.Max(p.colors)) + 1
-	}
-	if size <= 8*len(p.colors)+1024 {
-		dense := make([]sideCount, size)
-		for i, col := range p.colors {
-			if i < c.N1 {
-				dense[col].src++
-			} else {
-				dense[col].tgt++
-			}
-		}
-		return classSides{dense: dense}
-	}
-	m := make(map[Color]sideCount, p.NumClasses())
-	for i, col := range p.colors {
-		sc := m[col]
-		if i < c.N1 {
-			sc.src++
-		} else {
-			sc.tgt++
-		}
-		m[col] = sc
-	}
-	return classSides{sparse: m}
-}
-
-// at returns the side counts of color col.
-func (cs classSides) at(col Color) sideCount {
-	if cs.dense != nil {
-		return cs.dense[col]
-	}
-	return cs.sparse[col]
-}
-
-// Unaligned returns Unaligned_1(λ) and Unaligned_2(λ) (§3.1): the source
-// nodes whose class has no target member, and vice versa. Both slices are
-// sorted by node ID.
-func Unaligned(c *rdf.Combined, p *Partition) (un1, un2 []rdf.NodeID) {
-	sides := newClassSides(c, p)
-	for i, col := range p.colors {
-		sc := sides.at(col)
-		if i < c.N1 {
-			if sc.tgt == 0 {
-				un1 = append(un1, rdf.NodeID(i))
-			}
-		} else {
-			if sc.src == 0 {
-				un2 = append(un2, rdf.NodeID(i))
-			}
-		}
-	}
-	return un1, un2
 }

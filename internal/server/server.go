@@ -286,8 +286,8 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	var v int
-	if _, err := fmt.Sscanf(r.PathValue("v"), "%d", &v); err != nil {
+	v, err := strconv.Atoi(r.PathValue("v"))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad version number")
 		return nil
 	}
@@ -431,13 +431,13 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) error {
 	uri := q.Get("uri")
 	from, to := 0, h.version-1
 	if v := q.Get("from"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &from); err != nil {
+		if from, err = strconv.Atoi(v); err != nil {
 			writeError(w, http.StatusBadRequest, "bad from version")
 			return nil
 		}
 	}
 	if v := q.Get("to"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &to); err != nil {
+		if to, err = strconv.Atoi(v); err != nil {
 			writeError(w, http.StatusBadRequest, "bad to version")
 			return nil
 		}

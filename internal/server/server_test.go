@@ -229,6 +229,39 @@ func TestServerLifecycle(t *testing.T) {
 	}
 }
 
+// TestServerRejectsMalformedVersionNumbers checks that a version number
+// with trailing characters is a bad request, not a prefix read as a
+// number.
+func TestServerRejectsMalformedVersionNumbers(t *testing.T) {
+	s := newTestServer(t, Config{})
+	if w := do(t, s, "PUT", "/archives/test", triplesV0, nil); w.Code != 201 {
+		t.Fatalf("PUT: %d %s", w.Code, w.Body)
+	}
+	var job JobInfo
+	if w := do(t, s, "POST", "/archives/test/versions", triplesV1, &job); w.Code != 202 {
+		t.Fatalf("POST version: %d %s", w.Code, w.Body)
+	}
+	if info := waitJob(t, s, job.ID); info.State != JobDone {
+		t.Fatalf("version job: %+v", info)
+	}
+	for _, path := range []string{
+		"/archives/test/versions/1abc",
+		"/archives/test/versions/1.5",
+		"/archives/test/versions/0x10",
+		"/archives/test/resolve?uri=http://x/a&from=1.5",
+		"/archives/test/resolve?uri=http://x/a&to=2x",
+	} {
+		if w := do(t, s, "GET", path, "", nil); w.Code != http.StatusBadRequest {
+			t.Errorf("GET %s: got %d, want 400", path, w.Code)
+		}
+	}
+	for _, path := range []string{"/archives/test/versions/1", "/archives/test/resolve?uri=http://x/a&from=0&to=1"} {
+		if w := do(t, s, "GET", path, "", nil); w.Code != http.StatusOK {
+			t.Errorf("GET %s: got %d, want 200", path, w.Code)
+		}
+	}
+}
+
 func TestServerSnapshotLoading(t *testing.T) {
 	dir := t.TempDir()
 	g0 := mustParse(t, triplesV0, "v0")

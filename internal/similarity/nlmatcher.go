@@ -131,7 +131,7 @@ func (m *nlMatcher) round(xi *core.Weighted, a, b []rdf.NodeID, changed []rdf.No
 		theta:   m.theta,
 		inv:     m.inv,
 		sortedB: func(n rdf.NodeID) []uint64 { return m.sorted[n] },
-		charA:   func(n rdf.NodeID) []uint64 { return m.char[n] },
+		charA:   func(n rdf.NodeID, _ *matchScratch[uint64]) []uint64 { return m.char[n] },
 		dist: func(n, mm rdf.NodeID) (float64, bool) {
 			d := nlDistanceEdges(m.nl[n], m.nl[mm])
 			return d, d <= m.theta

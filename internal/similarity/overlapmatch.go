@@ -117,15 +117,19 @@ func OverlapMatch[O cmp.Ordered](a, b []rdf.NodeID, theta float64, char func(rdf
 		theta:   theta,
 		inv:     make(map[O][]rdf.NodeID),
 		sortedB: func(m rdf.NodeID) []O { return sortedB[m] },
-		charA:   func(n rdf.NodeID) []O { return dedup(char(n)) },
-		dist:    dist,
+		charA: func(n rdf.NodeID, sc *matchScratch[O]) []O {
+			sc.objs = sc.seen.appendNew(sc.objs[:0], char(n))
+			return sc.objs
+		},
+		dist: dist,
 	}
+	var sc matchScratch[O]
 	for _, m := range b {
-		objs := dedup(char(m))
-		sorted := slices.Clone(objs)
+		sc.objs = sc.seen.appendNew(sc.objs[:0], char(m))
+		sorted := slices.Clone(sc.objs)
 		slices.Sort(sorted)
 		sortedB[m] = sorted
-		for _, o := range objs {
+		for _, o := range sc.objs {
 			ix.inv[o] = append(ix.inv[o], m)
 		}
 	}
@@ -164,8 +168,9 @@ type matchIndex[O cmp.Ordered] struct {
 	sortedB func(rdf.NodeID) []O
 	// charA returns an A node's deduplicated characterisation in
 	// first-occurrence order (the deterministic tie-break of the
-	// frequency sort). The scan treats the slice as read-only.
-	charA func(rdf.NodeID) []O
+	// frequency sort), possibly in the worker's scratch. The scan treats
+	// the slice as read-only.
+	charA func(rdf.NodeID, *matchScratch[O]) []O
 	dist  DistFunc
 }
 
@@ -174,6 +179,8 @@ type matchScratch[O cmp.Ordered] struct {
 	cand    []rdf.NodeID
 	byFreq  []O
 	sortedA []O
+	objs    []O
+	seen    seenSet[O]
 }
 
 // matchChunk is the result of scanning one chunk of source nodes.
@@ -238,7 +245,7 @@ func (ix *matchIndex[O]) scanRange(a []rdf.NodeID, hooks core.Hooks, sc *matchSc
 		if r.err = hooks.Err(); r.err != nil {
 			return
 		}
-		objs := ix.charA(n)
+		objs := ix.charA(n, sc)
 		k := len(objs)
 		if k == 0 {
 			continue
@@ -334,14 +341,36 @@ func prefixLen(k int, theta float64) int {
 	return k - minInter + 1
 }
 
+// dedup removes repeated elements from objs in place, keeping first
+// occurrences in order.
 func dedup[O comparable](objs []O) []O {
-	seen := make(map[O]struct{}, len(objs))
-	out := objs[:0:0]
+	var seen seenSet[O]
+	return seen.appendNew(objs[:0], objs)
+}
+
+// seenSet is a reusable set for deduplicating characterisations; the zero
+// value is ready to use.
+type seenSet[O comparable] struct{ m map[O]struct{} }
+
+// seenSetKeep bounds the sets appendNew keeps for its next call. Clearing
+// a map costs its capacity, so a set that held a long characterisation is
+// dropped rather than cleared before every short one, and a new set starts
+// no larger than the bound.
+const seenSetKeep = 64
+
+// appendNew appends to dst the distinct elements of objs in first-
+// occurrence order.
+func (s *seenSet[O]) appendNew(dst, objs []O) []O {
+	if s.m == nil || len(s.m) > seenSetKeep {
+		s.m = make(map[O]struct{}, min(len(objs), seenSetKeep))
+	} else {
+		clear(s.m)
+	}
 	for _, o := range objs {
-		if _, ok := seen[o]; !ok {
-			seen[o] = struct{}{}
-			out = append(out, o)
+		if _, ok := s.m[o]; !ok {
+			s.m[o] = struct{}{}
+			dst = append(dst, o)
 		}
 	}
-	return out
+	return dst
 }

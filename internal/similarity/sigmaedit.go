@@ -9,6 +9,7 @@ package similarity
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rdfalign/internal/core"
 	"rdfalign/internal/hungarian"
@@ -54,15 +55,14 @@ type SigmaEdit struct {
 
 	// Unaligned non-literal nodes per side, and their dense indexes.
 	nl1, nl2 []rdf.NodeID
-	idx1     map[rdf.NodeID]int
-	idx2     map[rdf.NodeID]int
+	// lits holds the unaligned literal nodes of both sides, ascending.
+	lits []rdf.NodeID
+	idx1 map[rdf.NodeID]int
+	idx2 map[rdf.NodeID]int
 	// dist is the |nl1| × |nl2| matrix of propagated distances.
 	dist     []float64
 	iters    int
 	maxDepth int // propagation round cap; 0 = propagate to the fixpoint
-	// litSides caches per-color side occupancy (bit 1 = source, bit 2 =
-	// target) for the literal unaligned test.
-	litSides map[core.Color]uint8
 }
 
 // NewSigmaEdit computes σEdit for the combined graph under the given hybrid
@@ -78,12 +78,16 @@ func NewSigmaEdit(c *rdf.Combined, hybrid *core.Partition, opt SigmaEditOptions)
 	s := &SigmaEdit{c: c, hybrid: hybrid}
 	un1, un2 := core.Unaligned(c, hybrid)
 	for _, n := range un1 {
-		if !c.IsLiteral(n) {
+		if c.IsLiteral(n) {
+			s.lits = append(s.lits, n)
+		} else {
 			s.nl1 = append(s.nl1, n)
 		}
 	}
 	for _, n := range un2 {
-		if !c.IsLiteral(n) {
+		if c.IsLiteral(n) {
+			s.lits = append(s.lits, n)
+		} else {
 			s.nl2 = append(s.nl2, n)
 		}
 	}
@@ -139,25 +143,11 @@ func (s *SigmaEdit) Distance(n, m rdf.NodeID) float64 {
 	}
 }
 
-// unaligned reports whether a node is unaligned under the hybrid partition
-// (its class has no member on the opposite side).
+// unaligned reports whether a literal node is unaligned under the hybrid
+// partition (its class has no member on the opposite side).
 func (s *SigmaEdit) unaligned(n rdf.NodeID) bool {
-	if s.litSides == nil {
-		s.litSides = make(map[core.Color]uint8, 64)
-		for i := 0; i < s.c.NumNodes(); i++ {
-			c := s.hybrid.Color(rdf.NodeID(i))
-			if i < s.c.N1 {
-				s.litSides[c] |= 1
-			} else {
-				s.litSides[c] |= 2
-			}
-		}
-	}
-	sides := s.litSides[s.hybrid.Color(n)]
-	if int(n) < s.c.N1 {
-		return sides&2 == 0
-	}
-	return sides&1 == 0
+	_, ok := slices.BinarySearch(s.lits, n)
+	return ok
 }
 
 // maxSigmaEditRounds caps the distance propagation. Entries increase

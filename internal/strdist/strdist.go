@@ -8,7 +8,10 @@
 // variant divides by the longer length so the result lies in [0, 1].
 package strdist
 
-import "unicode/utf8"
+import (
+	"slices"
+	"unicode/utf8"
+)
 
 // Levenshtein returns the unit-cost edit distance (insertions, deletions,
 // substitutions) between a and b, counted over runes.
@@ -80,14 +83,13 @@ func Normalized(a, b string) float64 {
 // This is the candidate-verification primitive of the overlap heuristic
 // (Algorithm 1, line 17), where most candidate pairs fail the test and the
 // early exit matters.
+//
+// Strings of up to stackRunes runes are compared without allocating: the
+// rune-count gap is checked before any conversion, and the runes and DP
+// rows live in stack buffers that only longer strings spill to the heap.
 func WithinThreshold(a, b string, theta float64) (dist float64, ok bool) {
-	ra := []rune(a)
-	rb := []rune(b)
-	la, lb := len(ra), len(rb)
-	maxLen := la
-	if lb > maxLen {
-		maxLen = lb
-	}
+	la, lb := utf8.RuneCountInString(a), utf8.RuneCountInString(b)
+	maxLen := max(la, lb)
 	if maxLen == 0 {
 		return 0, 0 <= theta
 	}
@@ -105,7 +107,7 @@ func WithinThreshold(a, b string, theta float64) (dist float64, ok bool) {
 		return 1, false
 	}
 	if lb > la {
-		ra, rb = rb, ra
+		a, b = b, a
 		la, lb = lb, la
 	}
 	if lb == 0 {
@@ -114,10 +116,13 @@ func WithinThreshold(a, b string, theta float64) (dist float64, ok bool) {
 		// gap above).
 		return 1, 1 <= theta
 	}
+	var raBuf, rbBuf [stackRunes]rune
+	var prevBuf, curBuf [stackRunes + 1]int
+	ra, rb := appendRunes(raBuf[:0], a), appendRunes(rbBuf[:0], b)
+	prev := slices.Grow(prevBuf[:0], lb+1)[:lb+1]
+	cur := slices.Grow(curBuf[:0], lb+1)[:lb+1]
 	// Banded DP with band radius = limit.
 	const inf = 1 << 30
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
 	for j := 0; j <= lb; j++ {
 		if j > limit {
 			prev[j] = inf
@@ -182,6 +187,18 @@ func WithinThreshold(a, b string, theta float64) (dist float64, ok bool) {
 	// never disagree through rounding.
 	nd := float64(d) / float64(maxLen)
 	return nd, nd <= theta
+}
+
+// stackRunes is the longest string WithinThreshold compares in stack
+// buffers.
+const stackRunes = 64
+
+// appendRunes appends the runes of s to dst.
+func appendRunes(dst []rune, s string) []rune {
+	for _, r := range s {
+		dst = append(dst, r)
+	}
+	return dst
 }
 
 func abs(x int) int {

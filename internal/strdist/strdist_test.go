@@ -228,3 +228,45 @@ func BenchmarkWithinThresholdReject(b *testing.B) {
 		WithinThreshold(x, y, 0.2)
 	}
 }
+
+// runeWord returns a random word of exactly n runes over a small alphabet
+// that mixes one-, two- and three-byte encodings.
+func runeWord(r *rand.Rand, n int) string {
+	alphabet := []rune{'a', 'b', 'é', '→'}
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		sb.WriteRune(alphabet[r.Intn(len(alphabet))])
+	}
+	return sb.String()
+}
+
+func TestWithinThresholdNoAllocsUpTo64Runes(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 8, 33, 63, 64} {
+		a, b := runeWord(r, n), runeWord(r, n-r.Intn(n))
+		for _, theta := range []float64{0.1, 0.65, 1} {
+			if allocs := testing.AllocsPerRun(20, func() { WithinThreshold(a, b, theta) }); allocs != 0 {
+				t.Errorf("WithinThreshold on %d and %d runes (θ=%v) allocates %v times",
+					n, len([]rune(b)), theta, allocs)
+			}
+		}
+	}
+}
+
+// TestWithinThresholdPastStackBuffers checks strings on both sides of the
+// 64-rune stack buffers against Normalized.
+func TestWithinThresholdPastStackBuffers(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for i := 0; i < 300; i++ {
+		a, b := runeWord(r, 56+r.Intn(20)), runeWord(r, 56+r.Intn(20))
+		if i%3 == 0 {
+			b = a[:len(a)/2] + runeWord(r, 10) // a near variant
+		}
+		theta := float64(1+r.Intn(10)) / 10
+		want := Normalized(a, b)
+		got, ok := WithinThreshold(a, b, theta)
+		if ok != (want <= theta) || ok && math.Abs(got-want) > 1e-12 {
+			t.Fatalf("WithinThreshold(%q, %q, %v) = %v, %v; Normalized = %v", a, b, theta, got, ok, want)
+		}
+	}
+}

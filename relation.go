@@ -9,10 +9,12 @@ import (
 // Relation is the read interface every alignment result implements: a
 // relation between the nodes of the source and target graphs together with
 // a node distance. Align and (*Aligner).Align return an *Alignment whose
-// accessors delegate to exactly one implementation — partition-backed
-// (Trivial, Deblank, Hybrid and, with weights, Overlap; §3 and §4.3–4.7) or
-// σEdit-backed (SigmaEdit; §4.2) — so callers treat every method uniformly
-// and no accessor branches on the method that produced it.
+// accessors delegate to exactly one implementation — the partition
+// alignment itself (Trivial, Deblank, Hybrid and, with weights, Overlap;
+// §3 and §4.3–4.7), which answers every per-class query from one class
+// table built on first use, or σEdit-backed (SigmaEdit; §4.2) — so callers
+// treat every method uniformly and no accessor branches on the method that
+// produced it.
 type Relation interface {
 	// Aligned reports whether source node n1 (a G1 node ID) is aligned
 	// with target node n2 (a G2 node ID).
@@ -38,59 +40,21 @@ type Relation interface {
 	AlignedEntityCount(onlyURIs bool) int
 }
 
-// relBase carries the state shared by both Relation implementations: the
-// combined graph and the partition underlying the relation.
-type relBase struct {
-	c    *rdf.Combined
-	part *core.Partition
-}
-
-// Unaligned returns the per-graph node IDs left unaligned by the partition.
-func (r relBase) Unaligned() (src, tgt []NodeID) {
-	un1, un2 := core.Unaligned(r.c, r.part)
-	for _, n := range un1 {
-		src = append(src, r.c.ToSource(n))
-	}
-	for _, n := range un2 {
-		tgt = append(tgt, r.c.ToTarget(n))
-	}
-	return src, tgt
-}
-
-// partitionRelation backs the partition methods (§3) and — through the
-// weighted inner alignment Align_θ(ξ) — the Overlap method (§4.3–4.7).
-type partitionRelation struct {
-	relBase
-	inner *core.Alignment
-}
-
-func newPartitionRelation(c *rdf.Combined, part *core.Partition, inner *core.Alignment) *partitionRelation {
-	return &partitionRelation{relBase: relBase{c: c, part: part}, inner: inner}
-}
-
-func (r *partitionRelation) Aligned(n1, n2 NodeID) bool { return r.inner.Aligned(n1, n2) }
-
-func (r *partitionRelation) Distance(n1, n2 NodeID) float64 { return r.inner.Distance(n1, n2) }
-
-func (r *partitionRelation) MatchesOf(n1 NodeID) []NodeID { return r.inner.MatchesOf(n1) }
-
-func (r *partitionRelation) Pairs(f func(n1, n2 NodeID)) { r.inner.Pairs(f) }
-
-func (r *partitionRelation) AlignedEntityCount(onlyURIs bool) int {
-	return r.inner.AlignedEntityCount(onlyURIs)
-}
-
 // sigmaRelation backs the SigmaEdit method: Align_θ(σ) uses σ(n, m) ≤ θ
-// (§4.1) over the materialised σEdit distance.
+// (§4.1) over the materialised σEdit distance. Its unaligned sets are the
+// hybrid base partition's, the leftover nodes σEdit scores.
 type sigmaRelation struct {
-	relBase
-	sigma *similarity.SigmaEdit
-	theta float64
+	c      *rdf.Combined
+	hybrid *core.Alignment
+	sigma  *similarity.SigmaEdit
+	theta  float64
 }
 
 func newSigmaRelation(c *rdf.Combined, hybrid *core.Partition, s *similarity.SigmaEdit, theta float64) *sigmaRelation {
-	return &sigmaRelation{relBase: relBase{c: c, part: hybrid}, sigma: s, theta: theta}
+	return &sigmaRelation{c: c, hybrid: core.NewAlignment(c, hybrid), sigma: s, theta: theta}
 }
+
+func (r *sigmaRelation) Unaligned() (src, tgt []NodeID) { return r.hybrid.Unaligned() }
 
 func (r *sigmaRelation) Aligned(n1, n2 NodeID) bool {
 	return r.Distance(n1, n2) <= r.theta
