@@ -79,10 +79,10 @@
 // evolves, Alignment.ApplyDelta applies an EditScript (insert/delete triple
 // lines, parsed by ParseEditScript) to the target and maintains the
 // alignment instead of recomputing it. The session keeps its interner,
-// matcher caches and a transactional editor alive across deltas, splices
-// the post-edit graph's indexes out of the previous version's, and
-// re-refines only the edit's dirty frontier, so a delta costs roughly in
-// proportion to its churn rather than to the graph. The result is
+// matcher caches and a transactional editor alive across deltas, keeps
+// each post-edit graph as the previous version's indexes plus a small edge
+// overlay, and re-refines only the edit's dirty frontier, so a delta costs
+// roughly in proportion to its churn rather than to the graph. The result is
 // bit-identical to a from-scratch Align against ApplyEditScript(g2, s) —
 // property-tested — and transactional: a failed or cancelled ApplyDelta
 // leaves the session untouched, and applying a delta to a superseded

@@ -269,11 +269,12 @@ func randomEdit(r *rand.Rand, base refGraph, dels, adds int) editCase {
 // PredOcc, Dependents — agrees with a sorted-set model of the graph, for
 // every way a graph is made: Builder, sequential and parallel N-Triples
 // parses, Turtle, Union/UnionIn over heap, mapped and zero-value operands,
-// edits on both sides of the splice/rebuild threshold, RebaseUnion, and
-// FromColumns over heap and mapped GRPM snapshots and a GRPH fixture.
+// edits on both sides of the overlay/compaction threshold, RebaseUnion,
+// chains of edits (checkEditChains), and FromColumns over heap and mapped
+// GRPM snapshots and a GRPH fixture.
 func TestEdgeColumnsAgree(t *testing.T) {
 	dir := t.TempDir()
-	sawPath := map[bool]bool{} // keyed by "the edit took the dense rebuild"
+	sawPath := map[bool]bool{} // keyed by "the edit compacted"
 	for seed := int64(1); seed <= 6; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		tts := randomTerms(r, 120+r.Intn(120))
@@ -361,13 +362,13 @@ func TestEdgeColumnsAgree(t *testing.T) {
 			}
 		}
 
-		// Edits on both sides of the splice threshold: a sparse script, the
-		// largest script that still splices, the smallest that rebuilds, and
-		// a dense one. The base's Dependents are built (by the check above)
-		// for the first graph and lazy for the second.
+		// Edits on both sides of the overlay threshold: a sparse script, the
+		// largest script that still overlays, the smallest that compacts,
+		// and a dense one. The base's Dependents are built (by the check
+		// above) for the first graph and lazy for the second.
 		nt := len(ref.triples)
 		const adds = 2
-		edge := (nt+adds+rdf.PatchDenseFactor-1)/rdf.PatchDenseFactor - adds // smallest rebuilding deletes
+		edge := (nt+adds+rdf.PatchDenseFactor-1)/rdf.PatchDenseFactor - adds // smallest compacting deletes
 		for _, dels := range []int{1, edge - 1, edge, nt / 3} {
 			ec := randomEdit(r, ref, dels, adds)
 			what := name(fmt.Sprintf("edit of %d ops", len(ec.ops)))
@@ -381,7 +382,11 @@ func TestEdgeColumnsAgree(t *testing.T) {
 					t.Fatalf("%s: %v", what, err)
 				}
 				churn := len(res.Added) + len(res.Removed)
-				sawPath[rdf.PatchDenseFactor*churn >= nt+len(res.Added)] = true
+				compacts := rdf.PatchDenseFactor*churn >= nt+len(res.Added)
+				if rdf.HasOverlay(res.Graph) == compacts {
+					t.Fatalf("%s: overlay %v for a churn of %d in %d triples", what, rdf.HasOverlay(res.Graph), churn, nt)
+				}
+				sawPath[compacts] = true
 				requireEdgeColumns(t, what, res.Graph, ec.after)
 
 				c := rdf.Union(heap2, base)
@@ -393,8 +398,9 @@ func TestEdgeColumnsAgree(t *testing.T) {
 	}
 
 	if !sawPath[false] || !sawPath[true] {
-		t.Fatalf("edits exercised splice %v, dense rebuild %v; want both", sawPath[false], sawPath[true])
+		t.Fatalf("edits exercised the overlay %v, the compaction %v; want both", sawPath[false], sawPath[true])
 	}
+	checkEditChains(t, dir)
 
 	// The legacy GRPH fixture decodes through FromColumns too.
 	legacy, err := snapshot.ReadGraphFile(filepath.Join("..", "snapshot", "testdata", "graph-grph.snap"))
@@ -421,3 +427,154 @@ const legacyGraphDoc = "<http://example.org/s> <http://example.org/p> \"v\" .\n"
 	"_:b <http://example.org/q> _:c .\n" +
 	"_:c <http://example.org/p> \"raw\xffbyte\" .\n" +
 	"<http://example.org/s> <http://example.org/q> <http://example.org/t> .\n"
+
+// wideTerms is randomTerms over many subjects: each has few out-edges, so
+// an edit's overlay stays small against the graph and overlays chain over
+// several versions before the dense rule compacts them.
+func wideTerms(r *rand.Rand, lines int) []rdf.TermTriple {
+	node := func() rdf.Term {
+		if r.Intn(8) == 0 {
+			return rdf.Term{Kind: rdf.Blank, Value: fmt.Sprintf("b%d", r.Intn(20))}
+		}
+		return rdf.Term{Kind: rdf.URI, Value: fmt.Sprintf("http://e/u%d", r.Intn(lines/2))}
+	}
+	tts := make([]rdf.TermTriple, 0, lines)
+	for len(tts) < lines {
+		tt := rdf.TermTriple{S: node(), P: rdf.Term{Kind: rdf.URI, Value: fmt.Sprintf("http://e/u%d", r.Intn(8))}}
+		if r.Intn(3) == 0 {
+			tt.O = rdf.Term{Kind: rdf.Literal, Value: fmt.Sprintf("lit %d", r.Intn(300))}
+		} else {
+			tt.O = node()
+		}
+		tts = append(tts, tt)
+	}
+	return tts
+}
+
+// checkEditChains applies chains of 50 random edits through one Editor,
+// rebasing a union over each version, from a heap base with its
+// dependents built, one with them lazy, and a mapped base (whose snapshot
+// stores its dependents). With the dependents built every version is
+// checked as it is made, so each carries its predecessor's; with them lazy
+// nothing is read until the chain ends, so every version builds its own.
+// After each chain every version is checked again: later edits must not
+// move earlier versions. The chains cross the compaction rule both ways;
+// each edit is far below the rule by itself (at most 6 triples against
+// 600), so every version the rule compacts is a fold of the overlay that
+// earlier edits filled (folded), not a rebuild.
+// On every tenth version that reads through overlays, its and its union's
+// GRPM snapshot and N-Triples (sequential and parallel), and the Union of
+// the two, must be byte-identical to the rebuilt graphs'.
+func checkEditChains(t *testing.T, dir string) {
+	r := rand.New(rand.NewSource(7))
+	tts := wideTerms(r, 600)
+	doc := termDoc(tts)
+	ref := refFromTerms(tts)
+	srcTTs := randomTerms(r, 40)
+	srcRef := refFromTerms(srcTTs)
+	parse := func(doc, name string) *rdf.Graph {
+		g, err := rdf.ParseNTriplesString(doc, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	src := parse(termDoc(srcTTs), "src")
+	path := filepath.Join(dir, "chain.snap")
+	if err := snapshot.WriteGraphMappedFile(path, parse(doc, "heap")); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := snapshot.OpenGraphMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+
+	saw := map[bool]int{} // versions keyed by "reads through an overlay"; the rest are folds
+	outputs := 0          // overlay versions whose output was compared
+	for _, v := range []struct {
+		what  string
+		base  *rdf.Graph
+		built bool
+	}{
+		{"heap, dependents built", parse(doc, "heap"), true},
+		{"heap, dependents lazy", parse(doc, "lazy"), false},
+		{"mapped", mapped, true},
+	} {
+		base := v.base
+		c := rdf.Union(src, base)
+		if v.built {
+			base.Dependents(0)
+			c.Dependents(0)
+		}
+		ed := rdf.NewEditor(base)
+		cur := ref
+		var graphs, unions []*rdf.Graph
+		var refs []refGraph
+		for step := 0; step < 50; step++ {
+			what := fmt.Sprintf("%s chain, edit %d", v.what, step)
+			ec := randomEdit(r, cur, 1+r.Intn(3), 1+r.Intn(3))
+			res, err := ed.Apply(ec.ops)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			c = rdf.RebaseUnion(c, res)
+			if step == 0 && !rdf.SharesBase(res.Graph, base) {
+				t.Fatalf("%s: the first edit copied its base's out-CSR", what)
+			}
+			saw[rdf.HasOverlay(res.Graph)]++
+			saw[rdf.HasOverlay(c.Graph)]++
+			if v.built {
+				requireEdgeColumns(t, what, res.Graph, ec.after)
+				requireEdgeColumns(t, what+" RebaseUnion", c.Graph, unionRef(srcRef, ec.after))
+			}
+			graphs, unions, refs = append(graphs, res.Graph), append(unions, c.Graph), append(refs, ec.after)
+			cur = ec.after
+		}
+		for i, g := range graphs {
+			what := fmt.Sprintf("%s chain, version %d after the chain", v.what, i+1)
+			requireEdgeColumns(t, what, g, refs[i])
+			requireEdgeColumns(t, what+" RebaseUnion", unions[i], unionRef(srcRef, refs[i]))
+			if i%10 != 9 || !rdf.HasOverlay(g) || !rdf.HasOverlay(unions[i]) {
+				continue // writing every version would dominate the test
+			}
+			outputs++
+			requireSameOutput(t, what, g, rdf.Rebuilt(g))
+			requireSameOutput(t, what+" RebaseUnion", unions[i], rdf.Rebuilt(unions[i]))
+			requireSameOutput(t, what+" Union", rdf.Union(g, unions[i]).Graph,
+				rdf.Union(rdf.Rebuilt(g), rdf.Rebuilt(unions[i])).Graph)
+		}
+	}
+	if saw[true] == 0 || saw[false] == 0 || outputs == 0 {
+		t.Fatalf("edit chains made %d overlay and %d folded versions and compared the output of %d; want all three nonzero",
+			saw[true], saw[false], outputs)
+	}
+}
+
+// requireSameOutput holds g's serialisations to want's byte for byte:
+// N-Triples sequential and parallel, and the GRPM snapshot.
+func requireSameOutput(t *testing.T, what string, g, want *rdf.Graph) {
+	t.Helper()
+	for _, opts := range [][]rdf.WriteOption{nil, {rdf.WithWriteWorkers(4), rdf.WithWriteChunkSize(7)}} {
+		var got, exp bytes.Buffer
+		if err := rdf.WriteNTriples(&got, g, opts...); err != nil {
+			t.Fatal(err)
+		}
+		if err := rdf.WriteNTriples(&exp, want, opts...); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), exp.Bytes()) {
+			t.Fatalf("%s: N-Triples (%d options) differ from the rebuilt graph's:\n%s\nwant\n%s", what, len(opts), got.Bytes(), exp.Bytes())
+		}
+	}
+	var got, exp bytes.Buffer
+	if err := snapshot.WriteGraphMapped(&got, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshot.WriteGraphMapped(&exp, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), exp.Bytes()) {
+		t.Fatalf("%s: GRPM snapshot differs from the rebuilt graph's", what)
+	}
+}

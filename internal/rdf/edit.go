@@ -153,7 +153,8 @@ type Editor struct {
 }
 
 // NewEditor returns an editor positioned at g. Construction is O(|N|) (it
-// indexes the labels); every Apply after that is O(churn).
+// indexes the labels); every Apply after that extends the graph's overlay
+// without copying its indexes (see patch.go for the cost).
 func NewEditor(g *Graph) *Editor {
 	e := &Editor{
 		g:    g,
@@ -418,43 +419,21 @@ func touchedSubjects(added, removed []Triple) []NodeID {
 // mergeEdits produces base \ removed ∪ added as a fresh sorted slice.
 // added and removed are sorted, duplicate-free and disjoint from each other;
 // added is disjoint from base and removed ⊆ base (Apply's staging
-// guarantees all three). The stretches of base between consecutive edit
-// events are located by binary search and block-copied, so the cost is one
-// memory copy of base plus O(churn · log |base|) — the per-element merge
-// loop this replaces was a measurable slice of a session's delta step.
+// guarantees all three).
 func mergeEdits(base, added, removed []Triple) []Triple {
-	out := make([]Triple, 0, len(base)+len(added)-len(removed))
-	bi, ai, ri := 0, 0, 0
-	for ai < len(added) || ri < len(removed) {
-		var ev Triple
-		isAdd := false
-		if ri == len(removed) || (ai < len(added) && compareTriples(added[ai], removed[ri]) < 0) {
-			ev, isAdd = added[ai], true
-		} else {
-			ev = removed[ri]
-		}
-		j := bi + sort.Search(len(base)-bi, func(k int) bool { return compareTriples(base[bi+k], ev) >= 0 })
-		out = append(out, base[bi:j]...)
-		bi = j
-		if isAdd {
-			out = append(out, ev)
-			ai++
-		} else {
-			// removed ⊆ base, so base[bi] == ev: drop it.
-			bi++
-			ri++
-		}
-	}
-	return append(out, base[bi:]...)
+	return mergeRun(make([]Triple, 0, len(base)+len(added)-len(removed)), base, added, removed, compareTriples)
 }
 
 // RebaseUnion rebuilds a combined graph after its target side advanced from
 // c.TargetGraph() to res.Graph under the edit res (Editor.Apply): node IDs
 // of the edited graph extend the old target's. The result is identical —
 // labels, triples, node IDs — to Union(c.SourceGraph(), res.Graph), but
-// costs a linear merge instead of a full sort: every existing union node
-// keeps its ID, and the edited graph's new nodes take the IDs following the
-// old union's.
+// does not copy the union's indexes: every existing union node keeps its
+// ID, the edited graph's new nodes take the IDs following the old union's,
+// and the edit, shifted into union IDs, extends c's overlay. That costs
+// O(overlay keys + churn + N/64) plus a whole copy of each replaced run —
+// the changed dependents runs of popular predicates among them — and, once
+// the overlay reaches the dense rule, one compaction (see patch.go).
 func RebaseUnion(c *Combined, res *EditResult) *Combined {
 	g2 := res.Graph
 	off := NodeID(c.N1)

@@ -10,8 +10,24 @@ func CollideTermHash() (restore func()) {
 	return func() { termHash = saved }
 }
 
-// PatchDenseFactor and WithParseBlockSize expose the edit-path threshold
-// and the parse block size to the external tests.
+// PatchDenseFactor, WithParseBlockSize and WithWriteChunkSize expose the
+// edit-path threshold, the parse block size and the parallel write chunk
+// size to the external tests.
 const PatchDenseFactor = patchDenseFactor
 
-var WithParseBlockSize = withParseBlockSize
+var (
+	WithParseBlockSize = withParseBlockSize
+	WithWriteChunkSize = withWriteChunkSize
+)
+
+// HasOverlay reports whether g is an edited graph that reads through an
+// overlay, rather than a plain CSR.
+func HasOverlay(g *Graph) bool { return g.ov != nil }
+
+// SharesBase reports whether g's out-CSR base is base's own storage.
+func SharesBase(g, base *Graph) bool {
+	return len(g.outEdges) > 0 && &g.outEdges[0] == &base.outEdges[0]
+}
+
+// Rebuilt returns g's compaction: the same graph frozen into a fresh CSR.
+func Rebuilt(g *Graph) *Graph { return rebuiltGraph(g, g.Name(), g.labelsAll(), nil, nil) }

@@ -9,9 +9,9 @@ import (
 )
 
 // randomPatchCase builds a random base graph plus a random valid edit
-// (sorted added/removed lists satisfying mergeEdits' preconditions) and the
-// post-edit label slice. Node count and edit density vary enough to hit
-// empty edits, cleared subjects, P==O triples, self-loops and new nodes.
+// (randomEditOf) and the post-edit label slice. Node count and edit
+// density vary enough to hit empty edits, cleared subjects, P==O triples,
+// self-loops and new nodes.
 func randomPatchCase(r *rand.Rand) (base *Graph, labels []Label, added, removed []Triple) {
 	n := 2 + r.Intn(40)
 	baseLabels := make([]Label, n)
@@ -41,39 +41,7 @@ func randomPatchCase(r *rand.Rand) (base *Graph, labels []Label, added, removed 
 		triples = append(triples, t)
 	}
 	base = freeze("base", baseLabels, triples)
-
-	// removed: a random subset of base's (already sorted, unique) triples.
-	for _, t := range base.Triples() {
-		if r.Intn(4) == 0 {
-			removed = append(removed, t)
-		}
-	}
-	// labels: base's plus a few appended nodes the edit may reference.
-	extra := r.Intn(4)
-	labels = append(append([]Label(nil), baseLabels...), make([]Label, extra)...)
-	for i := 0; i < extra; i++ {
-		labels[n+i] = URILabel("http://new/" + string(rune('a'+i)))
-	}
-	// added: random triples over the extended node range, minus anything
-	// already in base (added must be disjoint from base, and removed ⊆ base
-	// keeps it disjoint from removed too).
-	inBase := make(map[Triple]struct{}, base.NumTriples())
-	for _, t := range base.Triples() {
-		inBase[t] = struct{}{}
-	}
-	addSet := make(map[Triple]struct{})
-	for i := 0; i < r.Intn(3*n); i++ {
-		t := Triple{
-			S: NodeID(r.Intn(n + extra)),
-			P: NodeID(r.Intn(n + extra)),
-			O: NodeID(r.Intn(n + extra)),
-		}
-		if _, ok := inBase[t]; ok {
-			continue
-		}
-		addSet[t] = struct{}{}
-	}
-	added = sortedTripleSet(addSet)
+	labels, added, removed = randomEditOf(r, base)
 	return base, labels, added, removed
 }
 
@@ -93,8 +61,8 @@ func editedReference(base *Graph, labels []Label, added, removed []Triple) *Grap
 	return freeze("base", labels, sortedTripleSet(set))
 }
 
-// sameSlice is DeepEqual that treats nil and empty as equal (the splice and
-// rebuild paths legitimately differ there).
+// sameSlice is DeepEqual that treats nil and empty as equal (the overlay
+// and rebuild paths legitimately differ there).
 func sameSlice(a, b interface{}) bool {
 	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
 	if va.Len() == 0 && vb.Len() == 0 {
@@ -103,61 +71,142 @@ func sameSlice(a, b interface{}) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-func requireSameGraph(t *testing.T, got, want *Graph) {
+// requireSameView holds got to want through every per-node view: labels
+// and label counts, NumTriples, EachTriple, and Out, OutDegree and
+// Dependents of every node. Storage may differ (an overlay graph shares
+// its base's columns), what the views return may not.
+func requireSameView(t *testing.T, what string, got, want *Graph) {
 	t.Helper()
-	if got.NumTriples() != want.NumTriples() {
-		t.Fatalf("triple counts differ: got %d, want %d", got.NumTriples(), want.NumTriples())
-	}
-	if !sameSlice(got.Triples(), want.Triples()) {
-		t.Fatalf("triples differ:\ngot  %v\nwant %v", got.Triples(), want.Triples())
-	}
-	if !reflect.DeepEqual(got.outIndex, want.outIndex) {
-		t.Fatalf("outIndex differs:\ngot  %v\nwant %v", got.outIndex, want.outIndex)
-	}
-	if !sameSlice(got.outEdges, want.outEdges) {
-		t.Fatalf("outEdges differs:\ngot  %v\nwant %v", got.outEdges, want.outEdges)
+	if got.NumNodes() != want.NumNodes() || got.NumTriples() != want.NumTriples() {
+		t.Fatalf("%s: %d nodes, %d triples; want %d, %d", what,
+			got.NumNodes(), got.NumTriples(), want.NumNodes(), want.NumTriples())
 	}
 	if got.blanks != want.blanks || got.lits != want.lits {
-		t.Fatalf("label counts differ: got (%d blanks, %d lits), want (%d, %d)",
-			got.blanks, got.lits, want.blanks, want.lits)
+		t.Fatalf("%s: label counts differ: got (%d blanks, %d lits), want (%d, %d)",
+			what, got.blanks, got.lits, want.blanks, want.lits)
+	}
+	var each []Triple
+	got.EachTriple(func(tr Triple) bool {
+		each = append(each, tr)
+		return true
+	})
+	if !sameSlice(each, want.Triples()) {
+		t.Fatalf("%s: EachTriple = %v\nwant %v", what, each, want.Triples())
+	}
+	for i := 0; i < want.NumNodes(); i++ {
+		n := NodeID(i)
+		if got.Label(n) != want.Label(n) {
+			t.Fatalf("%s: label of node %d is %v, want %v", what, i, got.Label(n), want.Label(n))
+		}
+		if !sameSlice(got.Out(n), want.Out(n)) || got.OutDegree(n) != want.OutDegree(n) {
+			t.Fatalf("%s: Out(%d) = %v, want %v", what, i, got.Out(n), want.Out(n))
+		}
+		if !sameSlice(got.Dependents(n), want.Dependents(n)) {
+			t.Fatalf("%s: Dependents(%d) = %v, want %v", what, i, got.Dependents(n), want.Dependents(n))
+		}
 	}
 }
 
-// TestSplicedGraphMatchesRebuild forces the splice path (small graphs would
-// otherwise take patchedGraph's dense fallback) and checks the result equals
-// a from-scratch freeze of the edited triple set — including the spliced
-// dependents index against a lazily built one.
-func TestSplicedGraphMatchesRebuild(t *testing.T) {
+// randomEditOf returns a random valid edit of g: a random subset of its
+// triples removed, and random triples over g's nodes plus up to three new
+// ones added, with the extended label slice.
+func randomEditOf(r *rand.Rand, g *Graph) (labels []Label, added, removed []Triple) {
+	ts := g.Triples()
+	for _, t := range ts {
+		if r.Intn(4) == 0 {
+			removed = append(removed, t)
+		}
+	}
+	n, extra := g.NumNodes(), r.Intn(4)
+	labels = append(slices.Clone(g.labelsAll()), make([]Label, extra)...)
+	for i := 0; i < extra; i++ {
+		labels[n+i] = URILabel("http://new/" + strconv.Itoa(n+i))
+	}
+	present := make(map[Triple]bool, len(ts))
+	for _, t := range ts {
+		present[t] = true
+	}
+	addSet := make(map[Triple]struct{})
+	for i := 0; i < r.Intn(3*n); i++ {
+		t := Triple{S: NodeID(r.Intn(n + extra)), P: NodeID(r.Intn(n + extra)), O: NodeID(r.Intn(n + extra))}
+		if !present[t] {
+			addSet[t] = struct{}{}
+		}
+	}
+	return labels, sortedTripleSet(addSet), removed
+}
+
+// requireFolded holds folded(g) to want column for column: the fold must
+// be the very CSR a from-scratch freeze builds, and its dependents index
+// the one want builds, carried when g carries one and lazy otherwise.
+func requireFolded(t *testing.T, what string, g, want *Graph) {
+	t.Helper()
+	f := folded(g)
+	if f.ov != nil || (f.depIndex != nil) != (g.depIndex != nil) {
+		t.Fatalf("%s: fold kept an overlay (%v) or changed whether dependents are built (%v → %v)",
+			what, f.ov != nil, g.depIndex != nil, f.depIndex != nil)
+	}
+	if !sameSlice(f.outIndex, want.outIndex) || !sameSlice(f.outEdges, want.outEdges) {
+		t.Fatalf("%s: folded out-CSR %v %v\nwant %v %v", what, f.outIndex, f.outEdges, want.outIndex, want.outEdges)
+	}
+	if f.depIndex != nil {
+		want.Dependents(0)
+		if !sameSlice(f.depIndex, want.depIndex) || !sameSlice(f.depNodes, want.depNodes) {
+			t.Fatalf("%s: folded dependents %v %v\nwant %v %v", what, f.depIndex, f.depNodes, want.depIndex, want.depNodes)
+		}
+	}
+	requireSameView(t, what+" folded", f, want)
+}
+
+// TestOverlaidGraphMatchesRebuild forces the overlay path (small graphs
+// would otherwise take patchedGraph's compaction) and checks every view of
+// the result against a from-scratch freeze of the edited triple set, with
+// the base's dependents lazy (they must stay lazy and build correctly on
+// demand) and built (they must be carried, not rebuilt). A chain of
+// further overlay edits on each result checks that version n+1's overlay,
+// merged from version n's, stays exact, and that version n does not move.
+// Every overlay version is also folded (requireFolded).
+func TestOverlaidGraphMatchesRebuild(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		base, labels, added, removed := randomPatchCase(r)
 		want := editedReference(base, labels, added, removed)
+		what := "seed " + strconv.FormatInt(seed, 10)
 
-		// Splice without a prebuilt dependents index: it must stay lazy and
-		// still build correctly on demand.
-		got := splicedGraph(base, "base", labels, added, removed, touchedSubjects(added, removed))
-		requireSameGraph(t, got, want)
-		if got.depIndex != nil {
-			t.Fatalf("seed %d: dependents spliced although base never built them", seed)
+		got := overlaidGraph(base, "base", labels, added, removed, touchedSubjects(added, removed))
+		if got.depIndex != nil || len(got.ov.dep.keys) > 0 {
+			t.Fatalf("%s: dependents carried although base never built them", what)
 		}
-		got.Dependents(0)
-		want.Dependents(0)
-		if !reflect.DeepEqual(got.depIndex, want.depIndex) || !sameSlice(got.depNodes, want.depNodes) {
-			t.Fatalf("seed %d: lazily built dependents differ", seed)
-		}
+		requireFolded(t, what+" lazy", got, want)
+		requireSameView(t, what+" lazy", got, want)
 
-		// Splice with the base index built: the patched index must equal the
-		// from-scratch build without being rebuilt.
 		base.Dependents(0)
-		got2 := splicedGraph(base, "base", labels, added, removed, touchedSubjects(added, removed))
-		requireSameGraph(t, got2, want)
+		got2 := overlaidGraph(base, "base", labels, added, removed, touchedSubjects(added, removed))
 		if got2.depIndex == nil {
-			t.Fatalf("seed %d: dependents not spliced although base built them", seed)
+			t.Fatalf("%s: dependents not carried although base built them", what)
 		}
-		if !reflect.DeepEqual(got2.depIndex, want.depIndex) || !sameSlice(got2.depNodes, want.depNodes) {
-			t.Fatalf("seed %d: spliced dependents differ:\ngot  idx %v nodes %v\nwant idx %v nodes %v",
-				seed, got2.depIndex, got2.depNodes, want.depIndex, want.depNodes)
+		requireSameView(t, what+" carried", got2, want)
+		requireFolded(t, what+" carried", got2, want)
+
+		// Chains: the lazy result has now built its own dependents, the
+		// carried one carries base's with overlay runs.
+		for _, cur := range []*Graph{got, got2} {
+			var versions, wants []*Graph
+			for step := 0; step < 4; step++ {
+				labels, added, removed := randomEditOf(r, cur)
+				next := overlaidGraph(cur, "base", labels, added, removed, touchedSubjects(added, removed))
+				ref := editedReference(cur, labels, added, removed)
+				requireSameView(t, what+" chained", next, ref)
+				requireFolded(t, what+" chained", next, ref)
+				versions, wants = append(versions, next), append(wants, ref)
+				cur = next
+			}
+			for i, v := range versions {
+				requireSameView(t, what+" chained, after the chain", v, wants[i])
+			}
 		}
+		requireSameView(t, what+" lazy, after its chain", got, want)
+		requireSameView(t, what+" carried, after its chain", got2, want)
 	}
 }
 
@@ -188,12 +237,13 @@ func TestMergeEditsMatchesSetSemantics(t *testing.T) {
 // patchSink keeps the benchmarked edit paths live.
 var patchSink []NodeID
 
-// BenchmarkPatchDensity times the two edit paths of patchedGraph — the
-// splice and the dense rebuild — on one base graph (60k nodes, 200k
-// triples, dependents built) at rising churn, so the crossover that
-// patchDenseFactor encodes is measured rather than guessed. Both paths end
+// BenchmarkPatchDensity times the three edit paths of patchedGraph — the
+// overlay, the overlay then folded, and the rebuild — on one base graph
+// (60k nodes, 200k triples, dependents built) at rising churn, so the cost
+// patchDenseFactor bounds is measured rather than guessed. Every path ends
 // with the dependents built, as a maintained session's next refinement
-// needs them. Run it with:
+// needs them: the overlay and the fold carry the base's, the rebuild
+// rebuilds them. Run it with:
 //
 //	go test -run '^$' -bench PatchDensity -benchmem ./internal/rdf
 func BenchmarkPatchDensity(b *testing.B) {
@@ -236,8 +286,10 @@ func BenchmarkPatchDensity(b *testing.B) {
 		for _, path := range []struct {
 			name string
 			fn   func(*Graph, string, []Label, []Triple, []Triple) *Graph
-		}{{"splice", func(old *Graph, name string, labels []Label, added, removed []Triple) *Graph {
-			return splicedGraph(old, name, labels, added, removed, touchedSubjects(added, removed))
+		}{{"overlay", func(old *Graph, name string, labels []Label, added, removed []Triple) *Graph {
+			return overlaidGraph(old, name, labels, added, removed, touchedSubjects(added, removed))
+		}}, {"fold", func(old *Graph, name string, labels []Label, added, removed []Triple) *Graph {
+			return folded(overlaidGraph(old, name, labels, added, removed, touchedSubjects(added, removed)))
 		}}, {"rebuild", rebuiltGraph}} {
 			b.Run("churn="+churn.name+"/"+path.name, func(b *testing.B) {
 				b.ReportAllocs()

@@ -124,7 +124,11 @@ type Edge struct {
 // list. Node n's run outEdges[outIndex[n]:outIndex[n+1]] is out_G(n) sorted
 // by (P, O), so walking the runs in node order yields the triples in
 // (S, P, O) order (EachTriple). Triples copies that order into a fresh
-// slice for tests and small tools.
+// slice for tests and small tools. A graph made by an edit (Editor.Apply,
+// RebaseUnion) shares its pre-edit graph's CSR as an immutable base and
+// carries the edited runs in an overlay (patch.go); Out, OutDegree and
+// Dependents read through it, and every other reader goes through them or
+// through one flat compaction.
 //
 // Storage: the default Graph keeps every column in Go slices (labels, the
 // out-CSR, the lazy adjacencies). A Graph built by FromColumns leaves
@@ -142,9 +146,12 @@ type Graph struct {
 	alloc Allocator
 
 	// CSR adjacency, the edge list: out edges of node n are
-	// outEdges[outIndex[n]:outIndex[n+1]], sorted by (P, O).
+	// outEdges[outIndex[n]:outIndex[n+1]], sorted by (P, O). With an
+	// overlay it is the base: runs the overlay holds replace it, and nodes
+	// past its range without a run are empty.
 	outIndex []int32
 	outEdges []Edge
+	ov       *overlay // nil unless the graph was made by an edit
 
 	// Reverse adjacency, built lazily on first In() call (only the
 	// context-aware refinement variants need it).
@@ -181,7 +188,12 @@ func (g *Graph) Name() string { return g.name }
 func (g *Graph) NumNodes() int { return g.nnodes }
 
 // NumTriples returns |E_G|.
-func (g *Graph) NumTriples() int { return len(g.outEdges) }
+func (g *Graph) NumTriples() int {
+	if g.ov != nil {
+		return g.ov.ntriples
+	}
+	return len(g.outEdges)
+}
 
 // NumBlanks returns |Blanks(G)|.
 func (g *Graph) NumBlanks() int { return g.blanks }
@@ -249,11 +261,17 @@ func (g *Graph) Close() error {
 // (P, O). The slice aliases the graph's internal storage and must not be
 // modified.
 func (g *Graph) Out(n NodeID) []Edge {
+	if g.ov != nil {
+		return g.overlayOut(n)
+	}
 	return g.outEdges[g.outIndex[n]:g.outIndex[n+1]]
 }
 
 // OutDegree returns |out_G(n)|.
 func (g *Graph) OutDegree(n NodeID) int {
+	if g.ov != nil {
+		return len(g.overlayOut(n))
+	}
 	return int(g.outIndex[n+1] - g.outIndex[n])
 }
 
@@ -347,30 +365,33 @@ func (g *Graph) buildPredOcc() {
 // dirty frontier. The slice aliases lazily built internal storage and must
 // not be modified.
 func (g *Graph) Dependents(n NodeID) []NodeID {
+	if g.ov != nil {
+		return g.overlayDependents(n)
+	}
 	g.depOnce.Do(g.buildDependents)
 	return g.depNodes[g.depIndex[n]:g.depIndex[n+1]]
 }
 
+// buildDependents builds the recolor-dependency CSR over Out. Graphs that
+// carry one from storage or from their pre-edit graph mark depOnce done at
+// construction instead.
 func (g *Graph) buildDependents() {
-	if g.depIndex != nil {
-		// Pre-populated at construction (patchDependents splices the index
-		// over from the pre-edit graph before the graph is published).
-		return
-	}
 	n := g.nnodes
 	idx := make([]int32, n+1)
-	for _, e := range g.outEdges {
-		idx[e.P+1]++
-		idx[e.O+1]++
+	for s := 0; s < n; s++ {
+		for _, e := range g.Out(NodeID(s)) {
+			idx[e.P+1]++
+			idx[e.O+1]++
+		}
 	}
 	for i := 1; i <= n; i++ {
 		idx[i] += idx[i-1]
 	}
-	nodes := g.allocNodes(2 * len(g.outEdges))
+	nodes := g.allocNodes(2 * g.NumTriples())
 	cursor := make([]int32, n)
 	copy(cursor, idx[:n])
 	for s := 0; s < n; s++ {
-		for _, e := range g.outEdges[g.outIndex[s]:g.outIndex[s+1]] {
+		for _, e := range g.Out(NodeID(s)) {
 			nodes[cursor[e.P]] = NodeID(s)
 			cursor[e.P]++
 			nodes[cursor[e.O]] = NodeID(s)
@@ -415,11 +436,11 @@ func (g *Graph) tripleList() []Triple {
 }
 
 // EachTriple calls yield for every triple in (S, P, O) order, stopping
-// early when yield returns false. It walks the out-CSR and allocates
+// early when yield returns false. It walks Out node by node and allocates
 // nothing.
 func (g *Graph) EachTriple(yield func(Triple) bool) {
 	for n := 0; n < g.nnodes; n++ {
-		for _, e := range g.outEdges[g.outIndex[n]:g.outIndex[n+1]] {
+		for _, e := range g.Out(NodeID(n)) {
 			if !yield(Triple{S: NodeID(n), P: e.P, O: e.O}) {
 				return
 			}

@@ -67,17 +67,16 @@ func (s *sliceColumns) Kinds() []Kind {
 	}
 	return s.kinds
 }
-func (s *sliceColumns) OutCSR() ([]int32, []Edge) { return s.g.outIndex, s.g.outEdges }
-func (s *sliceColumns) DepCSR() ([]int32, []NodeID) {
-	s.g.depOnce.Do(s.g.buildDependents)
-	return s.g.depIndex, s.g.depNodes
-}
-func (s *sliceColumns) Close() error { return nil }
+func (s *sliceColumns) OutCSR() ([]int32, []Edge)   { return s.g.outCSR() }
+func (s *sliceColumns) DepCSR() ([]int32, []NodeID) { return s.g.depCSR() }
+func (s *sliceColumns) Close() error                { return nil }
 
 // Columns returns a Columns view over the graph's frozen storage — the
 // slice-backed default implementation of the interface. Serialisers use it
-// to write any graph (heap or mapped) through one code path. The view's
-// DepCSR forces the lazy dependency CSR.
+// to write any graph (heap, mapped or edited) through one code path. The
+// view's DepCSR forces the lazy dependency CSR; on an edited graph both
+// CSR accessors return a fresh compaction of base and overlay, so a
+// snapshot stores plain columns.
 func (g *Graph) Columns() Columns {
 	if g.cols != nil {
 		return g.cols

@@ -31,11 +31,12 @@ func Union(g1, g2 *Graph) *Combined { return UnionIn(nil, g1, g2) }
 
 // UnionIn is Union with the big pointer-free columns (the union's CSR
 // adjacencies, including the lazily built ones) drawn from alloc; nil means
-// the Go heap. The union's out-CSR is the two operands' CSRs concatenated:
-// g1's index and edges are copied as they are, g2's follow with node IDs
-// offset by |N1| and edge positions by |E1|. Every G2 subject sorts after
-// every G1 node, so the result is already in (S, P, O) order and nothing
-// is sorted or counted.
+// the Go heap. The union's out-CSR is the two operands' CSRs concatenated
+// (an edited operand's compacted first, see outCSR): g1's index and edges
+// are copied as they are, g2's follow with node IDs offset by |N1| and
+// edge positions by |E1|. Every G2 subject sorts after every G1 node, so
+// the result is already in (S, P, O) order and nothing is sorted or
+// counted.
 func UnionIn(alloc Allocator, g1, g2 *Graph) *Combined {
 	n1, n2 := g1.NumNodes(), g2.NumNodes()
 	labels := make([]Label, 0, n1+n2)
@@ -46,16 +47,18 @@ func UnionIn(alloc Allocator, g1, g2 *Graph) *Combined {
 	g.lits = g1.lits + g2.lits
 	g.srcURIs, g.srcLits = g1.DistinctLabels()
 
-	e1 := len(g1.outEdges)
+	index1, edges1 := g1.outCSR()
+	index2, edges2 := g2.outCSR()
+	e1 := len(edges1)
 	g.outIndex = g.allocIndex(n1 + n2 + 1)
-	copy(g.outIndex, g1.outIndex) // empty for a zero-value g1, whose one entry is 0
+	copy(g.outIndex, index1) // empty for a zero-value g1, whose one entry is 0
 	for i := 1; i <= n2; i++ {
-		g.outIndex[n1+i] = g2.outIndex[i] + int32(e1)
+		g.outIndex[n1+i] = index2[i] + int32(e1)
 	}
-	g.outEdges = g.allocEdges(e1 + len(g2.outEdges))
-	copy(g.outEdges, g1.outEdges)
+	g.outEdges = g.allocEdges(e1 + len(edges2))
+	copy(g.outEdges, edges1)
 	off := NodeID(n1)
-	for i, e := range g2.outEdges {
+	for i, e := range edges2 {
 		g.outEdges[e1+i] = Edge{P: e.P + off, O: e.O + off}
 	}
 	return &Combined{

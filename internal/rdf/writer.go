@@ -73,12 +73,12 @@ func WriteNTriples(w io.Writer, g *Graph, opts ...WriteOption) error {
 	if o.chunk < 1 {
 		o.chunk = defaultWriteChunk
 	}
-	seq := tripleSeq{g: g}
+	var seq tripleSeq
 	var rank []NodeID
-	if !identityCanonical(g) {
-		ts, r, _ := canonicalOrder(g)
-		seq = tripleSeq{g: g, ts: ts}
-		rank = r
+	if identityCanonical(g) {
+		seq.index, seq.edges = g.outCSR()
+	} else {
+		seq.ts, rank, _ = canonicalOrder(g)
 	}
 	if o.workers > 1 && seq.len() > o.chunk {
 		return writeNTriplesParallel(w, g, seq, rank, o)
@@ -118,18 +118,19 @@ func identityCanonical(g *Graph) bool {
 
 // tripleSeq is the triple stream the formatting core iterates: either an
 // explicit reordered list (ts non-nil, the canonicalOrder fall-back) or
-// the graph's own CSR in stored order (the identity-canonical fast path,
-// which lists nothing).
+// the graph's out-CSR in stored order (the identity-canonical fast path,
+// which lists nothing; an edited graph's CSR is compacted once for it).
 type tripleSeq struct {
-	g  *Graph
-	ts []Triple
+	ts    []Triple
+	index []int32
+	edges []Edge
 }
 
 func (s tripleSeq) len() int {
 	if s.ts != nil {
 		return len(s.ts)
 	}
-	return s.g.NumTriples()
+	return len(s.edges)
 }
 
 // each calls fn for triples [lo, hi) of the sequence. On the CSR path the
@@ -142,13 +143,12 @@ func (s tripleSeq) each(lo, hi int, fn func(Triple)) {
 		}
 		return
 	}
-	g := s.g
-	sub := sort.Search(g.nnodes, func(i int) bool { return int(g.outIndex[i+1]) > lo })
+	sub := sort.Search(len(s.index)-1, func(i int) bool { return int(s.index[i+1]) > lo })
 	for i := lo; i < hi; i++ {
-		for int(g.outIndex[sub+1]) <= i {
+		for int(s.index[sub+1]) <= i {
 			sub++
 		}
-		e := g.outEdges[i]
+		e := s.edges[i]
 		fn(Triple{S: NodeID(sub), P: e.P, O: e.O})
 	}
 }

@@ -56,6 +56,9 @@ type nlMatcher struct {
 
 	dirtyMark []bool
 	dirty     []rdf.NodeID
+	// seen deduplicates characterisations for ensure, which runs on one
+	// goroutine.
+	seen seenSet[uint64]
 }
 
 func newNLMatcher(c *rdf.Combined, theta float64, workers int) *nlMatcher {
@@ -237,7 +240,7 @@ func (m *nlMatcher) ensure(xi *core.Weighted, n rdf.NodeID) {
 	if m.have[n] {
 		return
 	}
-	m.char[n] = OutColors(m.c, xi.P, n)
+	m.char[n] = outColors(&m.seen, m.c, xi.P, n)
 	m.sorted[n] = slices.Clone(m.char[n])
 	slices.Sort(m.sorted[n])
 	m.nl[n] = nlEdges(m.c, xi, n)

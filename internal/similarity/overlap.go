@@ -292,15 +292,16 @@ func outColorKey(p, o core.Color) uint64 {
 	return uint64(uint32(p))<<32 | uint64(uint32(o))
 }
 
-// OutColors returns out-color_ξ(n) = {(λ(p), λ(o)) | (p,o) ∈ out(n)} as
-// encoded keys (§4.7), deduplicated.
-func OutColors(c *rdf.Combined, p *core.Partition, n rdf.NodeID) []uint64 {
+// outColors returns out-color_ξ(n) = {(λ(p), λ(o)) | (p,o) ∈ out(n)} as
+// encoded keys (§4.7), deduplicated in out(n) first-occurrence order
+// through the caller's reusable set.
+func outColors(seen *seenSet[uint64], c *rdf.Combined, p *core.Partition, n rdf.NodeID) []uint64 {
 	out := c.Out(n)
 	keys := make([]uint64, 0, len(out))
 	for _, e := range out {
 		keys = append(keys, outColorKey(p.Color(e.P), p.Color(e.O)))
 	}
-	return dedup(keys)
+	return seen.appendNew(keys[:0], keys)
 }
 
 // nlEdge is one outbound edge annotated with its color key and weight for

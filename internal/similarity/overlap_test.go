@@ -199,8 +199,9 @@ func TestOverlapMatchLossless(t *testing.T) {
 		l1 := mk(1 + r.Intn(6))
 		l2 := mk(1 + r.Intn(6))
 		// Deduplicate labels (literal nodes are unique per graph).
-		l1 = dedup(l1)
-		l2 = dedup(l2)
+		var seen seenSet[string]
+		l1 = seen.appendNew(l1[:0], l1)
+		l2 = seen.appendNew(l2[:0], l2)
 		theta := []float64{0.35, 0.5, 0.65, 0.8}[r.Intn(4)]
 		c, a, b := literalNodes(t, l1, l2)
 		char := func(n rdf.NodeID) []string { return Split(c.Label(n).Value) }

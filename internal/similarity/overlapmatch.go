@@ -341,13 +341,6 @@ func prefixLen(k int, theta float64) int {
 	return k - minInter + 1
 }
 
-// dedup removes repeated elements from objs in place, keeping first
-// occurrences in order.
-func dedup[O comparable](objs []O) []O {
-	var seen seenSet[O]
-	return seen.appendNew(objs[:0], objs)
-}
-
 // seenSet is a reusable set for deduplicating characterisations; the zero
 // value is ready to use.
 type seenSet[O comparable] struct{ m map[O]struct{} }

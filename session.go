@@ -27,8 +27,11 @@ import (
 // sets, edge statistics, entity counts, the induced grouping — at a cost
 // proportional to the edit rather than the graph:
 //
-//   - the union graph is rebased by a sorted merge over the edit
-//     (rdf.RebaseUnion) instead of re-sorting all triples;
+//   - the edited target and the union graph are a shared base CSR plus a
+//     small edge overlay (rdf.Editor.Apply, rdf.RebaseUnion): each delta
+//     merges the edit into the previous version's overlay, sharing the
+//     base and every run the edit leaves alone, instead of copying the
+//     out-CSR and dependents indexes;
 //   - node IDs are stable under edits, so the label base colors and the
 //     trivial colors are extended for appended nodes only;
 //   - the deblank fixpoint re-runs only when a blank node was touched or
@@ -58,13 +61,17 @@ import (
 // leaves unchanged: when it appends no node (the steady state of an edit
 // stream that reuses labels), the label base colors, the trivial colors
 // and, on the path that does not re-run the deblank fixpoint, the deblank
-// colors are the previous version's slices. Still O(N) per delta, each to
-// keep the previous Alignment valid for queries: one hybrid color column
-// (the blank-out copy of the deblank colors), under Overlap one ξ — a copy
-// of the hybrid colors plus a weight column, which every enrich/propagate
-// round then refines in place — and the rebased union's index columns
-// (its out-CSR and dependents splices). A delta that appends nodes also
-// copies the label and deblank columns to extend them.
+// colors are the previous version's slices, and the graphs' index columns
+// always are (their overlays hold what the edits changed). Still O(N) per
+// delta, each to keep the previous Alignment valid for queries: one hybrid
+// color column (the blank-out copy of the deblank colors), under Overlap
+// one ξ — a copy of the hybrid colors plus a weight column, which every
+// enrich/propagate round then refines in place — and, at O(N/64), the
+// overlays' node bitsets. A delta that appends nodes also copies the label
+// and deblank columns to extend them. Once an overlay's edges reach one in
+// patchDenseFactor (25) of its base's triples, the next delta folds that
+// graph into a fresh CSR: one O(|E|) block copy of its indexes, amortised
+// over the deltas that filled the overlay.
 //
 // Interner note: the session replays refinement over the persistent
 // interner, whose composite colors are content-addressed — identical

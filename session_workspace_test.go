@@ -42,6 +42,61 @@ func churnPair(t *testing.T, triples int, churn float64) (g1, g2 *Graph, fwd *Ed
 	return g1, g2, fwd
 }
 
+// TestApplyDeltaForwardStream applies a forward chain of stream-corpus
+// releases, v2→v3→…→v10, to one session: unlike a delta followed by its
+// inverse, each delta touches new subjects, so the graphs' edge overlays
+// grow until the dense rule folds them (at 0.3% churn on 3,000 triples the
+// chain folds twice per method, while no single delta is dense enough to
+// be rebuilt). Every version must equal a from-scratch Align.
+func TestApplyDeltaForwardStream(t *testing.T) {
+	cfg := StreamConfig{Triples: 3000, Seed: 5, Churn: 0.003, Growth: 1.0000001}
+	parse := func(version int) *Graph {
+		c := cfg
+		c.Version = version
+		var buf bytes.Buffer
+		if _, err := StreamNTriples(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+		g, err := ParseNTriplesString(buf.String(), fmt.Sprintf("v%d", version))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	g1, g2 := parse(1), parse(2)
+	ctx := context.Background()
+	for _, m := range []Method{Hybrid, Overlap} {
+		al, err := NewAligner(WithMethod(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := al.Align(ctx, g1, g2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 2; v < 10; v++ {
+			c := cfg
+			c.Version = v
+			var buf bytes.Buffer
+			if _, _, err := StreamDelta(&buf, c); err != nil {
+				t.Fatal(err)
+			}
+			s, err := ParseEditScript(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, err = a.ApplyDelta(ctx, s); err != nil {
+				t.Fatalf("%v: delta v%d→v%d: %v", m, v, v+1, err)
+			}
+			scratch, err := al.Align(ctx, g1, a.Target())
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameAlignment(t, fmt.Sprintf("%v, v%d", m, v+1), a, scratch)
+		}
+	}
+}
+
 // TestApplyDeltaCancelAtEachPropagateRound cancels an Overlap ApplyDelta
 // from the progress callback at its first, second, … propagation round
 // until one attempt runs to completion. Each cancelled attempt drops the
