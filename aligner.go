@@ -116,9 +116,10 @@ func WithMaxDepth(k int) Option {
 	return func(c *alignerConfig) { c.maxDepth = k }
 }
 
-// WithResolveAmbiguous makes BuildArchive additionally chain entities
-// inside ambiguous alignment classes by matching occurrence profiles; see
-// archive.BuildOptions.ResolveAmbiguous. It has no effect on Align.
+// WithResolveAmbiguous makes BuildArchive, AppendVersion and
+// AppendAlignment additionally chain entities inside ambiguous alignment
+// classes by matching occurrence profiles; see archive.Archive.Append. It
+// has no effect on Align.
 func WithResolveAmbiguous() Option {
 	return func(c *alignerConfig) { c.resolveAmbiguous = true }
 }

@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"rdfalign/internal/archive"
-	"rdfalign/internal/core"
-	"rdfalign/internal/rdf"
 	"rdfalign/internal/similarity"
 )
 
@@ -366,8 +364,8 @@ func TestAlignerBuildArchive(t *testing.T) {
 // TestBuildArchiveMatchesSessionAlign: BuildArchive and AppendVersion align
 // every consecutive pair exactly as the session's Align does — Overlap when
 // the method is Overlap, Hybrid otherwise — with the session's extensions,
-// depth bound, parallelism and ambiguity resolution. Each archive equals an
-// archive.Build whose Align wraps Aligner.Align.
+// depth bound, parallelism and ambiguity resolution. Each archive equals one
+// that archive.New and Append record from Aligner.Align's partitions.
 func TestBuildArchiveMatchesSessionAlign(t *testing.T) {
 	const key = "http://www.w3.org/2000/01/rdf-schema#label"
 	efo, err := GenerateEFO(EFOConfig{Versions: 4, Scale: 0.01, Seed: 1})
@@ -425,29 +423,153 @@ func TestBuildArchiveMatchesSessionAlign(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				opt := archive.BuildOptions{
-					ResolveAmbiguous: al.cfg.resolveAmbiguous,
-					Align: func(g1, g2 *rdf.Graph) (*core.Partition, *rdf.Combined, error) {
-						a, err := ref.Align(ctx, g1, g2)
-						if err != nil {
-							return nil, nil, err
-						}
-						return a.part, a.c, nil
-					},
-				}
-				want, err := archive.Build(ds.graphs[:last], opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := want.AppendVersion(ds.graphs[last], nil, opt); err != nil {
-					t.Fatal(err)
+				want := archive.New(ds.graphs[0])
+				for _, g := range ds.graphs[1:] {
+					a, err := ref.Align(ctx, want.LatestGraph(), g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := want.Append(a.c, a.part, al.cfg.resolveAmbiguous); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if !reflect.DeepEqual(got.Raw(), want.Raw()) {
-					t.Errorf("session archive differs from archive.Build over Aligner.Align:\n got %s\nwant %s",
+					t.Errorf("session archive differs from archive.Append over Aligner.Align:\n got %s\nwant %s",
 						got.GatherStats(), want.GatherStats())
 				}
 			})
 		}
+	}
+}
+
+// TestAppendAlignmentMatchesAppendVersion: AppendAlignment records the
+// same archive as AppendVersion of the alignment's target, for every method
+// and for alignments it cannot reuse — one advanced by ApplyDelta, one over
+// an older source, one from another session. A fresh Hybrid, Overlap or
+// SigmaEdit alignment over the newest archived graph is recorded without
+// a refinement round; every other case aligns the tail pair again.
+func TestAppendAlignmentMatchesAppendVersion(t *testing.T) {
+	gto, err := GenerateGtoPdb(GtoPdbConfig{Versions: 3, Scale: 0.005, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g0, g1, g2 := gto.Graphs[0], gto.Graphs[1], gto.Graphs[2]
+	edit, err := ParseEditScriptString("+ <http://x/s> <http://x/p> \"v\" .\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, m := range allMethods {
+		var refines int
+		al, err := NewAligner(WithMethod(m), WithResolveAmbiguous(), WithProgress(func(p Progress) {
+			if p.Stage == "refine" {
+				refines++
+			}
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, err := al.With()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := al.Align(ctx, g1, g2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maintained, err := al.Align(ctx, g1, g1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if maintained, err = maintained.ApplyDelta(ctx, edit); err != nil {
+			t.Fatal(err)
+		}
+		older, err := al.Align(ctx, g0, g2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		foreign, err := other.Align(ctx, g1, g2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reusable := m == Hybrid || m == Overlap || m == SigmaEdit
+		for _, tc := range []struct {
+			name  string
+			a     *Alignment
+			reuse bool
+		}{{"fresh", fresh, reusable}, {"maintained", maintained, false}, {"older", older, false}, {"foreign", foreign, false}} {
+			base, err := al.BuildArchive(ctx, []*Graph{g0, g1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := base.Clone(), base.Clone()
+			if _, err := al.AppendVersion(ctx, want, tc.a.Target(), nil); err != nil {
+				t.Fatal(err)
+			}
+			refines = 0
+			if err := al.AppendAlignment(ctx, got, tc.a); err != nil {
+				t.Fatal(err)
+			}
+			if aligned := refines > 0; aligned == tc.reuse {
+				t.Errorf("%v/%s: %d refinement rounds, want aligning %v", m, tc.name, refines, !tc.reuse)
+			}
+			if !reflect.DeepEqual(got.Raw(), want.Raw()) {
+				t.Errorf("%v/%s: AppendAlignment archive differs from AppendVersion:\n got %s\nwant %s",
+					m, tc.name, got.GatherStats(), want.GatherStats())
+			}
+		}
+	}
+}
+
+// TestAppendVersionScript: with g nil, AppendVersion derives the new version
+// by applying the edit script to the newest archived graph, equivalently to
+// appending the edited graph directly; a script that does not apply, or
+// neither a graph nor a script, leaves the archive unchanged.
+func TestAppendVersionScript(t *testing.T) {
+	g1, err := ParseNTriplesString("<http://e/a> <http://e/p> \"x\" .\n<http://e/a> <http://e/p> <http://e/b> .\n", "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	script, err := ParseEditScriptString(`- <http://e/a> <http://e/p> "x" .
++ <http://e/a> <http://e/p> "y" .
++ <http://e/c> <http://e/p> <http://e/b> .
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	al, err := NewAligner(WithMethod(Hybrid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byScript, err := al.BuildArchive(ctx, []*Graph{g1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := byScript.Raw()
+	bad, err := ParseEditScriptString("- <http://absent/node> <http://absent/p> \"absent\" .\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := al.AppendVersion(ctx, byScript, nil, bad); err == nil {
+		t.Fatal("delete of an absent triple accepted")
+	}
+	if _, err := al.AppendVersion(ctx, byScript, nil, nil); err == nil {
+		t.Fatal("append with neither graph nor script accepted")
+	}
+	if !reflect.DeepEqual(byScript.Raw(), before) {
+		t.Fatal("failed appends changed the archive")
+	}
+	g2, err := al.AppendVersion(ctx, byScript, nil, script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := al.BuildArchive(ctx, []*Graph{g1, g2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(byScript.Raw(), want.Raw()) {
+		t.Fatalf("script append differs from BuildArchive:\n got %s\nwant %s", byScript.GatherStats(), want.GatherStats())
 	}
 }
 

@@ -16,7 +16,7 @@
 // refinement is sequential).
 // Input files are streamed through the parallel N-Triples pipeline
 // (-parse-workers, default all cores; the parsed graph is bit-identical
-// to a sequential parse); -strict tightens the accepted N-Triples
+// for every worker count); -strict tightens the accepted N-Triples
 // dialect.
 //
 // Binary snapshots skip parsing entirely: -save-snapshot writes

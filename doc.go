@@ -86,9 +86,22 @@
 // bit-identical to a from-scratch Align against ApplyEditScript(g2, s) —
 // property-tested — and transactional: a failed or cancelled ApplyDelta
 // leaves the session untouched, and applying a delta to a superseded
-// Alignment fails with ErrStaleAlignment. Aligner.AppendVersion extends an
-// Archive by one version the same way (one new pair alignment instead of
-// re-aligning the whole history, raw-identical to a full rebuild).
+// Alignment fails with ErrStaleAlignment.
+//
+// # Archives
+//
+// An Archive records aligned pairs; it computes no alignment itself. Its
+// first version starts it, and every later version is appended from the
+// consecutive pair (newest archived graph, new version) and a partition of
+// their union: nodes in a mutual one-to-one class continue an entity, the
+// rest start fresh ones. Aligner.BuildArchive and Aligner.AppendVersion
+// align each pair with the session pipeline (Overlap for an Overlap
+// session, Hybrid otherwise), so an append costs one pair alignment
+// whatever the archive's length, raw-identical to a full rebuild.
+// Aligner.AppendAlignment appends the target of an alignment the caller
+// already has: a fresh Hybrid, Overlap or SigmaEdit alignment over the
+// newest archived graph is recorded as it is, without aligning again;
+// any other alignment falls back to aligning the tail pair.
 //
 // # Performance
 //
@@ -161,16 +174,16 @@
 //
 // # Ingestion
 //
-// N-Triples input streams through a chunked parallel pipeline: the input
-// is split into ~256 KB blocks on line boundaries, the ordered worker pool
-// lexes blocks into per-block triple batches (no per-line allocations;
-// zero-copy blocks when parsing from a string), and the batches are
-// merged in block order, so NodeID assignment — and therefore the
-// resulting Graph — is bit-identical to a sequential parse for every
-// worker count:
+// N-Triples input streams through one chunked pipeline at every worker
+// count: the input is split into ~256 KB blocks on line boundaries, the
+// ordered worker pool lexes blocks into per-block triple batches (no
+// per-line allocations; zero-copy blocks when parsing from a string), and
+// the batches are merged in block order, so NodeID assignment — and
+// therefore the resulting Graph — is bit-identical for every worker count.
+// One worker runs the pool inline:
 //
 //	g, err := rdfalign.ParseNTriples(f, "v1",
-//		rdfalign.WithParseWorkers(8), // -1 = all cores, 0/1 = sequential
+//		rdfalign.WithParseWorkers(8), // -1 = all cores, 0/1 = one, inline
 //		rdfalign.WithStrictMode())    // reject raw controls, invalid UTF-8
 //
 // Syntax errors report global 1-based line numbers (the first error in
@@ -250,7 +263,8 @@
 // /archives/{name}/versions, N-Triples or graph snapshot body) and edit
 // scripts (POST /archives/{name}/deltas) align asynchronously through the
 // session API — ApplyDelta maintenance for deltas, a fresh pair alignment
-// for uploads — with per-job progress at /jobs/{id} and cancellation via
+// for uploads, which the archive records without aligning it again — with
+// per-job progress at /jobs/{id} and cancellation via
 // DELETE. The worker budget is split into two disjoint pools
 // (-query-workers, -align-jobs): a long-running alignment can never
 // starve the query path. A delta submitted against a version that was

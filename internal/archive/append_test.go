@@ -1,14 +1,11 @@
 package archive
 
 import (
-	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"rdfalign/internal/core"
-	"rdfalign/internal/delta"
-	"rdfalign/internal/rdf"
 )
 
 // requireSameArchive compares two archives by their full raw columns and
@@ -25,11 +22,11 @@ func requireSameArchive(t *testing.T, label string, got, want *Archive) {
 }
 
 // TestAppendVersionMatchesBuild is the archive maintenance property: growing
-// an archive version by version with AppendVersion yields exactly the
-// archive a one-shot Build over the whole history produces, for every
-// chaining configuration.
+// an archive the way a service does — every version appended to a clone of
+// the previous state — yields exactly the archive appended in place, for
+// every chaining configuration, and reconstructs every version.
 func TestAppendVersionMatchesBuild(t *testing.T) {
-	opts := []BuildOptions{
+	opts := []buildOpts{
 		{Align: hybridPair},
 		{Align: overlapPair(1)},
 		{Align: hybridPair, ResolveAmbiguous: true},
@@ -39,21 +36,19 @@ func TestAppendVersionMatchesBuild(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		hist := randomHistory(r, 5)
 		for oi, opt := range opts {
-			want, err := Build(hist, opt)
+			want, err := build(hist, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Build(hist[:1], opt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := New(hist[0])
 			for _, g := range hist[1:] {
-				if _, err := got.AppendVersion(g, nil, opt); err != nil {
-					t.Fatalf("seed %d opt %d: AppendVersion: %v", seed, oi, err)
+				next := got.Clone()
+				if err := appendGraph(next, g, opt); err != nil {
+					t.Fatalf("seed %d opt %d: Append: %v", seed, oi, err)
 				}
+				got = next
 			}
-			requireSameArchive(t, "incremental vs one-shot", got, want)
-			// The maintained archive reconstructs every version exactly.
+			requireSameArchive(t, "cloned vs in place", got, want)
 			for v := 0; v < got.Versions(); v++ {
 				if _, err := got.Snapshot(v); err != nil {
 					t.Fatalf("seed %d opt %d: snapshot v%d: %v", seed, oi, v, err)
@@ -63,50 +58,20 @@ func TestAppendVersionMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestAppendVersionScript: with g nil, AppendVersion derives the new version
-// by applying the edit script to the newest archived graph, equivalently to
-// appending the edited graph directly.
-func TestAppendVersionScript(t *testing.T) {
-	b := rdf.NewBuilder("v1")
-	a1 := b.URI("http://e/a")
-	p := b.URI("http://e/p")
-	b.Triple(a1, p, b.Literal("x"))
-	b.Triple(a1, p, b.URI("http://e/b"))
-	g1 := b.MustGraph()
-
-	uri := func(v string) rdf.Term { return rdf.Term{Kind: rdf.URI, Value: v} }
-	lit := func(v string) rdf.Term { return rdf.Term{Kind: rdf.Literal, Value: v} }
-	script := &delta.Script{Ops: []delta.Op{
-		{T: rdf.TermTriple{S: uri("http://e/a"), P: uri("http://e/p"), O: lit("x")}},
-		{Insert: true, T: rdf.TermTriple{S: uri("http://e/a"), P: uri("http://e/p"), O: lit("y")}},
-		{Insert: true, T: rdf.TermTriple{S: uri("http://e/c"), P: uri("http://e/p"), O: uri("http://e/b")}},
-	}}
-
-	opt := BuildOptions{Align: hybridPair}
-	byScript, err := Build([]*rdf.Graph{g1}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := byScript.AppendVersion(nil, script, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Build([]*rdf.Graph{g1, g2}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameArchive(t, "script append vs build", byScript, want)
-}
-
-// TestAppendVersionErrors: raw-loaded archives cannot append, nor can an
-// append without an Align function; a script that does not apply or a
-// failing pair alignment leaves the archive unchanged; Clone isolates
-// appends.
+// TestAppendVersionErrors: Append rejects, before any mutation, a
+// raw-loaded archive, a pair whose source is not the newest archived graph
+// (even an equal copy of it) and a partition of another pair; Clone
+// isolates appends.
 func TestAppendVersionErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	hist := randomHistory(r, 3)
-	opt := BuildOptions{Align: hybridPair}
-	a, err := Build(hist[:2], opt)
+	opt := buildOpts{Align: hybridPair}
+	a, err := build(hist[:2], opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := a.Raw()
+	p, c, err := hybridPair(hist[1], hist[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,42 +80,41 @@ func TestAppendVersionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loaded.AppendVersion(hist[2], nil, opt); err == nil {
+	if err := loaded.Append(c, p, false); err == nil {
 		t.Fatal("raw-loaded archive accepted an append")
 	}
+	if err := loaded.RebuildTail(); err != nil {
+		t.Fatal(err)
+	}
+	// The rebuilt tail's graph is a reconstruction, not hist[1].
+	if err := loaded.Append(c, p, false); err == nil {
+		t.Fatal("rebuilt archive accepted a pair over another copy of its newest graph")
+	}
 
-	if _, err := a.AppendVersion(nil, nil, opt); err == nil {
-		t.Fatal("append with neither graph nor script accepted")
+	_, c0, err := hybridPair(hist[0], hist[2])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := a.AppendVersion(hist[2], nil, BuildOptions{}); err == nil {
-		t.Fatal("append without an Align function accepted")
+	if err := a.Append(c0, p, false); err == nil {
+		t.Fatal("pair over an older version accepted")
 	}
-
-	// A clone can append without disturbing the original, and a failing
-	// script leaves its archive byte-identical.
-	clone := a.Clone()
-	before := a.Raw()
-	bad := &delta.Script{Ops: []delta.Op{{T: rdf.TermTriple{
-		S: rdf.Term{Kind: rdf.URI, Value: "http://absent/node"},
-		P: rdf.Term{Kind: rdf.URI, Value: "http://absent/p"},
-		O: rdf.Term{Kind: rdf.Literal, Value: "absent"},
-	}}}}
-	if _, err := clone.AppendVersion(nil, bad, opt); err == nil {
-		t.Fatal("delete of absent triple accepted")
-	}
-	failing := BuildOptions{Align: func(g1, g2 *rdf.Graph) (*core.Partition, *rdf.Combined, error) {
-		return nil, nil, errors.New("align failed")
-	}}
-	if _, err := clone.AppendVersion(hist[2], nil, failing); err == nil {
-		t.Fatal("failed pair alignment accepted")
-	}
-	if _, err := clone.AppendVersion(hist[2], nil, opt); err != nil {
-		t.Fatalf("append after failed script: %v", err)
+	small := core.TrivialPartition(uriGraph([3]string{"a", "p", "b"}), core.NewInterner())
+	if err := a.Append(c, small, false); err == nil {
+		t.Fatal("partition of another graph accepted")
 	}
 	if !reflect.DeepEqual(a.Raw(), before) {
-		t.Fatal("original archive changed by clone append or failed script")
+		t.Fatal("rejected append changed the archive")
 	}
-	want, err := Build(hist, opt)
+
+	// A clone can append without disturbing the original.
+	clone := a.Clone()
+	if err := clone.Append(c, p, false); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Raw(), before) {
+		t.Fatal("original archive changed by clone append")
+	}
+	want, err := build(hist, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,12 @@
 // and leave with their subject" — so the design space of moving interval
 // information to subject nodes can be evaluated on real version histories.
 //
+// The archive records alignments; it does not compute them. New starts an
+// archive at its first version, and Append records the next version from
+// an aligned consecutive pair — the union of the newest archived graph and
+// the new version, and a partition of it — which the caller produced (the
+// root package runs its session pipeline, Aligner.BuildArchive).
+//
 // An Archive stores:
 //
 //   - entities: persistent identities chained across versions through the
@@ -25,12 +31,8 @@ import (
 	"slices"
 
 	"rdfalign/internal/core"
-	"rdfalign/internal/delta"
 	"rdfalign/internal/rdf"
 )
-
-// errNoAlign rejects a nil BuildOptions.Align: there is no built-in default.
-var errNoAlign = errors.New("archive: BuildOptions.Align is nil")
 
 // EntityID is a persistent node identity across versions.
 type EntityID int32
@@ -61,154 +63,67 @@ type Archive struct {
 	rows     []TripleRow  // strictly ascending by (S, P, O)
 	// totalTriples is Σ |E_v| over the input versions.
 	totalTriples int
-	// tail is the live construction state AppendVersion extends; nil for
-	// archives loaded from raw columns (FromRaw), which cannot append.
+	// tail is the live construction state Append extends; nil for
+	// archives loaded from raw columns (FromRaw) until RebuildTail.
 	tail *archiveTail
 }
 
-// archiveTail is what Build's per-version loop carries from one version to
-// the next: the newest version's graph, its node→entity assignment, and the
-// URI resume map. Keeping it on the finished archive lets AppendVersion add
-// one version by aligning a single pair instead of replaying the history.
+// archiveTail is what one Append carries to the next: the newest version's
+// graph, its node→entity assignment, and the URI resume map.
 type archiveTail struct {
 	lastGraph *rdf.Graph
 	cur       []EntityID
-	lastSeen  map[string]EntityID
-}
-
-// BuildOptions configures archive construction.
-type BuildOptions struct {
-	// ResolveAmbiguous additionally chains entities inside *ambiguous*
-	// alignment classes (several members on each side — predicate-only
-	// URIs, duplicated blanks) by matching occurrence profiles with the
-	// overlap measure. Essential for archiving direct-mapping exports
-	// with per-version prefixes: without it every predicate entity
-	// churns each version and triple rows never chain.
-	ResolveAmbiguous bool
-	// Hooks are checked for cancellation before each version pair, and
-	// receive one StageArchive event per archived version (Round is the
-	// 1-based version number, Total the version count).
-	Hooks core.Hooks
-	// Align aligns one consecutive version pair: it returns the union of
-	// g1 and g2 and a partition of it, whose mutual one-to-one classes
-	// chain entities. It is required; the root package supplies the
-	// session's pipeline (rdfalign.Aligner.BuildArchive). An error aborts
-	// the build or append.
-	Align func(g1, g2 *rdf.Graph) (*core.Partition, *rdf.Combined, error)
-}
-
-// Build archives a sequence of graph versions. Consecutive versions are
-// aligned by opt.Align; nodes connected by an unambiguous (mutual
-// one-to-one) alignment pair continue the same entity, everything else
-// starts a fresh one. It fails when opt.Align is nil.
-func Build(graphs []*rdf.Graph, opt BuildOptions) (*Archive, error) {
-	if len(graphs) == 0 {
-		return nil, fmt.Errorf("archive: no versions")
-	}
-	if opt.Align == nil {
-		return nil, errNoAlign
-	}
-	a := &Archive{versions: len(graphs)}
-
 	// lastSeen maps a URI label to the entity that most recently carried
 	// it, so an entity can resume after skipping versions (URIs are
 	// persistent identifiers; cf. the paper's disappearing-and-
 	// reappearing EFO URIs, §5.1). Renamed-across-a-gap entities cannot
 	// be resumed this way and start fresh — conservative but sound.
-	lastSeen := make(map[string]EntityID)
+	lastSeen map[string]EntityID
+}
 
-	// Entity assignment for version 0: every node is fresh.
-	cur := make([]EntityID, graphs[0].NumNodes())
+// errNotLatest rejects a pair whose source is not the newest archived graph.
+var errNotLatest = errors.New("archive: the pair's source is not the newest archived version (archives loaded from raw columns need RebuildTail)")
+
+// New starts an archive whose one version is g0: every node of g0 is a
+// fresh entity.
+func New(g0 *rdf.Graph) *Archive {
+	a := &Archive{versions: 1}
+	cur := make([]EntityID, g0.NumNodes())
 	for i := range cur {
 		cur[i] = a.newEntity()
 	}
-	if err := opt.Hooks.Err(); err != nil {
-		return nil, err
-	}
-	a.recordVersion(graphs[0], 0, cur, lastSeen)
-	opt.Hooks.Round(core.StageArchive, 1, len(graphs))
-
-	for v := 0; v+1 < len(graphs); v++ {
-		if err := opt.Hooks.Err(); err != nil {
-			return nil, err
-		}
-		g1, g2 := graphs[v], graphs[v+1]
-		next, err := a.appendAligned(g1, g2, v+1, cur, lastSeen, opt)
-		if err != nil {
-			return nil, err
-		}
-		cur = next
-		opt.Hooks.Round(core.StageArchive, v+2, len(graphs))
-	}
-	a.tail = &archiveTail{lastGraph: graphs[len(graphs)-1], cur: cur, lastSeen: lastSeen}
-	return a, nil
+	lastSeen := make(map[string]EntityID)
+	a.recordVersion(g0, 0, cur, lastSeen)
+	a.tail = &archiveTail{lastGraph: g0, cur: cur, lastSeen: lastSeen}
+	return a
 }
 
-// appendAligned aligns the consecutive pair (g1, g2), chains entities across
-// the alignment and records g2 as version v. It is the per-version step
-// shared by Build's loop and AppendVersion. The alignment is the only
-// fallible part and runs before any mutation, so an error leaves the archive
-// exactly as it was.
-func (a *Archive) appendAligned(g1, g2 *rdf.Graph, v int, cur []EntityID,
-	lastSeen map[string]EntityID, opt BuildOptions) ([]EntityID, error) {
-	part, c, err := opt.Align(g1, g2)
-	if err != nil {
-		return nil, err
-	}
-	next := make([]EntityID, g2.NumNodes())
-	chainEntities(a, c, part, cur, next, g2, lastSeen, opt.ResolveAmbiguous)
-	a.recordVersion(g2, v, next, lastSeen)
-	return next, nil
-}
-
-// AppendVersion extends the archive with one more version. The new version
-// is either g, or — when g is nil — the result of applying the edit script
-// to the newest archived version's graph. Only the new consecutive pair is
-// aligned, so appending costs one alignment regardless of how many versions
-// the archive already holds; a full Build over the extended history produces
-// an identical archive (same rows, labels, stats and snapshots).
+// Append records c's target graph as the next version. c must be the union
+// of the newest archived graph (LatestGraph, compared by identity) and the
+// new version, and p a partition of c. A target node continues the entity
+// of its alignment partner when the two form a class of their own (mutual
+// and one-to-one); with resolve set, members of ambiguous classes — several
+// nodes on each side, such as predicate-only URIs or duplicated blanks —
+// additionally chain by occurrence-profile overlap, which archiving
+// direct-mapping exports with per-version prefixes needs: without it every
+// predicate entity churns each version and triple rows never chain.
 //
-// AppendVersion is transactional: on any error — a nil opt.Align, an edit
-// script that does not apply, a failed alignment, or cancellation through
-// opt.Hooks — the archive is unchanged and a later append can retry.
-// Archives loaded from raw columns (FromRaw) carry no construction tail and
-// cannot append; rebuild with Build.
-//
-// opt should be the BuildOptions the archive was built with, its Align
-// aligning pairs the same way: chaining decisions depend on both, and
-// mixing them across versions makes the archive equivalent to no single
-// Build call. It returns the appended version's graph (g itself, or the
-// script application result).
-func (a *Archive) AppendVersion(g *rdf.Graph, script *delta.Script, opt BuildOptions) (*rdf.Graph, error) {
-	if a.tail == nil {
-		return nil, fmt.Errorf("archive: archive has no construction tail (loaded from raw columns); rebuild with Build to append")
+// Two archives of one history are identical when their pairs were aligned
+// the same way under the same resolve flag: chaining depends on both. On
+// an error — a pair that does not extend the newest version, or a
+// partition of another graph — the archive is unchanged.
+func (a *Archive) Append(c *rdf.Combined, p *core.Partition, resolve bool) error {
+	if a.tail == nil || c.SourceGraph() != a.tail.lastGraph {
+		return errNotLatest
 	}
-	if opt.Align == nil {
-		return nil, errNoAlign
+	if p.Len() != c.NumNodes() {
+		return fmt.Errorf("archive: partition of %d nodes for a pair of %d", p.Len(), c.NumNodes())
 	}
-	if err := opt.Hooks.Err(); err != nil {
-		return nil, err
-	}
-	g2 := g
-	if g2 == nil {
-		if script == nil {
-			return nil, fmt.Errorf("archive: AppendVersion needs a graph or an edit script")
-		}
-		res, err := script.Apply(rdf.NewEditor(a.tail.lastGraph))
-		if err != nil {
-			return nil, fmt.Errorf("archive: append version: %w", err)
-		}
-		g2 = res.Graph
-	}
-	next, err := a.appendAligned(a.tail.lastGraph, g2, a.versions, a.tail.cur, a.tail.lastSeen, opt)
-	if err != nil {
-		return nil, err
-	}
+	next := a.chainEntities(c, p, resolve)
+	a.recordVersion(c.TargetGraph(), a.versions, next, a.tail.lastSeen)
 	a.versions++
-	a.tail.lastGraph = g2
-	a.tail.cur = next
-	opt.Hooks.Round(core.StageArchive, a.versions, a.versions)
-	return g2, nil
+	a.tail.lastGraph, a.tail.cur = c.TargetGraph(), next
+	return nil
 }
 
 // Clone returns a deep copy of the archive, including the construction tail
@@ -247,13 +162,15 @@ func slabCopy[T any](slab *[]T, src []T) []T {
 	return (*slab)[lo:len(*slab):len(*slab)]
 }
 
-// chainEntities continues entities across one aligned pair: a target node
+// chainEntities returns the node→entity assignment of c's target graph,
+// continuing the tail's entities across the aligned pair: a target node
 // inherits the entity of its alignment partner when the partnership is
 // mutual and unambiguous (exactly one node on each side of the class);
 // failing that, a URI node resumes the dormant entity that last carried its
 // label (identity across gaps); everything else starts a fresh entity.
-func chainEntities(a *Archive, c *rdf.Combined, p *core.Partition, cur, next []EntityID,
-	g2 *rdf.Graph, lastSeen map[string]EntityID, resolve bool) {
+func (a *Archive) chainEntities(c *rdf.Combined, p *core.Partition, resolve bool) []EntityID {
+	cur, lastSeen, g2 := a.tail.cur, a.tail.lastSeen, c.TargetGraph()
+	next := make([]EntityID, g2.NumNodes())
 	for j := range next {
 		next[j] = -1
 	}
@@ -283,6 +200,7 @@ func chainEntities(a *Archive, c *rdf.Combined, p *core.Partition, cur, next []E
 		}
 		next[j] = a.newEntity()
 	}
+	return next
 }
 
 func (a *Archive) newEntity() EntityID {
@@ -472,7 +390,7 @@ func (a *Archive) snapshotEntities(v int) (*rdf.Graph, []EntityID, error) {
 }
 
 // CanAppend reports whether the archive carries the construction tail
-// AppendVersion extends. Freshly built archives can always append;
+// Append extends. Archives started by New can always append;
 // archives reconstructed from raw columns (FromRaw, i.e. snapshot loads)
 // cannot until RebuildTail restores the tail.
 func (a *Archive) CanAppend() bool { return a.tail != nil }
@@ -488,7 +406,7 @@ func (a *Archive) LatestGraph() *rdf.Graph {
 }
 
 // RebuildTail reconstructs the construction tail of an archive loaded from
-// raw columns, so AppendVersion works on snapshot-loaded archives: the
+// raw columns, so Append works on snapshot-loaded archives: the
 // newest version's graph is reconstructed (Snapshot semantics — blank
 // nodes reappear under synthetic e<id> labels), its node→entity assignment
 // is recovered from the label runs, and the URI resume map is replayed

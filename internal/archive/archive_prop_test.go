@@ -143,13 +143,13 @@ func TestArchiveRandomHistoriesRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		graphs := randomHistory(r, 2+r.Intn(4))
-		for _, opt := range []BuildOptions{
+		for _, opt := range []buildOpts{
 			{Align: hybridPair},
 			{Align: hybridPair, ResolveAmbiguous: true},
 			{Align: overlapPair(1)},
 			{Align: overlapPair(1), ResolveAmbiguous: true},
 		} {
-			a, err := Build(graphs, opt)
+			a, err := build(graphs, opt)
 			if err != nil {
 				t.Logf("seed %d: build failed: %v", seed, err)
 				return false
@@ -180,7 +180,7 @@ func TestArchiveStatsInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		graphs := randomHistory(r, 2+r.Intn(3))
-		a, err := Build(graphs, BuildOptions{Align: hybridPair, ResolveAmbiguous: true})
+		a, err := build(graphs, buildOpts{Align: hybridPair, ResolveAmbiguous: true})
 		if err != nil {
 			return false
 		}

@@ -59,7 +59,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 <uoe> <name> "University of Edinburgh" .
 <ss> <city> "Edinburgh" .
 `, "v3")
-	a, err := Build([]*rdf.Graph{v1, v2, v3}, BuildOptions{Align: hybridPair})
+	a, err := build([]*rdf.Graph{v1, v2, v3}, buildOpts{Align: hybridPair})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 func TestArchiveRenameRecordedAsLabelRun(t *testing.T) {
 	v1 := parse(t, "<ss> <employer> <ed-uni> .\n<ed-uni> <name> \"UoE\" .\n", "v1")
 	v2 := parse(t, "<ss> <employer> <uoe> .\n<uoe> <name> \"UoE\" .\n", "v2")
-	a, err := Build([]*rdf.Graph{v1, v2}, BuildOptions{Align: hybridPair})
+	a, err := build([]*rdf.Graph{v1, v2}, buildOpts{Align: hybridPair})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestArchiveGapIntervals(t *testing.T) {
 	v1 := parse(t, doc+other, "v1")
 	v2 := parse(t, other, "v2")
 	v3 := parse(t, doc+other, "v3")
-	a, err := Build([]*rdf.Graph{v1, v2, v3}, BuildOptions{Align: hybridPair})
+	a, err := build([]*rdf.Graph{v1, v2, v3}, buildOpts{Align: hybridPair})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,17 +141,7 @@ func TestArchiveGapIntervals(t *testing.T) {
 }
 
 func TestArchiveErrors(t *testing.T) {
-	if _, err := Build(nil, BuildOptions{Align: hybridPair}); err == nil {
-		t.Error("empty version list accepted")
-	}
-	g := parse(t, "<a> <p> <b> .\n", "v1")
-	if _, err := Build([]*rdf.Graph{g}, BuildOptions{}); err == nil {
-		t.Error("build without an Align function accepted")
-	}
-	a, err := Build([]*rdf.Graph{g}, BuildOptions{Align: hybridPair})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := New(parse(t, "<a> <p> <b> .\n", "v1"))
 	if _, err := a.Snapshot(-1); err == nil {
 		t.Error("negative snapshot accepted")
 	}
@@ -165,7 +155,7 @@ func TestArchiveEFORoundTripAndCompression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Build(d.Graphs, BuildOptions{Align: hybridPair})
+	a, err := build(d.Graphs, buildOpts{Align: hybridPair})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +194,11 @@ func TestArchiveResolveAmbiguous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Build(d.Graphs, BuildOptions{Align: hybridPair})
+	plain, err := build(d.Graphs, buildOpts{Align: hybridPair})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolved, err := Build(d.Graphs, BuildOptions{Align: hybridPair, ResolveAmbiguous: true})
+	resolved, err := build(d.Graphs, buildOpts{Align: hybridPair, ResolveAmbiguous: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +230,11 @@ func TestArchiveWithOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Build(d.Graphs, BuildOptions{Align: hybridPair})
+	plain, err := build(d.Graphs, buildOpts{Align: hybridPair})
 	if err != nil {
 		t.Fatal(err)
 	}
-	over, err := Build(d.Graphs, BuildOptions{Align: overlapPair(1)})
+	over, err := build(d.Graphs, buildOpts{Align: overlapPair(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,12 +268,12 @@ func TestBuildOverlapWorkersDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Build(d.Graphs, BuildOptions{Align: overlapPair(1)})
+	base, err := build(d.Graphs, buildOpts{Align: overlapPair(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
-		a, err := Build(d.Graphs, BuildOptions{Align: overlapPair(workers)})
+		a, err := build(d.Graphs, buildOpts{Align: overlapPair(workers)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,14 +18,14 @@ func requireSortedRows(t *testing.T, label string, a *Archive) {
 }
 
 // TestArchiveRowsSortedAfterEveryOperation checks the sorted-rows invariant
-// after every Build, AppendVersion and Clone over random histories, with a
+// after every New, Append and Clone over random histories, with a
 // clone and its original appending different versions.
 func TestArchiveRowsSortedAfterEveryOperation(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		hist := randomHistory(r, 6)
-		for _, opt := range []BuildOptions{{Align: hybridPair}, {Align: overlapPair(1), ResolveAmbiguous: true}} {
-			a, err := Build(hist[:2], opt)
+		for _, opt := range []buildOpts{{Align: hybridPair}, {Align: overlapPair(1), ResolveAmbiguous: true}} {
+			a, err := build(hist[:2], opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -33,12 +33,12 @@ func TestArchiveRowsSortedAfterEveryOperation(t *testing.T) {
 			b := a.Clone()
 			requireSortedRows(t, "clone", b)
 			for v := 2; v < len(hist); v++ {
-				if _, err := a.AppendVersion(hist[v], nil, opt); err != nil {
+				if err := appendGraph(a, hist[v], opt); err != nil {
 					t.Fatal(err)
 				}
 				requireSortedRows(t, "append", a)
 				// The clone replays the history backwards.
-				if _, err := b.AppendVersion(hist[len(hist)+1-v], nil, opt); err != nil {
+				if err := appendGraph(b, hist[len(hist)+1-v], opt); err != nil {
 					t.Fatal(err)
 				}
 				requireSortedRows(t, "clone append", b)
@@ -59,7 +59,7 @@ func uriGraph(triples ...[3]string) *rdf.Graph {
 // TestArchiveCloneDivergentAppends: a clone and its original each take a
 // different run of three appends, in which a triple leaves and returns (so
 // the return appends an interval to a list that Clone or the merge placed
-// in a shared slab). Each archive must stay raw-identical to Build over its
+// in a shared slab). Each archive must stay raw-identical to build over its
 // own history, so neither slab append may leak into the other archive.
 func TestArchiveCloneDivergentAppends(t *testing.T) {
 	apb, bpc, aqc, cpa, cqa := [3]string{"a", "p", "b"}, [3]string{"b", "p", "c"},
@@ -73,17 +73,17 @@ func TestArchiveCloneDivergentAppends(t *testing.T) {
 	// The clone: apb leaves at v3 and returns at v4.
 	runB := []*rdf.Graph{uriGraph(bpc, cpa, cqa, aqc), v2, v1}
 
-	opt := BuildOptions{Align: hybridPair}
-	a, err := Build(base, opt)
+	opt := buildOpts{Align: hybridPair}
+	a, err := build(base, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := a.Clone()
 	for i := range runA {
-		if _, err := a.AppendVersion(runA[i], nil, opt); err != nil {
+		if err := appendGraph(a, runA[i], opt); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.AppendVersion(runB[i], nil, opt); err != nil {
+		if err := appendGraph(b, runB[i], opt); err != nil {
 			t.Fatal(err)
 		}
 		requireSortedRows(t, "original", a)
@@ -98,7 +98,7 @@ func TestArchiveCloneDivergentAppends(t *testing.T) {
 		{"original", a, append(append([]*rdf.Graph(nil), base...), runA...), aqc},
 		{"clone", b, append(append([]*rdf.Graph(nil), base...), runB...), apb},
 	} {
-		want, err := Build(tc.hist, opt)
+		want, err := build(tc.hist, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

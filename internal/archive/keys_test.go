@@ -94,17 +94,17 @@ func keyHistories(t *testing.T) map[string][]*rdf.Graph {
 
 // TestVersionKeysMatchSortedReference: on every history, with and without
 // ResolveAmbiguous and with heap and column-backed new versions, the keys
-// recordVersion merges after Build and after each AppendVersion equal the
+// recordVersion merges after New and after each Append equal the
 // globally sorted keys exactly. Random injective assignments over a wider
 // entity space check versionKeys on every version graph beyond the
 // assignments chaining produces.
 func TestVersionKeysMatchSortedReference(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for name, hist := range keyHistories(t) {
-		for _, opt := range []BuildOptions{{Align: hybridPair}, {Align: hybridPair, ResolveAmbiguous: true}} {
+		for _, opt := range []buildOpts{{Align: hybridPair}, {Align: hybridPair, ResolveAmbiguous: true}} {
 			for _, col := range []bool{false, true} {
 				label := fmt.Sprintf("%s resolve=%v mapped=%v", name, opt.ResolveAmbiguous, col)
-				a, err := Build(hist[:1], opt)
+				a, err := build(hist[:1], opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -113,7 +113,7 @@ func TestVersionKeysMatchSortedReference(t *testing.T) {
 					if col {
 						g = mapped(t, g)
 					}
-					if _, err := a.AppendVersion(g, nil, opt); err != nil {
+					if err := appendGraph(a, g, opt); err != nil {
 						t.Fatal(err)
 					}
 					requireTailKeys(t, fmt.Sprintf("%s append v%d", label, v+1), a)
@@ -149,7 +149,7 @@ func rebuiltLastSeen(t *testing.T, a *Archive) map[string]EntityID {
 }
 
 // TestLastSeenMatchesRebuild: recordVersion notes a URI only when its
-// entity opens a label run, yet after Build, after every AppendVersion and
+// entity opens a label run, yet after build, after every Append and
 // after divergent appends to a clone and its original, the tail's resume
 // map equals the one RebuildTail derives from the label runs.
 func TestLastSeenMatchesRebuild(t *testing.T) {
@@ -160,9 +160,9 @@ func TestLastSeenMatchesRebuild(t *testing.T) {
 		}
 	}
 	for name, hist := range keyHistories(t) {
-		for _, opt := range []BuildOptions{{Align: hybridPair}, {Align: hybridPair, ResolveAmbiguous: true}} {
+		for _, opt := range []buildOpts{{Align: hybridPair}, {Align: hybridPair, ResolveAmbiguous: true}} {
 			label := fmt.Sprintf("%s resolve=%v", name, opt.ResolveAmbiguous)
-			a, err := Build(hist[:2], opt)
+			a, err := build(hist[:2], opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,12 +170,12 @@ func TestLastSeenMatchesRebuild(t *testing.T) {
 			b := a.Clone()
 			check(label+" clone", b)
 			for v := 2; v < len(hist); v++ {
-				if _, err := a.AppendVersion(hist[v], nil, opt); err != nil {
+				if err := appendGraph(a, hist[v], opt); err != nil {
 					t.Fatal(err)
 				}
 				check(fmt.Sprintf("%s append v%d", label, v), a)
 				// The clone replays the history backwards.
-				if _, err := b.AppendVersion(hist[len(hist)+1-v], nil, opt); err != nil {
+				if err := appendGraph(b, hist[len(hist)+1-v], opt); err != nil {
 					t.Fatal(err)
 				}
 				check(fmt.Sprintf("%s clone append v%d", label, v), b)

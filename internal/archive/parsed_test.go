@@ -45,11 +45,11 @@ func TestArchiveFromParsedGraphs(t *testing.T) {
 	for i, g := range d.Graphs {
 		parsed[i] = reparse(t, g)
 	}
-	orig, err := Build(d.Graphs, BuildOptions{Align: hybridPair, ResolveAmbiguous: true})
+	orig, err := build(d.Graphs, buildOpts{Align: hybridPair, ResolveAmbiguous: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromParsed, err := Build(parsed, BuildOptions{Align: hybridPair, ResolveAmbiguous: true})
+	fromParsed, err := build(parsed, buildOpts{Align: hybridPair, ResolveAmbiguous: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestArchiveResolveFromParsedGraphs(t *testing.T) {
 	for i, g := range d.Graphs {
 		parsed[i] = reparse(t, g)
 	}
-	plain, err := Build(parsed, BuildOptions{Align: hybridPair})
+	plain, err := build(parsed, buildOpts{Align: hybridPair})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolved, err := Build(parsed, BuildOptions{Align: hybridPair, ResolveAmbiguous: true})
+	resolved, err := build(parsed, buildOpts{Align: hybridPair, ResolveAmbiguous: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestArchiveFromStreamedDataset(t *testing.T) {
 		}
 		graphs[v-1] = g
 	}
-	a, err := Build(graphs, BuildOptions{Align: hybridPair})
+	a, err := build(graphs, buildOpts{Align: hybridPair})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ type LabelRun struct {
 // Raw exposes the archive's internal columns for serialisation. Every
 // archive satisfies these invariants at all times:
 //
-//   - Rows is sorted strictly ascending by (S, P, O) entity IDs — Build and
-//     AppendVersion merge each version into the sorted rows rather than
+//   - Rows is sorted strictly ascending by (S, P, O) entity IDs — New and
+//     Append merge each version into the sorted rows rather than
 //     re-sorting, and rely on this order to find the rows they extend,
 //   - every row has at least one interval; intervals per row are
 //     ascending and disjoint (next.From > prev.To), each inside
@@ -36,7 +36,7 @@ type Raw struct {
 }
 
 // Raw returns the archive's internal columns. Slices alias the archive's
-// storage and must not be modified; a later AppendVersion may rewrite the
+// storage and must not be modified; a later Append may rewrite the
 // rows in place.
 func (a *Archive) Raw() Raw {
 	labels := make([][]LabelRun, len(a.labels))
@@ -52,7 +52,7 @@ func (a *Archive) Raw() Raw {
 
 // FromRaw reconstructs an Archive from its columns, validating the archive
 // invariants so that corrupt input errors here instead of misbehaving in
-// LabelAt, Snapshot or a later AppendVersion. TotalTriples is recomputed
+// LabelAt, Snapshot or a later Append. TotalTriples is recomputed
 // from the interval lengths, so GatherStats on a loaded archive matches
 // the freshly built one exactly.
 func FromRaw(r Raw) (*Archive, error) {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
 
 	"rdfalign/internal/archive"
 	"rdfalign/internal/core"
@@ -32,20 +31,18 @@ type ArchiveResult struct {
 func (e *Env) ExperimentArchive() *ArchiveResult {
 	out := &ArchiveResult{}
 	add := func(name, dataset string, graphs []*rdf.Graph, resolve, overlap bool) {
-		a, err := archive.Build(graphs, archive.BuildOptions{
-			ResolveAmbiguous: resolve,
-			Hooks:            e.Cfg.Hooks,
-			Align: func(g1, g2 *rdf.Graph) (*core.Partition, *rdf.Combined, error) {
-				v := slices.Index(graphs, g1)
-				if a := e.pairBase(dataset, graphs, v, v+1); !overlap {
-					return a.hybrid, a.c, nil
-				}
-				a := e.pair(dataset, graphs, v, v+1)
-				return a.overlap.Xi.P, a.c, nil
-			},
-		})
-		if err != nil {
-			panic(fmt.Sprintf("experiments: archive over %s: %v", name, err))
+		a := archive.New(graphs[0])
+		e.Cfg.Hooks.Round(core.StageArchive, 1, len(graphs))
+		for v := 1; v < len(graphs); v++ {
+			pair := e.pairBase(dataset, graphs, v-1, v)
+			p := pair.hybrid
+			if overlap {
+				p = e.pair(dataset, graphs, v-1, v).overlap.Xi.P
+			}
+			if err := a.Append(pair.c, p, resolve); err != nil {
+				panic(fmt.Sprintf("experiments: archive over %s: %v", name, err))
+			}
+			e.Cfg.Hooks.Round(core.StageArchive, v+1, len(graphs))
 		}
 		out.Rows = append(out.Rows, ArchiveRow{Dataset: name, Stats: a.GatherStats()})
 	}

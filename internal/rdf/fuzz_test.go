@@ -11,10 +11,13 @@ import (
 
 // Fuzz wall around the parsers and serialisers. Four targets:
 //
-//   - FuzzParseNTriples: the N-Triples reader never panics, the parallel
-//     pipeline accepts exactly what the sequential parse accepts (same
-//     graph bit-for-bit, same first error), and strict mode accepts a
-//     subset of lax mode.
+//   - FuzzParseNTriples: the N-Triples reader never panics, a parse split
+//     into many small blocks over three workers accepts exactly what the
+//     one-worker, one-block parse accepts (same graph bit-for-bit, same
+//     first error), and strict mode accepts a subset of lax mode. Both
+//     parses share the block pipeline; the golden files and
+//     FuzzTurtleAgreesWithNTriples (Turtle feeds the Builder directly)
+//     are the independent oracles.
 //   - FuzzRoundTrip: for every accepted document, parse → write → parse
 //     yields an isomorphic graph (checked against an explicit node
 //     mapping, not just statistics), and serialisation is idempotent from

@@ -16,7 +16,7 @@ import (
 // span holds an escape or a byte the grammar treats specially. refIRI and
 // refLiteral are that byte loop on its own, as the lexer ran before the
 // fast path existed; FuzzLexTerm holds the lexer to them byte for byte.
-// FuzzParseNTriples cannot: its sequential and parallel parses share the
+// FuzzParseNTriples cannot: its one-block and many-block parses share the
 // lexer.
 
 // refIRI is the byte-at-a-time reference for lineParser.iri.

@@ -27,10 +27,11 @@ import (
 // language tags and blank-label ends are lexed by the code below in both
 // grammars.
 //
-// Input is consumed in line-boundary-aligned blocks (scan.go); with
-// WithParseWorkers(n > 1) blocks are parsed concurrently and merged in
-// block order (parallel.go), producing a graph bit-identical to the
-// sequential parse. Serialisation lives in writer.go.
+// Input is consumed in line-boundary-aligned blocks (scan.go), parsed into
+// block-local batches and merged in block order (parallel.go); with
+// WithParseWorkers(n > 1) the blocks are parsed concurrently, producing a
+// graph bit-identical to the one-worker parse. Serialisation lives in
+// writer.go.
 
 // ParseError describes a syntax error with its input position. Line
 // numbers are global 1-based document positions regardless of how the
@@ -49,11 +50,10 @@ func (e *ParseError) Error() string {
 }
 
 // ParseNTriples reads an N-Triples document and builds a validated Graph
-// with the given diagnostic name. By default the document is parsed
-// sequentially; WithParseWorkers enables the parallel block pipeline and
-// WithStrictMode tightens the accepted dialect. The resulting graph —
-// node IDs, labels and triples — does not depend on the worker count or
-// block size.
+// with the given diagnostic name. By default one worker parses the blocks
+// in turn; WithParseWorkers parses them concurrently and WithStrictMode
+// tightens the accepted dialect. The resulting graph — node IDs, labels
+// and triples — does not depend on the worker count or block size.
 func ParseNTriples(r io.Reader, name string, opts ...ParseOption) (*Graph, error) {
 	o := resolveParseOpts(opts)
 	return parseNTriplesScanner(newBlockScanner(r, o.blockSize), name, o)
@@ -65,13 +65,6 @@ func ParseNTriples(r io.Reader, name string, opts ...ParseOption) (*Graph, error
 func ParseNTriplesString(doc, name string, opts ...ParseOption) (*Graph, error) {
 	o := resolveParseOpts(opts)
 	return parseNTriplesScanner(newBlockScannerString(doc, o.blockSize), name, o)
-}
-
-func parseNTriplesScanner(sc *blockScanner, name string, o parseOpts) (*Graph, error) {
-	if o.workers > 1 {
-		return parseNTriplesParallel(sc, name, o)
-	}
-	return parseNTriplesSeq(sc, name, o)
 }
 
 type lineParser struct {

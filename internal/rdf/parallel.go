@@ -9,13 +9,13 @@ import (
 	"rdfalign/internal/par"
 )
 
-// This file implements the parallel streaming ingestion pipeline: a worker
-// pool lexes line-boundary-aligned input blocks (see scan.go) into
-// per-worker triple batches with block-local term interning, and a
-// batchMerge merges the batches into one Builder, strictly in block order
-// (par.Ordered), so that NodeID assignment — and therefore the finished
-// Graph — is bit-identical to a sequential parse: workers produce out of
-// order, allocation happens in sequential order.
+// This file implements the N-Triples ingestion pipeline: workers lex
+// line-boundary-aligned input blocks (see scan.go) into triple batches with
+// block-local term interning, and a batchMerge merges the batches into one
+// Builder, strictly in block order (par.Ordered), so that NodeID
+// assignment — and therefore the finished Graph — is the same for every
+// worker count: workers produce out of order, allocation happens in
+// document order. One worker runs the same pipeline inline.
 
 // ParseOption configures ParseNTriples and ParseNTriplesString.
 type ParseOption func(*parseOpts)
@@ -26,12 +26,12 @@ type parseOpts struct {
 	blockSize int
 }
 
-// WithParseWorkers sets the number of parse workers: values above 1 enable
-// the parallel block pipeline, 0 and 1 select the sequential path, and
-// negative values use GOMAXPROCS. The resulting graph is bit-identical
-// (node IDs, labels, triples) for every worker count; on syntax errors the
-// reported *ParseError is the first error in document order, identical to
-// the sequential parse.
+// WithParseWorkers sets the number of parse workers: values above 1 parse
+// blocks concurrently, 0 and 1 parse them one at a time on the calling
+// goroutine, and negative values use GOMAXPROCS. Every worker count runs
+// the same block pipeline, so the resulting graph is bit-identical (node
+// IDs, labels, triples) for every worker count, and on syntax errors the
+// reported *ParseError is the first error in document order.
 func WithParseWorkers(n int) ParseOption {
 	return func(o *parseOpts) { o.workers = n }
 }
@@ -80,7 +80,8 @@ type termSink interface {
 	triple(s, p, o NodeID)
 }
 
-// builderSink feeds terms straight into a Builder — the sequential path.
+// builderSink feeds terms straight into a Builder: the Turtle parser's
+// sink, and the merge's blank-node interning.
 type builderSink struct{ b *Builder }
 
 func (s builderSink) uriTerm(v string, owned bool) NodeID {
@@ -183,8 +184,8 @@ func (bb *batchBuilder) triple(s, p, o NodeID) {
 }
 
 // parseBlockBatch parses one block into batch, whose slices it reuses.
-// Past a syntax error the rest of the block is skipped, exactly like the
-// sequential parse.
+// Past a syntax error the rest of the block is skipped: the error is the
+// block's first, and the merge reports the first block's error.
 func (bb *batchBuilder) parseBlockBatch(batch *parseBatch, blk parseBlock, strict bool) {
 	batch.err = nil
 	if blk.readErr != nil {
@@ -214,7 +215,7 @@ type batchMerge struct {
 	b     *Builder
 	remap []NodeID // apply's block-local → global ID table
 	// chunks holds the merged triples, one remapped batch slice per block
-	// in block order; parseNTriplesParallel concatenates them once.
+	// in block order; parseNTriplesScanner concatenates them once.
 	chunks [][]Triple
 }
 
@@ -255,35 +256,14 @@ func (m *batchMerge) apply(batch *parseBatch) error {
 	return nil
 }
 
-// parseNTriplesSeq is the sequential block-at-a-time parse: same scanner,
-// same line parser, terms fed straight into one Builder.
-func parseNTriplesSeq(sc *blockScanner, name string, o parseOpts) (*Graph, error) {
-	b := NewBuilder(name)
-	sink := builderSink{b}
-	for {
-		blk, ok := sc.next()
-		if !ok {
-			break
-		}
-		if blk.readErr != nil {
-			return nil, fmt.Errorf("ntriples: read: %w", blk.readErr)
-		}
-		err := forEachLine(blk.data, blk.startLine, func(line string, lineNo int) error {
-			return parseLineInto(sink, line, lineNo, o.strict)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return b.Graph()
-}
-
-// parseNTriplesParallel parses blocks on a par.Ordered pool: workers
+// parseNTriplesScanner parses blocks on a par.Ordered pool: workers
 // parse blocks into batches concurrently, each with its own batchBuilder,
 // and the merge runs in block order, which guarantees deterministic IDs
 // and reports the first error in document order. The pool's bound on
-// claimed-but-unmerged blocks bounds the parsed-but-unmerged memory.
-func parseNTriplesParallel(sc *blockScanner, name string, o parseOpts) (*Graph, error) {
+// claimed-but-unmerged blocks bounds the parsed-but-unmerged memory. At
+// one worker the pool runs inline: each block is parsed into the one
+// batch and merged before the next is read.
+func parseNTriplesScanner(sc *blockScanner, name string, o parseOpts) (*Graph, error) {
 	m := &batchMerge{b: NewBuilder(name)}
 	bbs := make([]*batchBuilder, o.workers)
 	parse := func(w int, blk parseBlock, batch *parseBatch) {

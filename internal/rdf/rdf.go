@@ -114,7 +114,7 @@ type Edge struct {
 // URI label, and no two share a literal label (§2.1). Builder enforces this
 // by construction — URI and Literal are get-or-create lookups in its term
 // dictionaries — so every graph it makes holds it: the N-Triples and Turtle
-// parsers, sequential and parallel, and archive snapshots all build through
+// parsers and archive snapshots all build through
 // a Builder. Editor keeps it across edits through its label maps.
 // FromColumns and the snapshot readers trust their input to come from such
 // a graph and do not re-check it; Validate does. A Union holds it within

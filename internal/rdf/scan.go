@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// This file implements the chunked input scanner feeding both the
-// sequential and the parallel N-Triples parsers: input is split into
+// This file implements the chunked input scanner feeding the N-Triples
+// parser at every worker count: input is split into
 // blocks of roughly blockSize bytes, each ending on a line boundary, and
 // every block carries the 1-based global line number of its first line so
 // that workers parsing blocks out of order still report exact error
@@ -30,7 +30,7 @@ const (
 // parseBlock is one chunk of input: a run of whole lines. A block with a
 // non-nil readErr carries no data; it reports the input failure at its
 // position in the block sequence so the error surfaces only after every
-// earlier block parsed cleanly (matching sequential order).
+// earlier block parsed cleanly (matching document order).
 type parseBlock struct {
 	startLine int    // 1-based global line number of the first line
 	data      string // whole lines; all but possibly the last end in '\n'

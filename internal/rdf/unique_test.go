@@ -22,13 +22,16 @@ func TestArchiveSnapshotsValidateUnderCollidingHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := archive.Build(efo.Graphs, archive.BuildOptions{Align: func(g1, g2 *rdf.Graph) (*core.Partition, *rdf.Combined, error) {
-		c := rdf.Union(g1, g2)
+	a := archive.New(efo.Graphs[0])
+	for _, g := range efo.Graphs[1:] {
+		c := rdf.Union(a.LatestGraph(), g)
 		p, _, err := (&core.Engine{}).Hybrid(c, core.NewInterner())
-		return p, c, err
-	}})
-	if err != nil {
-		t.Fatal(err)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Append(c, p, false); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for v, g := range efo.Graphs {
 		if err := g.Validate(); err != nil {

@@ -92,3 +92,35 @@ func BenchmarkServerMatchesOfUnderAlign(b *testing.B) {
 	close(stop)
 	<-alignDone
 }
+
+// BenchmarkRegistryAppendGraph times one upload job: a 50k-triple release
+// appended to a single-version archive of the previous release under
+// rdfalignd's default Hybrid session — the pair alignment, the archive
+// clone and append, and the head publication. Each iteration starts from a
+// freshly registered copy of the one-version archive, outside the timer.
+func BenchmarkRegistryAppendGraph(b *testing.B) {
+	ctx := context.Background()
+	g1 := mustStream(b, rdfalign.StreamConfig{Triples: 50_000, Seed: 1, Version: 1})
+	g2 := mustStream(b, rdfalign.StreamConfig{Triples: 50_000, Seed: 1, Version: 2})
+	al, err := rdfalign.NewAligner(rdfalign.WithMethod(rdfalign.Hybrid))
+	if err != nil {
+		b.Fatal(err)
+	}
+	arch, err := al.BuildArchive(ctx, []*rdfalign.Graph{g1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := NewRegistry(al)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := r.Create(ctx, "bench", arch.Clone(), true); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := r.AppendGraph(ctx, "bench", g2, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -4,7 +4,7 @@
 // resolve-across-versions / stats / versions) are served concurrently from
 // an immutable published head, and new versions or delta scripts are
 // aligned asynchronously through the session API (Aligner, ApplyDelta,
-// AppendVersion) by a job pool whose worker budget is disjoint from the
+// AppendAlignment) by a job pool whose worker budget is disjoint from the
 // query path, so one huge alignment can never starve queries.
 //
 // Concurrency model: every archive is one registry entry holding an
@@ -406,8 +406,9 @@ func (r *Registry) Create(ctx context.Context, name string, arch *archive.Archiv
 
 // AppendGraph aligns g as a new version of the named archive and
 // publishes the new head: the session re-anchors at the previously newest
-// version, the archive is extended on a clone (AppendVersion), and the
-// swap is atomic. sink, when non-nil, observes the alignment progress.
+// version, the archive records the session's pair on a clone
+// (AppendAlignment), and the swap is atomic. sink, when non-nil, observes
+// the alignment progress.
 func (r *Registry) AppendGraph(ctx context.Context, name string, g *rdfalign.Graph, sink progressFunc) (*head, error) {
 	e, err := r.entry(name)
 	if err != nil {
@@ -422,18 +423,28 @@ func (r *Registry) AppendGraph(ctx context.Context, name string, g *rdfalign.Gra
 }
 
 // appendVersion publishes g as the version after head cur: it aligns the
-// pair (cur.latest, g), extends a clone of the archive and swaps the new
-// head in. The caller holds e.appendMu.
+// pair (cur.latest, g), which re-anchors the session at cur's newest
+// version, and publishes it. The caller holds e.appendMu.
 func (e *entry) appendVersion(ctx context.Context, cur *head, g *rdfalign.Graph) (*head, error) {
 	align, err := e.al.Align(ctx, cur.latest, g)
 	if err != nil {
 		return nil, err
 	}
+	return e.publish(ctx, cur, cur.version-1, align)
+}
+
+// publish records align's target as the version after head cur on a clone
+// of cur's archive and swaps in the head whose session is align, anchored
+// at version anchorVersion (align's source). AppendAlignment records
+// align's own partition when its pair is the archive's tail pair (an
+// upload) and aligns the tail pair otherwise (a delta maintained from an
+// older anchor). The caller holds e.appendMu.
+func (e *entry) publish(ctx context.Context, cur *head, anchorVersion int, align *rdfalign.Alignment) (*head, error) {
 	arch2 := cur.arch.Clone()
-	if _, err := e.al.AppendVersion(ctx, arch2, g, nil); err != nil {
+	if err := e.al.AppendAlignment(ctx, arch2, align); err != nil {
 		return nil, err
 	}
-	h := newHead(e.al, arch2, cur.version-1, cur.latest, g, align, cur)
+	h := newHead(e.al, arch2, anchorVersion, align.Source(), align.Target(), align, cur)
 	h.latestURI.build()
 	e.head.Store(h)
 	return h, nil
@@ -485,14 +496,7 @@ func (r *Registry) AppendDelta(ctx context.Context, name string, captured *head,
 	if cur != captured {
 		return nil, fmt.Errorf("%w: archive %q was replaced past the delta's base version %d", ErrConflict, name, captured.version-1)
 	}
-	arch2 := cur.arch.Clone()
-	if _, err := e.al.AppendVersion(ctx, arch2, a2.Target(), nil); err != nil {
-		return nil, err
-	}
-	h := newHead(e.al, arch2, captured.anchorVersion, captured.anchor, a2.Target(), a2, cur)
-	h.latestURI.build()
-	e.head.Store(h)
-	return h, nil
+	return e.publish(ctx, cur, captured.anchorVersion, a2)
 }
 
 // detectSnapshot reports whether data starts with the snapshot container

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -573,5 +574,100 @@ func TestHeadURIIndexes(t *testing.T) {
 	}
 	if _, ok := h3.findLatest("http://x/d"); ok {
 		t.Error("findLatest found a URI the latest graph lacks")
+	}
+}
+
+// TestServerAppendsAlignOnce: an upload job and a delta on a single-version
+// archive align their pair once — the session's alignment is what the
+// archive records — so the job's sink sees the refinement fixpoints
+// (round-1 events) of one Align. A Trivial session's pair cannot be
+// recorded and the tail pair is aligned again with Hybrid. Either way the
+// archive equals BuildArchive over the same history.
+func TestServerAppendsAlignOnce(t *testing.T) {
+	efo, err := rdfalign.GenerateEFO(rdfalign.EFOConfig{Versions: 2, Scale: 0.005, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g0, g1 := efo.Graphs[0], efo.Graphs[1]
+	script, err := rdfalign.ParseEditScriptString("+ <http://x/s> <http://x/p> \"v\" .\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var fixpoints int
+	count := func(p rdfalign.Progress) {
+		if p.Stage == "refine" && p.Round == 1 {
+			fixpoints++
+		}
+	}
+	// aligns counts the fixpoints of one Align of (src, dst) under opts.
+	aligns := func(src, dst *rdfalign.Graph, opts ...rdfalign.Option) int {
+		al, err := rdfalign.NewAligner(append(opts, rdfalign.WithProgress(count))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixpoints = 0
+		if _, err := al.Align(ctx, src, dst); err != nil {
+			t.Fatal(err)
+		}
+		return fixpoints
+	}
+	for _, m := range []rdfalign.Method{rdfalign.Hybrid, rdfalign.Overlap, rdfalign.SigmaEdit, rdfalign.Trivial} {
+		base, err := rdfalign.NewAligner(rdfalign.WithMethod(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRegistry(base)
+		for _, name := range []string{"upload", "delta"} {
+			arch, err := base.BuildArchive(ctx, []*rdfalign.Graph{g0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Create(ctx, name, arch, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g1Delta, err := rdfalign.ApplyEditScript(g0, script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			run  func() (*head, error)
+			next *rdfalign.Graph
+		}{
+			{"upload", func() (*head, error) { return r.AppendGraph(ctx, "upload", g1, count) }, g1},
+			{"delta", func() (*head, error) {
+				captured, err := r.Head("delta")
+				if err != nil {
+					return nil, err
+				}
+				return r.AppendDelta(ctx, "delta", captured, script, count)
+			}, g1Delta},
+		} {
+			want := aligns(g0, tc.next, rdfalign.WithMethod(m))
+			if m == rdfalign.Trivial {
+				want += aligns(g0, tc.next, rdfalign.WithMethod(rdfalign.Hybrid))
+			}
+			if want == 0 {
+				t.Fatalf("%v/%s: the pair runs no refinement fixpoint", m, tc.name)
+			}
+			fixpoints = 0
+			h, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fixpoints != want {
+				t.Errorf("%v/%s: job ran %d refinement fixpoints, want %d", m, tc.name, fixpoints, want)
+			}
+			ref, err := base.BuildArchive(ctx, []*rdfalign.Graph{g0, h.latest})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(h.arch.Raw(), ref.Raw()) {
+				t.Errorf("%v/%s: published archive differs from BuildArchive:\n got %s\nwant %s",
+					m, tc.name, h.arch.GatherStats(), ref.GatherStats())
+			}
+		}
 	}
 }

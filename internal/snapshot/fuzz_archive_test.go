@@ -12,12 +12,27 @@ import (
 	"rdfalign/internal/rdf"
 )
 
-// hybridPair is the archive pair alignment of this package's tests: the
-// Hybrid partition of the pair's union.
-func hybridPair(g1, g2 *rdf.Graph) (*core.Partition, *rdf.Combined, error) {
-	c := rdf.Union(g1, g2)
+// appendHybrid appends g to a, aligning it with a's newest graph by the
+// Hybrid partition of the pair's union: the archive pair alignment of this
+// package's tests.
+func appendHybrid(a *archive.Archive, g *rdf.Graph, resolve bool) error {
+	c := rdf.Union(a.LatestGraph(), g)
 	p, _, err := (&core.Engine{}).Hybrid(c, core.NewInterner())
-	return p, c, err
+	if err != nil {
+		return err
+	}
+	return a.Append(c, p, resolve)
+}
+
+// buildHybrid archives a non-empty history through appendHybrid.
+func buildHybrid(graphs []*rdf.Graph, resolve bool) (*archive.Archive, error) {
+	a := archive.New(graphs[0])
+	for _, g := range graphs[1:] {
+		if err := appendHybrid(a, g, resolve); err != nil {
+			return nil, err
+		}
+	}
+	return a, nil
 }
 
 // fuzzArchiveDocs are the versions of the small archive whose snapshot
@@ -64,7 +79,7 @@ func seedArchives(tb testing.TB) [][]byte {
 	for _, doc := range fuzzArchiveDocs {
 		graphs = append(graphs, fuzzGraph(tb, doc))
 	}
-	a, err := archive.Build(graphs, archive.BuildOptions{ResolveAmbiguous: true, Align: hybridPair})
+	a, err := buildHybrid(graphs, true)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -118,7 +133,7 @@ func seedArchives(tb testing.TB) [][]byte {
 // FuzzReadArchive is the adversarial-input wall around the archive reader:
 // whatever bytes arrive, Open and Archive must return (never panic) and classify
 // every failure as ErrCorrupt. An archive that loads must survive
-// RebuildTail plus one AppendVersion — the append merge-joins into the
+// RebuildTail plus one Append — the append merge-joins into the
 // loaded rows, relying on the (S, P, O) order FromRaw checked — and still
 // satisfy the raw invariants afterwards.
 func FuzzReadArchive(f *testing.F) {
@@ -137,7 +152,7 @@ func FuzzReadArchive(f *testing.F) {
 		if err := a.RebuildTail(); err != nil {
 			return // a loaded archive whose newest version does not rebuild
 		}
-		if _, err := a.AppendVersion(next, nil, archive.BuildOptions{Align: hybridPair}); err != nil {
+		if err := appendHybrid(a, next, false); err != nil {
 			t.Fatalf("append to a rebuilt archive: %v", err)
 		}
 		if _, err := archive.FromRaw(a.Raw()); err != nil {

@@ -6,7 +6,6 @@ import (
 	"os"
 	"testing"
 
-	"rdfalign/internal/archive"
 	"rdfalign/internal/rdf"
 )
 
@@ -67,7 +66,7 @@ func TestLegacyArchiveFixture(t *testing.T) {
 	for _, doc := range fuzzArchiveDocs {
 		graphs = append(graphs, fuzzGraph(t, doc))
 	}
-	want, err := archive.Build(graphs, archive.BuildOptions{ResolveAmbiguous: true, Align: hybridPair})
+	want, err := buildHybrid(graphs, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,7 +217,7 @@ func buildTestArchive(t *testing.T) (*archive.Archive, []*rdf.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := archive.Build(d.Graphs, archive.BuildOptions{ResolveAmbiguous: true, Align: hybridPair})
+	a, err := buildHybrid(d.Graphs, true)
 	if err != nil {
 		t.Fatal(err)
 	}

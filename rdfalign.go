@@ -35,9 +35,10 @@ type ParseOption = rdf.ParseOption
 type WriteOption = rdf.WriteOption
 
 // WithParseWorkers sets the number of N-Triples parse workers: values
-// above 1 enable the parallel block pipeline, 0 and 1 select the
-// sequential path, and negative values use all cores. The resulting graph
-// is bit-identical (node IDs, labels, triples) for every worker count.
+// above 1 parse blocks concurrently, 0 and 1 parse them one at a time on
+// the calling goroutine, and negative values use all cores. Every worker
+// count runs the same block pipeline, and the resulting graph is
+// bit-identical (node IDs, labels, triples) for every worker count.
 func WithParseWorkers(n int) ParseOption { return rdf.WithParseWorkers(n) }
 
 // WithStrictMode tightens the accepted N-Triples dialect: term values

@@ -31,8 +31,9 @@ func InMemory() Storage { return core.InMemory() }
 func OutOfCore(dir string) Storage { return core.OutOfCore(dir) }
 
 // WithStorage selects the storage backend for the working set of the
-// session's Align calls (default InMemory); BuildArchive and AppendVersion
-// align on the heap, since an arena would grow with every archived pair.
+// session's Align calls (default InMemory); BuildArchive, AppendVersion and
+// AppendAlignment align archive pairs on the heap, since an arena would
+// grow with every archived pair.
 // Pair it with OpenGraphSnapshotMapped inputs to keep whole-graph alignment
 // out of the Go heap end to end:
 //
