@@ -42,24 +42,26 @@ type ColorPair struct {
 //   - Fresh(): a brand-new color equal only to itself (used by the trivial
 //     partition for blank nodes and by enrichment for new clusters),
 //   - Composite(prev, pairs): the refinement color
-//     (λ(n), {(λ(p), λ(o)) | (p,o) ∈ out(n)}) of §3.2 equation (1).
+//     (λ(n), {(λ(p), λ(o)) | (p,o) ∈ out(n)}) of §3.2 equation (1). The
+//     extended recolorings (extend.go) intern through it too, with their
+//     in-edge and predicate-occurrence pairs tagged into the same set.
 //
 // Identical constructions yield identical Color values, so color equality
 // is integer equality and each refinement iteration costs O(Σ deg·log deg).
 //
-// Composite signatures are interned by hash (sighash.go): the canonical
-// (prev, lists) form is hashed directly from the ColorPair slices — no
-// byte-key serialisation, no allocation on lookup — and resolved through an
-// open-addressed table whose hash-equal candidates are compared structurally
-// against the entry table, so collisions cost a comparison, never a wrong
-// answer. Colors are assigned in interning order, making colorings
-// independent of the hash seed.
+// Composite signatures form one domain, interned by hash (sighash.go): the
+// canonical (prev, pairs) form is hashed directly from the ColorPair slice
+// — no byte-key serialisation, no allocation on lookup — and resolved
+// through an open-addressed table whose hash-equal candidates are compared
+// structurally against the entry table, so collisions cost a comparison,
+// never a wrong answer. Colors are assigned in interning order, making
+// colorings independent of the hash seed.
 //
 // Every color has one pointer-free 20-byte entry. Entries live in chunks
 // that never move, so Fresh never copies the table and a *compositeEntry
 // stays valid for the life of the interner; the garbage collector never
 // scans them, and a storage-backed interner (NewInternerIn) draws them from
-// its Storage together with the stored pair lists they reference.
+// its Storage together with the stored pair sets they reference.
 //
 // An Interner is not safe for concurrent mutation. Lookups (including the
 // read-only probes of Composite on already-interned signatures) are safe
@@ -73,40 +75,27 @@ type Interner struct {
 	next           Color
 	seed           uint64
 	// entries is the source of truth for composite color structure: color
-	// c's entry is entries[k][off] for (k, off) = entrySlot(c), of kind
-	// sigKindNone for base and fresh colors. The hash table resolves into
-	// it for collision checking, derivation trees are rendered from it, and
-	// tests inspect the DAG through it.
+	// c's entry is entries[k][off] for (k, off) = entrySlot(c), the zero
+	// entry for base and fresh colors. The hash table resolves into it for
+	// collision checking, derivation trees are rendered from it, and tests
+	// inspect the DAG through it.
 	entries []*entryChunk
-	// pairs stores the pair lists entries reference, so that interning a
-	// new composite does not allocate per color; lists stores the
-	// per-list references of CompositeLists entries.
+	// pairs stores the pair sets entries reference, so that interning a
+	// new composite does not allocate per color.
 	pairs chunkStore[ColorPair]
-	lists chunkStore[storeRef]
 	// st is the storage entry chunks, store chunks and partition color
 	// arrays come from; nil means the Go heap.
 	st Storage
 }
 
-// compositeEntry kinds. sigKindPairs entries come from Composite (one
-// outbound pair set, stored in pairs); sigKindLists entries come from
-// CompositeLists (positional pair lists: out/in/pred by the §3.3/§5.1
-// conventions, one reference per list stored in lists). The kinds intern
-// disjointly, mirroring the historical 'P'/'L' key tags.
-const (
-	sigKindNone  uint8 = 0
-	sigKindPairs uint8 = 'P'
-	sigKindLists uint8 = 'L'
-)
-
 // compositeEntry remembers a color's structure. It holds no pointers, so
 // its chunks may live outside the Go heap.
 type compositeEntry struct {
 	prev Color
-	// ref locates the pair set in Interner.pairs (sigKindPairs) or the
-	// per-list references in Interner.lists (sigKindLists).
-	ref  storeRef
-	kind uint8
+	// ref locates the pair set in Interner.pairs.
+	ref storeRef
+	// composite is false for base and fresh colors, whose entry is zero.
+	composite bool
 }
 
 // entryChunkBits sets the entry chunk size: 1,024 colors, 20 KiB. One
@@ -203,7 +192,7 @@ func NewInternerSeeded(seed uint64) *Interner {
 	return newInterner(seed, nil)
 }
 
-// NewInternerIn returns an interner whose entries and stored pair lists —
+// NewInternerIn returns an interner whose entries and stored pair sets —
 // and the color arrays of partitions built on it — are allocated from st.
 // A nil st is equivalent to NewInterner. The storage backend never changes
 // the colors assigned; it only moves the arrays out of the Go heap.
@@ -243,9 +232,9 @@ func (in *Interner) Size() int { return int(in.next) }
 // Blank returns the shared base color of blank nodes.
 func (in *Interner) Blank() Color { return in.blank }
 
-// Fresh allocates a color equal only to itself. Its entry, of kind
-// sigKindNone, is already zero; a new chunk is allocated when the color
-// starts one, and existing chunks never move.
+// Fresh allocates a color equal only to itself. Its entry is already
+// zero; a new chunk is allocated when the color starts one, and existing
+// chunks never move.
 func (in *Interner) Fresh() Color {
 	c := in.next
 	in.next++
@@ -268,21 +257,10 @@ func (in *Interner) entry(c Color) *compositeEntry {
 	if uint32(c) >= uint32(in.next) {
 		return nil
 	}
-	if e := in.slot(c); e.kind != sigKindNone {
+	if e := in.slot(c); e.composite {
 		return e
 	}
 	return nil
-}
-
-// outRef returns the reference of the entry's first (outbound) pair list.
-func (in *Interner) outRef(e *compositeEntry) storeRef {
-	if e.kind == sigKindPairs {
-		return e.ref
-	}
-	if refs := in.lists.view(e.ref); len(refs) > 0 {
-		return refs[0]
-	}
-	return storeRef{}
 }
 
 // reserveBase presizes the label maps for the given numbers of URI and
@@ -334,94 +312,42 @@ func (in *Interner) Composite(prev Color, pairs []ColorPair) Color {
 	return in.compositeCanonical(prev, pairs)
 }
 
-// stablePairs reports the stable-tree collapse condition for plain
-// composites: prev is itself a single-list composite of exactly pairs.
+// stablePairs reports the stable-tree collapse condition: prev is itself
+// the composite of exactly pairs.
 func (in *Interner) stablePairs(prev Color, pairs []ColorPair) bool {
 	e := in.entry(prev)
-	if e == nil {
-		return false
-	}
-	switch e.kind {
-	case sigKindPairs:
-		return pairsEqual(in.pairs.view(e.ref), pairs)
-	case sigKindLists:
-		return e.ref.n == 1 && pairsEqual(in.pairs.view(in.outRef(e)), pairs)
-	}
-	return false
+	return e != nil && pairsEqual(in.pairs.view(e.ref), pairs)
 }
 
 // compositeCanonical is Composite for pair sets that are already sorted and
 // deduplicated (the worklist gather phases canonicalise in place).
 func (in *Interner) compositeCanonical(prev Color, pairs []ColorPair) Color {
+	c, h, ok := in.resolve(prev, pairs)
+	if ok {
+		return c
+	}
+	return in.mint(h, prev, in.pairs.add(in.st, pairs))
+}
+
+// resolve looks the canonical signature (prev, pairs) up without
+// allocating: the stable-tree collapse returns prev, a table hit the
+// interned color. On a miss it returns the signature's hash for mint.
+func (in *Interner) resolve(prev Color, pairs []ColorPair) (c Color, h uint64, ok bool) {
 	if in.stablePairs(prev, pairs) {
-		return prev
+		return prev, 0, true
 	}
-	h := sigHashPairs(in.seed, prev, pairs)
-	return in.internPairs(h, prev, pairs)
+	h = sigHashPairs(in.seed, prev, pairs)
+	c, ok = in.lookupPairs(h, prev, pairs)
+	return c, h, ok
 }
 
-// internPairs resolves the plain-composite signature (prev, pairs) under
-// hash h, allocating a new color on a miss. Split from compositeCanonical
-// so the forced-collision tests can intern distinct signatures under one
-// hash and exercise the structural-comparison fallback directly.
-func (in *Interner) internPairs(h uint64, prev Color, pairs []ColorPair) Color {
-	if c, ok := in.lookupPairs(h, prev, pairs); ok {
-		return c
-	}
+// mint allocates the next color for a signature resolve missed: prev and
+// the pair set stored at ref, under hash h.
+func (in *Interner) mint(h uint64, prev Color, ref storeRef) Color {
 	c := in.Fresh()
 	in.table.insert(h, c)
-	*in.slot(c) = compositeEntry{prev: prev, kind: sigKindPairs, ref: in.pairs.add(in.st, pairs)}
+	*in.slot(c) = compositeEntry{prev: prev, ref: ref, composite: true}
 	return c
-}
-
-// CompositeLists is the general composite over any number of pair lists
-// (the slots are positional: callers fix a convention such as out/in/pred).
-// Each list is canonicalised independently; the stable-tree collapse
-// applies when prev carries the same number of lists with equal contents.
-func (in *Interner) CompositeLists(prev Color, lists ...[]ColorPair) Color {
-	for i := range lists {
-		sortPairs(lists[i])
-		lists[i] = dedupPairs(lists[i])
-	}
-	if e := in.entry(prev); e != nil {
-		switch e.kind {
-		case sigKindPairs:
-			if len(lists) == 1 && pairsEqual(in.pairs.view(e.ref), lists[0]) {
-				return prev
-			}
-		case sigKindLists:
-			if in.listsEqual(e.ref, lists) {
-				return prev
-			}
-		}
-	}
-	h := sigHashLists(in.seed, prev, lists)
-	if c, ok := in.lookupLists(h, prev, lists); ok {
-		return c
-	}
-	c := in.Fresh()
-	in.table.insert(h, c)
-	ref := in.lists.alloc(in.st, len(lists))
-	refs := in.lists.view(ref)
-	for i, pairs := range lists {
-		refs[i] = in.pairs.add(in.st, pairs)
-	}
-	*in.slot(c) = compositeEntry{prev: prev, kind: sigKindLists, ref: ref}
-	return c
-}
-
-// listsEqual reports whether the list references at ref hold exactly lists.
-func (in *Interner) listsEqual(ref storeRef, lists [][]ColorPair) bool {
-	refs := in.lists.view(ref)
-	if len(refs) != len(lists) {
-		return false
-	}
-	for i, r := range refs {
-		if !pairsEqual(in.pairs.view(r), lists[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 func pairsEqual(a, b []ColorPair) bool {
@@ -436,20 +362,23 @@ func pairsEqual(a, b []ColorPair) bool {
 	return true
 }
 
-// IsComposite reports whether c was produced by Composite (or the first
-// list of a CompositeLists color), and if so returns its parts. The
-// returned slice must not be modified.
+// IsComposite reports whether c was produced by Composite, and if so
+// returns its parts: the stored pair set, with an extended color's tagged
+// pairs and marker as recolorOpts interned them. The returned slice must
+// not be modified.
 func (in *Interner) IsComposite(c Color) (prev Color, pairs []ColorPair, ok bool) {
 	e := in.entry(c)
 	if e == nil {
 		return 0, nil, false
 	}
-	return e.prev, in.pairs.view(in.outRef(e)), true
+	return e.prev, in.pairs.view(e.ref), true
 }
 
 // DerivationString renders the derivation DAG rooted at c up to the given
 // depth, for debugging and for the worked-example tests that mirror the
-// paper's Figures 4–6.
+// paper's Figures 4–6. An outbound pair renders as p→o; an extended
+// color's in-edge as s→p→• and predicate occurrence as s→•→o, with •
+// standing for the node itself. The marker pair is omitted.
 func (in *Interner) DerivationString(c Color, depth int) string {
 	if depth <= 0 {
 		return "…"
@@ -459,11 +388,21 @@ func (in *Interner) DerivationString(c Color, depth int) string {
 		return fmt.Sprintf("c%d", c)
 	}
 	s := "(" + in.DerivationString(e.prev, depth-1) + " {"
-	for i, pr := range in.pairs.view(in.outRef(e)) {
-		if i > 0 {
-			s += " "
+	sep := ""
+	for _, pr := range in.pairs.view(e.ref) {
+		var t string
+		switch {
+		case pr == extMarker:
+			continue
+		case pr.O < 0: // in-edge (λ(p), ^λ(s))
+			t = in.DerivationString(^pr.O, depth-1) + "→" + in.DerivationString(pr.P, depth-1) + "→•"
+		case pr.P < 0: // predicate occurrence (^λ(s), λ(o))
+			t = in.DerivationString(^pr.P, depth-1) + "→•→" + in.DerivationString(pr.O, depth-1)
+		default:
+			t = in.DerivationString(pr.P, depth-1) + "→" + in.DerivationString(pr.O, depth-1)
 		}
-		s += in.DerivationString(pr.P, depth-1) + "→" + in.DerivationString(pr.O, depth-1)
+		s += sep + t
+		sep = " "
 	}
 	return s + "})"
 }

@@ -11,10 +11,12 @@ import (
 // approaches that consider the incoming edges or only a selected subset of
 // edges, such as those determined by the type of a node"; §6 future work:
 // "using not only the contents of a node but also its context" and "a
-// notion of a key for graph databases"). Extended recoloring interns
-// through CompositeLists, the multi-list ('L'-kind) domain of the hash
-// interner — disjoint from the plain Composite domain, so extended and
-// default colors never alias within one interner.
+// notion of a key for graph databases"). They are one bisimulation
+// recoloring over a wider neighbourhood, so extended recoloring interns
+// through Composite like the default one: recolorOpts gathers the node's
+// outbound pairs, its in-edges and its predicate occurrences into one pair
+// set, each kind of pair in its own sign class, plus a marker pair that
+// keeps extended signatures apart from plain ones (see recolorOpts).
 
 // Direction selects which neighbourhood recoloring draws on.
 type Direction uint8
@@ -68,45 +70,61 @@ func (o RefineOptions) extended() bool {
 	return o.Direction != DirOut || o.Adaptive
 }
 
-// recolorOpts computes the extended recoloring of n. The three scratch
-// buffers hold the out, in and predicate-occurrence pair lists.
-func recolorOpts(g *rdf.Graph, p *Partition, n rdf.NodeID, opt RefineOptions,
-	scratch *[3][]ColorPair) Color {
-	outS := scratch[0][:0]
-	inS := scratch[1][:0]
-	poS := scratch[2][:0]
+// extMarker is the pair every extended signature carries. No gathered
+// pair has two negative colors, so no plain signature contains it.
+var extMarker = ColorPair{P: NoColor, O: NoColor}
+
+// recolorOpts computes the recoloring of n under opt, gathering into
+// scratch, and returns the color and the grown scratch for reuse. With
+// only a Filter it is the default recoloring over the kept out-edges. An
+// extended recoloring interns one pair set holding
+//
+//   - an outbound half-edge (p, o) as (λ(p), λ(o)),
+//   - an inbound half-edge {P: p, O: s} as (λ(p), ^λ(s)),
+//   - a predicate occurrence {P: s, O: o} as (^λ(s), λ(o)),
+//   - and the marker (NoColor, NoColor).
+//
+// Colors are non-negative and ^ maps them to negatives, so the three
+// kinds of pair fall in disjoint sign classes: two extended signatures are
+// equal exactly when their out-, in- and occurrence sets are, and the
+// stable-tree collapse and color numbering are those of separate lists.
+// The marker keeps an extended signature distinct from a plain one with
+// the same pairs (a node whose only neighbourhood is outbound). Without it
+// they would alias, and a later plain refinement on the same interner —
+// Propagate inside Overlap — would collapse into extended colors.
+func recolorOpts(g *rdf.Graph, p *Partition, n rdf.NodeID, opt RefineOptions, scratch []ColorPair) (Color, []ColorPair) {
+	colors := p.colors
+	keep := func(e rdf.Edge) bool { return opt.Filter == nil || opt.Filter(g, n, e) }
+	scratch = scratch[:0]
 	if opt.Direction == DirOut || opt.Direction == DirBoth {
 		for _, e := range g.Out(n) {
-			if opt.Filter != nil && !opt.Filter(g, n, e) {
-				continue
+			if keep(e) {
+				scratch = append(scratch, ColorPair{P: colors[e.P], O: colors[e.O]})
 			}
-			outS = append(outS, ColorPair{P: p.colors[e.P], O: p.colors[e.O]})
 		}
 	}
+	if !opt.extended() {
+		return p.in.Composite(colors[n], scratch), scratch
+	}
 	gatherIn := opt.Direction == DirIn || opt.Direction == DirBoth
-	if opt.Adaptive && len(outS) == 0 && g.OutDegree(n) == 0 {
+	if opt.Adaptive && g.OutDegree(n) == 0 {
 		// No contents: characterise by predicate occurrences, then by
 		// context.
-		for _, e := range g.PredOcc(n) {
-			poS = append(poS, ColorPair{P: p.colors[e.P], O: p.colors[e.O]})
+		occ := g.PredOcc(n)
+		for _, e := range occ {
+			scratch = append(scratch, ColorPair{P: ^colors[e.P], O: colors[e.O]})
 		}
-		if len(poS) == 0 {
-			gatherIn = true
-		}
+		gatherIn = gatherIn || len(occ) == 0
 	}
 	if gatherIn {
 		for _, e := range g.In(n) {
-			if opt.Filter != nil && !opt.Filter(g, n, e) {
-				continue
+			if keep(e) {
+				scratch = append(scratch, ColorPair{P: colors[e.P], O: ^colors[e.O]})
 			}
-			inS = append(inS, ColorPair{P: p.colors[e.P], O: p.colors[e.O]})
 		}
 	}
-	scratch[0], scratch[1], scratch[2] = outS, inS, poS
-	if opt.Direction == DirOut && !opt.Adaptive {
-		return p.in.Composite(p.colors[n], outS)
-	}
-	return p.in.CompositeLists(p.colors[n], outS, inS, poS)
+	scratch = append(scratch, extMarker)
+	return p.in.Composite(colors[n], scratch), scratch
 }
 
 // PredicateKeyFilter returns an EdgeFilter that keeps only half-edges whose

@@ -252,34 +252,48 @@ func TestDirectionString(t *testing.T) {
 	}
 }
 
-// TestCompositeListsDistinctFromPlain: the out/in pair-list composite of the
-// context-aware refinement never aliases a plain composite, collapses when
-// both lists repeat, and keeps its list boundaries.
-func TestCompositeListsDistinctFromPlain(t *testing.T) {
-	in := NewInterner()
-	a := in.Fresh()
-	prev := in.Fresh()
-	plain := in.Composite(prev, []ColorPair{{a, a}})
-	directed := in.CompositeLists(prev, []ColorPair{{a, a}}, nil)
-	if plain == directed {
-		t.Error("plain and directed composites with equal out-pairs must differ")
+// TestExtendedGatherDistinctFromPlain: the one pair set an extended
+// recoloring interns never aliases a plain composite, keeps out-, in- and
+// occurrence pairs apart, and collapses when it repeats.
+func TestExtendedGatherDistinctFromPlain(t *testing.T) {
+	b := rdf.NewBuilder("gather")
+	k := b.URI("k")
+	pred := b.URI("p")
+	out := b.Blank("out") // out --p--> k, no in-edges
+	in := b.Blank("in")   // k --p--> in, no out-edges
+	b.Triple(out, pred, k)
+	b.Triple(k, pred, in)
+	g := mustGraph(t, b)
+	p := LabelPartition(g, NewInterner())
+	both := RefineOptions{Direction: DirBoth}
+
+	cOut, scratch := recolorOpts(g, p, out, both, nil)
+	plain := p.in.Composite(p.colors[out], []ColorPair{{p.colors[pred], p.colors[k]}})
+	if cOut == plain {
+		t.Error("DirBoth on a node without in-edges must not alias the plain composite of its out-pairs")
 	}
-	// Directed collapse.
-	d2 := in.CompositeLists(directed, []ColorPair{{a, a}}, nil)
-	if d2 != directed {
-		t.Error("directed composite should collapse when both pair sets repeat")
+	cIn, scratch := recolorOpts(g, p, in, both, scratch)
+	if p.colors[in] != p.colors[out] {
+		t.Fatal("the two blanks should start in one class")
 	}
-	// In-pairs distinguish.
-	d3 := in.CompositeLists(prev, []ColorPair{{a, a}}, []ColorPair{{a, a}})
-	if d3 == directed {
-		t.Error("in-pairs must distinguish directed composites")
+	if cIn == cOut {
+		t.Error("swapping a node's in- and out-neighbourhood must change its color")
 	}
-	// Out/in boundary cannot shift.
-	x, y := in.Fresh(), in.Fresh()
-	left := in.CompositeLists(prev, []ColorPair{{x, y}}, nil)
-	right := in.CompositeLists(prev, nil, []ColorPair{{x, y}})
-	if left == right {
-		t.Error("moving a pair from out to in must change the color")
+	// The predicate p has no contents: Adaptive characterises it by its
+	// occurrences (out, k) and (k, in), which must not read as edges.
+	cOcc, scratch := recolorOpts(g, p, pred, RefineOptions{Adaptive: true}, scratch)
+	if _, pairs, _ := p.in.IsComposite(cOcc); len(pairs) != 3 {
+		t.Errorf("occurrence signature holds %v, want two occurrences and the marker", pairs)
+	}
+	if cOcc == p.in.Composite(p.colors[pred], []ColorPair{{p.colors[out], p.colors[k]}, {p.colors[k], p.colors[in]}}) {
+		t.Error("predicate occurrences must not alias out-pairs")
+	}
+	// Recoloring a node whose pair set is unchanged returns its color.
+	q := p.Clone()
+	q.colors[out] = cOut
+	size := p.in.Size()
+	if again, _ := recolorOpts(g, q, out, both, scratch); again != cOut || p.in.Size() != size {
+		t.Errorf("repeated extended signature recolored to %d (interner grew by %d), want the stable %d", again, p.in.Size()-size, cOut)
 	}
 }
 

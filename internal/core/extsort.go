@@ -299,13 +299,9 @@ func extMergeRound(g *rdf.Graph, cur *Partition, dirty []rdf.NodeID, changes []c
 		sortPairs(scratch)
 		pairs := dedupPairs(scratch)
 		prev := colors[n]
-		if in.stablePairs(prev, pairs) {
-			continue // recolors to its current color; never a change
-		}
-		h := sigHashPairs(in.seed, prev, pairs)
-		if c, ok := in.lookupPairs(h, prev, pairs); ok {
-			if c != colors[n] {
-				changes = append(changes, change{n: n, old: colors[n], new: c})
+		if c, _, ok := in.resolve(prev, pairs); ok {
+			if c != prev {
+				changes = append(changes, change{n: n, old: prev, new: c})
 			}
 			continue
 		}
@@ -359,10 +355,7 @@ func extMergeRound(g *rdf.Graph, cur *Partition, dirty []rdf.NodeID, changes []c
 	sort.Slice(byMin, func(i, j int) bool { return sigs[byMin[i]].minPos < sigs[byMin[j]].minPos })
 	for _, si := range byMin {
 		s := &sigs[si]
-		c := in.Fresh()
-		in.table.insert(sigHashPairs(in.seed, s.prev, in.pairs.view(s.pairs)), c)
-		*in.slot(c) = compositeEntry{prev: s.prev, kind: sigKindPairs, ref: s.pairs}
-		s.color = c
+		s.color = in.mint(sigHashPairs(in.seed, s.prev, in.pairs.view(s.pairs)), s.prev, s.pairs)
 	}
 	for j := pending; j < len(changes); j++ {
 		changes[j].new = sigs[changes[j].new].color

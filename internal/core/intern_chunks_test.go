@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -31,9 +32,9 @@ func hasPointers(t reflect.Type) bool {
 }
 
 // TestInternerTablesHoldNoPointers guards the interner's layout: the entry
-// chunks, the pair store and the list-reference store may live outside the
-// Go heap only while their element types hold no pointers, and an entry
-// costs at most 20 bytes per color.
+// chunks and the pair store may live outside the Go heap only while their
+// element types hold no pointers, and an entry costs at most 20 bytes per
+// color.
 func TestInternerTablesHoldNoPointers(t *testing.T) {
 	for _, v := range []any{compositeEntry{}, entryChunk{}, storeRef{}, ColorPair{}} {
 		if typ := reflect.TypeOf(v); hasPointers(typ) {
@@ -63,17 +64,17 @@ func (s *countingStorage) AllocColors(n int) []Color {
 	return s.Storage.AllocColors(n)
 }
 
-// internedColor records what a composite color was interned from.
+// internedColor records what a composite color was interned from: its
+// prev and its canonical pair set.
 type internedColor struct {
 	c, prev Color
-	lists   [][]ColorPair // one list for Composite colors
-	isLists bool
+	pairs   []ColorPair
 }
 
 // checkInterned checks every recorded color against its interner:
-// IsComposite returns its prev and first list, DerivationString renders
-// the recorded structure, re-interning hits the color, and composing the
-// color with its own lists collapses to it (the stable-tree rule).
+// IsComposite returns its prev and pair set, DerivationString renders the
+// recorded structure, re-interning hits the color, and composing the color
+// with its own pair set collapses to it (the stable-tree rule).
 func checkInterned(t *testing.T, in *Interner, recs []internedColor) {
 	t.Helper()
 	byColor := make(map[Color]internedColor, len(recs))
@@ -89,41 +90,33 @@ func checkInterned(t *testing.T, in *Interner, recs []internedColor) {
 		if !ok {
 			return fmt.Sprintf("c%d", c)
 		}
-		s := "(" + want(r.prev, depth-1) + " {"
-		for i, pr := range r.lists[0] {
-			if i > 0 {
-				s += " "
+		var terms []string
+		for _, pr := range r.pairs {
+			switch {
+			case pr == extMarker:
+			case pr.O < 0:
+				terms = append(terms, want(^pr.O, depth-1)+"→"+want(pr.P, depth-1)+"→•")
+			case pr.P < 0:
+				terms = append(terms, want(^pr.P, depth-1)+"→•→"+want(pr.O, depth-1))
+			default:
+				terms = append(terms, want(pr.P, depth-1)+"→"+want(pr.O, depth-1))
 			}
-			s += want(pr.P, depth-1) + "→" + want(pr.O, depth-1)
 		}
-		return s + "})"
-	}
-	clone := func(lists [][]ColorPair) [][]ColorPair {
-		out := make([][]ColorPair, len(lists))
-		for i, l := range lists {
-			out[i] = append([]ColorPair(nil), l...)
-		}
-		return out
+		return "(" + want(r.prev, depth-1) + " {" + strings.Join(terms, " ") + "})"
 	}
 	size := in.Size()
 	for _, r := range recs {
 		prev, pairs, ok := in.IsComposite(r.c)
-		if !ok || prev != r.prev || !pairsEqual(pairs, r.lists[0]) {
-			t.Fatalf("color %d: IsComposite = (%d, %v, %v), want (%d, %v)", r.c, prev, pairs, ok, r.prev, r.lists[0])
+		if !ok || prev != r.prev || !pairsEqual(pairs, r.pairs) {
+			t.Fatalf("color %d: IsComposite = (%d, %v, %v), want (%d, %v)", r.c, prev, pairs, ok, r.prev, r.pairs)
 		}
 		if got, w := in.DerivationString(r.c, 3), want(r.c, 3); got != w {
 			t.Fatalf("color %d: DerivationString = %q, want %q", r.c, got, w)
 		}
-		var again, stable Color
-		if r.isLists {
-			again = in.CompositeLists(r.prev, clone(r.lists)...)
-			stable = in.CompositeLists(r.c, clone(r.lists)...)
-		} else {
-			again = in.Composite(r.prev, clone(r.lists)[0])
-			stable = in.Composite(r.c, clone(r.lists)[0])
-		}
+		again := in.Composite(r.prev, append([]ColorPair(nil), r.pairs...))
+		stable := in.Composite(r.c, append([]ColorPair(nil), r.pairs...))
 		if again != r.c || stable != r.c {
-			t.Fatalf("color %d: re-interned as %d, composed with its own lists as %d", r.c, again, stable)
+			t.Fatalf("color %d: re-interned as %d, composed with its own pairs as %d", r.c, again, stable)
 		}
 	}
 	if in.Size() != size {
@@ -132,8 +125,9 @@ func checkInterned(t *testing.T, in *Interner, recs []internedColor) {
 }
 
 // TestInternerChunkBoundaries interns across entry-chunk and pair-chunk
-// boundaries — through Composite, CompositeLists and the external-merge
-// round — and checks every color on both sides of each boundary.
+// boundaries — plain and extended signatures through Composite, and the
+// external-merge round — and checks every color on both sides of each
+// boundary.
 func TestInternerChunkBoundaries(t *testing.T) {
 	t.Run("composite", func(t *testing.T) {
 		st := &countingStorage{Storage: OutOfCore(t.TempDir())}
@@ -144,22 +138,19 @@ func TestInternerChunkBoundaries(t *testing.T) {
 			base[i] = in.Fresh()
 		}
 		var recs []internedColor
-		// Intern until the colors span 4 entry, 3 pair and 2 list chunks.
-		for i := 0; len(in.entries) < 4 || len(in.pairs.chunks) < 3 || len(in.lists.chunks) < 2; i++ {
-			out := []ColorPair{{base[i%256], base[i/256%256]}, {base[0], base[i%7+1]}}
-			sortPairs(out)
-			out = dedupPairs(out)
-			prev := base[i%5]
+		// Intern until the colors span 4 entry and 3 pair chunks.
+		for i := 0; len(in.entries) < 4 || len(in.pairs.chunks) < 3; i++ {
+			pairs := []ColorPair{{base[i%256], base[i/256%256]}, {base[0], base[i%7+1]}}
 			if i%2 == 0 {
-				// Three positional lists, as extended refinement interns them.
-				in2 := []ColorPair{{base[i%11], base[2]}}
-				po := []ColorPair{{base[3], base[i%13]}}
-				c := in.CompositeLists(prev, append([]ColorPair(nil), out...), append([]ColorPair(nil), in2...), append([]ColorPair(nil), po...))
-				recs = append(recs, internedColor{c: c, prev: prev, lists: [][]ColorPair{out, in2, po}, isLists: true})
-				continue
+				// An in-edge, a predicate occurrence and the marker, as
+				// extended refinement interns them.
+				pairs = append(pairs, ColorPair{base[i%11], ^base[2]}, ColorPair{^base[3], base[i%13]}, extMarker)
 			}
-			c := in.Composite(prev, append([]ColorPair(nil), out...))
-			recs = append(recs, internedColor{c: c, prev: prev, lists: [][]ColorPair{out}})
+			sortPairs(pairs)
+			pairs = dedupPairs(pairs)
+			prev := base[i%5]
+			c := in.Composite(prev, append([]ColorPair(nil), pairs...))
+			recs = append(recs, internedColor{c: c, prev: prev, pairs: pairs})
 		}
 		entryWords := len(in.entries) * int(unsafe.Sizeof(entryChunk{})) / 4
 		if st.words < entryWords {
@@ -205,7 +196,7 @@ func TestInternerChunkBoundaries(t *testing.T) {
 			if !ok {
 				continue
 			}
-			recs = append(recs, internedColor{c: c, prev: prev, lists: [][]ColorPair{append([]ColorPair(nil), pairs...)}})
+			recs = append(recs, internedColor{c: c, prev: prev, pairs: append([]ColorPair(nil), pairs...)})
 		}
 		checkInterned(t, in, recs)
 	})

@@ -123,6 +123,16 @@ func TestInternDeterminismRandomGraphs(t *testing.T) {
 	}
 }
 
+// internUnder interns the canonical signature (prev, pairs) as if it
+// hashed to h, through the table probe and mint that resolve and
+// compositeCanonical use.
+func internUnder(in *Interner, h uint64, prev Color, pairs []ColorPair) Color {
+	if c, ok := in.lookupPairs(h, prev, pairs); ok {
+		return c
+	}
+	return in.mint(h, prev, in.pairs.add(in.st, pairs))
+}
+
 // TestInternForcedCollision drives the open-addressed bucket fallback
 // directly: distinct signatures interned under one artificial hash value
 // must resolve structurally — distinct signatures get distinct colors,
@@ -138,10 +148,12 @@ func TestInternForcedCollision(t *testing.T) {
 		{{b, a}},
 		{{a, a}, {a, b}},
 		{{a, a}, {b, b}},
+		{extMarker, {a, ^a}},
+		{{^a, a}, extMarker},
 	}
 	colors := make([]Color, len(sigs))
 	for i, s := range sigs {
-		colors[i] = in.internPairs(h, a, s)
+		colors[i] = internUnder(in, h, a, s)
 	}
 	for i := range sigs {
 		for j := range sigs {
@@ -153,12 +165,12 @@ func TestInternForcedCollision(t *testing.T) {
 	// Re-interning under the same hash must hit, not allocate.
 	size := in.Size()
 	for i, s := range sigs {
-		if got := in.internPairs(h, a, s); got != colors[i] {
+		if got := internUnder(in, h, a, s); got != colors[i] {
 			t.Fatalf("re-intern of sig %d: got color %d, want %d", i, got, colors[i])
 		}
 	}
 	// A different prev under the same hash is a different signature.
-	if got := in.internPairs(h, b, []ColorPair{{a, a}}); got == colors[0] {
+	if got := internUnder(in, h, b, []ColorPair{{a, a}}); got == colors[0] {
 		t.Error("distinct prev must not resolve to an existing color")
 	}
 	if in.Size() != size+1 {
@@ -184,25 +196,32 @@ func TestInternHashVsStringDifferential(t *testing.T) {
 			}
 			colors = append(colors, c)
 		}
-		randPairs := func() []ColorPair {
+		// One signature in three is extended: in-edge and occurrence pairs
+		// tagged with ^ and the marker, as recolorOpts gathers them.
+		randPairs := func(extended bool) []ColorPair {
 			pairs := make([]ColorPair, r.Intn(5))
 			for i := range pairs {
-				pairs[i] = ColorPair{colors[r.Intn(len(colors))], colors[r.Intn(len(colors))]}
+				pr := ColorPair{colors[r.Intn(len(colors))], colors[r.Intn(len(colors))]}
+				if extended {
+					switch r.Intn(3) {
+					case 1:
+						pr.O = ^pr.O
+					case 2:
+						pr.P = ^pr.P
+					}
+				}
+				pairs[i] = pr
+			}
+			if extended {
+				pairs = append(pairs, extMarker)
 			}
 			return pairs
 		}
 		for step := 0; step < 120; step++ {
 			prev := colors[r.Intn(len(colors))]
-			var hc, sc Color
-			if r.Intn(3) == 0 {
-				l1, l2 := randPairs(), randPairs()
-				hc = h.CompositeLists(prev, append([]ColorPair(nil), l1...), append([]ColorPair(nil), l2...))
-				sc = s.CompositeLists(prev, append([]ColorPair(nil), l1...), append([]ColorPair(nil), l2...))
-			} else {
-				pairs := randPairs()
-				hc = h.Composite(prev, append([]ColorPair(nil), pairs...))
-				sc = s.Composite(prev, append([]ColorPair(nil), pairs...))
-			}
+			pairs := randPairs(r.Intn(3) == 0)
+			hc := h.Composite(prev, append([]ColorPair(nil), pairs...))
+			sc := s.Composite(prev, append([]ColorPair(nil), pairs...))
 			if hc != sc {
 				t.Logf("step %d: hash interner %d, string interner %d", step, hc, sc)
 				return false

@@ -33,9 +33,9 @@ func RefineStep(g *rdf.Graph, p *Partition, x []rdf.NodeID) *Partition {
 // RefineStepOpts is RefineStep with direction and filter options.
 func RefineStepOpts(g *rdf.Graph, p *Partition, x []rdf.NodeID, opt RefineOptions) *Partition {
 	q := p.Clone()
-	var scratch [3][]ColorPair
+	var scratch []ColorPair
 	for _, n := range x {
-		q.colors[n] = recolorOpts(g, p, n, opt, &scratch)
+		q.colors[n], scratch = recolorOpts(g, p, n, opt, scratch)
 	}
 	return q
 }

@@ -1,16 +1,18 @@
 package core
 
 // This file implements the hash side of composite-signature interning: a
-// 64-bit signature hash computed directly from the canonical (prev, lists)
+// 64-bit signature hash computed directly from the canonical (prev, pairs)
 // form — no byte-key serialisation, no allocation — and the open-addressed
-// table that resolves a hash to a Color. The table stores only (hash, color)
-// pairs; on a hash hit the candidate color's entry in Interner.entries is
-// compared structurally against the pair lists it references
-// (pairsEqual and Interner.listsEqual), so the entry table stays the
-// single source of truth for what a color means and hash collisions cost a
-// comparison, never a wrong answer. Entries, pair lists and list
-// references hold no pointers, so the garbage collector never scans them
-// and a storage-backed interner keeps them out of the Go heap.
+// table that resolves a hash to a Color. There is one signature domain:
+// every composite, plain or extended (extend.go tags its in-edge and
+// predicate-occurrence pairs into the one set), is a prev color and a pair
+// set. The table stores only (hash, color) pairs; on a hash hit the
+// candidate color's entry in Interner.entries is compared structurally
+// against the pair set it references (pairsEqual), so the entry table
+// stays the single source of truth for what a color means and hash
+// collisions cost a comparison, never a wrong answer. Entries and pair
+// sets hold no pointers, so the garbage collector never scans them and a
+// storage-backed interner keeps them out of the Go heap.
 // Hash-based signature interning is the partitioning strategy the fastest
 // k-bisimulation implementations use (Rau, Richerby & Scherp 2022); here it
 // replaces the string-keyed map of the seed implementation (kept in the
@@ -23,13 +25,6 @@ package core
 // sigSeedDefault is the default interner hash seed (an arbitrary odd
 // constant; NewInternerSeeded accepts any value).
 const sigSeedDefault uint64 = 0x9e3779b97f4a7c15
-
-// Domain separators keeping Composite and CompositeLists signatures
-// disjoint, mirroring the 'P'/'L' tag bytes of the historical string keys.
-const (
-	sigTagPairs uint64 = 'P'
-	sigTagLists uint64 = 'L'
-)
 
 // mix64 is the splitmix64 finalizer: a cheap full-avalanche permutation of
 // uint64, used as the compression function of the signature hash.
@@ -47,31 +42,15 @@ func pairWord(pr ColorPair) uint64 {
 	return uint64(uint32(pr.P))<<32 | uint64(uint32(pr.O))
 }
 
-// sigHashPairs hashes the canonical (prev, pairs) signature of a plain
+// sigHashPairs hashes the canonical (prev, pairs) signature of a
 // composite. pairs must already be sorted and deduplicated; the chain of
 // mixes is positional, and the trailing length mix keeps prefixes distinct.
 func sigHashPairs(seed uint64, prev Color, pairs []ColorPair) uint64 {
-	h := mix64(seed ^ sigTagPairs ^ uint64(uint32(prev))*0x9e3779b97f4a7c15)
+	h := mix64(seed ^ uint64(uint32(prev))*0x9e3779b97f4a7c15)
 	for _, pr := range pairs {
 		h = mix64(h ^ pairWord(pr))
 	}
 	return mix64(h ^ uint64(len(pairs)))
-}
-
-// sigHashLists hashes the canonical (prev, lists) signature of a positional
-// multi-list composite. Every list is length-prefixed so encodings cannot
-// shift into each other, and the leading arity mix separates arities —
-// the hash-domain analogue of the length-prefixed string keys.
-func sigHashLists(seed uint64, prev Color, lists [][]ColorPair) uint64 {
-	h := mix64(seed ^ sigTagLists ^ uint64(uint32(prev))*0x9e3779b97f4a7c15)
-	h = mix64(h ^ uint64(len(lists)))
-	for _, pairs := range lists {
-		h = mix64(h ^ uint64(len(pairs)))
-		for _, pr := range pairs {
-			h = mix64(h ^ pairWord(pr))
-		}
-	}
-	return h
 }
 
 // sigSlot is one open-addressing slot: the full 64-bit signature hash and
@@ -127,11 +106,9 @@ func (t *sigTable) insert(h uint64, c Color) {
 	t.count++
 }
 
-// lookupPairs resolves the plain-composite signature (prev, pairs) under
-// hash h, comparing hash-equal candidates structurally against the
-// interner's entries and the pair lists they reference. Only 'P'-kind
-// entries can match, keeping the Composite and CompositeLists domains
-// disjoint.
+// lookupPairs resolves the composite signature (prev, pairs) under hash
+// h, comparing hash-equal candidates structurally against the interner's
+// entries and the pair sets they reference.
 func (in *Interner) lookupPairs(h uint64, prev Color, pairs []ColorPair) (Color, bool) {
 	t := &in.table
 	if t.slots == nil {
@@ -147,30 +124,7 @@ func (in *Interner) lookupPairs(h uint64, prev Color, pairs []ColorPair) (Color,
 		}
 		c := Color(s.ref - 1)
 		e := in.slot(c)
-		if e.kind == sigKindPairs && e.prev == prev && pairsEqual(in.pairs.view(e.ref), pairs) {
-			return c, true
-		}
-	}
-}
-
-// lookupLists is lookupPairs for positional multi-list signatures
-// ('L'-kind entries only).
-func (in *Interner) lookupLists(h uint64, prev Color, lists [][]ColorPair) (Color, bool) {
-	t := &in.table
-	if t.slots == nil {
-		return NoColor, false
-	}
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
-		s := t.slots[i]
-		if s.ref == 0 {
-			return NoColor, false
-		}
-		if s.hash != h {
-			continue
-		}
-		c := Color(s.ref - 1)
-		e := in.slot(c)
-		if e.kind == sigKindLists && e.prev == prev && in.listsEqual(e.ref, lists) {
+		if e.prev == prev && pairsEqual(in.pairs.view(e.ref), pairs) {
 			return c, true
 		}
 	}

@@ -10,8 +10,8 @@ import (
 
 // Storage supplies backing memory for the large pointer-free arrays of an
 // alignment run: the combined graph's columns (via rdf.Allocator), the
-// partition color arrays, and the interner's entry table, stored pair
-// lists and list references (as int32 words from AllocColors). The choice
+// partition color arrays, and the interner's entry table and stored pair
+// sets (as int32 words from AllocColors). The choice
 // of backend never changes results — colorings are bit-identical across
 // backends (property-tested) — only where the bytes live:
 //

@@ -14,16 +14,16 @@ import (
 // require identical colors, and BenchmarkInternComposite measures the
 // hash interner's win over it.
 //
-// The key encoding is the original one: a leading tag byte keeps plain
-// ('P') and multi-list ('L') signatures disjoint, every varint-encoded
-// list is length-prefixed so encodings cannot shift into each other, and
-// the key buffer is reused across calls (the map insert copies it via the
-// string conversion).
+// The key is the varint-encoded prev followed by each pair's colors;
+// extended signatures' negative colors encode as their 64-bit
+// two's-complement varints, so they stay distinct. The key buffer is
+// reused across calls (the map insert copies it via the string
+// conversion).
 type stringInterner struct {
 	labels map[rdf.Label]Color
 	comps  map[string]Color
 	next   Color
-	lists  map[Color][][]ColorPair
+	sets   map[Color][]ColorPair
 	keyBuf []byte
 }
 
@@ -31,7 +31,7 @@ func newStringInterner() *stringInterner {
 	return &stringInterner{
 		labels: make(map[rdf.Label]Color),
 		comps:  make(map[string]Color),
-		lists:  make(map[Color][][]ColorPair),
+		sets:   make(map[Color][]ColorPair),
 	}
 }
 
@@ -61,11 +61,10 @@ func (in *stringInterner) Base(l rdf.Label) Color {
 func (in *stringInterner) Composite(prev Color, pairs []ColorPair) Color {
 	sortPairs(pairs)
 	pairs = dedupPairs(pairs)
-	if l, ok := in.lists[prev]; ok && len(l) == 1 && pairsEqual(l[0], pairs) {
+	if set, ok := in.sets[prev]; ok && pairsEqual(set, pairs) {
 		return prev
 	}
-	buf := append(in.keyBuf[:0], 'P')
-	buf = binary.AppendUvarint(buf, uint64(prev))
+	buf := binary.AppendUvarint(in.keyBuf[:0], uint64(prev))
 	for _, pr := range pairs {
 		buf = binary.AppendUvarint(buf, uint64(pr.P))
 		buf = binary.AppendUvarint(buf, uint64(pr.O))
@@ -76,52 +75,6 @@ func (in *stringInterner) Composite(prev Color, pairs []ColorPair) Color {
 	}
 	c := in.Fresh()
 	in.comps[string(buf)] = c
-	in.lists[c] = [][]ColorPair{append([]ColorPair(nil), pairs...)}
-	return c
-}
-
-// listsEqual reports whether a and b hold equal pair lists in order.
-func listsEqual(a, b [][]ColorPair) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !pairsEqual(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// CompositeLists is Interner.CompositeLists on the string-keyed path.
-func (in *stringInterner) CompositeLists(prev Color, lists ...[]ColorPair) Color {
-	for i := range lists {
-		sortPairs(lists[i])
-		lists[i] = dedupPairs(lists[i])
-	}
-	if l, ok := in.lists[prev]; ok && listsEqual(l, lists) {
-		return prev
-	}
-	buf := append(in.keyBuf[:0], 'L')
-	buf = binary.AppendUvarint(buf, uint64(prev))
-	buf = binary.AppendUvarint(buf, uint64(len(lists)))
-	for _, pairs := range lists {
-		buf = binary.AppendUvarint(buf, uint64(len(pairs)))
-		for _, pr := range pairs {
-			buf = binary.AppendUvarint(buf, uint64(pr.P))
-			buf = binary.AppendUvarint(buf, uint64(pr.O))
-		}
-	}
-	in.keyBuf = buf
-	if c, ok := in.comps[string(buf)]; ok {
-		return c
-	}
-	c := in.Fresh()
-	in.comps[string(buf)] = c
-	stored := make([][]ColorPair, len(lists))
-	for i, pairs := range lists {
-		stored[i] = append([]ColorPair(nil), pairs...)
-	}
-	in.lists[c] = stored
+	in.sets[c] = append([]ColorPair(nil), pairs...)
 	return c
 }

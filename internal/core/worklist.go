@@ -28,15 +28,16 @@ import (
 //
 // Two properties make the frontier exact rather than merely sound:
 //
-//   - Stable-tree collapse (Interner.Composite, Interner.CompositeLists):
-//     when a node's pair lists are unchanged, recoloring returns its
-//     current color unchanged, even though the node's own color changed
-//     last round. A node therefore never re-dirties itself; only
+//   - Stable-tree collapse (Interner.Composite): when a node's pair set —
+//     outbound pairs, plus the tagged in-edge and predicate-occurrence
+//     pairs of an extended recoloring — is unchanged, recoloring returns
+//     its current color unchanged, even though the node's own color
+//     changed last round. A node therefore never re-dirties itself; only
 //     neighbourhood changes do, and a frontier node whose neighbourhood
 //     did not actually change keeps its color.
 //   - First-round seeding: the first round recolors all of x, establishing
 //     the invariant that every x node's color is a composite whose stored
-//     pair lists equal its current pair lists.
+//     pair set equals its current one.
 //
 // Consequently a worklist round computes exactly the partition a full
 // recoloring of x (the one-step refinement BisimRefine_X of §3.2) would:
@@ -258,7 +259,9 @@ func (e *Engine) worklist(ws *Workspace, g *rdf.Graph, cur *Partition, w []float
 			}
 		} else if ext {
 			for _, n := range dirty {
-				if c := recolorOpts(g, cur, n, e.Opt, &ws.extScratch); c != colors[n] {
+				var c Color
+				c, ws.scratch = recolorOpts(g, cur, n, e.Opt, ws.scratch)
+				if c != colors[n] {
 					changes = append(changes, change{n: n, old: colors[n], new: c})
 				}
 			}

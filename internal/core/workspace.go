@@ -46,7 +46,6 @@ type Workspace struct {
 	changes                []change
 	wchanges               []wchange
 	scratch                []ColorPair
-	extScratch             [3][]ColorPair
 
 	// rewound is the journal the last Rewind consumed and prevFinal the
 	// partition it rewound from, kept for Carry.

@@ -366,6 +366,11 @@ func newHead(al *rdfalign.Aligner, arch *archive.Archive, anchorVersion int, anc
 // queries work immediately. With replace set an existing entry is
 // atomically superseded; otherwise an existing name is ErrExists.
 func (r *Registry) Create(ctx context.Context, name string, arch *archive.Archive, replace bool) error {
+	// Refuse a taken name before the work below; the locked check at the
+	// end still catches a Create that raced this one.
+	if _, err := r.entry(name); err == nil && !replace {
+		return fmt.Errorf("%w: %q", ErrExists, name)
+	}
 	if !arch.CanAppend() {
 		if err := arch.RebuildTail(); err != nil {
 			return fmt.Errorf("server: load %q: %w", name, err)

@@ -308,12 +308,13 @@ type Term struct {
 	Value string `json:"value,omitempty"`
 }
 
-func termOf(g *rdfalign.Graph, n rdfalign.NodeID) Term {
-	l := g.Label(n)
-	switch {
-	case g.IsURI(n):
+// termOf is the response term of label l, classified by its kind: an
+// empty literal is a literal, and a blank carries no value.
+func termOf(l rdf.Label) Term {
+	switch l.Kind {
+	case rdf.URI:
 		return Term{Kind: "uri", Value: l.Value}
-	case l.Value != "":
+	case rdf.Literal:
 		return Term{Kind: "literal", Value: l.Value}
 	default:
 		return Term{Kind: "blank"}
@@ -416,7 +417,7 @@ func (s *Server) handleMatches(w http.ResponseWriter, r *http.Request) error {
 	ids := a.MatchesOf(n)
 	matches := make([]Term, len(ids))
 	for i, m := range ids {
-		matches[i] = termOf(h.latest, m)
+		matches[i] = termOf(h.latest.Label(m))
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"found": true, "matches": matches, "depth": depth})
 	return nil
@@ -453,14 +454,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) error {
 	resp["entity"] = int(e)
 	if l, present := h.arch.LabelAt(e, to); present {
 		resp["present"] = true
-		switch l.Kind {
-		case rdf.URI:
-			resp["label"] = Term{Kind: "uri", Value: l.Value}
-		case rdf.Literal:
-			resp["label"] = Term{Kind: "literal", Value: l.Value}
-		default:
-			resp["label"] = Term{Kind: "blank"}
-		}
+		resp["label"] = termOf(l)
 	} else {
 		resp["present"] = false
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"rdfalign"
+	"rdfalign/internal/rdf"
 )
 
 const (
@@ -668,6 +670,55 @@ func TestServerAppendsAlignOnce(t *testing.T) {
 				t.Errorf("%v/%s: published archive differs from BuildArchive:\n got %s\nwant %s",
 					m, tc.name, h.arch.GatherStats(), ref.GatherStats())
 			}
+		}
+	}
+}
+
+// TestCreateTakenNameFailsFirst: Create refuses a taken name before it
+// aligns the head pair, so a duplicate returns ErrExists even when the
+// alignment could not run.
+func TestCreateTakenNameFailsFirst(t *testing.T) {
+	g0, err := rdfalign.ParseNTriplesString(triplesV0, "v0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1, err := rdfalign.ParseNTriplesString(triplesV1, "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := rdfalign.NewAligner(rdfalign.WithMethod(rdfalign.Hybrid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, err := base.BuildArchive(context.Background(), []*rdfalign.Graph{g0, g1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRegistry(base)
+	if err := r.Create(context.Background(), "a", arch, false); err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := r.Create(cancelled, "a", arch, false); !errors.Is(err, ErrExists) {
+		t.Errorf("Create on a taken name = %v, want ErrExists", err)
+	}
+}
+
+// TestTermOf: response terms follow the label kind, so an empty literal
+// is a literal, not a blank.
+func TestTermOf(t *testing.T) {
+	for _, tc := range []struct {
+		l    rdfalign.Label
+		want Term
+	}{
+		{rdfalign.Label{Kind: rdf.URI, Value: "http://x/a"}, Term{Kind: "uri", Value: "http://x/a"}},
+		{rdfalign.Label{Kind: rdf.Literal, Value: "alpha"}, Term{Kind: "literal", Value: "alpha"}},
+		{rdfalign.Label{Kind: rdf.Literal, Value: ""}, Term{Kind: "literal"}},
+		{rdfalign.Label{Kind: rdf.Blank, Value: "b1"}, Term{Kind: "blank"}},
+	} {
+		if got := termOf(tc.l); got != tc.want {
+			t.Errorf("termOf(%+v) = %+v, want %+v", tc.l, got, tc.want)
 		}
 	}
 }
