@@ -103,8 +103,8 @@ func main() {
 	lopts := loadOptions{parse: popts, preferSnapshot: *loadSnapshot, saveSnapshot: *saveSnapshot, disk: disk, diskDir: *storageDir}
 	g1 := load(flag.Arg(0), "source", lopts)
 	g2 := load(flag.Arg(1), "target", lopts)
-	fmt.Printf("source: %s\n", rdfalign.GatherStats(g1))
-	fmt.Printf("target: %s\n", rdfalign.GatherStats(g2))
+	printGraphStats("source", g1)
+	printGraphStats("target", g2)
 
 	opts := []rdfalign.Option{rdfalign.WithMethod(m), rdfalign.WithTheta(*theta)}
 	if disk {
@@ -214,6 +214,15 @@ func main() {
 		}
 		fmt.Print(rdfalign.FormatDelta(a, rdfalign.ComputeDelta(a)))
 	}
+}
+
+// printGraphStats prints an input's stats line under its role: Stats leads
+// with a graph's name, which for a graph loaded from a snapshot is the name
+// it was saved under.
+func printGraphStats(role string, g *rdfalign.Graph) {
+	st := rdfalign.GatherStats(g)
+	st.Name = role
+	fmt.Println(st)
 }
 
 // printAlignStats prints the alignment stat block; -apply-delta and

@@ -109,8 +109,12 @@ func (b *Builder) TripleURI(s NodeID, p string, o NodeID) {
 // conditions of §2.1. Only the triple conditions need checking: the term
 // dictionaries already made URI and literal labels unique. The builder must
 // not be used afterwards.
-func (b *Builder) Graph() (*Graph, error) {
-	g := freeze(b.name, b.labels, b.triples)
+func (b *Builder) Graph() (*Graph, error) { return b.freeze(b.triples) }
+
+// freeze is Graph over the given triple chunks in place of the builder's
+// own list.
+func (b *Builder) freeze(chunks ...[]Triple) (*Graph, error) {
+	g := freeze(b.name, b.labels, chunks...)
 	if err := g.validateTriples(); err != nil {
 		return nil, err
 	}

@@ -206,6 +206,11 @@ type EditResult struct {
 // deleting twice). An insert followed by a delete of the same triple (or
 // vice versa) cancels. Errors identify the offending operation by its
 // 0-based index.
+//
+// The result's out-edges extend the pre-edit graph's (see patch.go); its
+// dependents index does not: refinement reads the union's, which
+// RebaseUnion carries, so the result's own is built only if something
+// asks for it.
 func (e *Editor) Apply(ops []EditOp) (*EditResult, error) {
 	g := e.g
 	var (
@@ -298,7 +303,7 @@ func (e *Editor) Apply(ops []EditOp) (*EditResult, error) {
 	removed := sortedTripleSet(delSet)
 	touched := touchedSubjects(added, removed)
 	res := &EditResult{
-		Graph:       patchedGraph(g, g.name, labels, added, removed, touched),
+		Graph:       patchedGraph(g, g.name, labels, added, removed, touched, false),
 		OldNumNodes: g.NumNodes(),
 		Added:       added,
 		Removed:     removed,
@@ -430,7 +435,8 @@ func mergeEdits(base, added, removed []Triple) []Triple {
 // labels, triples, node IDs — to Union(c.SourceGraph(), res.Graph), but
 // does not copy the union's indexes: every existing union node keeps its
 // ID, the edited graph's new nodes take the IDs following the old union's,
-// and the edit, shifted into union IDs, extends c's overlay. That costs
+// and the edit, shifted into union IDs, extends c's overlay, dependents
+// included when c has built them. That costs
 // O(overlay keys + churn + N/64) plus a whole copy of each replaced run —
 // the changed dependents runs of popular predicates among them — and, once
 // the overlay reaches the dense rule, one compaction (see patch.go).
@@ -454,7 +460,7 @@ func RebaseUnion(c *Combined, res *EditResult) *Combined {
 	}
 	name := c.g1.name + "⊎" + g2.name
 	return &Combined{
-		Graph: patchedGraph(c.Graph, name, labels, shift(res.Added), shift(res.Removed), touched),
+		Graph: patchedGraph(c.Graph, name, labels, shift(res.Added), shift(res.Removed), touched, true),
 		N1:    c.N1,
 		N2:    g2.NumNodes(),
 		g1:    c.g1,

@@ -31,3 +31,11 @@ func SharesBase(g, base *Graph) bool {
 
 // Rebuilt returns g's compaction: the same graph frozen into a fresh CSR.
 func Rebuilt(g *Graph) *Graph { return rebuiltGraph(g, g.Name(), g.labelsAll(), nil, nil) }
+
+// Folded returns the overlay graph g compacted into a plain CSR, as the
+// edit path does once an overlay reaches the dense rule.
+func Folded(g *Graph) *Graph { return folded(g) }
+
+// KeepsDependents reports whether g holds a built dependents index of its
+// own. Tests call it only where no other goroutine can be building one.
+func KeepsDependents(g *Graph) bool { return g.depIndex != nil }

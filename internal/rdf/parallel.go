@@ -215,7 +215,7 @@ type batchMerge struct {
 	b     *Builder
 	remap []NodeID // apply's block-local → global ID table
 	// chunks holds the merged triples, one remapped batch slice per block
-	// in block order; parseNTriplesScanner concatenates them once.
+	// in block order; freeze reads them in place.
 	chunks [][]Triple
 }
 
@@ -275,6 +275,5 @@ func parseNTriplesScanner(sc *blockScanner, name string, o parseOpts) (*Graph, e
 	if err := par.Ordered(o.workers, sc.next, parse, m.apply); err != nil {
 		return nil, err
 	}
-	m.b.triples = slices.Concat(m.chunks...)
-	return m.b.Graph()
+	return m.b.freeze(m.chunks...)
 }

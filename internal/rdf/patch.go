@@ -7,8 +7,11 @@ package rdf
 // small edit script per delta, that copy would dominate the maintenance
 // step. An edited graph is therefore an immutable base CSR plus a small
 // overlay: the replacement out-run of each subject an edit touched and,
-// when the base carries the recolor-dependency index, the replacement
-// Dependents run of each key whose membership an edit changed. Both are
+// on a union rebased by RebaseUnion whose pre-edit union had built its
+// recolor-dependency index, the replacement Dependents run of each key
+// whose membership an edit changed. Refinement reads only the union's
+// index, so an Editor.Apply result carries none: its index stays lazy, and
+// a Union over it builds that range from its own out-CSR. Both are
 // keyed by a node bitset, so a read of an untouched node costs one word
 // test before the base run. The base's columns — heap or mapped — are
 // shared, never copied or written.
@@ -230,8 +233,10 @@ func compacted[T any](n int, index []int32, flat []T, s *runSet[T]) ([]int32, []
 // compaction — folded when the overlay is what makes it dense, rebuilt
 // when the edit alone is. labels must extend old's labels (nodes are only
 // ever appended), added/removed must satisfy mergeEdits' preconditions,
-// and touched must be their subjects (touchedSubjects).
-func patchedGraph(old *Graph, name string, labels []Label, added, removed []Triple, touched []NodeID) *Graph {
+// and touched must be their subjects (touchedSubjects). With carry, a
+// dependents index old has built is carried (overlaidGraph); without, the
+// result's is lazy.
+func patchedGraph(old *Graph, name string, labels []Label, added, removed []Triple, touched []NodeID, carry bool) *Graph {
 	ovEdges := 0
 	if old.ov != nil {
 		ovEdges = old.ov.runEdges
@@ -239,9 +244,9 @@ func patchedGraph(old *Graph, name string, labels []Label, added, removed []Trip
 	edit, size := len(added)+len(removed), len(old.outEdges)+len(added)
 	switch {
 	case patchDenseFactor*(ovEdges+edit) < size:
-		return overlaidGraph(old, name, labels, added, removed, touched)
+		return overlaidGraph(old, name, labels, added, removed, touched, carry)
 	case patchDenseFactor*edit < size:
-		return folded(overlaidGraph(old, name, labels, added, removed, touched))
+		return folded(overlaidGraph(old, name, labels, added, removed, touched, carry))
 	}
 	return rebuiltGraph(old, name, labels, added, removed)
 }
@@ -250,8 +255,8 @@ func patchedGraph(old *Graph, name string, labels []Label, added, removed []Trip
 // block-copy its base and overlay runs into fresh flat columns. It is the
 // compaction of an overlay that edits filled, and costs one memory copy of
 // each index where rebuiltGraph re-lists every triple and leaves the
-// dependents to be rebuilt; dependents g carries stay built, lazy ones
-// stay lazy.
+// dependents to be rebuilt. Dependents g carries (a RebaseUnion's) stay
+// built; lazy ones (every Editor.Apply result's) stay lazy.
 func folded(g *Graph) *Graph {
 	f := &Graph{name: g.name, nnodes: g.nnodes, labels: g.labels, blanks: g.blanks, lits: g.lits}
 	f.outIndex, f.outEdges = g.outCSR()
@@ -266,13 +271,15 @@ func folded(g *Graph) *Graph {
 // by itself: it lists old's triples, merges the edit in and freezes the
 // result.
 func rebuiltGraph(old *Graph, name string, labels []Label, added, removed []Triple) *Graph {
-	return freezeSorted(name, labels, mergeEdits(old.tripleList(), added, removed))
+	return freeze(name, labels, mergeEdits(old.tripleList(), added, removed))
 }
 
 // overlaidGraph is the overlay path of patchedGraph, unconditionally: the
 // result shares old's base columns, and its overlay is old's merged with
-// the edit.
-func overlaidGraph(old *Graph, name string, labels []Label, added, removed []Triple, touched []NodeID) *Graph {
+// the edit. With carry and old's dependents built, the result shares
+// old's dependents base too and overlays the runs the edit changes;
+// otherwise its dependents are lazy and build over its own Out.
+func overlaidGraph(old *Graph, name string, labels []Label, added, removed []Triple, touched []NodeID, carry bool) *Graph {
 	g := &Graph{
 		name:     name,
 		nnodes:   len(labels),
@@ -281,8 +288,9 @@ func overlaidGraph(old *Graph, name string, labels []Label, added, removed []Tri
 		lits:     old.lits,
 		outIndex: old.outIndex,
 		outEdges: old.outEdges,
-		depIndex: old.depIndex,
-		depNodes: old.depNodes,
+	}
+	if carry {
+		g.depIndex, g.depNodes = old.depIndex, old.depNodes
 	}
 	for _, l := range labels[old.NumNodes():] {
 		switch l.Kind {
@@ -294,7 +302,10 @@ func overlaidGraph(old *Graph, name string, labels []Label, added, removed []Tri
 	}
 	ov := &overlay{ntriples: old.NumTriples() + len(added) - len(removed)}
 	if old.ov != nil {
-		ov.out, ov.dep = old.ov.out, old.ov.dep
+		ov.out = old.ov.out
+		if g.depIndex != nil {
+			ov.dep = old.ov.dep
+		}
 	}
 	ov.out = ov.out.with(g.nnodes, touched, overlayOutRuns(old, added, removed, touched))
 	for _, run := range ov.out.runs {

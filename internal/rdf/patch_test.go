@@ -173,7 +173,7 @@ func TestOverlaidGraphMatchesRebuild(t *testing.T) {
 		want := editedReference(base, labels, added, removed)
 		what := "seed " + strconv.FormatInt(seed, 10)
 
-		got := overlaidGraph(base, "base", labels, added, removed, touchedSubjects(added, removed))
+		got := overlaidGraph(base, "base", labels, added, removed, touchedSubjects(added, removed), true)
 		if got.depIndex != nil || len(got.ov.dep.keys) > 0 {
 			t.Fatalf("%s: dependents carried although base never built them", what)
 		}
@@ -181,7 +181,7 @@ func TestOverlaidGraphMatchesRebuild(t *testing.T) {
 		requireSameView(t, what+" lazy", got, want)
 
 		base.Dependents(0)
-		got2 := overlaidGraph(base, "base", labels, added, removed, touchedSubjects(added, removed))
+		got2 := overlaidGraph(base, "base", labels, added, removed, touchedSubjects(added, removed), true)
 		if got2.depIndex == nil {
 			t.Fatalf("%s: dependents not carried although base built them", what)
 		}
@@ -194,7 +194,7 @@ func TestOverlaidGraphMatchesRebuild(t *testing.T) {
 			var versions, wants []*Graph
 			for step := 0; step < 4; step++ {
 				labels, added, removed := randomEditOf(r, cur)
-				next := overlaidGraph(cur, "base", labels, added, removed, touchedSubjects(added, removed))
+				next := overlaidGraph(cur, "base", labels, added, removed, touchedSubjects(added, removed), true)
 				ref := editedReference(cur, labels, added, removed)
 				requireSameView(t, what+" chained", next, ref)
 				requireFolded(t, what+" chained", next, ref)
@@ -287,9 +287,9 @@ func BenchmarkPatchDensity(b *testing.B) {
 			name string
 			fn   func(*Graph, string, []Label, []Triple, []Triple) *Graph
 		}{{"overlay", func(old *Graph, name string, labels []Label, added, removed []Triple) *Graph {
-			return overlaidGraph(old, name, labels, added, removed, touchedSubjects(added, removed))
+			return overlaidGraph(old, name, labels, added, removed, touchedSubjects(added, removed), true)
 		}}, {"fold", func(old *Graph, name string, labels []Label, added, removed []Triple) *Graph {
-			return folded(overlaidGraph(old, name, labels, added, removed, touchedSubjects(added, removed)))
+			return folded(overlaidGraph(old, name, labels, added, removed, touchedSubjects(added, removed), true))
 		}}, {"rebuild", rebuiltGraph}} {
 			b.Run("churn="+churn.name+"/"+path.name, func(b *testing.B) {
 				b.ReportAllocs()

@@ -165,11 +165,18 @@ type Graph struct {
 	poIndex []int32
 	poEdges []Edge
 
-	// Recolor-dependency adjacency, built lazily on first Dependents()
-	// call (the worklist refinement engine needs it).
+	// Recolor-dependency adjacency, the worklist refinement engine's
+	// frontier index (Dependents). A graph read from a snapshot serves the
+	// stored one. Any other graph builds it on the first Dependents call
+	// and keeps it, a union by concatenating its operands' (operands),
+	// except that RebaseUnion carries the pre-edit union's, if built, with
+	// overlay runs (patch.go). Editor.Apply results carry none.
 	depOnce  sync.Once
 	depIndex []int32
 	depNodes []NodeID
+	// operands are, on a graph made by UnionIn until its dependents are
+	// built, the two graphs whose dependents buildDependents concatenates.
+	operands [2]*Graph
 
 	blanks int // number of blank-labelled nodes
 	lits   int // number of literal-labelled nodes
@@ -362,7 +369,9 @@ func (g *Graph) buildPredOcc() {
 // recoloring — recolor_λ(s) reads λ(p) and λ(o) for each (p, o) ∈ out(s), so
 // after λ(n) changes, exactly the nodes in Dependents(n) can recolor
 // differently. The worklist refinement engine uses it to seed each round's
-// dirty frontier. The slice aliases lazily built internal storage and must
+// dirty frontier. The first call on a graph without a stored or carried
+// index builds one and keeps it (see buildDependents); a union's is its
+// operands' concatenated. The slice aliases that internal storage and must
 // not be modified.
 func (g *Graph) Dependents(n NodeID) []NodeID {
 	if g.ov != nil {
@@ -372,51 +381,117 @@ func (g *Graph) Dependents(n NodeID) []NodeID {
 	return g.depNodes[g.depIndex[n]:g.depIndex[n+1]]
 }
 
-// buildDependents builds the recolor-dependency CSR over Out. Graphs that
-// carry one from storage or from their pre-edit graph mark depOnce done at
-// construction instead.
+// buildDependents builds the recolor-dependency CSR: a union's from its
+// operands' (unionDependents), any other graph's with one counting pass
+// over Out. Graphs that carry one from storage or from their pre-edit
+// graph mark depOnce done at construction instead.
 func (g *Graph) buildDependents() {
-	n := g.nnodes
-	idx := make([]int32, n+1)
-	for s := 0; s < n; s++ {
-		for _, e := range g.Out(NodeID(s)) {
-			idx[e.P+1]++
-			idx[e.O+1]++
-		}
+	index := g.allocIndex(g.nnodes + 1)
+	if g.operands[0] != nil {
+		g.depNodes = g.unionDependents(index)
+		g.operands = [2]*Graph{}
+	} else {
+		scratch := make([]int32, g.nnodes)
+		g.countDependents(0, g.nnodes, index, scratch)
+		g.depNodes = g.allocNodes(int(index[g.nnodes]))
+		g.fillDependents(0, g.nnodes, index, g.depNodes, scratch)
 	}
-	for i := 1; i <= n; i++ {
-		idx[i] += idx[i-1]
-	}
-	nodes := g.allocNodes(2 * g.NumTriples())
-	cursor := make([]int32, n)
-	copy(cursor, idx[:n])
-	for s := 0; s < n; s++ {
-		for _, e := range g.Out(NodeID(s)) {
-			nodes[cursor[e.P]] = NodeID(s)
-			cursor[e.P]++
-			nodes[cursor[e.O]] = NodeID(s)
-			cursor[e.O]++
-		}
-	}
-	// Each run is filled in subject order, so runs arrive already sorted;
-	// deduplicate them with an in-place compaction (the write position
-	// never overtakes the read position).
-	out := nodes[:0]
-	newIdx := g.allocIndex(n + 1)
-	for i := 0; i < n; i++ {
-		prev := NodeID(-1)
-		for j := idx[i]; j < idx[i+1]; j++ {
-			s := nodes[j]
-			if s == prev {
-				continue
+	g.depIndex = index
+}
+
+// unionDependents fills index and returns the nodes of a union's
+// recolor-dependency CSR. The union is disjoint, so the runs of G1's nodes
+// are G1's dependents and those of G2's nodes are G2's shifted by |N1|. An
+// overlay-free operand contributes the index it stores or has built,
+// building it first if it is lazy; it keeps it, since later unions over it
+// (the next release's alignment, its archive append, its snapshot write)
+// read it again. An operand with an overlay, and every operand of a union
+// drawing from an Allocator, contributes its range built from the union's
+// own flat out-CSR instead and keeps nothing: an edited graph's index
+// would need overlay runs, and an out-of-core union keeps its columns off
+// the heap.
+func (g *Graph) unionDependents(index []int32) []NodeID {
+	var from [2][]NodeID // an operand's own dependents, or nil to build its range
+	var scratch []int32
+	lo := 0
+	for i, op := range g.operands {
+		hi := lo + op.nnodes
+		if op.ov == nil && g.alloc == nil {
+			opIndex, opNodes := op.depCSR()
+			for k := 1; k <= op.nnodes; k++ {
+				index[lo+k] = index[lo] + opIndex[k]
 			}
-			prev = s
-			out = append(out, s)
+			from[i] = opNodes
+		} else {
+			if scratch == nil {
+				scratch = make([]int32, g.nnodes)
+			}
+			g.countDependents(lo, hi, index, scratch)
 		}
-		newIdx[i+1] = int32(len(out))
+		lo = hi
 	}
-	g.depIndex = newIdx
-	g.depNodes = out
+	nodes := g.allocNodes(int(index[g.nnodes]))
+	lo = 0
+	for i, op := range g.operands {
+		hi := lo + op.nnodes
+		if from[i] == nil {
+			g.fillDependents(lo, hi, index, nodes, scratch)
+		} else {
+			dst, off := nodes[index[lo]:index[hi]], NodeID(lo)
+			for j, s := range from[i] {
+				dst[j] = s + off
+			}
+		}
+		lo = hi
+	}
+	return nodes
+}
+
+// countDependents is the counting pass of a dependents CSR over the
+// subjects lo..hi-1, whose out-edges name nodes in [lo, hi) only (the whole
+// graph, or a union operand's range): it sets index[k+1] for every k in
+// [lo, hi) to index[k] plus the number of distinct subjects naming k.
+// index[lo] holds the range's first position and index[lo+1:hi+1] zeros.
+// scratch[lo:hi] must be zero; it records the last subject counted per
+// key, plus one.
+func (g *Graph) countDependents(lo, hi int, index, scratch []int32) {
+	for s := lo; s < hi; s++ {
+		mark := int32(s + 1)
+		for _, e := range g.Out(NodeID(s)) {
+			if scratch[e.P] != mark {
+				scratch[e.P] = mark
+				index[e.P+1]++
+			}
+			if scratch[e.O] != mark {
+				scratch[e.O] = mark
+				index[e.O+1]++
+			}
+		}
+	}
+	for k := lo + 1; k <= hi; k++ {
+		index[k] += index[k-1]
+	}
+}
+
+// fillDependents is the placing pass after countDependents: it writes each
+// key's subjects, ascending and once each, into nodes from index[k] on.
+// Subjects are visited in ascending order, so a repeat is always the entry
+// just written for that key. scratch[lo:hi] becomes the per-key cursors.
+func (g *Graph) fillDependents(lo, hi int, index []int32, nodes []NodeID, scratch []int32) {
+	copy(scratch[lo:hi], index[lo:hi])
+	put := func(k, s NodeID) {
+		c := scratch[k]
+		if c == index[k] || nodes[c-1] != s {
+			nodes[c] = s
+			scratch[k] = c + 1
+		}
+	}
+	for s := lo; s < hi; s++ {
+		for _, e := range g.Out(NodeID(s)) {
+			put(e.P, NodeID(s))
+			put(e.O, NodeID(s))
+		}
+	}
 }
 
 // Triples returns the edge list sorted by (S, P, O) as a fresh slice. It
@@ -477,49 +552,58 @@ func (g *Graph) FindLiteral(v string) (NodeID, bool) {
 	return -1, false
 }
 
-// freeze finalises a graph under construction: it sorts and deduplicates the
-// triple list and builds the CSR adjacency. labels must already be final.
-// The graph does not keep triples.
-func freeze(name string, labels []Label, triples []Triple) *Graph {
-	slices.SortFunc(triples, func(a, b Triple) int {
-		if c := cmp.Compare(a.S, b.S); c != 0 {
-			return c
+// freeze finalises a graph under construction: it builds the out-CSR from
+// a triple list in any order, duplicates allowed, given as one or more
+// chunks (a parallel parse hands over one per block). A counting sort by
+// subject places the triples straight into outEdges; each subject's run is
+// then sorted by (P, O) and cleared of repeats in place (E_G is a set of
+// triples), so freeze allocates nothing beyond the two CSR columns, and a
+// list already in (S, P, O) order, as the dense edit path makes, costs
+// linear passes only. labels must already be final. The graph does not
+// keep the triples.
+func freeze(name string, labels []Label, chunks ...[]Triple) *Graph {
+	n := len(labels)
+	g := &Graph{name: name, nnodes: n, labels: labels}
+	index := make([]int32, n+1)
+	total := 0
+	for _, triples := range chunks {
+		for _, t := range triples {
+			index[t.S+1]++
 		}
-		if c := cmp.Compare(a.P, b.P); c != 0 {
-			return c
+		total += len(triples)
+	}
+	for i := 1; i <= n; i++ {
+		index[i] += index[i-1]
+	}
+	// index[s] is subject s's cursor while placing: it ends at the start
+	// of s+1's run.
+	edges := make([]Edge, total)
+	for _, triples := range chunks {
+		for _, t := range triples {
+			edges[index[t.S]] = Edge{P: t.P, O: t.O}
+			index[t.S]++
 		}
-		return cmp.Compare(a.O, b.O)
-	})
-	// Deduplicate: E_G is a set of triples.
-	dedup := triples[:0]
-	var prev Triple
-	for i, t := range triples {
-		if i > 0 && t == prev {
-			continue
+	}
+	// Sort and deduplicate run by run, compacting leftwards: the write
+	// position never overtakes the run being read. index[s] becomes the
+	// compacted end of s's run, then everything shifts up one slot.
+	w, from := 0, 0
+	for s := 0; s < n; s++ {
+		run := edges[from:index[s]]
+		from = int(index[s])
+		sortRun(run)
+		for i, e := range run {
+			if i > 0 && e == run[i-1] {
+				continue
+			}
+			edges[w] = e
+			w++
 		}
-		dedup = append(dedup, t)
-		prev = t
+		index[s] = int32(w)
 	}
-	return freezeSorted(name, labels, dedup)
-}
-
-// freezeSorted is freeze for a triple list that is already sorted by
-// (S, P, O) and duplicate-free — the dense edit path (patch.go) keeps that
-// invariant with a sorted merge, so it costs a linear CSR pass instead of
-// a full sort.
-func freezeSorted(name string, labels []Label, triples []Triple) *Graph {
-	g := &Graph{name: name, nnodes: len(labels), labels: labels}
-	g.outIndex = make([]int32, len(labels)+1)
-	for _, t := range triples {
-		g.outIndex[t.S+1]++
-	}
-	for i := 1; i <= len(labels); i++ {
-		g.outIndex[i] += g.outIndex[i-1]
-	}
-	g.outEdges = make([]Edge, len(triples))
-	for i, t := range triples {
-		g.outEdges[i] = Edge{P: t.P, O: t.O}
-	}
+	copy(index[1:], index[:n])
+	index[0] = 0
+	g.outIndex, g.outEdges = index, edges[:w]
 	for _, l := range labels {
 		switch l.Kind {
 		case Blank:
@@ -529,6 +613,25 @@ func freezeSorted(name string, labels []Label, triples []Triple) *Graph {
 		}
 	}
 	return g
+}
+
+// sortRun sorts an out-run by (P, O), compared as one packed integer. Runs
+// are mostly short and often already in order, which insertion sort
+// handles in one pass; long runs go to the library sort.
+func sortRun(run []Edge) {
+	if len(run) > 32 {
+		slices.SortFunc(run, compareEdges)
+		return
+	}
+	key := func(e Edge) uint64 { return uint64(e.P)<<32 | uint64(uint32(e.O)) }
+	for i := 1; i < len(run); i++ {
+		e := run[i]
+		k, j := key(e), i
+		for ; j > 0 && key(run[j-1]) > k; j-- {
+			run[j] = run[j-1]
+		}
+		run[j] = e
+	}
 }
 
 // Validate checks the RDF-graph conditions of §2.1 on top of the triple

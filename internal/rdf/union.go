@@ -35,8 +35,11 @@ func Union(g1, g2 *Graph) *Combined { return UnionIn(nil, g1, g2) }
 // (an edited operand's compacted first, see outCSR): g1's index and edges
 // are copied as they are, g2's follow with node IDs offset by |N1| and
 // edge positions by |E1|. Every G2 subject sorts after every G1 node, so
-// the result is already in (S, P, O) order and nothing is sorted or
-// counted.
+// the result is already in (S, P, O) order and nothing is sorted. The
+// union's dependents index, built on its first Dependents call, is
+// concatenated the same way from its operands' (see unionDependents): an
+// overlay-free operand builds its own once and keeps it, so the unions of
+// consecutive releases, which share one, count it once.
 func UnionIn(alloc Allocator, g1, g2 *Graph) *Combined {
 	n1, n2 := g1.NumNodes(), g2.NumNodes()
 	labels := make([]Label, 0, n1+n2)
@@ -46,6 +49,7 @@ func UnionIn(alloc Allocator, g1, g2 *Graph) *Combined {
 	g.blanks = g1.blanks + g2.blanks
 	g.lits = g1.lits + g2.lits
 	g.srcURIs, g.srcLits = g1.DistinctLabels()
+	g.operands = [2]*Graph{g1, g2}
 
 	index1, edges1 := g1.outCSR()
 	index2, edges2 := g2.outCSR()
